@@ -83,7 +83,10 @@ def _make_config(d_collision, dt_ps_max, a_lon_max, a_lat_max, horizon,
 def _jobs_option(jobs: int | None) -> int:
     env = os.environ.get("INTERACTION_EVAL_JOBS")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"INTERACTION_EVAL_JOBS must be an integer, got {env!r}") from None
     return jobs if jobs else 1
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from . import __version__
 from .baselines import cv_predict, oracle_predict, scene_time_origin
 from .errors import (
+    ConfigError,
     DegenerateInterval,
     EmptyCorpus,
     NoCollapse,
@@ -91,14 +92,14 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
 def _baseline_predictions(scene: Scene, model: str, frames: set[int],
                           pairs: list[CriticalPair], cfg: EvalConfig,
                           k: int = DEFAULT_ORACLE_K) -> dict[int, JointPredictionSet]:
+    if model not in BASELINE_MODELS:
+        raise ConfigError(f"unknown baseline model {model!r}")
     out: dict[int, JointPredictionSet] = {}
     for fr in sorted(frames):
         if model == "cv":
             out[fr] = cv_predict(scene, fr, cfg)
-        elif model == "oracle":
-            out[fr] = oracle_predict(scene, fr, pairs, k, cfg)
         else:
-            raise EmptyCorpus(f"unknown baseline model {model!r}")
+            out[fr] = oracle_predict(scene, fr, pairs, k, cfg)
     return out
 
 

@@ -8,10 +8,19 @@ accelerate/decelerate orderings of a pair and discarding colliding ones
 yields the set of feasible interaction classes per frame; the first frame
 after which only one class remains feasible is the inevitable homotopy
 state (IHS).
+
+A roll integrates the speed profile in ``_SUBSTEPS`` substeps per frame.
+Each substep advances by the closed-form integral of the clamped linear
+profile until the speed cap (lateral acceleration on curvature, braked
+back along the path) binds; where it binds, the substep is a trapezoid
+step at the capped speeds. Closed-form stretches are array code: one
+cumulative sum and one cap test for all their substeps. A straight path
+has a flat cap that never binds, so its whole roll is one such stretch.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 
@@ -94,15 +103,33 @@ def max_scene_speed(scene: Scene) -> float:
     return best
 
 
-def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> float:
-    """Reciprocal circumscribed-circle radius of three points."""
-    a = np.hypot(*(p1 - p0))
-    b = np.hypot(*(p2 - p1))
-    c = np.hypot(*(p2 - p0))
-    if a < 1e-9 or b < 1e-9 or c < 1e-9:
-        return 0.0
-    cross = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-    return abs(2.0 * cross / (a * b * c))
+def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Reciprocal circumscribed-circle radius of point triples, each (N, 2).
+
+    0 where two points of a triple lie within 1e-9 m of each other.
+    """
+    a = np.hypot(*(p1 - p0).T)
+    b = np.hypot(*(p2 - p1).T)
+    c = np.hypot(*(p2 - p0).T)
+    cross = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.abs(2.0 * cross / (a * b * c))
+    return np.where((a < 1e-9) | (b < 1e-9) | (c < 1e-9), 0.0, kappa)
+
+
+def _interp_scalar(x: float, xp: list, fp: list) -> float:
+    """``np.interp(x, xp, fp)`` for one finite ``x`` and strictly increasing
+    ``xp``, bit for bit: the same bracketing and slope formula, without the
+    per-call cost of a numpy call."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 class PathRollout:
@@ -119,12 +146,15 @@ class PathRollout:
             raise IndexOutOfRange(f"start frame {start_frame} outside [0, {traj.n})")
         self.dt = traj.dt
         pts = traj.xy[start_frame:]
-        # drop consecutive (near-)duplicate vertices
-        keep = [0]
-        for i in range(1, len(pts)):
-            if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-9:
-                keep.append(i)
-        pts = pts[keep]
+        step = np.hypot(*(np.diff(pts, axis=0).T))
+        if np.any(step <= 1e-9):
+            # drop consecutive (near-)duplicate vertices, measured from the
+            # last kept one
+            keep = [0]
+            for i in range(1, len(pts)):
+                if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-9:
+                    keep.append(i)
+            pts = pts[keep]
         if len(pts) >= 2:
             tail = pts[-1] - pts[-2]
             heading = np.arctan2(tail[1], tail[0])
@@ -136,16 +166,18 @@ class PathRollout:
         seg = np.hypot(*(np.diff(verts, axis=0).T))
         s_vert = np.concatenate([[0.0], np.cumsum(seg)])
         # curvature at the recorded vertices, linear in arc length elsewhere
+        m = len(pts)
         kappa_vert = np.zeros(len(verts))
-        for i in range(1, len(pts) - 1):
-            kappa_vert[i] = min(_menger_curvature(verts[i - 1], verts[i], verts[i + 1]),
-                                _KAPPA_MAX)
+        if m >= 3:
+            kappa_vert[1:m - 1] = np.minimum(
+                _menger_curvature(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
         self._s_vert = s_vert
         self._verts = verts
         n_grid = max(int(s_vert[-1] / _PATH_DS) + 2, 2)
         self._s = np.linspace(0.0, s_vert[-1], n_grid)
         self._kappa = np.interp(self._s, s_vert, kappa_vert)
         self._cfg = cfg
+        self._caps: dict[float, np.ndarray] = {}
 
     def position(self, s: np.ndarray) -> np.ndarray:
         s = np.clip(s, 0.0, self._s_vert[-1])
@@ -154,59 +186,105 @@ class PathRollout:
         return np.stack([x, y], axis=-1)
 
     def speed_cap(self, v_max: float) -> np.ndarray:
-        """Curvature- and braking-aware speed limit along the arc grid."""
+        """Curvature- and braking-aware speed limit along the arc grid.
+
+        Computed once per ``v_max`` and kept, read-only, for the life of
+        this path.
+        """
+        cap = self._caps.get(v_max)
+        if cap is not None:
+            return cap
         with np.errstate(divide="ignore"):
             lat = np.sqrt(self._cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
         cap = np.minimum(v_max, lat)
         ds = self._s[1] - self._s[0] if len(self._s) > 1 else _PATH_DS
-        # backward pass: entering a low-cap region must be brakeable at a_lon_max
-        for k in range(len(cap) - 2, -1, -1):
-            cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + 2.0 * self._cfg.a_lon_max * ds))
+        brake = 2.0 * self._cfg.a_lon_max * ds
+        # backward pass: entering a low-cap region must be brakeable at a_lon_max.
+        # A flat cap is a fixed point of the pass when one step leaves it
+        # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
+        # last bit can differ from the x*x that an array ** 2 computes.
+        c = cap[0]
+        if not (np.all(cap == c) and np.sqrt(c ** 2 + brake) >= c):
+            for k in range(len(cap) - 2, -1, -1):
+                cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
+        cap.setflags(write=False)
+        self._caps[v_max] = cap
         return cap
 
     def roll(self, profile: SpeedProfile, n_steps: int,
              t0: float = 0.0) -> Trajectory:
-        """Integrate the speed profile; positions sampled every dt, n_steps+1 samples."""
+        """Integrate the speed profile; positions sampled every dt, n_steps+1 samples.
+
+        Each frame is split into ``_SUBSTEPS`` substeps. While the speed cap
+        holds at both ends of a substep, the substep advances by the exact
+        integral of the clamped linear profile (closed form). Where the cap
+        binds, it takes one trapezoid step at the capped speeds instead.
+
+        The substeps are evaluated as arrays: the closed-form advances are
+        summed in order by one cumulative sum, and the cap is tested on all
+        of them at once. From the first substep where the cap binds, substeps
+        are stepped one at a time for as long as it binds; the sum then
+        restarts from where they end. The result is the same, bit for bit,
+        as stepping every substep in turn.
+        """
         dt = self.dt
         a, v0, v_max = profile.a_lon, profile.v0, profile.v_max
         cap = self.speed_cap(v_max)
         s_grid = self._s
 
-        def v_des(t: float) -> float:
-            return float(np.clip(v0 + a * t, 0.0, v_max))
+        def v_des(t: np.ndarray) -> np.ndarray:
+            return np.clip(v0 + a * t, 0.0, v_max)
 
-        def s_des(t: float) -> float:
+        def s_des(t: np.ndarray) -> np.ndarray:
             # exact integral of the clamped linear profile
             if a > 0:
                 t_star = (v_max - v0) / a
-                if t <= t_star:
-                    return v0 * t + 0.5 * a * t * t
-                return v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star)
+                return np.where(t <= t_star, v0 * t + 0.5 * a * t * t,
+                                v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star))
             if a < 0:
                 t_star = v0 / -a
-                if t <= t_star:
-                    return v0 * t + 0.5 * a * t * t
-                return 0.5 * v0 * t_star
+                return np.where(t <= t_star, v0 * t + 0.5 * a * t * t, 0.5 * v0 * t_star)
             return v0 * t
 
         h = dt / _SUBSTEPS
-        s = 0.0
-        out_s = np.empty(n_steps + 1)
-        out_s[0] = 0.0
-        for frame in range(1, n_steps + 1):
-            for sub in range(_SUBSTEPS):
-                t_a = (frame - 1) * dt + sub * h
-                t_b = t_a + h
-                ds_exact = s_des(t_b) - s_des(t_a)
-                cap_here = np.interp([s, s + ds_exact], s_grid, cap)
-                if v_des(t_a) <= cap_here[0] + 1e-12 and v_des(t_b) <= cap_here[1] + 1e-12:
-                    s += ds_exact  # cap inactive: closed-form increment
-                else:
-                    va = min(v_des(t_a), float(cap_here[0]))
-                    s_mid = s + va * h
-                    vb = min(v_des(t_b), float(np.interp(s_mid, s_grid, cap)))
-                    s += 0.5 * (va + vb) * h
-            out_s[frame] = s
+        # substep k = (frame - 1) * _SUBSTEPS + sub spans [t_a[k], t_b[k]]
+        t_a = (np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * h).ravel()
+        t_b = t_a + h
+        v_a, v_b = v_des(t_a), v_des(t_b)
+        ds_exact = s_des(t_b) - s_des(t_a)
+        n_sub = len(ds_exact)
+        s_end = np.empty(n_sub)  # arc length after each substep
+        k, s = 0, 0.0
+        xs = fs = None  # grid and cap as lists, for the scalar steps
+        while k < n_sub:
+            # closed form from substep k on: the advances summed in order from s
+            s_k = np.cumsum(np.concatenate(([s], ds_exact[k:])))
+            cap_k = np.interp(s_k, s_grid, cap)
+            free = (v_a[k:] <= cap_k[:-1] + 1e-12) & (v_b[k:] <= cap_k[1:] + 1e-12)
+            j = int(free.argmin())
+            if free[j]:
+                s_end[k:] = s_k[1:]
+                break
+            s_end[k:k + j] = s_k[1:j + 1]
+            k += j
+            # the cap binds on substep k: trapezoid steps at the capped speeds
+            # while it binds, then back to the closed form
+            if xs is None:
+                xs, fs = s_grid.tolist(), cap.tolist()
+            s, cap_a = float(s_k[j]), float(cap_k[j])
+            while True:
+                va = min(float(v_a[k]), cap_a)
+                vb = min(float(v_b[k]), _interp_scalar(s + va * h, xs, fs))
+                s += 0.5 * (va + vb) * h
+                s_end[k] = s
+                k += 1
+                if k == n_sub:
+                    break
+                cap_a = _interp_scalar(s, xs, fs)
+                if (v_a[k] <= cap_a + 1e-12
+                        and v_b[k] <= _interp_scalar(s + float(ds_exact[k]), xs, fs) + 1e-12):
+                    break
+        out_s = np.concatenate(([0.0], s_end[_SUBSTEPS - 1::_SUBSTEPS]))
         xy = self.position(out_s)
         t = t0 + dt * np.arange(n_steps + 1)
         return Trajectory(t=t, xy=xy, dt=dt)

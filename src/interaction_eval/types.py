@@ -248,12 +248,9 @@ def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     disp[1:-1] = (pos[2:] - pos[:-2]) / 2.0
     norm = np.hypot(disp[:, 0], disp[:, 1])
     speeds = np.where(norm < _DEGENERATE_DISP, 0.0, norm / traj.dt)
-    headings = np.zeros(n)
-    last = 0.0
-    for i in range(n):
-        if norm[i] >= _DEGENERATE_DISP:
-            last = float(np.arctan2(disp[i, 1], disp[i, 0]))
-        headings[i] = last
+    # index of the last well-defined displacement at or before each sample
+    last = np.maximum.accumulate(np.where(norm >= _DEGENERATE_DISP, np.arange(n), -1))
+    headings = np.where(last >= 0, np.arctan2(disp[:, 1], disp[:, 0])[last], 0.0)
     return headings, speeds
 
 

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from interaction_eval import (
+    ConfigError,
     EvalConfig,
     ParseError,
     evaluate_scene,
@@ -120,6 +121,10 @@ class TestEvaluateScene:
         assert len(result.pairs) == 1
         m = result.pairs[0].record.metrics
         assert m.dt_covered is None  # covered from the start of the interval
+
+    def test_unknown_baseline_is_config_error(self, cfg):
+        with pytest.raises(ConfigError, match="unknown baseline model 'lstm'"):
+            evaluate_scene(crossing_scene(n=30), cfg, baseline="lstm")
 
 
 class TestRunPipeline:
@@ -261,3 +266,12 @@ class TestCli:
         res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
                        "--out-dir", str(tmp_path / "out"))
         assert res.exit_code == 0, res.output
+
+    def test_jobs_env_not_an_integer(self, scene_dir, tmp_path, monkeypatch):
+        monkeypatch.setenv("INTERACTION_EVAL_JOBS", "two")
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "INTERACTION_EVAL_JOBS" in err["message"]

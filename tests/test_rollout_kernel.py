@@ -1,0 +1,242 @@
+"""The array rollout kernel against a frozen copy of the scalar loops it replaced.
+
+The reference functions below are the original per-substep, per-vertex and
+per-sample loops. The array code must reproduce them bit for bit, so every
+comparison is ``np.array_equal``, never a tolerance.
+"""
+
+import numpy as np
+import pytest
+
+from interaction_eval import EvalConfig, Trajectory, trajectory_kinematics
+from interaction_eval.rollout import (
+    _KAPPA_MAX,
+    _PATH_DS,
+    _SUBSTEPS,
+    PathRollout,
+    ProfileKind,
+    _interp_scalar,
+    speed_profile,
+)
+
+from conftest import DT, circle_traj, straight_traj
+
+
+# --- frozen scalar reference ------------------------------------------------
+
+def ref_kinematics(traj):
+    pos = traj.xy
+    n = traj.n
+    disp = np.empty_like(pos)
+    disp[0] = pos[1] - pos[0]
+    disp[-1] = pos[-1] - pos[-2]
+    disp[1:-1] = (pos[2:] - pos[:-2]) / 2.0
+    norm = np.hypot(disp[:, 0], disp[:, 1])
+    speeds = np.where(norm < 1e-9, 0.0, norm / traj.dt)
+    headings = np.zeros(n)
+    last = 0.0
+    for i in range(n):
+        if norm[i] >= 1e-9:
+            last = float(np.arctan2(disp[i, 1], disp[i, 0]))
+        headings[i] = last
+    return headings, speeds
+
+
+def ref_menger(p0, p1, p2):
+    a = np.hypot(*(p1 - p0))
+    b = np.hypot(*(p2 - p1))
+    c = np.hypot(*(p2 - p0))
+    if a < 1e-9 or b < 1e-9 or c < 1e-9:
+        return 0.0
+    cross = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
+    return abs(2.0 * cross / (a * b * c))
+
+
+def ref_geometry(traj, start_frame, extend_length):
+    """(verts, s_vert, s_grid, kappa_grid) as the scalar constructor built them."""
+    pts = traj.xy[start_frame:]
+    keep = [0]
+    for i in range(1, len(pts)):
+        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-9:
+            keep.append(i)
+    pts = pts[keep]
+    if len(pts) >= 2:
+        tail = pts[-1] - pts[-2]
+        heading = np.arctan2(tail[1], tail[0])
+    else:
+        heading = ref_kinematics(traj)[0][start_frame]
+    ext = pts[-1] + np.array([np.cos(heading), np.sin(heading)]) * max(extend_length, 1.0)
+    verts = np.vstack([pts, ext])
+    seg = np.hypot(*(np.diff(verts, axis=0).T))
+    s_vert = np.concatenate([[0.0], np.cumsum(seg)])
+    kappa_vert = np.zeros(len(verts))
+    for i in range(1, len(pts) - 1):
+        kappa_vert[i] = min(ref_menger(verts[i - 1], verts[i], verts[i + 1]), _KAPPA_MAX)
+    n_grid = max(int(s_vert[-1] / _PATH_DS) + 2, 2)
+    s_grid = np.linspace(0.0, s_vert[-1], n_grid)
+    return verts, s_vert, s_grid, np.interp(s_grid, s_vert, kappa_vert)
+
+
+def ref_speed_cap(s_grid, kappa, v_max, cfg):
+    with np.errstate(divide="ignore"):
+        lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa, 1e-12))
+    cap = np.minimum(v_max, lat)
+    ds = s_grid[1] - s_grid[0] if len(s_grid) > 1 else _PATH_DS
+    for k in range(len(cap) - 2, -1, -1):
+        cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + 2.0 * cfg.a_lon_max * ds))
+    return cap
+
+
+def ref_roll_s(s_grid, cap, profile, n_steps, dt):
+    """Arc length at each frame, and how many substeps the cap bound."""
+    a, v0, v_max = profile.a_lon, profile.v0, profile.v_max
+
+    def v_des(t):
+        return float(np.clip(v0 + a * t, 0.0, v_max))
+
+    def s_des(t):
+        if a > 0:
+            t_star = (v_max - v0) / a
+            if t <= t_star:
+                return v0 * t + 0.5 * a * t * t
+            return v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star)
+        if a < 0:
+            t_star = v0 / -a
+            if t <= t_star:
+                return v0 * t + 0.5 * a * t * t
+            return 0.5 * v0 * t_star
+        return v0 * t
+
+    h = dt / _SUBSTEPS
+    s = 0.0
+    bound = 0
+    out_s = np.empty(n_steps + 1)
+    out_s[0] = 0.0
+    for frame in range(1, n_steps + 1):
+        for sub in range(_SUBSTEPS):
+            t_a = (frame - 1) * dt + sub * h
+            t_b = t_a + h
+            ds_exact = s_des(t_b) - s_des(t_a)
+            cap_here = np.interp([s, s + ds_exact], s_grid, cap)
+            if v_des(t_a) <= cap_here[0] + 1e-12 and v_des(t_b) <= cap_here[1] + 1e-12:
+                s += ds_exact
+            else:
+                bound += 1
+                va = min(v_des(t_a), float(cap_here[0]))
+                s_mid = s + va * h
+                vb = min(v_des(t_b), float(np.interp(s_mid, s_grid, cap)))
+                s += 0.5 * (va + vb) * h
+        out_s[frame] = s
+    return out_s, bound
+
+
+# --- comparisons ------------------------------------------------------------
+
+def check_path(traj, start_frame, v_max, v0=None, cfg=None):
+    """Compare geometry, cap and every profile's roll; returns substeps bound."""
+    cfg = cfg or EvalConfig()
+    n_steps = traj.n - 1 - start_frame
+    extend = v_max * (n_steps + 1) * traj.dt + 10.0
+    path = PathRollout(traj, start_frame, extend, cfg)
+    verts, s_vert, s_grid, kappa = ref_geometry(traj, start_frame, extend)
+    assert np.array_equal(path._verts, verts)
+    assert np.array_equal(path._s_vert, s_vert)
+    assert np.array_equal(path._s, s_grid)
+    assert np.array_equal(path._kappa, kappa)
+    cap = ref_speed_cap(s_grid, kappa, v_max, cfg)
+    assert np.array_equal(path.speed_cap(v_max), cap)
+    if v0 is None:
+        v0 = float(ref_kinematics(traj)[1][start_frame])
+    bound = 0
+    for kind in ProfileKind:
+        profile = speed_profile(kind, v0, v_max, cfg)
+        out_s, b = ref_roll_s(s_grid, cap, profile, n_steps, traj.dt)
+        bound += b
+        got = path.roll(profile, n_steps, t0=1.5)
+        assert np.array_equal(got.xy, path.position(out_s)), kind
+        assert np.array_equal(got.t, 1.5 + traj.dt * np.arange(n_steps + 1))
+    return bound
+
+
+def test_straight_path_never_binds():
+    traj = straight_traj((-20.0, 3.0), (6.0, 1.5), 30)
+    for start in (0, 7, 28):
+        assert check_path(traj, start, v_max=9.0) == 0
+
+
+def test_circle_cap_binds():
+    traj = circle_traj(radius=10.0, omega=0.6, n=30)
+    assert check_path(traj, 0, v_max=6.5) > 0
+    assert check_path(traj, 11, v_max=6.5, v0=6.0) > 0
+
+
+def test_curved_10hz_path():
+    dt = 0.1
+    th = np.concatenate([np.zeros(30), np.linspace(0.0, np.pi / 2, 31)[1:]])
+    r = np.cumsum(np.full(len(th), 0.8))
+    xy = np.stack([r * np.cos(th) + np.cumsum(np.cos(th)), np.cumsum(np.sin(th))], axis=1)
+    traj = Trajectory(t=dt * np.arange(len(th)), xy=xy, dt=dt)
+    check_path(traj, 0, v_max=12.0)
+    check_path(traj, 25, v_max=12.0)
+
+
+def test_decel_stops_within_horizon():
+    traj = straight_traj((0.0, 0.0), (3.0, 0.0), 20)
+    cfg = EvalConfig()
+    # 3 m/s brakes to rest in about 2 s, well inside the 9.5 s horizon
+    check_path(traj, 0, v_max=3.0, cfg=cfg)
+    path = PathRollout(traj, 0, 100.0, cfg)
+    rolled = path.roll(speed_profile(ProfileKind.DECEL, 3.0, 3.0, cfg), traj.n - 1)
+    assert np.array_equal(rolled.xy[-1], rolled.xy[-5])
+
+
+def test_stopped_agent_with_duplicate_vertices():
+    xy = np.array([[0.0, 0.0]] * 4 + [[0.5, 0.0], [0.5, 0.0], [1.5, 0.2], [2.5, 0.6]]
+                  + [[2.5, 0.6]] * 3)
+    traj = Trajectory(t=DT * np.arange(len(xy)), xy=xy, dt=DT)
+    for start in (0, 2, 5, 8):
+        check_path(traj, start, v_max=2.0)
+    parked = Trajectory(t=DT * np.arange(6), xy=np.full((6, 2), 4.0), dt=DT)
+    for start in (0, 5):
+        check_path(parked, start, v_max=2.0)
+
+
+def test_two_sample_path():
+    traj = Trajectory(t=np.array([0.0, DT]), xy=np.array([[0.0, 0.0], [1.0, 2.0]]), dt=DT)
+    check_path(traj, 0, v_max=5.0)
+    check_path(traj, 1, v_max=5.0)
+
+
+def test_interp_scalar_matches_numpy():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 40, 1200):
+        xp = np.linspace(0.0, rng.uniform(1.0, 400.0), n)
+        fp = np.minimum(rng.uniform(0.5, 30.0, n), rng.uniform(8.0, 30.0))
+        x = np.concatenate([rng.uniform(-1.0, xp[-1] + 1.0, 5000), xp, [xp[-1] + 1e-9]])
+        got = np.array([_interp_scalar(v, xp.tolist(), fp.tolist()) for v in x.tolist()])
+        assert np.array_equal(got, np.interp(x, xp, fp))
+
+
+def test_speed_cap_is_computed_once_and_read_only():
+    path = PathRollout(circle_traj(radius=10.0, omega=0.6, n=30), 0, 50.0, EvalConfig())
+    cap = path.speed_cap(6.5)
+    assert path.speed_cap(6.5) is cap
+    assert not cap.flags.writeable
+    with pytest.raises(ValueError):
+        cap[0] = 0.0
+
+
+def test_kinematics_degenerate_displacements():
+    xy = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [2.0, 1.5], [2.0, 1.5], [2.0, 1.5],
+                   [2.0, 1.5], [1.0, 3.0], [1.0, 3.0 + 5e-10], [-1.0, 2.0]])
+    traj = Trajectory(t=DT * np.arange(len(xy)), xy=xy, dt=DT)
+    headings, speeds = trajectory_kinematics(traj)
+    ref_h, ref_v = ref_kinematics(traj)
+    assert headings[0] == 0.0  # nothing defined before the first motion
+    assert np.array_equal(headings, ref_h)
+    assert np.array_equal(speeds, ref_v)
+    rng = np.random.default_rng(5)
+    walk = np.cumsum(rng.normal(size=(40, 2)) * rng.choice([0.0, 1e-10, 1.0], size=(40, 1)), axis=0)
+    traj = Trajectory(t=DT * np.arange(40), xy=walk, dt=DT)
+    for got, want in zip(trajectory_kinematics(traj), ref_kinematics(traj)):
+        assert np.array_equal(got, want)
