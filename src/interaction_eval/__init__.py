@@ -17,9 +17,7 @@ from .errors import (  # noqa: F401
     EmptyOverlap,
     InteractionEvalError,
     IndexOutOfRange,
-    IoError,
     LengthMismatch,
-    MissingAgentPrediction,
     NoCollapse,
     NoFeasibleCombo,
     NonFiniteCoordinate,
@@ -37,7 +35,6 @@ from .types import (  # noqa: F401
     Scene,
     Trajectory,
     common_window,
-    heading_and_speed,
     resample_trajectory,
     trajectory_kinematics,
     validate_scene,
@@ -49,7 +46,6 @@ from .filtering import (  # noqa: F401
     PathSharingResult,
     RejectReason,
     classify_pair,
-    filter_scene,
     filter_scene_with_rejections,
     pairwise_distance_matrix,
     path_sharing_sets,
@@ -62,13 +58,12 @@ from .homotopy import (  # noqa: F401
     homotopy_class,
     winding_angle,
 )
-from .collision import DiskSet, VehicleDims, disk_centers, is_collision, min_disk_distance  # noqa: F401
+from .collision import VehicleDims, is_collision, min_disk_distance  # noqa: F401
 from .rollout import (  # noqa: F401
     InteractionTimeline,
     PathRollout,
     ProfileKind,
     SpeedProfile,
-    feasible_homotopy_set,
     interaction_timeline,
     max_scene_speed,
     rollout_trajectory,

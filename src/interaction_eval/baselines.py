@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,6 @@ from .types import (
     Trajectory,
     trajectory_kinematics,
 )
-
-
-@dataclass(frozen=True)
-class OracleCombo:
-    profiles: tuple[tuple[str, ProfileKind], ...]  # (agent_id, profile) per agent
-    avg_speed: float
-    colliding: bool
 
 
 def scene_time_origin(scene: Scene) -> float:

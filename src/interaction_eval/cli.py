@@ -15,20 +15,21 @@ from .errors import (
     ConfigError,
     EmptyCorpus,
     InteractionEvalError,
-    NoCollapse,
     ParseError,
 )
 from .filtering import filter_scene_with_rejections
 from .pipeline import (
     DEFAULT_ORACLE_K,
+    _evaluate_corpus,
+    _histogram_inputs,
     _load_scene_dir,
     emit_histograms,
     evaluate_scene,
     run_fixture,
     run_pipeline,
     write_filter_csv,
+    write_rollout_csv,
 )
-from .rollout import interaction_timeline
 from .sceneio import save_predictions
 from .types import EvalConfig
 
@@ -125,34 +126,10 @@ def cmd_filter(scene_dir, out_path, **cfg_kw):
 @config_options
 def cmd_rollout(scene_dir, out_path, **cfg_kw):
     """Enumerate feasible interaction classes and locate the IHS per pair."""
-    import csv
-
     try:
         cfg = _make_config(**cfg_kw)
-        with open(out_path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["scene_id", "agent_a", "agent_b", "row", "frame_t",
-                        "feasible_classes", "gt_class", "is_ihs",
-                        "t_h_collapse", "t_h_final", "t_h_start"])
-            for scene in _load_scene_dir(scene_dir):
-                accepted, _ = filter_scene_with_rejections(scene, cfg)
-                for pair in accepted:
-                    try:
-                        tl = interaction_timeline(scene, pair, cfg)
-                    except NoCollapse:
-                        w.writerow([scene.scene_id, pair.agent_a, pair.agent_b,
-                                    "summary", "", "", "", "", "NoCollapse", "", ""])
-                        continue
-                    for i, feas in enumerate(tl.h_feas):
-                        w.writerow([scene.scene_id, pair.agent_a, pair.agent_b,
-                                    "frame", f"{tl.t[i]:.6g}",
-                                    " ".join(sorted(str(c) for c in feas)),
-                                    str(tl.h_gt[i]), int(i == tl.collapse_idx),
-                                    "", "", ""])
-                    w.writerow([scene.scene_id, pair.agent_a, pair.agent_b,
-                                "summary", "", "", "", "",
-                                f"{tl.t_h_collapse:.6g}", f"{tl.t_h_final:.6g}",
-                                f"{tl.t_h_start:.6g}"])
+        write_rollout_csv(Path(out_path), [evaluate_scene(scene, cfg)
+                                           for scene in _load_scene_dir(scene_dir)])
         click.echo(f"rollout timelines -> {out_path}")
     except InteractionEvalError as e:
         _fail(e)
@@ -221,19 +198,10 @@ def cmd_report(scene_dir, out_dir, **cfg_kw):
     """Emit plot-data CSVs (closeness heatmap, time-to-IHS histogram)."""
     try:
         cfg = _make_config(**cfg_kw)
+        results, dt = _evaluate_corpus(scene_dir, cfg)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        pairs, tls = [], []
-        scenes = _load_scene_dir(scene_dir)
-        for scene in scenes:
-            accepted, _ = filter_scene_with_rejections(scene, cfg)
-            for pair in accepted:
-                pairs.append((scene.scene_id, pair))
-                try:
-                    tls.append((scene.scene_id, pair, interaction_timeline(scene, pair, cfg)))
-                except NoCollapse:
-                    pass
-        emit_histograms(pairs, tls, out, scenes[0].dt)
+        emit_histograms(*_histogram_inputs(results), out, dt)
         click.echo(f"heatmap.csv and ihs_hist.csv -> {out_dir}")
     except InteractionEvalError as e:
         _fail(e)

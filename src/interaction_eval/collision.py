@@ -30,23 +30,6 @@ class VehicleDims:
         return self.width / 2.0
 
 
-@dataclass(frozen=True)
-class DiskSet:
-    """Disk centers at the vehicle center and both bumpers, radius width/2."""
-
-    centers: np.ndarray  # (3, 2)
-    radius: float
-
-
-def disk_centers(x: float, y: float, heading: float, length: float, width: float) -> DiskSet:
-    r = width / 2.0
-    offset = length / 2.0 - r
-    axis = np.array([np.cos(heading), np.sin(heading)])
-    center = np.array([x, y])
-    centers = np.stack([center - offset * axis, center, center + offset * axis])
-    return DiskSet(centers=centers, radius=r)
-
-
 def _disk_center_tracks(traj: Trajectory, dims: VehicleDims) -> np.ndarray:
     """(T, 3, 2) disk centers along a trajectory, headings from positions."""
     headings, _ = trajectory_kinematics(traj)

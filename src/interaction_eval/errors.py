@@ -59,10 +59,6 @@ class EmptyFeasibleSet(InteractionEvalError):
     pass
 
 
-class MissingAgentPrediction(InteractionEvalError):
-    pass
-
-
 class EmptyCorpus(InteractionEvalError):
     pass
 
@@ -76,7 +72,3 @@ class ParseError(InteractionEvalError):
         super().__init__(f"{path}: {message}")
         self.path = str(path)
         self.message = message
-
-
-class IoError(InteractionEvalError):
-    pass

@@ -123,23 +123,11 @@ def classify_pair(scene: Scene, a: str, b: str,
                         min_distance=float(diag.min()))
 
 
-def filter_scene(scene: Scene, cfg: EvalConfig) -> list[CriticalPair]:
-    """Accepted pairs over all N(N-1)/2 unordered combinations, sorted by id."""
-    accepted = []
-    for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
-        try:
-            result = classify_pair(scene, a, b, cfg)
-        except EmptyOverlap:
-            continue
-        if isinstance(result, CriticalPair):
-            accepted.append(result)
-    return accepted
-
-
 def filter_scene_with_rejections(
     scene: Scene, cfg: EvalConfig
 ) -> tuple[list[CriticalPair], list[PairRejection]]:
-    """Like filter_scene but also reports why each pair was rejected."""
+    """Accepted pairs over all N(N-1)/2 unordered combinations, sorted by id,
+    and the reason each other pair was rejected."""
     accepted, rejected = [], []
     for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
         try:

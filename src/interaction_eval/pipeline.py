@@ -107,23 +107,26 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
                    predictions: dict[int, JointPredictionSet] | None = None,
                    baseline: str | None = None,
                    oracle_k: int = DEFAULT_ORACLE_K) -> SceneEvaluation:
-    """Filter pairs, locate their IHS, and grade predictions frame by frame."""
+    """Filter pairs, locate their IHS, and grade predictions frame by frame.
+
+    The result holds one PairEvaluation per accepted pair, in filter order,
+    with its timeline or the reason it has none. Every subcommand and output
+    file renders from it.
+    """
     pairs, rejections = filter_scene_with_rejections(scene, cfg)
     evals: list[PairEvaluation] = []
-    timelines: list[tuple[CriticalPair, InteractionTimeline]] = []
     for pair in pairs:
         try:
             tl = interaction_timeline(scene, pair, cfg)
-        except NoCollapse:
-            evals.append(PairEvaluation(pair, None, skipped="NoCollapse"))
-            continue
-        except DegenerateInterval:
-            evals.append(PairEvaluation(pair, None, skipped="DegenerateInterval"))
-            continue
-        timelines.append((pair, tl))
+        except (NoCollapse, DegenerateInterval) as e:
+            evals.append(PairEvaluation(pair, None, skipped=type(e).__name__))
+        else:
+            evals.append(PairEvaluation(pair, tl, skipped=None))
+    timed = [ev for ev in evals if ev.timeline is not None]
 
     needed_frames: set[int] = set()
-    for pair, tl in timelines:
+    for ev in timed:
+        tl = ev.timeline
         off = _window_frame_offset(scene, tl)
         needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
     if baseline is not None:
@@ -131,9 +134,9 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
                                             pairs, cfg, oracle_k)
     predictions = predictions or {}
 
-    for pair, tl in timelines:
+    for ev in timed:
+        pair, tl = ev.pair, ev.timeline
         off = _window_frame_offset(scene, tl)
-        ev = PairEvaluation(pair, tl, skipped=None)
         for i in range(tl.start_idx, tl.final_idx + 1):
             g = off + i
             pset = predictions.get(g)
@@ -158,7 +161,6 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
                 t_h_start=float(tl.t[tl.start_idx]), t_h_final=float(tl.t[tl.final_idx]),
                 t_h_collapse=tl.t_h_collapse,
                 metrics=pair_time_metrics(ev.flags, scene.dt))
-        evals.append(ev)
     return SceneEvaluation(scene=scene, pairs=evals, rejections=rejections,
                            predictions=predictions)
 
@@ -172,6 +174,49 @@ def _load_scene_dir(scene_dir: str | Path) -> list[Scene]:
     if not paths:
         raise EmptyCorpus(f"no scene files in {scene_dir}")
     return [load_scene(p) for p in paths]
+
+
+def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
+                     pred_source: str | Path | None = None, jobs: int = 1,
+                     oracle_k: int = DEFAULT_ORACLE_K,
+                     substitute_static: bool = False) -> tuple[list[SceneEvaluation], float]:
+    """Evaluate every scene of a directory; returns the results and the time step.
+
+    ``pred_source`` is a baseline name ("cv" / "oracle"), a directory of
+    prediction files named <scene_id>.json, or None for no predictions.
+    The time step bins the curves and ``ihs_hist.csv``, so a corpus whose
+    scenes differ in time step is a ParseError.
+    """
+    scenes = _load_scene_dir(scene_dir)
+    steps = sorted({scene.dt for scene in scenes})
+    if len(steps) > 1:
+        raise ParseError(scene_dir, "scenes have mixed time steps "
+                                    + ", ".join(f"{dt:g} s" for dt in steps))
+    baseline = str(pred_source) if str(pred_source) in BASELINE_MODELS else None
+
+    def run_one(scene: Scene) -> SceneEvaluation:
+        preds = None
+        if pred_source is not None and baseline is None:
+            pred_path = Path(pred_source) / f"{scene.scene_id}.json"
+            if not pred_path.exists():
+                raise ParseError(pred_path, "missing prediction file for scene")
+            preds = load_predictions(pred_path, scene, substitute_static)
+        return evaluate_scene(scene, cfg, predictions=preds, baseline=baseline,
+                              oracle_k=oracle_k)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run_one, scenes)), steps[0]
+    return [run_one(s) for s in scenes], steps[0]
+
+
+def _histogram_inputs(results: list[SceneEvaluation]):
+    """Every accepted pair, and every pair with a timeline, keyed by scene id:
+    the two lists that ``emit_histograms`` takes."""
+    accepted = [(r.scene.scene_id, ev.pair) for r in results for ev in r.pairs]
+    timelines = [(r.scene.scene_id, ev.pair, ev.timeline)
+                 for r in results for ev in r.pairs if ev.timeline is not None]
+    return accepted, timelines
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -227,6 +272,38 @@ def write_filter_csv(path: Path, rows_in: list[tuple[str, CriticalPair]]) -> Non
                       "dt_ps", "min_distance"], rows)
 
 
+def write_rollout_csv(path: Path, results: list[SceneEvaluation]) -> None:
+    """CSV of each accepted pair's per-frame feasible classes and a summary row
+    with its IHS bracketing, or with its skip reason if it has no timeline."""
+    rows = []
+    for r in results:
+        for ev in r.pairs:
+            key = [r.scene.scene_id, ev.pair.agent_a, ev.pair.agent_b]
+            tl = ev.timeline
+            if tl is None:
+                rows.append(key + ["summary", "", "", "", "", ev.skipped, "", ""])
+                continue
+            rows.extend(key + ["frame", f"{tl.t[i]:.6g}",
+                               " ".join(sorted(str(c) for c in feas)),
+                               str(tl.h_gt[i]), int(i == tl.collapse_idx), "", "", ""]
+                        for i, feas in enumerate(tl.h_feas))
+            rows.append(key + ["summary", "", "", "", "", f"{tl.t_h_collapse:.6g}",
+                               f"{tl.t_h_final:.6g}", f"{tl.t_h_start:.6g}"])
+    _write_csv(path, ["scene_id", "agent_a", "agent_b", "row", "frame_t",
+                      "feasible_classes", "gt_class", "is_ihs",
+                      "t_h_collapse", "t_h_final", "t_h_start"], rows)
+
+
+def _write_report_files(out: Path, pair_records: list[PairRecord],
+                        frame_records: list[FrameRecord], report: AggregateReport) -> None:
+    """pairs.csv, frames.csv, curves.csv and report.json of a graded corpus."""
+    write_pair_csv(out / "pairs.csv", pair_records)
+    write_frames_csv(out / "frames.csv", frame_records)
+    write_curves_csv(out / "curves.csv", report)
+    (out / "report.json").write_text(
+        json.dumps(report.to_dict(), indent=1, sort_keys=True), encoding="utf-8")
+
+
 def emit_histograms(pairs: list[tuple[str, CriticalPair]],
                     timelines: list[tuple[str, CriticalPair, InteractionTimeline]],
                     out_dir: str | Path, dt: float,
@@ -265,38 +342,18 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    scenes = _load_scene_dir(scene_dir)
-    baseline = str(pred_source) if str(pred_source) in BASELINE_MODELS else None
-
-    def run_one(scene: Scene) -> SceneEvaluation:
-        preds = None
-        if baseline is None:
-            pred_path = Path(pred_source) / f"{scene.scene_id}.json"
-            if not pred_path.exists():
-                raise ParseError(pred_path, "missing prediction file for scene")
-            preds = load_predictions(pred_path, scene, substitute_static)
-        return evaluate_scene(scene, cfg, predictions=preds, baseline=baseline,
-                              oracle_k=oracle_k)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, scenes))
-    else:
-        results = [run_one(s) for s in scenes]
+    results, dt = _evaluate_corpus(scene_dir, cfg, pred_source, jobs, oracle_k,
+                                   substitute_static)
 
     pair_records = [ev.record for r in results for ev in r.pairs if ev.record]
     frame_records = [fr for r in results for ev in r.pairs for fr in ev.frame_records]
     if not pair_records:
         raise EmptyCorpus("no evaluable interaction pairs in corpus")
-    dt = scenes[0].dt
     disp = None
-    all_preds = [pset for r in results for pset in r.predictions.values()]
-    if all_preds:
-        per_scene = []
-        for r in results:
-            if r.predictions:
-                per_scene.append(displacement_metrics(
-                    sorted(r.predictions.values(), key=lambda p: p.frame), r.scene))
+    per_scene = [displacement_metrics(sorted(r.predictions.values(), key=lambda p: p.frame),
+                                      r.scene)
+                 for r in results if r.predictions]
+    if per_scene:
         disp = DisplacementMetrics(
             ml_ade=float(np.mean([d.ml_ade for d in per_scene])),
             ml_fde=float(np.mean([d.ml_fde for d in per_scene])),
@@ -305,14 +362,8 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
         )
     report = aggregate(pair_records, frame_records, bin_width=dt, displacement=disp)
 
-    write_pair_csv(out / "pairs.csv", pair_records)
-    write_frames_csv(out / "frames.csv", frame_records)
-    write_curves_csv(out / "curves.csv", report)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=1, sort_keys=True), encoding="utf-8")
-    accepted = [(r.scene.scene_id, ev.pair) for r in results for ev in r.pairs]
-    tls = [(r.scene.scene_id, ev.pair, ev.timeline)
-           for r in results for ev in r.pairs if ev.timeline is not None]
+    _write_report_files(out, pair_records, frame_records, report)
+    accepted, tls = _histogram_inputs(results)
     emit_histograms(accepted, tls, out, dt)
     write_filter_csv(out / "filter.csv", accepted)
 
@@ -390,9 +441,5 @@ def run_fixture(path: str | Path, out_dir: str | Path) -> AggregateReport:
     report = aggregate(pair_records, frame_records, bin_width=dt)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_pair_csv(out / "pairs.csv", pair_records)
-    write_frames_csv(out / "frames.csv", frame_records)
-    write_curves_csv(out / "curves.csv", report)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=1, sort_keys=True), encoding="utf-8")
+    _write_report_files(out, pair_records, frame_records, report)
     return report

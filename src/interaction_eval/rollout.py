@@ -301,13 +301,6 @@ def rollout_trajectory(agent: Agent, start_frame: int, profile: SpeedProfile,
     return path.roll(profile, n_steps, t0=float(traj.t[start_frame]))
 
 
-def _pair_windows(scene: Scene, pair: CriticalPair):
-    agent_a = scene.agent(pair.agent_a)
-    agent_b = scene.agent(pair.agent_b)
-    wa, wb, t = common_window(agent_a.trajectory, agent_b.trajectory)
-    return agent_a, agent_b, wa, wb, t
-
-
 def _feasible_set_from_paths(path_a: PathRollout, path_b: PathRollout,
                              v0a: float, v0b: float, v_max: float,
                              dims_a: VehicleDims, dims_b: VehicleDims,
@@ -325,28 +318,11 @@ def _feasible_set_from_paths(path_a: PathRollout, path_b: PathRollout,
     return frozenset(feasible)
 
 
-def feasible_homotopy_set(scene: Scene, pair: CriticalPair, t: int,
-                          cfg: EvalConfig) -> frozenset:
-    """Feasible interaction classes at co-observed frame index ``t``."""
-    agent_a, agent_b, wa, wb, times = _pair_windows(scene, pair)
-    n_steps = wa.n - 1 - t
-    if n_steps < 1:
-        raise IndexOutOfRange(f"frame {t} leaves no rollout horizon")
-    v_max = max_scene_speed(scene)
-    _, speeds_a = trajectory_kinematics(wa)
-    _, speeds_b = trajectory_kinematics(wb)
-    extend = v_max * (n_steps + 1) * wa.dt + 10.0
-    path_a = PathRollout(wa, t, extend, cfg)
-    path_b = PathRollout(wb, t, extend, cfg)
-    dims_a = VehicleDims(agent_a.width, agent_a.length)
-    dims_b = VehicleDims(agent_b.width, agent_b.length)
-    return _feasible_set_from_paths(path_a, path_b, float(speeds_a[t]), float(speeds_b[t]),
-                                    v_max, dims_a, dims_b, n_steps, cfg)
-
-
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
     """Feasible-class history, IHS frame and evaluation interval for a pair."""
-    agent_a, agent_b, wa, wb, times = _pair_windows(scene, pair)
+    agent_a = scene.agent(pair.agent_a)
+    agent_b = scene.agent(pair.agent_b)
+    wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
     n = wa.n
     v_max = max_scene_speed(scene)
     _, speeds_a = trajectory_kinematics(wa)

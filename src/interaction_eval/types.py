@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DuplicateAgentId,
-    IndexOutOfRange,
     NonFiniteCoordinate,
     NonUniformSampling,
     SceneValidationError,
@@ -252,14 +251,6 @@ def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     last = np.maximum.accumulate(np.where(norm >= _DEGENERATE_DISP, np.arange(n), -1))
     headings = np.where(last >= 0, np.arctan2(disp[:, 1], disp[:, 0])[last], 0.0)
     return headings, speeds
-
-
-def heading_and_speed(traj: Trajectory, i: int) -> tuple[float, float]:
-    """Heading (rad) and speed (m/s) of one sample; see trajectory_kinematics."""
-    if not 0 <= i < traj.n:
-        raise IndexOutOfRange(f"sample {i} outside [0, {traj.n})")
-    headings, speeds = trajectory_kinematics(traj)
-    return float(headings[i]), float(speeds[i])
 
 
 def common_window(a: Trajectory, b: Trajectory) -> tuple[Trajectory, Trajectory, np.ndarray]:

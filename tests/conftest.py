@@ -38,3 +38,12 @@ def cfg():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def four_agent_scene(scene_id="four"):
+    """a-b the canonical crossing; c-d a symmetric crossing 500 m east, which
+    never collapses. The four cross pairs never share a path."""
+    base = crossing_scene()
+    c = make_agent("c", straight_traj((460.0, 0.0), (6.0, 0.0), 30))
+    d = make_agent("d", straight_traj((500.0, -40.0), (0.0, 6.0), 30))
+    return validate_scene(Scene(scene_id=scene_id, dt=DT, agents=base.agents + (c, d)))

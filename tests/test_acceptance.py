@@ -28,7 +28,7 @@ from interaction_eval import (
     classify_pair,
     displacement_metrics,
     evaluate_scene,
-    filter_scene,
+    filter_scene_with_rejections,
     frame_flags,
     interaction_timeline,
     is_collision,
@@ -204,7 +204,7 @@ def test_oracle_coverage(capsys):
     t0 = time.perf_counter()
     cfg = EvalConfig()
     scene = crossing_scene(v_a=6.0, v_b=4.5, gap_a=40.0, gap_b=48.0, n=32)
-    pairs = filter_scene(scene, cfg)
+    pairs = filter_scene_with_rejections(scene, cfg)[0]
     pair = pairs[0]
     tl = interaction_timeline(scene, pair, cfg)
     covered = []
@@ -253,7 +253,7 @@ def test_ihs_braking_physics(capsys):
                            width=width, length=length)
             scene = validate_scene(
                 Scene(scene_id=f"grid_{v}_{gap}", dt=dt, agents=(a, b)))
-            pair = filter_scene(scene, cfg)[0]
+            pair = filter_scene_with_rejections(scene, cfg)[0][0]
             # analytic: the yielding order dies when the remaining distance
             # to the shared path drops below the braking distance v^2/(2a)
             i_ana = 0

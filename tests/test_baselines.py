@@ -9,7 +9,8 @@ from interaction_eval import (
     Scene,
     Trajectory,
     cv_predict,
-    filter_scene,
+    filter_scene_with_rejections,
+    interaction_timeline,
     oracle_predict,
     validate_scene,
     winding_angle,
@@ -64,7 +65,7 @@ class TestConstantVelocity:
 class TestOracle:
     def test_top_k_count_and_probabilities(self, cfg):
         scene = crossing_scene(n=30)
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 5, cfg)
         assert pred.k == 5
         probs = [s.p for s in pred.samples]
@@ -74,7 +75,7 @@ class TestOracle:
 
     def test_k_larger_than_combo_count(self, cfg):
         scene = crossing_scene(n=30)
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 50, cfg)
         assert pred.k <= 9  # at most 3^2 combinations for one pair
 
@@ -83,7 +84,7 @@ class TestOracle:
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         c = make_agent("c", straight_traj((0, 300), (6, 0), 30))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b, c)))
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 9, cfg)
         futures = {tuple(np.asarray(s.trajs["c"])[-1]) for s in pred.samples}
         assert len(futures) == 1  # same constant-velocity future in all samples
@@ -92,7 +93,7 @@ class TestOracle:
         from interaction_eval import VehicleDims, is_collision
 
         scene = crossing_scene(n=30)
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 6, pairs, 9, cfg)
         dims = {ag.id: VehicleDims(ag.width, ag.length) for ag in scene.agents}
         for s in pred.samples:
@@ -105,10 +106,8 @@ class TestOracle:
     def test_full_enumeration_covers_feasible_classes(self, cfg):
         """With K covering all combinations, the oracle's predicted class set
         over a critical pair equals the rollout-feasible set."""
-        from interaction_eval import feasible_homotopy_set
-
         scene = crossing_scene(n=30)
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         frame = 2
         pred = oracle_predict(scene, frame, pairs, 100, cfg)
         classes = set()
@@ -119,4 +118,4 @@ class TestOracle:
                 [(k * scene.dt, *p) for k, p in enumerate(s.trajs["b"])])
             d = winding_angle(ta, tb).delta_theta
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
-        assert classes == set(feasible_homotopy_set(scene, pairs[0], frame, cfg))
+        assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])

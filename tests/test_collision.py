@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from interaction_eval import (
     Trajectory,
     VehicleDims,
-    disk_centers,
     is_collision,
     min_disk_distance,
 )
+from interaction_eval.collision import _disk_center_tracks
 
 from conftest import straight_traj
 
@@ -17,19 +17,28 @@ from conftest import straight_traj
 DIMS = VehicleDims(width=2.0, length=4.0)
 
 
+def disks_at(x, y, heading, dims):
+    """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
+    two-sample track heading along ``heading``, as ``is_collision`` lays them."""
+    xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
+    traj = Trajectory(t=np.array([0.0, 0.5]), xy=xy, dt=0.5)
+    return _disk_center_tracks(traj, dims)[0]
+
+
 class TestDiskLayout:
     def test_centers_axis_aligned(self):
-        ds = disk_centers(0.0, 0.0, 0.0, length=4.0, width=2.0)
-        np.testing.assert_allclose(ds.centers, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        assert ds.radius == pytest.approx(1.0)
+        dims = VehicleDims(width=2.0, length=4.0)
+        centers = disks_at(0.0, 0.0, 0.0, dims)
+        np.testing.assert_allclose(centers, [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        assert dims.radius == pytest.approx(1.0)
 
     def test_radius_is_half_width(self):
         assert DIMS.radius == pytest.approx(1.0)
 
     def test_centers_rotate_with_heading(self):
-        ds = disk_centers(1.0, 2.0, np.pi / 2, length=4.0, width=2.0)
+        centers = disks_at(1.0, 2.0, np.pi / 2, VehicleDims(width=2.0, length=4.0))
         np.testing.assert_allclose(
-            ds.centers, [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], atol=1e-12
+            centers, [[1.0, 1.0], [1.0, 2.0], [1.0, 3.0]], atol=1e-12
         )
 
     @given(
@@ -39,9 +48,9 @@ class TestDiskLayout:
     @settings(max_examples=100, deadline=None)
     def test_disks_stay_inside_footprint(self, x, y, h, w, length):
         """Every disk lies fully within the vehicle rectangle."""
-        ds = disk_centers(x, y, h, length=length, width=w)
+        centers = disks_at(x, y, h, VehicleDims(width=w, length=length))
         rot = np.array([[np.cos(h), np.sin(h)], [-np.sin(h), np.cos(h)]])
-        local = (ds.centers - np.array([x, y])) @ rot.T
+        local = (centers - np.array([x, y])) @ rot.T
         r = w / 2.0
         assert np.all(np.abs(local[:, 0]) + r <= length / 2.0 + 1e-9)
         assert np.all(np.abs(local[:, 1]) <= 1e-9)

@@ -9,7 +9,6 @@ from interaction_eval import (
     Scene,
     Trajectory,
     classify_pair,
-    filter_scene,
     filter_scene_with_rejections,
     pairwise_distance_matrix,
     path_sharing_sets,
@@ -116,7 +115,7 @@ class TestClassification:
 class TestSceneFiltering:
     def test_filter_scene_returns_critical_pairs(self, cfg):
         scene = crossing_scene(n=30)
-        pairs = filter_scene(scene, cfg)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert len(pairs) == 1
         assert {pairs[0].agent_a, pairs[0].agent_b} == {"a", "b"}
 
@@ -135,6 +134,6 @@ class TestSceneFiltering:
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         scene1 = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
         scene2 = validate_scene(Scene(scene_id="s", dt=0.5, agents=(b, a)))
-        p1 = filter_scene(scene1, cfg)[0]
-        p2 = filter_scene(scene2, cfg)[0]
+        p1 = filter_scene_with_rejections(scene1, cfg)[0][0]
+        p2 = filter_scene_with_rejections(scene2, cfg)[0][0]
         assert (p1.agent_a, p1.agent_b) == (p2.agent_a, p2.agent_b)

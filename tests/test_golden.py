@@ -1,0 +1,149 @@
+"""Golden outputs: the sha256 of every file each subcommand writes.
+
+A three-scene corpus (the canonical crossing, an asymmetric crossing and a
+four-agent scene with one evaluated and one never-collapsing pair) runs
+through every subcommand once. Each output file must match its committed
+digest byte for byte; ``manifest.json`` is compared without its wall-clock
+``timing_s``. The digests are committed values, never computed from the
+program at test time. An intended output change regenerates only the
+affected digests, with the reason in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+from click.testing import CliRunner
+
+from interaction_eval import save_scene
+from interaction_eval.cli import main
+
+from conftest import crossing_scene, four_agent_scene
+
+MODE_FIXTURE = {
+    "dt": 0.5,
+    "pairs": [
+        {"scene_id": "ex", "agent_a": "a", "agent_b": "b", "frames": [
+            {"frame": 4, "gt": "CW", "ml": "CCW", "pred": ["CCW"], "feas": ["CCW", "CW"]},
+            {"frame": 5, "gt": "CW", "ml": "CCW", "pred": ["CCW", "CW"],
+             "feas": ["CCW", "CW"]},
+            {"frame": 6, "gt": "CW", "ml": "CW", "pred": ["CW"], "feas": ["CCW", "CW"]},
+            {"frame": 7, "gt": "CW", "ml": "CW", "pred": ["CW"], "feas": ["CW"]}]},
+        {"scene_id": "ex", "agent_a": "a", "agent_b": "c", "frames": [
+            {"frame": 2, "gt": "CCW", "ml": "CCW", "pred": ["CCW", "CW"],
+             "feas": ["CCW", "CW"]},
+            {"frame": 3, "gt": "CCW", "ml": "CW", "pred": ["CW"], "feas": ["CCW", "CW"]},
+            {"frame": 4, "gt": "CCW", "ml": "CCW", "pred": ["CCW"], "feas": ["CCW", "CW"]}]},
+    ],
+}
+
+# subcommand arguments, keyed by the directory each run writes into; paths are
+# relative to the corpus root so that manifest.json records no temporary path
+RUNS = {
+    "filter": ["filter", "--scene-dir", "scenes", "--out", "filter/filter.csv"],
+    "rollout": ["rollout", "--scene-dir", "scenes", "--out", "rollout/rollout.csv"],
+    "report": ["report", "--scene-dir", "scenes", "--out-dir", "report"],
+    "baseline-oracle": ["baseline", "--scene-dir", "scenes", "--model", "oracle",
+                        "--out-dir", "baseline-oracle"],
+    "eval-cv": ["eval", "--scene-dir", "scenes", "--pred", "cv", "--out-dir", "eval-cv"],
+    "eval-oracle": ["eval", "--scene-dir", "scenes", "--pred", "oracle",
+                    "--out-dir", "eval-oracle"],
+    "eval-fixture": ["eval", "--fixture", "fixture.json", "--out-dir", "eval-fixture"],
+}
+
+GOLDEN = {
+    "filter/filter.csv":
+        "11d30668032ddaa75c228c082e46a47c26e20ae69389d2519d5a02e98af6f924",
+    "rollout/rollout.csv":
+        "cbfda101abe8276796e8076e5f7fa4d7ebaad371c751e979d791968459d06700",
+    "report/heatmap.csv":
+        "295e4fed7d0c9d4015cc3fc37fba85a8d596ee3bed35713c9b9e76cd3c3618cd",
+    "report/ihs_hist.csv":
+        "65c9c8415dd45f49d5b628886172759eff18b9552f55e772b2eef426c12e495f",
+    "baseline-oracle/asym.json":
+        "8a33f730c74d49fda74f060aeefc83c0eb55cc318c15680732f50c59b9a1fd02",
+    "baseline-oracle/crossing.json":
+        "cf04c2c05e205be00f2830cca1832b6dab5bb65f2d6a1e5f7a5e67500937ba69",
+    "baseline-oracle/four.json":
+        "b32f5c7f32db72cb27264059f7ed04637c6096b4166f0162b746f6754cd72e9c",
+    "eval-cv/curves.csv":
+        "3848ff07e40a6ca01fc7bb150a27c4cf4da939a5420dc1ca7e8a4924c41510d6",
+    "eval-cv/filter.csv":
+        "11d30668032ddaa75c228c082e46a47c26e20ae69389d2519d5a02e98af6f924",
+    "eval-cv/frames.csv":
+        "c5cfcb48cd6200f793f8d140f3e348c97c4c6cf7701f6c26393f0451b2e0929e",
+    "eval-cv/heatmap.csv":
+        "295e4fed7d0c9d4015cc3fc37fba85a8d596ee3bed35713c9b9e76cd3c3618cd",
+    "eval-cv/ihs_hist.csv":
+        "65c9c8415dd45f49d5b628886172759eff18b9552f55e772b2eef426c12e495f",
+    "eval-cv/manifest.json":
+        "7c0ffc5d3e9fd3687bb1bb387f7e8ca8b5ef4ed29b3476864d8532781d006b09",
+    "eval-cv/pairs.csv":
+        "7d9c30d682bf21d704aeb44ad49c3bf6b05e8f87fc42ea2d55cbfe5f95d0145d",
+    "eval-cv/report.json":
+        "28e1279f7f5d623f91165d0b09666823d7afd4c7e1c853c7f2d9fdd072858767",
+    "eval-oracle/curves.csv":
+        "3848ff07e40a6ca01fc7bb150a27c4cf4da939a5420dc1ca7e8a4924c41510d6",
+    "eval-oracle/filter.csv":
+        "11d30668032ddaa75c228c082e46a47c26e20ae69389d2519d5a02e98af6f924",
+    "eval-oracle/frames.csv":
+        "c5cfcb48cd6200f793f8d140f3e348c97c4c6cf7701f6c26393f0451b2e0929e",
+    "eval-oracle/heatmap.csv":
+        "295e4fed7d0c9d4015cc3fc37fba85a8d596ee3bed35713c9b9e76cd3c3618cd",
+    "eval-oracle/ihs_hist.csv":
+        "65c9c8415dd45f49d5b628886172759eff18b9552f55e772b2eef426c12e495f",
+    "eval-oracle/manifest.json":
+        "7aed697b64bfa53c52a78c39a6ccf10b26eb24b4bad973e554b19832023eee81",
+    "eval-oracle/pairs.csv":
+        "7d9c30d682bf21d704aeb44ad49c3bf6b05e8f87fc42ea2d55cbfe5f95d0145d",
+    "eval-oracle/report.json":
+        "c26de173b61aa3bb4f79f271ea5a69dd5ac23cdc4ed46fafc5b3fd0f9a8a7f44",
+    "eval-fixture/curves.csv":
+        "4ed85d59cfec9b333d608a6ddd55ae6bc9f79dcaff2dd8c19a266f2e6449fe5d",
+    "eval-fixture/frames.csv":
+        "7724534489d4441ec11fe5a4b85f2f81e68a6bdcf5c6e3265b35ce0fe178fe4d",
+    "eval-fixture/pairs.csv":
+        "52bbc53edaf9409fb49dbedce1d8ff16c1602de76acf78bc322b65d4b2ec4a66",
+    "eval-fixture/report.json":
+        "1613e2f9a383074abc3e6cb8506336e5ad30467db910b5206d20a9e0367b4fc0",
+}
+
+
+def _digest(path):
+    data = path.read_bytes()
+    if path.name == "manifest.json":
+        manifest = json.loads(data)
+        manifest.pop("timing_s")
+        data = json.dumps(manifest, indent=1, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "scenes").mkdir()
+    save_scene(crossing_scene(), root / "scenes" / "crossing.json")
+    save_scene(crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
+               root / "scenes" / "asym.json")
+    save_scene(four_agent_scene(), root / "scenes" / "four.json")
+    (root / "filter").mkdir()
+    (root / "rollout").mkdir()
+    (root / "fixture.json").write_text(json.dumps(MODE_FIXTURE))
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        for name, args in RUNS.items():
+            res = CliRunner().invoke(main, args)
+            assert res.exit_code == 0, (name, res.output)
+    finally:
+        os.chdir(cwd)
+    return {f"{name}/{p.name}": _digest(p)
+            for name in RUNS for p in sorted((root / name).iterdir())}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_outputs_match_golden_digests(outputs, run):
+    got = {k: v for k, v in outputs.items() if k.startswith(run + "/")}
+    want = {k: v for k, v in GOLDEN.items() if k.startswith(run + "/")}
+    assert got == want

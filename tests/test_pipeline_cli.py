@@ -20,7 +20,7 @@ from interaction_eval import (
 from interaction_eval.cli import main
 from interaction_eval.pipeline import run_fixture
 
-from conftest import crossing_scene
+from conftest import crossing_scene, four_agent_scene
 
 TABLE_FIXTURE = {
     "dt": 0.5,
@@ -153,11 +153,20 @@ class TestRunPipeline:
     def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path, cfg):
         save_scene(crossing_scene(v_a=5.0, gap_a=35.0, gap_b=47.0, n=30,
                                   scene_id="second"), scene_dir / "second.json")
+        save_scene(four_agent_scene(), scene_dir / "third.json")
         rep1 = run_pipeline(scene_dir, "cv", tmp_path / "s1", cfg, jobs=1)
         rep2 = run_pipeline(scene_dir, "cv", tmp_path / "s2", cfg, jobs=4)
         assert rep1.to_dict() == rep2.to_dict()
-        assert (tmp_path / "s1/pairs.csv").read_bytes() == \
-               (tmp_path / "s2/pairs.csv").read_bytes()
+        names = sorted(p.name for p in (tmp_path / "s1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "s2").iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (tmp_path / "s1" / name).read_bytes() == \
+                       (tmp_path / "s2" / name).read_bytes(), name
+        m1 = json.loads((tmp_path / "s1/manifest.json").read_text())
+        m2 = json.loads((tmp_path / "s2/manifest.json").read_text())
+        m1.pop("timing_s"), m2.pop("timing_s")
+        assert m1 == m2
 
     def test_prediction_directory_source(self, scene_dir, tmp_path, cfg):
         pred_dir = tmp_path / "preds"
@@ -238,6 +247,47 @@ class TestCli:
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out" / "heatmap.csv").exists()
         assert (tmp_path / "out" / "ihs_hist.csv").exists()
+
+    def test_skipped_pairs_do_not_abort_rollout_or_report(self, tmp_path):
+        """A pair whose timeline never has two feasible classes is skipped as
+        DegenerateInterval, as eval records it, not an abort."""
+        d = tmp_path / "scenes"
+        d.mkdir()
+        save_scene(crossing_scene(gap_a=10.0, gap_b=40.0), d / "degenerate.json")
+        out = tmp_path / "rollout.csv"
+        res = self.run("rollout", "--scene-dir", str(d), "--out", str(out))
+        assert res.exit_code == 0, res.output
+        summary = [r for r in csv.DictReader(out.open()) if r["row"] == "summary"]
+        assert [(r["agent_a"], r["agent_b"], r["t_h_collapse"]) for r in summary] == \
+               [("a", "b", "DegenerateInterval")]
+        res = self.run("report", "--scene-dir", str(d), "--out-dir", str(tmp_path / "rep"))
+        assert res.exit_code == 0, res.output
+        heat = list(csv.DictReader((tmp_path / "rep" / "heatmap.csv").open()))
+        assert sum(int(r["count"]) for r in heat) == 1
+
+    def test_eval_filter_csv_matches_filter_command(self, tmp_path):
+        """eval writes filter.csv in filter order, skipped pairs included."""
+        d = tmp_path / "scenes"
+        d.mkdir()
+        save_scene(four_agent_scene(), d / "four.json")
+        res = self.run("filter", "--scene-dir", str(d), "--out", str(tmp_path / "f.csv"))
+        assert res.exit_code == 0, res.output
+        res = self.run("eval", "--scene-dir", str(d), "--pred", "cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 0, res.output
+        filtered = (tmp_path / "f.csv").read_bytes()
+        assert filtered.count(b"\n") == 3  # header, (a, b), (c, d)
+        assert (tmp_path / "out" / "filter.csv").read_bytes() == filtered
+
+    def test_exit_code_mixed_time_steps(self, scene_dir, tmp_path):
+        save_scene(crossing_scene(dt=0.25, n=60, scene_id="fine"), scene_dir / "fine.json")
+        for args in (["eval", "--pred", "cv"], ["report"]):
+            res = self.run(*args, "--scene-dir", str(scene_dir),
+                           "--out-dir", str(tmp_path / "out"))
+            assert res.exit_code == 3, res.output
+            err = json.loads(res.stderr.strip().splitlines()[-1])
+            assert err["error"] == "ParseError"
+            assert "mixed time steps 0.25 s, 0.5 s" in err["message"]
 
     def test_exit_code_config_error(self, scene_dir, tmp_path):
         res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",

@@ -8,8 +8,7 @@ from interaction_eval import (
     ProfileKind,
     Scene,
     SpeedProfile,
-    feasible_homotopy_set,
-    filter_scene,
+    filter_scene_with_rejections,
     interaction_timeline,
     max_scene_speed,
     rollout_trajectory,
@@ -116,22 +115,22 @@ class TestSceneSpeed:
 class TestFeasibleSets:
     def test_early_frame_has_both_orders(self, cfg):
         scene = crossing_scene(n=30)
-        pair = filter_scene(scene, cfg)[0]
-        feas = feasible_homotopy_set(scene, pair, 0, cfg)
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
+        feas = interaction_timeline(scene, pair, cfg).h_feas[0]
         assert feas == frozenset({HomotopyClass.CW, HomotopyClass.CCW})
 
     def test_late_frame_single_order(self, cfg):
         scene = crossing_scene(n=30)
-        pair = filter_scene(scene, cfg)[0]
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
         tl = interaction_timeline(scene, pair, cfg)
-        feas = feasible_homotopy_set(scene, pair, tl.collapse_idx, cfg)
+        feas = tl.h_feas[tl.collapse_idx]
         assert len(feas) == 1
 
 
 class TestTimeline:
     def test_crossing_timeline(self, cfg):
         scene = crossing_scene(n=30)
-        pair = filter_scene(scene, cfg)[0]
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
         tl = interaction_timeline(scene, pair, cfg)
         sizes = [len(f) for f in tl.h_feas]
         # frozen oracle values for the canonical crossing scene
@@ -150,13 +149,13 @@ class TestTimeline:
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 15))
         b = make_agent("b", straight_traj((0, -40.6), (0, 6), 15))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
-        pair = filter_scene(scene, cfg)[0]
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
         with pytest.raises(NoCollapse):
             interaction_timeline(scene, pair, cfg)
 
     def test_gt_class_in_feasible_set_before_collapse(self, cfg):
         scene = crossing_scene(n=30)
-        pair = filter_scene(scene, cfg)[0]
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
         tl = interaction_timeline(scene, pair, cfg)
         for i in range(tl.collapse_idx, len(tl.h_feas)):
             assert tl.h_gt[i] in tl.h_feas[i] or len(tl.h_feas[i]) == 0

@@ -13,7 +13,6 @@ from interaction_eval import (
     ShortTrajectory,
     Trajectory,
     common_window,
-    heading_and_speed,
     resample_trajectory,
     trajectory_kinematics,
     validate_scene,
@@ -118,7 +117,8 @@ class TestKinematics:
 
     def test_heading_and_speed_single_frame(self):
         tr = straight_traj((0, 0), (0, 2), 6)
-        h, s = heading_and_speed(tr, 3)
+        headings, speeds = trajectory_kinematics(tr)
+        h, s = headings[3], speeds[3]
         assert h == pytest.approx(np.pi / 2)
         assert s == pytest.approx(2.0)
 
