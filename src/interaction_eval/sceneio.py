@@ -11,7 +11,9 @@ Prediction file:
                     "samples": [ { "p": number,
                                    "trajs": { "<agent_id>": [[x, y], ...] } } ] } ] }
 
-All values SI. Prediction samples are ordered by non-increasing p.
+All values SI. Prediction samples are ordered by non-increasing p; every
+trajectory has shape (H, 2). ``load_predictions`` raises ``ParseError`` for
+a file that breaks this, or that holds a ``NaN`` or ``Infinity`` token.
 Optional heading fields in scene states are ignored: headings are always
 derived from positions.
 """
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError
 from .types import Agent, JointPredictionSet, JointSample, Scene, Trajectory, validate_scene
 
 
@@ -80,8 +82,8 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, str(e))
     out: dict[int, JointPredictionSet] = {}
     try:
@@ -89,15 +91,26 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
             frame = int(fr["frame"])
             samples = []
             for s in fr["samples"]:
-                trajs = {str(aid): np.asarray(pts, dtype=float)
-                         for aid, pts in s["trajs"].items()}
+                trajs = {}
+                for aid, pts in s["trajs"].items():
+                    xy = np.asarray(pts, dtype=float)
+                    if xy.ndim != 2 or xy.shape[1] != 2:
+                        raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
+                                               f"of shape {xy.shape}, expected (H, 2)")
+                    trajs[str(aid)] = xy
                 samples.append(JointSample(p=float(s["p"]), trajs=trajs))
             if substitute_static and scene is not None and samples:
                 samples = [_substitute_static(s, scene, frame) for s in samples]
             out[frame] = JointPredictionSet(frame=frame, samples=tuple(samples)).validate()
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(path, f"malformed prediction file: {e!r}")
+    except ConfigError as e:  # JointPredictionSet.validate
+        raise ParseError(path, str(e))
     return out
+
+
+def _no_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
 
 
 def _substitute_static(sample: JointSample, scene: Scene, frame: int) -> JointSample:

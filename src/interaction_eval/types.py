@@ -257,6 +257,8 @@ def common_window(a: Trajectory, b: Trajectory) -> tuple[Trajectory, Trajectory,
     """Restrict two same-dt trajectories to their co-observed time window.
 
     Returns the two sliced trajectories plus the shared timestamp vector.
+    ``filtering._co_observed`` repeats this accept test on arrays; change
+    both together.
     """
     from .errors import EmptyOverlap
 

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from interaction_eval import (
     CriticalPair,
+    EmptyOverlap,
     EvalConfig,
     PairRejection,
     RejectReason,
@@ -15,6 +18,7 @@ from interaction_eval import (
     resample_trajectory,
     validate_scene,
 )
+from interaction_eval import filtering
 
 from conftest import crossing_scene, make_agent, straight_traj
 
@@ -137,3 +141,122 @@ class TestSceneFiltering:
         p1 = filter_scene_with_rejections(scene1, cfg)[0][0]
         p2 = filter_scene_with_rejections(scene2, cfg)[0][0]
         assert (p1.agent_a, p1.agent_b) == (p2.agent_a, p2.agent_b)
+
+
+def brute_force_filter(scene, cfg):
+    """Reference: classify_pair on every pair, no scene-level pruning."""
+    accepted, rejected = [], []
+    for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
+        try:
+            result = classify_pair(scene, a, b, cfg)
+        except EmptyOverlap:
+            result = PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
+                                   detail="no co-observed window")
+        (accepted if isinstance(result, CriticalPair) else rejected).append(result)
+    return accepted, rejected
+
+
+def straddle_crossing():
+    """2 Hz right-angle crossing at 8 m/s: the recorded vertices stay 2.8 m
+    apart, at (+-2, 0) and (0, +-2), but the resampled points meet at the origin."""
+    a = make_agent("a", straight_traj((-34.0, 0.0), (8.0, 0.0), 30))
+    b = make_agent("b", straight_traj((0.0, -42.0), (0.0, 8.0), 30))
+    return a, b
+
+
+def mixed_scene(seed):
+    """The straddling crossing, agents that share no co-observed window or
+    sit half a frame off the grid (near and far), and random straight movers."""
+    rng = np.random.default_rng(seed)
+    agents = list(straddle_crossing())
+    agents.append(make_agent("late", straight_traj((300.0, 0.0), (5.0, 0.0), 10, t0=20.0)))
+    agents.append(make_agent("offgrid_far", straight_traj((0.0, 400.0), (5.0, 0.0), 30, t0=0.25)))
+    agents.append(make_agent("offgrid_near", straight_traj((-20.0, 1.0), (5.0, 0.0), 30, t0=0.25)))
+    for k in range(12):
+        heading = rng.uniform(0.0, 2.0 * np.pi)
+        vel = rng.uniform(0.0, 12.0) * np.array([np.cos(heading), np.sin(heading)])
+        start = rng.uniform(-60.0, 60.0, size=2) - 5.0 * vel
+        first = int(rng.integers(0, 12))
+        n = int(rng.integers(2, 30 - first))
+        agents.append(make_agent(f"r{k:02d}", straight_traj(start, vel, n, t0=first * 0.5)))
+    return validate_scene(Scene(scene_id=f"mixed-{seed}", dt=0.5, agents=tuple(agents)))
+
+
+def lane_scene(seed, n_agents=30):
+    """Platoons on four parallel lanes, 10 Hz, the odd lanes observed from
+    frame 10, plus one crossing pair: 30 agents."""
+    rng = np.random.default_rng(seed)
+    dt = 0.1
+    agents = [make_agent("xa", straight_traj((-30.0, 5.0), (9.0, 0.0), 41, dt=dt)),
+              make_agent("xb", straight_traj((0.0, -25.0), (0.0, 8.0), 41, dt=dt))]
+    for k in range(n_agents - 2):
+        lane = k % 4
+        gap = 18.0 * (k // 4) + rng.uniform(-1.0, 1.0)
+        first = 0 if lane % 2 == 0 else 10
+        start = (-200.0 + gap, 20.0 + 3.5 * lane)
+        agents.append(make_agent(f"l{k:02d}", straight_traj(
+            start, (8.0 + 0.5 * lane, 0.0), 31, t0=first * dt, dt=dt)))
+    return validate_scene(Scene(scene_id=f"lanes-{seed}", dt=dt, agents=tuple(agents)))
+
+
+class TestScenePrune:
+    """filter_scene_with_rejections skips classify_pair for pairs whose
+    samples stay apart; the result must equal classify_pair on every pair."""
+
+    @pytest.mark.parametrize("factor", [1, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_brute_force_mixed(self, factor, seed):
+        scene = mixed_scene(seed)
+        cfg = EvalConfig(interp_factor=factor)
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
+
+    @pytest.mark.parametrize("factor", [1, 3, 4])
+    def test_equals_brute_force_lanes(self, factor):
+        scene = lane_scene(7)
+        cfg = EvalConfig(interp_factor=factor)
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
+
+    @pytest.mark.parametrize("factor,expected", [(1, RejectReason.NEVER_PATH_SHARING),
+                                                 (3, None), (4, None)])
+    def test_straddling_vertices(self, factor, expected):
+        a, b = straddle_crossing()
+        scene = validate_scene(Scene(scene_id="straddle", dt=0.5, agents=(a, b)))
+        cfg = EvalConfig(interp_factor=factor)
+        accepted, rejected = filter_scene_with_rejections(scene, cfg)
+        if expected is None:
+            assert [(p.agent_a, p.agent_b) for p in accepted] == [("a", "b")]
+        else:
+            assert [r.reason for r in rejected] == [expected]
+
+    def test_no_window_and_off_grid_keep_their_detail(self, cfg):
+        _, rejected = filter_scene_with_rejections(mixed_scene(0), cfg)
+        detail = {frozenset((r.agent_a, r.agent_b)): r.detail for r in rejected}
+        assert detail[frozenset(("a", "late"))] == "no co-observed window"
+        assert detail[frozenset(("a", "offgrid_far"))] == "no co-observed window"
+        assert detail[frozenset(("late", "offgrid_far"))] == "no co-observed window"
+
+    @pytest.fixture
+    def classify_calls(self, monkeypatch):
+        """The (a, b) of every classify_pair call the filter makes."""
+        calls = []
+
+        def counting(scene, a, b, cfg):
+            calls.append((a, b))
+            return classify_pair(scene, a, b, cfg)
+
+        monkeypatch.setattr(filtering, "classify_pair", counting)
+        return calls
+
+    def test_prunes_most_lane_pairs(self, cfg, classify_calls):
+        accepted, rejected = filter_scene_with_rejections(lane_scene(7), cfg)
+        assert len(accepted) + len(rejected) == 30 * 29 // 2
+        assert len(classify_calls) < 60
+
+    def test_nan_sample_never_prunes(self, cfg, classify_calls):
+        far = straight_traj((500.0, 500.0), (5.0, 0.0), 30)
+        xy = far.xy.copy()
+        xy[7] = np.nan
+        bad = make_agent("z", Trajectory(t=far.t, xy=xy, dt=far.dt))
+        scene = Scene(scene_id="nan", dt=0.5, agents=crossing_scene().agents + (bad,))
+        filter_scene_with_rejections(scene, cfg)
+        assert ("a", "z") in classify_calls and ("b", "z") in classify_calls

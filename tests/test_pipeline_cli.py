@@ -304,6 +304,36 @@ class TestCli:
                        "--out", str(tmp_path / "f.csv"))
         assert res.exit_code == 3
 
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, float("nan")),
+         "non-finite number NaN"),
+        (lambda fr: fr["samples"][0].__setitem__("p", float("inf")),
+         "non-finite number Infinity"),
+        (lambda fr: [xy.append(0.0) for xy in fr["samples"][0]["trajs"]["b"]],
+         "agent b: trajectory of shape (12, 3), expected (H, 2)"),
+        (lambda fr: fr["samples"][0]["trajs"].__setitem__(
+            "a", [x for xy in fr["samples"][0]["trajs"]["a"] for x in xy]),
+         "agent a: trajectory of shape (24,), expected (H, 2)"),
+        (lambda fr: fr["samples"].insert(0, dict(fr["samples"][0], p=0.1)),
+         "samples not ordered by probability"),
+    ], ids=["nan", "infinity", "three_columns", "flat", "unordered"])
+    def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
+        scene = load_scene(scene_dir / "crossing.json")
+        preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        path = pred_dir / "crossing.json"
+        save_predictions(scene.scene_id, 6.0, preds, path)
+        data = json.loads(path.read_text())
+        corrupt(data["frames"][1])
+        path.write_text(json.dumps(data))
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", str(pred_dir),
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert message in err["message"]
+
     def test_exit_code_empty_corpus(self, tmp_path):
         d = tmp_path / "scenes"
         d.mkdir()
