@@ -66,7 +66,6 @@ from .rollout import (  # noqa: F401
     SpeedProfile,
     interaction_timeline,
     max_scene_speed,
-    rollout_trajectory,
     speed_profile,
 )
 from .baselines import cv_predict, oracle_predict  # noqa: F401

@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 
 from .collision import VehicleDims, is_collision
-from .errors import NoFeasibleCombo
+from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
 from .rollout import PathRollout, ProfileKind, PROFILE_ORDER, max_scene_speed, speed_profile
 from .types import (
@@ -72,7 +72,7 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     their ground-truth path; everyone else keeps constant velocity.
     """
     if k < 1:
-        raise NoFeasibleCombo("k must be >= 1")
+        raise ConfigError(f"oracle k must be >= 1, got {k}")
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = sorted({aid for p in pairs for aid in (p.agent_a, p.agent_b)})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -79,16 +78,6 @@ def _make_config(d_collision, dt_ps_max, a_lon_max, a_lat_max, horizon,
     return EvalConfig(d_collision=d_collision, dt_ps_max=dt_ps_max,
                       a_lon_max=a_lon_max, a_lat_max=a_lat_max, t_p=horizon,
                       theta_hat=theta_hat, interp_factor=interp_factor, t_min=t_min)
-
-
-def _jobs_option(jobs: int | None) -> int:
-    env = os.environ.get("INTERACTION_EVAL_JOBS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"INTERACTION_EVAL_JOBS must be an integer, got {env!r}") from None
-    return jobs if jobs else 1
 
 
 @click.group()
@@ -169,11 +158,8 @@ def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
 @click.option("--k", type=int, default=DEFAULT_ORACLE_K, show_default=True)
 @click.option("--substitute-static", is_flag=True,
               help="Fill missing agent predictions with static ground truth.")
-@click.option("--jobs", type=int, default=None,
-              help="Concurrent scenes (env INTERACTION_EVAL_JOBS overrides).")
 @config_options
-def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static,
-             jobs, **cfg_kw):
+def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static, **cfg_kw):
     """Run the full evaluation and write report.json plus CSV outputs."""
     try:
         if fixture is not None:
@@ -182,8 +168,7 @@ def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static,
             if scene_dir is None or pred_source is None:
                 raise ConfigError("--scene-dir and --pred are required without --fixture")
             cfg = _make_config(**cfg_kw)
-            report = run_pipeline(scene_dir, pred_source, out_dir, cfg,
-                                  jobs=_jobs_option(jobs), oracle_k=k,
+            report = run_pipeline(scene_dir, pred_source, out_dir, cfg, oracle_k=k,
                                   substitute_static=substitute_static)
         click.echo(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     except InteractionEvalError as e:

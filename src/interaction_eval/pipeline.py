@@ -6,7 +6,6 @@ import csv
 import json
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -92,8 +91,6 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
 def _baseline_predictions(scene: Scene, model: str, frames: set[int],
                           pairs: list[CriticalPair], cfg: EvalConfig,
                           k: int = DEFAULT_ORACLE_K) -> dict[int, JointPredictionSet]:
-    if model not in BASELINE_MODELS:
-        raise ConfigError(f"unknown baseline model {model!r}")
     out: dict[int, JointPredictionSet] = {}
     for fr in sorted(frames):
         if model == "cv":
@@ -113,6 +110,10 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
     with its timeline or the reason it has none. Every subcommand and output
     file renders from it.
     """
+    if baseline is not None and baseline not in BASELINE_MODELS:
+        raise ConfigError(f"unknown baseline model {baseline!r}")
+    if baseline == "oracle" and oracle_k < 1:
+        raise ConfigError(f"oracle k must be >= 1, got {oracle_k}")
     pairs, rejections = filter_scene_with_rejections(scene, cfg)
     evals: list[PairEvaluation] = []
     for pair in pairs:
@@ -177,7 +178,7 @@ def _load_scene_dir(scene_dir: str | Path) -> list[Scene]:
 
 
 def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
-                     pred_source: str | Path | None = None, jobs: int = 1,
+                     pred_source: str | Path | None = None,
                      oracle_k: int = DEFAULT_ORACLE_K,
                      substitute_static: bool = False) -> tuple[list[SceneEvaluation], float]:
     """Evaluate every scene of a directory; returns the results and the time step.
@@ -193,21 +194,17 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
         raise ParseError(scene_dir, "scenes have mixed time steps "
                                     + ", ".join(f"{dt:g} s" for dt in steps))
     baseline = str(pred_source) if str(pred_source) in BASELINE_MODELS else None
-
-    def run_one(scene: Scene) -> SceneEvaluation:
+    results = []
+    for scene in scenes:
         preds = None
         if pred_source is not None and baseline is None:
             pred_path = Path(pred_source) / f"{scene.scene_id}.json"
             if not pred_path.exists():
                 raise ParseError(pred_path, "missing prediction file for scene")
             preds = load_predictions(pred_path, scene, substitute_static)
-        return evaluate_scene(scene, cfg, predictions=preds, baseline=baseline,
-                              oracle_k=oracle_k)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_one, scenes)), steps[0]
-    return [run_one(s) for s in scenes], steps[0]
+        results.append(evaluate_scene(scene, cfg, predictions=preds, baseline=baseline,
+                                      oracle_k=oracle_k))
+    return results, steps[0]
 
 
 def _histogram_inputs(results: list[SceneEvaluation]):
@@ -330,8 +327,7 @@ def emit_histograms(pairs: list[tuple[str, CriticalPair]],
 
 
 def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | Path,
-                 cfg: EvalConfig, jobs: int = 1,
-                 oracle_k: int = DEFAULT_ORACLE_K,
+                 cfg: EvalConfig, oracle_k: int = DEFAULT_ORACLE_K,
                  substitute_static: bool = False) -> AggregateReport:
     """Evaluate a scene directory against a prediction directory or baseline.
 
@@ -342,7 +338,7 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results, dt = _evaluate_corpus(scene_dir, cfg, pred_source, jobs, oracle_k,
+    results, dt = _evaluate_corpus(scene_dir, cfg, pred_source, oracle_k,
                                    substitute_static)
 
     pair_records = [ev.record for r in results for ev in r.pairs if ev.record]
@@ -416,6 +412,10 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
             final = int(frames[-1]["frame"])
             collapse_t = (final + 1) * dt
             for f in frames:
+                if not f["feas"]:
+                    raise ParseError(path, f"scene {p['scene_id']}, pair ({p['agent_a']}, "
+                                           f"{p['agent_b']}), frame {f['frame']}: "
+                                           "empty feasible set")
                 ff = frame_flags(
                     int(f["frame"]), HomotopyClass(f["gt"]), HomotopyClass(f["ml"]),
                     frozenset(HomotopyClass(c) for c in f["pred"]),

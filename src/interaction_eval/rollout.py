@@ -31,7 +31,6 @@ from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
 from .filtering import CriticalPair
 from .homotopy import HomotopyClass, classify_pair_windows, gt_mode_sequence
 from .types import (
-    Agent,
     EvalConfig,
     Scene,
     Trajectory,
@@ -288,17 +287,6 @@ class PathRollout:
         xy = self.position(out_s)
         t = t0 + dt * np.arange(n_steps + 1)
         return Trajectory(t=t, xy=xy, dt=dt)
-
-
-def rollout_trajectory(agent: Agent, start_frame: int, profile: SpeedProfile,
-                       cfg: EvalConfig, n_steps: int | None = None) -> Trajectory:
-    """Roll out one agent from a frame of its recorded trajectory."""
-    traj = agent.trajectory
-    if n_steps is None:
-        n_steps = traj.n - 1 - start_frame
-    extend = profile.v_max * (n_steps + 1) * traj.dt + 10.0
-    path = PathRollout(traj, start_frame, extend, cfg)
-    return path.roll(profile, n_steps, t0=float(traj.t[start_frame]))
 
 
 def _feasible_set_from_paths(path_a: PathRollout, path_b: PathRollout,

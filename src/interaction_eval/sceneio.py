@@ -77,14 +77,16 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
                      substitute_static: bool = False) -> dict[int, JointPredictionSet]:
     """Prediction sets keyed by frame index.
 
-    With ``substitute_static`` (and a scene), agents missing from a sample
-    are filled with their current ground-truth position held static.
+    Given a scene, a sample that names an agent not in the scene is a
+    ParseError. With ``substitute_static`` (and a scene), agents missing from
+    a sample are filled with their current ground-truth position held static.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
     except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, str(e))
+    scene_ids = set(scene.agent_ids) if scene is not None else None
     out: dict[int, JointPredictionSet] = {}
     try:
         for fr in data["frames"]:
@@ -102,6 +104,11 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
             if substitute_static and scene is not None and samples:
                 samples = [_substitute_static(s, scene, frame) for s in samples]
             out[frame] = JointPredictionSet(frame=frame, samples=tuple(samples)).validate()
+            # validate() makes every sample name the same agents as the first
+            unknown = sorted(set(samples[0].trajs) - scene_ids) if scene_ids else []
+            if unknown:
+                raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
+                                       f"not in scene {scene.scene_id}")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(path, f"malformed prediction file: {e!r}")
     except ConfigError as e:  # JointPredictionSet.validate

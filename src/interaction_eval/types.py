@@ -1,7 +1,6 @@
 """Core data types: trajectories, agents, scenes, predictions and config.
 
-All types are immutable after construction and all functions are pure, so
-scenes can be shared across threads and evaluated in parallel.
+All types are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -71,10 +70,6 @@ class Agent:
     length: float
     trajectory: Trajectory
 
-    @property
-    def disk_radius(self) -> float:
-        return self.width / 2.0
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -123,11 +118,6 @@ class JointPredictionSet:
     def k(self) -> int:
         return len(self.samples)
 
-    @property
-    def ml(self) -> JointSample:
-        """The most likely joint sample (index 0 by construction)."""
-        return self.samples[0]
-
     def validate(self) -> "JointPredictionSet":
         probs = [s.p for s in self.samples]
         if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
@@ -160,7 +150,7 @@ class EvalConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.theta_hat < 0:
             raise ConfigError("theta_hat must be >= 0")
-        if int(self.interp_factor) != self.interp_factor or self.interp_factor < 1:
+        if not isinstance(self.interp_factor, (int, np.integer)) or self.interp_factor < 1:
             raise ConfigError("interp_factor must be a positive integer")
 
     def horizon_frames(self, dt: float) -> int:
@@ -212,7 +202,7 @@ def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
 
     Original samples are preserved exactly; factor 1 returns the input.
     """
-    if factor < 1 or int(factor) != factor:
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ConfigError("resample factor must be a positive integer")
     if factor == 1:
         return traj

@@ -150,24 +150,6 @@ class TestRunPipeline:
         raw = (out / "pairs.csv").read_bytes()
         assert b"\r" not in raw
 
-    def test_jobs_parallel_matches_serial(self, scene_dir, tmp_path, cfg):
-        save_scene(crossing_scene(v_a=5.0, gap_a=35.0, gap_b=47.0, n=30,
-                                  scene_id="second"), scene_dir / "second.json")
-        save_scene(four_agent_scene(), scene_dir / "third.json")
-        rep1 = run_pipeline(scene_dir, "cv", tmp_path / "s1", cfg, jobs=1)
-        rep2 = run_pipeline(scene_dir, "cv", tmp_path / "s2", cfg, jobs=4)
-        assert rep1.to_dict() == rep2.to_dict()
-        names = sorted(p.name for p in (tmp_path / "s1").iterdir())
-        assert names == sorted(p.name for p in (tmp_path / "s2").iterdir())
-        for name in names:
-            if name != "manifest.json":
-                assert (tmp_path / "s1" / name).read_bytes() == \
-                       (tmp_path / "s2" / name).read_bytes(), name
-        m1 = json.loads((tmp_path / "s1/manifest.json").read_text())
-        m2 = json.loads((tmp_path / "s2/manifest.json").read_text())
-        m1.pop("timing_s"), m2.pop("timing_s")
-        assert m1 == m2
-
     def test_prediction_directory_source(self, scene_dir, tmp_path, cfg):
         pred_dir = tmp_path / "preds"
         pred_dir.mkdir()
@@ -296,6 +278,31 @@ class TestCli:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--pred", "oracle"],
+        ["baseline", "--model", "oracle"],
+    ], ids=["eval", "baseline"])
+    def test_exit_code_oracle_k_zero(self, scene_dir, tmp_path, command):
+        out = tmp_path / "out"
+        res = self.run(*command, "--scene-dir", str(scene_dir), "--out-dir", str(out),
+                       "--k", "0")
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "oracle k must be >= 1, got 0" in err["message"]
+        assert not any(out.glob("*.json"))  # raised before any scene is evaluated
+
+    def test_exit_code_fixture_empty_feasible_set(self, tmp_path):
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        fixture["pairs"][0]["frames"][2]["feas"] = []
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "scene ex, pair (a, b), frame 7: empty feasible set" in err["message"]
+
     def test_exit_code_parse_error(self, tmp_path):
         d = tmp_path / "scenes"
         d.mkdir()
@@ -316,7 +323,10 @@ class TestCli:
          "agent a: trajectory of shape (24,), expected (H, 2)"),
         (lambda fr: fr["samples"].insert(0, dict(fr["samples"][0], p=0.1)),
          "samples not ordered by probability"),
-    ], ids=["nan", "infinity", "three_columns", "flat", "unordered"])
+        (lambda fr: [s["trajs"].__setitem__("z", s["trajs"].pop("b"))
+                     for s in fr["samples"]],
+         "frame 1: agent(s) z not in scene crossing"),
+    ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
@@ -340,18 +350,3 @@ class TestCli:
         res = self.run("filter", "--scene-dir", str(d),
                        "--out", str(tmp_path / "f.csv"))
         assert res.exit_code == 4
-
-    def test_jobs_env_override(self, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("INTERACTION_EVAL_JOBS", "2")
-        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
-                       "--out-dir", str(tmp_path / "out"))
-        assert res.exit_code == 0, res.output
-
-    def test_jobs_env_not_an_integer(self, scene_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("INTERACTION_EVAL_JOBS", "two")
-        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
-                       "--out-dir", str(tmp_path / "out"))
-        assert res.exit_code == 2, res.output
-        err = json.loads(res.stderr.strip().splitlines()[-1])
-        assert err["error"] == "ConfigError"
-        assert "INTERACTION_EVAL_JOBS" in err["message"]

@@ -11,7 +11,6 @@ from interaction_eval import (
     filter_scene_with_rejections,
     interaction_timeline,
     max_scene_speed,
-    rollout_trajectory,
     speed_profile,
     validate_scene,
 )
@@ -19,6 +18,15 @@ from interaction_eval import (
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
 A_LON = 1.47
+
+
+def roll_from(agent, start_frame, profile, cfg, n_steps):
+    """Roll an agent from one of its recorded frames, with its path extended
+    far enough for n_steps at the profile's speed cap."""
+    traj = agent.trajectory
+    extend = profile.v_max * (n_steps + 1) * traj.dt + 10.0
+    return PathRollout(traj, start_frame, extend, cfg).roll(
+        profile, n_steps, t0=float(traj.t[start_frame]))
 
 
 def analytic_accel_distance(v0, v_max, a, t):
@@ -47,7 +55,7 @@ class TestStraightRollouts:
     def test_accel_matches_closed_form(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (4, 0), 40))
         prof = speed_profile(ProfileKind.ACCEL, 4.0, 9.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=30)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=30)
         for k in (5, 15, 30):
             expect = analytic_accel_distance(4.0, 9.0, A_LON, 0.5 * k)
             assert roll.xy[k, 0] == pytest.approx(expect, abs=1e-9)
@@ -55,7 +63,7 @@ class TestStraightRollouts:
     def test_decel_stops_at_braking_distance(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 40))
         prof = speed_profile(ProfileKind.DECEL, 6.0, 9.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=30)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=30)
         stop = 6.0**2 / (2.0 * A_LON)
         assert roll.xy[-1, 0] == pytest.approx(stop, abs=1e-9)
         # monotone, never reverses
@@ -64,13 +72,13 @@ class TestStraightRollouts:
     def test_const_vel_keeps_speed(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 40))
         prof = speed_profile(ProfileKind.CONST_VEL, 6.0, 9.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=20)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
         np.testing.assert_allclose(np.diff(roll.xy[:, 0]), 3.0, atol=1e-9)
 
     def test_starts_at_recorded_position_and_time(self, cfg):
         agent = make_agent("a", straight_traj((-10, 2), (6, 0), 40))
         prof = speed_profile(ProfileKind.CONST_VEL, 6.0, 9.0, cfg)
-        roll = rollout_trajectory(agent, 4, prof, cfg, n_steps=10)
+        roll = roll_from(agent, 4, prof, cfg, n_steps=10)
         np.testing.assert_allclose(roll.xy[0], agent.trajectory.xy[4])
         assert roll.t[0] == pytest.approx(agent.trajectory.t[4])
 
@@ -78,7 +86,7 @@ class TestStraightRollouts:
         # 10 recorded frames cover 27 m; an accelerating rollout needs more.
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 10))
         prof = speed_profile(ProfileKind.ACCEL, 6.0, 20.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=20)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
         assert roll.xy[-1, 0] > 27.0
         np.testing.assert_allclose(roll.xy[:, 1], 0.0, atol=1e-9)
 
@@ -90,7 +98,7 @@ class TestCurvatureCap:
         traj = circle_traj(10.0, 0.35, n)
         agent = make_agent("a", traj)
         prof = speed_profile(ProfileKind.ACCEL, 3.0, 12.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=20)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
         step = np.hypot(*np.diff(roll.xy, axis=0).T)
         v_cap = np.sqrt(cfg.a_lat_max * 10.0)
         # speeds within the recorded arc never exceed the lateral limit
@@ -102,7 +110,7 @@ class TestCurvatureCap:
     def test_straight_path_unaffected(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (8, 0), 30))
         prof = speed_profile(ProfileKind.CONST_VEL, 8.0, 8.0, cfg)
-        roll = rollout_trajectory(agent, 0, prof, cfg, n_steps=20)
+        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
         np.testing.assert_allclose(np.diff(roll.xy[:, 0]), 4.0, atol=1e-9)
 
 

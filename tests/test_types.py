@@ -156,6 +156,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cfg.horizon_frames(0.7)
 
+    def test_interp_factor_must_be_an_integer(self):
+        assert EvalConfig(interp_factor=4).interp_factor == 4
+        with pytest.raises(ConfigError, match="interp_factor"):
+            EvalConfig(interp_factor=4.0)
+        tr = straight_traj((0, 0), (4, 0), 5)
+        assert resample_trajectory(tr, 4).n == 17
+        with pytest.raises(ConfigError, match="resample factor"):
+            resample_trajectory(tr, 4.0)
+
     def test_with_override(self):
         cfg = EvalConfig().with_(t_p=3.0)
         assert cfg.t_p == 3.0
