@@ -42,13 +42,10 @@ from .types import (  # noqa: F401
 from .filtering import (  # noqa: F401
     CriticalPair,
     PairRejection,
-    PairwiseDistanceField,
     PathSharingResult,
     RejectReason,
     classify_pair,
     filter_scene_with_rejections,
-    pairwise_distance_matrix,
-    path_sharing_sets,
 )
 from .homotopy import (  # noqa: F401
     HomotopyClass,

@@ -17,21 +17,9 @@ from .types import (
     JointSample,
     Scene,
     Trajectory,
+    agent_frame_index,
     trajectory_kinematics,
 )
-
-
-def scene_time_origin(scene: Scene) -> float:
-    return min(float(a.trajectory.t[0]) for a in scene.agents)
-
-
-def agent_frame_index(scene: Scene, agent: Agent, frame: int) -> int | None:
-    """Map a scene-global frame index to the agent's local sample index."""
-    t = scene_time_origin(scene) + frame * scene.dt
-    i = int(round((t - agent.trajectory.t[0]) / scene.dt))
-    if 0 <= i < agent.trajectory.n:
-        return i
-    return None
 
 
 def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:

@@ -57,17 +57,11 @@ def winding_angle(ta: Trajectory, tb: Trajectory) -> WindingResult:
     norm = np.hypot(rel[:, 0], rel[:, 1])
     bearings = np.arctan2(rel[:, 1], rel[:, 0])
     defined = norm >= _DEGENERATE_REL
-    if defined.all():
-        steps = _wrap_angle(np.diff(bearings))
-    else:
-        steps = np.zeros(ta.n - 1)
-        prev = bearings[0] if defined[0] else None
-        for i in range(1, ta.n):
-            if not defined[i]:
-                continue  # bearing carries forward, zero increment
-            if prev is not None:
-                steps[i - 1] = _wrap_angle(np.asarray(bearings[i] - prev))
-            prev = bearings[i]
+    # index of the last well-defined bearing at or before each frame
+    last = np.maximum.accumulate(np.where(defined, np.arange(ta.n), -1))
+    ok = defined[1:] & (last[:-1] >= 0)
+    steps = np.zeros_like(bearings[1:])
+    steps[ok] = _wrap_angle(bearings[1:][ok] - bearings[last[:-1][ok]])
     return WindingResult(delta_theta=float(np.sum(steps)), per_step=steps)
 
 

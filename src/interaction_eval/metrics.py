@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, EmptyFeasibleSet
 from .homotopy import HomotopyClass
-from .types import JointPredictionSet, Scene
+from .types import JointPredictionSet, Scene, agent_frame_index
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,6 @@ def displacement_metrics(predictions: list[JointPredictionSet],
     The joint minimum is taken over whole joint samples: the best sample's
     scene-averaged error, never a per-agent mix-and-match.
     """
-    from .baselines import agent_frame_index
-
     ml_err: list[float] = []
     ml_fin: list[float] = []
     jmin_ade: list[float] = []

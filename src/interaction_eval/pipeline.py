@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import cv_predict, oracle_predict, scene_time_origin
+from .baselines import cv_predict, oracle_predict
 from .errors import (
     ConfigError,
     DegenerateInterval,
@@ -25,7 +25,6 @@ from .homotopy import HomotopyClass, classify_pair_windows
 from .metrics import (
     AggregateReport,
     DisplacementMetrics,
-    FrameModeFlags,
     FrameRecord,
     PairRecord,
     aggregate,
@@ -35,10 +34,12 @@ from .metrics import (
 )
 from .rollout import InteractionTimeline, interaction_timeline
 from .sceneio import load_predictions, load_scene
-from .types import EvalConfig, JointPredictionSet, Scene, Trajectory
+from .types import EvalConfig, JointPredictionSet, Scene, Trajectory, scene_time_origin
 
 BASELINE_MODELS = ("cv", "oracle")
 DEFAULT_ORACLE_K = 5
+HEATMAP_TIME_BIN = 0.5  # seconds of dt_ps per heatmap.csv cell
+HEATMAP_DIST_BIN = 1.0  # metres of closest approach per heatmap.csv cell
 
 
 @dataclass
@@ -46,7 +47,6 @@ class PairEvaluation:
     pair: CriticalPair
     timeline: InteractionTimeline | None
     skipped: str | None  # reason when the pair is excluded from time metrics
-    flags: list[FrameModeFlags] = field(default_factory=list)
     frame_records: list[FrameRecord] = field(default_factory=list)
     record: PairRecord | None = None
 
@@ -86,6 +86,22 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
     if h_ml is None or not classes:
         return None
     return h_ml, frozenset(classes)
+
+
+def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
+                 t_h_start: float, t_h_final: float, t_h_collapse: float,
+                 dt: float) -> tuple[list[FrameRecord], PairRecord]:
+    """Frame records and the pair record of one pair's graded frames, given
+    as (frame, t, h_gt, h_ml, h_pred, h_feas) in frame order."""
+    frame_records = [
+        FrameRecord(scene_id=scene_id, agent_a=agent_a, agent_b=agent_b, t=t,
+                    dt_collapse=t_h_collapse - t,
+                    flags=frame_flags(frame, h_gt, h_ml, h_pred, h_feas))
+        for frame, t, h_gt, h_ml, h_pred, h_feas in frames]
+    record = PairRecord(scene_id=scene_id, agent_a=agent_a, agent_b=agent_b,
+                        t_h_start=t_h_start, t_h_final=t_h_final, t_h_collapse=t_h_collapse,
+                        metrics=pair_time_metrics([fr.flags for fr in frame_records], dt))
+    return frame_records, record
 
 
 def _baseline_predictions(scene: Scene, model: str, frames: set[int],
@@ -138,30 +154,21 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
     for ev in timed:
         pair, tl = ev.pair, ev.timeline
         off = _window_frame_offset(scene, tl)
+        graded = []
         for i in range(tl.start_idx, tl.final_idx + 1):
-            g = off + i
-            pset = predictions.get(g)
-            if pset is None:
-                continue
-            if len(tl.h_feas[i]) == 0:
-                continue  # both rollouts collide: excluded, surfaced via timeline
-            got = _prediction_classes(pset, pair, float(tl.t[i]), scene.dt, cfg.theta_hat)
-            if got is None:
-                continue
-            h_ml, h_pred = got
-            ff = frame_flags(g, tl.h_gt[i], h_ml, h_pred, tl.h_feas[i])
-            ev.flags.append(ff)
-            ev.frame_records.append(FrameRecord(
-                scene_id=scene.scene_id, agent_a=pair.agent_a, agent_b=pair.agent_b,
-                t=float(tl.t[i]), dt_collapse=float(tl.t_h_collapse - tl.t[i]), flags=ff))
-        if not ev.flags:
+            pset = predictions.get(off + i)
+            if pset is None or not tl.h_feas[i]:
+                continue  # an empty feasible set (both rollouts collide) shows in the timeline
+            t = float(tl.t[i])
+            got = _prediction_classes(pset, pair, t, scene.dt, cfg.theta_hat)
+            if got is not None:
+                graded.append((off + i, t, tl.h_gt[i], *got, tl.h_feas[i]))
+        if not graded:
             ev.skipped = "NoPredictionFrames"
         else:
-            ev.record = PairRecord(
-                scene_id=scene.scene_id, agent_a=pair.agent_a, agent_b=pair.agent_b,
-                t_h_start=float(tl.t[tl.start_idx]), t_h_final=float(tl.t[tl.final_idx]),
-                t_h_collapse=tl.t_h_collapse,
-                metrics=pair_time_metrics(ev.flags, scene.dt))
+            ev.frame_records, ev.record = _graded_pair(
+                scene.scene_id, pair.agent_a, pair.agent_b, graded,
+                tl.t_h_start, tl.t_h_final, tl.t_h_collapse, scene.dt)
     return SceneEvaluation(scene=scene, pairs=evals, rejections=rejections,
                            predictions=predictions)
 
@@ -298,22 +305,21 @@ def _write_report_files(out: Path, pair_records: list[PairRecord],
     write_frames_csv(out / "frames.csv", frame_records)
     write_curves_csv(out / "curves.csv", report)
     (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=1, sort_keys=True), encoding="utf-8")
+        json.dumps(report.to_dict(), indent=1, sort_keys=True, allow_nan=False),
+        encoding="utf-8")
 
 
 def emit_histograms(pairs: list[tuple[str, CriticalPair]],
                     timelines: list[tuple[str, CriticalPair, InteractionTimeline]],
-                    out_dir: str | Path, dt: float,
-                    heatmap_time_bin: float = 0.5,
-                    heatmap_dist_bin: float = 1.0) -> None:
+                    out_dir: str | Path, dt: float) -> None:
     """Plot-data CSVs: closeness heatmap and time-to-IHS histogram."""
     out = Path(out_dir)
     cells: dict[tuple[int, int], int] = {}
     for _, p in pairs:
-        key = (int(p.sharing.dt_ps // heatmap_time_bin),
-               int(p.min_distance // heatmap_dist_bin))
+        key = (int(p.sharing.dt_ps // HEATMAP_TIME_BIN),
+               int(p.min_distance // HEATMAP_DIST_BIN))
         cells[key] = cells.get(key, 0) + 1
-    rows = [[f"{kt * heatmap_time_bin:.6g}", f"{kd * heatmap_dist_bin:.6g}", n]
+    rows = [[f"{kt * HEATMAP_TIME_BIN:.6g}", f"{kd * HEATMAP_DIST_BIN:.6g}", n]
             for (kt, kd), n in sorted(cells.items())]
     _write_csv(out / "heatmap.csv", ["dt_ps_bin", "min_distance_bin", "count"], rows)
 
@@ -346,9 +352,15 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
     if not pair_records:
         raise EmptyCorpus("no evaluable interaction pairs in corpus")
     disp = None
-    per_scene = [displacement_metrics(sorted(r.predictions.values(), key=lambda p: p.frame),
-                                      r.scene)
-                 for r in results if r.predictions]
+    per_scene = []
+    for r in results:
+        if not r.predictions:
+            continue
+        try:
+            per_scene.append(displacement_metrics(
+                sorted(r.predictions.values(), key=lambda p: p.frame), r.scene))
+        except EmptyCorpus:
+            continue  # no recorded ground truth ahead of any prediction frame
     if per_scene:
         disp = DisplacementMetrics(
             ml_ade=float(np.mean([d.ml_ade for d in per_scene])),
@@ -379,8 +391,8 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
         } for r in results},
         "timing_s": round(time.time() - t_start, 3),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True),
-                                       encoding="utf-8")
+    (out / "manifest.json").write_text(
+        json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False), encoding="utf-8")
     return report
 
 
@@ -407,29 +419,22 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
         dt = float(data["dt"])
         pair_records, frame_records = [], []
         for p in data["pairs"]:
-            flags: list[FrameModeFlags] = []
-            frames = sorted(p["frames"], key=lambda f: int(f["frame"]))
-            final = int(frames[-1]["frame"])
-            collapse_t = (final + 1) * dt
-            for f in frames:
+            key = (str(p["scene_id"]), str(p["agent_a"]), str(p["agent_b"]))
+            graded = []
+            for f in sorted(p["frames"], key=lambda f: int(f["frame"])):
                 if not f["feas"]:
                     raise ParseError(path, f"scene {p['scene_id']}, pair ({p['agent_a']}, "
                                            f"{p['agent_b']}), frame {f['frame']}: "
                                            "empty feasible set")
-                ff = frame_flags(
-                    int(f["frame"]), HomotopyClass(f["gt"]), HomotopyClass(f["ml"]),
-                    frozenset(HomotopyClass(c) for c in f["pred"]),
-                    frozenset(HomotopyClass(c) for c in f["feas"]))
-                flags.append(ff)
-                frame_records.append(FrameRecord(
-                    scene_id=str(p["scene_id"]), agent_a=str(p["agent_a"]),
-                    agent_b=str(p["agent_b"]), t=int(f["frame"]) * dt,
-                    dt_collapse=collapse_t - int(f["frame"]) * dt, flags=ff))
-            pair_records.append(PairRecord(
-                scene_id=str(p["scene_id"]), agent_a=str(p["agent_a"]),
-                agent_b=str(p["agent_b"]), t_h_start=int(frames[0]["frame"]) * dt,
-                t_h_final=final * dt, t_h_collapse=collapse_t,
-                metrics=pair_time_metrics(flags, dt)))
+                graded.append((int(f["frame"]), int(f["frame"]) * dt, HomotopyClass(f["gt"]),
+                               HomotopyClass(f["ml"]),
+                               frozenset(HomotopyClass(c) for c in f["pred"]),
+                               frozenset(HomotopyClass(c) for c in f["feas"])))
+            final = graded[-1][0]
+            frames, record = _graded_pair(*key, graded, graded[0][1], final * dt,
+                                          (final + 1) * dt, dt)
+            frame_records.extend(frames)
+            pair_records.append(record)
     except (KeyError, TypeError, ValueError, IndexError) as e:
         raise ParseError(path, f"malformed mode fixture: {e!r}")
     return dt, pair_records, frame_records

@@ -12,8 +12,11 @@ Prediction file:
                                    "trajs": { "<agent_id>": [[x, y], ...] } } ] } ] }
 
 All values SI. Prediction samples are ordered by non-increasing p; every
-trajectory has shape (H, 2). ``load_predictions`` raises ``ParseError`` for
-a file that breaks this, or that holds a ``NaN`` or ``Infinity`` token.
+trajectory has shape (H, 2), and every frame holds at least one sample.
+Both loaders raise ``ParseError`` for a file that breaks its format or that
+holds a number a float cannot hold. A scene file must also pass
+``validate_scene``, and a prediction file must hold no ``NaN`` or infinite
+value (an ``Infinity`` token or a literal such as ``1e999``).
 Optional heading fields in scene states are ignored: headings are always
 derived from positions.
 """
@@ -25,8 +28,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
-from .types import Agent, JointPredictionSet, JointSample, Scene, Trajectory, validate_scene
+from .errors import ConfigError, ParseError, SceneValidationError
+from .types import (
+    Agent,
+    JointPredictionSet,
+    JointSample,
+    Scene,
+    Trajectory,
+    agent_frame_index,
+    validate_scene,
+)
 
 
 def load_scene(path: str | Path) -> Scene:
@@ -48,9 +59,12 @@ def load_scene(path: str | Path) -> Scene:
                                 length=float(a["length"]), trajectory=traj))
         scene = Scene(scene_id=str(data["scene_id"]), dt=float(data["dt"]),
                       agents=tuple(agents))
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ParseError(path, f"malformed scene file: {e!r}")
-    return validate_scene(scene)
+    try:
+        return validate_scene(scene)
+    except SceneValidationError as e:
+        raise ParseError(path, f"invalid scene: {type(e).__name__}: {e}")
 
 
 def save_scene(scene: Scene, path: str | Path) -> None:
@@ -88,6 +102,8 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
         raise ParseError(path, str(e))
     scene_ids = set(scene.agent_ids) if scene is not None else None
     out: dict[int, JointPredictionSet] = {}
+    arrays: list[np.ndarray] = []
+    probs: list[float] = []
     try:
         for fr in data["frames"]:
             frame = int(fr["frame"])
@@ -100,7 +116,9 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
                         raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
                                                f"of shape {xy.shape}, expected (H, 2)")
                     trajs[str(aid)] = xy
+                    arrays.append(xy)
                 samples.append(JointSample(p=float(s["p"]), trajs=trajs))
+                probs.append(samples[-1].p)
             if substitute_static and scene is not None and samples:
                 samples = [_substitute_static(s, scene, frame) for s in samples]
             out[frame] = JointPredictionSet(frame=frame, samples=tuple(samples)).validate()
@@ -109,11 +127,27 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
             if unknown:
                 raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
                                        f"not in scene {scene.scene_id}")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(path, f"malformed prediction file: {e!r}")
     except ConfigError as e:  # JointPredictionSet.validate
         raise ParseError(path, str(e))
+    # one check over the whole file; _first_non_finite only names the culprit
+    if not (np.isfinite(probs).all()
+            and (not arrays or np.isfinite(np.concatenate(arrays)).all())):
+        raise ParseError(path, _first_non_finite(data))
     return out
+
+
+def _first_non_finite(data: dict) -> str:
+    """Where the first non-finite value of a decoded prediction file sits."""
+    for fr in data["frames"]:
+        for k, s in enumerate(fr["samples"]):
+            if not np.isfinite(float(s["p"])):
+                return f"frame {fr['frame']}, sample {k}: non-finite probability"
+            for aid, pts in s["trajs"].items():
+                if not np.isfinite(np.asarray(pts, dtype=float)).all():
+                    return f"frame {fr['frame']}, sample {k}, agent {aid}: non-finite position"
+    return "non-finite value"
 
 
 def _no_constant(token: str):
@@ -121,8 +155,6 @@ def _no_constant(token: str):
 
 
 def _substitute_static(sample: JointSample, scene: Scene, frame: int) -> JointSample:
-    from .baselines import agent_frame_index
-
     horizon = max((len(v) for v in sample.trajs.values()), default=0)
     trajs = dict(sample.trajs)
     for agent in scene.agents:

@@ -5,18 +5,19 @@ All types are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DuplicateAgentId,
+    EmptyOverlap,
     NonFiniteCoordinate,
     NonUniformSampling,
     SceneValidationError,
     ShortTrajectory,
+    UnknownAgent,
 )
 
 _TIME_ATOL = 1e-6  # absolute slack on timestamp grid comparisons, seconds
@@ -47,16 +48,6 @@ class Trajectory:
     def n(self) -> int:
         return len(self.t)
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[tuple[float, float, float]],
-                     dt: float | None = None) -> "Trajectory":
-        """Build from an ordered sequence of (t, x, y) tuples."""
-        arr = np.asarray(samples, dtype=float)
-        t, xy = arr[:, 0], arr[:, 1:3]
-        if dt is None:
-            dt = float(t[1] - t[0]) if len(t) > 1 else 0.0
-        return cls(t=t, xy=xy, dt=float(dt))
-
     def slice_frames(self, start: int, stop: int) -> "Trajectory":
         return Trajectory(t=self.t[start:stop], xy=self.xy[start:stop], dt=self.dt)
 
@@ -84,8 +75,6 @@ class Scene:
         for a in self.agents:
             if a.id == agent_id:
                 return a
-        from .errors import UnknownAgent
-
         raise UnknownAgent(agent_id)
 
     @property
@@ -114,11 +103,9 @@ class JointPredictionSet:
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
 
-    @property
-    def k(self) -> int:
-        return len(self.samples)
-
     def validate(self) -> "JointPredictionSet":
+        if not self.samples:
+            raise ConfigError(f"frame {self.frame}: no samples")
         probs = [s.p for s in self.samples]
         if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
             raise ConfigError(f"frame {self.frame}: samples not ordered by probability")
@@ -159,9 +146,6 @@ class EvalConfig:
             raise ConfigError(f"prediction horizon {self.t_p} is not a multiple of dt={dt}")
         return int(round(steps))
 
-    def with_(self, **kwargs) -> "EvalConfig":
-        return replace(self, **kwargs)
-
 
 def validate_scene(scene: Scene) -> Scene:
     """Check all scene invariants; returns the scene unchanged if they hold."""
@@ -195,6 +179,20 @@ def validate_scene(scene: Scene) -> Scene:
                 f"agent {agent.id}: invalid dimensions width={agent.width}, length={agent.length}"
             )
     return scene
+
+
+def scene_time_origin(scene: Scene) -> float:
+    """Timestamp of scene frame 0: the earliest first sample of any agent."""
+    return min(float(a.trajectory.t[0]) for a in scene.agents)
+
+
+def agent_frame_index(scene: Scene, agent: Agent, frame: int) -> int | None:
+    """Map a scene-global frame index to the agent's local sample index."""
+    t = scene_time_origin(scene) + frame * scene.dt
+    i = int(round((t - agent.trajectory.t[0]) / scene.dt))
+    if 0 <= i < agent.trajectory.n:
+        return i
+    return None
 
 
 def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
@@ -250,8 +248,6 @@ def common_window(a: Trajectory, b: Trajectory) -> tuple[Trajectory, Trajectory,
     ``filtering._co_observed`` repeats this accept test on arrays; change
     both together.
     """
-    from .errors import EmptyOverlap
-
     t0 = max(a.t[0], b.t[0])
     t1 = min(a.t[-1], b.t[-1])
     if t1 < t0 - _TIME_ATOL:
@@ -261,6 +257,6 @@ def common_window(a: Trajectory, b: Trajectory) -> tuple[Trajectory, Trajectory,
     count = int(round((t1 - t0) / a.dt)) + 1
     sa = a.slice_frames(ia, ia + count)
     sb = b.slice_frames(ib, ib + count)
-    if not np.allclose(sa.t, sb.t, atol=_TIME_ATOL, rtol=0):
+    if sa.n != sb.n or not np.allclose(sa.t, sb.t, atol=_TIME_ATOL, rtol=0):
         raise EmptyOverlap("agents are not sampled on a common time grid")
     return sa, sb, sa.t

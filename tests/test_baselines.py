@@ -15,7 +15,7 @@ from interaction_eval import (
     validate_scene,
     winding_angle,
 )
-from interaction_eval.baselines import agent_frame_index, scene_time_origin
+from interaction_eval.types import agent_frame_index, scene_time_origin
 
 from conftest import crossing_scene, make_agent, straight_traj
 
@@ -42,7 +42,7 @@ class TestConstantVelocity:
     def test_single_unit_probability_sample(self, cfg):
         scene = crossing_scene(n=30)
         pred = cv_predict(scene, 3, cfg)
-        assert pred.k == 1
+        assert len(pred.samples) == 1
         assert pred.samples[0].p == pytest.approx(1.0)
 
     def test_extrapolates_current_motion(self, cfg):
@@ -67,7 +67,7 @@ class TestOracle:
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 5, cfg)
-        assert pred.k == 5
+        assert len(pred.samples) == 5
         probs = [s.p for s in pred.samples]
         assert all(p > 0 for p in probs)
         assert probs == sorted(probs, reverse=True)
@@ -77,7 +77,7 @@ class TestOracle:
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 50, cfg)
-        assert pred.k <= 9  # at most 3^2 combinations for one pair
+        assert len(pred.samples) <= 9  # at most 3^2 combinations for one pair
 
     def test_non_interacting_agent_stays_constant_velocity(self, cfg):
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))
@@ -97,10 +97,9 @@ class TestOracle:
         pred = oracle_predict(scene, 6, pairs, 9, cfg)
         dims = {ag.id: VehicleDims(ag.width, ag.length) for ag in scene.agents}
         for s in pred.samples:
-            ta = Trajectory.from_samples(
-                [(k * scene.dt, *p) for k, p in enumerate(s.trajs["a"])])
-            tb = Trajectory.from_samples(
-                [(k * scene.dt, *p) for k, p in enumerate(s.trajs["b"])])
+            t = scene.dt * np.arange(len(s.trajs["a"]))
+            ta = Trajectory(t=t, xy=s.trajs["a"], dt=scene.dt)
+            tb = Trajectory(t=t, xy=s.trajs["b"], dt=scene.dt)
             assert not is_collision(ta, tb, dims["a"], dims["b"], cfg.interp_factor)
 
     def test_full_enumeration_covers_feasible_classes(self, cfg):
@@ -112,10 +111,9 @@ class TestOracle:
         pred = oracle_predict(scene, frame, pairs, 100, cfg)
         classes = set()
         for s in pred.samples:
-            ta = Trajectory.from_samples(
-                [(k * scene.dt, *p) for k, p in enumerate(s.trajs["a"])])
-            tb = Trajectory.from_samples(
-                [(k * scene.dt, *p) for k, p in enumerate(s.trajs["b"])])
+            t = scene.dt * np.arange(len(s.trajs["a"]))
+            ta = Trajectory(t=t, xy=s.trajs["a"], dt=scene.dt)
+            tb = Trajectory(t=t, xy=s.trajs["b"], dt=scene.dt)
             d = winding_angle(ta, tb).delta_theta
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
         assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -13,8 +14,6 @@ from interaction_eval import (
     Trajectory,
     classify_pair,
     filter_scene_with_rejections,
-    pairwise_distance_matrix,
-    path_sharing_sets,
     resample_trajectory,
     validate_scene,
 )
@@ -36,40 +35,24 @@ def brute_force_sharing(ta, tb, cfg):
     return sorted(i_a), sorted(i_b)
 
 
-class TestDistanceMatrix:
-    def test_shape_and_values(self, cfg):
-        scene = crossing_scene(n=10)
-        a, b = scene.agents
-        field = pairwise_distance_matrix(
-            a.trajectory, b.trajectory, cfg.interp_factor
-        )
-        dense_n = (10 - 1) * cfg.interp_factor + 1
-        assert field.d.shape == (dense_n, dense_n)
-        # Spot-check one entry against direct computation.
-        da = resample_trajectory(a.trajectory, cfg.interp_factor)
-        db = resample_trajectory(b.trajectory, cfg.interp_factor)
-        assert field.d[5, 7] == pytest.approx(np.hypot(*(da.xy[5] - db.xy[7])))
-
-
 class TestPathSharing:
     def test_matches_brute_force(self, cfg):
         scene = crossing_scene(n=30)
         a, b = scene.agents
-        field = pairwise_distance_matrix(a.trajectory, b.trajectory, cfg.interp_factor)
-        res = path_sharing_sets(field, cfg.d_collision)
-        exp_a, exp_b = brute_force_sharing(a.trajectory, b.trajectory, cfg)
-        assert list(res.i_ps_a) == exp_a
-        assert list(res.i_ps_b) == exp_b
+        for factor in (1, 3, 4):
+            cfg_f = dataclasses.replace(cfg, interp_factor=factor)
+            res = classify_pair(scene, "a", "b", cfg_f)
+            assert isinstance(res, CriticalPair), factor
+            exp_a, exp_b = brute_force_sharing(a.trajectory, b.trajectory, cfg_f)
+            assert res.sharing.t_ps_a == a.trajectory.t[exp_a[0]], factor
+            assert res.sharing.t_ps_b == b.trajectory.t[exp_b[0]], factor
 
     def test_first_share_times(self, cfg):
-        scene = crossing_scene(n=30)
-        a, b = scene.agents
-        field = pairwise_distance_matrix(a.trajectory, b.trajectory, cfg.interp_factor)
-        res = path_sharing_sets(field, cfg.d_collision)
+        res = classify_pair(crossing_scene(n=30), "a", "b", cfg)
         # A enters B's path corridor before B reaches A's (frozen oracle values).
-        assert res.t_ps_a == pytest.approx(6.5)
-        assert res.t_ps_b == pytest.approx(8.5)
-        assert res.dt_ps == pytest.approx(2.0)
+        assert res.sharing.t_ps_a == pytest.approx(6.5)
+        assert res.sharing.t_ps_b == pytest.approx(8.5)
+        assert res.sharing.dt_ps == pytest.approx(2.0)
 
 
 class TestClassification:
@@ -110,7 +93,7 @@ class TestClassification:
         scene = crossing_scene(n=30)
         a, b = scene.agents
         loose = classify_pair(scene, "a", "b", EvalConfig())
-        strict = classify_pair(scene, "a", "b", EvalConfig().with_(t_min=7.0))
+        strict = classify_pair(scene, "a", "b", dataclasses.replace(EvalConfig(), t_min=7.0))
         assert isinstance(loose, CriticalPair)
         assert isinstance(strict, PairRejection)
         assert strict.reason is RejectReason.SHARED_FROM_START

@@ -10,6 +10,7 @@ from interaction_eval import (
     homotopy_class,
     winding_angle,
 )
+from interaction_eval.homotopy import _wrap_angle
 
 from conftest import circle_traj, straight_traj
 
@@ -90,6 +91,48 @@ class TestWindingAngle:
         ta, tb = random_walk_pair(rng, 20)
         res = winding_angle(ta, tb)
         assert np.all(np.abs(res.per_step) <= np.pi + 1e-12)
+
+
+
+def ref_winding(ta, tb):
+    """Frozen copy of the scalar carry-forward loop that ``winding_angle``
+    replaced with array code; the two must agree bit for bit."""
+    rel = ta.xy - tb.xy
+    norm = np.hypot(rel[:, 0], rel[:, 1])
+    bearings = np.arctan2(rel[:, 1], rel[:, 0])
+    defined = norm >= 1e-9
+    if defined.all():
+        steps = _wrap_angle(np.diff(bearings))
+    else:
+        steps = np.zeros(ta.n - 1)
+        prev = bearings[0] if defined[0] else None
+        for i in range(1, ta.n):
+            if not defined[i]:
+                continue  # bearing carries forward, zero increment
+            if prev is not None:
+                steps[i - 1] = _wrap_angle(np.asarray(bearings[i] - prev))
+            prev = bearings[i]
+    return float(np.sum(steps)), steps
+
+
+class TestWindingReference:
+    @pytest.mark.parametrize("coincident", ["none", "some", "first", "all"])
+    def test_matches_scalar_loop(self, coincident):
+        """Bit-equal per-step increments and totals on seeded pairs whose
+        agents coincide on no, some, the first few, or all frames."""
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(2, 40))
+            ta, tb = random_walk_pair(rng, n)
+            mask = {"none": np.zeros(n, dtype=bool),
+                    "some": rng.random(n) < 0.3,
+                    "first": np.arange(n) < rng.integers(1, n),
+                    "all": np.ones(n, dtype=bool)}[coincident]
+            tb = Trajectory(t=tb.t, xy=np.where(mask[:, None], ta.xy, tb.xy), dt=tb.dt)
+            res = winding_angle(ta, tb)
+            ref_total, ref_steps = ref_winding(ta, tb)
+            assert np.array_equal(res.per_step, ref_steps), seed
+            assert res.delta_theta == ref_total, seed
 
 
 class TestClassification:

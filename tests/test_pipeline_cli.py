@@ -10,6 +10,7 @@ from interaction_eval import (
     ConfigError,
     EvalConfig,
     ParseError,
+    cv_predict,
     evaluate_scene,
     load_predictions,
     load_scene,
@@ -326,7 +327,14 @@ class TestCli:
         (lambda fr: [s["trajs"].__setitem__("z", s["trajs"].pop("b"))
                      for s in fr["samples"]],
          "frame 1: agent(s) z not in scene crossing"),
-    ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent"])
+        (lambda fr: fr["samples"].clear(), "frame 1: no samples"),
+        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, 10 ** 400),
+         "OverflowError"),
+        # the writer puts the bare literal 1e999, which decodes to inf
+        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "1e999"),
+         "frame 1, sample 0, agent a: non-finite position"),
+    ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
+            "empty_samples", "huge_int", "1e999"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
@@ -336,13 +344,59 @@ class TestCli:
         save_predictions(scene.scene_id, 6.0, preds, path)
         data = json.loads(path.read_text())
         corrupt(data["frames"][1])
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data).replace('"1e999"', "1e999"))
         res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", str(pred_dir),
                        "--out-dir", str(tmp_path / "out"))
         assert res.exit_code == 3, res.output
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
         assert message in err["message"]
+
+    @pytest.mark.parametrize("corrupt,message", [
+        (lambda d: d["agents"][1].__setitem__("id", "a"), "DuplicateAgentId"),
+        (lambda d: d["agents"][0]["states"][3].__setitem__("x", float("nan")),
+         "NonFiniteCoordinate"),
+        (lambda d: d["agents"][0]["states"][3].__setitem__("y", 10 ** 400), "OverflowError"),
+    ], ids=["duplicate_id", "nan_coordinate", "huge_int"])
+    def test_exit_code_bad_scene_file(self, scene_dir, tmp_path, corrupt, message):
+        path = scene_dir / "crossing.json"
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        res = self.run("filter", "--scene-dir", str(scene_dir),
+                       "--out", str(tmp_path / "f.csv"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "crossing.json" in err["message"]
+        assert message in err["message"]
+
+    def test_scene_without_ground_truth_ahead_does_not_abort(self, scene_dir, tmp_path):
+        """A scene whose only prediction frame is its last sample has nothing to
+        measure displacement against; it drops out of the displacement average
+        instead of aborting the corpus."""
+        cfg = EvalConfig()
+        scene = load_scene(scene_dir / "crossing.json")
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        cv = evaluate_scene(scene, cfg, baseline="cv").predictions
+        save_predictions(scene.scene_id, cfg.t_p, cv, pred_dir / "crossing.json")
+        late = crossing_scene(n=30, scene_id="late")
+        both = tmp_path / "both"
+        both.mkdir()
+        save_scene(scene, both / "crossing.json")
+        save_scene(late, both / "late.json")
+        last = late.agents[0].trajectory.n - 1
+        save_predictions("late", cfg.t_p, {last: cv_predict(late, last, cfg)},
+                         pred_dir / "late.json")
+        outs = {}
+        for name, d in (("one", scene_dir), ("two", both)):
+            outs[name] = tmp_path / name
+            res = self.run("eval", "--scene-dir", str(d), "--pred", str(pred_dir),
+                           "--out-dir", str(outs[name]))
+            assert res.exit_code == 0, res.output
+        for f in ("pairs.csv", "frames.csv", "report.json"):
+            assert (outs["two"] / f).read_bytes() == (outs["one"] / f).read_bytes(), f
 
     def test_exit_code_empty_corpus(self, tmp_path):
         d = tmp_path / "scenes"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,12 +24,6 @@ from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
 
 class TestTrajectory:
-    def test_from_samples(self):
-        tr = Trajectory.from_samples([(0.0, 1.0, 2.0), (0.5, 2.0, 3.0)])
-        assert tr.n == 2
-        assert tr.dt == pytest.approx(0.5)
-        np.testing.assert_allclose(tr.xy, [[1.0, 2.0], [2.0, 3.0]])
-
     def test_arrays_read_only(self):
         tr = straight_traj((0, 0), (1, 0), 5)
         with pytest.raises(ValueError):
@@ -166,6 +162,6 @@ class TestConfig:
             resample_trajectory(tr, 4.0)
 
     def test_with_override(self):
-        cfg = EvalConfig().with_(t_p=3.0)
+        cfg = dataclasses.replace(EvalConfig(), t_p=3.0)
         assert cfg.t_p == 3.0
         assert cfg.d_collision == 1.5
