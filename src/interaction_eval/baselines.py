@@ -58,6 +58,12 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
 
     Agents involved in a critical pair get all three speed profiles along
     their ground-truth path; everyone else keeps constant velocity.
+
+    Once per frame, each critical pair whose agents are both present gets a
+    3x3 collision table, one ``is_collision`` call per (profile, profile),
+    and each rollout gets its mean speed. The combination loop only looks
+    these up, so a frame costs 9 collision checks per critical pair however
+    many combinations there are.
     """
     if k < 1:
         raise ConfigError(f"oracle k must be >= 1, got {k}")
@@ -80,21 +86,22 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     dims = {a.id: VehicleDims(a.width, a.length) for a in present}
     check_pairs = [(p.agent_a, p.agent_b) for p in pairs
                    if p.agent_a in rollouts and p.agent_b in rollouts]
+    collides_at = {
+        (a, b): {(ka, kb): is_collision(ta, tb, dims[a], dims[b], cfg.interp_factor)
+                 for ka, ta in rollouts[a].items() for kb, tb in rollouts[b].items()}
+        for a, b in check_pairs
+    }
+    mean_speed = {
+        aid: {kind: np.hypot(*(np.diff(rollouts[aid][kind].xy, axis=0).T)).mean() / scene.dt
+              for kind in profiles}
+        for aid, profiles in choices
+    }
     candidates = []
     for combo in itertools.product(*(profiles for _, profiles in choices)):
         assignment = dict(zip((aid for aid, _ in choices), combo))
-        collides = any(
-            is_collision(rollouts[a][assignment[a]], rollouts[b][assignment[b]],
-                         dims[a], dims[b], cfg.interp_factor)
-            for a, b in check_pairs
-        )
-        if collides:
+        if any(collides_at[a, b][assignment[a], assignment[b]] for a, b in check_pairs):
             continue
-        speeds = []
-        for aid, kind in assignment.items():
-            xy = rollouts[aid][kind].xy
-            step = np.hypot(*(np.diff(xy, axis=0).T))
-            speeds.append(step.mean() / scene.dt)
+        speeds = [mean_speed[aid][kind] for aid, kind in assignment.items()]
         avg_speed = float(np.mean(speeds)) if speeds else 0.0
         order_key = tuple(PROFILE_ORDER[kind] for kind in combo)
         candidates.append((-avg_speed, order_key, assignment, avg_speed))

@@ -11,8 +11,9 @@ Prediction file:
                     "samples": [ { "p": number,
                                    "trajs": { "<agent_id>": [[x, y], ...] } } ] } ] }
 
-All values SI. Prediction samples are ordered by non-increasing p; every
-trajectory has shape (H, 2), and every frame holds at least one sample.
+All values SI. Prediction samples are ordered by non-increasing p, and no p
+is negative; every trajectory has shape (H, 2), every frame holds at least
+one sample, and no frame number is listed twice.
 Both loaders raise ``ParseError`` for a file that breaks its format or that
 holds a number a float cannot hold. A scene file must also pass
 ``validate_scene``, and a prediction file must hold no ``NaN`` or infinite
@@ -107,6 +108,8 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
     try:
         for fr in data["frames"]:
             frame = int(fr["frame"])
+            if frame in out:
+                raise ParseError(path, f"frame {frame}: listed more than once")
             samples = []
             for s in fr["samples"]:
                 trajs = {}

@@ -5,6 +5,7 @@ All types are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,8 @@ class JointPredictionSet:
         if not self.samples:
             raise ConfigError(f"frame {self.frame}: no samples")
         probs = [s.p for s in self.samples]
+        if min(probs) < 0:
+            raise ConfigError(f"frame {self.frame}: negative probability {min(probs)}")
         if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
             raise ConfigError(f"frame {self.frame}: samples not ordered by probability")
         if sum(probs) > 1.0 + 1e-6:
@@ -174,7 +177,8 @@ def validate_scene(scene: Scene) -> Scene:
             raise NonUniformSampling(
                 f"agent {agent.id}: dt {traj.dt} differs from scene dt {scene.dt}"
             )
-        if agent.width <= 0 or agent.length < agent.width:
+        if (not (math.isfinite(agent.width) and math.isfinite(agent.length))
+                or agent.width <= 0 or agent.length < agent.width):
             raise SceneValidationError(
                 f"agent {agent.id}: invalid dimensions width={agent.width}, length={agent.length}"
             )

@@ -8,14 +8,31 @@ from interaction_eval import (
     HomotopyClass,
     Scene,
     Trajectory,
+    VehicleDims,
+    baselines,
     cv_predict,
     filter_scene_with_rejections,
     interaction_timeline,
+    is_collision,
     oracle_predict,
     validate_scene,
     winding_angle,
 )
-from interaction_eval.types import agent_frame_index, scene_time_origin
+from interaction_eval.errors import NoFeasibleCombo
+from interaction_eval.rollout import (
+    PROFILE_ORDER,
+    PathRollout,
+    ProfileKind,
+    max_scene_speed,
+    speed_profile,
+)
+from interaction_eval.types import (
+    JointPredictionSet,
+    JointSample,
+    agent_frame_index,
+    scene_time_origin,
+    trajectory_kinematics,
+)
 
 from conftest import crossing_scene, make_agent, straight_traj
 
@@ -90,8 +107,6 @@ class TestOracle:
         assert len(futures) == 1  # same constant-velocity future in all samples
 
     def test_combos_are_collision_free(self, cfg):
-        from interaction_eval import VehicleDims, is_collision
-
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 6, pairs, 9, cfg)
@@ -117,3 +132,149 @@ class TestOracle:
             d = winding_angle(ta, tb).delta_theta
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
         assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])
+
+
+def reference_oracle_predict(scene, t, pairs, k, cfg):
+    """The oracle as it was before its collision tables: every combination
+    calls ``is_collision`` for each critical pair and recomputes the mean
+    speed of every rollout it selects. Kept as the reference."""
+    v_max = max_scene_speed(scene)
+    horizon = cfg.horizon_frames(scene.dt)
+    interacting = sorted({aid for p in pairs for aid in (p.agent_a, p.agent_b)})
+    rollouts, present = {}, []
+    for agent in scene.agents:
+        i = agent_frame_index(scene, agent, t)
+        if i is None:
+            continue
+        _, speeds = trajectory_kinematics(agent.trajectory)
+        extend = v_max * (horizon + 1) * scene.dt + 10.0
+        path = PathRollout(agent.trajectory, i, extend, cfg)
+        rollouts[agent.id] = {
+            kind: path.roll(speed_profile(kind, float(speeds[i]), v_max, cfg), horizon,
+                            t0=float(agent.trajectory.t[i]))
+            for kind in (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
+        }
+        present.append(agent)
+    choices = [
+        (agent.id,
+         (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
+         if agent.id in interacting else (ProfileKind.CONST_VEL,))
+        for agent in present
+    ]
+    dims = {a.id: VehicleDims(a.width, a.length) for a in present}
+    check_pairs = [(p.agent_a, p.agent_b) for p in pairs
+                   if p.agent_a in rollouts and p.agent_b in rollouts]
+    candidates = []
+    for combo in itertools.product(*(profiles for _, profiles in choices)):
+        assignment = dict(zip((aid for aid, _ in choices), combo))
+        collides = any(
+            is_collision(rollouts[a][assignment[a]], rollouts[b][assignment[b]],
+                         dims[a], dims[b], cfg.interp_factor)
+            for a, b in check_pairs
+        )
+        if collides:
+            continue
+        speeds = []
+        for aid, kind in assignment.items():
+            xy = rollouts[aid][kind].xy
+            step = np.hypot(*(np.diff(xy, axis=0).T))
+            speeds.append(step.mean() / scene.dt)
+        avg_speed = float(np.mean(speeds)) if speeds else 0.0
+        order_key = tuple(PROFILE_ORDER[kind] for kind in combo)
+        candidates.append((-avg_speed, order_key, assignment, avg_speed))
+    if not candidates:
+        raise NoFeasibleCombo(f"all profile combinations collide at frame {t}")
+    candidates.sort(key=lambda c: (c[0], c[1]))
+    top = candidates[:k]
+    total = sum(c[3] for c in top)
+    samples = []
+    for _, _, assignment, avg_speed in top:
+        p = avg_speed / total if total > 0 else 1.0 / len(top)
+        trajs = {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()}
+        samples.append(JointSample(p=p, trajs=trajs))
+    return JointPredictionSet(frame=t, samples=tuple(samples))
+
+
+# the four arms of a crossing, right-hand lanes 2 m off the axes:
+# (start direction, lateral offset, heading)
+_ARMS = (
+    ((-1, 0), (0, -2), (1, 0)),
+    ((0, -1), (2, 0), (0, 1)),
+    ((1, 0), (0, 2), (-1, 0)),
+    ((0, 1), (-2, 0), (0, -1)),
+)
+
+
+def random_crossing_scene(seed, n=30):
+    """2-4 agents on distinct arms of a crossing, at random gaps and speeds,
+    some entering 2 s late, plus 0-2 bystanders 300 m away."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for j, arm in enumerate(rng.permutation(4)[:rng.integers(2, 5)]):
+        (sx, sy), (ox, oy), (hx, hy) = _ARMS[arm]
+        gap, v = rng.uniform(10.0, 50.0), rng.uniform(3.0, 10.0)
+        late = int(rng.choice([0, 0, 0, 4]))
+        traj = straight_traj((sx * gap + ox, sy * gap + oy), (hx * v, hy * v), n - late,
+                             t0=0.5 * late)
+        agents.append(make_agent(f"a{j}", traj))
+    for j in range(rng.integers(0, 3)):
+        traj = straight_traj((-30.0, 300.0 + 20.0 * j), (rng.uniform(3.0, 10.0), 0.0), n)
+        agents.append(make_agent(f"z{j}", traj))
+    return validate_scene(Scene(scene_id=f"random{seed}", dt=0.5, agents=tuple(agents)))
+
+
+def _outcome(predict, *args):
+    try:
+        return predict(*args)
+    except NoFeasibleCombo as e:
+        return type(e)
+
+
+class TestOracleCollisionTables:
+    def test_matches_per_combo_reference(self, cfg):
+        """Same samples, order, probabilities and trajectories as the per-combo
+        loop, or the same exception, on feasible and infeasible frames."""
+        feasible = infeasible = multi_pair = 0
+        for seed in range(16):
+            scene = random_crossing_scene(seed)
+            pairs = filter_scene_with_rejections(scene, cfg)[0]
+            k = (1, 3, 5, 100)[seed % 4]
+            for frame in range(0, 26, 5):
+                want = _outcome(reference_oracle_predict, scene, frame, pairs, k, cfg)
+                got = _outcome(oracle_predict, scene, frame, pairs, k, cfg)
+                if want is NoFeasibleCombo:
+                    assert got is NoFeasibleCombo, (seed, frame)
+                    infeasible += 1
+                    continue
+                assert isinstance(got, JointPredictionSet), (seed, frame)
+                assert got.frame == want.frame
+                assert len(got.samples) == len(want.samples), (seed, frame)
+                for g, w in zip(got.samples, want.samples):
+                    assert g.p == w.p, (seed, frame)
+                    assert list(g.trajs) == list(w.trajs)
+                    for aid in w.trajs:
+                        assert np.array_equal(g.trajs[aid], w.trajs[aid]), (seed, frame, aid)
+                feasible += 1
+                multi_pair += len(pairs) > 1
+        # the corpus exercises both outcomes and frames with several pairs
+        assert feasible > 80 and infeasible > 0 and multi_pair > 40
+
+    @pytest.mark.parametrize("three_agents", [False, True], ids=["crossing", "two_pairs"])
+    def test_nine_checks_per_pair(self, cfg, monkeypatch, three_agents):
+        scene = crossing_scene(n=30)
+        if three_agents:  # c comes south on the other lane: it crosses a, not b
+            c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 30))
+            scene = validate_scene(Scene(scene_id="three", dt=0.5, agents=scene.agents + (c,)))
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        assert len(pairs) == (2 if three_agents else 1)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return is_collision(*args)
+
+        monkeypatch.setattr(baselines, "is_collision", counted)
+        for frame in range(0, 20, 3):
+            calls.clear()
+            _outcome(oracle_predict, scene, frame, pairs, 5, cfg)
+            assert len(calls) <= 9 * len(pairs), frame

@@ -333,8 +333,11 @@ class TestCli:
         # the writer puts the bare literal 1e999, which decodes to inf
         (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "1e999"),
          "frame 1, sample 0, agent a: non-finite position"),
+        (lambda fr: fr.__setitem__("frame", 0), "frame 0: listed more than once"),
+        (lambda fr: fr["samples"][0].__setitem__("p", -0.5),
+         "frame 1: negative probability -0.5"),
     ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
-            "empty_samples", "huge_int", "1e999"])
+            "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
@@ -370,6 +373,25 @@ class TestCli:
         assert err["error"] == "ParseError"
         assert "crossing.json" in err["message"]
         assert message in err["message"]
+
+    @pytest.mark.parametrize("sizes", [
+        {"width": float("nan")},
+        {"length": "1e999"},
+        {"width": "1e999", "length": "1e999"},
+    ], ids=["nan_width", "1e999_length", "1e999_both"])
+    def test_exit_code_non_finite_agent_size(self, scene_dir, tmp_path, sizes):
+        path = scene_dir / "crossing.json"
+        data = json.loads(path.read_text())
+        data["agents"][1].update(sizes)
+        # the writer puts NaN as is and 1e999 as the bare literal, which decodes to inf
+        path.write_text(json.dumps(data).replace('"1e999"', "1e999"))
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "crossing.json" in err["message"]
+        assert "SceneValidationError: agent b: invalid dimensions" in err["message"]
 
     def test_scene_without_ground_truth_ahead_does_not_abort(self, scene_dir, tmp_path):
         """A scene whose only prediction frame is its last sample has nothing to
