@@ -57,6 +57,12 @@ class CriticalPair:
     min_distance: float  # real-time closest approach over the window
 
 
+def _distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row of ``xa`` to every row of ``xb``."""
+    diff = xa[:, None, :] - xb[None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=-1))
+
+
 def classify_pair(scene: Scene, a: str, b: str,
                   cfg: EvalConfig) -> CriticalPair | PairRejection:
     """Apply the three safety-critical criteria to one agent pair.
@@ -66,12 +72,25 @@ def classify_pair(scene: Scene, a: str, b: str,
     other is strictly closer than ``cfg.d_collision``. An interpolated sample
     maps back to the original frame at or before it (index // factor), so a
     first shared-path time is the earliest possible frame.
+
+    ``SharedFromStart`` depends only on the resampled rows of the frames at
+    or before ``t_min``, so those rows are checked against the other agent's
+    samples (A's first, then B's) before the full distance matrix is built.
+    One shared cell gives both agents a shared sample, so no pair that
+    leaves there would have been ``NeverPathSharing``.
     """
     wa, wb, t = common_window(scene.agent(a).trajectory, scene.agent(b).trajectory)
     factor = cfg.interp_factor
-    diff = (resample_trajectory(wa, factor).xy[:, None, :]
-            - resample_trajectory(wb, factor).xy[None, :, :])
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    xa = resample_trajectory(wa, factor).xy
+    xb = resample_trajectory(wb, factor).xy
+    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
+    # rows mapping to a frame at or before t_min (none when t_min is NaN)
+    early = int(np.count_nonzero(t <= t_min)) * factor
+    if (_distances(xa[:early], xb) < cfg.d_collision).any():
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
+    if (_distances(xa, xb[:early]) < cfg.d_collision).any():
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
+    d = _distances(xa, xb)
     shared = d < cfg.d_collision
     rows = np.flatnonzero(shared.any(axis=1))
     if not rows.size:  # one shared cell would give each agent a shared sample
@@ -79,11 +98,6 @@ def classify_pair(scene: Scene, a: str, b: str,
     cols = np.flatnonzero(shared.any(axis=0))
     t_ps_a = float(t[rows[0] // factor])
     t_ps_b = float(t[cols[0] // factor])
-    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
-    if t_ps_a <= t_min:
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
-    if t_ps_b <= t_min:
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
     dt_ps = abs(t_ps_b - t_ps_a)
     if dt_ps > cfg.dt_ps_max:
         return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")

@@ -66,7 +66,14 @@ def winding_angle(ta: Trajectory, tb: Trajectory) -> WindingResult:
 
 
 def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
-    """Map a winding angle to {CW, S, CCW}; theta_hat = 0 empties the S band."""
+    """Map a winding angle to {CW, S, CCW}; theta_hat = 0 empties the S band.
+
+    An exact zero winding (0.0 or -0.0) is CCW when theta_hat = 0 and S when
+    theta_hat > 0. It arises whenever the relative bearing never changes: a
+    pair whose agents coincide at every step (every increment is skipped),
+    a pair that only closes or opens along one bearing, and the final frame
+    of ``gt_mode_sequence``, whose future is a single sample.
+    """
     if delta_theta < -theta_hat:
         return HomotopyClass.CW
     if delta_theta < theta_hat:

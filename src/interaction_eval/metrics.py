@@ -100,45 +100,58 @@ def displacement_metrics(predictions: list[JointPredictionSet],
 
     The joint minimum is taken over whole joint samples: the best sample's
     scene-averaged error, never a per-agent mix-and-match.
+
+    A sample's errors are its agents' per-step errors, concatenated in the
+    sample's agent order; each prediction is cut to the recorded steps left
+    after its frame. The samples of a frame that cut the same agents to the
+    same lengths, in the same order, are stacked and graded as one array;
+    every mean is still taken over the same sequence as one sample alone.
     """
-    ml_err: list[float] = []
-    ml_fin: list[float] = []
+    ml_err: list[np.ndarray] = []
+    ml_fin: list[np.ndarray] = []
     jmin_ade: list[float] = []
     jmin_fde: list[float] = []
     for pred in predictions:
-        per_sample_ade, per_sample_fde = [], []
-        for k, sample in enumerate(pred.samples):
-            errs, fins = [], []
+        truth: dict[str, np.ndarray] = {}  # recorded positions after the frame
+        layouts = []  # per sample: (agent id, steps graded) of each graded agent
+        for sample in pred.samples:
+            layout = []
             for aid, future in sample.trajs.items():
-                agent = scene.agent(aid)
-                i = agent_frame_index(scene, agent, pred.frame)
-                if i is None:
-                    continue
-                avail = agent.trajectory.n - 1 - i
-                h = min(len(future), avail)
-                if h < 1:
-                    continue
-                gt = agent.trajectory.xy[i + 1:i + 1 + h]
-                e = np.hypot(*(np.asarray(future)[:h] - gt).T)
-                errs.append(e)
-                fins.append(float(e[-1]))
-            if not errs:
+                if aid not in truth:
+                    agent = scene.agent(aid)
+                    i = agent_frame_index(scene, agent, pred.frame)
+                    xy = agent.trajectory.xy
+                    truth[aid] = xy[:0] if i is None else xy[i + 1:]
+                h = min(len(future), len(truth[aid]))
+                if h >= 1:
+                    layout.append((aid, h))
+            layouts.append(tuple(layout))
+        groups = ([list(range(len(layouts)))] if len(set(layouts)) == 1
+                  else [[k] for k in range(len(layouts))])
+        per_sample_ade, per_sample_fde = [], []
+        for ks in groups:
+            layout = layouts[ks[0]]
+            if not layout:
                 continue
-            ade = float(np.mean(np.concatenate(errs)))
-            fde = float(np.mean(fins))
-            per_sample_ade.append(ade)
-            per_sample_fde.append(fde)
-            if k == 0:
-                ml_err.extend(np.concatenate(errs).tolist())
-                ml_fin.extend(fins)
+            gt = np.concatenate([truth[aid][:h] for aid, h in layout])
+            fut = np.stack([np.concatenate([np.asarray(pred.samples[k].trajs[aid])[:h]
+                                            for aid, h in layout]) for k in ks])
+            diff = fut - gt
+            err = np.hypot(diff[..., 0], diff[..., 1])
+            fin = err[:, np.cumsum([h for _, h in layout]) - 1]
+            per_sample_ade.extend(err.mean(axis=1).tolist())
+            per_sample_fde.extend(fin.mean(axis=1).tolist())
+            if ks[0] == 0:
+                ml_err.append(err[0])
+                ml_fin.append(fin[0])
         if per_sample_ade:
             jmin_ade.append(min(per_sample_ade))
             jmin_fde.append(min(per_sample_fde))
     if not ml_err:
         raise EmptyCorpus("no overlapping prediction/ground-truth samples")
     return DisplacementMetrics(
-        ml_ade=float(np.mean(ml_err)),
-        ml_fde=float(np.mean(ml_fin)),
+        ml_ade=float(np.mean(np.concatenate(ml_err))),
+        ml_fde=float(np.mean(np.concatenate(ml_fin))),
         joint_min_ade=float(np.mean(jmin_ade)),
         joint_min_fde=float(np.mean(jmin_fde)),
     )

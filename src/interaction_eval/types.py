@@ -162,8 +162,9 @@ def validate_scene(scene: Scene) -> Scene:
         traj = agent.trajectory
         if traj.n < 2:
             raise ShortTrajectory(f"agent {agent.id}: {traj.n} sample(s), need at least 2")
-        if not np.all(np.isfinite(traj.xy)) or not np.all(np.isfinite(traj.t)):
-            bad = int(np.argmax(~np.all(np.isfinite(traj.xy), axis=1)))
+        finite = np.isfinite(traj.xy).all(axis=1) & np.isfinite(traj.t)
+        if not finite.all():
+            bad = int(np.argmin(finite))
             raise NonFiniteCoordinate(f"agent {agent.id}: non-finite value at sample {bad}")
         spacing = np.diff(traj.t)
         if traj.dt <= 0 or np.any(spacing <= 0):

@@ -3,12 +3,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interaction_eval import (
     CriticalPair,
     EmptyOverlap,
     EvalConfig,
     PairRejection,
+    PathSharingResult,
     RejectReason,
     Scene,
     Trajectory,
@@ -18,6 +21,7 @@ from interaction_eval import (
     validate_scene,
 )
 from interaction_eval import filtering
+from interaction_eval.types import common_window
 
 from conftest import crossing_scene, make_agent, straight_traj
 
@@ -126,12 +130,40 @@ class TestSceneFiltering:
         assert (p1.agent_a, p1.agent_b) == (p2.agent_a, p2.agent_b)
 
 
+def full_matrix_classify_pair(scene, a, b, cfg):
+    """Reference: classify_pair as it was before its SharedFromStart exit,
+    deciding every pair from the full resampled distance matrix."""
+    wa, wb, t = common_window(scene.agent(a).trajectory, scene.agent(b).trajectory)
+    factor = cfg.interp_factor
+    diff = (resample_trajectory(wa, factor).xy[:, None, :]
+            - resample_trajectory(wb, factor).xy[None, :, :])
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    shared = d < cfg.d_collision
+    rows = np.flatnonzero(shared.any(axis=1))
+    if not rows.size:
+        return PairRejection(a, b, RejectReason.NEVER_PATH_SHARING)
+    cols = np.flatnonzero(shared.any(axis=0))
+    t_ps_a = float(t[rows[0] // factor])
+    t_ps_b = float(t[cols[0] // factor])
+    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
+    if t_ps_a <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
+    if t_ps_b <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
+    dt_ps = abs(t_ps_b - t_ps_a)
+    if dt_ps > cfg.dt_ps_max:
+        return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
+    return CriticalPair(agent_a=a, agent_b=b,
+                        sharing=PathSharingResult(t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps),
+                        min_distance=float(d.diagonal().min()))
+
+
 def brute_force_filter(scene, cfg):
-    """Reference: classify_pair on every pair, no scene-level pruning."""
+    """Reference: the full-matrix test on every pair, no scene-level pruning."""
     accepted, rejected = [], []
     for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
         try:
-            result = classify_pair(scene, a, b, cfg)
+            result = full_matrix_classify_pair(scene, a, b, cfg)
         except EmptyOverlap:
             result = PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
                                    detail="no co-observed window")
@@ -243,3 +275,80 @@ class TestScenePrune:
         scene = Scene(scene_id="nan", dt=0.5, agents=crossing_scene().agents + (bad,))
         filter_scene_with_rejections(scene, cfg)
         assert ("a", "z") in classify_calls and ("b", "z") in classify_calls
+
+
+def random_pair(seed, kind, leader_first):
+    """Two agents, ``kind`` one of: a follower behind a leader in one lane
+    (the leader gets the smaller id when ``leader_first``), a right-angle
+    crossing, or two random straight movers. The agents start up to five
+    frames apart, so the co-observed window begins after the first sample
+    of one of them."""
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.1, 0.5]))
+    n = int(rng.integers(6, 40))
+    first = [0, int(rng.integers(0, 6))]
+    rng.shuffle(first)
+    if kind == "follow":
+        gap = rng.uniform(0.5, 30.0)
+        starts = [(gap, 0.0), (0.0, rng.uniform(-1.0, 1.0))]
+        vels = [(rng.uniform(0.0, 12.0), 0.0), (rng.uniform(0.0, 12.0), 0.0)]
+    elif kind == "cross":
+        starts = [(-rng.uniform(0.0, 60.0), 0.0), (0.0, -rng.uniform(0.0, 60.0))]
+        vels = [(rng.uniform(1.0, 12.0), 0.0), (0.0, rng.uniform(1.0, 12.0))]
+    else:
+        starts = [rng.uniform(-20.0, 20.0, 2), rng.uniform(-20.0, 20.0, 2)]
+        vels = [rng.uniform(-10.0, 10.0, 2), rng.uniform(-10.0, 10.0, 2)]
+    ids = ["a", "b"] if leader_first else ["b", "a"]
+    agents = tuple(make_agent(aid, straight_traj(start, vel, n, t0=f * dt, dt=dt))
+                   for aid, start, vel, f in zip(ids, starts, vels, first))
+    return validate_scene(Scene(scene_id=f"pair-{seed}", dt=dt, agents=agents))
+
+
+def t_min_for(scene, when, u):
+    """A t_min before, inside or past the pair's co-observed window, or None."""
+    _, _, t = common_window(scene.agent("a").trajectory, scene.agent("b").trajectory)
+    return {"none": None,
+            "before": float(t[0]) - 1.0 - 5.0 * u,
+            "inside": float(t[0] + u * (t[-1] - t[0])),
+            "past": float(t[-1]) + 0.01 + 5.0 * u}[when]
+
+
+class TestSharedFromStartExit:
+    """classify_pair answers SharedFromStart from the rows at or before t_min
+    before it builds the full matrix; every answer must equal the full-matrix
+    reference, detail included."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           kind=st.sampled_from(["follow", "cross", "random"]),
+           leader_first=st.booleans(),
+           factor=st.sampled_from([1, 3, 4]),
+           when=st.sampled_from(["none", "before", "inside", "past"]),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_full_matrix(self, seed, kind, leader_first, factor, when, u):
+        scene = random_pair(seed, kind, leader_first)
+        cfg = EvalConfig(interp_factor=factor, t_min=t_min_for(scene, when, u))
+        assert classify_pair(scene, "a", "b", cfg) == full_matrix_classify_pair(
+            scene, "a", "b", cfg)
+
+    @pytest.mark.parametrize("factor", [1, 3, 4])
+    @pytest.mark.parametrize("leader,follower", [("a", "b"), ("b", "a")])
+    def test_detail_names_the_leader(self, factor, leader, follower):
+        # the leader's first samples lie on the follower's later path, not
+        # the other way round, whichever id sorts first
+        scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(
+            make_agent(leader, straight_traj((10.0, 0.0), (6.0, 0.0), 30)),
+            make_agent(follower, straight_traj((0.0, 0.0), (6.0, 0.0), 30)))))
+        cfg = EvalConfig(interp_factor=factor)
+        res = classify_pair(scene, "a", "b", cfg)
+        assert res == PairRejection("a", "b", RejectReason.SHARED_FROM_START, detail=leader)
+        assert res == full_matrix_classify_pair(scene, "a", "b", cfg)
+
+    def test_nan_t_min_never_shares_from_start(self):
+        lead = make_agent("a", straight_traj((10.0, 0.0), (6.0, 0.0), 30))
+        trail = make_agent("b", straight_traj((0.0, 0.0), (6.0, 0.0), 30))
+        scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(lead, trail)))
+        cfg = EvalConfig(t_min=float("nan"))
+        res = classify_pair(scene, "a", "b", cfg)
+        assert getattr(res, "reason", None) is not RejectReason.SHARED_FROM_START
+        assert res == full_matrix_classify_pair(scene, "a", "b", cfg)

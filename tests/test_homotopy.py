@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from interaction_eval import (
     HomotopyClass,
     Trajectory,
+    classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
     winding_angle,
@@ -164,6 +165,38 @@ class TestClassification:
         tb = straight_traj((0, -22), (0, 6), n)
         res = winding_angle(ta, tb)
         assert homotopy_class(res.delta_theta, 0.0) is HomotopyClass.CW
+
+
+class TestZeroWinding:
+    """The documented rule: with theta_hat = 0 an exact zero winding is CCW."""
+
+    def test_signed_zero_is_ccw(self):
+        assert homotopy_class(-0.0, 0.0) is HomotopyClass.CCW
+        assert homotopy_class(0.0, 0.5) is HomotopyClass.S
+
+    def test_coincident_prediction_is_ccw(self):
+        # a joint sample that puts both agents on the same points at every step
+        ta = straight_traj((3.0, -2.0), (4.0, 1.0), 12)
+        res = winding_angle(ta, ta)
+        assert res.delta_theta == 0.0
+        assert not res.per_step.any()
+        assert classify_pair_windows(ta, ta, 0.0) is HomotopyClass.CCW
+
+    def test_single_bearing_is_ccw(self):
+        # B closes in on a stopped A along one line: the bearing never turns
+        ta = straight_traj((0.0, 0.0), (0.0, 0.0), 12)
+        tb = straight_traj((-30.0, 0.0), (5.0, 0.0), 12)
+        assert winding_angle(ta, tb).delta_theta == 0.0
+        assert classify_pair_windows(ta, tb, 0.0) is HomotopyClass.CCW
+
+    @pytest.mark.parametrize("horizon", [1, 4, 40])
+    def test_single_sample_final_frame_is_ccw(self, horizon):
+        # the crossing winds CW over any future, but the last frame has none
+        ta = straight_traj((-10.0, 0.0), (6.0, 0.0), 30)
+        tb = straight_traj((0.0, -22.0), (0.0, 6.0), 30)
+        seq = gt_mode_sequence(ta, tb, horizon_frames=horizon, theta_hat=0.0)
+        assert seq[-1] is HomotopyClass.CCW
+        assert gt_mode_sequence(ta, tb, horizon, theta_hat=0.5)[-1] is HomotopyClass.S
 
 
 class TestModeSequence:

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interaction_eval import (
     DisplacementMetrics,
+    EmptyCorpus,
     EmptyFeasibleSet,
     FrameModeFlags,
     FrameRecord,
@@ -14,10 +19,14 @@ from interaction_eval import (
     aggregate,
     displacement_metrics,
     frame_flags,
+    Scene,
+    Trajectory,
     pair_time_metrics,
+    validate_scene,
 )
+from interaction_eval.types import agent_frame_index
 
-from conftest import crossing_scene
+from conftest import crossing_scene, make_agent, straight_traj
 
 CW = HomotopyClass.CW
 CCW = HomotopyClass.CCW
@@ -183,3 +192,125 @@ class TestDisplacement:
         )
         d = displacement_metrics([pred], scene)
         assert d.ml_ade == pytest.approx(0.0, abs=1e-12)
+
+
+def loop_displacement_metrics(predictions, scene):
+    """Reference: the per-(frame, sample, agent) loop the array code replaced."""
+    ml_err, ml_fin, jmin_ade, jmin_fde = [], [], [], []
+    for pred in predictions:
+        per_sample_ade, per_sample_fde = [], []
+        for k, sample in enumerate(pred.samples):
+            errs, fins = [], []
+            for aid, future in sample.trajs.items():
+                agent = scene.agent(aid)
+                i = agent_frame_index(scene, agent, pred.frame)
+                if i is None:
+                    continue
+                avail = agent.trajectory.n - 1 - i
+                h = min(len(future), avail)
+                if h < 1:
+                    continue
+                gt = agent.trajectory.xy[i + 1:i + 1 + h]
+                e = np.hypot(*(np.asarray(future)[:h] - gt).T)
+                errs.append(e)
+                fins.append(float(e[-1]))
+            if not errs:
+                continue
+            per_sample_ade.append(float(np.mean(np.concatenate(errs))))
+            per_sample_fde.append(float(np.mean(fins)))
+            if k == 0:
+                ml_err.extend(np.concatenate(errs).tolist())
+                ml_fin.extend(fins)
+        if per_sample_ade:
+            jmin_ade.append(min(per_sample_ade))
+            jmin_fde.append(min(per_sample_fde))
+    if not ml_err:
+        raise EmptyCorpus("no overlapping prediction/ground-truth samples")
+    return DisplacementMetrics(
+        ml_ade=float(np.mean(ml_err)),
+        ml_fde=float(np.mean(ml_fin)),
+        joint_min_ade=float(np.mean(jmin_ade)),
+        joint_min_fde=float(np.mean(jmin_fde)),
+    )
+
+
+def random_case(seed, ragged=None, shuffled=None):
+    """A scene whose agents enter and leave at different frames, and
+    predictions at frames inside, near the end of and past their tracks.
+
+    A frame's samples share one horizon unless ``ragged`` (then every future
+    has its own length); they list the agents in one order unless
+    ``shuffled``. Either left as None is drawn per frame. Errors span five orders of magnitude, so that a change in
+    the order of a sum shows in the last bits.
+    """
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.1, 0.5]))
+    agents, end = [], 0
+    for k in range(int(rng.integers(1, 7))):
+        first, n = int(rng.integers(0, 15)), int(rng.integers(2, 60))
+        traj = straight_traj(rng.uniform(-50.0, 50.0, 2), rng.uniform(-10.0, 10.0, 2),
+                             n, t0=first * dt, dt=dt)
+        xy = traj.xy + rng.normal(0.0, 0.3, traj.xy.shape)
+        agents.append(make_agent(f"g{k}", Trajectory(t=traj.t, xy=xy, dt=dt)))
+        end = max(end, first + n)
+    scene = validate_scene(Scene(scene_id=f"disp-{seed}", dt=dt, agents=tuple(agents)))
+    origin = min(int(round(a.trajectory.t[0] / dt)) for a in agents)
+    frames = rng.choice(end - origin + 3, size=min(8, end - origin + 3), replace=False)
+    preds = []
+    for frame in sorted(int(f) for f in frames):
+        ids = [a.id for a in agents if rng.random() < 0.8] or [agents[0].id]
+        k_samples, horizon = int(rng.integers(1, 7)), int(rng.integers(1, 60))
+        frame_ragged = rng.random() < 0.3 if ragged is None else ragged
+        frame_shuffled = rng.random() < 0.2 if shuffled is None else shuffled
+        samples = []
+        for _ in range(k_samples):
+            order = list(rng.permutation(ids)) if frame_shuffled else ids
+            trajs = {}
+            for aid in order:
+                h = int(rng.integers(1, horizon + 1)) if frame_ragged else horizon
+                scale = 10.0 ** rng.uniform(-3.0, 2.0)
+                trajs[str(aid)] = (scene.agent(str(aid)).trajectory.xy[-1]
+                                   + rng.normal(0.0, scale, (h, 2)))
+            samples.append(JointSample(p=1.0 / k_samples, trajs=trajs))
+        preds.append(JointPredictionSet(frame=frame, samples=tuple(samples)))
+    return scene, preds
+
+
+def assert_bit_equal(scene, preds):
+    try:
+        expected = loop_displacement_metrics(preds, scene)
+    except EmptyCorpus:
+        with pytest.raises(EmptyCorpus):
+            displacement_metrics(preds, scene)
+        return
+    got = displacement_metrics(preds, scene)
+    for f in dataclasses.fields(DisplacementMetrics):
+        assert getattr(got, f.name) == getattr(expected, f.name), f.name
+
+
+class TestDisplacementArrayCode:
+    """displacement_metrics stacks each frame's samples into one array; it
+    must equal the per-sample loop bit for bit."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           ragged=st.sampled_from([None, False, True]),
+           shuffled=st.sampled_from([None, False, True]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_loop(self, seed, ragged, shuffled):
+        assert_bit_equal(*random_case(seed, ragged, shuffled))
+
+    def test_truncated_horizon_and_missing_agent(self):
+        # b leaves the recording early; at frame 7 a has 2 steps left, b none
+        a = make_agent("a", straight_traj((0.0, 0.0), (6.0, 0.0), 10))
+        b = make_agent("b", straight_traj((0.0, 9.0), (5.0, 0.0), 6))
+        scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
+        rng = np.random.default_rng(5)
+        preds = [JointPredictionSet(frame=f, samples=tuple(
+            JointSample(p=0.25, trajs={"a": rng.normal(0.0, 3.0, (12, 2)),
+                                       "b": rng.normal(0.0, 3.0, (12, 2))})
+            for _ in range(4))) for f in (2, 5, 7, 9, 12)]
+        assert_bit_equal(scene, preds)
+        assert displacement_metrics(preds[2:3], scene) == loop_displacement_metrics(
+            preds[2:3], scene)
+        with pytest.raises(EmptyCorpus):
+            displacement_metrics(preds[3:], scene)

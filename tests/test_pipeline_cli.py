@@ -359,8 +359,10 @@ class TestCli:
         (lambda d: d["agents"][1].__setitem__("id", "a"), "DuplicateAgentId"),
         (lambda d: d["agents"][0]["states"][3].__setitem__("x", float("nan")),
          "NonFiniteCoordinate"),
+        (lambda d: d["agents"][0]["states"][6].__setitem__("t", float("nan")),
+         "NonFiniteCoordinate: agent a: non-finite value at sample 6"),
         (lambda d: d["agents"][0]["states"][3].__setitem__("y", 10 ** 400), "OverflowError"),
-    ], ids=["duplicate_id", "nan_coordinate", "huge_int"])
+    ], ids=["duplicate_id", "nan_coordinate", "nan_timestamp", "huge_int"])
     def test_exit_code_bad_scene_file(self, scene_dir, tmp_path, corrupt, message):
         path = scene_dir / "crossing.json"
         data = json.loads(path.read_text())

@@ -76,6 +76,15 @@ class TestValidation:
             validate_scene(scene)
         assert "a" in str(exc.value)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_timestamp_names_its_sample(self, value):
+        t = 0.5 * np.arange(10)
+        t[6] = value
+        tr = Trajectory(t=t, xy=np.zeros((10, 2)), dt=0.5)
+        scene = Scene(scene_id="s", dt=0.5, agents=(make_agent("a", tr),))
+        with pytest.raises(NonFiniteCoordinate, match="non-finite value at sample 6$"):
+            validate_scene(scene)
+
 
 class TestResampling:
     def test_originals_preserved_exactly(self):
