@@ -62,7 +62,7 @@ def main():
         print(f"t={tl.t[i]:4.1f}s  feasible={names:<10} gt={tl.h_gt[i]}{marker}")
     print(f"\nIHS at t={tl.t_h_collapse:.1f}s; evaluation interval "
           f"[{tl.t_h_start:.1f}s, {tl.t_h_final:.1f}s]; "
-          f"ground-truth mode {tl.h_gt_final}")
+          f"ground-truth mode {tl.h_gt[tl.final_idx]}")
 
     print("\n== grading a constant-velocity predictor ==")
     result = evaluate_scene(scene, cfg, baseline="cv")

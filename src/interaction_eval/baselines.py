@@ -9,7 +9,7 @@ import numpy as np
 from .collision import VehicleDims, is_collision
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
-from .rollout import PathRollout, ProfileKind, PROFILE_ORDER, max_scene_speed, speed_profile
+from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, profile_rollouts
 from .types import (
     Agent,
     EvalConfig,
@@ -20,6 +20,10 @@ from .types import (
     agent_frame_index,
     trajectory_kinematics,
 )
+
+
+# the speed profiles an interacting agent may take in an oracle combination
+ORACLE_PROFILES = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
 
 
 def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
@@ -35,21 +39,6 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
         future = agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step)
         trajs[agent.id] = future
     return JointPredictionSet(frame=t, samples=(JointSample(p=1.0, trajs=trajs),))
-
-
-def _oracle_rollouts(scene: Scene, t: int, agent: Agent, v_max: float,
-                     horizon: int, cfg: EvalConfig) -> dict[ProfileKind, Trajectory] | None:
-    i = agent_frame_index(scene, agent, t)
-    if i is None:
-        return None
-    _, speeds = trajectory_kinematics(agent.trajectory)
-    extend = v_max * (horizon + 1) * scene.dt + 10.0
-    path = PathRollout(agent.trajectory, i, extend, cfg)
-    return {
-        kind: path.roll(speed_profile(kind, float(speeds[i]), v_max, cfg), horizon,
-                        t0=float(agent.trajectory.t[i]))
-        for kind in (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
-    }
 
 
 def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
@@ -73,14 +62,16 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     rollouts: dict[str, dict[ProfileKind, Trajectory]] = {}
     present: list[Agent] = []
     for agent in scene.agents:
-        rolls = _oracle_rollouts(scene, t, agent, v_max, horizon, cfg)
-        if rolls is not None:
-            rollouts[agent.id] = rolls
-            present.append(agent)
+        i = agent_frame_index(scene, agent, t)
+        if i is None:
+            continue
+        traj = agent.trajectory
+        _, speeds = trajectory_kinematics(traj)
+        rollouts[agent.id] = profile_rollouts(traj, i, float(speeds[i]), v_max, horizon,
+                                              ORACLE_PROFILES, cfg, t0=float(traj.t[i]))
+        present.append(agent)
     choices = [
-        (agent.id,
-         (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
-         if agent.id in interacting else (ProfileKind.CONST_VEL,))
+        (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
         for agent in present
     ]
     dims = {a.id: VehicleDims(a.width, a.length) for a in present}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from pathlib import Path
@@ -18,6 +17,7 @@ from .errors import (
 )
 from .filtering import filter_scene_with_rejections
 from .pipeline import (
+    BASELINE_MODELS,
     DEFAULT_ORACLE_K,
     _evaluate_corpus,
     _histogram_inputs,
@@ -49,38 +49,44 @@ def _fail(err: Exception) -> None:
     sys.exit(code)
 
 
+_CONFIG_OPTIONS = (
+    click.option("--d-collision", type=float, default=EvalConfig.d_collision, show_default=True,
+                 help="Path-sharing distance threshold [m]."),
+    click.option("--dt-ps-max", type=float, default=EvalConfig.dt_ps_max, show_default=True,
+                 help="Max gap between first shared-path times [s]."),
+    click.option("--a-lon-max", type=float, default=EvalConfig.a_lon_max, show_default=True,
+                 help="Longitudinal acceleration limit [m/s^2]."),
+    click.option("--a-lat-max", type=float, default=EvalConfig.a_lat_max, show_default=True,
+                 help="Lateral acceleration limit [m/s^2]."),
+    click.option("--horizon", "t_p", type=float, default=EvalConfig.t_p, show_default=True,
+                 help="Prediction horizon [s]."),
+    click.option("--theta-hat", type=float, default=EvalConfig.theta_hat, show_default=True,
+                 help="Static-class winding threshold [rad]."),
+    click.option("--interp-factor", type=int, default=EvalConfig.interp_factor,
+                 show_default=True, help="Trajectory interpolation factor."),
+    click.option("--t-min", type=float, default=EvalConfig.t_min,
+                 help="Path-sharing start threshold [s]; default: first co-observed time."),
+)
+
+
 def config_options(f):
-    @click.option("--d-collision", type=float, default=1.5, show_default=True,
-                  help="Path-sharing distance threshold [m].")
-    @click.option("--dt-ps-max", type=float, default=6.0, show_default=True,
-                  help="Max gap between first shared-path times [s].")
-    @click.option("--a-lon-max", type=float, default=1.47, show_default=True,
-                  help="Longitudinal acceleration limit [m/s^2].")
-    @click.option("--a-lat-max", type=float, default=1.18, show_default=True,
-                  help="Lateral acceleration limit [m/s^2].")
-    @click.option("--horizon", type=float, default=6.0, show_default=True,
-                  help="Prediction horizon [s].")
-    @click.option("--theta-hat", type=float, default=0.0, show_default=True,
-                  help="Static-class winding threshold [rad].")
-    @click.option("--interp-factor", type=int, default=4, show_default=True,
-                  help="Trajectory interpolation factor.")
-    @click.option("--t-min", type=float, default=None,
-                  help="Path-sharing start threshold [s]; default: first co-observed time.")
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        return f(*args, **kwargs)
-
-    return wrapper
+    """One option per ``EvalConfig`` field, passed on under the field's name."""
+    for option in reversed(_CONFIG_OPTIONS):
+        f = option(f)
+    return f
 
 
-def _make_config(d_collision, dt_ps_max, a_lon_max, a_lat_max, horizon,
-                 theta_hat, interp_factor, t_min) -> EvalConfig:
-    return EvalConfig(d_collision=d_collision, dt_ps_max=dt_ps_max,
-                      a_lon_max=a_lon_max, a_lat_max=a_lat_max, t_p=horizon,
-                      theta_hat=theta_hat, interp_factor=interp_factor, t_min=t_min)
+class _Main(click.Group):
+    """Sends an ``InteractionEvalError`` from any subcommand to ``_fail``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except InteractionEvalError as e:
+            _fail(e)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="interaction-eval")
 def main():
     """Evaluate interaction-mode prediction in joint trajectory forecasts."""
@@ -93,19 +99,16 @@ def main():
 @config_options
 def cmd_filter(scene_dir, out_path, **cfg_kw):
     """Find safety-critical interaction pairs in a scene directory."""
-    try:
-        cfg = _make_config(**cfg_kw)
-        rows = []
-        for scene in _load_scene_dir(scene_dir):
-            accepted, rejected = filter_scene_with_rejections(scene, cfg)
-            rows.extend((scene.scene_id, p) for p in accepted)
-            for rej in rejected:
-                click.echo(f"{scene.scene_id}: rejected ({rej.agent_a}, {rej.agent_b}): "
-                           f"{rej.reason.value} {rej.detail}".rstrip(), err=True)
-        write_filter_csv(Path(out_path), rows)
-        click.echo(f"{len(rows)} pair(s) accepted -> {out_path}")
-    except InteractionEvalError as e:
-        _fail(e)
+    cfg = EvalConfig(**cfg_kw)
+    rows = []
+    for scene in _load_scene_dir(scene_dir):
+        accepted, rejected = filter_scene_with_rejections(scene, cfg)
+        rows.extend((scene.scene_id, p) for p in accepted)
+        for rej in rejected:
+            click.echo(f"{scene.scene_id}: rejected ({rej.agent_a}, {rej.agent_b}): "
+                       f"{rej.reason.value} {rej.detail}".rstrip(), err=True)
+    write_filter_csv(Path(out_path), rows)
+    click.echo(f"{len(rows)} pair(s) accepted -> {out_path}")
 
 
 @main.command("rollout")
@@ -115,18 +118,15 @@ def cmd_filter(scene_dir, out_path, **cfg_kw):
 @config_options
 def cmd_rollout(scene_dir, out_path, **cfg_kw):
     """Enumerate feasible interaction classes and locate the IHS per pair."""
-    try:
-        cfg = _make_config(**cfg_kw)
-        write_rollout_csv(Path(out_path), [evaluate_scene(scene, cfg)
-                                           for scene in _load_scene_dir(scene_dir)])
-        click.echo(f"rollout timelines -> {out_path}")
-    except InteractionEvalError as e:
-        _fail(e)
+    cfg = EvalConfig(**cfg_kw)
+    write_rollout_csv(Path(out_path), [evaluate_scene(scene, cfg)
+                                       for scene in _load_scene_dir(scene_dir)])
+    click.echo(f"rollout timelines -> {out_path}")
 
 
 @main.command("baseline")
 @click.option("--scene-dir", type=click.Path(exists=True), required=True)
-@click.option("--model", type=click.Choice(["cv", "oracle"]), required=True)
+@click.option("--model", type=click.Choice(BASELINE_MODELS), required=True)
 @click.option("--out-dir", type=click.Path(), required=True,
               help="Directory for standard prediction files (<scene_id>.json).")
 @click.option("--k", type=int, default=DEFAULT_ORACLE_K, show_default=True,
@@ -134,17 +134,14 @@ def cmd_rollout(scene_dir, out_path, **cfg_kw):
 @config_options
 def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
     """Write baseline predictions in the standard prediction file format."""
-    try:
-        cfg = _make_config(**cfg_kw)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for scene in _load_scene_dir(scene_dir):
-            result = evaluate_scene(scene, cfg, baseline=model, oracle_k=k)
-            save_predictions(scene.scene_id, cfg.t_p, result.predictions,
-                             out / f"{scene.scene_id}.json")
-            click.echo(f"{scene.scene_id}: {len(result.predictions)} frame(s)")
-    except InteractionEvalError as e:
-        _fail(e)
+    cfg = EvalConfig(**cfg_kw)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for scene in _load_scene_dir(scene_dir):
+        result = evaluate_scene(scene, cfg, baseline=model, oracle_k=k)
+        save_predictions(scene.scene_id, cfg.t_p, result.predictions,
+                         out / f"{scene.scene_id}.json")
+        click.echo(f"{scene.scene_id}: {len(result.predictions)} frame(s)")
 
 
 @main.command("eval")
@@ -161,18 +158,15 @@ def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
 @config_options
 def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static, **cfg_kw):
     """Run the full evaluation and write report.json plus CSV outputs."""
-    try:
-        if fixture is not None:
-            report = run_fixture(fixture, out_dir)
-        else:
-            if scene_dir is None or pred_source is None:
-                raise ConfigError("--scene-dir and --pred are required without --fixture")
-            cfg = _make_config(**cfg_kw)
-            report = run_pipeline(scene_dir, pred_source, out_dir, cfg, oracle_k=k,
-                                  substitute_static=substitute_static)
-        click.echo(json.dumps(report.to_dict(), indent=1, sort_keys=True))
-    except InteractionEvalError as e:
-        _fail(e)
+    cfg = EvalConfig(**cfg_kw)
+    if fixture is not None:
+        report = run_fixture(fixture, out_dir)
+    else:
+        if scene_dir is None or pred_source is None:
+            raise ConfigError("--scene-dir and --pred are required without --fixture")
+        report = run_pipeline(scene_dir, pred_source, out_dir, cfg, oracle_k=k,
+                              substitute_static=substitute_static)
+    click.echo(json.dumps(report.to_dict(), indent=1, sort_keys=True))
 
 
 @main.command("report")
@@ -181,15 +175,12 @@ def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static, **c
 @config_options
 def cmd_report(scene_dir, out_dir, **cfg_kw):
     """Emit plot-data CSVs (closeness heatmap, time-to-IHS histogram)."""
-    try:
-        cfg = _make_config(**cfg_kw)
-        results, dt = _evaluate_corpus(scene_dir, cfg)
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_histograms(*_histogram_inputs(results), out, dt)
-        click.echo(f"heatmap.csv and ihs_hist.csv -> {out_dir}")
-    except InteractionEvalError as e:
-        _fail(e)
+    cfg = EvalConfig(**cfg_kw)
+    results, dt = _evaluate_corpus(scene_dir, cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    emit_histograms(*_histogram_inputs(results), out, dt)
+    click.echo(f"heatmap.csv and ihs_hist.csv -> {out_dir}")
 
 
 if __name__ == "__main__":

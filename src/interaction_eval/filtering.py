@@ -84,7 +84,7 @@ def classify_pair(scene: Scene, a: str, b: str,
     xa = resample_trajectory(wa, factor).xy
     xb = resample_trajectory(wb, factor).xy
     t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
-    # rows mapping to a frame at or before t_min (none when t_min is NaN)
+    # rows mapping to a frame at or before t_min
     early = int(np.count_nonzero(t <= t_min)) * factor
     if (_distances(xa[:early], xb) < cfg.d_collision).any():
         return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)

@@ -6,7 +6,7 @@ import csv
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -378,9 +378,7 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
     manifest = {
         "tool": "interaction-eval",
         "version": __version__,
-        "config": {k: getattr(cfg, k) for k in (
-            "d_collision", "dt_ps_max", "a_lon_max", "a_lat_max", "t_p",
-            "theta_hat", "interp_factor", "t_min")},
+        "config": asdict(cfg),
         "inputs": {"scene_dir": str(scene_dir), "pred_source": str(pred_source),
                    "oracle_k": oracle_k, "substitute_static": substitute_static},
         "scenes": {r.scene.scene_id: {
@@ -417,6 +415,8 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
         dt = float(data["dt"])
+        if not 0.0 < dt < float("inf"):
+            raise ParseError(path, f"dt must be finite and > 0, got {data['dt']!r}")
         pair_records, frame_records = [], []
         for p in data["pairs"]:
             key = (str(p["scene_id"]), str(p["agent_a"]), str(p["agent_b"]))

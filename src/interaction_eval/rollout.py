@@ -78,7 +78,6 @@ class InteractionTimeline:
     collapse_idx: int
     final_idx: int
     start_idx: int
-    h_gt_final: HomotopyClass
 
     @property
     def t_h_collapse(self) -> float:
@@ -289,21 +288,17 @@ class PathRollout:
         return Trajectory(t=t, xy=xy, dt=dt)
 
 
-def _feasible_set_from_paths(path_a: PathRollout, path_b: PathRollout,
-                             v0a: float, v0b: float, v_max: float,
-                             dims_a: VehicleDims, dims_b: VehicleDims,
-                             n_steps: int, cfg: EvalConfig) -> frozenset:
-    rolls = {}
-    for kind in (ProfileKind.ACCEL, ProfileKind.DECEL):
-        rolls[("a", kind)] = path_a.roll(speed_profile(kind, v0a, v_max, cfg), n_steps)
-        rolls[("b", kind)] = path_b.roll(speed_profile(kind, v0b, v_max, cfg), n_steps)
-    feasible = set()
-    for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
-                   (ProfileKind.ACCEL, ProfileKind.DECEL)):
-        ra, rb = rolls[("a", ka)], rolls[("b", kb)]
-        if not is_collision(ra, rb, dims_a, dims_b, cfg.interp_factor):
-            feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
-    return frozenset(feasible)
+def profile_rollouts(traj: Trajectory, start: int, v0: float, v_max: float, n_steps: int,
+                     kinds: tuple[ProfileKind, ...], cfg: EvalConfig,
+                     t0: float = 0.0) -> dict[ProfileKind, Trajectory]:
+    """Roll each speed profile in ``kinds`` along ``traj`` from frame ``start``.
+
+    The path is extended far enough that the fastest roll of ``n_steps``
+    frames at ``v_max`` stays on it.
+    """
+    path = PathRollout(traj, start, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
+    return {kind: path.roll(speed_profile(kind, v0, v_max, cfg), n_steps, t0=t0)
+            for kind in kinds}
 
 
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
@@ -317,15 +312,19 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     _, speeds_b = trajectory_kinematics(wb)
     dims_a = VehicleDims(agent_a.width, agent_a.length)
     dims_b = VehicleDims(agent_b.width, agent_b.length)
+    kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
     feas: list[frozenset] = []
     for i in range(n - 1):
         n_steps = n - 1 - i
-        extend = v_max * (n_steps + 1) * wa.dt + 10.0
-        path_a = PathRollout(wa, i, extend, cfg)
-        path_b = PathRollout(wb, i, extend, cfg)
-        feas.append(_feasible_set_from_paths(path_a, path_b,
-                                             float(speeds_a[i]), float(speeds_b[i]),
-                                             v_max, dims_a, dims_b, n_steps, cfg))
+        rolls_a = profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg)
+        rolls_b = profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg)
+        feasible = set()
+        for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
+                       (ProfileKind.ACCEL, ProfileKind.DECEL)):
+            ra, rb = rolls_a[ka], rolls_b[kb]
+            if not is_collision(ra, rb, dims_a, dims_b, cfg.interp_factor):
+                feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
+        feas.append(frozenset(feasible))
     sizes = np.array([len(f) for f in feas])
     # collapse: first frame after which exactly one class stays feasible;
     # flickering feasibility is resolved by requiring it to hold to the end
@@ -346,14 +345,13 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     final_idx = int(two[-1])
     horizon = cfg.horizon_frames(wa.dt)
     gt = gt_mode_sequence(wa, wb, horizon, cfg.theta_hat)
-    h_gt_final = gt[final_idx]
     lo = max(0, final_idx - horizon)
     start_idx = final_idx
     for i in range(final_idx, lo - 1, -1):
-        if gt[i] == h_gt_final:
+        if gt[i] == gt[final_idx]:
             start_idx = i
         else:
             break
     return InteractionTimeline(t=times, h_feas=tuple(feas), h_gt=tuple(gt),
                                collapse_idx=collapse_idx, final_idx=final_idx,
-                               start_idx=start_idx, h_gt_final=h_gt_final)
+                               start_idx=start_idx)

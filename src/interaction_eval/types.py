@@ -135,6 +135,11 @@ class EvalConfig:
     t_min: float | None = None  # default: first co-observed timestamp per pair
 
     def __post_init__(self):
+        for name in ("d_collision", "dt_ps_max", "a_lon_max", "a_lat_max", "t_p",
+                     "theta_hat", "t_min"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         for name in ("d_collision", "dt_ps_max", "a_lon_max", "a_lat_max", "t_p"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")

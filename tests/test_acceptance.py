@@ -43,9 +43,9 @@ from interaction_eval import (
     validate_scene,
     winding_angle,
 )
-from interaction_eval.baselines import _oracle_rollouts
 from interaction_eval.pipeline import _prediction_classes
-from interaction_eval.rollout import ProfileKind
+from interaction_eval.rollout import ProfileKind, profile_rollouts
+from interaction_eval.types import agent_frame_index, trajectory_kinematics
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
@@ -180,11 +180,16 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     agents = {a.id: a for a in scene.agents}
-    rolls = {aid: _oracle_rollouts(scene, frame, agents[aid], v_max, horizon, cfg)
-             for aid in (pair.agent_a, pair.agent_b)}
+    kinds = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
+    rolls = {}
+    for aid in (pair.agent_a, pair.agent_b):
+        traj = agents[aid].trajectory
+        i = agent_frame_index(scene, agents[aid], frame)
+        v0 = float(trajectory_kinematics(traj)[1][i])
+        rolls[aid] = profile_rollouts(traj, i, v0, v_max, horizon, kinds, cfg,
+                                      t0=float(traj.t[i]))
     dims = {aid: VehicleDims(agents[aid].width, agents[aid].length)
             for aid in rolls}
-    kinds = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
     ranked = []
     for ka, kb in itertools.product(kinds, kinds):
         ra, rb = rolls[pair.agent_a][ka], rolls[pair.agent_b][kb]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interaction_eval import (
+    ConfigError,
     CriticalPair,
     EmptyOverlap,
     EvalConfig,
@@ -344,11 +345,8 @@ class TestSharedFromStartExit:
         assert res == PairRejection("a", "b", RejectReason.SHARED_FROM_START, detail=leader)
         assert res == full_matrix_classify_pair(scene, "a", "b", cfg)
 
-    def test_nan_t_min_never_shares_from_start(self):
-        lead = make_agent("a", straight_traj((10.0, 0.0), (6.0, 0.0), 30))
-        trail = make_agent("b", straight_traj((0.0, 0.0), (6.0, 0.0), 30))
-        scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(lead, trail)))
-        cfg = EvalConfig(t_min=float("nan"))
-        res = classify_pair(scene, "a", "b", cfg)
-        assert getattr(res, "reason", None) is not RejectReason.SHARED_FROM_START
-        assert res == full_matrix_classify_pair(scene, "a", "b", cfg)
+    def test_nan_t_min_is_config_error(self):
+        # a NaN t_min would fail every t <= t_min test and so never reject a
+        # follower as SharedFromStart; the config refuses it instead
+        with pytest.raises(ConfigError, match="t_min must be finite, got nan"):
+            EvalConfig(t_min=float("nan"))

@@ -183,7 +183,7 @@ class TestCli:
         out = tmp_path / "filter.csv"
         res = self.run("filter", "--scene-dir", str(scene_dir), "--out", str(out))
         assert res.exit_code == 0, res.output
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 1
         assert rows[0]["agent_a"] == "a"
         assert float(rows[0]["dt_ps"]) == pytest.approx(2.0)
@@ -192,7 +192,7 @@ class TestCli:
         out = tmp_path / "rollout.csv"
         res = self.run("rollout", "--scene-dir", str(scene_dir), "--out", str(out))
         assert res.exit_code == 0, res.output
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         summary = [r for r in rows if r["row"] == "summary"]
         assert len(summary) == 1
         assert float(summary[0]["t_h_collapse"]) == pytest.approx(4.5)
@@ -240,12 +240,13 @@ class TestCli:
         out = tmp_path / "rollout.csv"
         res = self.run("rollout", "--scene-dir", str(d), "--out", str(out))
         assert res.exit_code == 0, res.output
-        summary = [r for r in csv.DictReader(out.open()) if r["row"] == "summary"]
+        summary = [r for r in csv.DictReader(out.read_text().splitlines())
+                   if r["row"] == "summary"]
         assert [(r["agent_a"], r["agent_b"], r["t_h_collapse"]) for r in summary] == \
                [("a", "b", "DegenerateInterval")]
         res = self.run("report", "--scene-dir", str(d), "--out-dir", str(tmp_path / "rep"))
         assert res.exit_code == 0, res.output
-        heat = list(csv.DictReader((tmp_path / "rep" / "heatmap.csv").open()))
+        heat = list(csv.DictReader((tmp_path / "rep" / "heatmap.csv").read_text().splitlines()))
         assert sum(int(r["count"]) for r in heat) == 1
 
     def test_eval_filter_csv_matches_filter_command(self, tmp_path):
@@ -278,6 +279,41 @@ class TestCli:
         assert res.exit_code == 2
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "ConfigError"
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", [
+        ["filter", "--out", "filter.csv"],
+        ["rollout", "--out", "rollout.csv"],
+        ["baseline", "--model", "cv", "--out-dir", "preds"],
+        ["eval", "--pred", "cv", "--out-dir", "out"],
+        ["report", "--out-dir", "out"],
+    ], ids=["filter", "rollout", "baseline", "eval", "report"])
+    def test_exit_code_bad_d_collision(self, scene_dir, tmp_path, command, value):
+        # every subcommand reaches the same error exit
+        *args, out = command
+        res = self.run(*args, str(tmp_path / out), "--scene-dir", str(scene_dir),
+                       "--d-collision", value)
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "d_collision" in err["message"]
+
+    def test_help_shows_config_defaults(self):
+        res = self.run("filter", "--help")
+        assert res.exit_code == 0, res.output
+        assert "[default: 1.5]" in res.output
+        assert "[default: 4]" in res.output
+
+    @pytest.mark.parametrize("dt", ["0", "NaN", "1e999", "-0.5"])
+    def test_exit_code_fixture_bad_dt(self, tmp_path, dt):
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(TABLE_FIXTURE).replace('"dt": 0.5', f'"dt": {dt}', 1))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "dt must be finite and > 0" in err["message"]
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("command", [
         ["eval", "--pred", "oracle"],

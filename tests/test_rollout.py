@@ -144,7 +144,7 @@ class TestTimeline:
         # frozen oracle values for the canonical crossing scene
         assert tl.collapse_idx == 9
         assert tl.final_idx == 8
-        assert tl.h_gt_final is HomotopyClass.CW
+        assert tl.h_gt[tl.final_idx] is HomotopyClass.CW
         assert sizes[: tl.collapse_idx] == [2] * tl.collapse_idx
         assert all(s == 1 for s in sizes[tl.collapse_idx:])
         assert tl.t_h_collapse == tl.t_h_final + scene.dt

@@ -170,6 +170,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="resample factor"):
             resample_trajectory(tr, 4.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("name", ["d_collision", "dt_ps_max", "a_lon_max", "a_lat_max",
+                                      "t_p", "theta_hat", "t_min"])
+    def test_non_finite_field_is_config_error(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            EvalConfig(**{name: value})
+
     def test_with_override(self):
         cfg = dataclasses.replace(EvalConfig(), t_p=3.0)
         assert cfg.t_p == 3.0
