@@ -48,7 +48,8 @@ class NoCollapse(InteractionEvalError):
 
 
 class DegenerateInterval(InteractionEvalError):
-    """The evaluation interval ends before the first prediction frame."""
+    """A pair never has two feasible interaction classes, so it has no
+    evaluation interval."""
 
 
 class NoFeasibleCombo(InteractionEvalError):

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import EmptyOverlap
 from .types import (
-    _TIME_ATOL,
     EvalConfig,
     Scene,
     Trajectory,
+    co_observed,
     common_window,
     resample_trajectory,
 )
@@ -106,32 +106,6 @@ def classify_pair(scene: Scene, a: str, b: str,
                         min_distance=float(d.diagonal().min()))
 
 
-def _co_observed(t: np.ndarray, n: np.ndarray, dt: np.ndarray, i: int,
-                 js: np.ndarray) -> np.ndarray:
-    """For each j in ``js``, whether ``common_window`` accepts the pair (i, j).
-
-    The same window arithmetic as ``common_window`` (first agent's ``dt`` for
-    the count, round half to even, ``atol`` on every co-observed time), done
-    on the padded time rows ``t`` of ``n`` samples each, without slicing. A
-    slice that would run past a trajectory's end, or any NaN, gives False.
-    """
-    first, last = t[:, 0], t[np.arange(len(n)), n - 1]
-    t0 = np.maximum(first[i], first[js])
-    t1 = np.minimum(last[i], last[js])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ia = np.rint((t0 - first[i]) / dt[i])
-        ib = np.rint((t0 - first[js]) / dt[js])
-        count = np.rint((t1 - t0) / dt[i]) + 1
-    ok = ((t1 >= t0 - _TIME_ATOL) & (count >= 1) & (ia >= 0) & (ib >= 0)
-          & (ia + count <= n[i]) & (ib + count <= n[js]))
-    steps = np.arange(t.shape[1])
-    inside = steps < count[ok, None]
-    ra = t[i, np.where(inside, ia[ok, None] + steps, 0).astype(int)]
-    rb = t[js[ok, None], np.where(inside, ib[ok, None] + steps, 0).astype(int)]
-    ok[ok] = np.where(inside, np.abs(ra - rb) <= _TIME_ATOL, True).all(axis=1)
-    return ok
-
-
 def _never_sharing(trajs: list[Trajectory], cfg: EvalConfig) -> np.ndarray:
     """far[i, j], i < j: the pair provably never shares a path (module docstring)."""
     k = len(trajs)
@@ -146,9 +120,7 @@ def _never_sharing(trajs: list[Trajectory], cfg: EvalConfig) -> np.ndarray:
     steps[start[1:] - 1] = 0.0  # no step from one agent's last sample to the next agent
     half = np.maximum.reduceat(steps, start[:-1]) / 2.0
     limit = cfg.d_collision + _PRUNE_MARGIN + _PRUNE_REL * np.abs(xy).max()
-    t = np.full((k, n.max()), np.nan)
-    for i, tr in enumerate(trajs):
-        t[i, :tr.n] = tr.t
+    t = np.concatenate([tr.t for tr in trajs])
     dt = np.array([tr.dt for tr in trajs])
     for i in range(k - 1):
         rest = xy[start[i + 1]:]
@@ -157,7 +129,7 @@ def _never_sharing(trajs: list[Trajectory], cfg: EvalConfig) -> np.ndarray:
         nearest = np.minimum.reduceat(d2.min(axis=0), start[i + 1:-1] - start[i + 1])
         js = i + 1 + np.flatnonzero(np.sqrt(nearest) - half[i] - half[i + 1:] > limit)
         if js.size:
-            far[i, js] = _co_observed(t, n, dt, i, js)
+            far[i, js] = co_observed(t, start, dt, i, js)[0]
     return far
 
 
@@ -171,14 +143,11 @@ def filter_scene_with_rejections(
     path are rejected without ``classify_pair``; every other pair goes
     through it. The result equals ``classify_pair`` on every pair.
     """
-    trajs: dict[str, Trajectory] = {}
-    for agent in scene.agents:  # scene.agent(id) returns the first with the id
-        trajs.setdefault(agent.id, agent.trajectory)
-    index = {aid: k for k, aid in enumerate(sorted(trajs))}
-    far = _never_sharing([trajs[aid] for aid in sorted(trajs)], cfg)
+    ids = sorted(scene.agents_by_id)
+    far = _never_sharing([scene.agent(aid).trajectory for aid in ids], cfg)
     accepted, rejected = [], []
-    for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
-        if far[index[a], index[b]]:
+    for (i, a), (j, b) in itertools.combinations(enumerate(ids), 2):
+        if far[i, j]:
             rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
             continue
         try:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
-from .types import Trajectory
-
-_DEGENERATE_REL = 1e-9  # metres; below this the relative bearing is undefined
+from .types import _DEGENERATE_DISP, Trajectory
 
 
 class HomotopyClass(enum.Enum):
@@ -56,7 +54,7 @@ def winding_angle(ta: Trajectory, tb: Trajectory) -> WindingResult:
     rel = ta.xy - tb.xy
     norm = np.hypot(rel[:, 0], rel[:, 1])
     bearings = np.arctan2(rel[:, 1], rel[:, 0])
-    defined = norm >= _DEGENERATE_REL
+    defined = norm >= _DEGENERATE_DISP
     # index of the last well-defined bearing at or before each frame
     last = np.maximum.accumulate(np.where(defined, np.arange(ta.n), -1))
     ok = defined[1:] & (last[:-1] >= 0)

@@ -34,7 +34,7 @@ from .metrics import (
 )
 from .rollout import InteractionTimeline, interaction_timeline
 from .sceneio import load_predictions, load_scene
-from .types import EvalConfig, JointPredictionSet, Scene, Trajectory, scene_time_origin
+from .types import EvalConfig, JointPredictionSet, Scene, Trajectory, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
 DEFAULT_ORACLE_K = 5
@@ -59,10 +59,6 @@ class SceneEvaluation:
     predictions: dict[int, JointPredictionSet]
 
 
-def _window_frame_offset(scene: Scene, timeline: InteractionTimeline) -> int:
-    return int(round((timeline.t[0] - scene_time_origin(scene)) / scene.dt))
-
-
 def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
                         dt: float, theta_hat: float):
     """(h_ml, h_pred) of a joint prediction set for one pair; None if unusable."""
@@ -83,7 +79,7 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
         classes.append(cls)
         if idx == 0:
             h_ml = cls
-    if h_ml is None or not classes:
+    if h_ml is None:
         return None
     return h_ml, frozenset(classes)
 
@@ -139,21 +135,21 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
             evals.append(PairEvaluation(pair, None, skipped=type(e).__name__))
         else:
             evals.append(PairEvaluation(pair, tl, skipped=None))
-    timed = [ev for ev in evals if ev.timeline is not None]
+    # each timeline with the scene frame of its first sample
+    timed = [(ev, scene_frame(scene, ev.timeline.t[0]))
+             for ev in evals if ev.timeline is not None]
 
     needed_frames: set[int] = set()
-    for ev in timed:
+    for ev, off in timed:
         tl = ev.timeline
-        off = _window_frame_offset(scene, tl)
         needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
     if baseline is not None:
         predictions = _baseline_predictions(scene, baseline, needed_frames,
                                             pairs, cfg, oracle_k)
     predictions = predictions or {}
 
-    for ev in timed:
+    for ev, off in timed:
         pair, tl = ev.pair, ev.timeline
-        off = _window_frame_offset(scene, tl)
         graded = []
         for i in range(tl.start_idx, tl.final_idx + 1):
             pset = predictions.get(off + i)

@@ -31,6 +31,7 @@ from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
 from .filtering import CriticalPair
 from .homotopy import HomotopyClass, classify_pair_windows, gt_mode_sequence
 from .types import (
+    _DEGENERATE_DISP,
     EvalConfig,
     Scene,
     Trajectory,
@@ -104,7 +105,7 @@ def max_scene_speed(scene: Scene) -> float:
 def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Reciprocal circumscribed-circle radius of point triples, each (N, 2).
 
-    0 where two points of a triple lie within 1e-9 m of each other.
+    0 where two points of a triple lie within ``_DEGENERATE_DISP`` of each other.
     """
     a = np.hypot(*(p1 - p0).T)
     b = np.hypot(*(p2 - p1).T)
@@ -113,7 +114,8 @@ def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndar
              - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.abs(2.0 * cross / (a * b * c))
-    return np.where((a < 1e-9) | (b < 1e-9) | (c < 1e-9), 0.0, kappa)
+    return np.where((a < _DEGENERATE_DISP) | (b < _DEGENERATE_DISP) | (c < _DEGENERATE_DISP),
+                    0.0, kappa)
 
 
 def _interp_scalar(x: float, xp: list, fp: list) -> float:
@@ -145,12 +147,12 @@ class PathRollout:
         self.dt = traj.dt
         pts = traj.xy[start_frame:]
         step = np.hypot(*(np.diff(pts, axis=0).T))
-        if np.any(step <= 1e-9):
+        if np.any(step <= _DEGENERATE_DISP):
             # drop consecutive (near-)duplicate vertices, measured from the
             # last kept one
             keep = [0]
             for i in range(1, len(pts)):
-                if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-9:
+                if np.hypot(*(pts[i] - pts[keep[-1]])) > _DEGENERATE_DISP:
                     keep.append(i)
             pts = pts[keep]
         if len(pts) >= 2:
@@ -195,7 +197,7 @@ class PathRollout:
         with np.errstate(divide="ignore"):
             lat = np.sqrt(self._cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
         cap = np.minimum(v_max, lat)
-        ds = self._s[1] - self._s[0] if len(self._s) > 1 else _PATH_DS
+        ds = self._s[1] - self._s[0]
         brake = 2.0 * self._cfg.a_lon_max * ds
         # backward pass: entering a low-cap region must be brakeable at a_lon_max.
         # A flat cap is a fixed point of the pass when one step leaves it
@@ -326,14 +328,10 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
                 feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
         feas.append(frozenset(feasible))
     sizes = np.array([len(f) for f in feas])
-    # collapse: first frame after which exactly one class stays feasible;
-    # flickering feasibility is resolved by requiring it to hold to the end
-    collapse_idx = None
-    for i in range(len(sizes)):
-        if np.all(sizes[i:] == 1):
-            collapse_idx = i
-            break
-    if collapse_idx is None:
+    # collapse: the frame after the last one (-1 before the first) without exactly
+    # one feasible class, so that flickering feasibility must hold to the end
+    collapse_idx = int(np.flatnonzero(np.append(-1, sizes) != 1)[-1])
+    if collapse_idx == len(sizes):
         raise NoCollapse(
             f"pair ({pair.agent_a}, {pair.agent_b}): both classes feasible through the window"
         )

@@ -88,20 +88,19 @@ def save_scene(scene: Scene, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=1), encoding="utf-8")
 
 
-def load_predictions(path: str | Path, scene: Scene | None = None,
+def load_predictions(path: str | Path, scene: Scene,
                      substitute_static: bool = False) -> dict[int, JointPredictionSet]:
     """Prediction sets keyed by frame index.
 
-    Given a scene, a sample that names an agent not in the scene is a
-    ParseError. With ``substitute_static`` (and a scene), agents missing from
-    a sample are filled with their current ground-truth position held static.
+    A sample that names an agent not in ``scene`` is a ParseError. With
+    ``substitute_static``, agents missing from a sample are filled with their
+    current ground-truth position held static.
     """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
     except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, str(e))
-    scene_ids = set(scene.agent_ids) if scene is not None else None
     out: dict[int, JointPredictionSet] = {}
     arrays: list[np.ndarray] = []
     probs: list[float] = []
@@ -122,11 +121,11 @@ def load_predictions(path: str | Path, scene: Scene | None = None,
                     arrays.append(xy)
                 samples.append(JointSample(p=float(s["p"]), trajs=trajs))
                 probs.append(samples[-1].p)
-            if substitute_static and scene is not None and samples:
+            if substitute_static and samples:
                 samples = [_substitute_static(s, scene, frame) for s in samples]
             out[frame] = JointPredictionSet(frame=frame, samples=tuple(samples)).validate()
             # validate() makes every sample name the same agents as the first
-            unknown = sorted(set(samples[0].trajs) - scene_ids) if scene_ids else []
+            unknown = sorted(samples[0].trajs.keys() - scene.agents_by_id.keys())
             if unknown:
                 raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
                                        f"not in scene {scene.scene_id}")

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import (
 )
 
 _TIME_ATOL = 1e-6  # absolute slack on timestamp grid comparisons, seconds
-_DEGENERATE_DISP = 1e-9  # metres; below this a displacement has no heading
+_DEGENERATE_DISP = 1e-9  # metres; below this a displacement has no direction
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,21 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
 
+    @cached_property
+    def t_origin(self) -> float:
+        """Timestamp of scene frame 0: the earliest first sample of any agent."""
+        return min(float(a.trajectory.t[0]) for a in self.agents)
+
+    @cached_property
+    def agents_by_id(self) -> dict[str, Agent]:
+        """Each id's agent; when an id repeats, its first agent wins."""
+        return {a.id: a for a in reversed(self.agents)}
+
     def agent(self, agent_id: str) -> Agent:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise UnknownAgent(agent_id)
+        agent = self.agents_by_id.get(agent_id)
+        if agent is None:
+            raise UnknownAgent(agent_id)
+        return agent
 
     @property
     def agent_ids(self) -> list[str]:
@@ -191,18 +202,18 @@ def validate_scene(scene: Scene) -> Scene:
     return scene
 
 
-def scene_time_origin(scene: Scene) -> float:
-    """Timestamp of scene frame 0: the earliest first sample of any agent."""
-    return min(float(a.trajectory.t[0]) for a in scene.agents)
-
-
 def agent_frame_index(scene: Scene, agent: Agent, frame: int) -> int | None:
     """Map a scene-global frame index to the agent's local sample index."""
-    t = scene_time_origin(scene) + frame * scene.dt
+    t = scene.t_origin + frame * scene.dt
     i = int(round((t - agent.trajectory.t[0]) / scene.dt))
     if 0 <= i < agent.trajectory.n:
         return i
     return None
+
+
+def scene_frame(scene: Scene, t: float) -> int:
+    """The scene-global frame index nearest to time ``t``."""
+    return int(round((t - scene.t_origin) / scene.dt))
 
 
 def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
@@ -251,22 +262,47 @@ def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return headings, speeds
 
 
+def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int,
+                js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The co-observed window of agent ``i`` with each agent in ``js``.
+
+    ``t`` holds every agent's timestamps back to back, agent k's at
+    ``start[k]:start[k + 1]``, and ``dt`` each agent's frame period. The
+    window runs from the later first sample to the earlier last one, counted
+    in ``i``'s ``dt`` (round half to even), and its times must agree within
+    ``_TIME_ATOL`` sample by sample. Returns ``(ok, ia, ib, count)`` per j:
+    whether the pair has such a window, where it starts in ``i`` and in j,
+    and how many samples it holds. A window that runs past a trajectory's
+    end, or any NaN, gives no window.
+    """
+    n = start[1:] - start[:-1]
+    first, last = t[start[:-1]], t[start[1:] - 1]
+    t0 = np.maximum(first[i], first[js])
+    t1 = np.minimum(last[i], last[js])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ia = np.rint((t0 - first[i]) / dt[i])
+        ib = np.rint((t0 - first[js]) / dt[js])
+        count = np.rint((t1 - t0) / dt[i]) + 1
+    ok = ((t1 >= t0 - _TIME_ATOL) & (count >= 1) & (np.minimum(ia, ib) >= 0)
+          & (count <= np.minimum(n[i] - ia, n[js] - ib)))
+    # past its end, a window repeats its last sample
+    steps = np.minimum(np.arange(n[i]), count[ok, None] - 1)
+    ra = t[(start[i] + ia[ok, None] + steps).astype(int)]
+    rb = t[(start[js[ok], None] + ib[ok, None] + steps).astype(int)]
+    ok[ok] = (np.abs(ra - rb) <= _TIME_ATOL).all(axis=1)
+    return ok, ia, ib, count
+
+
 def common_window(a: Trajectory, b: Trajectory) -> tuple[Trajectory, Trajectory, np.ndarray]:
-    """Restrict two same-dt trajectories to their co-observed time window.
+    """Restrict two same-dt trajectories to their ``co_observed`` time window.
 
     Returns the two sliced trajectories plus the shared timestamp vector.
-    ``filtering._co_observed`` repeats this accept test on arrays; change
-    both together.
     """
-    t0 = max(a.t[0], b.t[0])
-    t1 = min(a.t[-1], b.t[-1])
-    if t1 < t0 - _TIME_ATOL:
-        raise EmptyOverlap("no common observation window")
-    ia = int(round((t0 - a.t[0]) / a.dt))
-    ib = int(round((t0 - b.t[0]) / b.dt))
-    count = int(round((t1 - t0) / a.dt)) + 1
+    ok, ia, ib, count = co_observed(np.concatenate((a.t, b.t)),
+                                    np.array([0, a.n, a.n + b.n]),
+                                    np.array([a.dt, b.dt]), 0, np.array([1]))
+    if not ok[0]:
+        raise EmptyOverlap("no co-observed window on a common time grid")
+    ia, ib, count = int(ia[0]), int(ib[0]), int(count[0])
     sa = a.slice_frames(ia, ia + count)
-    sb = b.slice_frames(ib, ib + count)
-    if sa.n != sb.n or not np.allclose(sa.t, sb.t, atol=_TIME_ATOL, rtol=0):
-        raise EmptyOverlap("agents are not sampled on a common time grid")
-    return sa, sb, sa.t
+    return sa, b.slice_frames(ib, ib + count), sa.t

@@ -30,7 +30,6 @@ from interaction_eval.types import (
     JointPredictionSet,
     JointSample,
     agent_frame_index,
-    scene_time_origin,
     trajectory_kinematics,
 )
 
@@ -42,7 +41,7 @@ class TestFrameIndexing:
         a = make_agent("a", straight_traj((0, 0), (1, 0), 10, t0=2.0))
         b = make_agent("b", straight_traj((5, 5), (1, 0), 10, t0=0.5))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
-        assert scene_time_origin(scene) == pytest.approx(0.5)
+        assert scene.t_origin == pytest.approx(0.5)
 
     def test_global_to_local_mapping(self):
         a = make_agent("a", straight_traj((0, 0), (1, 0), 10, t0=2.0))

@@ -121,6 +121,15 @@ class TestSceneFiltering:
         assert len(rejections) == 2
         assert all(r.reason is RejectReason.NEVER_PATH_SHARING for r in rejections)
 
+    def test_repeated_id_is_one_agent(self, cfg):
+        a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))
+        again = make_agent("a", straight_traj((0, -52), (0, 6), 30))
+        b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
+        scene = Scene(scene_id="s", dt=0.5, agents=(a, again, b))
+        pairs, rejections = filter_scene_with_rejections(scene, cfg)
+        assert [(p.agent_a, p.agent_b) for p in pairs] == [("a", "b")]
+        assert rejections == []
+
     def test_pair_order_deterministic(self, cfg):
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))

@@ -84,7 +84,7 @@ class TestPredictionRoundTrip:
         result = evaluate_scene(scene, cfg, baseline="cv")
         p = tmp_path / "pred.json"
         save_predictions(scene.scene_id, cfg.t_p, result.predictions, p)
-        back = load_predictions(p)
+        back = load_predictions(p, scene)
         assert set(back) == set(result.predictions)
         f = next(iter(back))
         np.testing.assert_allclose(

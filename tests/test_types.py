@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interaction_eval import (
     Agent,
@@ -14,11 +17,13 @@ from interaction_eval import (
     Scene,
     ShortTrajectory,
     Trajectory,
+    UnknownAgent,
     common_window,
     resample_trajectory,
     trajectory_kinematics,
     validate_scene,
 )
+from interaction_eval.types import co_observed
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
@@ -37,6 +42,21 @@ class TestTrajectory:
         assert sub.n == 4
         assert sub.t[0] == pytest.approx(1.5)
         np.testing.assert_allclose(sub.xy[0], [3.0, 0.0])
+
+
+class TestScene:
+    def test_repeated_id_names_its_first_agent(self):
+        first = make_agent("a", straight_traj((0, 0), (1, 0), 5))
+        second = make_agent("a", straight_traj((9, 9), (1, 0), 5))
+        scene = Scene(scene_id="s", dt=0.5, agents=(first, second))
+        assert scene.agent("a") is first
+        with pytest.raises(UnknownAgent):
+            scene.agent("b")
+
+    def test_empty_scene_constructs(self):
+        scene = Scene(scene_id="s", dt=0.5, agents=())
+        with pytest.raises(ShortTrajectory):
+            validate_scene(scene)
 
 
 class TestValidation:
@@ -142,6 +162,86 @@ class TestCommonWindow:
         tb = straight_traj((0, 0), (1, 0), 4, t0=10.0)
         with pytest.raises(EmptyOverlap):
             common_window(ta, tb)
+
+
+def sliced_common_window(a, b):
+    """Reference: ``common_window`` as it was before it shared its window
+    arithmetic with the filter's prune, slicing the window it counts."""
+    t0 = max(a.t[0], b.t[0])
+    t1 = min(a.t[-1], b.t[-1])
+    if t1 < t0 - 1e-6:
+        raise EmptyOverlap("no common observation window")
+    ia = int(round((t0 - a.t[0]) / a.dt))
+    ib = int(round((t0 - b.t[0]) / b.dt))
+    count = int(round((t1 - t0) / a.dt)) + 1
+    sa = a.slice_frames(ia, ia + count)
+    sb = b.slice_frames(ib, ib + count)
+    if sa.n != sb.n or not np.allclose(sa.t, sb.t, atol=1e-6, rtol=0):
+        raise EmptyOverlap("agents are not sampled on a common time grid")
+    return sa, sb, sa.t
+
+
+def grid_traj(rng, dt, first, offset, n, jitter, dt_scale):
+    """``n`` samples from frame ``first`` plus ``offset`` seconds, each step
+    ``dt`` off by up to ``jitter`` seconds; the ``dt`` field is ``dt_scale``
+    times the sampling period."""
+    steps = dt + rng.uniform(-jitter, jitter, n - 1)
+    t = first * dt + offset + np.concatenate([[0.0], np.cumsum(steps)])
+    return Trajectory(t=t, xy=rng.normal(size=(n, 2)), dt=dt_scale * dt)
+
+
+class TestCoObserved:
+    """``common_window`` and the filter's prune decide windows with one
+    routine, ``co_observed``; both must equal the sliced reference.
+
+    Starts lie on the grid, half a frame off it or within ``atol`` of it.
+    A ``dt`` field of twice the sampling period, which validation would
+    refuse, shows that the window is counted in the first agent's ``dt``.
+    """
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           dt=st.sampled_from([0.1, 0.5]),
+           firsts=st.lists(st.integers(min_value=0, max_value=12), min_size=3, max_size=3),
+           offsets=st.lists(st.sampled_from(["grid", "half", "near"]), min_size=3, max_size=3),
+           lengths=st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=3),
+           jitters=st.lists(st.sampled_from([0.0, 1e-7, 1e-6]), min_size=3, max_size=3),
+           dt_scales=st.lists(st.sampled_from([1, 2]), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_sliced_reference(self, seed, dt, firsts, offsets, lengths, jitters,
+                                     dt_scales):
+        rng = np.random.default_rng(seed)
+        shift = {"grid": lambda: 0.0, "half": lambda: dt / 2.0,
+                 "near": lambda: rng.uniform(-1e-6, 1e-6)}
+        trajs = [grid_traj(rng, dt, *args) for args in zip(
+            firsts, [shift[o]() for o in offsets], lengths, jitters, dt_scales)]
+        expected = {}
+        for i, j in itertools.permutations(range(3), 2):
+            try:
+                expected[i, j] = sliced_common_window(trajs[i], trajs[j])
+            except EmptyOverlap:
+                expected[i, j] = None
+            if expected[i, j] is None:
+                with pytest.raises(EmptyOverlap):
+                    common_window(trajs[i], trajs[j])
+            else:
+                wa, wb, tw = common_window(trajs[i], trajs[j])
+                sa, sb, ts = expected[i, j]
+                for got, want in ((wa.t, sa.t), (wa.xy, sa.xy), (wb.t, sb.t), (wb.xy, sb.xy),
+                                  (tw, ts)):
+                    assert np.array_equal(got, want)
+        # the prune's layout: every agent's times back to back, all others at once
+        t = np.concatenate([tr.t for tr in trajs])
+        start = np.concatenate([[0], np.cumsum(lengths)])
+        dts = np.array([tr.dt for tr in trajs])
+        for i in range(3):
+            js = np.array([j for j in range(3) if j != i])
+            ok, ia, ib, count = co_observed(t, start, dts, i, js)
+            for k, j in enumerate(js):
+                want = expected[i, j]
+                assert ok[k] == (want is not None)
+                if want is not None:
+                    assert np.array_equal(trajs[i].t[int(ia[k]):int(ia[k] + count[k])], want[0].t)
+                    assert np.array_equal(trajs[j].t[int(ib[k]):int(ib[k] + count[k])], want[1].t)
 
 
 class TestConfig:
