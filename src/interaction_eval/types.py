@@ -83,6 +83,15 @@ class Scene:
         """Each id's agent; when an id repeats, its first agent wins."""
         return {a.id: a for a in reversed(self.agents)}
 
+    @cached_property
+    def max_speed(self) -> float:
+        """Maximum finite-difference speed over all agents and frames."""
+        best = 0.0
+        for agent in self.agents:
+            _, speeds = trajectory_kinematics(agent.trajectory)
+            best = max(best, float(speeds.max()))
+        return best
+
     def agent(self, agent_id: str) -> Agent:
         agent = self.agents_by_id.get(agent_id)
         if agent is None:
@@ -216,50 +225,81 @@ def scene_frame(scene: Scene, t: float) -> int:
     return int(round((t - scene.t_origin) / scene.dt))
 
 
-def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
-    """Linearly interpolate to (N-1)*factor + 1 samples.
+def resample_rows(values: np.ndarray, lengths: np.ndarray,
+                  factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Linearly interpolate each row of a padded stack to (n-1)*factor + 1 samples.
 
-    Original samples are preserved exactly; factor 1 returns the input.
+    ``values`` has shape (B, T, D); row b's n = ``lengths[b]`` samples are
+    ``values[b, :n]`` and whatever follows them is finite padding. Returns
+    the (B, (T-1)*factor + 1, D) stack and the new lengths. Original samples
+    are preserved exactly; samples past a row's new length are padding.
+    Factor 1 returns the input.
     """
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ConfigError("resample factor must be a positive integer")
     if factor == 1:
-        return traj
-    n = traj.n
-    m = (n - 1) * factor + 1
-    # fractional original index of every new sample
-    u = np.arange(m) / factor
-    i0 = np.minimum(u.astype(int), n - 2)
+        return values, lengths
+    t = values.shape[1]
+    # fractional original index of every new sample; at a row's last sample
+    # the next one (padding) has weight 0, and the pin below restores it
+    u = np.arange((t - 1) * factor + 1) / factor
+    i0 = np.minimum(u.astype(int), t - 2)
     frac = (u - i0)[:, None]
-    xy = traj.xy[i0] * (1.0 - frac) + traj.xy[i0 + 1] * frac
-    t = traj.t[i0] * (1.0 - frac[:, 0]) + traj.t[i0 + 1] * frac[:, 0]
+    out = values[:, i0] * (1.0 - frac) + values[:, i0 + 1] * frac
     # pin originals exactly (no fp drift at integer indices)
-    xy[::factor] = traj.xy
-    t[::factor] = traj.t
-    return Trajectory(t=t, xy=xy, dt=traj.dt / factor)
+    out[:, ::factor] = values
+    return out, (lengths - 1) * factor + 1
+
+
+def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
+    """Linearly interpolate to (N-1)*factor + 1 samples: ``resample_rows``
+    on one row of (x, y, t).
+
+    Original samples are preserved exactly; factor 1 returns the input.
+    """
+    rows, _ = resample_rows(np.concatenate((traj.xy, traj.t[:, None]), axis=1)[None],
+                            np.array([traj.n]), factor)
+    if factor == 1:
+        return traj
+    return Trajectory(t=rows[0, :, 2], xy=rows[0, :, :2], dt=traj.dt / factor)
+
+
+def kinematics_rows(xy: np.ndarray, lengths: np.ndarray,
+                    dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (headings, speeds) of each row of a padded (B, T, 2) stack.
+
+    Row b's samples are ``xy[b, :lengths[b]]``. Central differences at
+    interior samples, one-sided at each row's own endpoints. Degenerate
+    displacements (norm < 1e-9 m) give speed 0 and carry the row's last
+    well-defined heading forward (0 before any heading is defined). Values
+    past a row's length are padding.
+    """
+    shortest = min(lengths.tolist())  # cheaper than lengths.min() on one row
+    if shortest < 2:
+        raise ShortTrajectory("kinematics need at least 2 samples")
+    b, t, _ = xy.shape
+    disp = np.empty_like(xy)
+    disp[:, 1:-1] = (xy[:, 2:] - xy[:, :-2]) / 2.0
+    disp[:, 0] = xy[:, 1] - xy[:, 0]
+    disp[:, -1] = xy[:, -1] - xy[:, -2]
+    if shortest < t:  # rows that end before the padding: one-sided at their own end
+        rows, end = np.arange(b), lengths - 1
+        disp[rows, end] = xy[rows, end] - xy[rows, end - 1]
+    norm = np.hypot(disp[..., 0], disp[..., 1])
+    speeds = np.where(norm < _DEGENERATE_DISP, 0.0, norm / dt)
+    # flat index of the last well-defined displacement at or before each
+    # sample of its row (-1 before any)
+    flat = np.arange(b * t).reshape(b, t)
+    last = np.maximum.accumulate(np.where(norm >= _DEGENERATE_DISP, flat, -1), axis=1)
+    headings = np.where(last >= 0, np.arctan2(disp[..., 1], disp[..., 0]).ravel()[last], 0.0)
+    return headings, speeds
 
 
 def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (headings, speeds) by finite differences.
-
-    Central differences at interior samples, one-sided at the endpoints.
-    Degenerate displacements (norm < 1e-9 m) give speed 0 and carry the last
-    well-defined heading forward (0 before any heading is defined).
-    """
-    pos = traj.xy
-    n = traj.n
-    if n < 2:
-        raise ShortTrajectory("kinematics need at least 2 samples")
-    disp = np.empty_like(pos)
-    disp[0] = pos[1] - pos[0]
-    disp[-1] = pos[-1] - pos[-2]
-    disp[1:-1] = (pos[2:] - pos[:-2]) / 2.0
-    norm = np.hypot(disp[:, 0], disp[:, 1])
-    speeds = np.where(norm < _DEGENERATE_DISP, 0.0, norm / traj.dt)
-    # index of the last well-defined displacement at or before each sample
-    last = np.maximum.accumulate(np.where(norm >= _DEGENERATE_DISP, np.arange(n), -1))
-    headings = np.where(last >= 0, np.arctan2(disp[:, 1], disp[:, 0])[last], 0.0)
-    return headings, speeds
+    """Per-sample (headings, speeds) by finite differences: ``kinematics_rows``
+    on one row."""
+    headings, speeds = kinematics_rows(traj.xy[None], np.array([traj.n]), traj.dt)
+    return headings[0], speeds[0]
 
 
 def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int,

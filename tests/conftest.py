@@ -47,3 +47,90 @@ def four_agent_scene(scene_id="four"):
     c = make_agent("c", straight_traj((460.0, 0.0), (6.0, 0.0), 30))
     d = make_agent("d", straight_traj((500.0, -40.0), (0.0, 6.0), 30))
     return validate_scene(Scene(scene_id=scene_id, dt=DT, agents=base.agents + (c, d)))
+
+
+# the four arms of a crossing, right-hand lanes 2 m off the axes:
+# (start direction, lateral offset, heading)
+_ARMS = (
+    ((-1, 0), (0, -2), (1, 0)),
+    ((0, -1), (2, 0), (0, 1)),
+    ((1, 0), (0, 2), (-1, 0)),
+    ((0, 1), (-2, 0), (0, -1)),
+)
+
+
+def random_crossing_scene(seed, n=30):
+    """2-4 agents on distinct arms of a crossing, at random gaps and speeds,
+    some entering 2 s late, plus 0-2 bystanders 300 m away."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for j, arm in enumerate(rng.permutation(4)[:rng.integers(2, 5)]):
+        (sx, sy), (ox, oy), (hx, hy) = _ARMS[arm]
+        gap, v = rng.uniform(10.0, 50.0), rng.uniform(3.0, 10.0)
+        late = int(rng.choice([0, 0, 0, 4]))
+        traj = straight_traj((sx * gap + ox, sy * gap + oy), (hx * v, hy * v), n - late,
+                             t0=0.5 * late)
+        agents.append(make_agent(f"a{j}", traj))
+    for j in range(rng.integers(0, 3)):
+        traj = straight_traj((-30.0, 300.0 + 20.0 * j), (rng.uniform(3.0, 10.0), 0.0), n)
+        agents.append(make_agent(f"z{j}", traj))
+    return validate_scene(Scene(scene_id=f"random{seed}", dt=0.5, agents=tuple(agents)))
+
+
+# --- frozen per-pair collision check ----------------------------------------
+# The three-disk check one trajectory pair at a time, as it was before the
+# array kernel in collision.py, on frozen copies of resampling and
+# kinematics. Tests compare the kernel and its callers against it bit for bit.
+
+def ref_resample(traj, factor):
+    if factor == 1:
+        return traj
+    n = traj.n
+    m = (n - 1) * factor + 1
+    u = np.arange(m) / factor
+    i0 = np.minimum(u.astype(int), n - 2)
+    frac = (u - i0)[:, None]
+    xy = traj.xy[i0] * (1.0 - frac) + traj.xy[i0 + 1] * frac
+    t = traj.t[i0] * (1.0 - frac[:, 0]) + traj.t[i0 + 1] * frac[:, 0]
+    xy[::factor] = traj.xy
+    t[::factor] = traj.t
+    return Trajectory(t=t, xy=xy, dt=traj.dt / factor)
+
+
+def ref_headings(traj):
+    """Per-sample headings: central differences inside, one-sided at the
+    ends, the last well-defined heading carried over degenerate steps."""
+    pos = traj.xy
+    n = traj.n
+    disp = np.empty_like(pos)
+    disp[0] = pos[1] - pos[0]
+    disp[-1] = pos[-1] - pos[-2]
+    disp[1:-1] = (pos[2:] - pos[:-2]) / 2.0
+    norm = np.hypot(disp[:, 0], disp[:, 1])
+    last = np.maximum.accumulate(np.where(norm >= 1e-9, np.arange(n), -1))
+    return np.where(last >= 0, np.arctan2(disp[:, 1], disp[:, 0])[last], 0.0)
+
+
+def ref_disk_center_tracks(traj, dims):
+    """(T, 3, 2) disk centers along a trajectory, headings from positions."""
+    headings = ref_headings(traj)
+    axis = np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    offset = dims.length / 2.0 - dims.radius
+    pos = traj.xy
+    return np.stack([pos - offset * axis, pos, pos + offset * axis], axis=1)
+
+
+def ref_min_disk_distance(ta, tb, dims_a, dims_b):
+    assert ta.n == tb.n
+    ca = ref_disk_center_tracks(ta, dims_a)
+    cb = ref_disk_center_tracks(tb, dims_b)
+    diff = ca[:, :, None, :] - cb[:, None, :, :]
+    d = np.sqrt(np.sum(diff * diff, axis=-1))
+    return float(d.min())
+
+
+def ref_is_collision(ta, tb, dims_a, dims_b, interp_factor=1):
+    if interp_factor > 1:
+        ta = ref_resample(ta, interp_factor)
+        tb = ref_resample(tb, interp_factor)
+    return ref_min_disk_distance(ta, tb, dims_a, dims_b) < dims_a.radius + dims_b.radius

@@ -33,7 +33,13 @@ from interaction_eval.types import (
     trajectory_kinematics,
 )
 
-from conftest import crossing_scene, make_agent, straight_traj
+from conftest import (
+    crossing_scene,
+    make_agent,
+    random_crossing_scene,
+    ref_is_collision,
+    straight_traj,
+)
 
 
 class TestFrameIndexing:
@@ -135,8 +141,9 @@ class TestOracle:
 
 def reference_oracle_predict(scene, t, pairs, k, cfg):
     """The oracle as it was before its collision tables: every combination
-    calls ``is_collision`` for each critical pair and recomputes the mean
-    speed of every rollout it selects. Kept as the reference."""
+    calls the frozen per-pair collision check for each critical pair and
+    recomputes the mean speed of every rollout it selects. Kept as the
+    reference."""
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = sorted({aid for p in pairs for aid in (p.agent_a, p.agent_b)})
@@ -167,7 +174,7 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
     for combo in itertools.product(*(profiles for _, profiles in choices)):
         assignment = dict(zip((aid for aid, _ in choices), combo))
         collides = any(
-            is_collision(rollouts[a][assignment[a]], rollouts[b][assignment[b]],
+            ref_is_collision(rollouts[a][assignment[a]], rollouts[b][assignment[b]],
                          dims[a], dims[b], cfg.interp_factor)
             for a, b in check_pairs
         )
@@ -192,34 +199,6 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
         trajs = {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()}
         samples.append(JointSample(p=p, trajs=trajs))
     return JointPredictionSet(frame=t, samples=tuple(samples))
-
-
-# the four arms of a crossing, right-hand lanes 2 m off the axes:
-# (start direction, lateral offset, heading)
-_ARMS = (
-    ((-1, 0), (0, -2), (1, 0)),
-    ((0, -1), (2, 0), (0, 1)),
-    ((1, 0), (0, 2), (-1, 0)),
-    ((0, 1), (-2, 0), (0, -1)),
-)
-
-
-def random_crossing_scene(seed, n=30):
-    """2-4 agents on distinct arms of a crossing, at random gaps and speeds,
-    some entering 2 s late, plus 0-2 bystanders 300 m away."""
-    rng = np.random.default_rng(seed)
-    agents = []
-    for j, arm in enumerate(rng.permutation(4)[:rng.integers(2, 5)]):
-        (sx, sy), (ox, oy), (hx, hy) = _ARMS[arm]
-        gap, v = rng.uniform(10.0, 50.0), rng.uniform(3.0, 10.0)
-        late = int(rng.choice([0, 0, 0, 4]))
-        traj = straight_traj((sx * gap + ox, sy * gap + oy), (hx * v, hy * v), n - late,
-                             t0=0.5 * late)
-        agents.append(make_agent(f"a{j}", traj))
-    for j in range(rng.integers(0, 3)):
-        traj = straight_traj((-30.0, 300.0 + 20.0 * j), (rng.uniform(3.0, 10.0), 0.0), n)
-        agents.append(make_agent(f"z{j}", traj))
-    return validate_scene(Scene(scene_id=f"random{seed}", dt=0.5, agents=tuple(agents)))
 
 
 def _outcome(predict, *args):
@@ -260,20 +239,36 @@ class TestOracleCollisionTables:
 
     @pytest.mark.parametrize("three_agents", [False, True], ids=["crossing", "two_pairs"])
     def test_nine_checks_per_pair(self, cfg, monkeypatch, three_agents):
+        """Each frame lays each interacting agent's three rollouts out once and
+        checks each critical pair's 3x3 table with one ``collisions`` call,
+        never with ``is_collision``."""
         scene = crossing_scene(n=30)
         if three_agents:  # c comes south on the other lane: it crosses a, not b
             c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 30))
             scene = validate_scene(Scene(scene_id="three", dt=0.5, agents=scene.agents + (c,)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert len(pairs) == (2 if three_agents else 1)
-        calls = []
+        interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
+        calls = {"is_collision": [], "collisions": [], "disk_tracks": []}
 
-        def counted(*args):
-            calls.append(args)
-            return is_collision(*args)
+        def counted(name):
+            original = getattr(baselines, name)
 
-        monkeypatch.setattr(baselines, "is_collision", counted)
+            def wrapper(*args):
+                result = original(*args)
+                calls[name].append(result)
+                return result
+            monkeypatch.setattr(baselines, name, wrapper)
+
+        for name in calls:
+            counted(name)
         for frame in range(0, 20, 3):
-            calls.clear()
+            for made in calls.values():
+                made.clear()
             _outcome(oracle_predict, scene, frame, pairs, 5, cfg)
-            assert len(calls) <= 9 * len(pairs), frame
+            assert calls["is_collision"] == [], frame
+            assert len(calls["collisions"]) == len(pairs), frame
+            assert all(hit.shape == (9,) for hit in calls["collisions"]), frame
+            # one disk layout per interacting agent, one row per profile
+            assert len(calls["disk_tracks"]) == len(interacting), frame
+            assert all(len(t.lengths) == 3 for t in calls["disk_tracks"]), frame

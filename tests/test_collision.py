@@ -8,10 +8,17 @@ from interaction_eval import (
     VehicleDims,
     is_collision,
     min_disk_distance,
+    resample_trajectory,
 )
-from interaction_eval.collision import _disk_center_tracks
+from interaction_eval.collision import collisions, disk_tracks, min_disk_distances
 
-from conftest import straight_traj
+from conftest import (
+    ref_disk_center_tracks,
+    ref_is_collision,
+    ref_min_disk_distance,
+    ref_resample,
+    straight_traj,
+)
 
 
 DIMS = VehicleDims(width=2.0, length=4.0)
@@ -21,8 +28,7 @@ def disks_at(x, y, heading, dims):
     """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
     two-sample track heading along ``heading``, as ``is_collision`` lays them."""
     xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
-    traj = Trajectory(t=np.array([0.0, 0.5]), xy=xy, dt=0.5)
-    return _disk_center_tracks(traj, dims)[0]
+    return disk_tracks([xy], dims).centers[0, :, :, 0]
 
 
 class TestDiskLayout:
@@ -101,3 +107,63 @@ class TestCollision:
         ta = straight_traj((-10, 0), (6, 0), 20)
         tb = straight_traj((0, -10), (0, 6), 20)
         assert is_collision(ta, tb, DIMS, DIMS) == is_collision(tb, ta, DIMS, DIMS)
+
+
+@st.composite
+def ragged_row_pairs(draw):
+    """1-12 row pairs of 2-40 samples each, both rows of a pair equally long,
+    inside a 40 m box so that some pairs collide. A row may be stopped at
+    its start and at its end, with steps of 0 or below the 1e-9 m degenerate
+    threshold, and may share the other row's path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(2, 40))
+        rows = []
+        for _side in range(2):
+            steps = rng.normal(size=(n - 1, 2)) * draw(st.sampled_from([0.3, 1.0, 3.0]))
+            head = draw(st.integers(0, n - 1))
+            tail = draw(st.integers(0, n - 1 - head))
+            tiny = draw(st.sampled_from([0.0, 1e-10, 5e-10]))
+            steps[:head] *= tiny
+            steps[n - 1 - tail:] *= tiny
+            rows.append(rng.uniform(-20.0, 20.0, 2) + np.concatenate([[[0.0, 0.0]],
+                                                                     np.cumsum(steps, axis=0)]))
+        if draw(st.booleans()) and n > 2:
+            rows[1] = rows[0] + rng.normal(size=2) * 2.0
+        pairs.append(rows)
+    return pairs
+
+
+DIMS_ST = st.builds(lambda w, extra: VehicleDims(width=w, length=w + extra),
+                    st.floats(0.5, 2.5), st.floats(0.0, 4.0))
+
+
+class TestKernelMatchesPerPairReference:
+    """The array kernel against the frozen per-pair check (``conftest``), bit
+    for bit: disk centres, distances and flags of every row pair."""
+
+    @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST)
+    @settings(max_examples=300, deadline=None)
+    def test_rows_equal_per_pair_reference(self, pairs, factor, dims_a, dims_b):
+        dt = 0.1
+        trajs = [[Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt) for xy in rows]
+                 for rows in pairs]
+        ta_rows = disk_tracks([a.xy for a, _ in trajs], dims_a, factor)
+        tb_rows = disk_tracks([b.xy for _, b in trajs], dims_b, factor)
+        dist = min_disk_distances(ta_rows, tb_rows)
+        hit = collisions(ta_rows, tb_rows)
+        assert dist.shape == hit.shape == (len(pairs),)
+        for k, (ta, tb) in enumerate(trajs):
+            ra, rb = ref_resample(ta, factor), ref_resample(tb, factor)
+            m = ra.n
+            assert ta_rows.lengths[k] == m
+            assert np.array_equal(ta_rows.centers[k, ..., :m].transpose(2, 0, 1),
+                                  ref_disk_center_tracks(ra, dims_a))
+            want = ref_min_disk_distance(ra, rb, dims_a, dims_b)
+            assert np.array_equal(dist[k], want), k
+            assert hit[k] == ref_is_collision(ta, tb, dims_a, dims_b, factor), k
+            # the one-row case is the same kernel
+            assert is_collision(ta, tb, dims_a, dims_b, factor) == hit[k]
+            assert min_disk_distance(resample_trajectory(ta, factor),
+                                     resample_trajectory(tb, factor), dims_a, dims_b) == want

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from interaction_eval import (
+    DegenerateInterval,
+    EvalConfig,
     HomotopyClass,
     NoCollapse,
     PathRollout,
@@ -14,8 +16,20 @@ from interaction_eval import (
     speed_profile,
     validate_scene,
 )
+from interaction_eval.collision import VehicleDims
+from interaction_eval.homotopy import classify_pair_windows, gt_mode_sequence
+from interaction_eval.rollout import profile_rollouts
+from interaction_eval.types import common_window, trajectory_kinematics
 
-from conftest import circle_traj, crossing_scene, make_agent, straight_traj
+from conftest import (
+    circle_traj,
+    crossing_scene,
+    four_agent_scene,
+    make_agent,
+    random_crossing_scene,
+    ref_is_collision,
+    straight_traj,
+)
 
 A_LON = 1.47
 
@@ -167,3 +181,98 @@ class TestTimeline:
         tl = interaction_timeline(scene, pair, cfg)
         for i in range(tl.collapse_idx, len(tl.h_feas)):
             assert tl.h_gt[i] in tl.h_feas[i] or len(tl.h_feas[i]) == 0
+
+
+def reference_interaction_timeline(scene, pair, cfg):
+    """The timeline as it was before the batched collision check: rolls and
+    checks one frame at a time with the frozen per-pair collision check.
+    Returns the timeline's fields, or the exception type it raises."""
+    agent_a = scene.agent(pair.agent_a)
+    agent_b = scene.agent(pair.agent_b)
+    wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
+    n = wa.n
+    v_max = max_scene_speed(scene)
+    _, speeds_a = trajectory_kinematics(wa)
+    _, speeds_b = trajectory_kinematics(wb)
+    dims_a = VehicleDims(agent_a.width, agent_a.length)
+    dims_b = VehicleDims(agent_b.width, agent_b.length)
+    kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
+    feas = []
+    for i in range(n - 1):
+        n_steps = n - 1 - i
+        rolls_a = profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg)
+        rolls_b = profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg)
+        feasible = set()
+        for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
+                       (ProfileKind.ACCEL, ProfileKind.DECEL)):
+            ra, rb = rolls_a[ka], rolls_b[kb]
+            if not ref_is_collision(ra, rb, dims_a, dims_b, cfg.interp_factor):
+                feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
+        feas.append(frozenset(feasible))
+    sizes = [len(f) for f in feas]
+    collapse_idx = 0
+    for i in range(len(sizes)):
+        if all(s == 1 for s in sizes[i:]):
+            collapse_idx = i
+            break
+    else:
+        return NoCollapse
+    two = [i for i, s in enumerate(sizes) if s == 2]
+    if not two:
+        return DegenerateInterval
+    final_idx = two[-1]
+    horizon = cfg.horizon_frames(wa.dt)
+    gt = gt_mode_sequence(wa, wb, horizon, cfg.theta_hat)
+    start_idx = final_idx
+    for i in range(final_idx, max(0, final_idx - horizon) - 1, -1):
+        if gt[i] != gt[final_idx]:
+            break
+        start_idx = i
+    return (times, tuple(feas), tuple(gt), collapse_idx, final_idx, start_idx)
+
+
+def _timeline_fields(scene, pair, cfg):
+    try:
+        tl = interaction_timeline(scene, pair, cfg)
+    except (NoCollapse, DegenerateInterval) as e:
+        return type(e)
+    return (tl.t, tl.h_feas, tl.h_gt, tl.collapse_idx, tl.final_idx, tl.start_idx)
+
+
+def _assert_same_timeline(got, want, where):
+    if isinstance(want, type):
+        assert got is want, where
+        return
+    assert not isinstance(got, type), where
+    assert np.array_equal(got[0], want[0]), where
+    assert got[1:] == want[1:], where
+
+
+class TestTimelineMatchesPerFrameReference:
+    """The batched collision check gives every timeline field the per-frame
+    loop gave, or the same exception."""
+
+    @pytest.mark.parametrize("scene", [
+        crossing_scene(),
+        crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
+        four_agent_scene(),
+        crossing_scene(n=91, dt=0.1, gap_a=30, gap_b=36),
+    ], ids=["crossing", "asym", "four", "crossing_10hz"])
+    def test_golden_and_10hz_scenes(self, cfg, scene):
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        assert pairs
+        for pair in pairs:
+            _assert_same_timeline(_timeline_fields(scene, pair, cfg),
+                                  reference_interaction_timeline(scene, pair, cfg), pair)
+
+    def test_random_crossings(self):
+        outcomes = set()
+        for seed in range(12):
+            scene = random_crossing_scene(seed)
+            cfg = EvalConfig(interp_factor=(1, 2, 4)[seed % 3])
+            for pair in filter_scene_with_rejections(scene, cfg)[0]:
+                want = reference_interaction_timeline(scene, pair, cfg)
+                _assert_same_timeline(_timeline_fields(scene, pair, cfg), want, (seed, pair))
+                outcomes.add(want if isinstance(want, type) else "timeline")
+        # the corpus reaches a collapse and at least one raising outcome
+        assert "timeline" in outcomes and len(outcomes) > 1
