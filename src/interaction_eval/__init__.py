@@ -31,7 +31,6 @@ from .types import (  # noqa: F401
     Agent,
     EvalConfig,
     JointPredictionSet,
-    JointSample,
     Scene,
     Trajectory,
     common_window,
@@ -55,7 +54,7 @@ from .homotopy import (  # noqa: F401
     homotopy_class,
     winding_angle,
 )
-from .collision import VehicleDims, is_collision, min_disk_distance  # noqa: F401
+from .collision import VehicleDims, is_collision  # noqa: F401
 from .rollout import (  # noqa: F401
     InteractionTimeline,
     PathRollout,

@@ -13,10 +13,8 @@ from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
 from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, profile_rollouts
 from .types import (
-    Agent,
     EvalConfig,
     JointPredictionSet,
-    JointSample,
     Scene,
     Trajectory,
     agent_frame_index,
@@ -40,7 +38,7 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
         step = speeds[i] * scene.dt * np.array([np.cos(headings[i]), np.sin(headings[i])])
         future = agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step)
         trajs[agent.id] = future
-    return JointPredictionSet(frame=t, samples=(JointSample(p=1.0, trajs=trajs),))
+    return JointPredictionSet.from_samples(t, [(1.0, trajs)])
 
 
 def _collision_tables(rollouts: dict[str, dict[ProfileKind, Trajectory]],
@@ -67,7 +65,8 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     """Top-K collision-free profile combinations ranked by average speed.
 
     Agents involved in a critical pair get all three speed profiles along
-    their ground-truth path; everyone else keeps constant velocity.
+    their ground-truth path; everyone else is rolled out, and kept, at
+    constant velocity only.
 
     Once per frame, each agent of a critical pair gets the disk tracks of
     its three rollouts, each pair whose agents are both present gets a 3x3
@@ -80,23 +79,21 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
         raise ConfigError(f"oracle k must be >= 1, got {k}")
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
-    interacting = sorted({aid for p in pairs for aid in (p.agent_a, p.agent_b)})
+    interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
+    present = [(agent, i) for agent in scene.agents
+               if (i := agent_frame_index(scene, agent, t)) is not None]
+    # a bystander (in no critical pair) only ever keeps constant velocity
+    choices = [
+        (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
+        for agent, _ in present
+    ]
     rollouts: dict[str, dict[ProfileKind, Trajectory]] = {}
-    present: list[Agent] = []
-    for agent in scene.agents:
-        i = agent_frame_index(scene, agent, t)
-        if i is None:
-            continue
+    for (agent, i), (_, profiles) in zip(present, choices):
         traj = agent.trajectory
         _, speeds = trajectory_kinematics(traj)
         rollouts[agent.id] = profile_rollouts(traj, i, float(speeds[i]), v_max, horizon,
-                                              ORACLE_PROFILES, cfg, t0=float(traj.t[i]))
-        present.append(agent)
-    choices = [
-        (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
-        for agent in present
-    ]
-    dims = {a.id: VehicleDims(a.width, a.length) for a in present}
+                                              profiles, cfg, t0=float(traj.t[i]))
+    dims = {a.id: VehicleDims(a.width, a.length) for a, _ in present}
     check_pairs = [(p.agent_a, p.agent_b) for p in pairs
                    if p.agent_a in rollouts and p.agent_b in rollouts]
     collides_at = _collision_tables(rollouts, dims, check_pairs, cfg.interp_factor)
@@ -119,9 +116,7 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     candidates.sort(key=lambda c: (c[0], c[1]))
     top = candidates[:k]
     total = sum(c[3] for c in top)
-    samples = []
-    for _, _, assignment, avg_speed in top:
-        p = avg_speed / total if total > 0 else 1.0 / len(top)
-        trajs = {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()}
-        samples.append(JointSample(p=p, trajs=trajs))
-    return JointPredictionSet(frame=t, samples=tuple(samples))
+    return JointPredictionSet.from_samples(t, [
+        (avg_speed / total if total > 0 else 1.0 / len(top),
+         {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()})
+        for _, _, assignment, avg_speed in top])

@@ -12,7 +12,7 @@ apart.
 The checks run on stacks of rows: ``disk_tracks`` resamples a stack of
 trajectories of any lengths and lays out their disks once, and
 ``collisions`` checks each row pair of two such stacks in one array
-operation. ``is_collision`` and ``min_disk_distance`` are their one-row case.
+operation. ``is_collision`` is their one-row case.
 """
 
 from __future__ import annotations
@@ -92,13 +92,6 @@ def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
 def collisions(a: DiskTracks, b: DiskTracks) -> np.ndarray:
     """True for each row pair whose disk footprints overlap at any sample."""
     return min_disk_distances(a, b) < a.radius + b.radius
-
-
-def min_disk_distance(ta: Trajectory, tb: Trajectory,
-                      dims_a: VehicleDims, dims_b: VehicleDims) -> float:
-    """Minimum distance over shared frames and all 9 disk-center pairs."""
-    return float(min_disk_distances(disk_tracks([ta.xy], dims_a),
-                                    disk_tracks([tb.xy], dims_b))[0])
 
 
 def is_collision(ta: Trajectory, tb: Trajectory,

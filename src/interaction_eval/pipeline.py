@@ -62,22 +62,20 @@ class SceneEvaluation:
 def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
                         dt: float, theta_hat: float):
     """(h_ml, h_pred) of a joint prediction set for one pair; None if unusable."""
+    if pair.agent_a not in pset.agent_ids or pair.agent_b not in pset.agent_ids:
+        return None
+    ia, ib = pset.agent_ids.index(pair.agent_a), pset.agent_ids.index(pair.agent_b)
     h_ml = None
     classes = []
-    for idx, sample in enumerate(pset.samples):
-        fa = sample.trajs.get(pair.agent_a)
-        fb = sample.trajs.get(pair.agent_b)
-        if fa is None or fb is None:
-            continue
-        h = min(len(fa), len(fb))
+    for k, h in enumerate(np.minimum(pset.lengths[:, ia], pset.lengths[:, ib]).tolist()):
         if h < 2:
             continue
         tgrid = t0 + dt * np.arange(1, h + 1)
-        ta = Trajectory(t=tgrid, xy=np.asarray(fa)[:h], dt=dt)
-        tb = Trajectory(t=tgrid, xy=np.asarray(fb)[:h], dt=dt)
+        ta = Trajectory(t=tgrid, xy=pset.xy[k, ia, :h], dt=dt)
+        tb = Trajectory(t=tgrid, xy=pset.xy[k, ib, :h], dt=dt)
         cls = classify_pair_windows(ta, tb, theta_hat)
         classes.append(cls)
-        if idx == 0:
+        if k == 0:
             h_ml = cls
     if h_ml is None:
         return None

@@ -13,7 +13,8 @@ Prediction file:
 
 All values SI. Prediction samples are ordered by non-increasing p, and no p
 is negative; every trajectory has shape (H, 2), every frame holds at least
-one sample, and no frame number is listed twice.
+one sample, the samples of a frame name the same agents, and no frame number
+is listed twice.
 Both loaders raise ``ParseError`` for a file that breaks its format or that
 holds a number a float cannot hold. A scene file must also pass
 ``validate_scene``, and a prediction file must hold no ``NaN`` or infinite
@@ -33,7 +34,6 @@ from .errors import ConfigError, ParseError, SceneValidationError
 from .types import (
     Agent,
     JointPredictionSet,
-    JointSample,
     Scene,
     Trajectory,
     agent_frame_index,
@@ -102,8 +102,6 @@ def load_predictions(path: str | Path, scene: Scene,
     except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, str(e))
     out: dict[int, JointPredictionSet] = {}
-    arrays: list[np.ndarray] = []
-    probs: list[float] = []
     try:
         for fr in data["frames"]:
             frame = int(fr["frame"])
@@ -118,55 +116,52 @@ def load_predictions(path: str | Path, scene: Scene,
                         raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
                                                f"of shape {xy.shape}, expected (H, 2)")
                     trajs[str(aid)] = xy
-                    arrays.append(xy)
-                samples.append(JointSample(p=float(s["p"]), trajs=trajs))
-                probs.append(samples[-1].p)
-            if substitute_static and samples:
-                samples = [_substitute_static(s, scene, frame) for s in samples]
-            out[frame] = JointPredictionSet(frame=frame, samples=tuple(samples)).validate()
-            # validate() makes every sample name the same agents as the first
-            unknown = sorted(samples[0].trajs.keys() - scene.agents_by_id.keys())
+                samples.append((float(s["p"]), trajs))
+            out[frame] = pset = (_substitute_static(samples, scene, frame) if substitute_static
+                                 else JointPredictionSet.from_samples(frame, samples))
+            unknown = sorted(set(pset.agent_ids) - scene.agents_by_id.keys())
             if unknown:
                 raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
                                        f"not in scene {scene.scene_id}")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(path, f"malformed prediction file: {e!r}")
-    except ConfigError as e:  # JointPredictionSet.validate
+    except ConfigError as e:  # JointPredictionSet.from_samples
         raise ParseError(path, str(e))
-    # one check over the whole file; _first_non_finite only names the culprit
-    if not (np.isfinite(probs).all()
-            and (not arrays or np.isfinite(np.concatenate(arrays)).all())):
-        raise ParseError(path, _first_non_finite(data))
+    for frame, pset in out.items():
+        if not (np.isfinite(pset.p).all() and np.isfinite(pset.xy).all()):
+            # per sample, its probability and then each agent's positions
+            finite = np.column_stack((np.isfinite(pset.p),
+                                      np.isfinite(pset.xy).all(axis=(2, 3))))
+            k, col = (int(i) for i in np.argwhere(~finite)[0])
+            where = (f"frame {frame}, sample {k}: non-finite probability" if col == 0 else
+                     f"frame {frame}, sample {k}, agent {pset.agent_ids[col - 1]}: "
+                     "non-finite position")
+            raise ParseError(path, where)
     return out
-
-
-def _first_non_finite(data: dict) -> str:
-    """Where the first non-finite value of a decoded prediction file sits."""
-    for fr in data["frames"]:
-        for k, s in enumerate(fr["samples"]):
-            if not np.isfinite(float(s["p"])):
-                return f"frame {fr['frame']}, sample {k}: non-finite probability"
-            for aid, pts in s["trajs"].items():
-                if not np.isfinite(np.asarray(pts, dtype=float)).all():
-                    return f"frame {fr['frame']}, sample {k}, agent {aid}: non-finite position"
-    return "non-finite value"
 
 
 def _no_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-def _substitute_static(sample: JointSample, scene: Scene, frame: int) -> JointSample:
-    horizon = max((len(v) for v in sample.trajs.values()), default=0)
-    trajs = dict(sample.trajs)
-    for agent in scene.agents:
-        if agent.id in trajs:
-            continue
-        i = agent_frame_index(scene, agent, frame)
-        if i is None:
-            continue
-        trajs[agent.id] = np.tile(agent.trajectory.xy[i], (horizon, 1))
-    return JointSample(p=sample.p, trajs=trajs)
+def _substitute_static(samples: list[tuple[float, dict[str, np.ndarray]]], scene: Scene,
+                       frame: int) -> JointPredictionSet:
+    """The set of ``samples`` with each scene agent that a sample leaves out
+    held static at its current recorded position, over the sample's longest
+    horizon."""
+    filled = []
+    for p, trajs in samples:
+        horizon = max((len(v) for v in trajs.values()), default=0)
+        trajs = dict(trajs)
+        for agent in scene.agents:
+            if agent.id in trajs:
+                continue
+            i = agent_frame_index(scene, agent, frame)
+            if i is None:
+                continue
+            trajs[agent.id] = np.tile(agent.trajectory.xy[i], (horizon, 1))
+        filled.append((p, trajs))
+    return JointPredictionSet.from_samples(frame, filled)
 
 
 def save_predictions(scene_id: str, horizon: float,
@@ -178,9 +173,10 @@ def save_predictions(scene_id: str, horizon: float,
             {
                 "frame": frame,
                 "samples": [
-                    {"p": s.p, "trajs": {aid: np.asarray(t).tolist()
-                                         for aid, t in sorted(s.trajs.items())}}
-                    for s in pset.samples
+                    {"p": p, "trajs": {aid: pset.xy[k, a, :pset.lengths[k, a]].tolist()
+                                       for aid, a in sorted((aid, a) for a, aid
+                                                            in enumerate(pset.agent_ids))}}
+                    for k, p in enumerate(pset.p.tolist())
                 ],
             }
             for frame, pset in sorted(frames.items())

@@ -98,47 +98,53 @@ class Scene:
             raise UnknownAgent(agent_id)
         return agent
 
-    @property
-    def agent_ids(self) -> list[str]:
-        return [a.id for a in self.agents]
-
-
-@dataclass(frozen=True)
-class JointSample:
-    """One joint future: a probability and a trajectory per agent.
-
-    ``trajs`` maps agent id to an (H, 2) array of future positions.
-    """
-
-    p: float
-    trajs: dict[str, np.ndarray]
-
 
 @dataclass(frozen=True)
 class JointPredictionSet:
-    """K probability-ordered joint predictions issued at one frame."""
+    """K probability-ordered joint predictions issued at one frame.
+
+    ``p`` has shape (K,), ``xy`` (K, A, H, 2) and ``lengths`` (K, A): sample
+    k's future of agent ``agent_ids[a]`` is ``xy[k, a, :lengths[k, a]]``,
+    padded with 0.0 after it. The arrays are read-only. Build a set with
+    ``from_samples``.
+    """
 
     frame: int
-    samples: tuple[JointSample, ...]
+    agent_ids: tuple[str, ...]
+    p: np.ndarray
+    xy: np.ndarray
+    lengths: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        for name, dtype in (("p", float), ("xy", float), ("lengths", int)):
+            value = np.asarray(getattr(self, name), dtype=dtype)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-    def validate(self) -> "JointPredictionSet":
-        if not self.samples:
-            raise ConfigError(f"frame {self.frame}: no samples")
-        probs = [s.p for s in self.samples]
+    @classmethod
+    def from_samples(cls, frame: int,
+                     samples: list[tuple[float, dict[str, np.ndarray]]]) -> "JointPredictionSet":
+        """Pack ``[(p, {agent id: (H, 2) future})]`` in the first sample's agent
+        order. Raises ConfigError for no samples, a negative ``p``, samples not
+        ordered by ``p``, a ``p`` sum past 1, or samples that disagree on agent ids."""
+        if not samples:
+            raise ConfigError(f"frame {frame}: no samples")
+        probs = [float(p) for p, _ in samples]
         if min(probs) < 0:
-            raise ConfigError(f"frame {self.frame}: negative probability {min(probs)}")
+            raise ConfigError(f"frame {frame}: negative probability {min(probs)}")
         if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
-            raise ConfigError(f"frame {self.frame}: samples not ordered by probability")
+            raise ConfigError(f"frame {frame}: samples not ordered by probability")
         if sum(probs) > 1.0 + 1e-6:
-            raise ConfigError(f"frame {self.frame}: probabilities sum to {sum(probs)}")
-        ids = set(self.samples[0].trajs)
-        for s in self.samples[1:]:
-            if set(s.trajs) != ids:
-                raise ConfigError(f"frame {self.frame}: samples disagree on agent ids")
-        return self
+            raise ConfigError(f"frame {frame}: probabilities sum to {sum(probs)}")
+        ids = tuple(samples[0][1])
+        if any(trajs.keys() != samples[0][1].keys() for _, trajs in samples[1:]):
+            raise ConfigError(f"frame {frame}: samples disagree on agent ids")
+        lengths = [[len(trajs[aid]) for aid in ids] for _, trajs in samples]
+        xy = np.zeros((len(samples), len(ids), max(max(row, default=0) for row in lengths), 2))
+        for k, (_, trajs) in enumerate(samples):
+            for a, aid in enumerate(ids):
+                xy[k, a, :lengths[k][a]] = trajs[aid]
+        return cls(frame, ids, probs, xy, lengths)
 
 
 @dataclass(frozen=True)

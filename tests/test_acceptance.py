@@ -19,7 +19,6 @@ from interaction_eval import (
     EvalConfig,
     HomotopyClass,
     JointPredictionSet,
-    JointSample,
     PairRejection,
     RejectReason,
     Scene,
@@ -33,7 +32,6 @@ from interaction_eval import (
     interaction_timeline,
     is_collision,
     max_scene_speed,
-    min_disk_distance,
     oracle_predict,
     pair_time_metrics,
     resample_trajectory,
@@ -43,6 +41,7 @@ from interaction_eval import (
     validate_scene,
     winding_angle,
 )
+from interaction_eval.collision import disk_tracks, min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
 from interaction_eval.rollout import ProfileKind, profile_rollouts
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
@@ -431,7 +430,7 @@ def test_collision_vs_rectangle_oracle(capsys):
         n_overlap += rect
         if disk == rect:
             continue
-        gap = (min_disk_distance(ta, tb, dims_a, dims_b)
+        gap = (min_disk_distances(disk_tracks([ta.xy], dims_a), disk_tracks([tb.xy], dims_b))[0]
                - (dims_a.radius + dims_b.radius))
         if abs(gap) >= 0.2:
             outside_band += 1
@@ -466,30 +465,28 @@ def test_displacement_metrics(capsys):
            for a in scene.agents}
 
     # uniform 1 m offset
-    uniform = JointPredictionSet(frame=frame, samples=(
-        JointSample(p=1.0, trajs={aid: gt + np.array([0.0, 1.0])
-                                  for aid, gt in gts.items()}),))
+    uniform = JointPredictionSet.from_samples(frame, [
+        (1.0, {aid: gt + np.array([0.0, 1.0]) for aid, gt in gts.items()})])
     du = displacement_metrics([uniform], scene)
     exact = du.ml_ade == 1.0 and du.ml_fde == 1.0 and du.joint_min_ade == 1.0
 
     # K = 3 random joint samples vs brute force
     rng = np.random.default_rng(20240817)
-    samples = tuple(
-        JointSample(p=1.0 / 3.0, trajs={
-            aid: gt + rng.normal(0.0, 2.0, gt.shape) for aid, gt in gts.items()})
-        for _ in range(3)
-    )
-    pred = JointPredictionSet(frame=frame, samples=samples)
+    pred = JointPredictionSet.from_samples(frame, [
+        (1.0 / 3.0, {aid: gt + rng.normal(0.0, 2.0, gt.shape) for aid, gt in gts.items()})
+        for _ in range(3)])
     d = displacement_metrics([pred], scene)
+    # each sample's future of each agent, by agent id
+    samples = [{aid: xy[a] for a, aid in enumerate(pred.agent_ids)} for xy in pred.xy]
 
     per_sample_ade, per_sample_fde, per_agent_min = [], [], []
     for s in samples:
-        errs = {aid: np.hypot(*(s.trajs[aid] - gts[aid]).T) for aid in gts}
+        errs = {aid: np.hypot(*(s[aid] - gts[aid]).T) for aid in gts}
         per_sample_ade.append(np.mean(np.concatenate(list(errs.values()))))
         per_sample_fde.append(np.mean([e[-1] for e in errs.values()]))
     brute_ade, brute_fde = min(per_sample_ade), min(per_sample_fde)
     mix_ade = np.mean([
-        min(np.hypot(*(s.trajs[aid] - gts[aid]).T).mean() for s in samples)
+        min(np.hypot(*(s[aid] - gts[aid]).T).mean() for s in samples)
         for aid in gts
     ])
     ade_err = abs(d.joint_min_ade - brute_ade)

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from interaction_eval import (
     validate_scene,
     winding_angle,
 )
+from interaction_eval.baselines import ORACLE_PROFILES
 from interaction_eval.errors import NoFeasibleCombo
 from interaction_eval.rollout import (
     PROFILE_ORDER,
@@ -28,7 +30,6 @@ from interaction_eval.rollout import (
 )
 from interaction_eval.types import (
     JointPredictionSet,
-    JointSample,
     agent_frame_index,
     trajectory_kinematics,
 )
@@ -64,13 +65,14 @@ class TestConstantVelocity:
     def test_single_unit_probability_sample(self, cfg):
         scene = crossing_scene(n=30)
         pred = cv_predict(scene, 3, cfg)
-        assert len(pred.samples) == 1
-        assert pred.samples[0].p == pytest.approx(1.0)
+        assert pred.p.tolist() == [1.0]
+        assert pred.agent_ids == ("a", "b")
 
     def test_extrapolates_current_motion(self, cfg):
         scene = crossing_scene(n=30)
         pred = cv_predict(scene, 3, cfg)
-        fut = pred.samples[0].trajs["a"]
+        fut = pred.xy[0, pred.agent_ids.index("a")]
+        assert pred.lengths.tolist() == [[12, 12]]
         assert fut.shape == (cfg.horizon_frames(scene.dt), 2)
         # agent a moves east at 6 m/s from x = -40 + 3*3
         np.testing.assert_allclose(fut[0], [-28.0, 0.0], atol=1e-9)
@@ -80,7 +82,7 @@ class TestConstantVelocity:
         a = make_agent("a", straight_traj((3, 4), (0, 0), 30))
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
-        fut = cv_predict(scene, 3, cfg).samples[0].trajs["a"]
+        fut = cv_predict(scene, 3, cfg).xy[0, 0]
         np.testing.assert_allclose(fut, [[3.0, 4.0]] * 12)
 
 
@@ -89,8 +91,8 @@ class TestOracle:
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 5, cfg)
-        assert len(pred.samples) == 5
-        probs = [s.p for s in pred.samples]
+        assert pred.xy.shape[0] == 5
+        probs = pred.p.tolist()
         assert all(p > 0 for p in probs)
         assert probs == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0)
@@ -99,27 +101,38 @@ class TestOracle:
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 3, pairs, 50, cfg)
-        assert len(pred.samples) <= 9  # at most 3^2 combinations for one pair
+        assert len(pred.p) <= 9  # at most 3^2 combinations for one pair
 
-    def test_non_interacting_agent_stays_constant_velocity(self, cfg):
+    def test_non_interacting_agent_stays_constant_velocity(self, cfg, monkeypatch):
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         c = make_agent("c", straight_traj((0, 300), (6, 0), 30))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b, c)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
+        assert {(p.agent_a, p.agent_b) for p in pairs} == {("a", "b")}
+        rolled = []
+        roll = PathRollout.roll
+
+        def counted(self, profile, *args, **kwargs):
+            rolled.append(profile.kind)
+            return roll(self, profile, *args, **kwargs)
+        monkeypatch.setattr(PathRollout, "roll", counted)
         pred = oracle_predict(scene, 3, pairs, 9, cfg)
-        futures = {tuple(np.asarray(s.trajs["c"])[-1]) for s in pred.samples}
+        c = pred.agent_ids.index("c")
+        futures = {tuple(pred.xy[k, c, pred.lengths[k, c] - 1]) for k in range(len(pred.p))}
         assert len(futures) == 1  # same constant-velocity future in all samples
+        # three profiles for each of a and b, and c is rolled at constant velocity only
+        assert Counter(rolled) == Counter([*ORACLE_PROFILES] * 2 + [ProfileKind.CONST_VEL])
 
     def test_combos_are_collision_free(self, cfg):
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, 6, pairs, 9, cfg)
         dims = {ag.id: VehicleDims(ag.width, ag.length) for ag in scene.agents}
-        for s in pred.samples:
-            t = scene.dt * np.arange(len(s.trajs["a"]))
-            ta = Trajectory(t=t, xy=s.trajs["a"], dt=scene.dt)
-            tb = Trajectory(t=t, xy=s.trajs["b"], dt=scene.dt)
+        for xy_a, xy_b in pred.xy:
+            t = scene.dt * np.arange(len(xy_a))
+            ta = Trajectory(t=t, xy=xy_a, dt=scene.dt)
+            tb = Trajectory(t=t, xy=xy_b, dt=scene.dt)
             assert not is_collision(ta, tb, dims["a"], dims["b"], cfg.interp_factor)
 
     def test_full_enumeration_covers_feasible_classes(self, cfg):
@@ -130,10 +143,10 @@ class TestOracle:
         frame = 2
         pred = oracle_predict(scene, frame, pairs, 100, cfg)
         classes = set()
-        for s in pred.samples:
-            t = scene.dt * np.arange(len(s.trajs["a"]))
-            ta = Trajectory(t=t, xy=s.trajs["a"], dt=scene.dt)
-            tb = Trajectory(t=t, xy=s.trajs["b"], dt=scene.dt)
+        for xy_a, xy_b in pred.xy:
+            t = scene.dt * np.arange(len(xy_a))
+            ta = Trajectory(t=t, xy=xy_a, dt=scene.dt)
+            tb = Trajectory(t=t, xy=xy_b, dt=scene.dt)
             d = winding_angle(ta, tb).delta_theta
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
         assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])
@@ -197,8 +210,8 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
     for _, _, assignment, avg_speed in top:
         p = avg_speed / total if total > 0 else 1.0 / len(top)
         trajs = {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()}
-        samples.append(JointSample(p=p, trajs=trajs))
-    return JointPredictionSet(frame=t, samples=tuple(samples))
+        samples.append((p, trajs))
+    return JointPredictionSet.from_samples(t, samples)
 
 
 def _outcome(predict, *args):
@@ -226,12 +239,10 @@ class TestOracleCollisionTables:
                     continue
                 assert isinstance(got, JointPredictionSet), (seed, frame)
                 assert got.frame == want.frame
-                assert len(got.samples) == len(want.samples), (seed, frame)
-                for g, w in zip(got.samples, want.samples):
-                    assert g.p == w.p, (seed, frame)
-                    assert list(g.trajs) == list(w.trajs)
-                    for aid in w.trajs:
-                        assert np.array_equal(g.trajs[aid], w.trajs[aid]), (seed, frame, aid)
+                assert got.agent_ids == want.agent_ids, (seed, frame)
+                assert got.p.tolist() == want.p.tolist(), (seed, frame)
+                assert np.array_equal(got.lengths, want.lengths), (seed, frame)
+                assert np.array_equal(got.xy, want.xy), (seed, frame)
                 feasible += 1
                 multi_pair += len(pairs) > 1
         # the corpus exercises both outcomes and frames with several pairs

@@ -7,7 +7,6 @@ from interaction_eval import (
     Trajectory,
     VehicleDims,
     is_collision,
-    min_disk_distance,
     resample_trajectory,
 )
 from interaction_eval.collision import collisions, disk_tracks, min_disk_distances
@@ -22,6 +21,11 @@ from conftest import (
 
 
 DIMS = VehicleDims(width=2.0, length=4.0)
+
+
+def one_row_distance(ta, tb, dims_a, dims_b):
+    """The kernel's minimum disk distance of one trajectory pair."""
+    return min_disk_distances(disk_tracks([ta.xy], dims_a), disk_tracks([tb.xy], dims_b))[0]
 
 
 def disks_at(x, y, heading, dims):
@@ -66,13 +70,13 @@ class TestMinDistance:
     def test_parallel_lanes(self):
         ta = straight_traj((0, 0), (6, 0), 10)
         tb = straight_traj((0, 5), (6, 0), 10)
-        d = min_disk_distance(ta, tb, DIMS, DIMS)
+        d = one_row_distance(ta, tb, DIMS, DIMS)
         assert d == pytest.approx(5.0)
 
     def test_nose_to_tail_same_heading(self):
         ta = straight_traj((0, 0), (6, 0), 10)
         tb = straight_traj((10, 0), (6, 0), 10)
-        d = min_disk_distance(ta, tb, DIMS, DIMS)
+        d = one_row_distance(ta, tb, DIMS, DIMS)
         # Closest disks are the facing bumpers: 10 - 1 - 1 = 8.
         assert d == pytest.approx(8.0)
 
@@ -165,5 +169,5 @@ class TestKernelMatchesPerPairReference:
             assert hit[k] == ref_is_collision(ta, tb, dims_a, dims_b, factor), k
             # the one-row case is the same kernel
             assert is_collision(ta, tb, dims_a, dims_b, factor) == hit[k]
-            assert min_disk_distance(resample_trajectory(ta, factor),
-                                     resample_trajectory(tb, factor), dims_a, dims_b) == want
+            assert one_row_distance(resample_trajectory(ta, factor),
+                                    resample_trajectory(tb, factor), dims_a, dims_b) == want

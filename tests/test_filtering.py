@@ -171,7 +171,7 @@ def full_matrix_classify_pair(scene, a, b, cfg):
 def brute_force_filter(scene, cfg):
     """Reference: the full-matrix test on every pair, no scene-level pruning."""
     accepted, rejected = [], []
-    for a, b in itertools.combinations(sorted(scene.agent_ids), 2):
+    for a, b in itertools.combinations(sorted(scene.agents_by_id), 2):
         try:
             result = full_matrix_classify_pair(scene, a, b, cfg)
         except EmptyOverlap:

@@ -49,6 +49,9 @@ RUNS = {
     "eval-cv": ["eval", "--scene-dir", "scenes", "--pred", "cv", "--out-dir", "eval-cv"],
     "eval-oracle": ["eval", "--scene-dir", "scenes", "--pred", "oracle",
                     "--out-dir", "eval-oracle"],
+    # reads back the prediction files that "baseline-oracle" wrote
+    "eval-predfile": ["eval", "--scene-dir", "scenes", "--pred", "baseline-oracle",
+                      "--out-dir", "eval-predfile"],
     "eval-fixture": ["eval", "--fixture", "fixture.json", "--out-dir", "eval-fixture"],
 }
 
@@ -98,6 +101,22 @@ GOLDEN = {
     "eval-oracle/pairs.csv":
         "7d9c30d682bf21d704aeb44ad49c3bf6b05e8f87fc42ea2d55cbfe5f95d0145d",
     "eval-oracle/report.json":
+        "c26de173b61aa3bb4f79f271ea5a69dd5ac23cdc4ed46fafc5b3fd0f9a8a7f44",
+    "eval-predfile/curves.csv":
+        "3848ff07e40a6ca01fc7bb150a27c4cf4da939a5420dc1ca7e8a4924c41510d6",
+    "eval-predfile/filter.csv":
+        "11d30668032ddaa75c228c082e46a47c26e20ae69389d2519d5a02e98af6f924",
+    "eval-predfile/frames.csv":
+        "c5cfcb48cd6200f793f8d140f3e348c97c4c6cf7701f6c26393f0451b2e0929e",
+    "eval-predfile/heatmap.csv":
+        "295e4fed7d0c9d4015cc3fc37fba85a8d596ee3bed35713c9b9e76cd3c3618cd",
+    "eval-predfile/ihs_hist.csv":
+        "65c9c8415dd45f49d5b628886172759eff18b9552f55e772b2eef426c12e495f",
+    "eval-predfile/manifest.json":
+        "530ee159ebbf1051e356633787d8d855a85a1d934186656cb788ea8dd1ecac2d",
+    "eval-predfile/pairs.csv":
+        "7d9c30d682bf21d704aeb44ad49c3bf6b05e8f87fc42ea2d55cbfe5f95d0145d",
+    "eval-predfile/report.json":
         "c26de173b61aa3bb4f79f271ea5a69dd5ac23cdc4ed46fafc5b3fd0f9a8a7f44",
     "eval-fixture/curves.csv":
         "4ed85d59cfec9b333d608a6ddd55ae6bc9f79dcaff2dd8c19a266f2e6449fe5d",

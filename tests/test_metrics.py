@@ -13,7 +13,6 @@ from interaction_eval import (
     FrameRecord,
     HomotopyClass,
     JointPredictionSet,
-    JointSample,
     PairMetrics,
     PairRecord,
     aggregate,
@@ -148,9 +147,7 @@ class TestDisplacement:
         for agent in scene.agents:
             gt = agent.trajectory.xy[frame + 1: frame + 1 + horizon]
             trajs[agent.id] = gt + np.array([0.6, 0.8])
-        pred = JointPredictionSet(
-            frame=frame, samples=(JointSample(p=1.0, trajs=trajs),)
-        )
+        pred = JointPredictionSet.from_samples(frame, [(1.0, trajs)])
         d = displacement_metrics([pred], scene)
         assert d.ml_ade == pytest.approx(1.0, abs=1e-12)
         assert d.ml_fde == pytest.approx(1.0, abs=1e-12)
@@ -163,15 +160,13 @@ class TestDisplacement:
         def sample(off_a, off_b):
             gt_a = scene.agents[0].trajectory.xy[frame + 1: frame + 1 + horizon]
             gt_b = scene.agents[1].trajectory.xy[frame + 1: frame + 1 + horizon]
-            return JointSample(p=0.5, trajs={
+            return (0.5, {
                 "a": gt_a + np.array([off_a, 0.0]),
                 "b": gt_b + np.array([off_b, 0.0]),
             })
 
         # Sample 1: perfect for a, bad for b. Sample 2: mediocre for both.
-        pred = JointPredictionSet(
-            frame=frame, samples=(sample(0.0, 4.0), sample(1.0, 1.0))
-        )
+        pred = JointPredictionSet.from_samples(frame, [sample(0.0, 4.0), sample(1.0, 1.0)])
         d = displacement_metrics([pred], scene)
         # Joint minimum picks the best whole sample (mean error 1.0), never
         # the per-agent mix-and-match (which would be 0.5).
@@ -187,21 +182,21 @@ class TestDisplacement:
             # predict 12 steps though only 2 remain in GT
             pad = np.vstack([gt + 1000.0] * 6)[:12 - len(gt)]
             trajs[agent.id] = np.vstack([gt, pad])
-        pred = JointPredictionSet(
-            frame=frame, samples=(JointSample(p=1.0, trajs=trajs),)
-        )
+        pred = JointPredictionSet.from_samples(frame, [(1.0, trajs)])
         d = displacement_metrics([pred], scene)
         assert d.ml_ade == pytest.approx(0.0, abs=1e-12)
 
 
 def loop_displacement_metrics(predictions, scene):
-    """Reference: the per-(frame, sample, agent) loop the array code replaced."""
+    """Reference: the per-(frame, sample, agent) loop the array code replaced,
+    in the set's agent order."""
     ml_err, ml_fin, jmin_ade, jmin_fde = [], [], [], []
     for pred in predictions:
         per_sample_ade, per_sample_fde = [], []
-        for k, sample in enumerate(pred.samples):
+        for k in range(len(pred.p)):
             errs, fins = [], []
-            for aid, future in sample.trajs.items():
+            for a, aid in enumerate(pred.agent_ids):
+                future = pred.xy[k, a, :pred.lengths[k, a]]
                 agent = scene.agent(aid)
                 i = agent_frame_index(scene, agent, pred.frame)
                 if i is None:
@@ -211,7 +206,7 @@ def loop_displacement_metrics(predictions, scene):
                 if h < 1:
                     continue
                 gt = agent.trajectory.xy[i + 1:i + 1 + h]
-                e = np.hypot(*(np.asarray(future)[:h] - gt).T)
+                e = np.hypot(*(future[:h] - gt).T)
                 errs.append(e)
                 fins.append(float(e[-1]))
             if not errs:
@@ -271,8 +266,8 @@ def random_case(seed, ragged=None, shuffled=None):
                 scale = 10.0 ** rng.uniform(-3.0, 2.0)
                 trajs[str(aid)] = (scene.agent(str(aid)).trajectory.xy[-1]
                                    + rng.normal(0.0, scale, (h, 2)))
-            samples.append(JointSample(p=1.0 / k_samples, trajs=trajs))
-        preds.append(JointPredictionSet(frame=frame, samples=tuple(samples)))
+            samples.append((1.0 / k_samples, trajs))
+        preds.append(JointPredictionSet.from_samples(frame, samples))
     return scene, preds
 
 
@@ -289,8 +284,8 @@ def assert_bit_equal(scene, preds):
 
 
 class TestDisplacementArrayCode:
-    """displacement_metrics stacks each frame's samples into one array; it
-    must equal the per-sample loop bit for bit."""
+    """displacement_metrics grades each frame's samples from one error
+    array; it must equal the per-sample loop bit for bit."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            ragged=st.sampled_from([None, False, True]),
@@ -305,10 +300,9 @@ class TestDisplacementArrayCode:
         b = make_agent("b", straight_traj((0.0, 9.0), (5.0, 0.0), 6))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
         rng = np.random.default_rng(5)
-        preds = [JointPredictionSet(frame=f, samples=tuple(
-            JointSample(p=0.25, trajs={"a": rng.normal(0.0, 3.0, (12, 2)),
-                                       "b": rng.normal(0.0, 3.0, (12, 2))})
-            for _ in range(4))) for f in (2, 5, 7, 9, 12)]
+        preds = [JointPredictionSet.from_samples(f, [
+            (0.25, {"a": rng.normal(0.0, 3.0, (12, 2)), "b": rng.normal(0.0, 3.0, (12, 2))})
+            for _ in range(4)]) for f in (2, 5, 7, 9, 12)]
         assert_bit_equal(scene, preds)
         assert displacement_metrics(preds[2:3], scene) == loop_displacement_metrics(
             preds[2:3], scene)

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from interaction_eval import (
     ConfigError,
     EvalConfig,
+    JointPredictionSet,
     ParseError,
     cv_predict,
     evaluate_scene,
@@ -87,9 +88,9 @@ class TestPredictionRoundTrip:
         back = load_predictions(p, scene)
         assert set(back) == set(result.predictions)
         f = next(iter(back))
-        np.testing.assert_allclose(
-            back[f].samples[0].trajs["a"], result.predictions[f].samples[0].trajs["a"]
-        )
+        assert back[f].agent_ids == result.predictions[f].agent_ids
+        np.testing.assert_array_equal(back[f].lengths, result.predictions[f].lengths)
+        np.testing.assert_allclose(back[f].xy, result.predictions[f].xy)
 
     def test_substitute_static(self, tmp_path, cfg):
         scene = crossing_scene(n=30)
@@ -102,11 +103,58 @@ class TestPredictionRoundTrip:
             {"scene_id": scene.scene_id, "horizon": 6.0,
              "frames": list(pred.values())}))
         bare = load_predictions(p, scene)
-        assert "b" not in bare[3].samples[0].trajs
+        assert bare[3].agent_ids == ("a",)
         filled = load_predictions(p, scene, substitute_static=True)
-        trajs = filled[3].samples[0].trajs
-        assert "b" in trajs
-        np.testing.assert_allclose(trajs["b"], [scene.agents[1].trajectory.xy[3]] * 12)
+        assert filled[3].agent_ids == ("a", "b")
+        assert filled[3].lengths.tolist() == [[12, 12]]
+        np.testing.assert_allclose(filled[3].xy[0, 1],
+                                   [scene.agents[1].trajectory.xy[3]] * 12)
+
+    @staticmethod
+    def write(path, scene, frames):
+        path.write_text(json.dumps({"scene_id": scene.scene_id, "horizon": 6.0,
+                                    "frames": frames}))
+
+    def test_frame_without_agents_skips_its_pair(self, tmp_path, cfg):
+        scene = crossing_scene(n=30)
+        p = tmp_path / "pred.json"
+        self.write(p, scene, [{"frame": 3, "samples": [{"p": 1.0, "trajs": {}}]}])
+        preds = load_predictions(p, scene)
+        assert preds[3].agent_ids == ()
+        assert preds[3].xy.shape == (1, 0, 0, 2)
+        result = evaluate_scene(scene, cfg, predictions=preds)
+        assert [ev.skipped for ev in result.pairs] == ["NoPredictionFrames"]
+
+    def test_shuffled_agents_load_in_first_sample_order(self, tmp_path):
+        scene = crossing_scene(n=30)
+        fa, fb = [[1.0, 2.0]] * 3, [[3.0, 4.0]] * 3
+        p = tmp_path / "pred.json"
+        self.write(p, scene, [{"frame": 3, "samples": [
+            {"p": 0.5, "trajs": {"b": fb, "a": fa}},
+            {"p": 0.5, "trajs": {"a": fa, "b": fb}}]}])
+        pset = load_predictions(p, scene)[3]
+        assert pset.agent_ids == ("b", "a")
+        np.testing.assert_array_equal(pset.xy[:, 0], [fb, fb])
+        np.testing.assert_array_equal(pset.xy[:, 1], [fa, fa])
+
+    def test_ragged_round_trip(self, tmp_path):
+        scene = crossing_scene(n=30)
+        rng = np.random.default_rng(3)
+        lengths = [[4, 9], [12, 1], [7, 7]]
+        pset = JointPredictionSet.from_samples(5, [
+            (p, {"a": rng.normal(0.0, 5.0, (ha, 2)), "b": rng.normal(0.0, 5.0, (hb, 2))})
+            for p, (ha, hb) in zip((0.5, 0.3, 0.2), lengths)])
+        assert pset.xy.shape == (3, 2, 12, 2)
+        p = tmp_path / "pred.json"
+        save_predictions(scene.scene_id, 6.0, {5: pset}, p)
+        written = json.loads(p.read_text())["frames"][0]["samples"]
+        assert [[len(s["trajs"][aid]) for aid in ("a", "b")] for s in written] == lengths
+        back = load_predictions(p, scene)[5]
+        assert back.agent_ids == pset.agent_ids
+        assert back.p.tolist() == pset.p.tolist()
+        np.testing.assert_array_equal(back.lengths, lengths)
+        # equal futures, and 0.0 padding past each length on both sides
+        np.testing.assert_array_equal(back.xy, pset.xy)
 
 
 class TestEvaluateScene:
@@ -372,8 +420,14 @@ class TestCli:
         (lambda fr: fr.__setitem__("frame", 0), "frame 0: listed more than once"),
         (lambda fr: fr["samples"][0].__setitem__("p", -0.5),
          "frame 1: negative probability -0.5"),
+        (lambda fr: fr["samples"].append(
+            {"p": 0.0, "trajs": {"a": fr["samples"][0]["trajs"]["a"]}}),
+         "frame 1: samples disagree on agent ids"),
+        (lambda fr: fr["samples"].append(dict(fr["samples"][0], p=0.5)),
+         "frame 1: probabilities sum to 1.5"),
     ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
-            "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p"])
+            "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p",
+            "samples_disagree", "p_sum"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions

@@ -12,6 +12,7 @@ from interaction_eval import (
     DuplicateAgentId,
     EmptyOverlap,
     EvalConfig,
+    JointPredictionSet,
     NonFiniteCoordinate,
     NonUniformSampling,
     Scene,
@@ -57,6 +58,21 @@ class TestScene:
         scene = Scene(scene_id="s", dt=0.5, agents=())
         with pytest.raises(ShortTrajectory):
             validate_scene(scene)
+
+
+class TestJointPredictionSet:
+    def test_packs_in_first_sample_order_with_zero_padding(self):
+        fa, fb = np.ones((3, 2)), np.full((5, 2), 2.0)
+        pset = JointPredictionSet.from_samples(4, [(0.6, {"b": fb, "a": fa}),
+                                                   (0.4, {"a": fa[:1], "b": fb})])
+        assert pset.frame == 4 and pset.agent_ids == ("b", "a")
+        assert pset.p.tolist() == [0.6, 0.4]
+        assert pset.lengths.tolist() == [[5, 3], [5, 1]]
+        assert pset.xy.shape == (2, 2, 5, 2)
+        np.testing.assert_array_equal(pset.xy[1, 1], [[1.0, 1.0]] + [[0.0, 0.0]] * 4)
+        for arr in (pset.p, pset.xy, pset.lengths):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 7
 
 
 class TestValidation:
