@@ -59,10 +59,8 @@ from .rollout import (  # noqa: F401
     InteractionTimeline,
     PathRollout,
     ProfileKind,
-    SpeedProfile,
     interaction_timeline,
     max_scene_speed,
-    speed_profile,
 )
 from .baselines import cv_predict, oracle_predict  # noqa: F401
 from .metrics import (  # noqa: F401

@@ -16,7 +16,6 @@ from .types import (
     EvalConfig,
     JointPredictionSet,
     Scene,
-    Trajectory,
     agent_frame_index,
     trajectory_kinematics,
 )
@@ -41,7 +40,7 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
     return JointPredictionSet.from_samples(t, [(1.0, trajs)])
 
 
-def _collision_tables(rollouts: dict[str, dict[ProfileKind, Trajectory]],
+def _collision_tables(rollouts: dict[str, dict[ProfileKind, np.ndarray]],
                       dims: dict[str, VehicleDims], check_pairs: list[tuple[str, str]],
                       interp_factor: int) -> dict:
     """Per checked pair, whether each (profile, profile) of its rollouts collides.
@@ -49,7 +48,7 @@ def _collision_tables(rollouts: dict[str, dict[ProfileKind, Trajectory]],
     The disk tracks of each agent's rollouts are laid out once and live only
     while the tables are built.
     """
-    tracks = {aid: disk_tracks([rollouts[aid][kind].xy for kind in ORACLE_PROFILES], dims[aid],
+    tracks = {aid: disk_tracks([rollouts[aid][kind] for kind in ORACLE_PROFILES], dims[aid],
                                interp_factor)
               for aid in {aid for pair in check_pairs for aid in pair}}
     # row pair 3 * i + j of a table is (ORACLE_PROFILES[i], ORACLE_PROFILES[j])
@@ -87,18 +86,17 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
         (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
         for agent, _ in present
     ]
-    rollouts: dict[str, dict[ProfileKind, Trajectory]] = {}
+    rollouts: dict[str, dict[ProfileKind, np.ndarray]] = {}
     for (agent, i), (_, profiles) in zip(present, choices):
-        traj = agent.trajectory
-        _, speeds = trajectory_kinematics(traj)
-        rollouts[agent.id] = profile_rollouts(traj, i, float(speeds[i]), v_max, horizon,
-                                              profiles, cfg, t0=float(traj.t[i]))
+        _, speeds = trajectory_kinematics(agent.trajectory)
+        rollouts[agent.id] = profile_rollouts(agent.trajectory, i, float(speeds[i]), v_max,
+                                              horizon, profiles, cfg)
     dims = {a.id: VehicleDims(a.width, a.length) for a, _ in present}
     check_pairs = [(p.agent_a, p.agent_b) for p in pairs
                    if p.agent_a in rollouts and p.agent_b in rollouts]
     collides_at = _collision_tables(rollouts, dims, check_pairs, cfg.interp_factor)
     mean_speed = {
-        aid: {kind: np.hypot(*(np.diff(rollouts[aid][kind].xy, axis=0).T)).mean() / scene.dt
+        aid: {kind: np.hypot(*(np.diff(rollouts[aid][kind], axis=0).T)).mean() / scene.dt
               for kind in profiles}
         for aid, profiles in choices
     }
@@ -118,5 +116,5 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     total = sum(c[3] for c in top)
     return JointPredictionSet.from_samples(t, [
         (avg_speed / total if total > 0 else 1.0 / len(top),
-         {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()})
+         {aid: rollouts[aid][kind][1:] for aid, kind in assignment.items()})
         for _, _, assignment, avg_speed in top])

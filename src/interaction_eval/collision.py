@@ -1,4 +1,4 @@
-"""Three-disk vehicle collision detection for time-aligned trajectory pairs.
+"""Three-disk vehicle collision detection for time-aligned position tracks.
 
 Each vehicle is three disks of radius r = w/2, at its centre and at
 +-(L/2 - r) along its heading. The disks are inscribed in the w x L
@@ -10,7 +10,7 @@ rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
 The checks run on stacks of rows: ``disk_tracks`` resamples a stack of
-trajectories of any lengths and lays out their disks once, and
+position rows of any lengths and lays out their disks once, and
 ``collisions`` checks each row pair of two such stacks in one array
 operation. ``is_collision`` is their one-row case.
 """
@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import LengthMismatch
-from .types import Trajectory, kinematics_rows, resample_rows
+from .types import kinematics_rows, resample_rows
 # the benchmark's tracer patches these two names in this module
 from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 
@@ -94,9 +94,10 @@ def collisions(a: DiskTracks, b: DiskTracks) -> np.ndarray:
     return min_disk_distances(a, b) < a.radius + b.radius
 
 
-def is_collision(ta: Trajectory, tb: Trajectory,
+def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,
                  dims_a: VehicleDims, dims_b: VehicleDims,
                  interp_factor: int = 1) -> bool:
-    """True iff the disk footprints overlap at any (interpolated) frame."""
-    return bool(collisions(disk_tracks([ta.xy], dims_a, interp_factor),
-                           disk_tracks([tb.xy], dims_b, interp_factor))[0])
+    """True iff the disk footprints of two time-aligned (n, 2) position
+    arrays overlap at any (interpolated) frame."""
+    return bool(collisions(disk_tracks([xy_a], dims_a, interp_factor),
+                           disk_tracks([xy_b], dims_b, interp_factor))[0])

@@ -1,4 +1,4 @@
-"""Winding angle between two trajectories and its interaction class.
+"""Winding angle between two position tracks and its interaction class.
 
 The interaction class of an agent pair is read off the cumulative rotation
 of the relative position vector: a clockwise rotation (negative winding)
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch
-from .types import _DEGENERATE_DISP, Trajectory
+from .types import _DEGENERATE_DISP
 
 
 class HomotopyClass(enum.Enum):
@@ -37,8 +37,9 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.where(w <= -np.pi, w + 2.0 * np.pi, w)
 
 
-def winding_angle(ta: Trajectory, tb: Trajectory) -> WindingResult:
-    """Cumulative wrapped change of the bearing of (position_A - position_B).
+def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> WindingResult:
+    """Cumulative wrapped change of the bearing of (position_A - position_B),
+    for two time-aligned (n, 2) position arrays.
 
     Frames where the agents (near-)coincide contribute a zero increment and
     carry the last well-defined bearing forward.
@@ -49,14 +50,14 @@ def winding_angle(ta: Trajectory, tb: Trajectory) -> WindingResult:
     Reflecting both paths about a line negates every increment, so the
     winding changes sign.
     """
-    if ta.n != tb.n:
-        raise LengthMismatch(f"trajectory lengths differ: {ta.n} vs {tb.n}")
-    rel = ta.xy - tb.xy
+    if len(xy_a) != len(xy_b):
+        raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
+    rel = xy_a - xy_b
     norm = np.hypot(rel[:, 0], rel[:, 1])
     bearings = np.arctan2(rel[:, 1], rel[:, 0])
     defined = norm >= _DEGENERATE_DISP
     # index of the last well-defined bearing at or before each frame
-    last = np.maximum.accumulate(np.where(defined, np.arange(ta.n), -1))
+    last = np.maximum.accumulate(np.where(defined, np.arange(len(rel)), -1))
     ok = defined[1:] & (last[:-1] >= 0)
     steps = np.zeros_like(bearings[1:])
     steps[ok] = _wrap_angle(bearings[1:][ok] - bearings[last[:-1][ok]])
@@ -79,29 +80,29 @@ def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
     return HomotopyClass.CCW
 
 
-def classify_pair_windows(ta: Trajectory, tb: Trajectory, theta_hat: float = 0.0) -> HomotopyClass:
-    """Winding-angle class of a time-aligned trajectory pair."""
-    return homotopy_class(winding_angle(ta, tb).delta_theta, theta_hat)
+def classify_pair_windows(xy_a: np.ndarray, xy_b: np.ndarray,
+                          theta_hat: float = 0.0) -> HomotopyClass:
+    """Winding-angle class of two time-aligned (n, 2) position arrays."""
+    return homotopy_class(winding_angle(xy_a, xy_b).delta_theta, theta_hat)
 
 
-def gt_mode_sequence(ta: Trajectory, tb: Trajectory, horizon_frames: int,
+def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,
                      theta_hat: float = 0.0) -> list[HomotopyClass]:
     """Per-frame class of the ground-truth future segments.
 
-    ``ta`` and ``tb`` must already be restricted to the co-observed window.
+    ``xy_a`` and ``xy_b`` are the (n, 2) positions of the co-observed window.
     At frame i the class is computed over frames [i, i + horizon] truncated
     to the recorded overlap; the final frame (a single sample) gets the class
     of a zero winding angle.
     """
-    if ta.n != tb.n:
-        raise LengthMismatch(f"trajectory lengths differ: {ta.n} vs {tb.n}")
+    n = len(xy_a)
+    if n != len(xy_b):
+        raise LengthMismatch(f"trajectory lengths differ: {n} vs {len(xy_b)}")
     out = []
-    for i in range(ta.n):
-        stop = min(ta.n, i + horizon_frames + 1)
+    for i in range(n):
+        stop = min(n, i + horizon_frames + 1)
         if stop - i < 2:
             out.append(homotopy_class(0.0, theta_hat))
             continue
-        seg_a = ta.slice_frames(i, stop)
-        seg_b = tb.slice_frames(i, stop)
-        out.append(classify_pair_windows(seg_a, seg_b, theta_hat))
+        out.append(classify_pair_windows(xy_a[i:stop], xy_b[i:stop], theta_hat))
     return out

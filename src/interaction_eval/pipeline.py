@@ -33,8 +33,8 @@ from .metrics import (
     pair_time_metrics,
 )
 from .rollout import InteractionTimeline, interaction_timeline
-from .sceneio import load_predictions, load_scene
-from .types import EvalConfig, JointPredictionSet, Scene, Trajectory, scene_frame
+from .sceneio import frame_number, load_predictions, load_scene
+from .types import EvalConfig, JointPredictionSet, Scene, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
 DEFAULT_ORACLE_K = 5
@@ -59,8 +59,7 @@ class SceneEvaluation:
     predictions: dict[int, JointPredictionSet]
 
 
-def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
-                        dt: float, theta_hat: float):
+def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, theta_hat: float):
     """(h_ml, h_pred) of a joint prediction set for one pair; None if unusable."""
     if pair.agent_a not in pset.agent_ids or pair.agent_b not in pset.agent_ids:
         return None
@@ -70,10 +69,7 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, t0: float,
     for k, h in enumerate(np.minimum(pset.lengths[:, ia], pset.lengths[:, ib]).tolist()):
         if h < 2:
             continue
-        tgrid = t0 + dt * np.arange(1, h + 1)
-        ta = Trajectory(t=tgrid, xy=pset.xy[k, ia, :h], dt=dt)
-        tb = Trajectory(t=tgrid, xy=pset.xy[k, ib, :h], dt=dt)
-        cls = classify_pair_windows(ta, tb, theta_hat)
+        cls = classify_pair_windows(pset.xy[k, ia, :h], pset.xy[k, ib, :h], theta_hat)
         classes.append(cls)
         if k == 0:
             h_ml = cls
@@ -153,10 +149,9 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
             pset = predictions.get(off + i)
             if pset is None or not tl.h_feas[i]:
                 continue  # an empty feasible set (both rollouts collide) shows in the timeline
-            t = float(tl.t[i])
-            got = _prediction_classes(pset, pair, t, scene.dt, cfg.theta_hat)
+            got = _prediction_classes(pset, pair, cfg.theta_hat)
             if got is not None:
-                graded.append((off + i, t, tl.h_gt[i], *got, tl.h_feas[i]))
+                graded.append((off + i, float(tl.t[i]), tl.h_gt[i], *got, tl.h_feas[i]))
         if not graded:
             ev.skipped = "NoPredictionFrames"
         else:
@@ -195,6 +190,9 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
         raise ParseError(scene_dir, "scenes have mixed time steps "
                                     + ", ".join(f"{dt:g} s" for dt in steps))
     baseline = str(pred_source) if str(pred_source) in BASELINE_MODELS else None
+    if baseline is not None and Path(pred_source).is_dir():
+        raise ConfigError(f"--pred {baseline} names the {baseline} baseline, and a directory "
+                          f"{baseline}/ exists; write ./{baseline} to read the directory")
     results = []
     for scene in scenes:
         preds = None
@@ -415,12 +413,12 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
         for p in data["pairs"]:
             key = (str(p["scene_id"]), str(p["agent_a"]), str(p["agent_b"]))
             graded = []
-            for f in sorted(p["frames"], key=lambda f: int(f["frame"])):
+            for f in sorted(p["frames"], key=lambda f: frame_number(f["frame"], path)):
                 if not f["feas"]:
                     raise ParseError(path, f"scene {p['scene_id']}, pair ({p['agent_a']}, "
                                            f"{p['agent_b']}), frame {f['frame']}: "
                                            "empty feasible set")
-                graded.append((int(f["frame"]), int(f["frame"]) * dt, HomotopyClass(f["gt"]),
+                graded.append((f["frame"], f["frame"] * dt, HomotopyClass(f["gt"]),
                                HomotopyClass(f["ml"]),
                                frozenset(HomotopyClass(c) for c in f["pred"]),
                                frozenset(HomotopyClass(c) for c in f["feas"])))

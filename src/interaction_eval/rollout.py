@@ -57,21 +57,6 @@ PROFILE_ORDER = {ProfileKind.ACCEL: 0, ProfileKind.CONST_VEL: 1, ProfileKind.DEC
 
 
 @dataclass(frozen=True)
-class SpeedProfile:
-    kind: ProfileKind
-    a_lon: float  # signed, m/s^2
-    v_max: float
-    v0: float
-
-
-def speed_profile(kind: ProfileKind, v0: float, v_max: float, cfg: EvalConfig) -> SpeedProfile:
-    a = {ProfileKind.ACCEL: cfg.a_lon_max,
-         ProfileKind.DECEL: -cfg.a_lon_max,
-         ProfileKind.CONST_VEL: 0.0}[kind]
-    return SpeedProfile(kind=kind, a_lon=a, v_max=v_max, v0=min(v0, v_max))
-
-
-@dataclass(frozen=True)
 class InteractionTimeline:
     """Per-frame feasible classes and the IHS bracketing for one pair."""
 
@@ -132,15 +117,16 @@ def _interp_scalar(x: float, xp: list, fp: list) -> float:
 
 
 class PathRollout:
-    """Arc-length geometry of one agent's path from a start frame onward.
+    """One agent's path from a start frame onward, with its speed limits.
 
     The recorded polyline is extended beyond its last point by a straight
     line along the final heading, so accelerating rollouts never run out of
-    path. Reusable across speed profiles for the same (agent, frame).
+    path. The start speed ``v0`` is clamped to the scene speed limit
+    ``v_max``. Each speed profile of the same (agent, frame) rolls from it.
     """
 
-    def __init__(self, traj: Trajectory, start_frame: int, extend_length: float,
-                 cfg: EvalConfig):
+    def __init__(self, traj: Trajectory, start_frame: int, v0: float, v_max: float,
+                 extend_length: float, cfg: EvalConfig):
         if not 0 <= start_frame < traj.n:
             raise IndexOutOfRange(f"start frame {start_frame} outside [0, {traj.n})")
         self.dt = traj.dt
@@ -175,29 +161,14 @@ class PathRollout:
         n_grid = max(int(s_vert[-1] / _PATH_DS) + 2, 2)
         self._s = np.linspace(0.0, s_vert[-1], n_grid)
         self._kappa = np.interp(self._s, s_vert, kappa_vert)
-        self._cfg = cfg
-        self._caps: dict[float, np.ndarray] = {}
-
-    def position(self, s: np.ndarray) -> np.ndarray:
-        s = np.clip(s, 0.0, self._s_vert[-1])
-        x = np.interp(s, self._s_vert, self._verts[:, 0])
-        y = np.interp(s, self._s_vert, self._verts[:, 1])
-        return np.stack([x, y], axis=-1)
-
-    def speed_cap(self, v_max: float) -> np.ndarray:
-        """Curvature- and braking-aware speed limit along the arc grid.
-
-        Computed once per ``v_max`` and kept, read-only, for the life of
-        this path.
-        """
-        cap = self._caps.get(v_max)
-        if cap is not None:
-            return cap
+        self.v_max = v_max
+        self.v0 = min(v0, v_max)
+        self._a_lon = cfg.a_lon_max
+        # curvature- and braking-aware speed limit along the arc grid
         with np.errstate(divide="ignore"):
-            lat = np.sqrt(self._cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
+            lat = np.sqrt(cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
         cap = np.minimum(v_max, lat)
-        ds = self._s[1] - self._s[0]
-        brake = 2.0 * self._cfg.a_lon_max * ds
+        brake = 2.0 * cfg.a_lon_max * (self._s[1] - self._s[0])
         # backward pass: entering a low-cap region must be brakeable at a_lon_max.
         # A flat cap is a fixed point of the pass when one step leaves it
         # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
@@ -207,12 +178,19 @@ class PathRollout:
             for k in range(len(cap) - 2, -1, -1):
                 cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
         cap.setflags(write=False)
-        self._caps[v_max] = cap
-        return cap
+        self._cap = cap
 
-    def roll(self, profile: SpeedProfile, n_steps: int,
-             t0: float = 0.0) -> Trajectory:
-        """Integrate the speed profile; positions sampled every dt, n_steps+1 samples.
+    def position(self, s: np.ndarray) -> np.ndarray:
+        s = np.clip(s, 0.0, self._s_vert[-1])
+        x = np.interp(s, self._s_vert, self._verts[:, 0])
+        y = np.interp(s, self._s_vert, self._verts[:, 1])
+        return np.stack([x, y], axis=-1)
+
+    def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
+        """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt.
+
+        ACCEL and DECEL change speed at +-``a_lon_max`` from ``v0``, clamped
+        to [0, ``v_max``]; CONST_VEL keeps ``v0``.
 
         Each frame is split into ``_SUBSTEPS`` substeps. While the speed cap
         holds at both ends of a substep, the substep advances by the exact
@@ -227,9 +205,9 @@ class PathRollout:
         as stepping every substep in turn.
         """
         dt = self.dt
-        a, v0, v_max = profile.a_lon, profile.v0, profile.v_max
-        cap = self.speed_cap(v_max)
-        s_grid = self._s
+        a = {ProfileKind.ACCEL: self._a_lon, ProfileKind.DECEL: -self._a_lon,
+             ProfileKind.CONST_VEL: 0.0}[kind]
+        v0, v_max, cap, s_grid = self.v0, self.v_max, self._cap, self._s
 
         def v_des(t: np.ndarray) -> np.ndarray:
             return np.clip(v0 + a * t, 0.0, v_max)
@@ -284,22 +262,20 @@ class PathRollout:
                         and v_b[k] <= _interp_scalar(s + float(ds_exact[k]), xs, fs) + 1e-12):
                     break
         out_s = np.concatenate(([0.0], s_end[_SUBSTEPS - 1::_SUBSTEPS]))
-        xy = self.position(out_s)
-        t = t0 + dt * np.arange(n_steps + 1)
-        return Trajectory(t=t, xy=xy, dt=dt)
+        return self.position(out_s)
 
 
 def profile_rollouts(traj: Trajectory, start: int, v0: float, v_max: float, n_steps: int,
-                     kinds: tuple[ProfileKind, ...], cfg: EvalConfig,
-                     t0: float = 0.0) -> dict[ProfileKind, Trajectory]:
-    """Roll each speed profile in ``kinds`` along ``traj`` from frame ``start``.
+                     kinds: tuple[ProfileKind, ...],
+                     cfg: EvalConfig) -> dict[ProfileKind, np.ndarray]:
+    """The (n_steps + 1, 2) positions of each speed profile in ``kinds``,
+    rolled along ``traj`` from frame ``start``.
 
     The path is extended far enough that the fastest roll of ``n_steps``
     frames at ``v_max`` stays on it.
     """
-    path = PathRollout(traj, start, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
-    return {kind: path.roll(speed_profile(kind, v0, v_max, cfg), n_steps, t0=t0)
-            for kind in kinds}
+    path = PathRollout(traj, start, v0, v_max, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
+    return {kind: path.roll(kind, n_steps) for kind in kinds}
 
 
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
@@ -324,8 +300,8 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     feasible: list[set] = [set() for _ in range(n - 1)]
     for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                    (ProfileKind.ACCEL, ProfileKind.DECEL)):
-        hit = collisions(disk_tracks([r[ka].xy for r in rolls_a], dims_a, cfg.interp_factor),
-                         disk_tracks([r[kb].xy for r in rolls_b], dims_b, cfg.interp_factor))
+        hit = collisions(disk_tracks([r[ka] for r in rolls_a], dims_a, cfg.interp_factor),
+                         disk_tracks([r[kb] for r in rolls_b], dims_b, cfg.interp_factor))
         for i in np.flatnonzero(~hit):
             feasible[i].add(classify_pair_windows(rolls_a[i][ka], rolls_b[i][kb], cfg.theta_hat))
     feas = [frozenset(f) for f in feasible]
@@ -344,7 +320,7 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
         )
     final_idx = int(two[-1])
     horizon = cfg.horizon_frames(wa.dt)
-    gt = gt_mode_sequence(wa, wb, horizon, cfg.theta_hat)
+    gt = gt_mode_sequence(wa.xy, wb.xy, horizon, cfg.theta_hat)
     lo = max(0, final_idx - horizon)
     start_idx = final_idx
     for i in range(final_idx, lo - 1, -1):

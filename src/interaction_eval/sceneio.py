@@ -104,7 +104,7 @@ def load_predictions(path: str | Path, scene: Scene,
     out: dict[int, JointPredictionSet] = {}
     try:
         for fr in data["frames"]:
-            frame = int(fr["frame"])
+            frame = frame_number(fr["frame"], path)
             if frame in out:
                 raise ParseError(path, f"frame {frame}: listed more than once")
             samples = []
@@ -138,6 +138,13 @@ def load_predictions(path: str | Path, scene: Scene,
                      "non-finite position")
             raise ParseError(path, where)
     return out
+
+
+def frame_number(value, path: Path) -> int:
+    """A frame number read from a JSON file: an integer, never a bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ParseError(path, f"frame {value!r}: frame numbers must be integers")
+    return value
 
 
 def _no_constant(token: str):

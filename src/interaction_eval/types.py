@@ -26,12 +26,13 @@ _TIME_ATOL = 1e-6  # absolute slack on timestamp grid comparisons, seconds
 _DEGENERATE_DISP = 1e-9  # metres; below this a displacement has no direction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A uniformly sampled planar trajectory.
 
     ``t`` has shape (N,), ``xy`` has shape (N, 2); both are read-only numpy
-    arrays. ``dt`` is the constant frame period in seconds.
+    arrays. ``dt`` is the constant frame period in seconds. Trajectories
+    compare and hash by identity.
     """
 
     t: np.ndarray
@@ -99,14 +100,14 @@ class Scene:
         return agent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPredictionSet:
     """K probability-ordered joint predictions issued at one frame.
 
     ``p`` has shape (K,), ``xy`` (K, A, H, 2) and ``lengths`` (K, A): sample
     k's future of agent ``agent_ids[a]`` is ``xy[k, a, :lengths[k, a]]``,
     padded with 0.0 after it. The arrays are read-only. Build a set with
-    ``from_samples``.
+    ``from_samples``. Sets compare and hash by identity.
     """
 
     frame: int

@@ -129,6 +129,12 @@ def ref_min_disk_distance(ta, tb, dims_a, dims_b):
     return float(d.min())
 
 
+def as_traj(xy, dt=DT):
+    """(n, 2) positions on a time grid from 0, for the frozen references
+    that take trajectories."""
+    return Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt)
+
+
 def ref_is_collision(ta, tb, dims_a, dims_b, interp_factor=1):
     if interp_factor > 1:
         ta = ref_resample(ta, interp_factor)

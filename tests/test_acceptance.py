@@ -37,7 +37,6 @@ from interaction_eval import (
     resample_trajectory,
     run_pipeline,
     save_scene,
-    speed_profile,
     validate_scene,
     winding_angle,
 )
@@ -102,16 +101,15 @@ def test_reference_mode_table(capsys):
 # 2. winding-angle identities
 
 
-def _random_pair(rng, n=30, dt=0.5):
-    t = dt * np.arange(n)
+def _random_pair(rng, n=30):
     a = np.cumsum(rng.normal(0.0, 1.0, (n, 2)), axis=0)
     b = 8.0 + np.cumsum(rng.normal(0.0, 1.0, (n, 2)), axis=0)
-    return (Trajectory(t=t, xy=a, dt=dt), Trajectory(t=t, xy=b, dt=dt))
+    return a, b
 
 
-def _mirror(traj):
+def _mirror(xy):
     """Reflection about the x-axis."""
-    return Trajectory(t=traj.t, xy=traj.xy * np.array([1.0, -1.0]), dt=traj.dt)
+    return xy * np.array([1.0, -1.0])
 
 
 def test_winding_identities(capsys):
@@ -125,8 +123,8 @@ def test_winding_identities(capsys):
     t0 = time.perf_counter()
     n = 73
     loop = winding_angle(
-        circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n),
-        straight_traj((0, 0), (0, 0), n),
+        circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n).xy,
+        straight_traj((0, 0), (0, 0), n).xy,
     ).delta_theta
     loop_err = abs(loop - 2.0 * np.pi)
 
@@ -139,8 +137,8 @@ def test_winding_identities(capsys):
         swap_err = max(swap_err, abs(rev - fwd))
         mirrored = winding_angle(_mirror(ta), _mirror(tb)).delta_theta
         mirror_err = max(mirror_err, abs(mirrored + fwd))
-        first = winding_angle(ta.slice_frames(0, 16), tb.slice_frames(0, 16)).delta_theta
-        second = winding_angle(ta.slice_frames(15, 30), tb.slice_frames(15, 30)).delta_theta
+        first = winding_angle(ta[0:16], tb[0:16]).delta_theta
+        second = winding_angle(ta[15:30], tb[15:30]).delta_theta
         concat_err = max(concat_err, abs(fwd - first - second))
     elapsed = time.perf_counter() - t0
     ok = (loop_err <= 1e-9 and swap_err <= 1e-12 and mirror_err <= 1e-12
@@ -185,8 +183,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
         traj = agents[aid].trajectory
         i = agent_frame_index(scene, agents[aid], frame)
         v0 = float(trajectory_kinematics(traj)[1][i])
-        rolls[aid] = profile_rollouts(traj, i, v0, v_max, horizon, kinds, cfg,
-                                      t0=float(traj.t[i]))
+        rolls[aid] = profile_rollouts(traj, i, v0, v_max, horizon, kinds, cfg)
     dims = {aid: VehicleDims(agents[aid].width, agents[aid].length)
             for aid in rolls}
     ranked = []
@@ -195,7 +192,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
         if is_collision(ra, rb, dims[pair.agent_a], dims[pair.agent_b],
                         cfg.interp_factor):
             continue
-        speeds = [np.hypot(*np.diff(r.xy, axis=0).T).mean() / scene.dt
+        speeds = [np.hypot(*np.diff(r, axis=0).T).mean() / scene.dt
                   for r in (ra, rb)]
         d = winding_angle(ra, rb).delta_theta
         ranked.append((-float(np.mean(speeds)), (ka.value, kb.value),
@@ -216,8 +213,7 @@ def test_oracle_coverage(capsys):
     enumeration_agrees = True
     for i in range(tl.start_idx, tl.final_idx + 1):
         pred = oracle_predict(scene, i, pairs, 5, cfg)
-        h_ml, h_pred = _prediction_classes(pred, pair, float(tl.t[i]),
-                                           scene.dt, cfg.theta_hat)
+        h_ml, h_pred = _prediction_classes(pred, pair, cfg.theta_hat)
         covered.append(tl.h_gt[i] in h_pred)
         collapsed.append(not tl.h_feas[i] <= h_pred)
         if set(h_pred) != _exhaustive_top_k_classes(scene, pair, i, 5, cfg):
@@ -424,7 +420,7 @@ def test_collision_vs_rectangle_oracle(capsys):
         dims_b = VehicleDims(rng.uniform(1.6, 2.2), rng.uniform(3.5, 5.0))
         poses_a, poses_b = _pose_samples(xa, ya, ha), _pose_samples(xb, yb, hb)
         ta, tb = _pose_traj(poses_a), _pose_traj(poses_b)
-        disk = is_collision(ta, tb, dims_a, dims_b)
+        disk = is_collision(ta.xy, tb.xy, dims_a, dims_b)
         rect = any(_rect_overlap_mc(pa, dims_a, pb, dims_b, step)
                    for pa, pb in zip(poses_a, poses_b))
         n_overlap += rect

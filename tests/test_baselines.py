@@ -8,7 +8,6 @@ from interaction_eval import (
     EvalConfig,
     HomotopyClass,
     Scene,
-    Trajectory,
     VehicleDims,
     baselines,
     cv_predict,
@@ -26,7 +25,6 @@ from interaction_eval.rollout import (
     PathRollout,
     ProfileKind,
     max_scene_speed,
-    speed_profile,
 )
 from interaction_eval.types import (
     JointPredictionSet,
@@ -35,6 +33,7 @@ from interaction_eval.types import (
 )
 
 from conftest import (
+    as_traj,
     crossing_scene,
     make_agent,
     random_crossing_scene,
@@ -113,9 +112,9 @@ class TestOracle:
         rolled = []
         roll = PathRollout.roll
 
-        def counted(self, profile, *args, **kwargs):
-            rolled.append(profile.kind)
-            return roll(self, profile, *args, **kwargs)
+        def counted(self, kind, *args, **kwargs):
+            rolled.append(kind)
+            return roll(self, kind, *args, **kwargs)
         monkeypatch.setattr(PathRollout, "roll", counted)
         pred = oracle_predict(scene, 3, pairs, 9, cfg)
         c = pred.agent_ids.index("c")
@@ -130,10 +129,7 @@ class TestOracle:
         pred = oracle_predict(scene, 6, pairs, 9, cfg)
         dims = {ag.id: VehicleDims(ag.width, ag.length) for ag in scene.agents}
         for xy_a, xy_b in pred.xy:
-            t = scene.dt * np.arange(len(xy_a))
-            ta = Trajectory(t=t, xy=xy_a, dt=scene.dt)
-            tb = Trajectory(t=t, xy=xy_b, dt=scene.dt)
-            assert not is_collision(ta, tb, dims["a"], dims["b"], cfg.interp_factor)
+            assert not is_collision(xy_a, xy_b, dims["a"], dims["b"], cfg.interp_factor)
 
     def test_full_enumeration_covers_feasible_classes(self, cfg):
         """With K covering all combinations, the oracle's predicted class set
@@ -144,10 +140,7 @@ class TestOracle:
         pred = oracle_predict(scene, frame, pairs, 100, cfg)
         classes = set()
         for xy_a, xy_b in pred.xy:
-            t = scene.dt * np.arange(len(xy_a))
-            ta = Trajectory(t=t, xy=xy_a, dt=scene.dt)
-            tb = Trajectory(t=t, xy=xy_b, dt=scene.dt)
-            d = winding_angle(ta, tb).delta_theta
+            d = winding_angle(xy_a, xy_b).delta_theta
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
         assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])
 
@@ -167,10 +160,9 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
             continue
         _, speeds = trajectory_kinematics(agent.trajectory)
         extend = v_max * (horizon + 1) * scene.dt + 10.0
-        path = PathRollout(agent.trajectory, i, extend, cfg)
+        path = PathRollout(agent.trajectory, i, float(speeds[i]), v_max, extend, cfg)
         rollouts[agent.id] = {
-            kind: path.roll(speed_profile(kind, float(speeds[i]), v_max, cfg), horizon,
-                            t0=float(agent.trajectory.t[i]))
+            kind: path.roll(kind, horizon)
             for kind in (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
         }
         present.append(agent)
@@ -187,15 +179,16 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
     for combo in itertools.product(*(profiles for _, profiles in choices)):
         assignment = dict(zip((aid for aid, _ in choices), combo))
         collides = any(
-            ref_is_collision(rollouts[a][assignment[a]], rollouts[b][assignment[b]],
-                         dims[a], dims[b], cfg.interp_factor)
+            ref_is_collision(as_traj(rollouts[a][assignment[a]], scene.dt),
+                             as_traj(rollouts[b][assignment[b]], scene.dt),
+                             dims[a], dims[b], cfg.interp_factor)
             for a, b in check_pairs
         )
         if collides:
             continue
         speeds = []
         for aid, kind in assignment.items():
-            xy = rollouts[aid][kind].xy
+            xy = rollouts[aid][kind]
             step = np.hypot(*(np.diff(xy, axis=0).T))
             speeds.append(step.mean() / scene.dt)
         avg_speed = float(np.mean(speeds)) if speeds else 0.0
@@ -209,7 +202,7 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
     samples = []
     for _, _, assignment, avg_speed in top:
         p = avg_speed / total if total > 0 else 1.0 / len(top)
-        trajs = {aid: rollouts[aid][kind].xy[1:] for aid, kind in assignment.items()}
+        trajs = {aid: rollouts[aid][kind][1:] for aid, kind in assignment.items()}
         samples.append((p, trajs))
     return JointPredictionSet.from_samples(t, samples)
 

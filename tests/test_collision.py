@@ -85,32 +85,32 @@ class TestCollision:
     def test_far_apart_no_collision(self):
         ta = straight_traj((0, 0), (6, 0), 10)
         tb = straight_traj((0, 50), (6, 0), 10)
-        assert not is_collision(ta, tb, DIMS, DIMS)
+        assert not is_collision(ta.xy, tb.xy, DIMS, DIMS)
 
     def test_identical_paths_collide(self):
         ta = straight_traj((0, 0), (6, 0), 10)
-        assert is_collision(ta, ta, DIMS, DIMS)
+        assert is_collision(ta.xy, ta.xy, DIMS, DIMS)
 
     def test_threshold_is_strict(self):
         # Side-by-side exactly at touching distance r_a + r_b = 2.
         ta = straight_traj((0, 0), (6, 0), 10)
         tb = straight_traj((0, 2), (6, 0), 10)
-        assert not is_collision(ta, tb, DIMS, DIMS)
+        assert not is_collision(ta.xy, tb.xy, DIMS, DIMS)
         tc = straight_traj((0, 1.99), (6, 0), 10)
-        assert is_collision(ta, tc, DIMS, DIMS)
+        assert is_collision(ta.xy, tc.xy, DIMS, DIMS)
 
     def test_interpolation_catches_tunnelling(self):
         # Perpendicular high-speed crossing that only overlaps between frames.
         dt = 0.5
         ta = straight_traj((-10.5, 0), (30, 0), 2, dt=dt)
         tb = straight_traj((0, 0.5), (0, 0), 2, dt=dt)
-        assert not is_collision(ta, tb, DIMS, DIMS, interp_factor=1)
-        assert is_collision(ta, tb, DIMS, DIMS, interp_factor=4)
+        assert not is_collision(ta.xy, tb.xy, DIMS, DIMS, interp_factor=1)
+        assert is_collision(ta.xy, tb.xy, DIMS, DIMS, interp_factor=4)
 
     def test_symmetry(self):
         ta = straight_traj((-10, 0), (6, 0), 20)
         tb = straight_traj((0, -10), (0, 6), 20)
-        assert is_collision(ta, tb, DIMS, DIMS) == is_collision(tb, ta, DIMS, DIMS)
+        assert is_collision(ta.xy, tb.xy, DIMS, DIMS) == is_collision(tb.xy, ta.xy, DIMS, DIMS)
 
 
 @st.composite
@@ -168,6 +168,6 @@ class TestKernelMatchesPerPairReference:
             assert np.array_equal(dist[k], want), k
             assert hit[k] == ref_is_collision(ta, tb, dims_a, dims_b, factor), k
             # the one-row case is the same kernel
-            assert is_collision(ta, tb, dims_a, dims_b, factor) == hit[k]
+            assert is_collision(ta.xy, tb.xy, dims_a, dims_b, factor) == hit[k]
             assert one_row_distance(resample_trajectory(ta, factor),
                                     resample_trajectory(tb, factor), dims_a, dims_b) == want

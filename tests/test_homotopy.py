@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from interaction_eval import (
     HomotopyClass,
-    Trajectory,
     classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
@@ -17,26 +16,24 @@ from conftest import circle_traj, straight_traj
 
 
 def random_walk_pair(rng, n):
-    dt = 0.5
-    t = dt * np.arange(n)
     a = np.cumsum(rng.normal(0.0, 1.0, (n, 2)), axis=0)
     b = 10.0 + np.cumsum(rng.normal(0.0, 1.0, (n, 2)), axis=0)
-    return (Trajectory(t=t, xy=a, dt=dt), Trajectory(t=t, xy=b, dt=dt))
+    return a, b
 
 
 class TestWindingAngle:
     def test_full_ccw_loop(self):
         """A orbits B once counter-clockwise: total winding is +2*pi."""
         n = 73
-        ta = circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n)
-        tb = straight_traj((0, 0), (0, 0), n)
+        ta = circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n).xy
+        tb = straight_traj((0, 0), (0, 0), n).xy
         res = winding_angle(ta, tb)
         assert res.delta_theta == pytest.approx(2.0 * np.pi, abs=1e-9)
 
     def test_full_cw_loop(self):
         n = 73
-        ta = circle_traj(5.0, -2.0 * np.pi / ((n - 1) * 0.5), n)
-        tb = straight_traj((0, 0), (0, 0), n)
+        ta = circle_traj(5.0, -2.0 * np.pi / ((n - 1) * 0.5), n).xy
+        tb = straight_traj((0, 0), (0, 0), n).xy
         res = winding_angle(ta, tb)
         assert res.delta_theta == pytest.approx(-2.0 * np.pi, abs=1e-9)
 
@@ -51,8 +48,8 @@ class TestWindingAngle:
         rng = np.random.default_rng(4)
         ta, tb = random_walk_pair(rng, 50)
         whole = winding_angle(ta, tb).delta_theta
-        first = winding_angle(ta.slice_frames(0, 25), tb.slice_frames(0, 25))
-        second = winding_angle(ta.slice_frames(24, 50), tb.slice_frames(24, 50))
+        first = winding_angle(ta[0:25], tb[0:25])
+        second = winding_angle(ta[24:50], tb[24:50])
         assert whole == pytest.approx(first.delta_theta + second.delta_theta, abs=1e-12)
 
     def test_mirror_flip_negates(self):
@@ -60,9 +57,7 @@ class TestWindingAngle:
         rng = np.random.default_rng(5)
         ta, tb = random_walk_pair(rng, 50)
         flip = np.array([1.0, -1.0])
-        fa = Trajectory(t=ta.t, xy=ta.xy * flip, dt=ta.dt)
-        fb = Trajectory(t=tb.t, xy=tb.xy * flip, dt=tb.dt)
-        assert winding_angle(fa, fb).delta_theta == pytest.approx(
+        assert winding_angle(ta * flip, tb * flip).delta_theta == pytest.approx(
             -winding_angle(ta, tb).delta_theta, abs=1e-12
         )
 
@@ -78,10 +73,7 @@ class TestWindingAngle:
     def test_coincident_frames_skipped(self):
         xy_a = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
         xy_b = np.array([[0, -1], [1, 0], [2, -1], [3, -1]], dtype=float)
-        t = 0.5 * np.arange(4)
-        res = winding_angle(
-            Trajectory(t=t, xy=xy_a, dt=0.5), Trajectory(t=t, xy=xy_b, dt=0.5)
-        )
+        res = winding_angle(xy_a, xy_b)
         assert np.isfinite(res.delta_theta)
         assert res.per_step[1] == 0.0
 
@@ -95,19 +87,19 @@ class TestWindingAngle:
 
 
 
-def ref_winding(ta, tb):
+def ref_winding(xy_a, xy_b):
     """Frozen copy of the scalar carry-forward loop that ``winding_angle``
     replaced with array code; the two must agree bit for bit."""
-    rel = ta.xy - tb.xy
+    rel = xy_a - xy_b
     norm = np.hypot(rel[:, 0], rel[:, 1])
     bearings = np.arctan2(rel[:, 1], rel[:, 0])
     defined = norm >= 1e-9
     if defined.all():
         steps = _wrap_angle(np.diff(bearings))
     else:
-        steps = np.zeros(ta.n - 1)
+        steps = np.zeros(len(rel) - 1)
         prev = bearings[0] if defined[0] else None
-        for i in range(1, ta.n):
+        for i in range(1, len(rel)):
             if not defined[i]:
                 continue  # bearing carries forward, zero increment
             if prev is not None:
@@ -129,7 +121,7 @@ class TestWindingReference:
                     "some": rng.random(n) < 0.3,
                     "first": np.arange(n) < rng.integers(1, n),
                     "all": np.ones(n, dtype=bool)}[coincident]
-            tb = Trajectory(t=tb.t, xy=np.where(mask[:, None], ta.xy, tb.xy), dt=tb.dt)
+            tb = np.where(mask[:, None], ta, tb)
             res = winding_angle(ta, tb)
             ref_total, ref_steps = ref_winding(ta, tb)
             assert np.array_equal(res.per_step, ref_steps), seed
@@ -153,16 +145,16 @@ class TestClassification:
     def test_passing_in_front_is_ccw_for_yielder(self):
         """B crosses in front of a stopped A: the pair (A, B) winds CCW."""
         n = 20
-        ta = straight_traj((-5, 0), (0, 0), n)
-        tb = straight_traj((0, -5), (0, 1), n)
+        ta = straight_traj((-5, 0), (0, 0), n).xy
+        tb = straight_traj((0, -5), (0, 1), n).xy
         res = winding_angle(ta, tb)
         assert homotopy_class(res.delta_theta, 0.0) is HomotopyClass.CCW
 
     def test_crossing_first_is_cw(self):
         """A clears the conflict point before B arrives: class CW."""
         n = 30
-        ta = straight_traj((-10, 0), (6, 0), n)
-        tb = straight_traj((0, -22), (0, 6), n)
+        ta = straight_traj((-10, 0), (6, 0), n).xy
+        tb = straight_traj((0, -22), (0, 6), n).xy
         res = winding_angle(ta, tb)
         assert homotopy_class(res.delta_theta, 0.0) is HomotopyClass.CW
 
@@ -176,7 +168,7 @@ class TestZeroWinding:
 
     def test_coincident_prediction_is_ccw(self):
         # a joint sample that puts both agents on the same points at every step
-        ta = straight_traj((3.0, -2.0), (4.0, 1.0), 12)
+        ta = straight_traj((3.0, -2.0), (4.0, 1.0), 12).xy
         res = winding_angle(ta, ta)
         assert res.delta_theta == 0.0
         assert not res.per_step.any()
@@ -184,16 +176,16 @@ class TestZeroWinding:
 
     def test_single_bearing_is_ccw(self):
         # B closes in on a stopped A along one line: the bearing never turns
-        ta = straight_traj((0.0, 0.0), (0.0, 0.0), 12)
-        tb = straight_traj((-30.0, 0.0), (5.0, 0.0), 12)
+        ta = straight_traj((0.0, 0.0), (0.0, 0.0), 12).xy
+        tb = straight_traj((-30.0, 0.0), (5.0, 0.0), 12).xy
         assert winding_angle(ta, tb).delta_theta == 0.0
         assert classify_pair_windows(ta, tb, 0.0) is HomotopyClass.CCW
 
     @pytest.mark.parametrize("horizon", [1, 4, 40])
     def test_single_sample_final_frame_is_ccw(self, horizon):
         # the crossing winds CW over any future, but the last frame has none
-        ta = straight_traj((-10.0, 0.0), (6.0, 0.0), 30)
-        tb = straight_traj((0.0, -22.0), (0.0, 6.0), 30)
+        ta = straight_traj((-10.0, 0.0), (6.0, 0.0), 30).xy
+        tb = straight_traj((0.0, -22.0), (0.0, 6.0), 30).xy
         seq = gt_mode_sequence(ta, tb, horizon_frames=horizon, theta_hat=0.0)
         assert seq[-1] is HomotopyClass.CCW
         assert gt_mode_sequence(ta, tb, horizon, theta_hat=0.5)[-1] is HomotopyClass.S
@@ -202,8 +194,8 @@ class TestZeroWinding:
 class TestModeSequence:
     def test_sequence_length_and_tail(self):
         n = 30
-        ta = straight_traj((-40, 0), (6, 0), n)
-        tb = straight_traj((0, -52), (0, 6), n)
+        ta = straight_traj((-40, 0), (6, 0), n).xy
+        tb = straight_traj((0, -52), (0, 6), n).xy
         seq = gt_mode_sequence(ta, tb, horizon_frames=12, theta_hat=0.0)
         assert len(seq) == n
         # Final frame has a single-sample future: zero winding, class CCW.
@@ -211,8 +203,8 @@ class TestModeSequence:
 
     def test_truncated_horizon_uses_future_only(self):
         n = 40
-        ta = straight_traj((-40, 0), (6, 0), n)
-        tb = straight_traj((0, -52), (0, 6), n)
+        ta = straight_traj((-40, 0), (6, 0), n).xy
+        tb = straight_traj((0, -52), (0, 6), n).xy
         seq_full = gt_mode_sequence(ta, tb, horizon_frames=n, theta_hat=0.0)
         seq_short = gt_mode_sequence(ta, tb, horizon_frames=4, theta_hat=0.0)
         # With the full horizon the crossing dominates early frames.

@@ -388,6 +388,41 @@ class TestCli:
         assert err["error"] == "ParseError"
         assert "scene ex, pair (a, b), frame 7: empty feasible set" in err["message"]
 
+    @pytest.mark.parametrize("frame", [7.5, True], ids=["fractional_frame", "bool_frame"])
+    def test_exit_code_fixture_non_integer_frame(self, tmp_path, frame):
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        fixture["pairs"][0]["frames"][2]["frame"] = frame
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert f"frame {frame!r}: frame numbers must be integers" in err["message"]
+
+    def test_exit_code_baseline_name_shadows_directory(self, scene_dir, tmp_path,
+                                                       monkeypatch):
+        """With a cv/ prediction directory in the working directory, --pred cv
+        is ambiguous and exits 2; --pred ./cv reads the directory."""
+        monkeypatch.chdir(tmp_path)
+        scene = load_scene(scene_dir / "crossing.json")
+        (tmp_path / "cv").mkdir()
+        save_predictions(scene.scene_id, 6.0,
+                         evaluate_scene(scene, EvalConfig(), baseline="oracle").predictions,
+                         tmp_path / "cv" / "crossing.json")
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert "write ./cv" in err["message"]
+        assert not (tmp_path / "out" / "report.json").exists()
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "./cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 0, res.output
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
+            "inputs"]["pred_source"] == "./cv"
+
     def test_exit_code_parse_error(self, tmp_path):
         d = tmp_path / "scenes"
         d.mkdir()
@@ -425,9 +460,11 @@ class TestCli:
          "frame 1: samples disagree on agent ids"),
         (lambda fr: fr["samples"].append(dict(fr["samples"][0], p=0.5)),
          "frame 1: probabilities sum to 1.5"),
+        (lambda fr: fr.__setitem__("frame", 1.6), "frame 1.6: frame numbers must be integers"),
+        (lambda fr: fr.__setitem__("frame", True), "frame True: frame numbers must be integers"),
     ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
             "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p",
-            "samples_disagree", "p_sum"])
+            "samples_disagree", "p_sum", "fractional_frame", "bool_frame"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions

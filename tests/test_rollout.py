@@ -9,11 +9,9 @@ from interaction_eval import (
     PathRollout,
     ProfileKind,
     Scene,
-    SpeedProfile,
     filter_scene_with_rejections,
     interaction_timeline,
     max_scene_speed,
-    speed_profile,
     validate_scene,
 )
 from interaction_eval.collision import VehicleDims
@@ -22,6 +20,7 @@ from interaction_eval.rollout import profile_rollouts
 from interaction_eval.types import common_window, trajectory_kinematics
 
 from conftest import (
+    as_traj,
     circle_traj,
     crossing_scene,
     four_agent_scene,
@@ -34,13 +33,12 @@ from conftest import (
 A_LON = 1.47
 
 
-def roll_from(agent, start_frame, profile, cfg, n_steps):
+def roll_from(agent, start_frame, kind, v0, v_max, cfg, n_steps):
     """Roll an agent from one of its recorded frames, with its path extended
-    far enough for n_steps at the profile's speed cap."""
+    far enough for n_steps at the speed limit v_max."""
     traj = agent.trajectory
-    extend = profile.v_max * (n_steps + 1) * traj.dt + 10.0
-    return PathRollout(traj, start_frame, extend, cfg).roll(
-        profile, n_steps, t0=float(traj.t[start_frame]))
+    extend = v_max * (n_steps + 1) * traj.dt + 10.0
+    return PathRollout(traj, start_frame, v0, v_max, extend, cfg).roll(kind, n_steps)
 
 
 def analytic_accel_distance(v0, v_max, a, t):
@@ -53,56 +51,54 @@ def analytic_accel_distance(v0, v_max, a, t):
 
 class TestSpeedProfiles:
     def test_signed_accelerations(self, cfg):
-        acc = speed_profile(ProfileKind.ACCEL, 5.0, 10.0, cfg)
-        dec = speed_profile(ProfileKind.DECEL, 5.0, 10.0, cfg)
-        cv = speed_profile(ProfileKind.CONST_VEL, 5.0, 10.0, cfg)
-        assert acc.a_lon == pytest.approx(A_LON)
-        assert dec.a_lon == pytest.approx(-A_LON)
-        assert cv.a_lon == 0.0
+        # one frame from 5 m/s on a straight path: s = v0 dt + a dt^2 / 2
+        agent = make_agent("a", straight_traj((0, 0), (5, 0), 10))
+        for kind, a in ((ProfileKind.ACCEL, A_LON), (ProfileKind.DECEL, -A_LON),
+                        (ProfileKind.CONST_VEL, 0.0)):
+            roll = roll_from(agent, 0, kind, 5.0, 10.0, cfg, n_steps=1)
+            assert roll[1, 0] == pytest.approx(5.0 * 0.5 + 0.5 * a * 0.5**2, abs=1e-9), kind
 
     def test_initial_speed_clamped_to_cap(self, cfg):
-        p = speed_profile(ProfileKind.CONST_VEL, 12.0, 10.0, cfg)
-        assert p.v0 == pytest.approx(10.0)
+        agent = make_agent("a", straight_traj((0, 0), (12, 0), 10))
+        path = PathRollout(agent.trajectory, 0, 12.0, 10.0, 50.0, cfg)
+        assert path.v0 == pytest.approx(10.0)
+        # unclamped, the closed form would advance 12 m/s * 0.5 s per frame
+        np.testing.assert_allclose(np.diff(path.roll(ProfileKind.CONST_VEL, 4)[:, 0]), 5.0,
+                                   atol=1e-9)
 
 
 class TestStraightRollouts:
     def test_accel_matches_closed_form(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (4, 0), 40))
-        prof = speed_profile(ProfileKind.ACCEL, 4.0, 9.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=30)
+        roll = roll_from(agent, 0, ProfileKind.ACCEL, 4.0, 9.0, cfg, n_steps=30)
         for k in (5, 15, 30):
             expect = analytic_accel_distance(4.0, 9.0, A_LON, 0.5 * k)
-            assert roll.xy[k, 0] == pytest.approx(expect, abs=1e-9)
+            assert roll[k, 0] == pytest.approx(expect, abs=1e-9)
 
     def test_decel_stops_at_braking_distance(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 40))
-        prof = speed_profile(ProfileKind.DECEL, 6.0, 9.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=30)
+        roll = roll_from(agent, 0, ProfileKind.DECEL, 6.0, 9.0, cfg, n_steps=30)
         stop = 6.0**2 / (2.0 * A_LON)
-        assert roll.xy[-1, 0] == pytest.approx(stop, abs=1e-9)
+        assert roll[-1, 0] == pytest.approx(stop, abs=1e-9)
         # monotone, never reverses
-        assert np.all(np.diff(roll.xy[:, 0]) >= -1e-12)
+        assert np.all(np.diff(roll[:, 0]) >= -1e-12)
 
     def test_const_vel_keeps_speed(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 40))
-        prof = speed_profile(ProfileKind.CONST_VEL, 6.0, 9.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
-        np.testing.assert_allclose(np.diff(roll.xy[:, 0]), 3.0, atol=1e-9)
+        roll = roll_from(agent, 0, ProfileKind.CONST_VEL, 6.0, 9.0, cfg, n_steps=20)
+        np.testing.assert_allclose(np.diff(roll[:, 0]), 3.0, atol=1e-9)
 
     def test_starts_at_recorded_position_and_time(self, cfg):
         agent = make_agent("a", straight_traj((-10, 2), (6, 0), 40))
-        prof = speed_profile(ProfileKind.CONST_VEL, 6.0, 9.0, cfg)
-        roll = roll_from(agent, 4, prof, cfg, n_steps=10)
-        np.testing.assert_allclose(roll.xy[0], agent.trajectory.xy[4])
-        assert roll.t[0] == pytest.approx(agent.trajectory.t[4])
+        roll = roll_from(agent, 4, ProfileKind.CONST_VEL, 6.0, 9.0, cfg, n_steps=10)
+        np.testing.assert_allclose(roll[0], agent.trajectory.xy[4])
 
     def test_path_extended_beyond_recorded_end(self, cfg):
         # 10 recorded frames cover 27 m; an accelerating rollout needs more.
         agent = make_agent("a", straight_traj((0, 0), (6, 0), 10))
-        prof = speed_profile(ProfileKind.ACCEL, 6.0, 20.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
-        assert roll.xy[-1, 0] > 27.0
-        np.testing.assert_allclose(roll.xy[:, 1], 0.0, atol=1e-9)
+        roll = roll_from(agent, 0, ProfileKind.ACCEL, 6.0, 20.0, cfg, n_steps=20)
+        assert roll[-1, 0] > 27.0
+        np.testing.assert_allclose(roll[:, 1], 0.0, atol=1e-9)
 
 
 class TestCurvatureCap:
@@ -111,9 +107,8 @@ class TestCurvatureCap:
         n = 60
         traj = circle_traj(10.0, 0.35, n)
         agent = make_agent("a", traj)
-        prof = speed_profile(ProfileKind.ACCEL, 3.0, 12.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
-        step = np.hypot(*np.diff(roll.xy, axis=0).T)
+        roll = roll_from(agent, 0, ProfileKind.ACCEL, 3.0, 12.0, cfg, n_steps=20)
+        step = np.hypot(*np.diff(roll, axis=0).T)
         v_cap = np.sqrt(cfg.a_lat_max * 10.0)
         # speeds within the recorded arc never exceed the lateral limit
         arc_len = 10.0 * 0.35 * 0.5 * (n - 1)
@@ -123,9 +118,8 @@ class TestCurvatureCap:
 
     def test_straight_path_unaffected(self, cfg):
         agent = make_agent("a", straight_traj((0, 0), (8, 0), 30))
-        prof = speed_profile(ProfileKind.CONST_VEL, 8.0, 8.0, cfg)
-        roll = roll_from(agent, 0, prof, cfg, n_steps=20)
-        np.testing.assert_allclose(np.diff(roll.xy[:, 0]), 4.0, atol=1e-9)
+        roll = roll_from(agent, 0, ProfileKind.CONST_VEL, 8.0, 8.0, cfg, n_steps=20)
+        np.testing.assert_allclose(np.diff(roll[:, 0]), 4.0, atol=1e-9)
 
 
 class TestSceneSpeed:
@@ -206,7 +200,8 @@ def reference_interaction_timeline(scene, pair, cfg):
         for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                        (ProfileKind.ACCEL, ProfileKind.DECEL)):
             ra, rb = rolls_a[ka], rolls_b[kb]
-            if not ref_is_collision(ra, rb, dims_a, dims_b, cfg.interp_factor):
+            if not ref_is_collision(as_traj(ra, wa.dt), as_traj(rb, wb.dt), dims_a, dims_b,
+                                    cfg.interp_factor):
                 feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))
         feas.append(frozenset(feasible))
     sizes = [len(f) for f in feas]
@@ -222,7 +217,7 @@ def reference_interaction_timeline(scene, pair, cfg):
         return DegenerateInterval
     final_idx = two[-1]
     horizon = cfg.horizon_frames(wa.dt)
-    gt = gt_mode_sequence(wa, wb, horizon, cfg.theta_hat)
+    gt = gt_mode_sequence(wa.xy, wb.xy, horizon, cfg.theta_hat)
     start_idx = final_idx
     for i in range(final_idx, max(0, final_idx - horizon) - 1, -1):
         if gt[i] != gt[final_idx]:

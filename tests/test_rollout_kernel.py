@@ -16,7 +16,6 @@ from interaction_eval.rollout import (
     PathRollout,
     ProfileKind,
     _interp_scalar,
-    speed_profile,
 )
 
 from conftest import DT, circle_traj, straight_traj
@@ -87,9 +86,8 @@ def ref_speed_cap(s_grid, kappa, v_max, cfg):
     return cap
 
 
-def ref_roll_s(s_grid, cap, profile, n_steps, dt):
+def ref_roll_s(s_grid, cap, a, v0, v_max, n_steps, dt):
     """Arc length at each frame, and how many substeps the cap bound."""
-    a, v0, v_max = profile.a_lon, profile.v0, profile.v_max
 
     def v_des(t):
         return float(np.clip(v0 + a * t, 0.0, v_max))
@@ -137,24 +135,24 @@ def check_path(traj, start_frame, v_max, v0=None, cfg=None):
     cfg = cfg or EvalConfig()
     n_steps = traj.n - 1 - start_frame
     extend = v_max * (n_steps + 1) * traj.dt + 10.0
-    path = PathRollout(traj, start_frame, extend, cfg)
+    if v0 is None:
+        v0 = float(ref_kinematics(traj)[1][start_frame])
+    path = PathRollout(traj, start_frame, v0, v_max, extend, cfg)
     verts, s_vert, s_grid, kappa = ref_geometry(traj, start_frame, extend)
     assert np.array_equal(path._verts, verts)
     assert np.array_equal(path._s_vert, s_vert)
     assert np.array_equal(path._s, s_grid)
     assert np.array_equal(path._kappa, kappa)
     cap = ref_speed_cap(s_grid, kappa, v_max, cfg)
-    assert np.array_equal(path.speed_cap(v_max), cap)
-    if v0 is None:
-        v0 = float(ref_kinematics(traj)[1][start_frame])
+    assert np.array_equal(path._cap, cap)
     bound = 0
     for kind in ProfileKind:
-        profile = speed_profile(kind, v0, v_max, cfg)
-        out_s, b = ref_roll_s(s_grid, cap, profile, n_steps, traj.dt)
+        a = {ProfileKind.ACCEL: cfg.a_lon_max, ProfileKind.DECEL: -cfg.a_lon_max,
+             ProfileKind.CONST_VEL: 0.0}[kind]
+        out_s, b = ref_roll_s(s_grid, cap, a, min(v0, v_max), v_max, n_steps, traj.dt)
         bound += b
-        got = path.roll(profile, n_steps, t0=1.5)
-        assert np.array_equal(got.xy, path.position(out_s)), kind
-        assert np.array_equal(got.t, 1.5 + traj.dt * np.arange(n_steps + 1))
+        got = path.roll(kind, n_steps)
+        assert np.array_equal(got, path.position(out_s)), kind
     return bound
 
 
@@ -185,9 +183,9 @@ def test_decel_stops_within_horizon():
     cfg = EvalConfig()
     # 3 m/s brakes to rest in about 2 s, well inside the 9.5 s horizon
     check_path(traj, 0, v_max=3.0, cfg=cfg)
-    path = PathRollout(traj, 0, 100.0, cfg)
-    rolled = path.roll(speed_profile(ProfileKind.DECEL, 3.0, 3.0, cfg), traj.n - 1)
-    assert np.array_equal(rolled.xy[-1], rolled.xy[-5])
+    path = PathRollout(traj, 0, 3.0, 3.0, 100.0, cfg)
+    rolled = path.roll(ProfileKind.DECEL, traj.n - 1)
+    assert np.array_equal(rolled[-1], rolled[-5])
 
 
 def test_stopped_agent_with_duplicate_vertices():
@@ -218,9 +216,12 @@ def test_interp_scalar_matches_numpy():
 
 
 def test_speed_cap_is_computed_once_and_read_only():
-    path = PathRollout(circle_traj(radius=10.0, omega=0.6, n=30), 0, 50.0, EvalConfig())
-    cap = path.speed_cap(6.5)
-    assert path.speed_cap(6.5) is cap
+    path = PathRollout(circle_traj(radius=10.0, omega=0.6, n=30), 0, 6.0, 6.5, 50.0,
+                       EvalConfig())
+    cap = path._cap
+    for kind in ProfileKind:
+        path.roll(kind, 10)
+    assert path._cap is cap
     assert not cap.flags.writeable
     with pytest.raises(ValueError):
         cap[0] = 0.0

@@ -75,6 +75,25 @@ class TestJointPredictionSet:
                 arr.flat[0] = 7
 
 
+class TestIdentityEquality:
+    def test_eq_and_hash_do_not_raise(self):
+        """Trajectories and prediction sets hold numpy arrays, so they compare
+        and hash by identity; a scene compares its fields, which reach them."""
+        ta, tb = straight_traj((0, 0), (1, 0), 5), straight_traj((0, 0), (1, 0), 5)
+        fut = {"a": np.ones((3, 2))}
+        pa = JointPredictionSet.from_samples(4, [(1.0, fut)])
+        pb = JointPredictionSet.from_samples(4, [(1.0, fut)])
+        agents = (make_agent("a", ta),)
+        sa = Scene(scene_id="s", dt=0.5, agents=agents)
+        sb = Scene(scene_id="s", dt=0.5, agents=agents)
+        for x, y, same in ((ta, tb, False), (pa, pb, False), (sa, sb, True)):
+            assert x == x and not x != x
+            assert (x == y) is same and (x != y) is not same
+            assert hash(x) == hash(x)
+        assert hash(sa) == hash(sb)
+        assert sa != Scene(scene_id="s", dt=0.5, agents=(make_agent("a", tb),))
+
+
 class TestValidation:
     def test_valid_scene_passes(self):
         scene = crossing_scene()
