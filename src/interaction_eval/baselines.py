@@ -11,29 +11,37 @@ from .collision import VehicleDims, collisions, disk_tracks
 from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
-from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, profile_rollouts
-from .types import (
-    EvalConfig,
-    JointPredictionSet,
-    Scene,
-    agent_frame_index,
-    trajectory_kinematics,
-)
+from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, rollout_rows
+from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index, trajectory_kinematics
+
+Kinematics = list[tuple[np.ndarray, np.ndarray]]
 
 
 # the speed profiles an interacting agent may take in an oracle combination
 ORACLE_PROFILES = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
 
 
-def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
-    """Single joint sample extrapolating each agent's current heading and speed."""
+def _agent_kinematics(scene: Scene) -> Kinematics:
+    """Each agent's ``trajectory_kinematics``, in ``scene.agents`` order."""
+    return [trajectory_kinematics(agent.trajectory) for agent in scene.agents]
+
+
+def cv_predict(scene: Scene, t: int, cfg: EvalConfig, *,
+               kinematics: Kinematics | None = None) -> JointPredictionSet:
+    """Single joint sample extrapolating each agent's current heading and speed.
+
+    ``kinematics`` holds each agent's ``trajectory_kinematics``, in
+    ``scene.agents`` order; a caller that predicts many frames of one scene
+    computes it once. It is computed here when not given.
+    """
+    if kinematics is None:
+        kinematics = _agent_kinematics(scene)
     horizon = cfg.horizon_frames(scene.dt)
     trajs: dict[str, np.ndarray] = {}
-    for agent in scene.agents:
+    for agent, (headings, speeds) in zip(scene.agents, kinematics):
         i = agent_frame_index(scene, agent, t)
         if i is None:
             continue
-        headings, speeds = trajectory_kinematics(agent.trajectory)
         step = speeds[i] * scene.dt * np.array([np.cos(headings[i]), np.sin(headings[i])])
         future = agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step)
         trajs[agent.id] = future
@@ -60,7 +68,8 @@ def _collision_tables(rollouts: dict[str, dict[ProfileKind, np.ndarray]],
 
 
 def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
-                   cfg: EvalConfig) -> JointPredictionSet:
+                   cfg: EvalConfig, *,
+                   kinematics: Kinematics | None = None) -> JointPredictionSet:
     """Top-K collision-free profile combinations ranked by average speed.
 
     Agents involved in a critical pair get all three speed profiles along
@@ -72,26 +81,28 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     collision table from one ``collisions`` call, and each rollout gets its
     mean speed. The combination loop only looks these up, so a frame costs
     one collision check per critical pair however many combinations there
-    are.
+    are. ``kinematics`` is as for ``cv_predict``.
     """
     if k < 1:
         raise ConfigError(f"oracle k must be >= 1, got {k}")
+    if kinematics is None:
+        kinematics = _agent_kinematics(scene)
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
-    present = [(agent, i) for agent in scene.agents
+    present = [(agent, i, speeds)
+               for agent, (_, speeds) in zip(scene.agents, kinematics)
                if (i := agent_frame_index(scene, agent, t)) is not None]
     # a bystander (in no critical pair) only ever keeps constant velocity
     choices = [
         (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
-        for agent, _ in present
+        for agent, _, _ in present
     ]
-    rollouts: dict[str, dict[ProfileKind, np.ndarray]] = {}
-    for (agent, i), (_, profiles) in zip(present, choices):
-        _, speeds = trajectory_kinematics(agent.trajectory)
-        rollouts[agent.id] = profile_rollouts(agent.trajectory, i, float(speeds[i]), v_max,
-                                              horizon, profiles, cfg)
-    dims = {a.id: VehicleDims(a.width, a.length) for a, _ in present}
+    rolled = rollout_rows([(agent.trajectory, i, float(speeds[i]), horizon, profiles)
+                           for (agent, i, speeds), (_, profiles) in zip(present, choices)],
+                          v_max, cfg)
+    rollouts = {agent.id: rolls for (agent, _, _), rolls in zip(present, rolled)}
+    dims = {a.id: VehicleDims(a.width, a.length) for a, _, _ in present}
     check_pairs = [(p.agent_a, p.agent_b) for p in pairs
                    if p.agent_a in rollouts and p.agent_b in rollouts]
     collides_at = _collision_tables(rollouts, dims, check_pairs, cfg.interp_factor)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import cv_predict, oracle_predict
+from .baselines import _agent_kinematics, cv_predict, oracle_predict
 from .errors import (
     ConfigError,
     DegenerateInterval,
@@ -98,11 +98,14 @@ def _baseline_predictions(scene: Scene, model: str, frames: set[int],
                           pairs: list[CriticalPair], cfg: EvalConfig,
                           k: int = DEFAULT_ORACLE_K) -> dict[int, JointPredictionSet]:
     out: dict[int, JointPredictionSet] = {}
+    if not frames:
+        return out
+    kinematics = _agent_kinematics(scene)
     for fr in sorted(frames):
         if model == "cv":
-            out[fr] = cv_predict(scene, fr, cfg)
+            out[fr] = cv_predict(scene, fr, cfg, kinematics=kinematics)
         else:
-            out[fr] = oracle_predict(scene, fr, pairs, k, cfg)
+            out[fr] = oracle_predict(scene, fr, pairs, k, cfg, kinematics=kinematics)
     return out
 
 
@@ -189,7 +192,9 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
     if len(steps) > 1:
         raise ParseError(scene_dir, "scenes have mixed time steps "
                                     + ", ".join(f"{dt:g} s" for dt in steps))
-    baseline = str(pred_source) if str(pred_source) in BASELINE_MODELS else None
+    # a baseline is named by a string; a Path always names a directory
+    baseline = (pred_source if isinstance(pred_source, str) and pred_source in BASELINE_MODELS
+                else None)
     if baseline is not None and Path(pred_source).is_dir():
         raise ConfigError(f"--pred {baseline} names the {baseline} baseline, and a directory "
                           f"{baseline}/ exists; write ./{baseline} to read the directory")

@@ -16,12 +16,18 @@ back along the path) binds; where it binds, the substep is a trapezoid
 step at the capped speeds. Closed-form stretches are array code: one
 cumulative sum and one cap test for all their substeps. A straight path
 has a flat cap that never binds, so its whole roll is one such stretch.
+
+``rollout_rows`` rolls many (track, start frame) rows in one call: every
+start frame of an IHS window, or every agent of an oracle frame. The rows
+whose cap provably never binds skip the per-row path set-up and are summed
+together, one row of one array each.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +60,9 @@ class ProfileKind(enum.Enum):
 
 # deterministic tie-break order for profile combinations
 PROFILE_ORDER = {ProfileKind.ACCEL: 0, ProfileKind.CONST_VEL: 1, ProfileKind.DECEL: 2}
+
+# what to roll: (track, start frame, start speed v0, n_steps, profiles)
+RolloutRow = tuple[Trajectory, int, float, int, tuple[ProfileKind, ...]]
 
 
 @dataclass(frozen=True)
@@ -114,6 +123,32 @@ def _interp_scalar(x: float, xp: list, fp: list) -> float:
     if xp[j] == x:
         return fp[j]
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
+
+def _acceleration(kind: ProfileKind, a_lon: float) -> float:
+    return {ProfileKind.ACCEL: a_lon, ProfileKind.DECEL: -a_lon, ProfileKind.CONST_VEL: 0.0}[kind]
+
+
+def _substep_starts(n_steps: int, dt) -> np.ndarray:
+    """Start time of each substep of ``n_steps`` frames: substep
+    k = (frame - 1) * _SUBSTEPS + sub starts at ``t[..., k]``. A scalar
+    ``dt`` gives one row; an array of time steps gives one row each."""
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    t = np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * (dt / _SUBSTEPS)
+    return t.reshape(t.shape[:-2] + (-1,))
+
+
+def _profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
+    """Arc length at times ``t`` of the linear speed profile from ``v0`` at
+    acceleration ``a``, clamped to [0, ``v_max``]: its exact integral."""
+    if a > 0:
+        t_star = (v_max - v0) / a
+        return np.where(t <= t_star, v0 * t + 0.5 * a * t * t,
+                        v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star))
+    if a < 0:
+        t_star = v0 / -a
+        return np.where(t <= t_star, v0 * t + 0.5 * a * t * t, 0.5 * v0 * t_star)
+    return v0 * t
 
 
 class PathRollout:
@@ -204,31 +239,14 @@ class PathRollout:
         restarts from where they end. The result is the same, bit for bit,
         as stepping every substep in turn.
         """
-        dt = self.dt
-        a = {ProfileKind.ACCEL: self._a_lon, ProfileKind.DECEL: -self._a_lon,
-             ProfileKind.CONST_VEL: 0.0}[kind]
+        a = _acceleration(kind, self._a_lon)
         v0, v_max, cap, s_grid = self.v0, self.v_max, self._cap, self._s
-
-        def v_des(t: np.ndarray) -> np.ndarray:
-            return np.clip(v0 + a * t, 0.0, v_max)
-
-        def s_des(t: np.ndarray) -> np.ndarray:
-            # exact integral of the clamped linear profile
-            if a > 0:
-                t_star = (v_max - v0) / a
-                return np.where(t <= t_star, v0 * t + 0.5 * a * t * t,
-                                v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star))
-            if a < 0:
-                t_star = v0 / -a
-                return np.where(t <= t_star, v0 * t + 0.5 * a * t * t, 0.5 * v0 * t_star)
-            return v0 * t
-
-        h = dt / _SUBSTEPS
-        # substep k = (frame - 1) * _SUBSTEPS + sub spans [t_a[k], t_b[k]]
-        t_a = (np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * h).ravel()
+        h = self.dt / _SUBSTEPS
+        t_a = _substep_starts(n_steps, self.dt)
         t_b = t_a + h
-        v_a, v_b = v_des(t_a), v_des(t_b)
-        ds_exact = s_des(t_b) - s_des(t_a)
+        v_a = np.clip(v0 + a * t_a, 0.0, v_max)
+        v_b = np.clip(v0 + a * t_b, 0.0, v_max)
+        ds_exact = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
         n_sub = len(ds_exact)
         s_end = np.empty(n_sub)  # arc length after each substep
         k, s = 0, 0.0
@@ -265,17 +283,145 @@ class PathRollout:
         return self.position(out_s)
 
 
+def _extension(v_max: float, n_steps, dt):
+    """How far a path is extended so that the fastest roll of ``n_steps``
+    frames at ``v_max`` stays on it."""
+    return v_max * (n_steps + 1) * dt + 10.0
+
+
+def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
+                        cfg: EvalConfig) -> np.ndarray:
+    """Which of ``starts`` roll the recorded path ``xy`` in closed form.
+
+    The speed cap of a ``PathRollout`` from ``start`` is ``v_max`` all along
+    its path, so no substep of any profile is capped, when both hold:
+
+    - no step of ``xy[start:]`` is within ``_DEGENERATE_DISP``, so the path
+      keeps every recorded vertex;
+    - the lateral limit at the sharpest of those vertices is at least
+      ``v_max``. The curvature between vertices is interpolated from theirs,
+      and rounding may lift it above the largest by a few ulps; the factor
+      ``1 + 1e-9`` allows for that.
+
+    A start on the last sample has no path left to roll along.
+    """
+    n = len(xy)
+    ok = (starts >= 0) & (starts <= n - 2)
+    if not ok.any():
+        return ok
+    s = np.where(ok, starts, 0)
+    step = np.hypot(*(np.diff(xy, axis=0).T))
+    degenerate = np.logical_or.accumulate((step <= _DEGENERATE_DISP)[::-1])[::-1]
+    # largest clamped curvature of the recorded vertices after each start
+    kappa = np.zeros(n - 1)
+    if n >= 3:
+        kappa[:-1] = np.maximum.accumulate(np.minimum(
+            _menger_curvature(xy[:-2], xy[1:-1], xy[2:]), _KAPPA_MAX)[::-1])[::-1]
+    lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa * (1.0 + 1e-9), 1e-12))
+    return ok & ~degenerate[s] & (lat[s] >= v_max)
+
+
+def _closed_form_rolls(rows: list[RolloutRow], v_max: float,
+                       cfg: EvalConfig) -> list[dict[ProfileKind, np.ndarray]]:
+    """``rollout_rows`` of rows that ``_closed_form_starts`` admits, given
+    with the rows of each track next to each other.
+
+    Each row's path is its recorded points from ``start`` and the extension
+    point, laid out in one (rows, vertices, 2) array padded with the
+    extension point. The substep advances of each profile form one (rows,
+    substeps) array, summed in order along each row by one cumulative sum,
+    as ``PathRollout.roll`` sums a roll whose cap never binds.
+    """
+    n_steps = np.array([row[3] for row in rows])
+    dt = np.array([row[0].dt for row in rows])
+    extend = np.maximum(_extension(v_max, n_steps, dt), 1.0)
+    n_pts = np.array([row[0].n - row[1] for row in rows])
+    cols = np.arange(n_pts.max() + 1)
+    verts = np.empty((len(rows), len(cols), 2))
+    lo = 0
+    for _, run in itertools.groupby(rows, key=lambda row: id(row[0])):
+        run = list(run)
+        hi = lo + len(run)
+        xy = run[0][0].xy
+        tail = xy[-1] - xy[-2]
+        heading = np.arctan2(tail[1], tail[0])
+        ext = xy[-1] + np.array([np.cos(heading), np.sin(heading)]) * extend[lo:hi, None]
+        starts = np.array([row[1] for row in run])
+        rec = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
+        verts[lo:hi] = np.where((cols >= n_pts[lo:hi, None])[..., None], ext[:, None], rec)
+        lo = hi
+    seg = np.diff(verts, axis=1)
+    s_vert = np.concatenate((np.zeros((len(rows), 1)),
+                             np.cumsum(np.hypot(seg[..., 0], seg[..., 1]), axis=1)), axis=1)
+    s_end = s_vert[np.arange(len(rows)), n_pts]
+
+    t_a = _substep_starts(int(n_steps.max()), dt)
+    t_b = t_a + (dt / _SUBSTEPS)[:, None]
+    v0 = np.minimum([row[2] for row in rows], v_max)[:, None]
+    rolls: list[dict] = [{} for _ in rows]
+    for kind in ProfileKind:
+        sel = [r for r, row in enumerate(rows) if kind in row[4]]
+        if not sel:
+            continue
+        a = _acceleration(kind, cfg.a_lon_max)
+        ds = (_profile_arc(t_b[sel], v0[sel], a, v_max)
+              - _profile_arc(t_a[sel], v0[sel], a, v_max))
+        s_frame = np.cumsum(np.concatenate((np.zeros((len(sel), 1)), ds), axis=1),
+                            axis=1)[:, ::_SUBSTEPS]
+        s_frame = np.clip(s_frame, 0.0, s_end[sel, None])
+        # each row's positions on its own vertices, as PathRollout.position
+        for r, s in zip(sel, s_frame):
+            m = n_pts[r] + 1
+            pos = rolls[r][kind] = np.empty((n_steps[r] + 1, 2))
+            pos[:, 0] = np.interp(s[:len(pos)], s_vert[r, :m], verts[r, :m, 0])
+            pos[:, 1] = np.interp(s[:len(pos)], s_vert[r, :m], verts[r, :m, 1])
+    return [{kind: got[kind] for kind in row[4]} for row, got in zip(rows, rolls)]
+
+
+def rollout_rows(rows: list[RolloutRow], v_max: float,
+                 cfg: EvalConfig) -> list[dict[ProfileKind, np.ndarray]]:
+    """Each row's rolls, the same bit for bit as a ``PathRollout`` of that
+    row alone gives them.
+
+    A row is ``(traj, start, v0, n_steps, kinds)``: the (n_steps + 1, 2)
+    positions of each speed profile in ``kinds``, rolled along ``traj``
+    from frame ``start`` at start speed ``v0``. Each path is extended far
+    enough that the fastest roll of its ``n_steps`` frames at ``v_max``
+    stays on it.
+
+    Rows whose speed cap provably never binds (``_closed_form_starts``)
+    roll together in closed form, without the arc grid, curvature and cap
+    of a ``PathRollout``, none of which can change their rolls. Every other
+    row rolls through its own ``PathRollout``.
+    """
+    tracks: dict[int, list[int]] = {}
+    for r, row in enumerate(rows):
+        tracks.setdefault(id(row[0]), []).append(r)
+    fast = np.zeros(len(rows), dtype=bool)
+    # a flat cap of v_max is then a fixed point of the cap's backward pass
+    c = np.float64(v_max)
+    if np.sqrt(c ** 2) >= c:
+        for idx in tracks.values():
+            fast[idx] = _closed_form_starts(rows[idx[0]][0].xy,
+                                            np.array([rows[r][1] for r in idx]), v_max, cfg)
+    out: list = [None] * len(rows)
+    for r in np.flatnonzero(~fast):
+        traj, start, v0, n_steps, kinds = rows[r]
+        path = PathRollout(traj, start, v0, v_max, _extension(v_max, n_steps, traj.dt), cfg)
+        out[r] = {kind: path.roll(kind, n_steps) for kind in kinds}
+    order = [r for idx in tracks.values() for r in idx if fast[r]]
+    if order:
+        for r, rolls in zip(order, _closed_form_rolls([rows[r] for r in order], v_max, cfg)):
+            out[r] = rolls
+    return out
+
+
 def profile_rollouts(traj: Trajectory, start: int, v0: float, v_max: float, n_steps: int,
                      kinds: tuple[ProfileKind, ...],
                      cfg: EvalConfig) -> dict[ProfileKind, np.ndarray]:
     """The (n_steps + 1, 2) positions of each speed profile in ``kinds``,
-    rolled along ``traj`` from frame ``start``.
-
-    The path is extended far enough that the fastest roll of ``n_steps``
-    frames at ``v_max`` stays on it.
-    """
-    path = PathRollout(traj, start, v0, v_max, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
-    return {kind: path.roll(kind, n_steps) for kind in kinds}
+    rolled along ``traj`` from frame ``start``: ``rollout_rows`` of one row."""
+    return rollout_rows([(traj, start, v0, n_steps, kinds)], v_max, cfg)[0]
 
 
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
@@ -289,12 +435,12 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     _, speeds_b = trajectory_kinematics(wb)
     dims_a = VehicleDims(agent_a.width, agent_a.length)
     dims_b = VehicleDims(agent_b.width, agent_b.length)
+    # every start frame of each agent's window, rolled to the window's end
     kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
-    rolls_a, rolls_b = [], []
-    for i in range(n - 1):
-        n_steps = n - 1 - i
-        rolls_a.append(profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg))
-        rolls_b.append(profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg))
+    rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n - 1 - i, kinds) for i in range(n - 1)],
+                           v_max, cfg)
+    rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n - 1 - i, kinds) for i in range(n - 1)],
+                           v_max, cfg)
     # one collision check per ordering over every frame's rolls; only the
     # frames where the ordering is free are classified
     feasible: list[set] = [set() for _ in range(n - 1)]

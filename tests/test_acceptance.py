@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from interaction_eval import (
     CriticalPair,
@@ -19,14 +18,12 @@ from interaction_eval import (
     EvalConfig,
     HomotopyClass,
     JointPredictionSet,
-    PairRejection,
     RejectReason,
     Scene,
     Trajectory,
     VehicleDims,
     classify_pair,
     displacement_metrics,
-    evaluate_scene,
     filter_scene_with_rejections,
     frame_flags,
     interaction_timeline,

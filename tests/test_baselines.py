@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from interaction_eval import (
-    EvalConfig,
     HomotopyClass,
     Scene,
     VehicleDims,
     baselines,
     cv_predict,
+    evaluate_scene,
     filter_scene_with_rejections,
     interaction_timeline,
     is_collision,
@@ -35,6 +35,7 @@ from interaction_eval.types import (
 from conftest import (
     as_traj,
     crossing_scene,
+    four_agent_scene,
     make_agent,
     random_crossing_scene,
     ref_is_collision,
@@ -110,12 +111,13 @@ class TestOracle:
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert {(p.agent_a, p.agent_b) for p in pairs} == {("a", "b")}
         rolled = []
-        roll = PathRollout.roll
+        rollout_rows = baselines.rollout_rows
 
-        def counted(self, kind, *args, **kwargs):
-            rolled.append(kind)
-            return roll(self, kind, *args, **kwargs)
-        monkeypatch.setattr(PathRollout, "roll", counted)
+        def counted(rows, *args, **kwargs):
+            out = rollout_rows(rows, *args, **kwargs)
+            rolled.extend(kind for rolls in out for kind in rolls)
+            return out
+        monkeypatch.setattr(baselines, "rollout_rows", counted)
         pred = oracle_predict(scene, 3, pairs, 9, cfg)
         c = pred.agent_ids.index("c")
         futures = {tuple(pred.xy[k, c, pred.lengths[k, c] - 1]) for k in range(len(pred.p))}
@@ -276,3 +278,27 @@ class TestOracleCollisionTables:
             # one disk layout per interacting agent, one row per profile
             assert len(calls["disk_tracks"]) == len(interacting), frame
             assert all(len(t.lengths) == 3 for t in calls["disk_tracks"]), frame
+
+
+@pytest.mark.parametrize("model", ["cv", "oracle"])
+def test_kinematics_once_per_scene(cfg, monkeypatch, model):
+    """Grading a baseline computes each agent's kinematics once per scene, not
+    once per predicted frame, and predicts what each frame predicts alone."""
+    scene = four_agent_scene()
+    seen = []
+    kinematics = baselines.trajectory_kinematics
+
+    def counted(traj):
+        seen.append(traj)
+        return kinematics(traj)
+    monkeypatch.setattr(baselines, "trajectory_kinematics", counted)
+    result = evaluate_scene(scene, cfg, baseline=model)
+    assert len(result.predictions) > 1
+    assert [id(t) for t in seen] == [id(a.trajectory) for a in scene.agents]
+    pairs = filter_scene_with_rejections(scene, cfg)[0]
+    for frame, got in result.predictions.items():
+        alone = (cv_predict(scene, frame, cfg) if model == "cv"
+                 else oracle_predict(scene, frame, pairs, 5, cfg))
+        assert got.agent_ids == alone.agent_ids
+        assert got.p.tolist() == alone.p.tolist()
+        assert np.array_equal(got.xy, alone.xy) and np.array_equal(got.lengths, alone.lengths)

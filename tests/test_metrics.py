@@ -9,7 +9,6 @@ from interaction_eval import (
     DisplacementMetrics,
     EmptyCorpus,
     EmptyFeasibleSet,
-    FrameModeFlags,
     FrameRecord,
     HomotopyClass,
     JointPredictionSet,

@@ -423,6 +423,28 @@ class TestCli:
         assert json.loads((tmp_path / "out" / "manifest.json").read_text())[
             "inputs"]["pred_source"] == "./cv"
 
+    def test_path_argument_names_a_directory(self, scene_dir, tmp_path, monkeypatch):
+        """Only a string names a baseline: run_pipeline reads Path("./cv") as
+        the cv/ directory, while the CLI's --pred cv stays ambiguous."""
+        monkeypatch.chdir(tmp_path)
+        cfg = EvalConfig()
+        cv_baseline = run_pipeline(scene_dir, "cv", tmp_path / "cv_baseline", cfg)
+        scene = load_scene(scene_dir / "crossing.json")
+        (tmp_path / "cv").mkdir()
+        save_predictions(scene.scene_id, 6.0,
+                         evaluate_scene(scene, cfg, baseline="oracle").predictions,
+                         tmp_path / "cv" / "crossing.json")
+        from_path = run_pipeline(scene_dir, Path("./cv"), tmp_path / "path", cfg)
+        assert from_path.to_dict() == run_pipeline(scene_dir, "./cv", tmp_path / "dir",
+                                                   cfg).to_dict()
+        # the files hold oracle predictions, not the cv baseline's
+        assert from_path.to_dict() != cv_baseline.to_dict()
+        with pytest.raises(ConfigError, match="write ./cv"):
+            run_pipeline(scene_dir, "cv", tmp_path / "out", cfg)
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", "cv",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 2, res.output
+
     def test_exit_code_parse_error(self, tmp_path):
         d = tmp_path / "scenes"
         d.mkdir()

@@ -2,20 +2,25 @@
 
 The reference functions below are the original per-substep, per-vertex and
 per-sample loops. The array code must reproduce them bit for bit, so every
-comparison is ``np.array_equal``, never a tolerance.
+comparison is ``np.array_equal``, never a tolerance. The batched
+``rollout_rows`` is held to the one-row ``PathRollout`` the same way.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from interaction_eval import EvalConfig, Trajectory, trajectory_kinematics
+from interaction_eval import EvalConfig, IndexOutOfRange, Trajectory, trajectory_kinematics
 from interaction_eval.rollout import (
     _KAPPA_MAX,
     _PATH_DS,
     _SUBSTEPS,
     PathRollout,
     ProfileKind,
+    _closed_form_starts,
     _interp_scalar,
+    rollout_rows,
 )
 
 from conftest import DT, circle_traj, straight_traj
@@ -168,12 +173,22 @@ def test_circle_cap_binds():
     assert check_path(traj, 11, v_max=6.5, v0=6.0) > 0
 
 
-def test_curved_10hz_path():
+def curved_10hz_traj():
     dt = 0.1
     th = np.concatenate([np.zeros(30), np.linspace(0.0, np.pi / 2, 31)[1:]])
     r = np.cumsum(np.full(len(th), 0.8))
     xy = np.stack([r * np.cos(th) + np.cumsum(np.cos(th)), np.cumsum(np.sin(th))], axis=1)
-    traj = Trajectory(t=dt * np.arange(len(th)), xy=xy, dt=dt)
+    return Trajectory(t=dt * np.arange(len(th)), xy=xy, dt=dt)
+
+
+def stopped_traj():
+    xy = np.array([[0.0, 0.0]] * 4 + [[0.5, 0.0], [0.5, 0.0], [1.5, 0.2], [2.5, 0.6]]
+                  + [[2.5, 0.6]] * 3)
+    return Trajectory(t=DT * np.arange(len(xy)), xy=xy, dt=DT)
+
+
+def test_curved_10hz_path():
+    traj = curved_10hz_traj()
     check_path(traj, 0, v_max=12.0)
     check_path(traj, 25, v_max=12.0)
 
@@ -189,9 +204,7 @@ def test_decel_stops_within_horizon():
 
 
 def test_stopped_agent_with_duplicate_vertices():
-    xy = np.array([[0.0, 0.0]] * 4 + [[0.5, 0.0], [0.5, 0.0], [1.5, 0.2], [2.5, 0.6]]
-                  + [[2.5, 0.6]] * 3)
-    traj = Trajectory(t=DT * np.arange(len(xy)), xy=xy, dt=DT)
+    traj = stopped_traj()
     for start in (0, 2, 5, 8):
         check_path(traj, start, v_max=2.0)
     parked = Trajectory(t=DT * np.arange(6), xy=np.full((6, 2), 4.0), dt=DT)
@@ -241,3 +254,149 @@ def test_kinematics_degenerate_displacements():
     traj = Trajectory(t=DT * np.arange(40), xy=walk, dt=DT)
     for got, want in zip(trajectory_kinematics(traj), ref_kinematics(traj)):
         assert np.array_equal(got, want)
+
+
+# --- the batched kernel against the one-row PathRollout ----------------------
+
+ALL_KINDS = tuple(ProfileKind)
+
+
+def window_rows(traj, kinds=ALL_KINDS):
+    """A row for every start frame but the last, rolled to the end of ``traj``,
+    as the IHS timeline rolls a window."""
+    speeds = ref_kinematics(traj)[1]
+    return [(traj, i, float(speeds[i]), traj.n - 1 - i, kinds) for i in range(traj.n - 1)]
+
+
+def check_rows(rows, v_max, cfg=None):
+    """Every row of one ``rollout_rows`` call equals that row's own
+    ``PathRollout`` roll; returns how many rows took the closed form."""
+    cfg = cfg or EvalConfig()
+    got = rollout_rows(rows, v_max, cfg)
+    assert len(got) == len(rows)
+    for (traj, start, v0, n_steps, kinds), rolls in zip(rows, got):
+        path = PathRollout(traj, start, v0, v_max, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
+        assert list(rolls) == list(kinds)
+        for kind in kinds:
+            want = path.roll(kind, n_steps)
+            assert rolls[kind].shape == want.shape == (n_steps + 1, 2)
+            assert np.array_equal(rolls[kind], want), (start, kind)
+    return sum(int(_closed_form_starts(traj.xy, np.array([start]), v_max, cfg)[0])
+               for traj, start, *_ in rows)
+
+
+def test_rows_straight_paths_all_closed_form():
+    rows = []
+    for traj in (straight_traj((-20.0, 3.0), (6.0, 1.5), 30),
+                 straight_traj((5.0, -7.0), (-0.3, 9.0), 12, dt=0.1)):
+        rows += window_rows(traj)
+    assert check_rows(rows, v_max=9.5) == len(rows)
+
+
+def test_rows_circle_cap_binds():
+    traj = circle_traj(radius=10.0, omega=0.6, n=30)
+    rows = window_rows(traj)
+    # only the start before the last sample, whose path has no bend, is free
+    assert check_rows(rows, v_max=6.5) == 1
+    # a wide circle at a low limit never reaches its lateral cap
+    wide = circle_traj(radius=200.0, omega=0.02, n=30)
+    assert check_rows(window_rows(wide), v_max=4.0) == wide.n - 1
+
+
+def test_rows_curved_10hz_path():
+    traj = curved_10hz_traj()
+    rows = window_rows(traj, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL))
+    fast = check_rows(rows, v_max=12.0)
+    # the straight lead-in rolls in closed form only once the bend is behind
+    assert 0 < fast < len(rows)
+
+
+def test_rows_stopped_agent_with_duplicate_vertices():
+    traj = stopped_traj()
+    rows = window_rows(traj)
+    # the repeated final samples lie ahead of every start
+    assert check_rows(rows, v_max=2.0) == 0
+    parked = Trajectory(t=DT * np.arange(6), xy=np.full((6, 2), 4.0), dt=DT)
+    assert check_rows(window_rows(parked), v_max=2.0) == 0
+
+
+def test_rows_two_sample_window():
+    traj = Trajectory(t=np.array([0.0, DT]), xy=np.array([[0.0, 0.0], [1.0, 2.0]]), dt=DT)
+    assert check_rows(window_rows(traj), v_max=5.0) == 1
+    # the last sample has no path ahead; it rolls through PathRollout, for
+    # any number of frames
+    assert check_rows([(traj, 1, 3.0, 4, ALL_KINDS), (traj, 0, 3.0, 0, ALL_KINDS)],
+                      v_max=5.0) == 1
+
+
+def test_rows_zero_speed_limit():
+    rows = window_rows(straight_traj((0.0, 0.0), (3.0, 1.0), 15))
+    assert check_rows(rows, v_max=0.0) == len(rows)
+    for rolls in rollout_rows(rows, 0.0, EvalConfig()):
+        for xy in rolls.values():
+            assert np.array_equal(xy, np.broadcast_to(xy[0], xy.shape))
+
+
+def test_rows_mixed_batch():
+    """Closed-form and per-row rows from several tracks, interleaved, with
+    different profiles, start speeds and lengths, in one call."""
+    straight = straight_traj((-20.0, 3.0), (6.0, 1.5), 30)
+    circle = circle_traj(radius=10.0, omega=0.6, n=30)
+    stopped = stopped_traj()
+    curved = curved_10hz_traj()
+    rows = [
+        (straight, 0, 6.2, 20, ALL_KINDS),
+        (circle, 3, 5.0, 12, (ProfileKind.DECEL, ProfileKind.ACCEL)),
+        (straight, 9, 12.0, 5, (ProfileKind.CONST_VEL,)),
+        (stopped, 5, 0.0, 8, ALL_KINDS),
+        (curved, 40, 8.0, 19, (ProfileKind.ACCEL,)),
+        (straight, 28, 6.0, 1, ALL_KINDS),
+        (curved, 2, 8.0, 57, (ProfileKind.CONST_VEL, ProfileKind.DECEL)),
+        (circle, 29, 6.0, 3, ALL_KINDS),
+        (straight, 3, 0.0, 26, (ProfileKind.ACCEL,)),
+    ]
+    fast = check_rows(rows, v_max=9.0)
+    assert 0 < fast < len(rows)
+
+
+def test_rows_start_outside_track():
+    traj = straight_traj((0.0, 0.0), (1.0, 0.0), 5)
+    with pytest.raises(IndexOutOfRange):
+        rollout_rows([(traj, 0, 1.0, 3, ALL_KINDS), (traj, 5, 1.0, 3, ALL_KINDS)], 2.0,
+                     EvalConfig())
+    with pytest.raises(IndexOutOfRange):
+        rollout_rows([(traj, -1, 1.0, 3, ALL_KINDS)], 2.0, EvalConfig())
+
+
+@st.composite
+def polylines(draw):
+    """A recorded path of 2-40 samples: straight runs, bends of any sharpness,
+    and stops where samples repeat."""
+    n = draw(st.integers(2, 40))
+    dt = draw(st.sampled_from([0.1, 0.5]))
+    sharpness = draw(st.sampled_from([0.0, 0.02, 1.2]))
+    turn = draw(st.lists(st.floats(-sharpness, sharpness), min_size=n - 1, max_size=n - 1))
+    # on some paths, about one sample in eight repeats the one before
+    stops = draw(st.booleans())
+    step = [0.0 if stops and draw(st.integers(0, 7)) == 0 else draw(st.floats(0.05, 3.0))
+            for _ in range(n - 1)]
+    heading = draw(st.floats(-np.pi, np.pi)) + np.cumsum(turn)
+    xy = np.vstack([[draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))],
+                    np.cumsum(np.array(step)[:, None]
+                              * np.stack([np.cos(heading), np.sin(heading)], axis=1),
+                              axis=0)])
+    return Trajectory(t=dt * np.arange(n), xy=xy, dt=dt)
+
+
+@given(st.lists(polylines(), min_size=1, max_size=3), st.floats(0.0, 30.0),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_rows_equal_path_rollout_property(trajs, v_max, data):
+    rows = []
+    for traj in trajs:
+        for start in data.draw(st.lists(st.integers(0, traj.n - 1), min_size=1, max_size=6)):
+            rows.append((traj, start, data.draw(st.floats(0.0, 35.0)),
+                         data.draw(st.integers(0, 25)),
+                         tuple(data.draw(st.permutations(ALL_KINDS))[:data.draw(
+                             st.integers(1, 3))])))
+    check_rows(rows, v_max)

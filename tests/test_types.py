@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interaction_eval import (
-    Agent,
     ConfigError,
     DuplicateAgentId,
     EmptyOverlap,
