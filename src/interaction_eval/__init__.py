@@ -48,11 +48,11 @@ from .filtering import (  # noqa: F401
 )
 from .homotopy import (  # noqa: F401
     HomotopyClass,
-    WindingResult,
     classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
     winding_angle,
+    winding_rows,
 )
 from .collision import VehicleDims, is_collision  # noqa: F401
 from .rollout import (  # noqa: F401

@@ -12,33 +12,21 @@ from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
 from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, rollout_rows
-from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index, trajectory_kinematics
-
-Kinematics = list[tuple[np.ndarray, np.ndarray]]
+from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index
+# the benchmark's tracer patches this name in this module
+from .types import trajectory_kinematics  # noqa: F401
 
 
 # the speed profiles an interacting agent may take in an oracle combination
 ORACLE_PROFILES = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
 
 
-def _agent_kinematics(scene: Scene) -> Kinematics:
-    """Each agent's ``trajectory_kinematics``, in ``scene.agents`` order."""
-    return [trajectory_kinematics(agent.trajectory) for agent in scene.agents]
-
-
-def cv_predict(scene: Scene, t: int, cfg: EvalConfig, *,
-               kinematics: Kinematics | None = None) -> JointPredictionSet:
-    """Single joint sample extrapolating each agent's current heading and speed.
-
-    ``kinematics`` holds each agent's ``trajectory_kinematics``, in
-    ``scene.agents`` order; a caller that predicts many frames of one scene
-    computes it once. It is computed here when not given.
-    """
-    if kinematics is None:
-        kinematics = _agent_kinematics(scene)
+def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
+    """Single joint sample extrapolating each agent's current heading and speed
+    (``Scene.kinematics``)."""
     horizon = cfg.horizon_frames(scene.dt)
     trajs: dict[str, np.ndarray] = {}
-    for agent, (headings, speeds) in zip(scene.agents, kinematics):
+    for agent, (headings, speeds) in zip(scene.agents, scene.kinematics):
         i = agent_frame_index(scene, agent, t)
         if i is None:
             continue
@@ -68,8 +56,7 @@ def _collision_tables(rollouts: dict[str, dict[ProfileKind, np.ndarray]],
 
 
 def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
-                   cfg: EvalConfig, *,
-                   kinematics: Kinematics | None = None) -> JointPredictionSet:
+                   cfg: EvalConfig) -> JointPredictionSet:
     """Top-K collision-free profile combinations ranked by average speed.
 
     Agents involved in a critical pair get all three speed profiles along
@@ -81,17 +68,16 @@ def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
     collision table from one ``collisions`` call, and each rollout gets its
     mean speed. The combination loop only looks these up, so a frame costs
     one collision check per critical pair however many combinations there
-    are. ``kinematics`` is as for ``cv_predict``.
+    are. Each rollout starts at the agent's recorded speed
+    (``Scene.kinematics``).
     """
     if k < 1:
         raise ConfigError(f"oracle k must be >= 1, got {k}")
-    if kinematics is None:
-        kinematics = _agent_kinematics(scene)
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
     present = [(agent, i, speeds)
-               for agent, (_, speeds) in zip(scene.agents, kinematics)
+               for agent, (_, speeds) in zip(scene.agents, scene.kinematics)
                if (i := agent_frame_index(scene, agent, t)) is not None]
     # a bystander (in no critical pair) only ever keeps constant velocity
     choices = [

@@ -3,12 +3,13 @@
 The interaction class of an agent pair is read off the cumulative rotation
 of the relative position vector: a clockwise rotation (negative winding)
 means one agent passes behind the other, counterclockwise the reverse.
+``winding_rows`` winds a stack of rows in one call; ``winding_angle`` is its
+one-row case.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,24 +26,20 @@ class HomotopyClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class WindingResult:
-    delta_theta: float
-    per_step: np.ndarray  # wrapped increments, each in (-pi, pi]
-
-
 def _wrap_angle(x: np.ndarray) -> np.ndarray:
     """Wrap to (-pi, pi]."""
     w = (x + np.pi) % (2.0 * np.pi) - np.pi
     return np.where(w <= -np.pi, w + 2.0 * np.pi, w)
 
 
-def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> WindingResult:
-    """Cumulative wrapped change of the bearing of (position_A - position_B),
-    for two time-aligned (n, 2) position arrays.
+def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Cumulative wrapped change of the bearing of each row of a padded
+    (B, M, 2) stack of relative positions (position_A - position_B). Row b's
+    samples are ``rel[b, :lengths[b]]``, at least one; the rest is padding.
 
     Frames where the agents (near-)coincide contribute a zero increment and
-    carry the last well-defined bearing forward.
+    carry the row's last well-defined bearing forward. Each row is summed on
+    its own slice; a sum along the padded rows would round differently.
 
     Swapping the agents negates the relative vector, which adds pi to every
     bearing and leaves each wrapped increment as it was: the winding is
@@ -50,18 +47,24 @@ def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> WindingResult:
     Reflecting both paths about a line negates every increment, so the
     winding changes sign.
     """
+    norm = np.hypot(rel[..., 0], rel[..., 1])
+    bearings = np.arctan2(rel[..., 1], rel[..., 0])
+    defined = norm >= _DEGENERATE_DISP
+    # index of the last well-defined bearing at or before each frame of its row
+    last = np.maximum.accumulate(np.where(defined, np.arange(rel.shape[1]), -1), axis=1)
+    ok = defined[:, 1:] & (last[:, :-1] >= 0)
+    prev = np.take_along_axis(bearings, np.maximum(last[:, :-1], 0), axis=1)
+    steps = np.zeros_like(prev)
+    steps[ok] = _wrap_angle(bearings[:, 1:][ok] - prev[ok])
+    return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(lengths.tolist())])
+
+
+def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> float:
+    """Winding angle of two time-aligned (n, 2) position arrays:
+    ``winding_rows`` of one row."""
     if len(xy_a) != len(xy_b):
         raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
-    rel = xy_a - xy_b
-    norm = np.hypot(rel[:, 0], rel[:, 1])
-    bearings = np.arctan2(rel[:, 1], rel[:, 0])
-    defined = norm >= _DEGENERATE_DISP
-    # index of the last well-defined bearing at or before each frame
-    last = np.maximum.accumulate(np.where(defined, np.arange(len(rel)), -1))
-    ok = defined[1:] & (last[:-1] >= 0)
-    steps = np.zeros_like(bearings[1:])
-    steps[ok] = _wrap_angle(bearings[1:][ok] - bearings[last[:-1][ok]])
-    return WindingResult(delta_theta=float(np.sum(steps)), per_step=steps)
+    return float(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0])
 
 
 def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
@@ -83,7 +86,7 @@ def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
 def classify_pair_windows(xy_a: np.ndarray, xy_b: np.ndarray,
                           theta_hat: float = 0.0) -> HomotopyClass:
     """Winding-angle class of two time-aligned (n, 2) position arrays."""
-    return homotopy_class(winding_angle(xy_a, xy_b).delta_theta, theta_hat)
+    return homotopy_class(winding_angle(xy_a, xy_b), theta_hat)
 
 
 def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,
@@ -98,11 +101,8 @@ def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,
     n = len(xy_a)
     if n != len(xy_b):
         raise LengthMismatch(f"trajectory lengths differ: {n} vs {len(xy_b)}")
-    out = []
-    for i in range(n):
-        stop = min(n, i + horizon_frames + 1)
-        if stop - i < 2:
-            out.append(homotopy_class(0.0, theta_hat))
-            continue
-        out.append(classify_pair_windows(xy_a[i:stop], xy_b[i:stop], theta_hat))
-    return out
+    width = min(horizon_frames + 1, n)
+    # row i holds frames i, i + 1, ...; past the window's end it repeats the last
+    rows = np.minimum(np.arange(n)[:, None] + np.arange(width), n - 1)
+    windings = winding_rows((xy_a - xy_b)[rows], np.minimum(width, n - np.arange(n)))
+    return [homotopy_class(d, theta_hat) for d in windings.tolist()]

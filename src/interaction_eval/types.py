@@ -85,13 +85,15 @@ class Scene:
         return {a.id: a for a in reversed(self.agents)}
 
     @cached_property
+    def kinematics(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each agent's ``trajectory_kinematics`` (headings, speeds), in
+        ``agents`` order."""
+        return [trajectory_kinematics(a.trajectory) for a in self.agents]
+
+    @cached_property
     def max_speed(self) -> float:
         """Maximum finite-difference speed over all agents and frames."""
-        best = 0.0
-        for agent in self.agents:
-            _, speeds = trajectory_kinematics(agent.trajectory)
-            best = max(best, float(speeds.max()))
-        return best
+        return max([0.0] + [float(speeds.max()) for _, speeds in self.kinematics])
 
     def agent(self, agent_id: str) -> Agent:
         agent = self.agents_by_id.get(agent_id)

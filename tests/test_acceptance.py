@@ -39,7 +39,7 @@ from interaction_eval import (
 )
 from interaction_eval.collision import disk_tracks, min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
-from interaction_eval.rollout import ProfileKind, profile_rollouts
+from interaction_eval.rollout import ProfileKind, rollout_rows
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
@@ -122,20 +122,20 @@ def test_winding_identities(capsys):
     loop = winding_angle(
         circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n).xy,
         straight_traj((0, 0), (0, 0), n).xy,
-    ).delta_theta
+    )
     loop_err = abs(loop - 2.0 * np.pi)
 
     rng = np.random.default_rng(20240817)
     swap_err = mirror_err = concat_err = 0.0
     for _ in range(1000):
         ta, tb = _random_pair(rng)
-        fwd = winding_angle(ta, tb).delta_theta
-        rev = winding_angle(tb, ta).delta_theta
+        fwd = winding_angle(ta, tb)
+        rev = winding_angle(tb, ta)
         swap_err = max(swap_err, abs(rev - fwd))
-        mirrored = winding_angle(_mirror(ta), _mirror(tb)).delta_theta
+        mirrored = winding_angle(_mirror(ta), _mirror(tb))
         mirror_err = max(mirror_err, abs(mirrored + fwd))
-        first = winding_angle(ta[0:16], tb[0:16]).delta_theta
-        second = winding_angle(ta[15:30], tb[15:30]).delta_theta
+        first = winding_angle(ta[0:16], tb[0:16])
+        second = winding_angle(ta[15:30], tb[15:30])
         concat_err = max(concat_err, abs(fwd - first - second))
     elapsed = time.perf_counter() - t0
     ok = (loop_err <= 1e-9 and swap_err <= 1e-12 and mirror_err <= 1e-12
@@ -180,7 +180,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
         traj = agents[aid].trajectory
         i = agent_frame_index(scene, agents[aid], frame)
         v0 = float(trajectory_kinematics(traj)[1][i])
-        rolls[aid] = profile_rollouts(traj, i, v0, v_max, horizon, kinds, cfg)
+        rolls[aid] = rollout_rows([(traj, i, v0, horizon, kinds)], v_max, cfg)[0]
     dims = {aid: VehicleDims(agents[aid].width, agents[aid].length)
             for aid in rolls}
     ranked = []
@@ -191,7 +191,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
             continue
         speeds = [np.hypot(*np.diff(r, axis=0).T).mean() / scene.dt
                   for r in (ra, rb)]
-        d = winding_angle(ra, rb).delta_theta
+        d = winding_angle(ra, rb)
         ranked.append((-float(np.mean(speeds)), (ka.value, kb.value),
                        CW if d < 0 else CCW))
     ranked.sort(key=lambda r: (r[0], r[1]))

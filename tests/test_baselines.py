@@ -15,6 +15,7 @@ from interaction_eval import (
     interaction_timeline,
     is_collision,
     oracle_predict,
+    types,
     validate_scene,
     winding_angle,
 )
@@ -142,7 +143,7 @@ class TestOracle:
         pred = oracle_predict(scene, frame, pairs, 100, cfg)
         classes = set()
         for xy_a, xy_b in pred.xy:
-            d = winding_angle(xy_a, xy_b).delta_theta
+            d = winding_angle(xy_a, xy_b)
             classes.add(HomotopyClass.CW if d < 0 else HomotopyClass.CCW)
         assert classes == set(interaction_timeline(scene, pairs[0], cfg).h_feas[frame])
 
@@ -282,23 +283,25 @@ class TestOracleCollisionTables:
 
 @pytest.mark.parametrize("model", ["cv", "oracle"])
 def test_kinematics_once_per_scene(cfg, monkeypatch, model):
-    """Grading a baseline computes each agent's kinematics once per scene, not
-    once per predicted frame, and predicts what each frame predicts alone."""
+    """Grading a baseline computes each agent's kinematics once per scene
+    (``Scene.kinematics``, which also gives the speed limit), not once per
+    predicted frame, and predicts what each frame predicts alone."""
     scene = four_agent_scene()
     seen = []
-    kinematics = baselines.trajectory_kinematics
+    kinematics = types.trajectory_kinematics
 
     def counted(traj):
         seen.append(traj)
         return kinematics(traj)
-    monkeypatch.setattr(baselines, "trajectory_kinematics", counted)
+    monkeypatch.setattr(types, "trajectory_kinematics", counted)
     result = evaluate_scene(scene, cfg, baseline=model)
     assert len(result.predictions) > 1
     assert [id(t) for t in seen] == [id(a.trajectory) for a in scene.agents]
     pairs = filter_scene_with_rejections(scene, cfg)[0]
     for frame, got in result.predictions.items():
-        alone = (cv_predict(scene, frame, cfg) if model == "cv"
-                 else oracle_predict(scene, frame, pairs, 5, cfg))
+        fresh = Scene(scene.scene_id, scene.dt, scene.agents)  # nothing cached
+        alone = (cv_predict(fresh, frame, cfg) if model == "cv"
+                 else oracle_predict(fresh, frame, pairs, 5, cfg))
         assert got.agent_ids == alone.agent_ids
         assert got.p.tolist() == alone.p.tolist()
         assert np.array_equal(got.xy, alone.xy) and np.array_equal(got.lengths, alone.lengths)

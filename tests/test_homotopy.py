@@ -5,12 +5,19 @@ from hypothesis import strategies as st
 
 from interaction_eval import (
     HomotopyClass,
+    JointPredictionSet,
+    LengthMismatch,
+    VehicleDims,
     classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
     winding_angle,
+    winding_rows,
 )
+from interaction_eval.collision import collisions, disk_tracks
+from interaction_eval.filtering import CriticalPair
 from interaction_eval.homotopy import _wrap_angle
+from interaction_eval.pipeline import _prediction_classes
 
 from conftest import circle_traj, straight_traj
 
@@ -21,44 +28,49 @@ def random_walk_pair(rng, n):
     return a, b
 
 
+def two_sample_windings(xy_a, xy_b):
+    """The winding of each two-sample window [i, i + 1]."""
+    return [winding_angle(xy_a[i:i + 2], xy_b[i:i + 2]) for i in range(len(xy_a) - 1)]
+
+
 class TestWindingAngle:
     def test_full_ccw_loop(self):
         """A orbits B once counter-clockwise: total winding is +2*pi."""
         n = 73
         ta = circle_traj(5.0, 2.0 * np.pi / ((n - 1) * 0.5), n).xy
         tb = straight_traj((0, 0), (0, 0), n).xy
-        res = winding_angle(ta, tb)
-        assert res.delta_theta == pytest.approx(2.0 * np.pi, abs=1e-9)
+        assert winding_angle(ta, tb) == pytest.approx(2.0 * np.pi, abs=1e-9)
 
     def test_full_cw_loop(self):
         n = 73
         ta = circle_traj(5.0, -2.0 * np.pi / ((n - 1) * 0.5), n).xy
         tb = straight_traj((0, 0), (0, 0), n).xy
-        res = winding_angle(ta, tb)
-        assert res.delta_theta == pytest.approx(-2.0 * np.pi, abs=1e-9)
+        assert winding_angle(ta, tb) == pytest.approx(-2.0 * np.pi, abs=1e-9)
 
     def test_per_step_sums_to_total(self):
+        """With no coincident frame, each step is the winding of its
+        two-sample window, in (-pi, pi], and the steps add up to the total."""
         rng = np.random.default_rng(3)
         ta, tb = random_walk_pair(rng, 40)
-        res = winding_angle(ta, tb)
-        assert res.delta_theta == pytest.approx(res.per_step.sum(), abs=1e-12)
-        assert np.all(np.abs(res.per_step) <= np.pi)
+        steps = two_sample_windings(ta, tb)
+        assert winding_angle(ta, tb) == pytest.approx(sum(steps), abs=1e-12)
+        assert all(-np.pi < w <= np.pi for w in steps)
 
     def test_concatenation_identity(self):
         rng = np.random.default_rng(4)
         ta, tb = random_walk_pair(rng, 50)
-        whole = winding_angle(ta, tb).delta_theta
+        whole = winding_angle(ta, tb)
         first = winding_angle(ta[0:25], tb[0:25])
         second = winding_angle(ta[24:50], tb[24:50])
-        assert whole == pytest.approx(first.delta_theta + second.delta_theta, abs=1e-12)
+        assert whole == pytest.approx(first + second, abs=1e-12)
 
     def test_mirror_flip_negates(self):
         """Reflecting both paths about the x-axis reverses the winding sign."""
         rng = np.random.default_rng(5)
         ta, tb = random_walk_pair(rng, 50)
         flip = np.array([1.0, -1.0])
-        assert winding_angle(ta * flip, tb * flip).delta_theta == pytest.approx(
-            -winding_angle(ta, tb).delta_theta, abs=1e-12
+        assert winding_angle(ta * flip, tb * flip) == pytest.approx(
+            -winding_angle(ta, tb), abs=1e-12
         )
 
     def test_swap_invariance(self):
@@ -66,24 +78,32 @@ class TestWindingAngle:
         the rotation sense of the bearing unchanged."""
         rng = np.random.default_rng(6)
         ta, tb = random_walk_pair(rng, 50)
-        assert winding_angle(tb, ta).delta_theta == pytest.approx(
-            winding_angle(ta, tb).delta_theta, abs=1e-12
+        assert winding_angle(tb, ta) == pytest.approx(
+            winding_angle(ta, tb), abs=1e-12
         )
 
     def test_coincident_frames_skipped(self):
+        """A coincident frame adds no increment, on the way into it or out of
+        it, and the bearing before it carries forward: the winding is that of
+        the pair with the frame left out."""
         xy_a = np.array([[0, 0], [1, 0], [2, 0], [3, 0]], dtype=float)
         xy_b = np.array([[0, -1], [1, 0], [2, -1], [3, -1]], dtype=float)
-        res = winding_angle(xy_a, xy_b)
-        assert np.isfinite(res.delta_theta)
-        assert res.per_step[1] == 0.0
+        total = winding_angle(xy_a, xy_b)
+        assert np.isfinite(total)
+        assert two_sample_windings(xy_a, xy_b)[:2] == [0.0, 0.0]
+        assert total == winding_angle(xy_a[[0, 2, 3]], xy_b[[0, 2, 3]])
+        # the bearing turns by pi/4 across the coincident frame
+        xy_b = np.array([[0, -1], [1, 0], [3, -1], [4, -1]], dtype=float)
+        assert two_sample_windings(xy_a, xy_b)[:2] == [0.0, 0.0]
+        assert winding_angle(xy_a[:3], xy_b[:3]) == pytest.approx(np.pi / 4, abs=1e-15)
+        assert winding_angle(xy_a, xy_b) == winding_angle(xy_a[[0, 2, 3]], xy_b[[0, 2, 3]])
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
     def test_step_magnitude_bounded(self, seed):
         rng = np.random.default_rng(seed)
         ta, tb = random_walk_pair(rng, 20)
-        res = winding_angle(ta, tb)
-        assert np.all(np.abs(res.per_step) <= np.pi + 1e-12)
+        assert all(-np.pi < w <= np.pi for w in two_sample_windings(ta, tb))
 
 
 
@@ -108,6 +128,20 @@ def ref_winding(xy_a, xy_b):
     return float(np.sum(steps)), steps
 
 
+@pytest.mark.parametrize("check", [
+    lambda a, b: winding_angle(a, b),
+    lambda a, b: gt_mode_sequence(a, b, horizon_frames=4),
+    lambda a, b: collisions(disk_tracks([a], VehicleDims(1.8, 4.5)),
+                            disk_tracks([b], VehicleDims(1.8, 4.5))),
+], ids=["winding_angle", "gt_mode_sequence", "collisions"])
+def test_length_mismatch(check):
+    """Position tracks of different lengths are not time-aligned: each check
+    that pairs them sample by sample refuses them."""
+    ta, tb = random_walk_pair(np.random.default_rng(7), 12)
+    with pytest.raises(LengthMismatch, match="trajectory lengths differ"):
+        check(ta, tb[:11])
+
+
 class TestWindingReference:
     @pytest.mark.parametrize("coincident", ["none", "some", "first", "all"])
     def test_matches_scalar_loop(self, coincident):
@@ -122,10 +156,95 @@ class TestWindingReference:
                     "first": np.arange(n) < rng.integers(1, n),
                     "all": np.ones(n, dtype=bool)}[coincident]
             tb = np.where(mask[:, None], ta, tb)
-            res = winding_angle(ta, tb)
-            ref_total, ref_steps = ref_winding(ta, tb)
-            assert np.array_equal(res.per_step, ref_steps), seed
-            assert res.delta_theta == ref_total, seed
+            assert winding_angle(ta, tb) == ref_winding(ta, tb)[0], seed
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 12),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar_loop(self, seed, n_rows, p_coincident):
+        """Every row of a ``winding_rows`` stack equals the frozen loop's
+        total on that row alone, bit for bit: mixed lengths (rows of 1 and 2
+        samples among them), coincident frames, and padding that holds
+        arbitrary finite values."""
+        rng = np.random.default_rng(seed)
+        lengths = np.where(rng.random(n_rows) < 0.3, rng.integers(1, 3, n_rows),
+                           rng.integers(1, 100, n_rows))
+        rel = rng.normal(0.0, 50.0, (n_rows, lengths.max(), 2))
+        pairs = []
+        for b, n in enumerate(lengths):
+            ta, tb = random_walk_pair(rng, n)
+            tb = np.where((rng.random(n) < p_coincident)[:, None], ta, tb)
+            rel[b, :n] = ta - tb
+            pairs.append((ta, tb))
+        got = winding_rows(rel, lengths)
+        assert got.shape == (n_rows,)
+        for b, (ta, tb) in enumerate(pairs):
+            assert got[b] == ref_winding(ta, tb)[0], (b, lengths[b])
+
+
+def ref_gt_mode_sequence(xy_a, xy_b, horizon_frames, theta_hat):
+    """Frozen per-frame loop that ``gt_mode_sequence`` replaced with one
+    ``winding_rows`` call."""
+    n = len(xy_a)
+    out = []
+    for i in range(n):
+        stop = min(n, i + horizon_frames + 1)
+        if stop - i < 2:
+            out.append(homotopy_class(0.0, theta_hat))
+            continue
+        out.append(homotopy_class(ref_winding(xy_a[i:stop], xy_b[i:stop])[0], theta_hat))
+    return out
+
+
+def ref_prediction_classes(pset, pair, theta_hat):
+    """Frozen per-sample loop that ``pipeline._prediction_classes`` replaced
+    with one ``winding_rows`` call."""
+    if pair.agent_a not in pset.agent_ids or pair.agent_b not in pset.agent_ids:
+        return None
+    ia, ib = pset.agent_ids.index(pair.agent_a), pset.agent_ids.index(pair.agent_b)
+    h_ml = None
+    classes = []
+    for k, h in enumerate(np.minimum(pset.lengths[:, ia], pset.lengths[:, ib]).tolist()):
+        if h < 2:
+            continue
+        cls = homotopy_class(ref_winding(pset.xy[k, ia, :h], pset.xy[k, ib, :h])[0], theta_hat)
+        classes.append(cls)
+        if k == 0:
+            h_ml = cls
+    if h_ml is None:
+        return None
+    return h_ml, frozenset(classes)
+
+
+class TestBatchedCallers:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gt_mode_sequence_matches_frame_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        ta, tb = random_walk_pair(rng, n)
+        tb = np.where((rng.random(n) < 0.2)[:, None], ta, tb)
+        for horizon in (1, 2, 12, n, n + 5):
+            for theta_hat in (0.0, 0.3):
+                assert (gt_mode_sequence(ta, tb, horizon, theta_hat)
+                        == ref_gt_mode_sequence(ta, tb, horizon, theta_hat)), (horizon, theta_hat)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_prediction_classes_match_sample_loop(self, seed):
+        """Samples of mixed horizons, some under two positions (sample 0 too)."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 7))
+        samples = []
+        for _ in range(k):
+            h_a, h_b = rng.integers(0, 14, size=2)
+            ta, tb = random_walk_pair(rng, 14)
+            tb = np.where((rng.random(14) < 0.1)[:, None], ta, tb)
+            samples.append((1.0 / k, {"a": ta[:h_a], "b": tb[:h_b], "c": ta}))
+        pset = JointPredictionSet.from_samples(3, samples)
+        for pair in (CriticalPair("a", "b", None, 0.0), CriticalPair("b", "a", None, 0.0),
+                     CriticalPair("a", "z", None, 0.0)):
+            for theta_hat in (0.0, 0.3):
+                assert (_prediction_classes(pset, pair, theta_hat)
+                        == ref_prediction_classes(pset, pair, theta_hat))
 
 
 class TestClassification:
@@ -147,16 +266,14 @@ class TestClassification:
         n = 20
         ta = straight_traj((-5, 0), (0, 0), n).xy
         tb = straight_traj((0, -5), (0, 1), n).xy
-        res = winding_angle(ta, tb)
-        assert homotopy_class(res.delta_theta, 0.0) is HomotopyClass.CCW
+        assert homotopy_class(winding_angle(ta, tb), 0.0) is HomotopyClass.CCW
 
     def test_crossing_first_is_cw(self):
         """A clears the conflict point before B arrives: class CW."""
         n = 30
         ta = straight_traj((-10, 0), (6, 0), n).xy
         tb = straight_traj((0, -22), (0, 6), n).xy
-        res = winding_angle(ta, tb)
-        assert homotopy_class(res.delta_theta, 0.0) is HomotopyClass.CW
+        assert homotopy_class(winding_angle(ta, tb), 0.0) is HomotopyClass.CW
 
 
 class TestZeroWinding:
@@ -169,16 +286,15 @@ class TestZeroWinding:
     def test_coincident_prediction_is_ccw(self):
         # a joint sample that puts both agents on the same points at every step
         ta = straight_traj((3.0, -2.0), (4.0, 1.0), 12).xy
-        res = winding_angle(ta, ta)
-        assert res.delta_theta == 0.0
-        assert not res.per_step.any()
+        assert winding_angle(ta, ta) == 0.0
+        assert not any(two_sample_windings(ta, ta))
         assert classify_pair_windows(ta, ta, 0.0) is HomotopyClass.CCW
 
     def test_single_bearing_is_ccw(self):
         # B closes in on a stopped A along one line: the bearing never turns
         ta = straight_traj((0.0, 0.0), (0.0, 0.0), 12).xy
         tb = straight_traj((-30.0, 0.0), (5.0, 0.0), 12).xy
-        assert winding_angle(ta, tb).delta_theta == 0.0
+        assert winding_angle(ta, tb) == 0.0
         assert classify_pair_windows(ta, tb, 0.0) is HomotopyClass.CCW
 
     @pytest.mark.parametrize("horizon", [1, 4, 40])

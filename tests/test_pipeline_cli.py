@@ -363,6 +363,17 @@ class TestCli:
         assert "dt must be finite and > 0" in err["message"]
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("dt", ["true", '"0.5"'], ids=["bool", "string"])
+    def test_exit_code_fixture_dt_not_a_number(self, tmp_path, dt):
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(TABLE_FIXTURE).replace('"dt": 0.5', f'"dt": {dt}', 1))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert f"dt: {json.loads(dt)!r} is not a number" in err["message"]
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("command", [
         ["eval", "--pred", "oracle"],
         ["baseline", "--model", "oracle"],
@@ -484,9 +495,20 @@ class TestCli:
          "frame 1: probabilities sum to 1.5"),
         (lambda fr: fr.__setitem__("frame", 1.6), "frame 1.6: frame numbers must be integers"),
         (lambda fr: fr.__setitem__("frame", True), "frame True: frame numbers must be integers"),
+        # JSON strings and bools are not numbers, wherever a number belongs
+        (lambda fr: fr["samples"][0].__setitem__("p", "1.0"),
+         "frame 1, sample 0: p: '1.0' is not a number"),
+        (lambda fr: fr["samples"][0].__setitem__("p", True),
+         "frame 1, sample 0: p: True is not a number"),
+        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "3.5"),
+         "frame 1, sample 0, agent a: values must be numbers, got numpy dtype <U"),
+        (lambda fr: fr["samples"][0]["trajs"].__setitem__(
+            "b", [[True, False] for _ in fr["samples"][0]["trajs"]["b"]]),
+         "frame 1, sample 0, agent b: values must be numbers, got numpy dtype bool"),
     ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
             "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p",
-            "samples_disagree", "p_sum", "fractional_frame", "bool_frame"])
+            "samples_disagree", "p_sum", "fractional_frame", "bool_frame", "string_p",
+            "bool_p", "string_coordinate", "bool_coordinates"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
@@ -511,7 +533,17 @@ class TestCli:
         (lambda d: d["agents"][0]["states"][6].__setitem__("t", float("nan")),
          "NonFiniteCoordinate: agent a: non-finite value at sample 6"),
         (lambda d: d["agents"][0]["states"][3].__setitem__("y", 10 ** 400), "OverflowError"),
-    ], ids=["duplicate_id", "nan_coordinate", "nan_timestamp", "huge_int"])
+        (lambda d: d.__setitem__("dt", "0.5"), "dt: '0.5' is not a number"),
+        (lambda d: d["agents"][1].__setitem__("width", True),
+         "agent b: width: True is not a number"),
+        (lambda d: d["agents"][1].__setitem__("length", "4.5"),
+         "agent b: length: '4.5' is not a number"),
+        (lambda d: d["agents"][0]["states"][3].__setitem__("x", "1.0"),
+         "agent a: x, y: values must be numbers, got numpy dtype <U"),
+        (lambda d: [s.__setitem__("t", i == 1) for i, s in enumerate(d["agents"][0]["states"])],
+         "agent a: t: values must be numbers, got numpy dtype bool"),
+    ], ids=["duplicate_id", "nan_coordinate", "nan_timestamp", "huge_int", "string_dt",
+            "bool_width", "string_length", "string_coordinate", "bool_timestamps"])
     def test_exit_code_bad_scene_file(self, scene_dir, tmp_path, corrupt, message):
         path = scene_dir / "crossing.json"
         data = json.loads(path.read_text())

@@ -16,7 +16,7 @@ from interaction_eval import (
 )
 from interaction_eval.collision import VehicleDims
 from interaction_eval.homotopy import classify_pair_windows, gt_mode_sequence
-from interaction_eval.rollout import profile_rollouts
+from interaction_eval.rollout import rollout_rows
 from interaction_eval.types import common_window, trajectory_kinematics
 
 from conftest import (
@@ -194,8 +194,8 @@ def reference_interaction_timeline(scene, pair, cfg):
     feas = []
     for i in range(n - 1):
         n_steps = n - 1 - i
-        rolls_a = profile_rollouts(wa, i, float(speeds_a[i]), v_max, n_steps, kinds, cfg)
-        rolls_b = profile_rollouts(wb, i, float(speeds_b[i]), v_max, n_steps, kinds, cfg)
+        rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n_steps, kinds)], v_max, cfg)[0]
+        rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n_steps, kinds)], v_max, cfg)[0]
         feasible = set()
         for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                        (ProfileKind.ACCEL, ProfileKind.DECEL)):

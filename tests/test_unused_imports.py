@@ -1,10 +1,14 @@
 """Every name a module imports is used in it (pyflakes' F401, from ``ast``).
 
 An import that only re-exports a name, or is there for a caller that patches
-it, says so with ``# noqa: F401`` on one of its lines.
+it, says so with ``# noqa: F401`` on one of its lines. Outside the package's
+``__init__.py``, the only such caller is the benchmark's tracer, which must
+still patch every one of those names.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -64,3 +68,37 @@ def test_check_finds_and_excuses():
               "import xml.dom\n"
               "def f(x: 'PurePath') -> None:\n    return xml, j\n")
     assert unused_imports(source) == [(2, "os"), (6, "Path")]
+
+
+def excused_imports(tree: ast.Module, lines: list[str]):
+    """Bound name of each import that carries a ``# noqa: F401``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and any("noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+
+
+def test_tracer_patches_every_excused_import():
+    """Each ``# noqa: F401`` import of a package module (``__init__.py``
+    aside) is a name that the benchmark's tracer patches in that module."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    excused = []
+    for path in sorted((ROOT / "src" / "interaction_eval").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        module = importlib.import_module(f"interaction_eval.{path.stem}")
+        excused += [(module, name)
+                    for name in excused_imports(ast.parse(source), source.splitlines())]
+    assert excused
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        unpatched = [f"{module.__name__}.{name}" for module, name in excused
+                     if not hasattr(getattr(module, name), "__wrapped__")]
+    finally:
+        tracer.uninstall()
+    assert not unpatched, f"imported only for the tracer, which does not patch: {unpatched}"
