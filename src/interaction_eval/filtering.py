@@ -4,6 +4,16 @@ An agent pair is safety-critical when the two agents are not on a shared
 path at the first co-observed time but enter one later, and do so within
 a bounded time gap of each other (merging and crossing scenarios, as
 opposed to car-following or parallel passing).
+
+A scene-level bound rejects most far-apart pairs without ``classify_pair``.
+Take the distance between the closest recorded samples of the two agents,
+and subtract half of each agent's largest recorded step. A resampled sample
+lies on a recorded step, so within half of that step of a recorded sample.
+If the result is more than ``d_collision`` plus a rounding margin
+(``_PRUNE_MARGIN``, plus ``_PRUNE_REL`` times the largest |coordinate| in
+the scene), no resampled samples of the two can come within ``d_collision``
+of each other. A co-observed pair with such a bound is rejected as
+``NeverPathSharing`` without calling ``classify_pair``.
 """
 
 from __future__ import annotations

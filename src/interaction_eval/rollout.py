@@ -18,16 +18,16 @@ cumulative sum and one cap test for all their substeps. A straight path
 has a flat cap that never binds, so its whole roll is one such stretch.
 
 ``rollout_rows`` rolls many (track, start frame) rows in one call: every
-start frame of an IHS window, or every agent of an oracle frame. The rows
-whose cap provably never binds skip the per-row path set-up and are summed
-together, one row of one array each.
+start frame of an IHS window, or every agent of an oracle frame. All rows
+share one padded path layout, one cumulative sum per profile and one map
+from arc lengths to positions. Only the rows whose cap may bind build it,
+and they step one substep at a time only where it binds.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,19 +127,6 @@ def _interp_scalar(x: float, xp: list, fp: list) -> float:
     return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
-def _acceleration(kind: ProfileKind, a_lon: float) -> float:
-    return {ProfileKind.ACCEL: a_lon, ProfileKind.DECEL: -a_lon, ProfileKind.CONST_VEL: 0.0}[kind]
-
-
-def _substep_starts(n_steps: int, dt) -> np.ndarray:
-    """Start time of each substep of ``n_steps`` frames: substep
-    k = (frame - 1) * _SUBSTEPS + sub starts at ``t[..., k]``. A scalar
-    ``dt`` gives one row; an array of time steps gives one row each."""
-    dt = np.asarray(dt, dtype=float)[..., None, None]
-    t = np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * (dt / _SUBSTEPS)
-    return t.reshape(t.shape[:-2] + (-1,))
-
-
 def _profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
     """Arc length at times ``t`` of the linear speed profile from ``v0`` at
     acceleration ``a``, clamped to [0, ``v_max``]: its exact integral."""
@@ -153,150 +140,21 @@ def _profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
     return v0 * t
 
 
-class PathRollout:
-    """One agent's path from a start frame onward, with its speed limits.
-
-    The recorded polyline is extended beyond its last point by a straight
-    line along the final heading, so accelerating rollouts never run out of
-    path. The start speed ``v0`` is clamped to the scene speed limit
-    ``v_max``. Each speed profile of the same (agent, frame) rolls from it.
-    """
-
-    def __init__(self, traj: Trajectory, start_frame: int, v0: float, v_max: float,
-                 extend_length: float, cfg: EvalConfig):
-        if not 0 <= start_frame < traj.n:
-            raise IndexOutOfRange(f"start frame {start_frame} outside [0, {traj.n})")
-        self.dt = traj.dt
-        pts = traj.xy[start_frame:]
-        step = np.hypot(*(np.diff(pts, axis=0).T))
-        if np.any(step <= _DEGENERATE_DISP):
-            # drop consecutive (near-)duplicate vertices, measured from the
-            # last kept one
-            keep = [0]
-            for i in range(1, len(pts)):
-                if np.hypot(*(pts[i] - pts[keep[-1]])) > _DEGENERATE_DISP:
-                    keep.append(i)
-            pts = pts[keep]
-        if len(pts) >= 2:
-            tail = pts[-1] - pts[-2]
-            heading = np.arctan2(tail[1], tail[0])
-        else:
-            headings, _ = trajectory_kinematics(traj)
-            heading = headings[start_frame]
-        ext = pts[-1] + np.array([np.cos(heading), np.sin(heading)]) * max(extend_length, 1.0)
-        verts = np.vstack([pts, ext])
-        seg = np.hypot(*(np.diff(verts, axis=0).T))
-        s_vert = np.concatenate([[0.0], np.cumsum(seg)])
-        # curvature at the recorded vertices, linear in arc length elsewhere
-        m = len(pts)
-        kappa_vert = np.zeros(len(verts))
-        if m >= 3:
-            kappa_vert[1:m - 1] = np.minimum(
-                _menger_curvature(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
-        self._s_vert = s_vert
-        self._verts = verts
-        n_grid = max(int(s_vert[-1] / _PATH_DS) + 2, 2)
-        self._s = np.linspace(0.0, s_vert[-1], n_grid)
-        self._kappa = np.interp(self._s, s_vert, kappa_vert)
-        self.v_max = v_max
-        self.v0 = min(v0, v_max)
-        self._a_lon = cfg.a_lon_max
-        # curvature- and braking-aware speed limit along the arc grid
-        with np.errstate(divide="ignore"):
-            lat = np.sqrt(cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
-        cap = np.minimum(v_max, lat)
-        brake = 2.0 * cfg.a_lon_max * (self._s[1] - self._s[0])
-        # backward pass: entering a low-cap region must be brakeable at a_lon_max.
-        # A flat cap is a fixed point of the pass when one step leaves it
-        # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
-        # last bit can differ from the x*x that an array ** 2 computes.
-        c = cap[0]
-        if not (np.all(cap == c) and np.sqrt(c ** 2 + brake) >= c):
-            for k in range(len(cap) - 2, -1, -1):
-                cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
-        cap.setflags(write=False)
-        self._cap = cap
-
-    def position(self, s: np.ndarray) -> np.ndarray:
-        s = np.clip(s, 0.0, self._s_vert[-1])
-        x = np.interp(s, self._s_vert, self._verts[:, 0])
-        y = np.interp(s, self._s_vert, self._verts[:, 1])
-        return np.stack([x, y], axis=-1)
-
-    def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
-        """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt.
-
-        ACCEL and DECEL change speed at +-``a_lon_max`` from ``v0``, clamped
-        to [0, ``v_max``]; CONST_VEL keeps ``v0``.
-
-        Each frame is split into ``_SUBSTEPS`` substeps. While the speed cap
-        holds at both ends of a substep, the substep advances by the exact
-        integral of the clamped linear profile (closed form). Where the cap
-        binds, it takes one trapezoid step at the capped speeds instead.
-
-        The substeps are evaluated as arrays: the closed-form advances are
-        summed in order by one cumulative sum, and the cap is tested on all
-        of them at once. From the first substep where the cap binds, substeps
-        are stepped one at a time for as long as it binds; the sum then
-        restarts from where they end. The result is the same, bit for bit,
-        as stepping every substep in turn.
-        """
-        a = _acceleration(kind, self._a_lon)
-        v0, v_max, cap, s_grid = self.v0, self.v_max, self._cap, self._s
-        h = self.dt / _SUBSTEPS
-        t_a = _substep_starts(n_steps, self.dt)
-        t_b = t_a + h
-        v_a = np.clip(v0 + a * t_a, 0.0, v_max)
-        v_b = np.clip(v0 + a * t_b, 0.0, v_max)
-        ds_exact = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
-        n_sub = len(ds_exact)
-        s_end = np.empty(n_sub)  # arc length after each substep
-        k, s = 0, 0.0
-        xs = fs = None  # grid and cap as lists, for the scalar steps
-        while k < n_sub:
-            # closed form from substep k on: the advances summed in order from s
-            s_k = np.cumsum(np.concatenate(([s], ds_exact[k:])))
-            cap_k = np.interp(s_k, s_grid, cap)
-            free = (v_a[k:] <= cap_k[:-1] + 1e-12) & (v_b[k:] <= cap_k[1:] + 1e-12)
-            j = int(free.argmin())
-            if free[j]:
-                s_end[k:] = s_k[1:]
-                break
-            s_end[k:k + j] = s_k[1:j + 1]
-            k += j
-            # the cap binds on substep k: trapezoid steps at the capped speeds
-            # while it binds, then back to the closed form
-            if xs is None:
-                xs, fs = s_grid.tolist(), cap.tolist()
-            s, cap_a = float(s_k[j]), float(cap_k[j])
-            while True:
-                va = min(float(v_a[k]), cap_a)
-                vb = min(float(v_b[k]), _interp_scalar(s + va * h, xs, fs))
-                s += 0.5 * (va + vb) * h
-                s_end[k] = s
-                k += 1
-                if k == n_sub:
-                    break
-                cap_a = _interp_scalar(s, xs, fs)
-                if (v_a[k] <= cap_a + 1e-12
-                        and v_b[k] <= _interp_scalar(s + float(ds_exact[k]), xs, fs) + 1e-12):
-                    break
-        out_s = np.concatenate(([0.0], s_end[_SUBSTEPS - 1::_SUBSTEPS]))
-        return self.position(out_s)
-
-
-def _extension(v_max: float, n_steps, dt):
-    """How far a path is extended so that the fastest roll of ``n_steps``
-    frames at ``v_max`` stays on it."""
-    return v_max * (n_steps + 1) * dt + 10.0
+def _degenerate_ahead(xy: np.ndarray) -> np.ndarray:
+    """Whether a step of ``xy`` from each sample on is within
+    ``_DEGENERATE_DISP``; False on the last sample."""
+    step = np.hypot(*(np.diff(xy, axis=0).T))
+    ahead = np.zeros(len(xy), dtype=bool)
+    ahead[:-1] = np.logical_or.accumulate((step <= _DEGENERATE_DISP)[::-1])[::-1]
+    return ahead
 
 
 def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
                         cfg: EvalConfig) -> np.ndarray:
     """Which of ``starts`` roll the recorded path ``xy`` in closed form.
 
-    The speed cap of a ``PathRollout`` from ``start`` is ``v_max`` all along
-    its path, so no substep of any profile is capped, when both hold:
+    The speed cap of the path from ``start`` is ``v_max`` all along it, so
+    no substep of any profile is capped, when both hold:
 
     - no step of ``xy[start:]`` is within ``_DEGENERATE_DISP``, so the path
       keeps every recorded vertex;
@@ -309,75 +167,210 @@ def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
     """
     n = len(xy)
     ok = (starts >= 0) & (starts <= n - 2)
-    if not ok.any():
-        return ok
+    # a flat cap of v_max must also be a fixed point of the cap's backward pass
+    c = np.float64(v_max)
+    if not ok.any() or not np.sqrt(c ** 2) >= c:
+        return np.zeros_like(ok)
     s = np.where(ok, starts, 0)
-    step = np.hypot(*(np.diff(xy, axis=0).T))
-    degenerate = np.logical_or.accumulate((step <= _DEGENERATE_DISP)[::-1])[::-1]
     # largest clamped curvature of the recorded vertices after each start
     kappa = np.zeros(n - 1)
     if n >= 3:
         kappa[:-1] = np.maximum.accumulate(np.minimum(
             _menger_curvature(xy[:-2], xy[1:-1], xy[2:]), _KAPPA_MAX)[::-1])[::-1]
     lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa * (1.0 + 1e-9), 1e-12))
-    return ok & ~degenerate[s] & (lat[s] >= v_max)
+    return ok & ~_degenerate_ahead(xy)[s] & (lat[s] >= v_max)
 
 
-def _closed_form_rolls(rows: list[RolloutRow], v_max: float,
-                       cfg: EvalConfig) -> list[dict[ProfileKind, np.ndarray]]:
-    """``rollout_rows`` of rows that ``_closed_form_starts`` admits, given
-    with the rows of each track next to each other.
-
-    Each row's path is its recorded points from ``start`` and the extension
-    point, laid out in one (rows, vertices, 2) array padded with the
-    extension point. The substep advances of each profile form one (rows,
-    substeps) array, summed in order along each row by one cumulative sum,
-    as ``PathRollout.roll`` sums a roll whose cap never binds.
+def _speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
+               cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(grid, cap)``: one path's speed limit on an arc grid about
+    ``_PATH_DS`` apart. The lateral limit follows the curvature at the
+    recorded vertices (all but the last), linear in arc length between them;
+    a backward pass makes entering a low-cap region brakeable at a_lon_max.
     """
-    n_steps = np.array([row[3] for row in rows])
-    dt = np.array([row[0].dt for row in rows])
-    extend = np.maximum(_extension(v_max, n_steps, dt), 1.0)
+    m = len(verts) - 1
+    kappa_vert = np.zeros(len(verts))
+    if m >= 3:
+        kappa_vert[1:m - 1] = np.minimum(
+            _menger_curvature(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
+    grid = np.linspace(0.0, s_vert[-1], max(int(s_vert[-1] / _PATH_DS) + 2, 2))
+    with np.errstate(divide="ignore"):
+        lat = np.sqrt(cfg.a_lat_max / np.maximum(np.interp(grid, s_vert, kappa_vert), 1e-12))
+    cap = np.minimum(v_max, lat)
+    brake = 2.0 * cfg.a_lon_max * (grid[1] - grid[0])
+    # A flat cap is a fixed point of the pass when one step leaves it
+    # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
+    # last bit can differ from the x*x that an array ** 2 computes.
+    c = cap[0]
+    if not (np.all(cap == c) and np.sqrt(c ** 2 + brake) >= c):
+        for k in range(len(cap) - 2, -1, -1):
+            cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
+    cap.setflags(write=False)
+    return grid, cap
+
+
+def _direction(tail: np.ndarray) -> np.ndarray:
+    heading = np.arctan2(tail[1], tail[0])
+    return np.array([np.cos(heading), np.sin(heading)])
+
+
+def _paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tuple:
+    """``(verts, s_vert, n_vert, caps)``: the path of each ``(traj, start,
+    ...)`` row and its speed limit.
+
+    Row r's path, ``verts[r, :n_vert[r]]`` at arc lengths ``s_vert[r,
+    :n_vert[r]]``, is its recorded points from ``start``, then a point
+    ``extend[r]`` (at least 1 m) on along the final heading, so accelerating
+    rolls never run out of path; the extension point pads the row. Where a
+    step is within ``_DEGENERATE_DISP``, consecutive (near-)duplicate points
+    are dropped, measured from the last kept one. ``caps`` maps each row that
+    ``_closed_form_starts`` does not admit to its ``_speed_cap``.
+    """
+    tracks: dict[int, list[int]] = {}
+    for r, (traj, start, *_) in enumerate(rows):
+        if not 0 <= start < traj.n:
+            raise IndexOutOfRange(f"start frame {start} outside [0, {traj.n})")
+        tracks.setdefault(id(traj), []).append(r)
     n_pts = np.array([row[0].n - row[1] for row in rows])
     cols = np.arange(n_pts.max() + 1)
     verts = np.empty((len(rows), len(cols), 2))
-    lo = 0
-    for _, run in itertools.groupby(rows, key=lambda row: id(row[0])):
-        run = list(run)
-        hi = lo + len(run)
-        xy = run[0][0].xy
-        tail = xy[-1] - xy[-2]
-        heading = np.arctan2(tail[1], tail[0])
-        ext = xy[-1] + np.array([np.cos(heading), np.sin(heading)]) * extend[lo:hi, None]
-        starts = np.array([row[1] for row in run])
-        rec = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
-        verts[lo:hi] = np.where((cols >= n_pts[lo:hi, None])[..., None], ext[:, None], rec)
-        lo = hi
+    direction = np.empty((len(rows), 2))
+    free = np.empty(len(rows), dtype=bool)
+    for idx in map(np.array, tracks.values()):
+        traj = rows[idx[0]][0]
+        xy = traj.xy
+        starts = np.array([rows[r][1] for r in idx])
+        free[idx] = _closed_form_starts(xy, starts, v_max, cfg)
+        verts[idx] = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
+        direction[idx] = _direction(xy[-1] - xy[-2])
+        # the rows that drop points, and those with one point left; a row in
+        # closed form is neither
+        rest = ~free[idx]
+        if rest.any():
+            rest &= _degenerate_ahead(xy)[starts] | (starts == len(xy) - 1)
+        for r in idx[rest]:
+            keep = [rows[r][1]]
+            for i in range(keep[0] + 1, len(xy)):
+                if np.hypot(*(xy[i] - xy[keep[-1]])) > _DEGENERATE_DISP:
+                    keep.append(i)
+            n_pts[r] = len(keep)
+            verts[r, :len(keep)] = xy[keep]
+            if len(keep) >= 2:
+                direction[r] = _direction(xy[keep[-1]] - xy[keep[-2]])
+            else:
+                heading = trajectory_kinematics(traj)[0][keep[0]]
+                direction[r] = [np.cos(heading), np.sin(heading)]
+    ext = verts[np.arange(len(rows)), n_pts - 1] + direction * np.maximum(extend, 1.0)[:, None]
+    verts = np.where((cols >= n_pts[:, None])[..., None], ext[:, None], verts)
     seg = np.diff(verts, axis=1)
     s_vert = np.concatenate((np.zeros((len(rows), 1)),
                              np.cumsum(np.hypot(seg[..., 0], seg[..., 1]), axis=1)), axis=1)
-    s_end = s_vert[np.arange(len(rows)), n_pts]
+    n_vert = n_pts + 1
+    caps = {r: _speed_cap(verts[r, :n_vert[r]], s_vert[r, :n_vert[r]], v_max, cfg)
+            for r in np.flatnonzero(~free).tolist()}
+    return verts, s_vert, n_vert, caps
 
-    t_a = _substep_starts(int(n_steps.max()), dt)
-    t_b = t_a + (dt / _SUBSTEPS)[:, None]
-    v0 = np.minimum([row[2] for row in rows], v_max)[:, None]
-    rolls: list[dict] = [{} for _ in rows]
-    for kind in ProfileKind:
-        sel = [r for r, row in enumerate(rows) if kind in row[4]]
-        if not sel:
-            continue
-        a = _acceleration(kind, cfg.a_lon_max)
-        ds = (_profile_arc(t_b[sel], v0[sel], a, v_max)
-              - _profile_arc(t_a[sel], v0[sel], a, v_max))
-        s_frame = np.cumsum(np.concatenate((np.zeros((len(sel), 1)), ds), axis=1),
-                            axis=1)[:, ::_SUBSTEPS]
-        s_frame = np.clip(s_frame, 0.0, s_end[sel, None])
-        # each row's positions on its own vertices, as PathRollout.position
-        for r, s in zip(sel, s_frame):
-            m = n_pts[r] + 1
-            pos = rolls[r][kind] = np.empty((n_steps[r] + 1, 2))
-            pos[:, 0] = np.interp(s[:len(pos)], s_vert[r, :m], verts[r, :m, 0])
-            pos[:, 1] = np.interp(s[:len(pos)], s_vert[r, :m], verts[r, :m, 1])
-    return [{kind: got[kind] for kind in row[4]} for row, got in zip(rows, rolls)]
+
+def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: float,
+            grid: np.ndarray, cap: np.ndarray) -> None:
+    """Hold one row's arc lengths ``s`` (before each substep of advance
+    ``ds`` and speeds ``v_a`` to ``v_b``, and after the last) to its speed
+    ``cap``, in place. From the first substep where the cap binds, substeps
+    are trapezoid steps at the capped speeds, one at a time, for as long as
+    it binds; the sum then restarts from where they end. The result is the
+    same, bit for bit, as stepping every substep in turn.
+    """
+    n_sub = len(ds)
+    k = 0
+    lists = None  # the scalar steps read lists
+    while k < n_sub:
+        cap_k = np.interp(s[k:], grid, cap)
+        free = (v_a[k:] <= cap_k[:-1] + 1e-12) & (v_b[k:] <= cap_k[1:] + 1e-12)
+        j = int(free.argmin())
+        if free[j]:
+            return
+        if lists is None:
+            lists = xs, fs, va_l, vb_l, ds_l = (grid.tolist(), cap.tolist(), v_a.tolist(),
+                                                v_b.tolist(), ds.tolist())
+        k += j
+        s_k, cap_a = float(s[k]), float(cap_k[j])
+        while True:
+            va = min(va_l[k], cap_a)
+            vb = min(vb_l[k], _interp_scalar(s_k + va * h, xs, fs))
+            s_k += 0.5 * (va + vb) * h
+            k += 1
+            if k == n_sub:
+                break
+            cap_a = _interp_scalar(s_k, xs, fs)
+            if (va_l[k] <= cap_a + 1e-12
+                    and vb_l[k] <= _interp_scalar(s_k + ds_l[k], xs, fs) + 1e-12):
+                break
+            s[k] = s_k
+        s[k:] = np.cumsum(np.concatenate(([s_k], ds[k:])))
+
+
+def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
+    """Start time of each substep of ``n_steps`` frames, one row per time
+    step in ``dt``: substep k = (frame - 1) * _SUBSTEPS + sub starts at
+    ``t[:, k]``."""
+    dt = dt[:, None, None]
+    t = np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * (dt / _SUBSTEPS)
+    return t.reshape(len(dt), -1)
+
+
+def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
+          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> list[np.ndarray]:
+    """The (n_steps + 1, 2) positions of rows ``sel`` of ``paths`` rolled
+    with profile ``kind``, given the rows' start speeds, substep start
+    times (``_substep_starts``), time steps and frame counts.
+
+    ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
+    ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
+    ``_SUBSTEPS`` substeps, each advancing by the exact integral of the
+    clamped profile: one cumulative sum adds them in order along every row.
+    A row with a speed cap is then held to it (``_restep``).
+    """
+    a = {ProfileKind.ACCEL: a_lon, ProfileKind.DECEL: -a_lon, ProfileKind.CONST_VEL: 0.0}[kind]
+    v0, dt = v0[:, None], dt[:, None]
+    t_b = t_a + dt / _SUBSTEPS
+    ds = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
+    s = np.cumsum(np.concatenate((np.zeros((len(sel), 1)), ds), axis=1), axis=1)
+    verts, s_vert, n_vert, caps = paths
+    for b, r in enumerate(sel):
+        if r in caps:
+            n_sub = n_steps[b] * _SUBSTEPS
+            v_a = np.clip(v0[b] + a * t_a[b, :n_sub], 0.0, v_max)
+            v_b = np.clip(v0[b] + a * t_b[b, :n_sub], 0.0, v_max)
+            _restep(s[b, :n_sub + 1], ds[b, :n_sub], v_a, v_b, float(dt[b, 0]) / _SUBSTEPS,
+                    *caps[r])
+    # each row's positions on its own vertices
+    m = n_vert[sel]
+    s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[sel, m - 1][:, None])
+    out = []
+    for s_b, r, m_b, n in zip(s, sel, m.tolist(), (n_steps + 1).tolist()):
+        pos = np.empty((n, 2))
+        pos[:, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
+        pos[:, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
+        out.append(pos)
+    return out
+
+
+class PathRollout:
+    """One agent's path from a start frame onward, with its speed limits:
+    the one-row case of ``rollout_rows``, with the extension given. The
+    start speed ``v0`` is clamped to the scene speed limit ``v_max``.
+    """
+
+    def __init__(self, traj: Trajectory, start_frame: int, v0: float, v_max: float,
+                 extend_length: float, cfg: EvalConfig):
+        self._paths = _paths([(traj, start_frame)], np.array([extend_length]), v_max, cfg)
+        self.dt, self.v_max, self.v0, self._a_lon = traj.dt, v_max, min(v0, v_max), cfg.a_lon_max
+
+    def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
+        """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt."""
+        dt = np.array([self.dt])
+        return _roll(kind, [0], np.array([self.v0]), _substep_starts(n_steps, dt), dt,
+                     np.array([n_steps]), self.v_max, self._a_lon, self._paths)[0]
 
 
 def rollout_rows(rows: list[RolloutRow], v_max: float,
@@ -390,32 +383,22 @@ def rollout_rows(rows: list[RolloutRow], v_max: float,
     from frame ``start`` at start speed ``v0``. Each path is extended far
     enough that the fastest roll of its ``n_steps`` frames at ``v_max``
     stays on it.
-
-    Rows whose speed cap provably never binds (``_closed_form_starts``)
-    roll together in closed form, without the arc grid, curvature and cap
-    of a ``PathRollout``, none of which can change their rolls. Every other
-    row rolls through its own ``PathRollout``.
     """
-    tracks: dict[int, list[int]] = {}
-    for r, row in enumerate(rows):
-        tracks.setdefault(id(row[0]), []).append(r)
-    fast = np.zeros(len(rows), dtype=bool)
-    # a flat cap of v_max is then a fixed point of the cap's backward pass
-    c = np.float64(v_max)
-    if np.sqrt(c ** 2) >= c:
-        for idx in tracks.values():
-            fast[idx] = _closed_form_starts(rows[idx[0]][0].xy,
-                                            np.array([rows[r][1] for r in idx]), v_max, cfg)
-    out: list = [None] * len(rows)
-    for r in np.flatnonzero(~fast):
-        traj, start, v0, n_steps, kinds = rows[r]
-        path = PathRollout(traj, start, v0, v_max, _extension(v_max, n_steps, traj.dt), cfg)
-        out[r] = {kind: path.roll(kind, n_steps) for kind in kinds}
-    order = [r for idx in tracks.values() for r in idx if fast[r]]
-    if order:
-        for r, rolls in zip(order, _closed_form_rolls([rows[r] for r in order], v_max, cfg)):
-            out[r] = rolls
-    return out
+    if not rows:
+        return []
+    n_steps = np.array([row[3] for row in rows])
+    dt = np.array([row[0].dt for row in rows])
+    paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
+    v0 = np.minimum([row[2] for row in rows], v_max)
+    t_a = _substep_starts(int(n_steps.max()), dt)
+    out: list[dict] = [{} for _ in rows]
+    for kind in ProfileKind:
+        sel = [r for r, row in enumerate(rows) if kind in row[4]]
+        if sel:
+            for r, pos in zip(sel, _roll(kind, sel, v0[sel], t_a[sel], dt[sel], n_steps[sel],
+                                         v_max, cfg.a_lon_max, paths)):
+                out[r][kind] = pos
+    return [{kind: got[kind] for kind in row[4]} for row, got in zip(rows, out)]
 
 
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:

@@ -45,17 +45,19 @@ from .types import (
 def load_scene(path: str | Path) -> Scene:
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
     except (OSError, json.JSONDecodeError) as e:
         raise ParseError(path, str(e))
+    read_numbers = _numbers_reader(text)
     try:
         dt = number(data["dt"], "dt", path)
         agents = []
         for a in data["agents"]:
             states, aid = a["states"], str(a["id"])
             traj = Trajectory(
-                t=numbers([s["t"] for s in states], f"agent {aid}: t", path),
-                xy=numbers([[s["x"], s["y"]] for s in states], f"agent {aid}: x, y", path),
+                t=read_numbers([s["t"] for s in states], f"agent {aid}: t", path),
+                xy=read_numbers([[s["x"], s["y"]] for s in states], f"agent {aid}: x, y", path),
                 dt=dt,
             )
             agents.append(Agent(id=aid, width=number(a["width"], f"agent {aid}: width", path),
@@ -100,9 +102,11 @@ def load_predictions(path: str | Path, scene: Scene,
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text, parse_constant=_no_constant)
     except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
         raise ParseError(path, str(e))
+    read_numbers = _numbers_reader(text)
     out: dict[int, JointPredictionSet] = {}
     try:
         for fr in data["frames"]:
@@ -113,7 +117,7 @@ def load_predictions(path: str | Path, scene: Scene,
             for k, s in enumerate(fr["samples"]):
                 trajs = {}
                 for aid, pts in s["trajs"].items():
-                    xy = numbers(pts, f"frame {frame}, sample {k}, agent {aid}", path)
+                    xy = read_numbers(pts, f"frame {frame}, sample {k}, agent {aid}", path)
                     if xy.ndim != 2 or xy.shape[1] != 2:
                         raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
                                                f"of shape {xy.shape}, expected (H, 2)")
@@ -157,6 +161,27 @@ def numbers(values, field: str, path: Path) -> np.ndarray:
     if arr.dtype.kind not in "iuf":
         raise ParseError(path, f"{field}: values must be numbers, got numpy dtype {arr.dtype}")
     return arr.astype(float, copy=False)
+
+
+def _holds_bool(values) -> bool:
+    if isinstance(values, list):
+        return any(_holds_bool(v) for v in values)
+    return isinstance(values, bool)
+
+
+def _numbers_without_bools(values, field: str, path: Path) -> np.ndarray:
+    """``numbers``, where a JSON true or false among numbers, which the float
+    array would hold as 1.0 or 0.0, is also a ParseError."""
+    arr = numbers(values, field, path)
+    if _holds_bool(values):
+        raise ParseError(path, f"{field}: values must be numbers, got a bool among them")
+    return arr
+
+
+def _numbers_reader(text: str):
+    """``numbers`` for a file of JSON ``text``; it scans every value for a
+    bool only when the text holds a true or false token at all."""
+    return _numbers_without_bools if "true" in text or "false" in text else numbers
 
 
 def frame_number(value, path: Path) -> int:

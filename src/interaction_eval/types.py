@@ -221,17 +221,20 @@ def validate_scene(scene: Scene) -> Scene:
 
 
 def agent_frame_index(scene: Scene, agent: Agent, frame: int) -> int | None:
-    """Map a scene-global frame index to the agent's local sample index."""
-    t = scene.t_origin + frame * scene.dt
-    i = int(round((t - agent.trajectory.t[0]) / scene.dt))
+    """The agent's sample paired with a scene-global frame (``scene_frame``),
+    or None where the agent has none."""
+    i = frame - scene_frame(scene, agent.trajectory.t[0])
     if 0 <= i < agent.trajectory.n:
         return i
     return None
 
 
 def scene_frame(scene: Scene, t: float) -> int:
-    """The scene-global frame index nearest to time ``t``."""
-    return int(round((t - scene.t_origin) / scene.dt))
+    """The scene-global frame paired with a sample at time ``t``: the nearest
+    frame. A sample within ``_TIME_ATOL`` of the midpoint between two frames
+    pairs with the later one, so a frame's sample has been recorded by the
+    frame's time (within ``_TIME_ATOL``)."""
+    return math.floor((t - scene.t_origin + _TIME_ATOL) / scene.dt + 0.5)
 
 
 def resample_rows(values: np.ndarray, lengths: np.ndarray,

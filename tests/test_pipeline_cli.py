@@ -505,10 +505,13 @@ class TestCli:
         (lambda fr: fr["samples"][0]["trajs"].__setitem__(
             "b", [[True, False] for _ in fr["samples"][0]["trajs"]["b"]]),
          "frame 1, sample 0, agent b: values must be numbers, got numpy dtype bool"),
+        # a float array holds a bool among numbers as 1.0 or 0.0
+        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(1, True),
+         "frame 1, sample 0, agent a: values must be numbers, got a bool among them"),
     ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
             "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p",
             "samples_disagree", "p_sum", "fractional_frame", "bool_frame", "string_p",
-            "bool_p", "string_coordinate", "bool_coordinates"])
+            "bool_p", "string_coordinate", "bool_coordinates", "bool_among_coordinates"])
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
@@ -542,8 +545,11 @@ class TestCli:
          "agent a: x, y: values must be numbers, got numpy dtype <U"),
         (lambda d: [s.__setitem__("t", i == 1) for i, s in enumerate(d["agents"][0]["states"])],
          "agent a: t: values must be numbers, got numpy dtype bool"),
+        (lambda d: d["agents"][1]["states"][0].__setitem__("t", False),
+         "agent b: t: values must be numbers, got a bool among them"),
     ], ids=["duplicate_id", "nan_coordinate", "nan_timestamp", "huge_int", "string_dt",
-            "bool_width", "string_length", "string_coordinate", "bool_timestamps"])
+            "bool_width", "string_length", "string_coordinate", "bool_timestamps",
+            "bool_among_timestamps"])
     def test_exit_code_bad_scene_file(self, scene_dir, tmp_path, corrupt, message):
         path = scene_dir / "crossing.json"
         data = json.loads(path.read_text())

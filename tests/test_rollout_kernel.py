@@ -1,9 +1,10 @@
-"""The array rollout kernel against a frozen copy of the scalar loops it replaced.
+"""The array rollout kernel against frozen copies of the code it replaced.
 
 The reference functions below are the original per-substep, per-vertex and
-per-sample loops. The array code must reproduce them bit for bit, so every
-comparison is ``np.array_equal``, never a tolerance. The batched
-``rollout_rows`` is held to the one-row ``PathRollout`` the same way.
+per-sample loops, and ``RefPathRollout`` is the one-row rollout class that
+rolled every capped row before all rows shared one path layout, one
+cumulative sum and one position map. The array code must reproduce them bit
+for bit, so every comparison is ``np.array_equal``, never a tolerance.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from interaction_eval.rollout import (
     _interp_scalar,
     rollout_rows,
 )
+from interaction_eval.types import _DEGENERATE_DISP
 
 from conftest import DT, circle_traj, straight_traj
 
@@ -133,31 +135,218 @@ def ref_roll_s(s_grid, cap, a, v0, v_max, n_steps, dt):
     return out_s, bound
 
 
+# --- frozen one-row rollout -------------------------------------------------
+
+def ref_menger_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Reciprocal circumscribed-circle radius of point triples, each (N, 2).
+
+    0 where two points of a triple lie within ``_DEGENERATE_DISP`` of each other.
+    """
+    a = np.hypot(*(p1 - p0).T)
+    b = np.hypot(*(p2 - p1).T)
+    c = np.hypot(*(p2 - p0).T)
+    cross = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
+             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = np.abs(2.0 * cross / (a * b * c))
+    return np.where((a < _DEGENERATE_DISP) | (b < _DEGENERATE_DISP) | (c < _DEGENERATE_DISP),
+                    0.0, kappa)
+
+
+def ref_substep_starts(n_steps: int, dt) -> np.ndarray:
+    """Start time of each substep of ``n_steps`` frames: substep
+    k = (frame - 1) * _SUBSTEPS + sub starts at ``t[..., k]``. A scalar
+    ``dt`` gives one row; an array of time steps gives one row each."""
+    dt = np.asarray(dt, dtype=float)[..., None, None]
+    t = np.arange(n_steps)[:, None] * dt + np.arange(_SUBSTEPS) * (dt / _SUBSTEPS)
+    return t.reshape(t.shape[:-2] + (-1,))
+
+
+def ref_profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
+    """Arc length at times ``t`` of the linear speed profile from ``v0`` at
+    acceleration ``a``, clamped to [0, ``v_max``]: its exact integral."""
+    if a > 0:
+        t_star = (v_max - v0) / a
+        return np.where(t <= t_star, v0 * t + 0.5 * a * t * t,
+                        v0 * t_star + 0.5 * a * t_star * t_star + v_max * (t - t_star))
+    if a < 0:
+        t_star = v0 / -a
+        return np.where(t <= t_star, v0 * t + 0.5 * a * t * t, 0.5 * v0 * t_star)
+    return v0 * t
+
+
+class RefPathRollout:
+    """One agent's path from a start frame onward, with its speed limits.
+
+    The recorded polyline is extended beyond its last point by a straight
+    line along the final heading, so accelerating rollouts never run out of
+    path. The start speed ``v0`` is clamped to the scene speed limit
+    ``v_max``. Each speed profile of the same (agent, frame) rolls from it.
+    """
+
+    def __init__(self, traj: Trajectory, start_frame: int, v0: float, v_max: float,
+                 extend_length: float, cfg: EvalConfig):
+        if not 0 <= start_frame < traj.n:
+            raise IndexOutOfRange(f"start frame {start_frame} outside [0, {traj.n})")
+        self.dt = traj.dt
+        pts = traj.xy[start_frame:]
+        step = np.hypot(*(np.diff(pts, axis=0).T))
+        if np.any(step <= _DEGENERATE_DISP):
+            # drop consecutive (near-)duplicate vertices, measured from the
+            # last kept one
+            keep = [0]
+            for i in range(1, len(pts)):
+                if np.hypot(*(pts[i] - pts[keep[-1]])) > _DEGENERATE_DISP:
+                    keep.append(i)
+            pts = pts[keep]
+        if len(pts) >= 2:
+            tail = pts[-1] - pts[-2]
+            heading = np.arctan2(tail[1], tail[0])
+        else:
+            headings, _ = trajectory_kinematics(traj)
+            heading = headings[start_frame]
+        ext = pts[-1] + np.array([np.cos(heading), np.sin(heading)]) * max(extend_length, 1.0)
+        verts = np.vstack([pts, ext])
+        seg = np.hypot(*(np.diff(verts, axis=0).T))
+        s_vert = np.concatenate([[0.0], np.cumsum(seg)])
+        # curvature at the recorded vertices, linear in arc length elsewhere
+        m = len(pts)
+        kappa_vert = np.zeros(len(verts))
+        if m >= 3:
+            kappa_vert[1:m - 1] = np.minimum(
+                ref_menger_rows(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
+        self._s_vert = s_vert
+        self._verts = verts
+        n_grid = max(int(s_vert[-1] / _PATH_DS) + 2, 2)
+        self._s = np.linspace(0.0, s_vert[-1], n_grid)
+        self._kappa = np.interp(self._s, s_vert, kappa_vert)
+        self.v_max = v_max
+        self.v0 = min(v0, v_max)
+        self._a_lon = cfg.a_lon_max
+        # curvature- and braking-aware speed limit along the arc grid
+        with np.errstate(divide="ignore"):
+            lat = np.sqrt(cfg.a_lat_max / np.maximum(self._kappa, 1e-12))
+        cap = np.minimum(v_max, lat)
+        brake = 2.0 * cfg.a_lon_max * (self._s[1] - self._s[0])
+        # backward pass: entering a low-cap region must be brakeable at a_lon_max.
+        # A flat cap is a fixed point of the pass when one step leaves it
+        # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
+        # last bit can differ from the x*x that an array ** 2 computes.
+        c = cap[0]
+        if not (np.all(cap == c) and np.sqrt(c ** 2 + brake) >= c):
+            for k in range(len(cap) - 2, -1, -1):
+                cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
+        cap.setflags(write=False)
+        self._cap = cap
+
+    def position(self, s: np.ndarray) -> np.ndarray:
+        s = np.clip(s, 0.0, self._s_vert[-1])
+        x = np.interp(s, self._s_vert, self._verts[:, 0])
+        y = np.interp(s, self._s_vert, self._verts[:, 1])
+        return np.stack([x, y], axis=-1)
+
+    def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
+        """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt.
+
+        ACCEL and DECEL change speed at +-``a_lon_max`` from ``v0``, clamped
+        to [0, ``v_max``]; CONST_VEL keeps ``v0``.
+
+        Each frame is split into ``_SUBSTEPS`` substeps. While the speed cap
+        holds at both ends of a substep, the substep advances by the exact
+        integral of the clamped linear profile (closed form). Where the cap
+        binds, it takes one trapezoid step at the capped speeds instead.
+
+        The substeps are evaluated as arrays: the closed-form advances are
+        summed in order by one cumulative sum, and the cap is tested on all
+        of them at once. From the first substep where the cap binds, substeps
+        are stepped one at a time for as long as it binds; the sum then
+        restarts from where they end. The result is the same, bit for bit,
+        as stepping every substep in turn.
+        """
+        a = {ProfileKind.ACCEL: self._a_lon, ProfileKind.DECEL: -self._a_lon,
+             ProfileKind.CONST_VEL: 0.0}[kind]
+        v0, v_max, cap, s_grid = self.v0, self.v_max, self._cap, self._s
+        h = self.dt / _SUBSTEPS
+        t_a = ref_substep_starts(n_steps, self.dt)
+        t_b = t_a + h
+        v_a = np.clip(v0 + a * t_a, 0.0, v_max)
+        v_b = np.clip(v0 + a * t_b, 0.0, v_max)
+        ds_exact = ref_profile_arc(t_b, v0, a, v_max) - ref_profile_arc(t_a, v0, a, v_max)
+        n_sub = len(ds_exact)
+        s_end = np.empty(n_sub)  # arc length after each substep
+        k, s = 0, 0.0
+        xs = fs = None  # grid and cap as lists, for the scalar steps
+        while k < n_sub:
+            # closed form from substep k on: the advances summed in order from s
+            s_k = np.cumsum(np.concatenate(([s], ds_exact[k:])))
+            cap_k = np.interp(s_k, s_grid, cap)
+            free = (v_a[k:] <= cap_k[:-1] + 1e-12) & (v_b[k:] <= cap_k[1:] + 1e-12)
+            j = int(free.argmin())
+            if free[j]:
+                s_end[k:] = s_k[1:]
+                break
+            s_end[k:k + j] = s_k[1:j + 1]
+            k += j
+            # the cap binds on substep k: trapezoid steps at the capped speeds
+            # while it binds, then back to the closed form
+            if xs is None:
+                xs, fs = s_grid.tolist(), cap.tolist()
+            s, cap_a = float(s_k[j]), float(cap_k[j])
+            while True:
+                va = min(float(v_a[k]), cap_a)
+                vb = min(float(v_b[k]), _interp_scalar(s + va * h, xs, fs))
+                s += 0.5 * (va + vb) * h
+                s_end[k] = s
+                k += 1
+                if k == n_sub:
+                    break
+                cap_a = _interp_scalar(s, xs, fs)
+                if (v_a[k] <= cap_a + 1e-12
+                        and v_b[k] <= _interp_scalar(s + float(ds_exact[k]), xs, fs) + 1e-12):
+                    break
+        out_s = np.concatenate(([0.0], s_end[_SUBSTEPS - 1::_SUBSTEPS]))
+        return self.position(out_s)
+
+
 # --- comparisons ------------------------------------------------------------
 
 def check_path(traj, start_frame, v_max, v0=None, cfg=None):
-    """Compare geometry, cap and every profile's roll; returns substeps bound."""
+    """Compare geometry, cap and every profile's roll with the scalar loops,
+    for ``PathRollout`` and the frozen ``RefPathRollout``; returns how many
+    substeps the cap bound."""
     cfg = cfg or EvalConfig()
     n_steps = traj.n - 1 - start_frame
     extend = v_max * (n_steps + 1) * traj.dt + 10.0
     if v0 is None:
         v0 = float(ref_kinematics(traj)[1][start_frame])
+    ref = RefPathRollout(traj, start_frame, v0, v_max, extend, cfg)
     path = PathRollout(traj, start_frame, v0, v_max, extend, cfg)
     verts, s_vert, s_grid, kappa = ref_geometry(traj, start_frame, extend)
-    assert np.array_equal(path._verts, verts)
-    assert np.array_equal(path._s_vert, s_vert)
-    assert np.array_equal(path._s, s_grid)
-    assert np.array_equal(path._kappa, kappa)
+    assert np.array_equal(ref._verts, verts)
+    assert np.array_equal(ref._s_vert, s_vert)
+    assert np.array_equal(ref._s, s_grid)
+    assert np.array_equal(ref._kappa, kappa)
+    got_verts, got_s_vert, (m,), caps = path._paths
+    got_cap = caps.get(0)
+    assert np.array_equal(got_verts[0, :m], verts)
+    assert np.array_equal(got_s_vert[0, :m], s_vert)
     cap = ref_speed_cap(s_grid, kappa, v_max, cfg)
-    assert np.array_equal(path._cap, cap)
+    assert np.array_equal(ref._cap, cap)
+    if got_cap is None:
+        # the closed form is taken only where the cap is v_max all along
+        assert np.all(cap == v_max)
+    else:
+        assert np.array_equal(got_cap[0], s_grid)
+        assert np.array_equal(got_cap[1], cap)
     bound = 0
     for kind in ProfileKind:
         a = {ProfileKind.ACCEL: cfg.a_lon_max, ProfileKind.DECEL: -cfg.a_lon_max,
              ProfileKind.CONST_VEL: 0.0}[kind]
         out_s, b = ref_roll_s(s_grid, cap, a, min(v0, v_max), v_max, n_steps, traj.dt)
         bound += b
-        got = path.roll(kind, n_steps)
-        assert np.array_equal(got, path.position(out_s)), kind
+        want = ref.position(out_s)
+        assert np.array_equal(ref.roll(kind, n_steps), want), kind
+        assert np.array_equal(path.roll(kind, n_steps), want), kind
     return bound
 
 
@@ -231,10 +420,10 @@ def test_interp_scalar_matches_numpy():
 def test_speed_cap_is_computed_once_and_read_only():
     path = PathRollout(circle_traj(radius=10.0, omega=0.6, n=30), 0, 6.0, 6.5, 50.0,
                        EvalConfig())
-    cap = path._cap
+    _, cap = path._paths[3][0]
     for kind in ProfileKind:
         path.roll(kind, 10)
-    assert path._cap is cap
+    assert path._paths[3][0][1] is cap
     assert not cap.flags.writeable
     with pytest.raises(ValueError):
         cap[0] = 0.0
@@ -256,7 +445,7 @@ def test_kinematics_degenerate_displacements():
         assert np.array_equal(got, want)
 
 
-# --- the batched kernel against the one-row PathRollout ----------------------
+# --- the batched rows against the frozen one-row rollout ---------------------
 
 ALL_KINDS = tuple(ProfileKind)
 
@@ -269,18 +458,22 @@ def window_rows(traj, kinds=ALL_KINDS):
 
 
 def check_rows(rows, v_max, cfg=None):
-    """Every row of one ``rollout_rows`` call equals that row's own
-    ``PathRollout`` roll; returns how many rows took the closed form."""
+    """Every row of one ``rollout_rows`` call, and that row's own
+    ``PathRollout``, equal the frozen ``RefPathRollout`` roll of that row;
+    returns how many rows took the closed form."""
     cfg = cfg or EvalConfig()
     got = rollout_rows(rows, v_max, cfg)
     assert len(got) == len(rows)
     for (traj, start, v0, n_steps, kinds), rolls in zip(rows, got):
-        path = PathRollout(traj, start, v0, v_max, v_max * (n_steps + 1) * traj.dt + 10.0, cfg)
+        extend = v_max * (n_steps + 1) * traj.dt + 10.0
+        ref = RefPathRollout(traj, start, v0, v_max, extend, cfg)
+        path = PathRollout(traj, start, v0, v_max, extend, cfg)
         assert list(rolls) == list(kinds)
         for kind in kinds:
-            want = path.roll(kind, n_steps)
+            want = ref.roll(kind, n_steps)
             assert rolls[kind].shape == want.shape == (n_steps + 1, 2)
             assert np.array_equal(rolls[kind], want), (start, kind)
+            assert np.array_equal(path.roll(kind, n_steps), want), (start, kind)
     return sum(int(_closed_form_starts(traj.xy, np.array([start]), v_max, cfg)[0])
                for traj, start, *_ in rows)
 
@@ -323,8 +516,8 @@ def test_rows_stopped_agent_with_duplicate_vertices():
 def test_rows_two_sample_window():
     traj = Trajectory(t=np.array([0.0, DT]), xy=np.array([[0.0, 0.0], [1.0, 2.0]]), dt=DT)
     assert check_rows(window_rows(traj), v_max=5.0) == 1
-    # the last sample has no path ahead; it rolls through PathRollout, for
-    # any number of frames
+    # the last sample has no path ahead; it builds a speed cap, for any
+    # number of frames
     assert check_rows([(traj, 1, 3.0, 4, ALL_KINDS), (traj, 0, 3.0, 0, ALL_KINDS)],
                       v_max=5.0) == 1
 
@@ -357,6 +550,10 @@ def test_rows_mixed_batch():
     ]
     fast = check_rows(rows, v_max=9.0)
     assert 0 < fast < len(rows)
+
+
+def test_rows_empty():
+    assert rollout_rows([], 2.0, EvalConfig()) == []
 
 
 def test_rows_start_outside_track():

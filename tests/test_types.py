@@ -23,7 +23,7 @@ from interaction_eval import (
     trajectory_kinematics,
     validate_scene,
 )
-from interaction_eval.types import co_observed
+from interaction_eval.types import agent_frame_index, co_observed, scene_frame
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
@@ -57,6 +57,39 @@ class TestScene:
         scene = Scene(scene_id="s", dt=0.5, agents=())
         with pytest.raises(ShortTrajectory):
             validate_scene(scene)
+
+
+@st.composite
+def offset_scenes(draw):
+    """A scene at dt 0.1 or 0.5 whose agents start on the frame grid, or
+    half a step off it, and whose every timestamp is jittered by at most
+    1e-7 s."""
+    dt = draw(st.sampled_from([0.1, 0.5]))
+    agents = []
+    for a in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(2, 12))
+        t0 = draw(st.integers(0, 6)) * dt + draw(st.sampled_from([0.0, 0.5])) * dt
+        jitter = draw(st.lists(st.floats(-1e-7, 1e-7), min_size=n, max_size=n))
+        t = t0 + dt * np.arange(n) + np.array(jitter)
+        xy = np.stack([np.arange(n, dtype=float), np.full(n, float(a))], axis=1)
+        agents.append(make_agent(f"a{a}", Trajectory(t=t, xy=xy, dt=dt)))
+    return validate_scene(Scene(scene_id="s", dt=dt, agents=tuple(agents)))
+
+
+@given(offset_scenes())
+@settings(max_examples=200, deadline=None)
+def test_each_sample_pairs_with_its_own_frame(scene):
+    for agent in scene.agents:
+        for k, t in enumerate(agent.trajectory.t):
+            assert agent_frame_index(scene, agent, scene_frame(scene, t)) == k
+
+
+def test_half_step_off_agent_pairs_with_later_frames():
+    on = make_agent("on", straight_traj((0, 0), (1, 0), 8, dt=0.5))
+    off = make_agent("off", straight_traj((0, 5), (1, 0), 6, t0=0.25, dt=0.5))
+    scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(on, off)))
+    assert [agent_frame_index(scene, off, f) for f in range(6)] == [None, 0, 1, 2, 3, 4]
+    assert [scene_frame(scene, t) for t in off.trajectory.t] == [1, 2, 3, 4, 5, 6]
 
 
 class TestJointPredictionSet:
