@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from typing import Iterable
 
 import numpy as np
 
@@ -36,82 +37,127 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
     return JointPredictionSet.from_samples(t, [(1.0, trajs)])
 
 
-def _collision_tables(rollouts: dict[str, dict[ProfileKind, np.ndarray]],
-                      dims: dict[str, VehicleDims], check_pairs: list[tuple[str, str]],
-                      interp_factor: int) -> dict:
-    """Per checked pair, whether each (profile, profile) of its rollouts collides.
+def _collision_tables(scene: Scene, pos: np.ndarray, roll_at: np.ndarray,
+                      present: list[dict[str, int]], pairs: list[CriticalPair],
+                      interp_factor: int) -> list[list[tuple[str, str, np.ndarray]]]:
+    """Per frame, ``(a, b, table)`` for each critical pair whose agents are
+    both present: whether each (profile, profile) of their rolls collides,
+    ``table[i, j]`` for profiles ``i`` and ``j`` in ``PROFILE_ORDER``.
 
-    The disk tracks of each agent's rollouts are laid out once and live only
-    while the tables are built.
+    ``pos`` holds every roll, ``roll_at[row, profile]`` the index of a row's
+    roll in it, and ``present[f]`` the row of each agent present at frame
+    ``f``. One ``disk_tracks`` call lays out an agent's three rolls at every
+    frame it is present, and one ``collisions`` call fills a pair's tables
+    at every frame its agents share. The disk tracks live only while the
+    tables are built.
     """
-    tracks = {aid: disk_tracks([rollouts[aid][kind] for kind in ORACLE_PROFILES], dims[aid],
-                               interp_factor)
-              for aid in {aid for pair in check_pairs for aid in pair}}
-    # row pair 3 * i + j of a table is (ORACLE_PROFILES[i], ORACLE_PROFILES[j])
+    shared = {}  # each checked pair's frames
+    for p in pairs:
+        frames = [f for f, here in enumerate(present) if p.agent_a in here and p.agent_b in here]
+        if frames:
+            shared[p.agent_a, p.agent_b] = frames
+    tracks, first = {}, {}  # first[aid][f]: aid's first track row at frame f
+    for aid in dict.fromkeys(aid for pair in shared for aid in pair):
+        frames = [f for f, here in enumerate(present) if aid in here]
+        first[aid] = {f: 3 * n for n, f in enumerate(frames)}
+        agent = scene.agent(aid)
+        tracks[aid] = disk_tracks(pos[roll_at[[present[f][aid] for f in frames]].ravel()],
+                                  VehicleDims(agent.width, agent.length), interp_factor)
+    # row pair 3 * i + j of a frame is profiles (i, j)
     rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
-    keys = list(itertools.product(ORACLE_PROFILES, ORACLE_PROFILES))
-    return {(a, b): dict(zip(keys, collisions(tracks[a].rows(rows_a),
-                                              tracks[b].rows(rows_b)).tolist()))
-            for a, b in check_pairs}
+    tables: list[list] = [[] for _ in present]
+    for (a, b), frames in shared.items():
+        hit = collisions(
+            tracks[a].rows((np.array([first[a][f] for f in frames])[:, None] + rows_a).ravel()),
+            tracks[b].rows((np.array([first[b][f] for f in frames])[:, None] + rows_b).ravel()))
+        for f, table in zip(frames, hit.reshape(-1, 3, 3)):
+            tables[f].append((a, b, table))
+    return tables
 
 
-def oracle_predict(scene: Scene, t: int, pairs: list[CriticalPair], k: int,
-                   cfg: EvalConfig) -> JointPredictionSet:
-    """Top-K collision-free profile combinations ranked by average speed.
-
-    Agents involved in a critical pair get all three speed profiles along
-    their ground-truth path; everyone else is rolled out, and kept, at
-    constant velocity only.
-
-    Once per frame, each agent of a critical pair gets the disk tracks of
-    its three rollouts, each pair whose agents are both present gets a 3x3
-    collision table from one ``collisions`` call, and each rollout gets its
-    mean speed. The combination loop only looks these up, so a frame costs
-    one collision check per critical pair however many combinations there
-    are. Each rollout starts at the agent's recorded speed
-    (``Scene.kinematics``).
-    """
-    if k < 1:
-        raise ConfigError(f"oracle k must be >= 1, got {k}")
+def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], k: int,
+                    cfg: EvalConfig) -> dict[int, JointPredictionSet] | int:
+    """``oracle_predict`` at the sorted ``frames``, or the first of them
+    where every combination collides."""
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
-    present = [(agent, i, speeds)
-               for agent, (_, speeds) in zip(scene.agents, scene.kinematics)
-               if (i := agent_frame_index(scene, agent, t)) is not None]
-    # a bystander (in no critical pair) only ever keeps constant velocity
-    choices = [
-        (agent.id, ORACLE_PROFILES if agent.id in interacting else (ProfileKind.CONST_VEL,))
-        for agent, _, _ in present
-    ]
-    rolled = rollout_rows([(agent.trajectory, i, float(speeds[i]), horizon, profiles)
-                           for (agent, i, speeds), (_, profiles) in zip(present, choices)],
-                          v_max, cfg)
-    rollouts = {agent.id: rolls for (agent, _, _), rolls in zip(present, rolled)}
-    dims = {a.id: VehicleDims(a.width, a.length) for a, _, _ in present}
-    check_pairs = [(p.agent_a, p.agent_b) for p in pairs
-                   if p.agent_a in rollouts and p.agent_b in rollouts]
-    collides_at = _collision_tables(rollouts, dims, check_pairs, cfg.interp_factor)
-    mean_speed = {
-        aid: {kind: np.hypot(*(np.diff(rollouts[aid][kind], axis=0).T)).mean() / scene.dt
-              for kind in profiles}
-        for aid, profiles in choices
-    }
-    candidates = []
-    for combo in itertools.product(*(profiles for _, profiles in choices)):
-        assignment = dict(zip((aid for aid, _ in choices), combo))
-        if any(collides_at[a, b][assignment[a], assignment[b]] for a, b in check_pairs):
-            continue
-        speeds = [mean_speed[aid][kind] for aid, kind in assignment.items()]
-        avg_speed = float(np.mean(speeds)) if speeds else 0.0
-        order_key = tuple(PROFILE_ORDER[kind] for kind in combo)
-        candidates.append((-avg_speed, order_key, assignment, avg_speed))
-    if not candidates:
-        raise NoFeasibleCombo(f"all profile combinations collide at frame {t}")
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    top = candidates[:k]
-    total = sum(c[3] for c in top)
-    return JointPredictionSet.from_samples(t, [
-        (avg_speed / total if total > 0 else 1.0 / len(top),
-         {aid: rollouts[aid][kind][1:] for aid, kind in assignment.items()})
-        for _, _, assignment, avg_speed in top])
+    # one rollout row per (frame, present agent); present[f] maps each agent
+    # present at frames[f] to its row
+    rows, present = [], []
+    for t in frames:
+        here = {}
+        for agent, (_, speeds) in zip(scene.agents, scene.kinematics):
+            i = agent_frame_index(scene, agent, t)
+            if i is not None:
+                here[agent.id] = len(rows)
+                # a bystander (in no critical pair) only ever keeps constant velocity
+                rows.append((agent.trajectory, i, float(speeds[i]), horizon,
+                             ORACLE_PROFILES if agent.id in interacting
+                             else (ProfileKind.CONST_VEL,)))
+        present.append(here)
+    rolled = rollout_rows(rows, v_max, cfg)
+    # every roll holds horizon + 1 positions; roll_at[row, PROFILE_ORDER[kind]]
+    # is the index of the row's roll of that kind in pos
+    pos = np.array([roll for rolls in rolled for roll in rolls.values()]).reshape(
+        -1, horizon + 1, 2)
+    roll_at = np.zeros((len(rows), 3), dtype=int)
+    roll_at[[r for r, rolls in enumerate(rolled) for _ in rolls],
+            [PROFILE_ORDER[kind] for rolls in rolled for kind in rolls]] = np.arange(len(pos))
+    step = np.diff(pos, axis=1)
+    mean_speed = (np.hypot(step[..., 0], step[..., 1]).mean(axis=1) / scene.dt)[roll_at]
+    tables = _collision_tables(scene, pos, roll_at, present, pairs, cfg.interp_factor)
+    predictions = {}
+    for t, here, checks in zip(frames, present, tables):
+        ids, at = list(here), list(here.values())
+        cols = [c for c, aid in enumerate(ids) if aid in interacting]
+        combos = np.array(list(itertools.product(range(3), repeat=len(cols))), dtype=int)
+        # each combination's profile per present agent, in itertools.product
+        # order, which is PROFILE_ORDER order
+        choice = np.full((len(combos), len(ids)), PROFILE_ORDER[ProfileKind.CONST_VEL])
+        choice[:, cols] = combos
+        free = np.ones(len(choice), dtype=bool)
+        for a, b, table in checks:
+            free &= ~table[choice[:, ids.index(a)], choice[:, ids.index(b)]]
+        if not free.any():
+            return t
+        choice = choice[free]
+        avg_speed = mean_speed[at, choice].mean(axis=1) if ids else np.zeros(len(choice))
+        # a stable sort keeps equal speeds in PROFILE_ORDER order
+        top = np.argsort(-avg_speed, kind="stable")[:k]
+        top_speed = avg_speed[top].tolist()
+        total = sum(top_speed)
+        predictions[t] = JointPredictionSet.from_samples(t, [
+            (speed / total if total > 0 else 1.0 / len(top),
+             {aid: pos[r, 1:] for aid, r in zip(ids, picked)})
+            for speed, picked in zip(top_speed, roll_at[at, choice[top]].tolist())])
+    return predictions
+
+
+def oracle_predict(scene: Scene, frames: Iterable[int], pairs: list[CriticalPair], k: int,
+                   cfg: EvalConfig) -> dict[int, JointPredictionSet]:
+    """Top-K collision-free profile combinations ranked by average speed, at
+    each of ``frames``: ``{frame: JointPredictionSet}`` in frame order.
+
+    Agents involved in a critical pair get all three speed profiles along
+    their ground-truth path; everyone else is rolled out, and kept, at
+    constant velocity only. Each rollout starts at the agent's recorded
+    speed (``Scene.kinematics``).
+
+    One call serves every frame: one ``rollout_rows`` call rolls every
+    (frame, present agent) row, one array op gives every roll's mean speed,
+    and ``_collision_tables`` checks each critical pair's 3x3 profile table
+    at every frame its agents share. A frame's combinations are then scored
+    as arrays of profile indices.
+
+    Raises NoFeasibleCombo naming the first frame where every combination
+    collides.
+    """
+    if k < 1:
+        raise ConfigError(f"oracle k must be >= 1, got {k}")
+    predicted = _predict_frames(scene, sorted(frames), pairs, k, cfg)
+    if not isinstance(predicted, dict):
+        # raised here, in a frame that holds none of the rolls: a caller that
+        # keeps the traceback keeps no arrays
+        raise NoFeasibleCombo(f"all profile combinations collide at frame {predicted}")
+    return predicted

@@ -94,10 +94,12 @@ def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
 
 def _baseline_predictions(scene: Scene, model: str, frames: set[int],
                           pairs: list[CriticalPair], cfg: EvalConfig,
-                          k: int = DEFAULT_ORACLE_K) -> dict[int, JointPredictionSet]:
+                          k: int) -> dict[int, JointPredictionSet]:
+    """The baseline's prediction sets at ``frames``, in frame order: one
+    ``cv_predict`` call per frame, or one ``oracle_predict`` call for them all."""
     if model == "cv":
         return {fr: cv_predict(scene, fr, cfg) for fr in sorted(frames)}
-    return {fr: oracle_predict(scene, fr, pairs, k, cfg) for fr in sorted(frames)}
+    return oracle_predict(scene, frames, pairs, k, cfg) if frames else {}
 
 
 def evaluate_scene(scene: Scene, cfg: EvalConfig,

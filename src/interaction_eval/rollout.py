@@ -18,7 +18,8 @@ cumulative sum and one cap test for all their substeps. A straight path
 has a flat cap that never binds, so its whole roll is one such stretch.
 
 ``rollout_rows`` rolls many (track, start frame) rows in one call: every
-start frame of an IHS window, or every agent of an oracle frame. All rows
+start frame of both agents' IHS windows, or every present agent at every
+frame the oracle predicts. All rows
 share one padded path layout, one cumulative sum per profile and one map
 from arc lengths to positions. Only the rows whose cap may bind build it,
 and they step one substep at a time only where it binds.
@@ -412,12 +413,13 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     _, speeds_b = trajectory_kinematics(wb)
     dims_a = VehicleDims(agent_a.width, agent_a.length)
     dims_b = VehicleDims(agent_b.width, agent_b.length)
-    # every start frame of each agent's window, rolled to the window's end
+    # every start frame of both agents' windows, rolled to the window's end
+    # in one call: a's rows, then b's
     kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
-    rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n - 1 - i, kinds) for i in range(n - 1)],
-                           v_max, cfg)
-    rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n - 1 - i, kinds) for i in range(n - 1)],
-                           v_max, cfg)
+    rolled = rollout_rows([(w, i, float(speeds[i]), n - 1 - i, kinds)
+                           for w, speeds in ((wa, speeds_a), (wb, speeds_b))
+                           for i in range(n - 1)], v_max, cfg)
+    rolls_a, rolls_b = rolled[:n - 1], rolled[n - 1:]
     # one collision check per ordering over every frame's rolls; the frames
     # where the ordering is free are wound in one call (frame i's rolls hold
     # n - i samples)

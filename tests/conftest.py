@@ -59,20 +59,24 @@ _ARMS = (
 )
 
 
-def random_crossing_scene(seed, n=30):
+def random_crossing_scene(seed, n=30, speed=None):
     """2-4 agents on distinct arms of a crossing, at random gaps and speeds,
-    some entering 2 s late, plus 0-2 bystanders 300 m away."""
+    some entering 2 s late, plus 0-2 bystanders 300 m away. A given
+    ``speed`` replaces every agent's drawn speed, so that every agent drives
+    at the scene speed limit."""
     rng = np.random.default_rng(seed)
     agents = []
     for j, arm in enumerate(rng.permutation(4)[:rng.integers(2, 5)]):
         (sx, sy), (ox, oy), (hx, hy) = _ARMS[arm]
         gap, v = rng.uniform(10.0, 50.0), rng.uniform(3.0, 10.0)
+        v = v if speed is None else speed
         late = int(rng.choice([0, 0, 0, 4]))
         traj = straight_traj((sx * gap + ox, sy * gap + oy), (hx * v, hy * v), n - late,
                              t0=0.5 * late)
         agents.append(make_agent(f"a{j}", traj))
     for j in range(rng.integers(0, 3)):
-        traj = straight_traj((-30.0, 300.0 + 20.0 * j), (rng.uniform(3.0, 10.0), 0.0), n)
+        v = rng.uniform(3.0, 10.0)
+        traj = straight_traj((-30.0, 300.0 + 20.0 * j), (v if speed is None else speed, 0.0), n)
         agents.append(make_agent(f"z{j}", traj))
     return validate_scene(Scene(scene_id=f"random{seed}", dt=0.5, agents=tuple(agents)))
 

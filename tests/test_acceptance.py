@@ -209,7 +209,7 @@ def test_oracle_coverage(capsys):
     collapsed = []
     enumeration_agrees = True
     for i in range(tl.start_idx, tl.final_idx + 1):
-        pred = oracle_predict(scene, i, pairs, 5, cfg)
+        pred = oracle_predict(scene, [i], pairs, 5, cfg)[i]
         h_ml, h_pred = _prediction_classes(pred, pair, cfg.theta_hat)
         covered.append(tl.h_gt[i] in h_pred)
         collapsed.append(not tl.h_feas[i] <= h_pred)

@@ -1,4 +1,5 @@
 import itertools
+import traceback
 from collections import Counter
 
 import numpy as np
@@ -15,6 +16,7 @@ from interaction_eval import (
     interaction_timeline,
     is_collision,
     oracle_predict,
+    rollout,
     types,
     validate_scene,
     winding_angle,
@@ -91,7 +93,7 @@ class TestOracle:
     def test_top_k_count_and_probabilities(self, cfg):
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
-        pred = oracle_predict(scene, 3, pairs, 5, cfg)
+        pred = oracle_predict(scene, [3], pairs, 5, cfg)[3]
         assert pred.xy.shape[0] == 5
         probs = pred.p.tolist()
         assert all(p > 0 for p in probs)
@@ -101,7 +103,7 @@ class TestOracle:
     def test_k_larger_than_combo_count(self, cfg):
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
-        pred = oracle_predict(scene, 3, pairs, 50, cfg)
+        pred = oracle_predict(scene, [3], pairs, 50, cfg)[3]
         assert len(pred.p) <= 9  # at most 3^2 combinations for one pair
 
     def test_non_interacting_agent_stays_constant_velocity(self, cfg, monkeypatch):
@@ -119,7 +121,7 @@ class TestOracle:
             rolled.extend(kind for rolls in out for kind in rolls)
             return out
         monkeypatch.setattr(baselines, "rollout_rows", counted)
-        pred = oracle_predict(scene, 3, pairs, 9, cfg)
+        pred = oracle_predict(scene, [3], pairs, 9, cfg)[3]
         c = pred.agent_ids.index("c")
         futures = {tuple(pred.xy[k, c, pred.lengths[k, c] - 1]) for k in range(len(pred.p))}
         assert len(futures) == 1  # same constant-velocity future in all samples
@@ -129,7 +131,7 @@ class TestOracle:
     def test_combos_are_collision_free(self, cfg):
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
-        pred = oracle_predict(scene, 6, pairs, 9, cfg)
+        pred = oracle_predict(scene, [6], pairs, 9, cfg)[6]
         dims = {ag.id: VehicleDims(ag.width, ag.length) for ag in scene.agents}
         for xy_a, xy_b in pred.xy:
             assert not is_collision(xy_a, xy_b, dims["a"], dims["b"], cfg.interp_factor)
@@ -140,7 +142,7 @@ class TestOracle:
         scene = crossing_scene(n=30)
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         frame = 2
-        pred = oracle_predict(scene, frame, pairs, 100, cfg)
+        pred = oracle_predict(scene, [frame], pairs, 100, cfg)[frame]
         classes = set()
         for xy_a, xy_b in pred.xy:
             d = winding_angle(xy_a, xy_b)
@@ -149,10 +151,10 @@ class TestOracle:
 
 
 def reference_oracle_predict(scene, t, pairs, k, cfg):
-    """The oracle as it was before its collision tables: every combination
-    calls the frozen per-pair collision check for each critical pair and
-    recomputes the mean speed of every rollout it selects. Kept as the
-    reference."""
+    """The oracle at one frame ``t``, as it was before its collision tables:
+    every combination calls the frozen per-pair collision check for each
+    critical pair and recomputes the mean speed of every rollout it selects.
+    Kept as the reference."""
     v_max = max_scene_speed(scene)
     horizon = cfg.horizon_frames(scene.dt)
     interacting = sorted({aid for p in pairs for aid in (p.agent_a, p.agent_b)})
@@ -217,44 +219,76 @@ def _outcome(predict, *args):
         return type(e)
 
 
+def _holds_arrays(value) -> bool:
+    """Whether a value is an array, or a list, tuple or dict of arrays."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return any(isinstance(v, np.ndarray) for v in value)
+    return isinstance(value, np.ndarray)
+
+
+def _present_frames(scene, frames):
+    """Each agent's frames, of ``frames``, at which it is present."""
+    return {agent.id: {f for f in frames if agent_frame_index(scene, agent, f) is not None}
+            for agent in scene.agents}
+
+
 class TestOracleCollisionTables:
     def test_matches_per_combo_reference(self, cfg):
-        """Same samples, order, probabilities and trajectories as the per-combo
-        loop, or the same exception, on feasible and infeasible frames."""
+        """One call over several frames gives, at each frame, the same samples,
+        order, probabilities and trajectories as the per-frame,
+        per-combination loop. Where that loop raises at some frame, the call
+        raises the same NoFeasibleCombo, naming the first such frame. In the
+        last four scenes every agent drives at the speed limit, so its
+        ACCEL and CONST_VEL rollouts are equal and many combinations tie on
+        speed: they keep PROFILE_ORDER order."""
         feasible = infeasible = multi_pair = 0
-        for seed in range(16):
-            scene = random_crossing_scene(seed)
+        for seed, speed in [(seed, None) for seed in range(16)] + [(27, 6.0), (30, 6.0),
+                                                                   (35, 6.0), (39, 6.0)]:
+            scene = random_crossing_scene(seed, speed=speed)
             pairs = filter_scene_with_rejections(scene, cfg)[0]
             k = (1, 3, 5, 100)[seed % 4]
+            want = {}
             for frame in range(0, 26, 5):
-                want = _outcome(reference_oracle_predict, scene, frame, pairs, k, cfg)
-                got = _outcome(oracle_predict, scene, frame, pairs, k, cfg)
-                if want is NoFeasibleCombo:
-                    assert got is NoFeasibleCombo, (seed, frame)
-                    infeasible += 1
-                    continue
-                assert isinstance(got, JointPredictionSet), (seed, frame)
-                assert got.frame == want.frame
-                assert got.agent_ids == want.agent_ids, (seed, frame)
-                assert got.p.tolist() == want.p.tolist(), (seed, frame)
-                assert np.array_equal(got.lengths, want.lengths), (seed, frame)
-                assert np.array_equal(got.xy, want.xy), (seed, frame)
+                try:
+                    want[frame] = reference_oracle_predict(scene, frame, pairs, k, cfg)
+                except NoFeasibleCombo as e:
+                    want[frame] = str(e)
+            failed = [frame for frame, w in want.items() if isinstance(w, str)]
+            if failed:
+                with pytest.raises(NoFeasibleCombo) as info:
+                    oracle_predict(scene, set(want), pairs, k, cfg)
+                assert str(info.value) == want[failed[0]], seed
+                infeasible += 1
+            # the frames where the loop succeeds, in one call, in any order
+            frames = [frame for frame in want if frame not in failed]
+            got = oracle_predict(scene, frames[::-1], pairs, k, cfg)
+            assert list(got) == frames, seed
+            for frame in frames:
+                assert got[frame].frame == want[frame].frame == frame
+                assert got[frame].agent_ids == want[frame].agent_ids, (seed, frame)
+                assert got[frame].p.tolist() == want[frame].p.tolist(), (seed, frame)
+                assert np.array_equal(got[frame].lengths, want[frame].lengths), (seed, frame)
+                assert np.array_equal(got[frame].xy, want[frame].xy), (seed, frame)
                 feasible += 1
                 multi_pair += len(pairs) > 1
         # the corpus exercises both outcomes and frames with several pairs
         assert feasible > 80 and infeasible > 0 and multi_pair > 40
 
-    @pytest.mark.parametrize("three_agents", [False, True], ids=["crossing", "two_pairs"])
-    def test_nine_checks_per_pair(self, cfg, monkeypatch, three_agents):
-        """Each frame lays each interacting agent's three rollouts out once and
-        checks each critical pair's 3x3 table with one ``collisions`` call,
-        never with ``is_collision``."""
+    @pytest.mark.parametrize("agent_c", [None, 0.0, 3.0], ids=["crossing", "two_pairs", "late"])
+    def test_nine_checks_per_pair(self, cfg, monkeypatch, agent_c):
+        """One call lays out each interacting agent's three rollouts at every
+        frame it is present with one ``disk_tracks`` call, and checks each
+        critical pair's 3x3 tables at every frame its agents share with one
+        ``collisions`` call, never with ``is_collision``."""
         scene = crossing_scene(n=30)
-        if three_agents:  # c comes south on the other lane: it crosses a, not b
-            c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 30))
+        if agent_c is not None:  # c comes south on the other lane: it crosses a, not b
+            c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 30 - int(2 * agent_c),
+                                              t0=agent_c))
             scene = validate_scene(Scene(scene_id="three", dt=0.5, agents=scene.agents + (c,)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
-        assert len(pairs) == (2 if three_agents else 1)
+        assert len(pairs) == (1 if agent_c is None else 2)
         interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
         calls = {"is_collision": [], "collisions": [], "disk_tracks": []}
 
@@ -269,16 +303,54 @@ class TestOracleCollisionTables:
 
         for name in calls:
             counted(name)
-        for frame in range(0, 20, 3):
-            for made in calls.values():
-                made.clear()
-            _outcome(oracle_predict, scene, frame, pairs, 5, cfg)
-            assert calls["is_collision"] == [], frame
-            assert len(calls["collisions"]) == len(pairs), frame
-            assert all(hit.shape == (9,) for hit in calls["collisions"]), frame
-            # one disk layout per interacting agent, one row per profile
-            assert len(calls["disk_tracks"]) == len(interacting), frame
-            assert all(len(t.lengths) == 3 for t in calls["disk_tracks"]), frame
+        frames = range(0, 20, 3)
+        present = _present_frames(scene, frames)
+        _outcome(oracle_predict, scene, frames, pairs, 5, cfg)
+        assert calls["is_collision"] == []
+        # one row per profile at each frame the agent is present
+        assert (Counter(len(t.lengths) for t in calls["disk_tracks"])
+                == Counter(3 * len(present[aid]) for aid in interacting))
+        # nine row pairs at each frame both agents are present
+        assert (Counter(hit.shape for hit in calls["collisions"])
+                == Counter((9 * len(present[p.agent_a] & present[p.agent_b]),) for p in pairs))
+        if agent_c:
+            assert len(present["c"]) < len(present["a"])
+
+    @pytest.mark.parametrize("frames", [range(0, 10), range(0, 20)], ids=["c_absent", "all"])
+    def test_track_admitted_once_per_call(self, cfg, monkeypatch, frames):
+        """One call admits each present agent's track to closed-form rolling
+        (``rollout._closed_form_starts``) once, however many frames it
+        predicts."""
+        base = crossing_scene(n=30)
+        c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 20, t0=5.0))
+        z = make_agent("z", straight_traj((-30.0, 300.0), (6.0, 0.0), 30))
+        scene = validate_scene(Scene(scene_id="late", dt=0.5, agents=base.agents + (c, z)))
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        seen = []
+        admit = rollout._closed_form_starts
+
+        def counted(xy, *args):
+            seen.append(id(xy))
+            return admit(xy, *args)
+        monkeypatch.setattr(rollout, "_closed_form_starts", counted)
+        _outcome(oracle_predict, scene, frames, pairs, 5, cfg)
+        present = [a for a in scene.agents if _present_frames(scene, frames)[a.id]]
+        assert sorted(seen) == sorted(id(a.trajectory.xy) for a in present)
+        assert ("c" in {a.id for a in present}) == (frames.stop > 10)
+
+    def test_failure_traceback_holds_no_arrays(self, cfg):
+        """A caller that keeps a NoFeasibleCombo traceback keeps none of the
+        call's rolls: no frame of it holds an array, or a list, tuple or
+        dict of arrays."""
+        scene = random_crossing_scene(8)
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        with pytest.raises(NoFeasibleCombo, match="collide at frame 5$") as info:
+            oracle_predict(scene, range(0, 26, 5), pairs, 5, cfg)
+        frames = list(traceback.walk_tb(info.value.__traceback__.tb_next))  # past this test
+        assert frames
+        for frame, _ in frames:
+            held = [name for name, value in frame.f_locals.items() if _holds_arrays(value)]
+            assert held == [], frame.f_code.co_name
 
 
 @pytest.mark.parametrize("model", ["cv", "oracle"])
@@ -301,7 +373,7 @@ def test_kinematics_once_per_scene(cfg, monkeypatch, model):
     for frame, got in result.predictions.items():
         fresh = Scene(scene.scene_id, scene.dt, scene.agents)  # nothing cached
         alone = (cv_predict(fresh, frame, cfg) if model == "cv"
-                 else oracle_predict(fresh, frame, pairs, 5, cfg))
+                 else oracle_predict(fresh, [frame], pairs, 5, cfg)[frame])
         assert got.agent_ids == alone.agent_ids
         assert got.p.tolist() == alone.p.tolist()
         assert np.array_equal(got.xy, alone.xy) and np.array_equal(got.lengths, alone.lengths)
