@@ -14,12 +14,17 @@ If the result is more than ``d_collision`` plus a rounding margin
 the scene), no resampled samples of the two can come within ``d_collision``
 of each other. A co-observed pair with such a bound is rejected as
 ``NeverPathSharing`` without calling ``classify_pair``.
+
+The other co-observed pairs of a scene get ``classify_pair``'s
+``SharedFromStart`` answer from their early rows, all in one stack
+(``_shared_from_start``). Only the pairs that neither the bound nor the
+stack decides, and the pairs without a co-observed window, reach
+``classify_pair``. The result equals ``classify_pair`` on every pair.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,14 +33,15 @@ from .errors import EmptyOverlap
 from .types import (
     EvalConfig,
     Scene,
-    Trajectory,
     co_observed,
     common_window,
+    resample_rows,
     resample_trajectory,
 )
 
 _PRUNE_MARGIN = 1e-6  # metres; absolute part of the bound's rounding margin
 _PRUNE_REL = 1e-12  # relative part, times the largest |coordinate| in the scene
+_FAR, _SHARED_A, _SHARED_B = 1, 2, 3  # a pair's stacked answer; 0 leaves it to classify_pair
 
 
 @dataclass(frozen=True)
@@ -68,9 +74,13 @@ class CriticalPair:
 
 
 def _distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every row of ``xa`` to every row of ``xb``."""
-    diff = xa[:, None, :] - xb[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    """Euclidean distance of every row of ``xa`` to every row of ``xb``:
+    ``sqrt(dx*dx + dy*dy)``, the same bits as a sum over the last axis of
+    the squared differences, without numpy's slow reduction over a length-2
+    axis."""
+    dx = np.subtract.outer(xa[:, 0], xb[:, 0])
+    dy = np.subtract.outer(xa[:, 1], xb[:, 1])
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def classify_pair(scene: Scene, a: str, b: str,
@@ -81,26 +91,16 @@ def classify_pair(scene: Scene, a: str, b: str,
     of one agent lies on the commonly shared path when some sample of the
     other is strictly closer than ``cfg.d_collision``. An interpolated sample
     maps back to the original frame at or before it (index // factor), so a
-    first shared-path time is the earliest possible frame.
+    first shared-path time is the earliest possible frame. A pair whose
+    first shared-path time (A's first, then B's) is at or before ``t_min``
+    is ``SharedFromStart``.
 
-    ``SharedFromStart`` depends only on the resampled rows of the frames at
-    or before ``t_min``, so those rows are checked against the other agent's
-    samples (A's first, then B's) before the full distance matrix is built.
-    One shared cell gives both agents a shared sample, so no pair that
-    leaves there would have been ``NeverPathSharing``.
+    The filter answers ``SharedFromStart`` for most pairs in one stack
+    (``_shared_from_start``) and calls this only for the pairs left over.
     """
     wa, wb, t = common_window(scene.agent(a).trajectory, scene.agent(b).trajectory)
     factor = cfg.interp_factor
-    xa = resample_trajectory(wa, factor).xy
-    xb = resample_trajectory(wb, factor).xy
-    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
-    # rows mapping to a frame at or before t_min
-    early = int(np.count_nonzero(t <= t_min)) * factor
-    if (_distances(xa[:early], xb) < cfg.d_collision).any():
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
-    if (_distances(xa, xb[:early]) < cfg.d_collision).any():
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
-    d = _distances(xa, xb)
+    d = _distances(resample_trajectory(wa, factor).xy, resample_trajectory(wb, factor).xy)
     shared = d < cfg.d_collision
     rows = np.flatnonzero(shared.any(axis=1))
     if not rows.size:  # one shared cell would give each agent a shared sample
@@ -108,6 +108,11 @@ def classify_pair(scene: Scene, a: str, b: str,
     cols = np.flatnonzero(shared.any(axis=0))
     t_ps_a = float(t[rows[0] // factor])
     t_ps_b = float(t[cols[0] // factor])
+    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
+    if t_ps_a <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
+    if t_ps_b <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
     dt_ps = abs(t_ps_b - t_ps_a)
     if dt_ps > cfg.dt_ps_max:
         return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
@@ -116,31 +121,89 @@ def classify_pair(scene: Scene, a: str, b: str,
                         min_distance=float(d.diagonal().min()))
 
 
-def _never_sharing(trajs: list[Trajectory], cfg: EvalConfig) -> np.ndarray:
-    """far[i, j], i < j: the pair provably never shares a path (module docstring)."""
-    k = len(trajs)
-    far = np.zeros((k, k), dtype=bool)
-    n = np.array([tr.n for tr in trajs])
-    if k < 2 or n.min() < 1:
-        return far
-    start = np.concatenate([[0], np.cumsum(n)])
-    xy = np.concatenate([tr.xy for tr in trajs])
+def _never_sharing(xy: np.ndarray, start: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+    """For the k agents laid out back to back (agent m's samples at
+    ``start[m]:start[m + 1]``): whether the scene-level bound (module
+    docstring) holds for each pair, in ``np.triu_indices(k, 1)`` order."""
+    k = len(start) - 1
     steps = np.zeros(len(xy))
     steps[:-1] = np.hypot(*np.diff(xy, axis=0).T)
     steps[start[1:] - 1] = 0.0  # no step from one agent's last sample to the next agent
     half = np.maximum.reduceat(steps, start[:-1]) / 2.0
     limit = cfg.d_collision + _PRUNE_MARGIN + _PRUNE_REL * np.abs(xy).max()
-    t = np.concatenate([tr.t for tr in trajs])
-    dt = np.array([tr.dt for tr in trajs])
+    bound = []
     for i in range(k - 1):
         rest = xy[start[i + 1]:]
-        d2 = np.square(np.subtract.outer(trajs[i].xy[:, 0], rest[:, 0]))
-        d2 += np.square(np.subtract.outer(trajs[i].xy[:, 1], rest[:, 1]))
+        d2 = np.square(np.subtract.outer(xy[start[i]:start[i + 1], 0], rest[:, 0]))
+        d2 += np.square(np.subtract.outer(xy[start[i]:start[i + 1], 1], rest[:, 1]))
         nearest = np.minimum.reduceat(d2.min(axis=0), start[i + 1:-1] - start[i + 1])
-        js = i + 1 + np.flatnonzero(np.sqrt(nearest) - half[i] - half[i + 1:] > limit)
-        if js.size:
-            far[i, js] = co_observed(t, start, dt, i, js)[0]
-    return far
+        bound.append(np.sqrt(nearest) - half[i] - half[i + 1:] > limit)
+    return np.concatenate(bound)
+
+
+def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
+                       rows_b: np.ndarray, count: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+    """``classify_pair``'s ``SharedFromStart`` answer on a stack of pairs,
+    from the early rows alone.
+
+    Pair p's window is ``count[p]`` samples of the laid-out ``t`` and ``xy``
+    from ``rows_a[p]`` (agent A) and from ``rows_b[p]`` (agent B). A
+    resampled row maps to the frame ``index // interp_factor``, so an
+    agent's first shared-path time is at or before ``t_min`` exactly when
+    one of its early rows (``interp_factor`` per window frame at or before
+    ``t_min``) lies within ``d_collision`` of some sample of the other.
+    Returns per pair ``_SHARED_A`` where A's early rows share a path, else
+    ``_SHARED_B`` where B's do, else 0, which leaves the pair to
+    ``classify_pair``. One shared cell gives both agents a shared sample, so
+    a pair answered here is never ``NeverPathSharing``.
+
+    The pairs go in chunks of ``max(1, M // (2E))`` for M resampled samples
+    and E early rows at most. A chunk's (sides, pairs, early rows, samples)
+    cube is then no larger than an M x M distance matrix (the longest
+    pair's full matrix), or twice that where a chunk holds one pair (E past
+    M / 2). In each chunk, both
+    sides' windows are padded by repeating their last sample and resampled
+    in one call, bit-equal to ``resample_trajectory`` on each window below
+    its length, and both checks run as one masked distance op. Window times
+    increase (``validate_scene``), so a padded time counts as early only
+    where the whole window is, and the clamp to the resampled length undoes
+    it.
+    """
+    factor = cfg.interp_factor
+    n_pairs = len(count)
+    # past its end, a window repeats its last sample
+    steps = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    tw = t[rows_a[:, None] + steps]
+    t_min = tw[:, :1] if cfg.t_min is None else cfg.t_min
+    length = (count - 1) * factor + 1
+    early = np.minimum((tw <= t_min).sum(axis=1) * factor, length)
+    n_early = int(early.max())
+    if not n_early:
+        return np.zeros(n_pairs, dtype=np.int8)
+    m = int(length.max())  # resampled samples per row
+    shared = np.empty((2, n_pairs), dtype=bool)
+    chunk = max(1, m // (2 * n_early))
+    for c in range(0, n_pairs, chunk):
+        p = slice(c, c + chunk)
+        # one row per coordinate, side and pair
+        windows = xy.T[:, np.stack((rows_a[p], rows_b[p]))[..., None] + steps[p]]
+        rows, _ = resample_rows(windows.reshape(-1, steps.shape[1], 1),
+                                np.tile(count[p], 4), factor)
+        # resample_rows lays its samples out outermost; the ops below run
+        # several times faster on a C-ordered copy
+        x, y = np.ascontiguousarray(rows.reshape(2, 2, -1, m))
+        ok = ((np.arange(n_early) < early[p, None])[:, :, None]
+              & (np.arange(m) < length[p, None])[:, None, :])
+        # each side's early rows against all of the other side's samples,
+        # with _distances' arithmetic, in place to hold two cubes at most
+        d2 = x[:, :, :n_early, None] - x[::-1, :, None, :]
+        dy = y[:, :, :n_early, None] - y[::-1, :, None, :]
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        near = np.sqrt(d2, out=d2) < cfg.d_collision
+        shared[:, p] = (near & ok).any(axis=(2, 3))
+    return np.where(shared[0], _SHARED_A, np.where(shared[1], _SHARED_B, 0))
 
 
 def filter_scene_with_rejections(
@@ -149,25 +212,47 @@ def filter_scene_with_rejections(
     """Accepted pairs over all N(N-1)/2 unordered combinations, sorted by id,
     and the reason each other pair was rejected.
 
-    Pairs that the scene-level bound (module docstring) proves never share a
-    path are rejected without ``classify_pair``; every other pair goes
-    through it. The result equals ``classify_pair`` on every pair.
+    Every pair of the scene is decided in one stack: one ``co_observed``
+    call gives every pair's window. Pairs that the scene-level bound (module
+    docstring) proves never share a path are rejected without
+    ``classify_pair``, and so are the co-observed pairs whose early rows
+    share a path (``_shared_from_start``). Only the pairs that neither
+    decides, and the pairs without a co-observed window, go through
+    ``classify_pair``, in ``itertools.combinations`` order. The result
+    equals ``classify_pair`` on every pair (of a scene whose timestamps
+    increase, as ``validate_scene`` requires).
     """
     ids = sorted(scene.agents_by_id)
-    far = _never_sharing([scene.agent(aid).trajectory for aid in ids], cfg)
+    trajs = [scene.agent(aid).trajectory for aid in ids]
+    ii, jj = np.triu_indices(len(ids), 1)  # itertools.combinations order
+    answer = np.zeros(len(ii), dtype=np.int8)  # 0: classify_pair
+    n = np.array([tr.n for tr in trajs])
+    if ii.size and n.min() >= 1:  # with an empty track, classify_pair decides every pair
+        start = np.concatenate([[0], np.cumsum(n)])
+        t = np.concatenate([tr.t for tr in trajs])
+        xy = np.concatenate([tr.xy for tr in trajs])
+        ok, ia, ib, count = co_observed(t, start, np.array([tr.dt for tr in trajs]), ii, jj)
+        far = ok & _never_sharing(xy, start, cfg)
+        answer[far] = _FAR
+        stack = np.flatnonzero(ok & ~far)
+        if stack.size:
+            answer[stack] = _shared_from_start(
+                t, xy, start[ii[stack]] + ia[stack].astype(int),
+                start[jj[stack]] + ib[stack].astype(int), count[stack].astype(int), cfg)
     accepted, rejected = [], []
-    for (i, a), (j, b) in itertools.combinations(enumerate(ids), 2):
-        if far[i, j]:
+    for i, j, how in zip(ii.tolist(), jj.tolist(), answer.tolist()):
+        a, b = ids[i], ids[j]
+        if how == _FAR:
             rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
-            continue
-        try:
-            result = classify_pair(scene, a, b, cfg)
-        except EmptyOverlap:
-            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
-                                          detail="no co-observed window"))
-            continue
-        if isinstance(result, CriticalPair):
-            accepted.append(result)
+        elif how:
+            rejected.append(PairRejection(a, b, RejectReason.SHARED_FROM_START,
+                                          detail=a if how == _SHARED_A else b))
         else:
-            rejected.append(result)
+            try:
+                result = classify_pair(scene, a, b, cfg)
+            except EmptyOverlap:
+                rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
+                                              detail="no co-observed window"))
+                continue
+            (accepted if isinstance(result, CriticalPair) else rejected).append(result)
     return accepted, rejected

@@ -314,18 +314,19 @@ def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     return headings[0], speeds[0]
 
 
-def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int,
+def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int | np.ndarray,
                 js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The co-observed window of agent ``i`` with each agent in ``js``.
 
     ``t`` holds every agent's timestamps back to back, agent k's at
-    ``start[k]:start[k + 1]``, and ``dt`` each agent's frame period. The
-    window runs from the later first sample to the earlier last one, counted
-    in ``i``'s ``dt`` (round half to even), and its times must agree within
-    ``_TIME_ATOL`` sample by sample. Returns ``(ok, ia, ib, count)`` per j:
-    whether the pair has such a window, where it starts in ``i`` and in j,
-    and how many samples it holds. A window that runs past a trajectory's
-    end, or any NaN, gives no window.
+    ``start[k]:start[k + 1]``, and ``dt`` each agent's frame period. ``i``
+    is one agent or an array broadcast against ``js``, one agent per pair.
+    The window runs from the later first sample to the earlier last one,
+    counted in ``i``'s ``dt`` (round half to even), and its times must agree
+    within ``_TIME_ATOL`` sample by sample. Returns ``(ok, ia, ib, count)``
+    per pair: whether the pair has such a window, where it starts in ``i``
+    and in j, and how many samples it holds. A window that runs past a
+    trajectory's end, or any NaN, gives no window.
     """
     n = start[1:] - start[:-1]
     first, last = t[start[:-1]], t[start[1:] - 1]
@@ -338,8 +339,8 @@ def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int,
     ok = ((t1 >= t0 - _TIME_ATOL) & (count >= 1) & (np.minimum(ia, ib) >= 0)
           & (count <= np.minimum(n[i] - ia, n[js] - ib)))
     # past its end, a window repeats its last sample
-    steps = np.minimum(np.arange(n[i]), count[ok, None] - 1)
-    ra = t[(start[i] + ia[ok, None] + steps).astype(int)]
+    steps = np.minimum(np.arange(n[i].max(initial=0)), count[ok, None] - 1)
+    ra = t[((start[i] + ia)[ok, None] + steps).astype(int)]
     rb = t[(start[js[ok], None] + ib[ok, None] + steps).astype(int)]
     ok[ok] = (np.abs(ra - rb) <= _TIME_ATOL).all(axis=1)
     return ok, ia, ib, count

@@ -277,6 +277,35 @@ class TestScenePrune:
         assert len(accepted) + len(rejected) == 30 * 29 // 2
         assert len(classify_calls) < 60
 
+    @pytest.mark.parametrize("scene", [lane_scene(7), mixed_scene(0)], ids=["lanes", "mixed"])
+    def test_classify_pair_only_for_undecided_pairs(self, cfg, classify_calls, scene):
+        # a pair reaches classify_pair only when the scene-level bound does
+        # not prune it and its early rows share no path: a pair without a
+        # co-observed window, or one that classify_pair does not reject as
+        # SharedFromStart
+        trajs = {aid: a.trajectory for aid, a in scene.agents_by_id.items()}
+        limit = (cfg.d_collision + filtering._PRUNE_MARGIN
+                 + filtering._PRUNE_REL * max(np.abs(tr.xy).max() for tr in trajs.values()))
+        half = {aid: np.hypot(*np.diff(tr.xy, axis=0).T).max() / 2.0
+                for aid, tr in trajs.items()}
+        _, reference = brute_force_filter(scene, cfg)
+        shared = {(r.agent_a, r.agent_b) for r in reference
+                  if r.reason is RejectReason.SHARED_FROM_START}
+        undecided = set()
+        for a, b in itertools.combinations(sorted(trajs), 2):
+            diff = trajs[a].xy[:, None, :] - trajs[b].xy[None, :, :]
+            bound = np.sqrt(np.sum(diff * diff, axis=-1)).min() - half[a] - half[b]
+            try:
+                common_window(trajs[a], trajs[b])
+            except EmptyOverlap:
+                undecided.add((a, b))
+                continue
+            if not bound > limit and (a, b) not in shared:
+                undecided.add((a, b))
+        filter_scene_with_rejections(scene, cfg)
+        assert len(classify_calls) == len(set(classify_calls))
+        assert set(classify_calls) == undecided
+
     def test_nan_sample_never_prunes(self, cfg, classify_calls):
         far = straight_traj((500.0, 500.0), (5.0, 0.0), 30)
         xy = far.xy.copy()
@@ -287,14 +316,12 @@ class TestScenePrune:
         assert ("a", "z") in classify_calls and ("b", "z") in classify_calls
 
 
-def random_pair(seed, kind, leader_first):
-    """Two agents, ``kind`` one of: a follower behind a leader in one lane
-    (the leader gets the smaller id when ``leader_first``), a right-angle
-    crossing, or two random straight movers. The agents start up to five
-    frames apart, so the co-observed window begins after the first sample
-    of one of them."""
-    rng = np.random.default_rng(seed)
-    dt = float(rng.choice([0.1, 0.5]))
+def pair_motion(rng, kind):
+    """Samples, first frames, starts and velocities of two agents, ``kind``
+    one of: a follower behind a leader in one lane (the leader first), a
+    right-angle crossing, or two random straight movers. The agents start
+    up to five frames apart, so the co-observed window begins after the
+    first sample of one of them."""
     n = int(rng.integers(6, 40))
     first = [0, int(rng.integers(0, 6))]
     rng.shuffle(first)
@@ -308,6 +335,15 @@ def random_pair(seed, kind, leader_first):
     else:
         starts = [rng.uniform(-20.0, 20.0, 2), rng.uniform(-20.0, 20.0, 2)]
         vels = [rng.uniform(-10.0, 10.0, 2), rng.uniform(-10.0, 10.0, 2)]
+    return n, first, starts, vels
+
+
+def random_pair(seed, kind, leader_first):
+    """Two agents of ``pair_motion``; the leader gets the smaller id when
+    ``leader_first``."""
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.1, 0.5]))
+    n, first, starts, vels = pair_motion(rng, kind)
     ids = ["a", "b"] if leader_first else ["b", "a"]
     agents = tuple(make_agent(aid, straight_traj(start, vel, n, t0=f * dt, dt=dt))
                    for aid, start, vel, f in zip(ids, starts, vels, first))
@@ -324,9 +360,8 @@ def t_min_for(scene, when, u):
 
 
 class TestSharedFromStartExit:
-    """classify_pair answers SharedFromStart from the rows at or before t_min
-    before it builds the full matrix; every answer must equal the full-matrix
-    reference, detail included."""
+    """classify_pair and the filter's stacked SharedFromStart check must
+    answer every pair as the full-matrix reference does, detail included."""
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
            kind=st.sampled_from(["follow", "cross", "random"]),
@@ -340,6 +375,7 @@ class TestSharedFromStartExit:
         cfg = EvalConfig(interp_factor=factor, t_min=t_min_for(scene, when, u))
         assert classify_pair(scene, "a", "b", cfg) == full_matrix_classify_pair(
             scene, "a", "b", cfg)
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
 
     @pytest.mark.parametrize("factor", [1, 3, 4])
     @pytest.mark.parametrize("leader,follower", [("a", "b"), ("b", "a")])
@@ -353,9 +389,59 @@ class TestSharedFromStartExit:
         res = classify_pair(scene, "a", "b", cfg)
         assert res == PairRejection("a", "b", RejectReason.SHARED_FROM_START, detail=leader)
         assert res == full_matrix_classify_pair(scene, "a", "b", cfg)
+        assert filter_scene_with_rejections(scene, cfg) == ([], [res])
 
     def test_nan_t_min_is_config_error(self):
         # a NaN t_min would fail every t <= t_min test and so never reject a
         # follower as SharedFromStart; the config refuses it instead
         with pytest.raises(ConfigError, match="t_min must be finite, got nan"):
             EvalConfig(t_min=float("nan"))
+
+
+def random_scene(seed):
+    """One to four groups of two ``pair_motion`` agents (a leader with
+    either id first), around nearby origins, plus agents that come late,
+    sit half a frame off the grid or share no window with the rest."""
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.1, 0.5]))
+    agents = []
+    for g in range(int(rng.integers(1, 5))):
+        origin = rng.uniform(-30.0, 30.0, 2)
+        n, first, starts, vels = pair_motion(rng, rng.choice(["follow", "cross", "random"]))
+        ids = [f"g{g}a", f"g{g}b"] if rng.random() < 0.5 else [f"g{g}b", f"g{g}a"]
+        for aid, start, vel, f in zip(ids, starts, vels, first):
+            agents.append(make_agent(aid, straight_traj(origin + start, vel, n,
+                                                        t0=f * dt, dt=dt)))
+    end = max(a.trajectory.t[-1] for a in agents)
+    for k in range(int(rng.integers(0, 4))):
+        kind = rng.choice(["late", "offgrid", "no window"])
+        vel = rng.uniform(-10.0, 10.0, 2)
+        t0 = {"late": float(rng.integers(0, 30)) * dt,
+              "offgrid": float(rng.integers(0, 6)) * dt + dt / 2.0,
+              "no window": end + dt * float(rng.integers(1, 4))}[kind]
+        start = rng.uniform(-30.0, 30.0, 2) - 3.0 * vel
+        agents.append(make_agent(f"x{k}", straight_traj(start, vel, int(rng.integers(2, 30)),
+                                                        t0=t0, dt=dt)))
+    return validate_scene(Scene(scene_id=f"scene-{seed}", dt=dt, agents=tuple(agents)))
+
+
+class TestStackedFilter:
+    """filter_scene_with_rejections decides every co-observed pair of a
+    scene in one stack; it must equal the full-matrix test on every pair,
+    detail included."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           factor=st.sampled_from([1, 3, 4]),
+           when=st.sampled_from(["none", "before", "inside", "past"]),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_brute_force(self, seed, factor, when, u):
+        scene = random_scene(seed)
+        lo = min(a.trajectory.t[0] for a in scene.agents)
+        hi = max(a.trajectory.t[-1] for a in scene.agents)
+        t_min = {"none": None,
+                 "before": float(lo) - 1.0 - 5.0 * u,
+                 "inside": float(lo + u * (hi - lo)),
+                 "past": float(hi) + 0.01 + 5.0 * u}[when]
+        cfg = EvalConfig(interp_factor=factor, t_min=t_min)
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)

@@ -264,6 +264,7 @@ class TestCoObserved:
     Starts lie on the grid, half a frame off it or within ``atol`` of it.
     A ``dt`` field of twice the sampling period, which validation would
     refuse, shows that the window is counted in the first agent's ``dt``.
+    An agent may hold a NaN timestamp at an inner sample.
     """
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -272,15 +273,22 @@ class TestCoObserved:
            offsets=st.lists(st.sampled_from(["grid", "half", "near"]), min_size=3, max_size=3),
            lengths=st.lists(st.integers(min_value=2, max_value=40), min_size=3, max_size=3),
            jitters=st.lists(st.sampled_from([0.0, 1e-7, 1e-6]), min_size=3, max_size=3),
-           dt_scales=st.lists(st.sampled_from([1, 2]), min_size=3, max_size=3))
+           dt_scales=st.lists(st.sampled_from([1, 2]), min_size=3, max_size=3),
+           nans=st.lists(st.sampled_from([False, False, False, True]), min_size=3,
+                         max_size=3))
     @settings(max_examples=400, deadline=None)
     def test_equals_sliced_reference(self, seed, dt, firsts, offsets, lengths, jitters,
-                                     dt_scales):
+                                     dt_scales, nans):
         rng = np.random.default_rng(seed)
         shift = {"grid": lambda: 0.0, "half": lambda: dt / 2.0,
                  "near": lambda: rng.uniform(-1e-6, 1e-6)}
         trajs = [grid_traj(rng, dt, *args) for args in zip(
             firsts, [shift[o]() for o in offsets], lengths, jitters, dt_scales)]
+        for k, nan in enumerate(nans):
+            if nan and trajs[k].n > 2:  # an inner sample: the reference reads both ends
+                t = trajs[k].t.copy()
+                t[rng.integers(1, trajs[k].n - 1)] = np.nan
+                trajs[k] = Trajectory(t=t, xy=trajs[k].xy, dt=trajs[k].dt)
         expected = {}
         for i, j in itertools.permutations(range(3), 2):
             try:
@@ -309,6 +317,14 @@ class TestCoObserved:
                 if want is not None:
                     assert np.array_equal(trajs[i].t[int(ia[k]):int(ia[k] + count[k])], want[0].t)
                     assert np.array_equal(trajs[j].t[int(ib[k]):int(ib[k] + count[k])], want[1].t)
+        # the filter's layout: every ordered pair at once, one i per pair,
+        # equal to the one-i call pair by pair
+        ii, jj = np.array(list(itertools.permutations(range(3), 2))).T
+        every = co_observed(t, start, dts, ii, jj)
+        for p, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+            one = co_observed(t, start, dts, i, np.array([j]))
+            for vector, scalar in zip(every, one):
+                assert np.array_equal(vector[p:p + 1], scalar, equal_nan=True)
 
 
 class TestConfig:
