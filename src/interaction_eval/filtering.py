@@ -189,9 +189,7 @@ def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
         windows = xy.T[:, np.stack((rows_a[p], rows_b[p]))[..., None] + steps[p]]
         rows, _ = resample_rows(windows.reshape(-1, steps.shape[1], 1),
                                 np.tile(count[p], 4), factor)
-        # resample_rows lays its samples out outermost; the ops below run
-        # several times faster on a C-ordered copy
-        x, y = np.ascontiguousarray(rows.reshape(2, 2, -1, m))
+        x, y = rows.reshape(2, 2, -1, m)
         ok = ((np.arange(n_early) < early[p, None])[:, :, None]
               & (np.arange(m) < length[p, None])[:, None, :])
         # each side's early rows against all of the other side's samples,

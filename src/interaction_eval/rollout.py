@@ -27,8 +27,9 @@ and they step one substep at a time only where it binds.
 
 from __future__ import annotations
 
-import bisect
 import enum
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,20 +115,6 @@ def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndar
                     0.0, kappa)
 
 
-def _interp_scalar(x: float, xp: list, fp: list) -> float:
-    """``np.interp(x, xp, fp)`` for one finite ``x`` and strictly increasing
-    ``xp``, bit for bit: the same bracketing and slope formula, without the
-    per-call cost of a numpy call."""
-    j = bisect.bisect_right(xp, x) - 1
-    if j < 0:
-        return fp[0]
-    if j >= len(xp) - 1:
-        return fp[-1]
-    if xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
 def _profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
     """Arc length at times ``t`` of the linear speed profile from ``v0`` at
     acceleration ``a``, clamped to [0, ``v_max``]: its exact integral."""
@@ -198,14 +185,23 @@ def _speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
     with np.errstate(divide="ignore"):
         lat = np.sqrt(cfg.a_lat_max / np.maximum(np.interp(grid, s_vert, kappa_vert), 1e-12))
     cap = np.minimum(v_max, lat)
-    brake = 2.0 * cfg.a_lon_max * (grid[1] - grid[0])
+    brake = 2.0 * cfg.a_lon_max * float(grid[1] - grid[0])
     # A flat cap is a fixed point of the pass when one step leaves it
-    # unchanged. The step stays scalar: np.float64 ** 2 calls pow(), whose
-    # last bit can differ from the x*x that an array ** 2 computes.
-    c = cap[0]
-    if not (np.all(cap == c) and np.sqrt(c ** 2 + brake) >= c):
-        for k in range(len(cap) - 2, -1, -1):
-            cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
+    # unchanged. The step stays scalar: a float ** 2 calls C pow(), whose
+    # last bit can differ from the x*x that an array ** 2 computes. Python
+    # floats and np.float64 both call pow() and a correctly rounded sqrt,
+    # so the pass runs on a list.
+    c = float(cap[0])
+    if not (np.all(cap == c) and math.sqrt(c ** 2 + brake) >= c):
+        caps = cap.tolist()
+        ahead = caps[-1]
+        for k in range(len(caps) - 2, -1, -1):
+            # min(caps[k], step): keep caps[k] unless the step is below it
+            step = math.sqrt(ahead ** 2 + brake)
+            if step < caps[k]:
+                caps[k] = step
+            ahead = caps[k]
+        cap = np.array(caps)
     cap.setflags(write=False)
     return grid, cap
 
@@ -280,6 +276,10 @@ def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: 
     are trapezoid steps at the capped speeds, one at a time, for as long as
     it binds; the sum then restarts from where they end. The result is the
     same, bit for bit, as stepping every substep in turn.
+
+    The steps run on Python floats. Each cap lookup in them is
+    ``np.interp(x, grid, cap)`` written out: the same bracket (the last grid
+    point at or below ``x``), the same ends and the same slope formula.
     """
     n_sub = len(ds)
     k = 0
@@ -293,19 +293,35 @@ def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: 
         if lists is None:
             lists = xs, fs, va_l, vb_l, ds_l = (grid.tolist(), cap.tolist(), v_a.tolist(),
                                                 v_b.tolist(), ds.tolist())
+            end, f_lo, f_hi = len(xs) - 1, fs[0], fs[-1]
         k += j
         s_k, cap_a = float(s[k]), float(cap_k[j])
         while True:
-            va = min(va_l[k], cap_a)
-            vb = min(vb_l[k], _interp_scalar(s_k + va * h, xs, fs))
+            va = va_l[k]
+            if cap_a < va:
+                va = cap_a
+            x = s_k + va * h
+            i = bisect_right(xs, x) - 1
+            vb = vb_l[k]
+            cap_b = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
+                     else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i]) + fs[i])
+            if cap_b < vb:
+                vb = cap_b
             s_k += 0.5 * (va + vb) * h
             k += 1
             if k == n_sub:
                 break
-            cap_a = _interp_scalar(s_k, xs, fs)
-            if (va_l[k] <= cap_a + 1e-12
-                    and vb_l[k] <= _interp_scalar(s_k + ds_l[k], xs, fs) + 1e-12):
-                break
+            i = bisect_right(xs, s_k) - 1
+            cap_a = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == s_k
+                     else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (s_k - xs[i]) + fs[i])
+            # the cap still binds unless both ends of substep k are under it
+            if va_l[k] <= cap_a + 1e-12:
+                x = s_k + ds_l[k]
+                i = bisect_right(xs, x) - 1
+                if vb_l[k] <= (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
+                               else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
+                               + fs[i]) + 1e-12:
+                    break
             s[k] = s_k
         s[k:] = np.cumsum(np.concatenate(([s_k], ds[k:])))
 

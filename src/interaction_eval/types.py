@@ -257,7 +257,9 @@ def resample_rows(values: np.ndarray, lengths: np.ndarray,
     u = np.arange((t - 1) * factor + 1) / factor
     i0 = np.minimum(u.astype(int), t - 2)
     frac = (u - i0)[:, None]
-    out = values[:, i0] * (1.0 - frac) + values[:, i0 + 1] * frac
+    # np.take keeps the stack C-ordered, where values[:, i0] would lay the
+    # sample axis outermost
+    out = np.take(values, i0, axis=1) * (1.0 - frac) + np.take(values, i0 + 1, axis=1) * frac
     # pin originals exactly (no fp drift at integer indices)
     out[:, ::factor] = values
     return out, (lengths - 1) * factor + 1

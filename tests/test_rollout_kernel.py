@@ -7,9 +7,12 @@ cumulative sum and one position map. The array code must reproduce them bit
 for bit, so every comparison is ``np.array_equal``, never a tolerance.
 """
 
+import bisect
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interaction_eval import EvalConfig, IndexOutOfRange, Trajectory, trajectory_kinematics
@@ -20,7 +23,7 @@ from interaction_eval.rollout import (
     PathRollout,
     ProfileKind,
     _closed_form_starts,
-    _interp_scalar,
+    _speed_cap,
     rollout_rows,
 )
 from interaction_eval.types import _DEGENERATE_DISP
@@ -136,6 +139,20 @@ def ref_roll_s(s_grid, cap, a, v0, v_max, n_steps, dt):
 
 
 # --- frozen one-row rollout -------------------------------------------------
+
+def _interp_scalar(x: float, xp: list, fp: list) -> float:
+    """``np.interp(x, xp, fp)`` for one finite ``x`` and strictly increasing
+    ``xp``, bit for bit: the same bracketing and slope formula, without the
+    per-call cost of a numpy call."""
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if j >= len(xp) - 1:
+        return fp[-1]
+    if xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
+
 
 def ref_menger_rows(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Reciprocal circumscribed-circle radius of point triples, each (N, 2).
@@ -597,3 +614,81 @@ def test_rows_equal_path_rollout_property(trajs, v_max, data):
                          tuple(data.draw(st.permutations(ALL_KINDS))[:data.draw(
                              st.integers(1, 3))])))
     check_rows(rows, v_max)
+
+
+# --- the speed cap's backward pass on Python floats ---------------------------
+
+def test_float_pow_and_sqrt_match_numpy_scalars():
+    """The cap's backward pass runs on Python floats and must give the bits
+    that np.float64 scalars give: ``** 2`` calls C pow() in both, and both
+    square roots are correctly rounded. ``x*x`` (what an array ``** 2``
+    computes) differs from pow() on some values, so the pass stays scalar."""
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0.0, 40.0, 100_000)
+    squared = [v ** 2 for v in x.tolist()]
+    assert squared == [v ** 2 for v in x]  # np.float64 scalars
+    assert (x * x != np.array(squared)).any()
+    y = x * x + rng.uniform(0.0, 3.0, len(x))
+    assert [math.sqrt(v) for v in y.tolist()] == [np.sqrt(v) for v in y]
+
+
+@given(polylines(), st.integers(0, 39), st.floats(0.0, 30.0))
+@example(straight_traj((-20.0, 3.0), (6.0, 1.5), 30), 0, 9.0)  # flat cap
+@example(circle_traj(radius=10.0, omega=0.6, n=30), 0, 6.5)  # the cap binds
+@settings(max_examples=150, deadline=None)
+def test_speed_cap_equals_reference_property(traj, start, v_max):
+    cfg = EvalConfig()
+    start %= traj.n
+    verts, s_vert, s_grid, kappa = ref_geometry(traj, start, v_max * traj.n * traj.dt + 10.0)
+    grid, cap = _speed_cap(verts, s_vert, v_max, cfg)
+    assert grid.tobytes() == s_grid.tobytes()
+    assert cap.tobytes() == ref_speed_cap(s_grid, kappa, v_max, cfg).tobytes()
+    assert not cap.flags.writeable
+
+
+def test_speed_cap_examples_are_flat_and_binding():
+    """The property's two examples: a straight path keeps ``v_max`` all
+    along, and a tight circle is held below it by both the lateral limit
+    and the braking pass."""
+    cfg = EvalConfig()
+    verts, s_vert, _, _ = ref_geometry(straight_traj((-20.0, 3.0), (6.0, 1.5), 30), 0, 50.0)
+    assert np.all(_speed_cap(verts, s_vert, 9.0, cfg)[1] == 9.0)
+    verts, s_vert, s_grid, kappa = ref_geometry(circle_traj(radius=10.0, omega=0.6, n=30), 0,
+                                                50.0)
+    lateral = np.minimum(6.5, np.sqrt(cfg.a_lat_max / np.maximum(kappa, 1e-12)))
+    cap = _speed_cap(verts, s_vert, 6.5, cfg)[1]
+    assert cap.min() < 6.5
+    assert (cap < lateral).any()
+
+
+# --- long binding runs in the 10 Hz shape --------------------------------------
+
+@st.composite
+def wod_tracks(draw):
+    """A 10 Hz track of 2-91 samples in the shape of the 10 Hz corpus: a
+    straight run into a circular bend of 5-40 m radius, then straight out,
+    at a speed that may rise, fall or stop."""
+    n = draw(st.integers(2, 91))
+    t = 0.1 * np.arange(n)
+    v0, accel = draw(st.floats(0.0, 20.0)), draw(st.floats(-3.0, 3.0))
+    s = np.maximum(v0 * t + 0.5 * accel * t * t, 0.0)
+    if accel < 0 < v0:
+        s = np.minimum(s, 0.5 * v0 * v0 / -accel)
+    lead, radius = draw(st.floats(0.0, 30.0)), draw(st.floats(5.0, 40.0))
+    angle = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, np.pi / 2))
+    # heading at the middle of each step, turning at 1 / radius inside the bend
+    mid = 0.5 * (s[1:] + s[:-1])
+    heading = (draw(st.floats(-np.pi, np.pi))
+               + np.sign(angle) * np.clip((mid - lead) / radius, 0.0, abs(angle)))
+    step = np.diff(s)[:, None] * np.stack([np.cos(heading), np.sin(heading)], axis=1)
+    xy = np.vstack([[0.0, 0.0], np.cumsum(step, axis=0)])
+    return Trajectory(t=t, xy=xy + [draw(st.floats(-50.0, 50.0)), 0.0], dt=0.1)
+
+
+@given(wod_tracks(), st.floats(5.0, 30.0))
+@settings(max_examples=50, deadline=None)
+def test_rows_equal_path_rollout_wod_shape_property(traj, v_max):
+    """Every start frame of a 10 Hz window rolled to its end with ACCEL and
+    DECEL, as the IHS timeline rolls it: long runs of substeps where the
+    cap binds."""
+    check_rows(window_rows(traj, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL)), v_max)

@@ -23,7 +23,7 @@ from interaction_eval import (
     trajectory_kinematics,
     validate_scene,
 )
-from interaction_eval.types import agent_frame_index, co_observed, scene_frame
+from interaction_eval.types import agent_frame_index, co_observed, resample_rows, scene_frame
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
@@ -191,6 +191,24 @@ class TestResampling:
         tr = straight_traj((0, 0), (4, 0), 5)
         dense = resample_trajectory(tr, 1)
         np.testing.assert_array_equal(dense.xy, tr.xy)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 1), (3, 5, 2), (90, 91, 2), (40, 25, 1)])
+    @pytest.mark.parametrize("factor", [2, 4, 7])
+    def test_rows_c_ordered_and_equal_to_two_gathers(self, shape, factor):
+        rng = np.random.default_rng(shape[0] * 31 + factor)
+        values = rng.normal(scale=30.0, size=shape)
+        lengths = rng.integers(2, shape[1] + 1, size=shape[0])
+        out, new_lengths = resample_rows(values, lengths, factor)
+        assert out.flags.c_contiguous
+        # the two-gather formula np.take replaced, which is not C-ordered
+        t = shape[1]
+        u = np.arange((t - 1) * factor + 1) / factor
+        i0 = np.minimum(u.astype(int), t - 2)
+        frac = (u - i0)[:, None]
+        want = values[:, i0] * (1.0 - frac) + values[:, i0 + 1] * frac
+        want[:, ::factor] = values
+        assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.array_equal(new_lengths, (lengths - 1) * factor + 1)
 
 
 class TestKinematics:
