@@ -35,7 +35,7 @@ from .metrics import (
     pair_time_metrics,
 )
 from .rollout import InteractionTimeline, interaction_timeline
-from .sceneio import frame_number, load_predictions, load_scene, number
+from .sceneio import frame_number, load_predictions, load_scene, number, read_json, unique_keys
 from .types import EvalConfig, JointPredictionSet, Scene, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
@@ -402,20 +402,25 @@ def load_mode_fixture(path: str | Path) -> tuple[float, list[PairRecord], list[F
     the last listed frame.
     """
     path = Path(path)
+    return read_json(path, lambda text, data: _mode_records(data, path),
+                     object_pairs_hook=unique_keys)
+
+
+def _mode_records(data, path: Path) -> tuple[float, list[PairRecord], list[FrameRecord]]:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
         dt = number(data["dt"], "dt", path)
         if not 0.0 < dt < float("inf"):
             raise ParseError(path, f"dt must be finite and > 0, got {data['dt']!r}")
         pair_records, frame_records = [], []
         for p in data["pairs"]:
             key = (str(p["scene_id"]), str(p["agent_a"]), str(p["agent_b"]))
+            where = f"scene {p['scene_id']}, pair ({p['agent_a']}, {p['agent_b']})"
             graded = []
             for f in sorted(p["frames"], key=lambda f: frame_number(f["frame"], path)):
+                if graded and f["frame"] == graded[-1][0]:
+                    raise ParseError(path, f"{where}, frame {f['frame']}: listed more than once")
                 if not f["feas"]:
-                    raise ParseError(path, f"scene {p['scene_id']}, pair ({p['agent_a']}, "
-                                           f"{p['agent_b']}), frame {f['frame']}: "
-                                           "empty feasible set")
+                    raise ParseError(path, f"{where}, frame {f['frame']}: empty feasible set")
                 graded.append((f["frame"], f["frame"] * dt, HomotopyClass(f["gt"]),
                                HomotopyClass(f["ml"]),
                                frozenset(HomotopyClass(c) for c in f["pred"]),

@@ -14,7 +14,8 @@ Prediction file:
 All values SI. Prediction samples are ordered by non-increasing p, and no p
 is negative; every trajectory has shape (H, 2), every frame holds at least
 one sample, the samples of a frame name the same agents, and no frame number
-is listed twice.
+is listed twice. A prediction file names the scene it is loaded for, and
+none of its objects lists a key twice.
 Both loaders raise ``ParseError`` for a file that breaks its format, that
 holds a number a float cannot hold, or that puts a bool or a string where a
 number belongs. A scene file must also pass
@@ -26,6 +27,7 @@ derived from positions.
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -38,17 +40,58 @@ from .types import (
     Scene,
     Trajectory,
     agent_frame_index,
+    checked_agent_ids,
     validate_scene,
 )
 
 
+def read_json(path: Path, convert, **decode):
+    """``convert(text, data)`` for the ``text`` of the JSON file at ``path``
+    and its tree ``data``, decoded by ``json.loads(text, **decode)``.
+
+    A file that cannot be read or decoded is a ParseError. The cyclic
+    collector is paused from the read until the tree is dropped, and then put
+    back as it was: a decoded tree holds no reference cycles, so the
+    collections that its many lists would set off during the decode and the
+    conversion free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            text = path.read_text(encoding="utf-8")
+            data = json.loads(text, **decode)
+        except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
+            raise ParseError(path, str(e))
+        result = convert(text, data)
+        del text, data
+        return result
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A ``json.loads`` ``object_pairs_hook``: an object that lists a key
+    twice is a ValueError naming the key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        repeated = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError(f"key {repeated!r} listed more than once in one object")
+    return obj
+
+
 def load_scene(path: str | Path) -> Scene:
     path = Path(path)
+    scene = read_json(path, lambda text, data: _scene(text, data, path))
     try:
-        text = path.read_text(encoding="utf-8")
-        data = json.loads(text)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ParseError(path, str(e))
+        return validate_scene(scene)
+    except SceneValidationError as e:
+        raise ParseError(path, f"invalid scene: {type(e).__name__}: {e}")
+
+
+def _scene(text: str, data, path: Path) -> Scene:
     read_numbers = _numbers_reader(text)
     try:
         dt = number(data["dt"], "dt", path)
@@ -63,13 +106,9 @@ def load_scene(path: str | Path) -> Scene:
             agents.append(Agent(id=aid, width=number(a["width"], f"agent {aid}: width", path),
                                 length=number(a["length"], f"agent {aid}: length", path),
                                 trajectory=traj))
-        scene = Scene(scene_id=str(data["scene_id"]), dt=dt, agents=tuple(agents))
+        return Scene(scene_id=str(data["scene_id"]), dt=dt, agents=tuple(agents))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
         raise ParseError(path, f"malformed scene file: {e!r}")
-    try:
-        return validate_scene(scene)
-    except SceneValidationError as e:
-        raise ParseError(path, f"invalid scene: {type(e).__name__}: {e}")
 
 
 def save_scene(scene: Scene, path: str | Path) -> None:
@@ -96,43 +135,15 @@ def load_predictions(path: str | Path, scene: Scene,
                      substitute_static: bool = False) -> dict[int, JointPredictionSet]:
     """Prediction sets keyed by frame index.
 
-    A sample that names an agent not in ``scene`` is a ParseError. With
-    ``substitute_static``, agents missing from a sample are filled with their
-    current ground-truth position held static.
+    A file whose ``scene_id`` is not ``scene``'s, or a sample that names an
+    agent not in ``scene``, is a ParseError. With ``substitute_static``,
+    agents missing from a sample are filled with their current ground-truth
+    position held static.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-        data = json.loads(text, parse_constant=_no_constant)
-    except (OSError, ValueError) as e:  # json.JSONDecodeError is a ValueError
-        raise ParseError(path, str(e))
-    read_numbers = _numbers_reader(text)
-    out: dict[int, JointPredictionSet] = {}
-    try:
-        for fr in data["frames"]:
-            frame = frame_number(fr["frame"], path)
-            if frame in out:
-                raise ParseError(path, f"frame {frame}: listed more than once")
-            samples = []
-            for k, s in enumerate(fr["samples"]):
-                trajs = {}
-                for aid, pts in s["trajs"].items():
-                    xy = read_numbers(pts, f"frame {frame}, sample {k}, agent {aid}", path)
-                    if xy.ndim != 2 or xy.shape[1] != 2:
-                        raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
-                                               f"of shape {xy.shape}, expected (H, 2)")
-                    trajs[str(aid)] = xy
-                samples.append((number(s["p"], f"frame {frame}, sample {k}: p", path), trajs))
-            out[frame] = pset = (_substitute_static(samples, scene, frame) if substitute_static
-                                 else JointPredictionSet.from_samples(frame, samples))
-            unknown = sorted(set(pset.agent_ids) - scene.agents_by_id.keys())
-            if unknown:
-                raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
-                                       f"not in scene {scene.scene_id}")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise ParseError(path, f"malformed prediction file: {e!r}")
-    except ConfigError as e:  # JointPredictionSet.from_samples
-        raise ParseError(path, str(e))
+    out = read_json(path, lambda text, data: _prediction_sets(text, data, path, scene,
+                                                              substitute_static),
+                    object_pairs_hook=unique_keys, parse_constant=_no_constant)
     for frame, pset in out.items():
         if not (np.isfinite(pset.p).all() and np.isfinite(pset.xy).all()):
             # per sample, its probability and then each agent's positions
@@ -143,6 +154,82 @@ def load_predictions(path: str | Path, scene: Scene,
                      f"frame {frame}, sample {k}, agent {pset.agent_ids[col - 1]}: "
                      "non-finite position")
             raise ParseError(path, where)
+    return out
+
+
+def _prediction_sets(text: str, data, path: Path, scene: Scene,
+                     substitute_static: bool) -> dict[int, JointPredictionSet]:
+    read_numbers = _numbers_reader(text)
+    # With a true or false token, every frame is read per future, where a
+    # bool among numbers is found; a float stack would hold it as 1.0 or 0.0.
+    # Substituted agents join per future too.
+    stack = read_numbers is numbers and not substitute_static
+    out: dict[int, JointPredictionSet] = {}
+    try:
+        if str(data["scene_id"]) != scene.scene_id:
+            raise ParseError(path, f"predictions for scene {data['scene_id']}, "
+                                   f"loaded for scene {scene.scene_id}")
+        for fr in data["frames"]:
+            frame = frame_number(fr["frame"], path)
+            if frame in out:
+                raise ParseError(path, f"frame {frame}: listed more than once")
+            out[frame] = pset = _frame_set(fr["samples"], frame, path, read_numbers, stack,
+                                           scene, substitute_static)
+            unknown = sorted(set(pset.agent_ids) - scene.agents_by_id.keys())
+            if unknown:
+                raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
+                                       f"not in scene {scene.scene_id}")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ParseError(path, f"malformed prediction file: {e!r}")
+    except ConfigError as e:  # checked_agent_ids
+        raise ParseError(path, str(e))
+    return out
+
+
+def _frame_set(samples, frame: int, path: Path, read_numbers, stack: bool, scene: Scene,
+               substitute_static: bool) -> JointPredictionSet:
+    """The prediction set of one frame's decoded ``samples``: one stacked
+    array where ``stack`` is set and the futures form one, else one array
+    per future."""
+    xy = _stacked_futures(samples) if stack else None
+    if xy is None:
+        filled = _agent_futures(samples, frame, path, read_numbers)
+        return (_substitute_static(filled, scene, frame) if substitute_static
+                else JointPredictionSet.from_samples(frame, filled))
+    probs = [number(s["p"], f"frame {frame}, sample {k}: p", path) for k, s in enumerate(samples)]
+    ids = checked_agent_ids(frame, probs, [s["trajs"].keys() for s in samples])
+    return JointPredictionSet(frame, ids, probs, xy, np.full(xy.shape[:2], xy.shape[2]))
+
+
+def _stacked_futures(samples) -> np.ndarray | None:
+    """Every future of one frame's decoded ``samples`` as one (K, A, H, 2)
+    number array, in the first sample's agent order; None where they form no
+    such array: the samples name different agents, the futures differ in
+    length, or a point is not two numbers."""
+    try:
+        ids = samples[0]["trajs"].keys()
+        if any(s["trajs"].keys() != ids for s in samples):
+            return None
+        xy = np.asarray([[s["trajs"][aid] for aid in ids] for s in samples])
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+        return None
+    return xy if xy.ndim == 4 and xy.shape[3] == 2 and xy.dtype.kind in "iuf" else None
+
+
+def _agent_futures(samples, frame: int, path: Path,
+                   read_numbers) -> list[tuple[float, dict[str, np.ndarray]]]:
+    """One frame's decoded ``samples`` as ``[(p, {agent id: (H, 2) future})]``,
+    one array per future."""
+    out = []
+    for k, s in enumerate(samples):
+        trajs = {}
+        for aid, pts in s["trajs"].items():
+            xy = read_numbers(pts, f"frame {frame}, sample {k}, agent {aid}", path)
+            if xy.ndim != 2 or xy.shape[1] != 2:
+                raise ParseError(path, f"frame {frame}, agent {aid}: trajectory "
+                                       f"of shape {xy.shape}, expected (H, 2)")
+            trajs[str(aid)] = xy
+        out.append((number(s["p"], f"frame {frame}, sample {k}: p", path), trajs))
     return out
 
 

@@ -128,26 +128,34 @@ class JointPredictionSet:
     def from_samples(cls, frame: int,
                      samples: list[tuple[float, dict[str, np.ndarray]]]) -> "JointPredictionSet":
         """Pack ``[(p, {agent id: (H, 2) future})]`` in the first sample's agent
-        order. Raises ConfigError for no samples, a negative ``p``, samples not
-        ordered by ``p``, a ``p`` sum past 1, or samples that disagree on agent ids."""
-        if not samples:
-            raise ConfigError(f"frame {frame}: no samples")
+        order. Raises ConfigError where ``checked_agent_ids`` does."""
         probs = [float(p) for p, _ in samples]
-        if min(probs) < 0:
-            raise ConfigError(f"frame {frame}: negative probability {min(probs)}")
-        if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
-            raise ConfigError(f"frame {frame}: samples not ordered by probability")
-        if sum(probs) > 1.0 + 1e-6:
-            raise ConfigError(f"frame {frame}: probabilities sum to {sum(probs)}")
-        ids = tuple(samples[0][1])
-        if any(trajs.keys() != samples[0][1].keys() for _, trajs in samples[1:]):
-            raise ConfigError(f"frame {frame}: samples disagree on agent ids")
+        ids = checked_agent_ids(frame, probs, [trajs.keys() for _, trajs in samples])
         lengths = [[len(trajs[aid]) for aid in ids] for _, trajs in samples]
         xy = np.zeros((len(samples), len(ids), max(max(row, default=0) for row in lengths), 2))
         for k, (_, trajs) in enumerate(samples):
             for a, aid in enumerate(ids):
                 xy[k, a, :lengths[k][a]] = trajs[aid]
         return cls(frame, ids, probs, xy, lengths)
+
+
+def checked_agent_ids(frame: int, probs: list[float], sample_ids: list) -> tuple[str, ...]:
+    """The first sample's agent ids, once the samples of a prediction set at
+    ``frame`` pass its checks: ``probs`` holds each sample's probability and
+    ``sample_ids`` each sample's agent ids. Raises ConfigError for no samples,
+    a negative probability, samples not ordered by probability, a probability
+    sum past 1, or samples that disagree on agent ids."""
+    if not probs:
+        raise ConfigError(f"frame {frame}: no samples")
+    if min(probs) < 0:
+        raise ConfigError(f"frame {frame}: negative probability {min(probs)}")
+    if any(b > a + 1e-9 for a, b in zip(probs, probs[1:])):
+        raise ConfigError(f"frame {frame}: samples not ordered by probability")
+    if sum(probs) > 1.0 + 1e-6:
+        raise ConfigError(f"frame {frame}: probabilities sum to {sum(probs)}")
+    if any(ids != sample_ids[0] for ids in sample_ids[1:]):
+        raise ConfigError(f"frame {frame}: samples disagree on agent ids")
+    return tuple(sample_ids[0])
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,16 @@ def circle_traj(radius, omega, n, dt=DT, t0=0.0):
     th = omega * dt * np.arange(n)
     xy = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
     return Trajectory(t=t0 + dt * np.arange(n), xy=xy, dt=dt)
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test after which the cyclic collector is off, and turn it back
+    on, so that no code path or test leaves it off for the tests after it."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the cyclic collector was left disabled")
 
 
 @pytest.fixture

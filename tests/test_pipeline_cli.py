@@ -1,10 +1,13 @@
 import csv
+import gc
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interaction_eval import (
     ConfigError,
@@ -19,6 +22,7 @@ from interaction_eval import (
     save_predictions,
     save_scene,
 )
+from interaction_eval import sceneio
 from interaction_eval.cli import main
 from interaction_eval.pipeline import run_fixture
 
@@ -47,6 +51,66 @@ TABLE_FIXTURE = {
         }
     ],
 }
+
+
+# (corrupt, message): each corrupts frame 1 of a prediction file in place
+BAD_PREDICTIONS = [
+    (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, float("nan")),
+     "non-finite number NaN"),
+    (lambda fr: fr["samples"][0].__setitem__("p", float("inf")),
+     "non-finite number Infinity"),
+    (lambda fr: [xy.append(0.0) for xy in fr["samples"][0]["trajs"]["b"]],
+     "agent b: trajectory of shape (12, 3), expected (H, 2)"),
+    (lambda fr: fr["samples"][0]["trajs"].__setitem__(
+        "a", [x for xy in fr["samples"][0]["trajs"]["a"] for x in xy]),
+     "agent a: trajectory of shape (24,), expected (H, 2)"),
+    (lambda fr: fr["samples"].insert(0, dict(fr["samples"][0], p=0.1)),
+     "samples not ordered by probability"),
+    (lambda fr: [s["trajs"].__setitem__("z", s["trajs"].pop("b"))
+                 for s in fr["samples"]],
+     "frame 1: agent(s) z not in scene crossing"),
+    (lambda fr: fr["samples"].clear(), "frame 1: no samples"),
+    (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, 10 ** 400),
+     "OverflowError"),
+    # the writer puts the bare literal 1e999, which decodes to inf
+    (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "1e999"),
+     "frame 1, sample 0, agent a: non-finite position"),
+    (lambda fr: fr.__setitem__("frame", 0), "frame 0: listed more than once"),
+    (lambda fr: fr["samples"][0].__setitem__("p", -0.5),
+     "frame 1: negative probability -0.5"),
+    (lambda fr: fr["samples"].append(
+        {"p": 0.0, "trajs": {"a": fr["samples"][0]["trajs"]["a"]}}),
+     "frame 1: samples disagree on agent ids"),
+    (lambda fr: fr["samples"].append(dict(fr["samples"][0], p=0.5)),
+     "frame 1: probabilities sum to 1.5"),
+    (lambda fr: fr.__setitem__("frame", 1.6), "frame 1.6: frame numbers must be integers"),
+    (lambda fr: fr.__setitem__("frame", True), "frame True: frame numbers must be integers"),
+    # JSON strings and bools are not numbers, wherever a number belongs
+    (lambda fr: fr["samples"][0].__setitem__("p", "1.0"),
+     "frame 1, sample 0: p: '1.0' is not a number"),
+    (lambda fr: fr["samples"][0].__setitem__("p", True),
+     "frame 1, sample 0: p: True is not a number"),
+    (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "3.5"),
+     "frame 1, sample 0, agent a: values must be numbers, got numpy dtype <U"),
+    (lambda fr: fr["samples"][0]["trajs"].__setitem__(
+        "b", [[True, False] for _ in fr["samples"][0]["trajs"]["b"]]),
+     "frame 1, sample 0, agent b: values must be numbers, got numpy dtype bool"),
+    # a float array holds a bool among numbers as 1.0 or 0.0
+    (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(1, True),
+     "frame 1, sample 0, agent a: values must be numbers, got a bool among them"),
+    # the writer puts "<a again>" as a second "a" key of the same object
+    (lambda fr: fr["samples"][0]["trajs"].__setitem__("<a again>",
+                                                      fr["samples"][0]["trajs"]["a"]),
+     "key 'a' listed more than once in one object"),
+]
+BAD_PREDICTION_IDS = [
+    "nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent", "empty_samples",
+    "huge_int", "1e999", "duplicate_frame", "negative_p", "samples_disagree", "p_sum",
+    "fractional_frame", "bool_frame", "string_p", "bool_p", "string_coordinate",
+    "bool_coordinates", "bool_among_coordinates", "duplicate_agent"]
+# In a frame of one sample with p = 1 followed by five with p = 0, a sample
+# appended with p = 0.5 breaks the order before the sum.
+STACKED_FRAME_MESSAGES = {"p_sum": "frame 1: samples not ordered by probability"}
 
 
 @pytest.fixture
@@ -155,6 +219,130 @@ class TestPredictionRoundTrip:
         np.testing.assert_array_equal(back.lengths, lengths)
         # equal futures, and 0.0 padding past each length on both sides
         np.testing.assert_array_equal(back.xy, pset.xy)
+
+
+@st.composite
+def prediction_frames(draw):
+    """One frame's decoded samples over agents of ``four_agent_scene``: K
+    samples, each naming the same agents, later ones maybe in another order,
+    with futures of one length or of ragged lengths, and points of floats,
+    ints or both."""
+    k = draw(st.integers(1, 6))
+    ids = draw(st.permutations(["a", "b", "c", "d"]))[:draw(st.integers(1, 4))]
+    h = draw(st.integers(1, 12))
+    ragged = draw(st.booleans())
+    value = {"floats": st.floats(-1e6, 1e6), "ints": st.integers(-10 ** 6, 10 ** 6),
+             "mixed": st.floats(-1e6, 1e6) | st.integers(-10 ** 6, 10 ** 6)}[
+        draw(st.sampled_from(["floats", "ints", "mixed"]))]
+    probs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)), reverse=True)
+    samples = []
+    for i in range(k):
+        order = ids if i == 0 else draw(st.permutations(ids))
+        trajs = {}
+        for aid in order:
+            n = draw(st.integers(1, 12)) if ragged else h
+            trajs[aid] = draw(st.lists(st.lists(value, min_size=2, max_size=2),
+                                       min_size=n, max_size=n))
+        samples.append({"p": probs[i] / k, "trajs": trajs})
+    return samples
+
+
+class TestStackedFrames:
+    """A frame whose futures share one length loads as one stack; the result
+    equals ``from_samples`` over one array per future, byte for byte."""
+
+    @given(prediction_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_stack_equals_per_future_arrays(self, tmp_path_factory, samples):
+        scene = four_agent_scene()
+        path = tmp_path_factory.mktemp("stack") / "pred.json"
+        path.write_text(json.dumps({"scene_id": scene.scene_id, "horizon": 6.0,
+                                    "frames": [{"frame": 3, "samples": samples}]}))
+        lengths = {len(f) for s in samples for f in s["trajs"].values()}
+        assert (sceneio._stacked_futures(samples) is None) == (len(lengths) > 1)
+        got = load_predictions(path, scene)[3]
+        want = JointPredictionSet.from_samples(3, [
+            (s["p"], {aid: sceneio.numbers(pts, aid, path) for aid, pts in s["trajs"].items()})
+            for s in samples])
+        assert got.agent_ids == want.agent_ids
+        assert got.p.tobytes() == want.p.tobytes()
+        assert got.lengths.dtype == want.lengths.dtype
+        assert got.lengths.tobytes() == want.lengths.tobytes()
+        assert got.xy.shape == want.xy.shape
+        assert got.xy.tobytes() == want.xy.tobytes()
+        assert not (got.xy.flags.writeable or got.p.flags.writeable
+                    or got.lengths.flags.writeable)
+
+    def test_examples_stack_and_fall_back(self):
+        uniform = [{"p": 0.5, "trajs": {"a": [[0, 1.5], [2, 3]], "b": [[4, 5], [6, 7.5]]}},
+                   {"p": 0.5, "trajs": {"b": [[1, 1], [2, 2]], "a": [[3, 3], [4, 4]]}}]
+        assert sceneio._stacked_futures(uniform).shape == (2, 2, 2, 2)
+        ragged = [{"p": 1.0, "trajs": {"a": [[0, 1]], "b": [[4, 5], [6, 7]]}}]
+        assert sceneio._stacked_futures(ragged) is None
+        # one shape, but not (K, A, H, 2)
+        for futures in ([[0, 1, 2], [3, 4, 5]], [0, 1, 2, 3], [[[0, 1]], [[2, 3]]]):
+            assert sceneio._stacked_futures([{"p": 1.0, "trajs": {"a": futures}}]) is None
+        for bad in ("3.5", None, 10 ** 400, [1, 2]):
+            frame = json.loads(json.dumps(uniform))
+            frame[1]["trajs"]["a"][1][0] = bad
+            assert sceneio._stacked_futures(frame) is None, bad
+
+
+class TestCollectorPause:
+    """``read_json`` pauses the cyclic collector while a file is decoded and
+    converted, and puts it back as the caller had it."""
+
+    @pytest.fixture
+    def pred_file(self, tmp_path):
+        """A file of 30 frames of 6 samples: about 5,000 JSON lists, enough to
+        set off several collections if the collector ran."""
+        scene = crossing_scene(n=30)
+        futures = {aid: [[float(i), 2.0 * i] for i in range(12)] for aid in ("a", "b")}
+        path = tmp_path / "pred.json"
+        TestPredictionRoundTrip.write(path, scene, [
+            {"frame": f, "samples": [{"p": 0.125, "trajs": futures}] * 6} for f in range(30)])
+        return scene, path
+
+    def test_no_collection_during_a_load(self, pred_file):
+        scene, path = pred_file
+        collections = []
+        callback = lambda phase, info: collections.append(phase)  # noqa: E731
+        gc.collect()  # so that the few allocations outside the pause set off none
+        gc.callbacks.append(callback)
+        try:
+            load_predictions(path, scene)
+            during = len(collections)
+        finally:
+            gc.callbacks.remove(callback)
+        assert during == 0
+        assert gc.isenabled()
+
+    def test_enabled_after_a_load_and_a_parse_error(self, pred_file, tmp_path):
+        scene, path = pred_file
+        load_predictions(path, scene)
+        assert gc.isenabled()
+        bad = tmp_path / "bad.json"
+        bad.write_text(path.read_text().replace('"p": 0.125', '"p": "0.125"', 1))
+        with pytest.raises(ParseError, match="is not a number"):
+            load_predictions(bad, scene)
+        assert gc.isenabled()
+        with pytest.raises(ParseError):
+            load_scene(tmp_path)
+        assert gc.isenabled()
+
+    def test_stays_off_when_the_caller_turned_it_off(self, pred_file, tmp_path):
+        scene, path = pred_file
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops")
+        gc.disable()
+        try:
+            load_predictions(path, scene)
+            assert not gc.isenabled()
+            with pytest.raises(ParseError):
+                load_predictions(bad, scene)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestEvaluateScene:
@@ -399,6 +587,34 @@ class TestCli:
         assert err["error"] == "ParseError"
         assert "scene ex, pair (a, b), frame 7: empty feasible set" in err["message"]
 
+    def test_exit_code_fixture_repeated_frame(self, tmp_path):
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        fixture["pairs"][0]["frames"].append(dict(fixture["pairs"][0]["frames"][2]))
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "scene ex, pair (a, b), frame 7: listed more than once" in err["message"]
+        assert not (tmp_path / "out" / "frames.csv").exists()
+
+    def test_exit_code_fixture_repeated_key(self, tmp_path):
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(TABLE_FIXTURE).replace('"gt": "CW"', '"gt": "CW", "gt": "CCW"', 1))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "key 'gt' listed more than once in one object" in err["message"]
+
+    def test_exit_code_fixture_directory(self, tmp_path):
+        res = self.run("eval", "--fixture", str(tmp_path), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith(f"{tmp_path}: ")
+
     @pytest.mark.parametrize("frame", [7.5, True], ids=["fractional_frame", "bool_frame"])
     def test_exit_code_fixture_non_integer_frame(self, tmp_path, frame):
         fixture = json.loads(json.dumps(TABLE_FIXTURE))
@@ -464,55 +680,29 @@ class TestCli:
                        "--out", str(tmp_path / "f.csv"))
         assert res.exit_code == 3
 
-    @pytest.mark.parametrize("corrupt,message", [
-        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, float("nan")),
-         "non-finite number NaN"),
-        (lambda fr: fr["samples"][0].__setitem__("p", float("inf")),
-         "non-finite number Infinity"),
-        (lambda fr: [xy.append(0.0) for xy in fr["samples"][0]["trajs"]["b"]],
-         "agent b: trajectory of shape (12, 3), expected (H, 2)"),
-        (lambda fr: fr["samples"][0]["trajs"].__setitem__(
-            "a", [x for xy in fr["samples"][0]["trajs"]["a"] for x in xy]),
-         "agent a: trajectory of shape (24,), expected (H, 2)"),
-        (lambda fr: fr["samples"].insert(0, dict(fr["samples"][0], p=0.1)),
-         "samples not ordered by probability"),
-        (lambda fr: [s["trajs"].__setitem__("z", s["trajs"].pop("b"))
-                     for s in fr["samples"]],
-         "frame 1: agent(s) z not in scene crossing"),
-        (lambda fr: fr["samples"].clear(), "frame 1: no samples"),
-        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, 10 ** 400),
-         "OverflowError"),
-        # the writer puts the bare literal 1e999, which decodes to inf
-        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "1e999"),
-         "frame 1, sample 0, agent a: non-finite position"),
-        (lambda fr: fr.__setitem__("frame", 0), "frame 0: listed more than once"),
-        (lambda fr: fr["samples"][0].__setitem__("p", -0.5),
-         "frame 1: negative probability -0.5"),
-        (lambda fr: fr["samples"].append(
-            {"p": 0.0, "trajs": {"a": fr["samples"][0]["trajs"]["a"]}}),
-         "frame 1: samples disagree on agent ids"),
-        (lambda fr: fr["samples"].append(dict(fr["samples"][0], p=0.5)),
-         "frame 1: probabilities sum to 1.5"),
-        (lambda fr: fr.__setitem__("frame", 1.6), "frame 1.6: frame numbers must be integers"),
-        (lambda fr: fr.__setitem__("frame", True), "frame True: frame numbers must be integers"),
-        # JSON strings and bools are not numbers, wherever a number belongs
-        (lambda fr: fr["samples"][0].__setitem__("p", "1.0"),
-         "frame 1, sample 0: p: '1.0' is not a number"),
-        (lambda fr: fr["samples"][0].__setitem__("p", True),
-         "frame 1, sample 0: p: True is not a number"),
-        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(0, "3.5"),
-         "frame 1, sample 0, agent a: values must be numbers, got numpy dtype <U"),
-        (lambda fr: fr["samples"][0]["trajs"].__setitem__(
-            "b", [[True, False] for _ in fr["samples"][0]["trajs"]["b"]]),
-         "frame 1, sample 0, agent b: values must be numbers, got numpy dtype bool"),
-        # a float array holds a bool among numbers as 1.0 or 0.0
-        (lambda fr: fr["samples"][0]["trajs"]["a"][2].__setitem__(1, True),
-         "frame 1, sample 0, agent a: values must be numbers, got a bool among them"),
-    ], ids=["nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent",
-            "empty_samples", "huge_int", "1e999", "duplicate_frame", "negative_p",
-            "samples_disagree", "p_sum", "fractional_frame", "bool_frame", "string_p",
-            "bool_p", "string_coordinate", "bool_coordinates", "bool_among_coordinates"])
+    def test_exit_code_scene_file_not_utf8(self, tmp_path):
+        d = tmp_path / "scenes"
+        d.mkdir()
+        (d / "bad.json").write_bytes(b'{"scene_id": "\xff"}')
+        res = self.run("filter", "--scene-dir", str(d), "--out", str(tmp_path / "f.csv"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "can't decode byte 0xff" in err["message"]
+
+    @pytest.mark.parametrize("corrupt,message", BAD_PREDICTIONS, ids=BAD_PREDICTION_IDS)
     def test_exit_code_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message):
+        self.check_bad_prediction_file(scene_dir, tmp_path, corrupt, message, samples=1)
+
+    @pytest.mark.parametrize("corrupt,message", BAD_PREDICTIONS, ids=BAD_PREDICTION_IDS)
+    def test_exit_code_bad_prediction_file_in_stacked_frame(self, scene_dir, tmp_path, request,
+                                                            corrupt, message):
+        """The same bad values inside an otherwise uniform 6-sample frame, one
+        that loads as one stack when it holds no bad value."""
+        message = STACKED_FRAME_MESSAGES.get(request.node.callspec.id, message)
+        self.check_bad_prediction_file(scene_dir, tmp_path, corrupt, message, samples=6)
+
+    def check_bad_prediction_file(self, scene_dir, tmp_path, corrupt, message, samples):
         scene = load_scene(scene_dir / "crossing.json")
         preds = evaluate_scene(scene, EvalConfig(), baseline="cv").predictions
         pred_dir = tmp_path / "preds"
@@ -520,14 +710,34 @@ class TestCli:
         path = pred_dir / "crossing.json"
         save_predictions(scene.scene_id, 6.0, preds, path)
         data = json.loads(path.read_text())
-        corrupt(data["frames"][1])
-        path.write_text(json.dumps(data).replace('"1e999"', "1e999"))
+        frame = data["frames"][1]
+        first = frame["samples"][0]
+        frame["samples"] += [dict(json.loads(json.dumps(first)), p=0.0)
+                             for _ in range(samples - 1)]
+        corrupt(frame)
+        path.write_text(json.dumps(data).replace('"1e999"', "1e999")
+                        .replace('"<a again>"', '"a"'))
         res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", str(pred_dir),
                        "--out-dir", str(tmp_path / "out"))
         assert res.exit_code == 3, res.output
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
         assert message in err["message"]
+
+    def test_exit_code_prediction_file_of_another_scene(self, scene_dir, tmp_path):
+        scene = load_scene(scene_dir / "crossing.json")
+        pred_dir = tmp_path / "preds"
+        pred_dir.mkdir()
+        save_predictions("elsewhere", 6.0, evaluate_scene(scene, EvalConfig(),
+                                                          baseline="cv").predictions,
+                         pred_dir / "crossing.json")
+        res = self.run("eval", "--scene-dir", str(scene_dir), "--pred", str(pred_dir),
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "predictions for scene elsewhere, loaded for scene crossing" in err["message"]
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("corrupt,message", [
         (lambda d: d["agents"][1].__setitem__("id", "a"), "DuplicateAgentId"),
