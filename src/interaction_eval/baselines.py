@@ -37,19 +37,19 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
     return JointPredictionSet.from_samples(t, [(1.0, trajs)])
 
 
-def _collision_tables(scene: Scene, pos: np.ndarray, roll_at: np.ndarray,
-                      present: list[dict[str, int]], pairs: list[CriticalPair],
+def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, int]],
+                      pairs: list[CriticalPair],
                       interp_factor: int) -> list[list[tuple[str, str, np.ndarray]]]:
     """Per frame, ``(a, b, table)`` for each critical pair whose agents are
     both present: whether each (profile, profile) of their rolls collides,
     ``table[i, j]`` for profiles ``i`` and ``j`` in ``PROFILE_ORDER``.
 
-    ``pos`` holds every roll, ``roll_at[row, profile]`` the index of a row's
-    roll in it, and ``present[f]`` the row of each agent present at frame
-    ``f``. One ``disk_tracks`` call lays out an agent's three rolls at every
-    frame it is present, and one ``collisions`` call fills a pair's tables
-    at every frame its agents share. The disk tracks live only while the
-    tables are built.
+    ``rolled[row, profile]`` is a row's roll (``rollout_rows``), and
+    ``present[f]`` the row of each agent present at frame ``f``. One
+    ``disk_tracks`` call lays out an agent's three rolls at every frame it
+    is present, and one ``collisions`` call fills a pair's tables at every
+    frame its agents share. The disk tracks live only while the tables are
+    built.
     """
     shared = {}  # each checked pair's frames
     for p in pairs:
@@ -61,7 +61,8 @@ def _collision_tables(scene: Scene, pos: np.ndarray, roll_at: np.ndarray,
         frames = [f for f, here in enumerate(present) if aid in here]
         first[aid] = {f: 3 * n for n, f in enumerate(frames)}
         agent = scene.agent(aid)
-        tracks[aid] = disk_tracks(pos[roll_at[[present[f][aid] for f in frames]].ravel()],
+        xy = rolled[[present[f][aid] for f in frames]].reshape(-1, *rolled.shape[2:])
+        tracks[aid] = disk_tracks(xy, np.full(len(xy), xy.shape[1]),
                                   VehicleDims(agent.width, agent.length), interp_factor)
     # row pair 3 * i + j of a frame is profiles (i, j)
     rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
@@ -96,17 +97,12 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
                              ORACLE_PROFILES if agent.id in interacting
                              else (ProfileKind.CONST_VEL,)))
         present.append(here)
+    # every roll holds horizon + 1 positions; a bystander's ACCEL and DECEL
+    # rolls are zeros, and no combination picks them
     rolled = rollout_rows(rows, v_max, cfg)
-    # every roll holds horizon + 1 positions; roll_at[row, PROFILE_ORDER[kind]]
-    # is the index of the row's roll of that kind in pos
-    pos = np.array([roll for rolls in rolled for roll in rolls.values()]).reshape(
-        -1, horizon + 1, 2)
-    roll_at = np.zeros((len(rows), 3), dtype=int)
-    roll_at[[r for r, rolls in enumerate(rolled) for _ in rolls],
-            [PROFILE_ORDER[kind] for rolls in rolled for kind in rolls]] = np.arange(len(pos))
-    step = np.diff(pos, axis=1)
-    mean_speed = (np.hypot(step[..., 0], step[..., 1]).mean(axis=1) / scene.dt)[roll_at]
-    tables = _collision_tables(scene, pos, roll_at, present, pairs, cfg.interp_factor)
+    step = np.diff(rolled, axis=2)
+    mean_speed = np.hypot(step[..., 0], step[..., 1]).mean(axis=2) / scene.dt
+    tables = _collision_tables(scene, rolled, present, pairs, cfg.interp_factor)
     predictions = {}
     for t, here, checks in zip(frames, present, tables):
         ids, at = list(here), list(here.values())
@@ -128,9 +124,8 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
         top_speed = avg_speed[top].tolist()
         total = sum(top_speed)
         predictions[t] = JointPredictionSet.from_samples(t, [
-            (speed / total if total > 0 else 1.0 / len(top),
-             {aid: pos[r, 1:] for aid, r in zip(ids, picked)})
-            for speed, picked in zip(top_speed, roll_at[at, choice[top]].tolist())])
+            (speed / total if total > 0 else 1.0 / len(top), dict(zip(ids, sample[:, 1:])))
+            for speed, sample in zip(top_speed, rolled[at, choice[top]])])
     return predictions
 
 

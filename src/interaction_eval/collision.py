@@ -9,8 +9,8 @@ h = max((sqrt(2) - 1) r, sqrt((c/2)^2 + r^2) - r) away from them, c = L/2 - r
 rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
-The checks run on stacks of rows: ``disk_tracks`` resamples a stack of
-position rows of any lengths and lays out their disks once, and
+The checks run on stacks of rows: ``disk_tracks`` resamples a padded stack
+of position rows with their lengths and lays out their disks once, and
 ``collisions`` checks each row pair of two such stacks in one array
 operation. ``is_collision`` is their one-row case.
 """
@@ -18,7 +18,7 @@ operation. ``is_collision`` is their one-row case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,15 +55,12 @@ class DiskTracks(NamedTuple):
         return DiskTracks(self.centers[index], self.lengths[index], self.radius)
 
 
-def disk_tracks(rows: Sequence[np.ndarray], dims: VehicleDims,
+def disk_tracks(xy: np.ndarray, lengths: np.ndarray, dims: VehicleDims,
                 interp_factor: int = 1) -> DiskTracks:
-    """Resample each (n_b, 2) row of positions by ``interp_factor`` and lay
-    its three disks along its headings from positions. Rows may differ in
-    length; each is padded to the longest."""
-    lengths = np.array([len(r) for r in rows])
-    xy = np.zeros((len(rows), lengths.max(), 2))
-    for b, r in enumerate(rows):
-        xy[b, :len(r)] = r
+    """Resample each row of a padded (B, T, 2) stack of positions by
+    ``interp_factor`` and lay its three disks along its headings from
+    positions. Row b's samples are ``xy[b, :lengths[b]]``; whatever follows
+    them is finite padding, which reaches no sample of the row."""
     xy, lengths = resample_rows(xy, lengths, interp_factor)
     headings, _ = kinematics_rows(xy, lengths, 1.0)
     pos = xy.transpose(0, 2, 1)  # (B, 2, M)
@@ -99,5 +96,7 @@ def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,
                  interp_factor: int = 1) -> bool:
     """True iff the disk footprints of two time-aligned (n, 2) position
     arrays overlap at any (interpolated) frame."""
-    return bool(collisions(disk_tracks([xy_a], dims_a, interp_factor),
-                           disk_tracks([xy_b], dims_b, interp_factor))[0])
+    return bool(collisions(
+        disk_tracks(np.array([xy_a], dtype=float), np.array([len(xy_a)]), dims_a, interp_factor),
+        disk_tracks(np.array([xy_b], dtype=float), np.array([len(xy_b)]), dims_b, interp_factor),
+    )[0])

@@ -35,7 +35,15 @@ from .metrics import (
     pair_time_metrics,
 )
 from .rollout import InteractionTimeline, interaction_timeline
-from .sceneio import frame_number, load_predictions, load_scene, number, read_json, unique_keys
+from .sceneio import (
+    MALFORMED,
+    frame_number,
+    load_predictions,
+    load_scene,
+    number,
+    read_json,
+    unique_keys,
+)
 from .types import EvalConfig, JointPredictionSet, Scene, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
@@ -430,7 +438,7 @@ def _mode_records(data, path: Path) -> tuple[float, list[PairRecord], list[Frame
                                           (final + 1) * dt, dt)
             frame_records.extend(frames)
             pair_records.append(record)
-    except (KeyError, TypeError, ValueError, IndexError) as e:
+    except MALFORMED as e:
         raise ParseError(path, f"malformed mode fixture: {e!r}")
     return dt, pair_records, frame_records
 

@@ -22,7 +22,9 @@ start frame of both agents' IHS windows, or every present agent at every
 frame the oracle predicts. All rows
 share one padded path layout, one cumulative sum per profile and one map
 from arc lengths to positions. Only the rows whose cap may bind build it,
-and they step one substep at a time only where it binds.
+and they step one substep at a time only where it binds. The rolls come
+back as one zero-padded stack, the layout ``disk_tracks`` and
+``winding_rows`` take.
 """
 
 from __future__ import annotations
@@ -336,10 +338,11 @@ def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
 
 
 def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
-          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> list[np.ndarray]:
-    """The (n_steps + 1, 2) positions of rows ``sel`` of ``paths`` rolled
-    with profile ``kind``, given the rows' start speeds, substep start
-    times (``_substep_starts``), time steps and frame counts.
+          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> np.ndarray:
+    """The positions of rows ``sel`` of ``paths`` rolled with profile
+    ``kind``, given the rows' start speeds, substep start times
+    (``_substep_starts``), time steps and frame counts: one zero-padded
+    stack, row b's n_steps[b] + 1 positions in ``out[b, :n_steps[b] + 1]``.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
@@ -363,12 +366,10 @@ def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt
     # each row's positions on its own vertices
     m = n_vert[sel]
     s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[sel, m - 1][:, None])
-    out = []
-    for s_b, r, m_b, n in zip(s, sel, m.tolist(), (n_steps + 1).tolist()):
-        pos = np.empty((n, 2))
-        pos[:, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
-        pos[:, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
-        out.append(pos)
+    out = np.zeros(s.shape + (2,))
+    for pos, s_b, r, m_b, n in zip(out, s, sel, m.tolist(), (n_steps + 1).tolist()):
+        pos[:n, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
+        pos[:n, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
     return out
 
 
@@ -390,32 +391,32 @@ class PathRollout:
                      np.array([n_steps]), self.v_max, self._a_lon, self._paths)[0]
 
 
-def rollout_rows(rows: list[RolloutRow], v_max: float,
-                 cfg: EvalConfig) -> list[dict[ProfileKind, np.ndarray]]:
-    """Each row's rolls, the same bit for bit as a ``PathRollout`` of that
-    row alone gives them.
+def rollout_rows(rows: list[RolloutRow], v_max: float, cfg: EvalConfig) -> np.ndarray:
+    """Every row's rolls as one (rows, 3, max n_steps + 1, 2) stack, the
+    same bit for bit as a ``PathRollout`` of that row alone gives them.
 
-    A row is ``(traj, start, v0, n_steps, kinds)``: the (n_steps + 1, 2)
+    A row is ``(traj, start, v0, n_steps, kinds)``: the n_steps + 1
     positions of each speed profile in ``kinds``, rolled along ``traj``
-    from frame ``start`` at start speed ``v0``. Each path is extended far
-    enough that the fastest roll of its ``n_steps`` frames at ``v_max``
-    stays on it.
+    from frame ``start`` at start speed ``v0``. Row r's roll of kind k is
+    ``out[r, PROFILE_ORDER[k], :n_steps + 1]``; every other value, of a
+    kind the row does not ask for or past its length, is 0.0. Each path is
+    extended far enough that the fastest roll of its ``n_steps`` frames at
+    ``v_max`` stays on it.
     """
     if not rows:
-        return []
+        return np.zeros((0, 3, 1, 2))
     n_steps = np.array([row[3] for row in rows])
     dt = np.array([row[0].dt for row in rows])
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
     v0 = np.minimum([row[2] for row in rows], v_max)
     t_a = _substep_starts(int(n_steps.max()), dt)
-    out: list[dict] = [{} for _ in rows]
+    out = np.zeros((len(rows), 3, int(n_steps.max()) + 1, 2))
     for kind in ProfileKind:
         sel = [r for r, row in enumerate(rows) if kind in row[4]]
         if sel:
-            for r, pos in zip(sel, _roll(kind, sel, v0[sel], t_a[sel], dt[sel], n_steps[sel],
-                                         v_max, cfg.a_lon_max, paths)):
-                out[r][kind] = pos
-    return [{kind: got[kind] for kind in row[4]} for row, got in zip(rows, out)]
+            out[sel, PROFILE_ORDER[kind]] = _roll(kind, sel, v0[sel], t_a[sel], dt[sel],
+                                                  n_steps[sel], v_max, cfg.a_lon_max, paths)
+    return out
 
 
 def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
@@ -435,20 +436,18 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     rolled = rollout_rows([(w, i, float(speeds[i]), n - 1 - i, kinds)
                            for w, speeds in ((wa, speeds_a), (wb, speeds_b))
                            for i in range(n - 1)], v_max, cfg)
-    rolls_a, rolls_b = rolled[:n - 1], rolled[n - 1:]
     # one collision check per ordering over every frame's rolls; the frames
     # where the ordering is free are wound in one call (frame i's rolls hold
-    # n - i samples)
+    # n - i samples, zero-padded to n)
+    lengths = n - np.arange(n - 1)
     feasible: list[set] = [set() for _ in range(n - 1)]
     for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                    (ProfileKind.ACCEL, ProfileKind.DECEL)):
-        hit = collisions(disk_tracks([r[ka] for r in rolls_a], dims_a, cfg.interp_factor),
-                         disk_tracks([r[kb] for r in rolls_b], dims_b, cfg.interp_factor))
-        free = np.flatnonzero(~hit).tolist()
-        rel = np.zeros((len(free), n, 2))
-        for b, i in enumerate(free):
-            rel[b, :n - i] = rolls_a[i][ka] - rolls_b[i][kb]
-        for i, d in zip(free, winding_rows(rel, n - np.array(free)).tolist()):
+        ra, rb = rolled[:n - 1, PROFILE_ORDER[ka]], rolled[n - 1:, PROFILE_ORDER[kb]]
+        hit = collisions(disk_tracks(ra, lengths, dims_a, cfg.interp_factor),
+                         disk_tracks(rb, lengths, dims_b, cfg.interp_factor))
+        free = np.flatnonzero(~hit)
+        for i, d in zip(free.tolist(), winding_rows((ra - rb)[free], lengths[free]).tolist()):
             feasible[i].add(homotopy_class(d, cfg.theta_hat))
     feas = [frozenset(f) for f in feasible]
     sizes = np.array([len(f) for f in feas])

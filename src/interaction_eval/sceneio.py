@@ -82,6 +82,12 @@ def unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+# what a decoded JSON value of the wrong structure raises in a loader: a
+# missing key or index, a list where an object belongs, a number a float
+# cannot hold
+MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError, OverflowError)
+
+
 def load_scene(path: str | Path) -> Scene:
     path = Path(path)
     scene = read_json(path, lambda text, data: _scene(text, data, path))
@@ -107,7 +113,7 @@ def _scene(text: str, data, path: Path) -> Scene:
                                 length=number(a["length"], f"agent {aid}: length", path),
                                 trajectory=traj))
         return Scene(scene_id=str(data["scene_id"]), dt=dt, agents=tuple(agents))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as e:
+    except MALFORMED as e:
         raise ParseError(path, f"malformed scene file: {e!r}")
 
 
@@ -179,7 +185,7 @@ def _prediction_sets(text: str, data, path: Path, scene: Scene,
             if unknown:
                 raise ParseError(path, f"frame {frame}: agent(s) {', '.join(unknown)} "
                                        f"not in scene {scene.scene_id}")
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except MALFORMED as e:
         raise ParseError(path, f"malformed prediction file: {e!r}")
     except ConfigError as e:  # checked_agent_ids
         raise ParseError(path, str(e))
@@ -211,7 +217,7 @@ def _stacked_futures(samples) -> np.ndarray | None:
         if any(s["trajs"].keys() != ids for s in samples):
             return None
         xy = np.asarray([[s["trajs"][aid] for aid in ids] for s in samples])
-    except (KeyError, TypeError, IndexError, AttributeError, ValueError):
+    except MALFORMED:
         return None
     return xy if xy.ndim == 4 and xy.shape[3] == 2 and xy.dtype.kind in "iuf" else None
 

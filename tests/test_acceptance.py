@@ -39,7 +39,7 @@ from interaction_eval import (
 )
 from interaction_eval.collision import disk_tracks, min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
-from interaction_eval.rollout import ProfileKind, rollout_rows
+from interaction_eval.rollout import PROFILE_ORDER, ProfileKind, rollout_rows
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
@@ -185,7 +185,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
             for aid in rolls}
     ranked = []
     for ka, kb in itertools.product(kinds, kinds):
-        ra, rb = rolls[pair.agent_a][ka], rolls[pair.agent_b][kb]
+        ra, rb = rolls[pair.agent_a][PROFILE_ORDER[ka]], rolls[pair.agent_b][PROFILE_ORDER[kb]]
         if is_collision(ra, rb, dims[pair.agent_a], dims[pair.agent_b],
                         cfg.interp_factor):
             continue
@@ -423,7 +423,8 @@ def test_collision_vs_rectangle_oracle(capsys):
         n_overlap += rect
         if disk == rect:
             continue
-        gap = (min_disk_distances(disk_tracks([ta.xy], dims_a), disk_tracks([tb.xy], dims_b))[0]
+        gap = (min_disk_distances(disk_tracks(ta.xy[None], np.array([ta.n]), dims_a),
+                                  disk_tracks(tb.xy[None], np.array([tb.n]), dims_b))[0]
                - (dims_a.radius + dims_b.radius))
         if abs(gap) >= 0.2:
             outside_band += 1

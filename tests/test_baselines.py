@@ -113,12 +113,14 @@ class TestOracle:
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b, c)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert {(p.agent_a, p.agent_b) for p in pairs} == {("a", "b")}
-        rolled = []
+        rolled, c_rolls = [], []
+        bystander = scene.agent("c").trajectory
         rollout_rows = baselines.rollout_rows
 
         def counted(rows, *args, **kwargs):
             out = rollout_rows(rows, *args, **kwargs)
-            rolled.extend(kind for rolls in out for kind in rolls)
+            rolled.extend(kind for row in rows for kind in row[4])
+            c_rolls.extend(rolls for row, rolls in zip(rows, out) if row[0] is bystander)
             return out
         monkeypatch.setattr(baselines, "rollout_rows", counted)
         pred = oracle_predict(scene, [3], pairs, 9, cfg)[3]
@@ -127,6 +129,11 @@ class TestOracle:
         assert len(futures) == 1  # same constant-velocity future in all samples
         # three profiles for each of a and b, and c is rolled at constant velocity only
         assert Counter(rolled) == Counter([*ORACLE_PROFILES] * 2 + [ProfileKind.CONST_VEL])
+        # c's other two slots come back as zeros
+        (rolls,) = c_rolls
+        assert np.any(rolls[PROFILE_ORDER[ProfileKind.CONST_VEL]] != 0.0)
+        for kind in (ProfileKind.ACCEL, ProfileKind.DECEL):
+            assert np.all(rolls[PROFILE_ORDER[kind]] == 0.0)
 
     def test_combos_are_collision_free(self, cfg):
         scene = crossing_scene(n=30)

@@ -23,16 +23,28 @@ from conftest import (
 DIMS = VehicleDims(width=2.0, length=4.0)
 
 
+def padded(rows, extra=0):
+    """(n_b, 2) position rows as a zero-padded stack, ``extra`` samples
+    wider than the longest, and their lengths: the input ``disk_tracks``
+    takes."""
+    lengths = np.array([len(r) for r in rows])
+    xy = np.zeros((len(rows), lengths.max() + extra, 2))
+    for b, r in enumerate(rows):
+        xy[b, :len(r)] = r
+    return xy, lengths
+
+
 def one_row_distance(ta, tb, dims_a, dims_b):
     """The kernel's minimum disk distance of one trajectory pair."""
-    return min_disk_distances(disk_tracks([ta.xy], dims_a), disk_tracks([tb.xy], dims_b))[0]
+    return min_disk_distances(disk_tracks(*padded([ta.xy]), dims_a),
+                              disk_tracks(*padded([tb.xy]), dims_b))[0]
 
 
 def disks_at(x, y, heading, dims):
     """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
     two-sample track heading along ``heading``, as ``is_collision`` lays them."""
     xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
-    return disk_tracks([xy], dims).centers[0, :, :, 0]
+    return disk_tracks(*padded([xy]), dims).centers[0, :, :, 0]
 
 
 class TestDiskLayout:
@@ -153,8 +165,8 @@ class TestKernelMatchesPerPairReference:
         dt = 0.1
         trajs = [[Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt) for xy in rows]
                  for rows in pairs]
-        ta_rows = disk_tracks([a.xy for a, _ in trajs], dims_a, factor)
-        tb_rows = disk_tracks([b.xy for _, b in trajs], dims_b, factor)
+        ta_rows = disk_tracks(*padded([a.xy for a, _ in trajs]), dims_a, factor)
+        tb_rows = disk_tracks(*padded([b.xy for _, b in trajs]), dims_b, factor)
         dist = min_disk_distances(ta_rows, tb_rows)
         hit = collisions(ta_rows, tb_rows)
         assert dist.shape == hit.shape == (len(pairs),)
@@ -171,3 +183,29 @@ class TestKernelMatchesPerPairReference:
             assert is_collision(ta.xy, tb.xy, dims_a, dims_b, factor) == hit[k]
             assert one_row_distance(resample_trajectory(ta, factor),
                                     resample_trajectory(tb, factor), dims_a, dims_b) == want
+
+    @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST,
+           st.integers(0, 3), st.sampled_from([1.0, 1e3, 1e6]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_padding_reaches_no_sample(self, pairs, factor, dims_a, dims_b, extra, scale,
+                                       seed):
+        """Whatever finite values fill the padding past each row's length, the
+        centres on every row's own samples are the same bit for bit, and so
+        are the distances and flags of every row pair: zeros against random
+        values."""
+        rng = np.random.default_rng(seed)
+        laid = []
+        for rows, dims in (([a for a, _ in pairs], dims_a), ([b for _, b in pairs], dims_b)):
+            xy, lengths = padded(rows, extra)
+            zeros = disk_tracks(xy, lengths, dims, factor)
+            pad = np.arange(xy.shape[1]) >= lengths[:, None]
+            filled = xy.copy()
+            filled[pad] = rng.uniform(-scale, scale, (int(pad.sum()), 2))
+            noise = disk_tracks(filled, lengths, dims, factor)
+            assert np.array_equal(zeros.lengths, noise.lengths)
+            for k, m in enumerate(zeros.lengths.tolist()):
+                assert np.array_equal(zeros.centers[k, ..., :m], noise.centers[k, ..., :m]), k
+            laid.append((zeros, noise))
+        (za, na), (zb, nb) = laid
+        assert np.array_equal(min_disk_distances(za, zb), min_disk_distances(na, nb))
+        assert np.array_equal(collisions(za, zb), collisions(na, nb))

@@ -131,8 +131,8 @@ def ref_winding(xy_a, xy_b):
 @pytest.mark.parametrize("check", [
     lambda a, b: winding_angle(a, b),
     lambda a, b: gt_mode_sequence(a, b, horizon_frames=4),
-    lambda a, b: collisions(disk_tracks([a], VehicleDims(1.8, 4.5)),
-                            disk_tracks([b], VehicleDims(1.8, 4.5))),
+    lambda a, b: collisions(disk_tracks(a[None], np.array([len(a)]), VehicleDims(1.8, 4.5)),
+                            disk_tracks(b[None], np.array([len(b)]), VehicleDims(1.8, 4.5))),
 ], ids=["winding_angle", "gt_mode_sequence", "collisions"])
 def test_length_mismatch(check):
     """Position tracks of different lengths are not time-aligned: each check

@@ -102,12 +102,17 @@ BAD_PREDICTIONS = [
     (lambda fr: fr["samples"][0]["trajs"].__setitem__("<a again>",
                                                       fr["samples"][0]["trajs"]["a"]),
      "key 'a' listed more than once in one object"),
+    # trajs must be an object of agent ids
+    (lambda fr: fr["samples"][0].__setitem__("trajs", [[0.0, 1.0]]), "AttributeError"),
+    (lambda fr: fr["samples"][0].__setitem__("trajs", "a"), "AttributeError"),
+    (lambda fr: fr["samples"][0].__setitem__("trajs", None), "AttributeError"),
 ]
 BAD_PREDICTION_IDS = [
     "nan", "infinity", "three_columns", "flat", "unordered", "unknown_agent", "empty_samples",
     "huge_int", "1e999", "duplicate_frame", "negative_p", "samples_disagree", "p_sum",
     "fractional_frame", "bool_frame", "string_p", "bool_p", "string_coordinate",
-    "bool_coordinates", "bool_among_coordinates", "duplicate_agent"]
+    "bool_coordinates", "bool_among_coordinates", "duplicate_agent", "trajs_list",
+    "trajs_string", "trajs_null"]
 # In a frame of one sample with p = 1 followed by five with p = 0, a sample
 # appended with p = 0.5 breaks the order before the sum.
 STACKED_FRAME_MESSAGES = {"p_sum": "frame 1: samples not ordered by probability"}
@@ -626,6 +631,22 @@ class TestCli:
         err = json.loads(res.stderr.strip().splitlines()[-1])
         assert err["error"] == "ParseError"
         assert f"frame {frame!r}: frame numbers must be integers" in err["message"]
+
+    @pytest.mark.parametrize("field", ["dt", "frame"])
+    def test_exit_code_fixture_huge_integer(self, tmp_path, field):
+        """An integer a float cannot hold, as the time step or a frame number."""
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        if field == "dt":
+            fixture["dt"] = 10 ** 400
+        else:
+            fixture["pairs"][0]["frames"][2]["frame"] = 10 ** 400
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert "malformed mode fixture: OverflowError" in err["message"]
 
     def test_exit_code_baseline_name_shadows_directory(self, scene_dir, tmp_path,
                                                        monkeypatch):

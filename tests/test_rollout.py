@@ -16,7 +16,7 @@ from interaction_eval import (
 )
 from interaction_eval.collision import VehicleDims
 from interaction_eval.homotopy import classify_pair_windows, gt_mode_sequence
-from interaction_eval.rollout import rollout_rows
+from interaction_eval.rollout import PROFILE_ORDER, rollout_rows
 from interaction_eval.types import common_window, trajectory_kinematics
 
 from conftest import (
@@ -199,7 +199,7 @@ def reference_interaction_timeline(scene, pair, cfg):
         feasible = set()
         for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                        (ProfileKind.ACCEL, ProfileKind.DECEL)):
-            ra, rb = rolls_a[ka], rolls_b[kb]
+            ra, rb = rolls_a[PROFILE_ORDER[ka]], rolls_b[PROFILE_ORDER[kb]]
             if not ref_is_collision(as_traj(ra, wa.dt), as_traj(rb, wb.dt), dims_a, dims_b,
                                     cfg.interp_factor):
                 feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))

@@ -20,6 +20,7 @@ from interaction_eval.rollout import (
     _KAPPA_MAX,
     _PATH_DS,
     _SUBSTEPS,
+    PROFILE_ORDER,
     PathRollout,
     ProfileKind,
     _closed_form_starts,
@@ -476,20 +477,25 @@ def window_rows(traj, kinds=ALL_KINDS):
 
 def check_rows(rows, v_max, cfg=None):
     """Every row of one ``rollout_rows`` call, and that row's own
-    ``PathRollout``, equal the frozen ``RefPathRollout`` roll of that row;
-    returns how many rows took the closed form."""
+    ``PathRollout``, equal the frozen ``RefPathRollout`` roll of that row,
+    and every slot the row does not ask for, and the padding past its
+    length, is exactly 0.0; returns how many rows took the closed form."""
     cfg = cfg or EvalConfig()
     got = rollout_rows(rows, v_max, cfg)
-    assert len(got) == len(rows)
+    assert got.shape == (len(rows), 3, max(row[3] for row in rows) + 1, 2)
     for (traj, start, v0, n_steps, kinds), rolls in zip(rows, got):
         extend = v_max * (n_steps + 1) * traj.dt + 10.0
         ref = RefPathRollout(traj, start, v0, v_max, extend, cfg)
         path = PathRollout(traj, start, v0, v_max, extend, cfg)
-        assert list(rolls) == list(kinds)
-        for kind in kinds:
+        for kind in ProfileKind:
+            roll = rolls[PROFILE_ORDER[kind]]
+            assert np.all(roll[n_steps + 1:] == 0.0), (start, kind)
+            if kind not in kinds:
+                assert np.all(roll == 0.0), (start, kind)
+                continue
             want = ref.roll(kind, n_steps)
-            assert rolls[kind].shape == want.shape == (n_steps + 1, 2)
-            assert np.array_equal(rolls[kind], want), (start, kind)
+            assert want.shape == (n_steps + 1, 2)
+            assert np.array_equal(roll[:n_steps + 1], want), (start, kind)
             assert np.array_equal(path.roll(kind, n_steps), want), (start, kind)
     return sum(int(_closed_form_starts(traj.xy, np.array([start]), v_max, cfg)[0])
                for traj, start, *_ in rows)
@@ -542,8 +548,9 @@ def test_rows_two_sample_window():
 def test_rows_zero_speed_limit():
     rows = window_rows(straight_traj((0.0, 0.0), (3.0, 1.0), 15))
     assert check_rows(rows, v_max=0.0) == len(rows)
-    for rolls in rollout_rows(rows, 0.0, EvalConfig()):
-        for xy in rolls.values():
+    for (_, _, _, n_steps, kinds), rolls in zip(rows, rollout_rows(rows, 0.0, EvalConfig())):
+        for kind in kinds:
+            xy = rolls[PROFILE_ORDER[kind], :n_steps + 1]
             assert np.array_equal(xy, np.broadcast_to(xy[0], xy.shape))
 
 
@@ -570,7 +577,8 @@ def test_rows_mixed_batch():
 
 
 def test_rows_empty():
-    assert rollout_rows([], 2.0, EvalConfig()) == []
+    got = rollout_rows([], 2.0, EvalConfig())
+    assert got.shape == (0, 3, 1, 2)
 
 
 def test_rows_start_outside_track():
