@@ -10,22 +10,39 @@ rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
 The checks run on stacks of rows: ``disk_tracks`` resamples a padded stack
-of position rows with their lengths and lays out their disks once, and
-``collisions`` checks each row pair of two such stacks in one array
-operation. ``is_collision`` is their one-row case.
+of position rows with their lengths, and ``collisions`` checks each row
+pair of two such stacks. ``is_collision`` is their one-row case.
+
+``collisions`` lays out disks only where two vehicles come within reach.
+Every disk centre lies within |L/2 - r| of its vehicle's centre, so two
+disks can overlap only while the centres are closer than
+reach = r_a + r_b + |L_a/2 - r_a| + |L_b/2 - r_b| (triangle inequality; a
+bounding-circle test, Ericson, *Real-Time Collision Detection*, 2004,
+ch. 4). One array op takes every row pair's squared centre distance at
+every sample. Only the rows with some sample within reach, plus a rounding
+margin (``_REACH_REL`` of reach and of the row pair's largest
+|coordinate|), get headings, disks and the least distance over the 9 disk
+pairs; the others are False. Resampling, the reach test and the disk layout
+are row-local, so the near rows get the same bits as in a check of every
+row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import ConfigError, LengthMismatch, ShortTrajectory
 from .types import kinematics_rows, resample_rows
 # the benchmark's tracer patches these two names in this module
 from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
+
+# relative rounding margin of the reach test, times reach and times the
+# largest |coordinate| of the row pair (a few ulps would do)
+_REACH_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -33,51 +50,72 @@ class VehicleDims:
     width: float
     length: float
 
+    def __post_init__(self):
+        # validate_scene's rule for an agent's dimensions
+        if (not (math.isfinite(self.width) and math.isfinite(self.length))
+                or self.width <= 0 or self.length < self.width):
+            raise ConfigError(
+                f"invalid vehicle dimensions width={self.width}, length={self.length}")
+
     @property
     def radius(self) -> float:
         return self.width / 2.0
 
+    @property
+    def offset(self) -> float:
+        """Distance from the centre disk to the front and rear disks."""
+        return self.length / 2.0 - self.radius
+
 
 class DiskTracks(NamedTuple):
-    """Disk centres along a stack of resampled rows.
+    """A stack of resampled position rows and the disks laid along them.
 
-    ``centers`` has shape (B, 3, 2, M): row, disk (rear, centre, front),
-    coordinate, sample. Row b's samples are ``centers[b, ..., :lengths[b]]``;
-    the rest is padding.
+    ``xy`` has shape (B, M, 2). Row b's samples are ``xy[b, :lengths[b]]``;
+    the rest is padding. The front and rear disks sit ``offset`` ahead of
+    and behind each position, along its heading.
     """
 
-    centers: np.ndarray
+    xy: np.ndarray
     lengths: np.ndarray
+    offset: float
     radius: float
 
     def rows(self, index) -> "DiskTracks":
         """The tracks of the rows at ``index`` (a numpy index along B)."""
-        return DiskTracks(self.centers[index], self.lengths[index], self.radius)
+        return DiskTracks(self.xy[index], self.lengths[index], self.offset, self.radius)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(B, 3, 2, M) disk centres: row, disk (rear, centre, front),
+        coordinate, sample; headings from positions."""
+        headings, _ = kinematics_rows(self.xy, self.lengths, 1.0)
+        pos = self.xy.transpose(0, 2, 1)  # (B, 2, M)
+        step = self.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+        return np.stack([pos - step, pos, pos + step], axis=1)
 
 
 def disk_tracks(xy: np.ndarray, lengths: np.ndarray, dims: VehicleDims,
                 interp_factor: int = 1) -> DiskTracks:
     """Resample each row of a padded (B, T, 2) stack of positions by
-    ``interp_factor`` and lay its three disks along its headings from
-    positions. Row b's samples are ``xy[b, :lengths[b]]``; whatever follows
-    them is finite padding, which reaches no sample of the row."""
+    ``interp_factor``, for disks of ``dims`` along its headings. Row b's
+    samples are ``xy[b, :lengths[b]]``; whatever follows them is finite
+    padding, which reaches no sample of the row."""
     xy, lengths = resample_rows(xy, lengths, interp_factor)
-    headings, _ = kinematics_rows(xy, lengths, 1.0)
-    pos = xy.transpose(0, 2, 1)  # (B, 2, M)
-    step = (dims.length / 2.0 - dims.radius) * np.stack([np.cos(headings), np.sin(headings)],
-                                                        axis=1)
-    return DiskTracks(np.stack([pos - step, pos, pos + step], axis=1), lengths, dims.radius)
+    if min(lengths.tolist(), default=2) < 2:
+        raise ShortTrajectory("disk tracks need at least 2 samples per row")
+    return DiskTracks(xy, lengths, dims.offset, dims.radius)
 
 
 def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
     """Minimum distance of each row pair over its samples and all 9 disk-centre pairs."""
     if not np.array_equal(a.lengths, b.lengths):
         raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
+    ca, cb = a.centers, b.centers
     best = None
     for i in range(3):
         for j in range(3):
-            dx = a.centers[:, i, 0] - b.centers[:, j, 0]
-            dy = a.centers[:, i, 1] - b.centers[:, j, 1]
+            dx = ca[:, i, 0] - cb[:, j, 0]
+            dy = ca[:, i, 1] - cb[:, j, 1]
             d2 = dx * dx + dy * dy
             best = d2 if best is None else np.minimum(best, d2, out=best)
     valid = np.arange(best.shape[1]) < a.lengths[:, None]
@@ -88,7 +126,20 @@ def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
 
 def collisions(a: DiskTracks, b: DiskTracks) -> np.ndarray:
     """True for each row pair whose disk footprints overlap at any sample."""
-    return min_disk_distances(a, b) < a.radius + b.radius
+    if not np.array_equal(a.lengths, b.lengths):
+        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
+    reach = a.radius + b.radius + abs(a.offset) + abs(b.offset)
+    scale = np.maximum(np.abs(a.xy).max(axis=(1, 2), initial=0.0),
+                       np.abs(b.xy).max(axis=(1, 2), initial=0.0))
+    limit = reach * (1.0 + _REACH_REL) + _REACH_REL * scale
+    d = a.xy - b.xy
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    valid = np.arange(d2.shape[1]) < a.lengths[:, None]
+    near = np.flatnonzero((valid & (d2 <= (limit * limit)[:, None])).any(axis=1))
+    hit = np.zeros(len(a.lengths), dtype=bool)
+    if len(near):
+        hit[near] = min_disk_distances(a.rows(near), b.rows(near)) < a.radius + b.radius
+    return hit
 
 
 def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,

@@ -296,7 +296,8 @@ def kinematics_rows(xy: np.ndarray, lengths: np.ndarray,
     well-defined heading forward (0 before any heading is defined). Values
     past a row's length are padding.
     """
-    shortest = min(lengths.tolist())  # cheaper than lengths.min() on one row
+    # cheaper than lengths.min() on one row; an empty stack has no short row
+    shortest = min(lengths.tolist(), default=2)
     if shortest < 2:
         raise ShortTrajectory("kinematics need at least 2 samples")
     b, t, _ = xy.shape

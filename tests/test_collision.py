@@ -4,14 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interaction_eval import (
+    ConfigError,
+    ShortTrajectory,
     Trajectory,
     VehicleDims,
     is_collision,
     resample_trajectory,
 )
+from interaction_eval import collision
 from interaction_eval.collision import collisions, disk_tracks, min_disk_distances
 
 from conftest import (
+    as_traj,
     ref_disk_center_tracks,
     ref_is_collision,
     ref_min_disk_distance,
@@ -56,6 +60,22 @@ class TestDiskLayout:
 
     def test_radius_is_half_width(self):
         assert DIMS.radius == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("width, length", [
+        (2.0, 1.0), (0.0, 4.0), (-1.0, 4.0), (float("nan"), 4.0), (2.0, float("inf")),
+        (float("inf"), float("inf")),
+    ], ids=["shorter_than_wide", "zero_width", "negative_width", "nan_width", "inf_length",
+            "inf_both"])
+    def test_invalid_dims_raise(self, width, length):
+        """The scene validator's rule: finite, width > 0, length >= width. A
+        shorter-than-wide vehicle would swap its front and rear disks."""
+        with pytest.raises(ConfigError):
+            VehicleDims(width=width, length=length)
+
+    def test_round_vehicle_is_one_disk_thrice(self):
+        dims = VehicleDims(width=2.0, length=2.0)
+        assert dims.offset == 0.0
+        np.testing.assert_array_equal(disks_at(3.0, 4.0, 0.3, dims), [[3.0, 4.0]] * 3)
 
     def test_centers_rotate_with_heading(self):
         centers = disks_at(1.0, 2.0, np.pi / 2, VehicleDims(width=2.0, length=4.0))
@@ -123,6 +143,39 @@ class TestCollision:
         ta = straight_traj((-10, 0), (6, 0), 20)
         tb = straight_traj((0, -10), (0, 6), 20)
         assert is_collision(ta.xy, tb.xy, DIMS, DIMS) == is_collision(tb.xy, ta.xy, DIMS, DIMS)
+
+    def test_empty_stacks(self):
+        """An empty stack gives empty tracks, and no row pairs to check."""
+        tracks = disk_tracks(np.zeros((0, 5, 2)), np.zeros(0, int), VehicleDims(2, 4.5), 4)
+        assert tracks.xy.shape == (0, 17, 2) and tracks.lengths.shape == (0,)
+        assert tracks.centers.shape == (0, 3, 2, 17)
+        hit = collisions(tracks, tracks)
+        assert hit.shape == (0,) and hit.dtype == bool
+        assert min_disk_distances(tracks, tracks).shape == (0,)
+
+    def test_short_row_raises(self):
+        xy, lengths = padded([np.zeros((5, 2)), np.zeros((1, 2))])
+        with pytest.raises(ShortTrajectory):
+            disk_tracks(xy, lengths, DIMS, 4)
+
+    def test_far_rows_get_no_disks(self, monkeypatch):
+        """Only the row pairs whose centres come within reach get headings
+        and disks."""
+        laid = []
+
+        def counting(xy, lengths, dt):
+            laid.append(len(lengths))
+            return kinematics(xy, lengths, dt)
+
+        kinematics = collision.kinematics_rows
+        monkeypatch.setattr(collision, "kinematics_rows", counting)
+        ta = straight_traj((0, 0), (6, 0), 10)
+        far = [straight_traj((0, y), (6, 0), 10) for y in (50.0, 4.01)]
+        near = straight_traj((0, 3.99), (6, 0), 10)  # reach = 1 + 1 + 1 + 1
+        hit = collisions(disk_tracks(*padded([ta.xy] * 3), DIMS),
+                         disk_tracks(*padded([far[0].xy, near.xy, far[1].xy]), DIMS))
+        assert hit.tolist() == [False, False, False]
+        assert laid == [1, 1]
 
 
 @st.composite
@@ -209,3 +262,82 @@ class TestKernelMatchesPerPairReference:
         (za, na), (zb, nb) = laid
         assert np.array_equal(min_disk_distances(za, zb), min_disk_distances(na, nb))
         assert np.array_equal(collisions(za, zb), collisions(na, nb))
+
+
+# vehicles as long as wide have no front and rear offset, so that side-by-side
+# rows at reach are at the disk threshold too
+BOUNDARY_DIMS_ST = st.builds(lambda w, extra: VehicleDims(width=w, length=w + extra),
+                             st.floats(0.5, 2.5), st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+
+
+@st.composite
+def boundary_cases(draw):
+    """1-6 row pairs whose centres come within a few ulps of ``collisions``'
+    reach r_a + r_b + |off_a| + |off_b|, or of r_a + r_b, and the dims and
+    factor to check them at: ``(pairs, dims_a, dims_b, factor)``.
+
+    - ``nose``: head on, meeting at the last sample, where the front disks
+      touch exactly when the centres are at reach;
+    - ``side``: abreast at every sample;
+    - ``stopped``: head on, one step and then stopped, so that every later
+      heading is carried;
+    - ``between``: a passes b fast, abreast only midway between the last two
+      samples, which only factors 2 and 4 lay out.
+
+    The gap is ``target + k * spacing(target)`` for k in [-8, 8], at any
+    heading, and every row may be shifted by 1e6 m.
+    """
+    dims_a, dims_b = draw(BOUNDARY_DIMS_ST), draw(BOUNDARY_DIMS_ST)
+    factor = draw(st.sampled_from([1, 2, 4]))
+    touch = dims_a.radius + dims_b.radius
+    reach = touch + dims_a.offset + dims_b.offset
+    shift = draw(st.sampled_from([0.0, 1e6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        case = draw(st.sampled_from(["nose", "side", "stopped", "between"]))
+        theta = draw(st.one_of(st.sampled_from([0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi / 2]),
+                               st.floats(-np.pi, np.pi)))
+        ahead = np.array([np.cos(theta), np.sin(theta)])
+        left = np.array([-ahead[1], ahead[0]])
+        target = reach if case in ("nose", "stopped") else draw(st.sampled_from([touch, reach]))
+        gap = target + draw(st.integers(-8, 8)) * np.spacing(target)
+        p = shift + rng.uniform(-50.0, 50.0, 2)
+        n = draw(st.integers(2, 6))
+        step = draw(st.sampled_from([0.1, 1.0, 5.0]))
+        back = (np.arange(n) - (n - 1))[:, None] * ahead  # -(n - 1) .. 0 steps ahead
+        if case == "nose":
+            a = p + step * back
+            b = p + gap * ahead - step * back
+        elif case == "side":
+            a = p + step * back
+            b = a + gap * left
+        elif case == "stopped":
+            n = max(n, 3)
+            a = np.repeat(p[None], n, axis=0)
+            b = np.repeat((p + gap * ahead)[None], n, axis=0)
+            a[0] -= step * ahead
+            b[0] += step * ahead
+        else:
+            # 20 m steps for a, 0.1 m for b: the centres are 10 m apart at the
+            # samples, beyond any reach here
+            a = p + 20.0 * back + 10.0 * ahead
+            b = p + gap * left + 0.1 * back + 0.05 * ahead
+        pairs.append((a, b))
+    return pairs, dims_a, dims_b, factor
+
+
+class TestReachBound:
+    """``collisions`` lays out disks only for the rows within reach; the
+    rows it settles by the reach test alone must get the exact answer."""
+
+    @given(boundary_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_reach_settles_rows_exactly(self, case):
+        pairs, dims_a, dims_b, factor = case
+        ta = disk_tracks(*padded([a for a, _ in pairs]), dims_a, factor)
+        tb = disk_tracks(*padded([b for _, b in pairs]), dims_b, factor)
+        hit = collisions(ta, tb)
+        assert np.array_equal(hit, min_disk_distances(ta, tb) < dims_a.radius + dims_b.radius)
+        for k, (a, b) in enumerate(pairs):
+            assert hit[k] == ref_is_collision(as_traj(a), as_traj(b), dims_a, dims_b, factor), k
