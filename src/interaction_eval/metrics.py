@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import EmptyCorpus, EmptyFeasibleSet
 from .homotopy import HomotopyClass
-from .types import JointPredictionSet, Scene, agent_frame_index
+from .types import JointPredictionSet, Scene, scene_frame
 
 
 @dataclass(frozen=True)
@@ -94,6 +94,23 @@ class DisplacementMetrics:
     joint_min_fde: float
 
 
+def _row_means(flat: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each row of ``flat``, where row r is the next
+    ``counts[r]`` (at least 1) values.
+
+    Each run of consecutive rows of one length is a contiguous (rows x n)
+    block, reduced along its rows in one call: the same pairwise sum, bit
+    for bit, as a 1-D ``np.add.reduce`` of each row alone. A sum over the
+    count is the mean, bit for bit, without ``np.mean``'s call overhead.
+    """
+    sums = np.empty(len(counts))
+    runs = np.flatnonzero(np.diff(counts, prepend=0, append=0)).tolist()
+    offsets = np.concatenate(([0], np.cumsum(counts))).tolist()
+    for a, b in zip(runs, runs[1:]):
+        np.add.reduce(flat[offsets[a]:offsets[b]].reshape(b - a, -1), axis=1, out=sums[a:b])
+    return sums / counts
+
+
 def displacement_metrics(predictions: list[JointPredictionSet],
                          scene: Scene) -> DisplacementMetrics:
     """ML ADE/FDE and joint (scene-level) minADE/minFDE.
@@ -104,49 +121,66 @@ def displacement_metrics(predictions: list[JointPredictionSet],
     Each future is cut to the recorded steps left after its frame. A
     sample's errors are its agents' errors over the steps they keep, in the
     set's agent order; its final errors are their last kept steps.
+
+    All sets are graded in one pass: one zero-padded (sets x K x A x H)
+    stack of the futures, the recorded positions gathered from one padded
+    table of the named agents' tracks, and the kept steps' errors read out
+    back to back in (set, sample, agent, step) order.
     """
-    ml_err, ml_fin, jmin_ade, jmin_fde = [], [], [], []
-    for pred in predictions:
-        horizon = pred.xy.shape[2]
-        truth = np.zeros(pred.xy.shape[1:])  # recorded positions after the frame
-        recorded = np.zeros(len(pred.agent_ids), dtype=int)
-        for a, aid in enumerate(pred.agent_ids):
-            agent = scene.agent(aid)
-            i = agent_frame_index(scene, agent, pred.frame)
-            if i is not None:
-                future = agent.trajectory.xy[i + 1:i + 1 + horizon]
-                truth[a, :len(future)], recorded[a] = future, len(future)
-        kept = np.minimum(pred.lengths, recorded)  # (K, A) steps graded
-        graded = kept >= 1
-        diff = pred.xy - truth
-        err = np.hypot(diff[..., 0], diff[..., 1])  # (K, A, H)
-        # the kept errors of all samples back to back, and each agent's last one
-        steps = err[np.arange(horizon) < kept[..., None]]
-        finals = steps[np.cumsum(kept.ravel())[graded.ravel()] - 1]
-        per_sample_ade, per_sample_fde = [], []
-        at_step = at_final = 0
-        for k, (n_steps, n_graded) in enumerate(zip(kept.sum(axis=1).tolist(),
-                                                    graded.sum(axis=1).tolist())):
-            if not n_steps:
-                continue
-            e, fin = steps[at_step:at_step + n_steps], finals[at_final:at_final + n_graded]
-            at_step, at_final = at_step + n_steps, at_final + n_graded
-            # a sum over the count is the mean, bit for bit, without its call overhead
-            per_sample_ade.append(float(np.add.reduce(e)) / n_steps)
-            per_sample_fde.append(float(np.add.reduce(fin)) / n_graded)
-            if k == 0:
-                ml_err.append(e)
-                ml_fin.append(fin)
-        if per_sample_ade:
-            jmin_ade.append(min(per_sample_ade))
-            jmin_fde.append(min(per_sample_fde))
-    if not ml_err:
+    if not predictions:
+        raise EmptyCorpus("no prediction sets")
+    n_k, n_a, horizon = map(max, zip(*(p.xy.shape[:3] for p in predictions)))
+    xy = np.zeros((len(predictions), n_k, n_a, horizon, 2))
+    lengths = np.zeros((len(predictions), n_k, n_a), dtype=int)  # 0: nothing graded
+    # each set's agents as rows of one table of the agents the sets name
+    index: dict[str, int] = {}
+    slot = np.zeros((len(predictions), n_a), dtype=int)
+    for s, pred in enumerate(predictions):
+        k, a, h = pred.xy.shape[:3]
+        xy[s, :k, :a, :h] = pred.xy
+        lengths[s, :k, :a] = pred.lengths
+        slot[s, :a] = [index.setdefault(aid, len(index)) for aid in pred.agent_ids]
+    agents = [scene.agent(aid) for aid in index]
+    # positions are read as one complex number each, so that the gathers and
+    # the boolean read below move whole items
+    n = np.array([a.trajectory.n for a in agents], dtype=int)
+    width = int(n.max(initial=0))
+    table = np.zeros((len(agents), width + horizon, 2))
+    for g, agent in enumerate(agents):
+        table[g, :n[g]] = agent.trajectory.xy
+    table = table.view(np.complex128)[..., 0]
+    # each agent's sample at its set's frame (agent_frame_index) and the
+    # steps recorded after it; an absent agent's start is clamped into the
+    # table, so that its (ungraded) truth never reads past it
+    first = np.array([scene_frame(scene, a.trajectory.t[0]) for a in agents], dtype=int)
+    i = np.array([p.frame for p in predictions])[:, None] - first[slot]
+    n_rec = n[slot]
+    recorded = np.where((i >= 0) & (i < n_rec), n_rec - 1 - i, 0)
+    start = np.clip(i + 1, 0, width)
+    truth = table[slot[..., None], start[..., None] + np.arange(horizon)]  # (sets, A, H)
+    kept = np.minimum(lengths, recorded[:, None])  # (sets, K, A) steps graded
+    # the kept steps' errors back to back, and each graded agent's last one
+    diff = xy.view(np.complex128)[..., 0]
+    diff -= truth[:, None]
+    diff = diff[np.arange(horizon) < kept[..., None]]
+    steps = np.hypot(diff.real, diff.imag)
+    graded = kept >= 1
+    finals = steps[np.cumsum(kept.ravel())[graded.ravel()] - 1]
+    n_steps, n_graded = kept.sum(axis=2), graded.sum(axis=2)
+    sample = n_steps > 0  # (sets, K): the samples with a graded step
+    if not sample[:, 0].any():
         raise EmptyCorpus("no overlapping prediction/ground-truth samples")
+    ade = _row_means(steps, n_steps[sample])
+    fde = _row_means(finals, n_graded[sample])
+    # ML: the first samples' errors, in set order; joint: each set's best
+    # sample, from the first of its rows on
+    first_sample = np.broadcast_to(np.arange(n_k) == 0, sample.shape).ravel()
+    set_rows = np.flatnonzero(np.diff(np.nonzero(sample)[0], prepend=-1))
     return DisplacementMetrics(
-        ml_ade=float(np.mean(np.concatenate(ml_err))),
-        ml_fde=float(np.mean(np.concatenate(ml_fin))),
-        joint_min_ade=float(np.mean(jmin_ade)),
-        joint_min_fde=float(np.mean(jmin_fde)),
+        ml_ade=float(np.mean(steps[np.repeat(first_sample, n_steps.ravel())])),
+        ml_fde=float(np.mean(finals[np.repeat(first_sample, n_graded.ravel())])),
+        joint_min_ade=float(np.mean(np.minimum.reduceat(ade, set_rows))),
+        joint_min_fde=float(np.mean(np.minimum.reduceat(fde, set_rows))),
     )
 
 

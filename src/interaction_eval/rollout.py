@@ -338,11 +338,12 @@ def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
 
 
 def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
-          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> np.ndarray:
-    """The positions of rows ``sel`` of ``paths`` rolled with profile
-    ``kind``, given the rows' start speeds, substep start times
-    (``_substep_starts``), time steps and frame counts: one zero-padded
-    stack, row b's n_steps[b] + 1 positions in ``out[b, :n_steps[b] + 1]``.
+          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple,
+          out: np.ndarray) -> None:
+    """Roll rows ``sel`` of ``paths`` with profile ``kind``, given the rows'
+    start speeds, substep start times (``_substep_starts``), time steps and
+    frame counts, and write row ``sel[b]``'s n_steps[b] + 1 positions to
+    ``out[sel[b], :n_steps[b] + 1]``; nothing else of ``out`` is written.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
@@ -366,11 +367,9 @@ def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt
     # each row's positions on its own vertices
     m = n_vert[sel]
     s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[sel, m - 1][:, None])
-    out = np.zeros(s.shape + (2,))
-    for pos, s_b, r, m_b, n in zip(out, s, sel, m.tolist(), (n_steps + 1).tolist()):
-        pos[:n, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
-        pos[:n, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
-    return out
+    for s_b, r, m_b, n in zip(s, sel, m.tolist(), (n_steps + 1).tolist()):
+        out[r, :n, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
+        out[r, :n, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
 
 
 class PathRollout:
@@ -387,8 +386,10 @@ class PathRollout:
     def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
         """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt."""
         dt = np.array([self.dt])
-        return _roll(kind, [0], np.array([self.v0]), _substep_starts(n_steps, dt), dt,
-                     np.array([n_steps]), self.v_max, self._a_lon, self._paths)[0]
+        out = np.zeros((1, n_steps + 1, 2))
+        _roll(kind, [0], np.array([self.v0]), _substep_starts(n_steps, dt), dt,
+              np.array([n_steps]), self.v_max, self._a_lon, self._paths, out)
+        return out[0]
 
 
 def rollout_rows(rows: list[RolloutRow], v_max: float, cfg: EvalConfig) -> np.ndarray:
@@ -414,8 +415,8 @@ def rollout_rows(rows: list[RolloutRow], v_max: float, cfg: EvalConfig) -> np.nd
     for kind in ProfileKind:
         sel = [r for r, row in enumerate(rows) if kind in row[4]]
         if sel:
-            out[sel, PROFILE_ORDER[kind]] = _roll(kind, sel, v0[sel], t_a[sel], dt[sel],
-                                                  n_steps[sel], v_max, cfg.a_lon_max, paths)
+            _roll(kind, sel, v0[sel], t_a[sel], dt[sel], n_steps[sel], v_max, cfg.a_lon_max,
+                  paths, out[:, PROFILE_ORDER[kind]])
     return out
 
 

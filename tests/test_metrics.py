@@ -307,3 +307,43 @@ class TestDisplacementArrayCode:
             preds[2:3], scene)
         with pytest.raises(EmptyCorpus):
             displacement_metrics(preds[3:], scene)
+
+    def test_no_sets_raise_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            displacement_metrics([], crossing_scene(n=10))
+
+    def test_sets_of_every_shape_in_one_scene(self):
+        # a covers frames 0-11, b frames 0-5 and c frames 5-14; the sets
+        # differ in K, A and H and in the order of their agents
+        a = make_agent("a", straight_traj((0.0, 0.0), (6.0, 0.0), 12))
+        b = make_agent("b", straight_traj((0.0, 9.0), (5.0, 0.0), 6))
+        c = make_agent("c", straight_traj((30.0, -20.0), (0.0, 4.0), 10, t0=2.5))
+        scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b, c)))
+        rng = np.random.default_rng(11)
+
+        def pred(frame, k, futures):
+            # k samples of {agent id: horizon}; sample j's futures are j * h // (k + 1)
+            # steps shorter, and their errors span orders of magnitude
+            return JointPredictionSet.from_samples(frame, [
+                ((k - j) / (k * (k + 1) / 2), {
+                    aid: scene.agent(aid).trajectory.xy[-1] + 10.0 ** rng.uniform(-2.0, 1.5)
+                    * rng.normal(0.0, 1.0, (h - j * h // (k + 1), 2))
+                    for aid, h in futures.items()})
+                for j in range(k)])
+
+        preds = [
+            pred(2, 3, {"a": 4, "b": 4}),  # both present, b cut to its 3 steps
+            pred(3, 1, {"c": 7, "a": 5}),  # before c's first sample
+            pred(8, 2, {"a": 5, "b": 5, "c": 5}),  # after b's last sample
+            pred(10, 4, {"c": 6}),  # c's horizon cut to its 4 recorded steps
+            pred(20, 2, {"b": 3, "a": 3}),  # more than a horizon past a's and b's tracks
+            pred(11, 6, {"b": 2, "c": 9}),  # b absent, c present
+        ]
+        assert {p.xy.shape[:3] for p in preds} == {
+            (3, 2, 4), (1, 2, 7), (2, 3, 5), (4, 1, 6), (2, 2, 3), (6, 2, 9)}
+        assert displacement_metrics(preds, scene) == loop_displacement_metrics(preds, scene)
+        # a set of one sample alone
+        assert displacement_metrics(preds[1:2], scene) == loop_displacement_metrics(
+            preds[1:2], scene)
+        with pytest.raises(EmptyCorpus):
+            displacement_metrics(preds[4:5], scene)
