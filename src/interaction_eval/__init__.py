@@ -51,7 +51,6 @@ from .homotopy import (  # noqa: F401
     classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
-    winding_angle,
     winding_rows,
 )
 from .collision import VehicleDims, is_collision  # noqa: F401

@@ -26,15 +26,17 @@ def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
     """Single joint sample extrapolating each agent's current heading and speed
     (``Scene.kinematics``)."""
     horizon = cfg.horizon_frames(scene.dt)
-    trajs: dict[str, np.ndarray] = {}
+    ids, futures = [], []
     for agent, (headings, speeds) in zip(scene.agents, scene.kinematics):
         i = agent_frame_index(scene, agent, t)
         if i is None:
             continue
         step = speeds[i] * scene.dt * np.array([np.cos(headings[i]), np.sin(headings[i])])
-        future = agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step)
-        trajs[agent.id] = future
-    return JointPredictionSet.from_samples(t, [(1.0, trajs)])
+        ids.append(agent.id)
+        futures.append(agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step))
+    # with no agent present, a set has no positions, as from_samples packs it
+    xy = np.array(futures).reshape(1, len(ids), horizon if ids else 0, 2)
+    return JointPredictionSet(t, tuple(ids), [1.0], xy, np.full((1, len(ids)), horizon))
 
 
 def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, int]],
@@ -105,7 +107,7 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
     tables = _collision_tables(scene, rolled, present, pairs, cfg.interp_factor)
     predictions = {}
     for t, here, checks in zip(frames, present, tables):
-        ids, at = list(here), list(here.values())
+        ids, at = tuple(here), list(here.values())
         cols = [c for c, aid in enumerate(ids) if aid in interacting]
         combos = np.array(list(itertools.product(range(3), repeat=len(cols))), dtype=int)
         # each combination's profile per present agent, in itertools.product
@@ -121,11 +123,12 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
         avg_speed = mean_speed[at, choice].mean(axis=1) if ids else np.zeros(len(choice))
         # a stable sort keeps equal speeds in PROFILE_ORDER order
         top = np.argsort(-avg_speed, kind="stable")[:k]
-        top_speed = avg_speed[top].tolist()
-        total = sum(top_speed)
-        predictions[t] = JointPredictionSet.from_samples(t, [
-            (speed / total if total > 0 else 1.0 / len(top), dict(zip(ids, sample[:, 1:])))
-            for speed, sample in zip(top_speed, rolled[at, choice[top]])])
+        total = sum(avg_speed[top].tolist())
+        p = avg_speed[top] / total if total > 0 else np.full(len(top), 1.0 / len(top))
+        # each future is its roll past the start position; with no agent
+        # present, a set has no positions, as from_samples packs it
+        xy = rolled[at, choice[top], 1:1 + (horizon if ids else 0)]
+        predictions[t] = JointPredictionSet(t, ids, p, xy, np.full((len(top), len(ids)), horizon))
     return predictions
 
 

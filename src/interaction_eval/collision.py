@@ -29,14 +29,13 @@ row.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, ShortTrajectory
-from .types import kinematics_rows, resample_rows
+from .types import kinematics_rows, resample_rows, valid_dims
 # the benchmark's tracer patches these two names in this module
 from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 
@@ -51,9 +50,7 @@ class VehicleDims:
     length: float
 
     def __post_init__(self):
-        # validate_scene's rule for an agent's dimensions
-        if (not (math.isfinite(self.width) and math.isfinite(self.length))
-                or self.width <= 0 or self.length < self.width):
+        if not valid_dims(self.width, self.length):
             raise ConfigError(
                 f"invalid vehicle dimensions width={self.width}, length={self.length}")
 

@@ -3,8 +3,7 @@
 The interaction class of an agent pair is read off the cumulative rotation
 of the relative position vector: a clockwise rotation (negative winding)
 means one agent passes behind the other, counterclockwise the reverse.
-``winding_rows`` winds a stack of rows in one call; ``winding_angle`` is its
-one-row case.
+``winding_rows`` winds a stack of rows in one call.
 """
 
 from __future__ import annotations
@@ -59,14 +58,6 @@ def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(lengths.tolist())])
 
 
-def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> float:
-    """Winding angle of two time-aligned (n, 2) position arrays:
-    ``winding_rows`` of one row."""
-    if len(xy_a) != len(xy_b):
-        raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
-    return float(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0])
-
-
 def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
     """Map a winding angle to {CW, S, CCW}; theta_hat = 0 empties the S band.
 
@@ -85,8 +76,12 @@ def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
 
 def classify_pair_windows(xy_a: np.ndarray, xy_b: np.ndarray,
                           theta_hat: float = 0.0) -> HomotopyClass:
-    """Winding-angle class of two time-aligned (n, 2) position arrays."""
-    return homotopy_class(winding_angle(xy_a, xy_b), theta_hat)
+    """Winding-angle class of two time-aligned (n, 2) position arrays:
+    ``winding_rows`` of one row."""
+    if len(xy_a) != len(xy_b):
+        raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
+    return homotopy_class(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0],
+                          theta_hat)
 
 
 def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,

@@ -100,16 +100,6 @@ def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
     return frame_records, record
 
 
-def _baseline_predictions(scene: Scene, model: str, frames: set[int],
-                          pairs: list[CriticalPair], cfg: EvalConfig,
-                          k: int) -> dict[int, JointPredictionSet]:
-    """The baseline's prediction sets at ``frames``, in frame order: one
-    ``cv_predict`` call per frame, or one ``oracle_predict`` call for them all."""
-    if model == "cv":
-        return {fr: cv_predict(scene, fr, cfg) for fr in sorted(frames)}
-    return oracle_predict(scene, frames, pairs, k, cfg) if frames else {}
-
-
 def evaluate_scene(scene: Scene, cfg: EvalConfig,
                    predictions: dict[int, JointPredictionSet] | None = None,
                    baseline: str | None = None,
@@ -141,9 +131,13 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
     for ev, off in timed:
         tl = ev.timeline
         needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
-    if baseline is not None:
-        predictions = _baseline_predictions(scene, baseline, needed_frames,
-                                            pairs, cfg, oracle_k)
+    # a baseline's sets, in frame order: one cv_predict call per frame, or
+    # one oracle_predict call for them all
+    if baseline == "cv":
+        predictions = {fr: cv_predict(scene, fr, cfg) for fr in sorted(needed_frames)}
+    elif baseline == "oracle":
+        predictions = (oracle_predict(scene, needed_frames, pairs, oracle_k, cfg)
+                       if needed_frames else {})
     predictions = predictions or {}
 
     for ev, off in timed:

@@ -108,8 +108,9 @@ class JointPredictionSet:
 
     ``p`` has shape (K,), ``xy`` (K, A, H, 2) and ``lengths`` (K, A): sample
     k's future of agent ``agent_ids[a]`` is ``xy[k, a, :lengths[k, a]]``,
-    padded with 0.0 after it. The arrays are read-only. Build a set with
-    ``from_samples``. Sets compare and hash by identity.
+    padded with 0.0 after it. The arrays are read-only. Code that holds the
+    arrays builds a set with the constructor, and per-agent futures go
+    through ``from_samples``. Sets compare and hash by identity.
     """
 
     frame: int
@@ -192,6 +193,11 @@ class EvalConfig:
         return int(round(steps))
 
 
+def valid_dims(width: float, length: float) -> bool:
+    """A vehicle's dimensions: finite, width > 0 and length >= width."""
+    return math.isfinite(width) and math.isfinite(length) and 0 < width <= length
+
+
 def validate_scene(scene: Scene) -> Scene:
     """Check all scene invariants; returns the scene unchanged if they hold."""
     if not scene.agents:
@@ -220,8 +226,7 @@ def validate_scene(scene: Scene) -> Scene:
             raise NonUniformSampling(
                 f"agent {agent.id}: dt {traj.dt} differs from scene dt {scene.dt}"
             )
-        if (not (math.isfinite(agent.width) and math.isfinite(agent.length))
-                or agent.width <= 0 or agent.length < agent.width):
+        if not valid_dims(agent.width, agent.length):
             raise SceneValidationError(
                 f"agent {agent.id}: invalid dimensions width={agent.width}, length={agent.length}"
             )

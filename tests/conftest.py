@@ -3,7 +3,15 @@ import gc
 import numpy as np
 import pytest
 
-from interaction_eval import Agent, EvalConfig, Scene, Trajectory, validate_scene
+from interaction_eval import (
+    Agent,
+    EvalConfig,
+    LengthMismatch,
+    Scene,
+    Trajectory,
+    validate_scene,
+    winding_rows,
+)
 
 DT = 0.5
 
@@ -24,6 +32,14 @@ def crossing_scene(v_a=6.0, v_b=6.0, gap_a=40.0, gap_b=52.0, n=30, dt=DT,
     a = make_agent("a", straight_traj((-gap_a, 0.0), (v_a, 0.0), n, dt=dt))
     b = make_agent("b", straight_traj((0.0, -gap_b), (0.0, v_b), n, dt=dt))
     return validate_scene(Scene(scene_id=scene_id, dt=dt, agents=(a, b)))
+
+
+def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> float:
+    """Winding angle of two time-aligned (n, 2) position arrays:
+    ``winding_rows`` of one row."""
+    if len(xy_a) != len(xy_b):
+        raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
+    return float(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0])
 
 
 def circle_traj(radius, omega, n, dt=DT, t0=0.0):

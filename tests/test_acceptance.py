@@ -35,14 +35,13 @@ from interaction_eval import (
     run_pipeline,
     save_scene,
     validate_scene,
-    winding_angle,
 )
 from interaction_eval.collision import disk_tracks, min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
 from interaction_eval.rollout import PROFILE_ORDER, ProfileKind, rollout_rows
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
 
-from conftest import circle_traj, crossing_scene, make_agent, straight_traj
+from conftest import circle_traj, crossing_scene, make_agent, straight_traj, winding_angle
 
 CW = HomotopyClass.CW
 CCW = HomotopyClass.CCW

@@ -19,7 +19,6 @@ from interaction_eval import (
     rollout,
     types,
     validate_scene,
-    winding_angle,
 )
 from interaction_eval.baselines import ORACLE_PROFILES
 from interaction_eval.errors import NoFeasibleCombo
@@ -43,6 +42,7 @@ from conftest import (
     random_crossing_scene,
     ref_is_collision,
     straight_traj,
+    winding_angle,
 )
 
 
@@ -384,3 +384,81 @@ def test_kinematics_once_per_scene(cfg, monkeypatch, model):
         assert got.agent_ids == alone.agent_ids
         assert got.p.tolist() == alone.p.tolist()
         assert np.array_equal(got.xy, alone.xy) and np.array_equal(got.lengths, alone.lengths)
+
+
+def reference_cv_predict(scene, t, cfg):
+    """``cv_predict`` as it was before it packed its own array: each present
+    agent's future in a dict, packed by ``from_samples``. Kept as the
+    reference."""
+    horizon = cfg.horizon_frames(scene.dt)
+    trajs = {}
+    for agent in scene.agents:
+        i = agent_frame_index(scene, agent, t)
+        if i is None:
+            continue
+        headings, speeds = trajectory_kinematics(agent.trajectory)
+        step = speeds[i] * scene.dt * np.array([np.cos(headings[i]), np.sin(headings[i])])
+        trajs[agent.id] = agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step)
+    return JointPredictionSet.from_samples(t, [(1.0, trajs)])
+
+
+def assert_same_set(got, want):
+    """Two prediction sets agree in agent order and in the bytes, shape,
+    dtype, C-contiguity and read-only flag of each array."""
+    assert got.frame == want.frame
+    assert type(got.agent_ids) is tuple and got.agent_ids == want.agent_ids
+    for name in ("p", "xy", "lengths"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.shape, g.dtype) == (w.shape, w.dtype), name
+        assert g.tobytes() == w.tobytes(), name
+        assert g.flags.c_contiguous and w.flags.c_contiguous, name
+        assert not g.flags.writeable and not w.flags.writeable, name
+
+
+# the three scenes of the golden corpus (test_golden.py), then random crossings
+PACKING_SCENES = [
+    crossing_scene(),
+    crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
+    four_agent_scene(),
+] + [random_crossing_scene(seed) for seed in range(8)]
+
+
+class TestPackedSets:
+    """Each baseline packs its sets from its own arrays, and gets the set that
+    ``from_samples`` packs from the same per-agent futures."""
+
+    def test_cv_matches_from_samples(self, cfg):
+        empty = 0
+        for scene in PACKING_SCENES:
+            for frame in range(-1, 31):  # frames -1 and 30 hold no agent
+                want = reference_cv_predict(scene, frame, cfg)
+                assert_same_set(cv_predict(scene, frame, cfg), want)
+                empty += want.agent_ids == ()
+        assert empty == 2 * len(PACKING_SCENES)
+        assert want.xy.shape == (1, 0, 0, 2)
+
+    def test_oracle_matches_from_samples(self, cfg):
+        """At every frame where the oracle has a collision-free combination,
+        one call over those frames gives the reference's sets. The frames
+        cover a bystander (in no critical pair), a K past the number of free
+        combinations and a frame with no agent present."""
+        bystander = short = sets = 0
+        for n, scene in enumerate(PACKING_SCENES):
+            pairs = filter_scene_with_rejections(scene, cfg)[0]
+            interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
+            k = (1, 3, 5, 100)[n % 4]
+            want = {}
+            for frame in range(0, 31, 5):
+                try:
+                    want[frame] = reference_oracle_predict(scene, frame, pairs, k, cfg)
+                except NoFeasibleCombo:
+                    continue
+            got = oracle_predict(scene, list(want), pairs, k, cfg)
+            assert list(got) == list(want), scene.scene_id
+            for frame, w in want.items():
+                assert_same_set(got[frame], w)
+                bystander += bool(set(w.agent_ids) - interacting)
+                short += len(w.p) < k
+                sets += 1
+        assert sets > 70 and bystander > 20 and short > 15
+        assert want[30].agent_ids == () and want[30].xy.shape == (1, 0, 0, 2)

@@ -11,7 +11,6 @@ from interaction_eval import (
     classify_pair_windows,
     gt_mode_sequence,
     homotopy_class,
-    winding_angle,
     winding_rows,
 )
 from interaction_eval.collision import collisions, disk_tracks
@@ -19,7 +18,7 @@ from interaction_eval.filtering import CriticalPair
 from interaction_eval.homotopy import _wrap_angle
 from interaction_eval.pipeline import _prediction_classes
 
-from conftest import circle_traj, straight_traj
+from conftest import circle_traj, straight_traj, winding_angle
 
 
 def random_walk_pair(rng, n):
@@ -130,10 +129,11 @@ def ref_winding(xy_a, xy_b):
 
 @pytest.mark.parametrize("check", [
     lambda a, b: winding_angle(a, b),
+    lambda a, b: classify_pair_windows(a, b),
     lambda a, b: gt_mode_sequence(a, b, horizon_frames=4),
     lambda a, b: collisions(disk_tracks(a[None], np.array([len(a)]), VehicleDims(1.8, 4.5)),
                             disk_tracks(b[None], np.array([len(b)]), VehicleDims(1.8, 4.5))),
-], ids=["winding_angle", "gt_mode_sequence", "collisions"])
+], ids=["winding_angle", "classify_pair_windows", "gt_mode_sequence", "collisions"])
 def test_length_mismatch(check):
     """Position tracks of different lengths are not time-aligned: each check
     that pairs them sample by sample refuses them."""
