@@ -46,10 +46,9 @@ def main():
     print("== filtering ==")
     accepted, rejected = filter_scene_with_rejections(scene, cfg)
     for pair in accepted:
-        s = pair.sharing
         print(f"accepted ({pair.agent_a}, {pair.agent_b}): "
-              f"first shared-path times {s.t_ps_a:.1f}s / {s.t_ps_b:.1f}s, "
-              f"gap {s.dt_ps:.1f}s, closest approach {pair.min_distance:.1f} m")
+              f"first shared-path times {pair.t_ps_a:.1f}s / {pair.t_ps_b:.1f}s, "
+              f"gap {pair.dt_ps:.1f}s, closest approach {pair.min_distance:.1f} m")
     for rej in rejected:
         print(f"rejected ({rej.agent_a}, {rej.agent_b}): {rej.reason.value}")
 

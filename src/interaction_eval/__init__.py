@@ -41,7 +41,6 @@ from .types import (  # noqa: F401
 from .filtering import (  # noqa: F401
     CriticalPair,
     PairRejection,
-    PathSharingResult,
     RejectReason,
     classify_pair,
     filter_scene_with_rejections,

@@ -19,7 +19,7 @@ from .types import trajectory_kinematics  # noqa: F401
 
 
 # the speed profiles an interacting agent may take in an oracle combination
-ORACLE_PROFILES = (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL)
+ORACLE_PROFILES = tuple(ProfileKind)
 
 
 def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
@@ -103,7 +103,9 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
     # rolls are zeros, and no combination picks them
     rolled = rollout_rows(rows, v_max, cfg)
     step = np.diff(rolled, axis=2)
-    mean_speed = np.hypot(step[..., 0], step[..., 1]).mean(axis=2) / scene.dt
+    # each roll's mean over its horizon steps: np.mean's sum and division,
+    # without its warning where no agent is present and there are no rolls
+    mean_speed = np.hypot(step[..., 0], step[..., 1]).sum(axis=2) / horizon / scene.dt
     tables = _collision_tables(scene, rolled, present, pairs, cfg.interp_factor)
     predictions = {}
     for t, here, checks in zip(frames, present, tables):

@@ -44,13 +44,6 @@ _PRUNE_REL = 1e-12  # relative part, times the largest |coordinate| in the scene
 _FAR, _SHARED_A, _SHARED_B = 1, 2, 3  # a pair's stacked answer; 0 leaves it to classify_pair
 
 
-@dataclass(frozen=True)
-class PathSharingResult:
-    t_ps_a: float  # first shared-path time of each agent
-    t_ps_b: float
-    dt_ps: float  # |t_ps_b - t_ps_a|
-
-
 class RejectReason(enum.Enum):
     NEVER_PATH_SHARING = "NeverPathSharing"
     SHARED_FROM_START = "SharedFromStart"
@@ -69,7 +62,9 @@ class PairRejection:
 class CriticalPair:
     agent_a: str
     agent_b: str
-    sharing: PathSharingResult
+    t_ps_a: float  # first shared-path time of each agent
+    t_ps_b: float
+    dt_ps: float  # |t_ps_b - t_ps_a|
     min_distance: float  # real-time closest approach over the window
 
 
@@ -116,8 +111,7 @@ def classify_pair(scene: Scene, a: str, b: str,
     dt_ps = abs(t_ps_b - t_ps_a)
     if dt_ps > cfg.dt_ps_max:
         return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
-    return CriticalPair(agent_a=a, agent_b=b,
-                        sharing=PathSharingResult(t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps),
+    return CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps,
                         min_distance=float(d.diagonal().min()))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -225,16 +225,10 @@ class AggregateReport:
     curves: list[dict] = field(default_factory=list)  # binned rates vs dt_collapse
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "n_pairs", "n_frames", "mode_correct_rate", "mode_covered_rate",
-            "mode_collapse_rate", "dt_correct_mean", "dt_covered_mean",
-            "pct_correct_at_tpred", "pct_covered_at_tpred",
-            "pct_correct_at_0s", "pct_covered_at_0s", "consistency_rate")}
-        if self.displacement is not None:
-            d.update(ml_ade=self.displacement.ml_ade, ml_fde=self.displacement.ml_fde,
-                     joint_min_ade=self.displacement.joint_min_ade,
-                     joint_min_fde=self.displacement.joint_min_fde)
-        d["curves"] = self.curves
+        """Every field by name, with the displacement fields in place of
+        ``displacement`` when it is set."""
+        d = asdict(self)
+        d.update(d.pop("displacement") or {})
         return d
 
 

@@ -6,7 +6,7 @@ import csv
 import json
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .homotopy import classify_pair_windows  # noqa: F401
 from .metrics import (
     AggregateReport,
     DisplacementMetrics,
+    FROM_START,
     FrameRecord,
     PairRecord,
     aggregate,
@@ -215,22 +216,36 @@ def _histogram_inputs(results: list[SceneEvaluation]):
     return accepted, timelines
 
 
+def _cell(v):
+    """A CSV cell: a float (``np.float64`` too) to 6 significant digits, a
+    bool as 0 or 1, and any other value as ``csv`` writes it."""
+    if isinstance(v, (bool, np.bool_)):
+        return int(v)
+    return f"{v:.6g}" if isinstance(v, float) else v
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
-        w.writerows(rows)
+        w.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _dt_cell(v: float | None) -> str:
-    return "FromStart" if v is None else f"{v:.6g}"
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=1, sort_keys=True, allow_nan=False),
+                    encoding="utf-8")
+
+
+def _classes(classes) -> str:
+    """A set of homotopy classes as one cell: the sorted names, space-separated."""
+    return " ".join(sorted(str(c) for c in classes))
 
 
 def write_pair_csv(path: Path, records: list[PairRecord]) -> None:
-    rows = [[r.scene_id, r.agent_a, r.agent_b,
-             f"{r.t_h_start:.6g}", f"{r.t_h_final:.6g}", f"{r.t_h_collapse:.6g}",
-             _dt_cell(r.metrics.dt_correct), _dt_cell(r.metrics.dt_covered),
-             int(r.metrics.consistent), f"{r.metrics.collapse_rate:.6g}",
+    rows = [[r.scene_id, r.agent_a, r.agent_b, r.t_h_start, r.t_h_final, r.t_h_collapse,
+             *("FromStart" if dt is FROM_START else dt
+               for dt in (r.metrics.dt_correct, r.metrics.dt_covered)),
+             r.metrics.consistent, r.metrics.collapse_rate,
              r.metrics.n_frames, r.metrics.n_two_feasible]
             for r in records]
     _write_csv(path, ["scene_id", "agent_a", "agent_b", "t_h_start", "t_h_final",
@@ -239,11 +254,9 @@ def write_pair_csv(path: Path, records: list[PairRecord]) -> None:
 
 
 def write_frames_csv(path: Path, records: list[FrameRecord]) -> None:
-    rows = [[r.scene_id, r.agent_a, r.agent_b, r.flags.frame, f"{r.t:.6g}",
-             f"{r.dt_collapse:.6g}", str(r.flags.h_gt), str(r.flags.h_ml),
-             " ".join(sorted(str(c) for c in r.flags.h_pred)),
-             " ".join(sorted(str(c) for c in r.flags.h_feas)),
-             int(r.flags.correct), int(r.flags.covered), int(r.flags.collapse)]
+    rows = [[r.scene_id, r.agent_a, r.agent_b, r.flags.frame, r.t, r.dt_collapse,
+             r.flags.h_gt, r.flags.h_ml, _classes(r.flags.h_pred), _classes(r.flags.h_feas),
+             r.flags.correct, r.flags.covered, r.flags.collapse]
             for r in records]
     _write_csv(path, ["scene_id", "agent_a", "agent_b", "frame", "t", "dt_collapse",
                       "gt_class", "ml_class", "pred_classes", "feasible_classes",
@@ -251,18 +264,13 @@ def write_frames_csv(path: Path, records: list[FrameRecord]) -> None:
 
 
 def write_curves_csv(path: Path, report: AggregateReport) -> None:
-    rows = [[f"{c['dt_collapse']:.6g}", c["n"], f"{c['correct_rate']:.6g}",
-             f"{c['covered_rate']:.6g}", f"{c['collapse_rate']:.6g}"]
-            for c in report.curves]
-    _write_csv(path, ["dt_collapse", "n", "correct_rate", "covered_rate",
-                      "collapse_rate"], rows)
+    header = ["dt_collapse", "n", "correct_rate", "covered_rate", "collapse_rate"]
+    _write_csv(path, header, [[c[k] for k in header] for c in report.curves])
 
 
 def write_filter_csv(path: Path, rows_in: list[tuple[str, CriticalPair]]) -> None:
     """CSV of accepted pairs: sharing times, time gap and closest approach."""
-    rows = [[scene_id, p.agent_a, p.agent_b,
-             f"{p.sharing.t_ps_a:.6g}", f"{p.sharing.t_ps_b:.6g}",
-             f"{p.sharing.dt_ps:.6g}", f"{p.min_distance:.6g}"]
+    rows = [[scene_id, p.agent_a, p.agent_b, p.t_ps_a, p.t_ps_b, p.dt_ps, p.min_distance]
             for scene_id, p in rows_in]
     _write_csv(path, ["scene_id", "agent_a", "agent_b", "t_ps_a", "t_ps_b",
                       "dt_ps", "min_distance"], rows)
@@ -279,12 +287,11 @@ def write_rollout_csv(path: Path, results: list[SceneEvaluation]) -> None:
             if tl is None:
                 rows.append(key + ["summary", "", "", "", "", ev.skipped, "", ""])
                 continue
-            rows.extend(key + ["frame", f"{tl.t[i]:.6g}",
-                               " ".join(sorted(str(c) for c in feas)),
-                               str(tl.h_gt[i]), int(i == tl.collapse_idx), "", "", ""]
+            rows.extend(key + ["frame", tl.t[i], _classes(feas), tl.h_gt[i],
+                               i == tl.collapse_idx, "", "", ""]
                         for i, feas in enumerate(tl.h_feas))
-            rows.append(key + ["summary", "", "", "", "", f"{tl.t_h_collapse:.6g}",
-                               f"{tl.t_h_final:.6g}", f"{tl.t_h_start:.6g}"])
+            rows.append(key + ["summary", "", "", "", "", tl.t_h_collapse,
+                               tl.t_h_final, tl.t_h_start])
     _write_csv(path, ["scene_id", "agent_a", "agent_b", "row", "frame_t",
                       "feasible_classes", "gt_class", "is_ihs",
                       "t_h_collapse", "t_h_final", "t_h_start"], rows)
@@ -296,9 +303,7 @@ def _write_report_files(out: Path, pair_records: list[PairRecord],
     write_pair_csv(out / "pairs.csv", pair_records)
     write_frames_csv(out / "frames.csv", frame_records)
     write_curves_csv(out / "curves.csv", report)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=1, sort_keys=True, allow_nan=False),
-        encoding="utf-8")
+    _write_json(out / "report.json", report.to_dict())
 
 
 def emit_histograms(pairs: list[tuple[str, CriticalPair]],
@@ -308,10 +313,10 @@ def emit_histograms(pairs: list[tuple[str, CriticalPair]],
     out = Path(out_dir)
     cells: dict[tuple[int, int], int] = {}
     for _, p in pairs:
-        key = (int(p.sharing.dt_ps // HEATMAP_TIME_BIN),
+        key = (int(p.dt_ps // HEATMAP_TIME_BIN),
                int(p.min_distance // HEATMAP_DIST_BIN))
         cells[key] = cells.get(key, 0) + 1
-    rows = [[f"{kt * HEATMAP_TIME_BIN:.6g}", f"{kd * HEATMAP_DIST_BIN:.6g}", n]
+    rows = [[kt * HEATMAP_TIME_BIN, kd * HEATMAP_DIST_BIN, n]
             for (kt, kd), n in sorted(cells.items())]
     _write_csv(out / "heatmap.csv", ["dt_ps_bin", "min_distance_bin", "count"], rows)
 
@@ -320,7 +325,7 @@ def emit_histograms(pairs: list[tuple[str, CriticalPair]],
         for i in range(tl.start_idx, tl.final_idx + 1):
             b = int(round((tl.t_h_collapse - float(tl.t[i])) / dt))
             hist[b] = hist.get(b, 0) + 1
-    rows = [[f"{b * dt:.6g}", n] for b, n in sorted(hist.items())]
+    rows = [[b * dt, n] for b, n in sorted(hist.items())]
     _write_csv(out / "ihs_hist.csv", ["dt_collapse", "count"], rows)
 
 
@@ -343,7 +348,6 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
     frame_records = [fr for r in results for ev in r.pairs for fr in ev.frame_records]
     if not pair_records:
         raise EmptyCorpus("no evaluable interaction pairs in corpus")
-    disp = None
     per_scene = []
     for r in results:
         if not r.predictions:
@@ -353,13 +357,9 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
                 sorted(r.predictions.values(), key=lambda p: p.frame), r.scene))
         except EmptyCorpus:
             continue  # no recorded ground truth ahead of any prediction frame
-    if per_scene:
-        disp = DisplacementMetrics(
-            ml_ade=float(np.mean([d.ml_ade for d in per_scene])),
-            ml_fde=float(np.mean([d.ml_fde for d in per_scene])),
-            joint_min_ade=float(np.mean([d.joint_min_ade for d in per_scene])),
-            joint_min_fde=float(np.mean([d.joint_min_fde for d in per_scene])),
-        )
+    disp = DisplacementMetrics(**{
+        f.name: float(np.mean([getattr(d, f.name) for d in per_scene]))
+        for f in fields(DisplacementMetrics)}) if per_scene else None
     report = aggregate(pair_records, frame_records, bin_width=dt, displacement=disp)
 
     _write_report_files(out, pair_records, frame_records, report)
@@ -381,8 +381,7 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
         } for r in results},
         "timing_s": round(time.time() - t_start, 3),
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False), encoding="utf-8")
+    _write_json(out / "manifest.json", manifest)
     return report
 
 

@@ -59,13 +59,15 @@ _SUBSTEPS = 5  # integration substeps per frame
 
 
 class ProfileKind(enum.Enum):
+    """A rollout's speed profile, declared in the deterministic tie-break
+    order of profile combinations."""
+
     ACCEL = "accel"
-    DECEL = "decel"
     CONST_VEL = "const_vel"
+    DECEL = "decel"
 
 
-# deterministic tie-break order for profile combinations
-PROFILE_ORDER = {ProfileKind.ACCEL: 0, ProfileKind.CONST_VEL: 1, ProfileKind.DECEL: 2}
+PROFILE_ORDER = {k: i for i, k in enumerate(ProfileKind)}
 
 # what to roll: (track, start frame, start speed v0, n_steps, profiles)
 RolloutRow = tuple[Trajectory, int, float, int, tuple[ProfileKind, ...]]

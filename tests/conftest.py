@@ -77,6 +77,14 @@ def four_agent_scene(scene_id="four"):
     return validate_scene(Scene(scene_id=scene_id, dt=DT, agents=base.agents + (c, d)))
 
 
+def parked_scene(scene_id="parked"):
+    """The canonical crossing with a vehicle "p" parked beside it at (30, -25)
+    for the whole window, in no critical pair."""
+    base = crossing_scene()
+    p = make_agent("p", straight_traj((30.0, -25.0), (0.0, 0.0), 30))
+    return validate_scene(Scene(scene_id=scene_id, dt=DT, agents=base.agents + (p,)))
+
+
 # the four arms of a crossing, right-hand lanes 2 m off the axes:
 # (start direction, lateral offset, heading)
 _ARMS = (

@@ -1,5 +1,6 @@
 import itertools
 import traceback
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -105,6 +106,18 @@ class TestOracle:
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         pred = oracle_predict(scene, [3], pairs, 50, cfg)[3]
         assert len(pred.p) <= 9  # at most 3^2 combinations for one pair
+
+    def test_frame_with_no_agent(self, cfg):
+        """A call whose frames hold no agent rolls nothing and returns one
+        empty sample, without a warning."""
+        scene = crossing_scene()
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = oracle_predict(scene, [40], pairs, 5, cfg)[40]
+        assert pred.agent_ids == ()
+        assert pred.p.tolist() == [1.0]
+        assert pred.xy.shape == (1, 0, 0, 2)
 
     def test_non_interacting_agent_stays_constant_velocity(self, cfg, monkeypatch):
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))

@@ -12,7 +12,6 @@ from interaction_eval import (
     EmptyOverlap,
     EvalConfig,
     PairRejection,
-    PathSharingResult,
     RejectReason,
     Scene,
     Trajectory,
@@ -49,15 +48,15 @@ class TestPathSharing:
             res = classify_pair(scene, "a", "b", cfg_f)
             assert isinstance(res, CriticalPair), factor
             exp_a, exp_b = brute_force_sharing(a.trajectory, b.trajectory, cfg_f)
-            assert res.sharing.t_ps_a == a.trajectory.t[exp_a[0]], factor
-            assert res.sharing.t_ps_b == b.trajectory.t[exp_b[0]], factor
+            assert res.t_ps_a == a.trajectory.t[exp_a[0]], factor
+            assert res.t_ps_b == b.trajectory.t[exp_b[0]], factor
 
     def test_first_share_times(self, cfg):
         res = classify_pair(crossing_scene(n=30), "a", "b", cfg)
         # A enters B's path corridor before B reaches A's (frozen oracle values).
-        assert res.sharing.t_ps_a == pytest.approx(6.5)
-        assert res.sharing.t_ps_b == pytest.approx(8.5)
-        assert res.sharing.dt_ps == pytest.approx(2.0)
+        assert res.t_ps_a == pytest.approx(6.5)
+        assert res.t_ps_b == pytest.approx(8.5)
+        assert res.dt_ps == pytest.approx(2.0)
 
 
 class TestClassification:
@@ -66,7 +65,7 @@ class TestClassification:
         a, b = scene.agents
         res = classify_pair(scene, a.id, b.id, cfg)
         assert isinstance(res, CriticalPair)
-        assert res.sharing.dt_ps == pytest.approx(2.0)
+        assert res.dt_ps == pytest.approx(2.0)
 
     def test_parallel_rejected_never_sharing(self, cfg):
         a = make_agent("a", straight_traj((0, 0), (6, 0), 30))
@@ -163,8 +162,7 @@ def full_matrix_classify_pair(scene, a, b, cfg):
     dt_ps = abs(t_ps_b - t_ps_a)
     if dt_ps > cfg.dt_ps_max:
         return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
-    return CriticalPair(agent_a=a, agent_b=b,
-                        sharing=PathSharingResult(t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps),
+    return CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps,
                         min_distance=float(d.diagonal().min()))
 
 

@@ -4,8 +4,12 @@ A three-scene corpus (the canonical crossing, an asymmetric crossing and a
 four-agent scene with one evaluated and one never-collapsing pair) runs
 through every subcommand once. Each output file must match its committed
 digest byte for byte; ``manifest.json`` is compared without its wall-clock
-``timing_s``. The digests are committed values, never computed from the
-program at test time. An intended output change regenerates only the
+``timing_s``. A second corpus of one scene, the canonical crossing with a
+vehicle parked beside it, runs through ``rollout``, ``baseline --model
+oracle`` and ``eval`` with both baselines: the oracle rolls the parked
+track, whose steps are all of zero length, so its path drops the repeated
+points and gets a flat speed cap. The digests are committed values, never
+computed from the program at test time. An intended output change regenerates only the
 affected digests, with the reason in CHANGES.md.
 """
 
@@ -19,7 +23,7 @@ from click.testing import CliRunner
 from interaction_eval import save_scene
 from interaction_eval.cli import main
 
-from conftest import crossing_scene, four_agent_scene
+from conftest import crossing_scene, four_agent_scene, parked_scene
 
 MODE_FIXTURE = {
     "dt": 0.5,
@@ -53,6 +57,14 @@ RUNS = {
     "eval-predfile": ["eval", "--scene-dir", "scenes", "--pred", "baseline-oracle",
                       "--out-dir", "eval-predfile"],
     "eval-fixture": ["eval", "--fixture", "fixture.json", "--out-dir", "eval-fixture"],
+    "parked-rollout": ["rollout", "--scene-dir", "parked-scenes",
+                       "--out", "parked-rollout/rollout.csv"],
+    "parked-baseline-oracle": ["baseline", "--scene-dir", "parked-scenes", "--model", "oracle",
+                               "--out-dir", "parked-baseline-oracle"],
+    "parked-eval-cv": ["eval", "--scene-dir", "parked-scenes", "--pred", "cv",
+                       "--out-dir", "parked-eval-cv"],
+    "parked-eval-oracle": ["eval", "--scene-dir", "parked-scenes", "--pred", "oracle",
+                           "--out-dir", "parked-eval-oracle"],
 }
 
 GOLDEN = {
@@ -126,6 +138,42 @@ GOLDEN = {
         "52bbc53edaf9409fb49dbedce1d8ff16c1602de76acf78bc322b65d4b2ec4a66",
     "eval-fixture/report.json":
         "1613e2f9a383074abc3e6cb8506336e5ad30467db910b5206d20a9e0367b4fc0",
+    "parked-baseline-oracle/parked.json":
+        "55b2c167dfa8480becd94d7ff6e6e37761808fb61248139b7c0c7c05c3d4b886",
+    "parked-eval-cv/curves.csv":
+        "24e4398309fda846491ef8880b1725ef02d4d172c1e0c3004d1dd0f1c330a137",
+    "parked-eval-cv/filter.csv":
+        "0229e464002391771e5f4f89b935ea93a64354ae3a03e8b628ce0e5d8403a69a",
+    "parked-eval-cv/frames.csv":
+        "436908ea2aea78ac98160371b42b5c20ef1e142cf10bbc1074e6e2bde10a2b14",
+    "parked-eval-cv/heatmap.csv":
+        "0e300ff76d02781f4022276b19347430c96d9c714a08fa80599e3b7955f2a73b",
+    "parked-eval-cv/ihs_hist.csv":
+        "e02e97e440c59161577863d31ba6432e6144b1809a4b1c411de03977e4b642ca",
+    "parked-eval-cv/manifest.json":
+        "a83e4aa841265c70c118d24369458300d4b200c32e25d062de48790957b6ba46",
+    "parked-eval-cv/pairs.csv":
+        "b5946ffa01122550f283e1a96cfc7a0aa90b2ee799d9baa2c1e4279b942a1b72",
+    "parked-eval-cv/report.json":
+        "37d058109c1da61b42f6359e50b6cfb10aa49238006506373d90abcc7494bcf1",
+    "parked-eval-oracle/curves.csv":
+        "24e4398309fda846491ef8880b1725ef02d4d172c1e0c3004d1dd0f1c330a137",
+    "parked-eval-oracle/filter.csv":
+        "0229e464002391771e5f4f89b935ea93a64354ae3a03e8b628ce0e5d8403a69a",
+    "parked-eval-oracle/frames.csv":
+        "436908ea2aea78ac98160371b42b5c20ef1e142cf10bbc1074e6e2bde10a2b14",
+    "parked-eval-oracle/heatmap.csv":
+        "0e300ff76d02781f4022276b19347430c96d9c714a08fa80599e3b7955f2a73b",
+    "parked-eval-oracle/ihs_hist.csv":
+        "e02e97e440c59161577863d31ba6432e6144b1809a4b1c411de03977e4b642ca",
+    "parked-eval-oracle/manifest.json":
+        "72cf6f479e50204c91eff8f00b08c92fab80b701961a53d2fdbf8a9ddc4c13b4",
+    "parked-eval-oracle/pairs.csv":
+        "b5946ffa01122550f283e1a96cfc7a0aa90b2ee799d9baa2c1e4279b942a1b72",
+    "parked-eval-oracle/report.json":
+        "8abcb0cd6dfbfb16e9f9f1320416f1b334dd9868e97d853d62944070a9e1fb09",
+    "parked-rollout/rollout.csv":
+        "29a4128ff2a68168b3f98e428d2414c7b271b21479091dc52ea24186ab07217b",
 }
 
 
@@ -146,8 +194,11 @@ def outputs(tmp_path_factory):
     save_scene(crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
                root / "scenes" / "asym.json")
     save_scene(four_agent_scene(), root / "scenes" / "four.json")
+    (root / "parked-scenes").mkdir()
+    save_scene(parked_scene(), root / "parked-scenes" / "parked.json")
     (root / "filter").mkdir()
     (root / "rollout").mkdir()
+    (root / "parked-rollout").mkdir()
     (root / "fixture.json").write_text(json.dumps(MODE_FIXTURE))
     cwd = os.getcwd()
     os.chdir(root)

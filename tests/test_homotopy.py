@@ -240,8 +240,9 @@ class TestBatchedCallers:
             tb = np.where((rng.random(14) < 0.1)[:, None], ta, tb)
             samples.append((1.0 / k, {"a": ta[:h_a], "b": tb[:h_b], "c": ta}))
         pset = JointPredictionSet.from_samples(3, samples)
-        for pair in (CriticalPair("a", "b", None, 0.0), CriticalPair("b", "a", None, 0.0),
-                     CriticalPair("a", "z", None, 0.0)):
+        for pair in (CriticalPair("a", "b", 0.0, 0.0, 0.0, 0.0),
+                     CriticalPair("b", "a", 0.0, 0.0, 0.0, 0.0),
+                     CriticalPair("a", "z", 0.0, 0.0, 0.0, 0.0)):
             for theta_hat in (0.0, 0.3):
                 assert (_prediction_classes(pset, pair, theta_hat)
                         == ref_prediction_classes(pset, pair, theta_hat))
