@@ -160,6 +160,10 @@ def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static, **c
     """Run the full evaluation and write report.json plus CSV outputs."""
     cfg = EvalConfig(**cfg_kw)
     if fixture is not None:
+        for option, value in (("--scene-dir", scene_dir), ("--pred", pred_source),
+                              ("--substitute-static", substitute_static)):
+            if value not in (None, False):
+                raise ConfigError(f"{option} cannot be used with --fixture")
         report = run_fixture(fixture, out_dir)
     else:
         if scene_dir is None or pred_source is None:

@@ -30,7 +30,6 @@ back as one zero-padded stack, the layout ``disk_tracks`` and
 from __future__ import annotations
 
 import enum
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -159,10 +158,8 @@ def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
     """
     n = len(xy)
     ok = (starts >= 0) & (starts <= n - 2)
-    # a flat cap of v_max must also be a fixed point of the cap's backward pass
-    c = np.float64(v_max)
-    if not ok.any() or not np.sqrt(c ** 2) >= c:
-        return np.zeros_like(ok)
+    if not ok.any():
+        return ok
     s = np.where(ok, starts, 0)
     # largest clamped curvature of the recorded vertices after each start
     kappa = np.zeros(n - 1)
@@ -190,22 +187,14 @@ def _speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
         lat = np.sqrt(cfg.a_lat_max / np.maximum(np.interp(grid, s_vert, kappa_vert), 1e-12))
     cap = np.minimum(v_max, lat)
     brake = 2.0 * cfg.a_lon_max * float(grid[1] - grid[0])
-    # A flat cap is a fixed point of the pass when one step leaves it
-    # unchanged. The step stays scalar: a float ** 2 calls C pow(), whose
-    # last bit can differ from the x*x that an array ** 2 computes. Python
-    # floats and np.float64 both call pow() and a correctly rounded sqrt,
-    # so the pass runs on a list.
-    c = float(cap[0])
-    if not (np.all(cap == c) and math.sqrt(c ** 2 + brake) >= c):
-        caps = cap.tolist()
-        ahead = caps[-1]
-        for k in range(len(caps) - 2, -1, -1):
-            # min(caps[k], step): keep caps[k] unless the step is below it
-            step = math.sqrt(ahead ** 2 + brake)
-            if step < caps[k]:
-                caps[k] = step
-            ahead = caps[k]
-        cap = np.array(caps)
+    # the backward pass cap[k] = min(cap[k], sqrt(cap[k + 1]² + brake)),
+    # unrolled: cap[k]² = min over j >= k of cap[j]² + (j - k)·brake. A
+    # point that is its own minimum keeps its bits, so a flat cap stays
+    # exactly v_max, as _closed_form_starts assumes.
+    shift = np.arange(len(cap)) * brake
+    sq = cap * cap + shift
+    env = np.minimum.accumulate(sq[::-1])[::-1]
+    cap = np.where(env < sq, np.sqrt(env - shift), cap)
     cap.setflags(write=False)
     return grid, cap
 

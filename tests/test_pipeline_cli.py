@@ -465,6 +465,22 @@ class TestCli:
         report = json.loads(res.stdout)
         assert report["mode_collapse_rate"] == pytest.approx(100.0 * 9 / 11)
 
+    @pytest.mark.parametrize("extra", [
+        ["--scene-dir", "."],
+        ["--pred", "cv"],
+        ["--substitute-static"],
+    ], ids=["scene-dir", "pred", "substitute-static"])
+    def test_exit_code_fixture_with_scene_option(self, tmp_path, extra):
+        # a fixture run reads none of these, so it refuses them
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(TABLE_FIXTURE))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"), *extra)
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"{extra[0]} cannot be used with --fixture"
+        assert not (tmp_path / "out").exists()
+
     def test_report_command(self, scene_dir, tmp_path):
         res = self.run("report", "--scene-dir", str(scene_dir),
                        "--out-dir", str(tmp_path / "out"))
