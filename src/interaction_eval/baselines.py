@@ -12,13 +12,14 @@ from .collision import VehicleDims, collisions, disk_tracks
 from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
-from .rollout import ProfileKind, PROFILE_ORDER, max_scene_speed, rollout_rows
+from .rollout import ProfileKind, max_scene_speed, rollout_rows
 from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index
 # the benchmark's tracer patches this name in this module
 from .types import trajectory_kinematics  # noqa: F401
 
 
-# the speed profiles an interacting agent may take in an oracle combination
+# the speed profiles an interacting agent may take in an oracle combination,
+# in the tie-break order
 ORACLE_PROFILES = tuple(ProfileKind)
 
 
@@ -44,14 +45,14 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
                       interp_factor: int) -> list[list[tuple[str, str, np.ndarray]]]:
     """Per frame, ``(a, b, table)`` for each critical pair whose agents are
     both present: whether each (profile, profile) of their rolls collides,
-    ``table[i, j]`` for profiles ``i`` and ``j`` in ``PROFILE_ORDER``.
+    ``table[i, j]`` for ``ORACLE_PROFILES[i]`` of a and ``[j]`` of b.
 
-    ``rolled[row, profile]`` is a row's roll (``rollout_rows``), and
-    ``present[f]`` the row of each agent present at frame ``f``. One
-    ``disk_tracks`` call lays out an agent's three rolls at every frame it
-    is present, and one ``collisions`` call fills a pair's tables at every
-    frame its agents share. The disk tracks live only while the tables are
-    built.
+    ``rolled[row, i]`` is a row's roll of ``ORACLE_PROFILES[i]``
+    (``rollout_rows``), and ``present[f]`` the row of each agent present at
+    frame ``f``. One ``disk_tracks`` call lays out an agent's three rolls at
+    every frame it is present, and one ``collisions`` call fills a pair's
+    tables at every frame its agents share. The disk tracks live only while
+    the tables are built.
     """
     shared = {}  # each checked pair's frames
     for p in pairs:
@@ -94,14 +95,11 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
             i = agent_frame_index(scene, agent, t)
             if i is not None:
                 here[agent.id] = len(rows)
-                # a bystander (in no critical pair) only ever keeps constant velocity
-                rows.append((agent.trajectory, i, float(speeds[i]), horizon,
-                             ORACLE_PROFILES if agent.id in interacting
-                             else (ProfileKind.CONST_VEL,)))
+                rows.append((agent.trajectory, i, float(speeds[i]), horizon))
         present.append(here)
     # every roll holds horizon + 1 positions; a bystander's ACCEL and DECEL
-    # rolls are zeros, and no combination picks them
-    rolled = rollout_rows(rows, v_max, cfg)
+    # rolls are made too, but no combination picks them
+    rolled = rollout_rows(rows, ORACLE_PROFILES, v_max, cfg)
     step = np.diff(rolled, axis=2)
     # each roll's mean over its horizon steps: np.mean's sum and division,
     # without its warning where no agent is present and there are no rolls
@@ -113,8 +111,9 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
         cols = [c for c, aid in enumerate(ids) if aid in interacting]
         combos = np.array(list(itertools.product(range(3), repeat=len(cols))), dtype=int)
         # each combination's profile per present agent, in itertools.product
-        # order, which is PROFILE_ORDER order
-        choice = np.full((len(combos), len(ids)), PROFILE_ORDER[ProfileKind.CONST_VEL])
+        # order, which is ORACLE_PROFILES order; a bystander (in no critical
+        # pair) only ever keeps constant velocity
+        choice = np.full((len(combos), len(ids)), ORACLE_PROFILES.index(ProfileKind.CONST_VEL))
         choice[:, cols] = combos
         free = np.ones(len(choice), dtype=bool)
         for a, b, table in checks:
@@ -123,7 +122,7 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
             return t
         choice = choice[free]
         avg_speed = mean_speed[at, choice].mean(axis=1) if ids else np.zeros(len(choice))
-        # a stable sort keeps equal speeds in PROFILE_ORDER order
+        # a stable sort keeps equal speeds in ORACLE_PROFILES order
         top = np.argsort(-avg_speed, kind="stable")[:k]
         total = sum(avg_speed[top].tolist())
         p = avg_speed[top] / total if total > 0 else np.full(len(top), 1.0 / len(top))
@@ -139,10 +138,10 @@ def oracle_predict(scene: Scene, frames: Iterable[int], pairs: list[CriticalPair
     """Top-K collision-free profile combinations ranked by average speed, at
     each of ``frames``: ``{frame: JointPredictionSet}`` in frame order.
 
-    Agents involved in a critical pair get all three speed profiles along
-    their ground-truth path; everyone else is rolled out, and kept, at
-    constant velocity only. Each rollout starts at the agent's recorded
-    speed (``Scene.kinematics``).
+    Every present agent is rolled out with all three speed profiles along
+    its ground-truth path. Agents involved in a critical pair may take any
+    of them; everyone else keeps constant velocity in every combination.
+    Each rollout starts at the agent's recorded speed (``Scene.kinematics``).
 
     One call serves every frame: one ``rollout_rows`` call rolls every
     (frame, present agent) row, one array op gives every roll's mean speed,

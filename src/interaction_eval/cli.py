@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 from .errors import (
@@ -156,20 +157,22 @@ def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
 @click.option("--substitute-static", is_flag=True,
               help="Fill missing agent predictions with static ground truth.")
 @config_options
-def cmd_eval(scene_dir, pred_source, out_dir, fixture, k, substitute_static, **cfg_kw):
+@click.pass_context
+def cmd_eval(ctx, scene_dir, pred_source, out_dir, fixture, k, substitute_static, **cfg_kw):
     """Run the full evaluation and write report.json plus CSV outputs."""
-    cfg = EvalConfig(**cfg_kw)
     if fixture is not None:
-        for option, value in (("--scene-dir", scene_dir), ("--pred", pred_source),
-                              ("--substitute-static", substitute_static)):
-            if value not in (None, False):
-                raise ConfigError(f"{option} cannot be used with --fixture")
+        # a fixture run reads only its table and --out-dir: any other option
+        # given on the command line, even at its default value, is refused
+        for param in ctx.command.params:
+            if (param.name not in ("fixture", "out_dir")
+                    and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+                raise ConfigError(f"{param.opts[0]} cannot be used with --fixture")
         report = run_fixture(fixture, out_dir)
     else:
         if scene_dir is None or pred_source is None:
             raise ConfigError("--scene-dir and --pred are required without --fixture")
-        report = run_pipeline(scene_dir, pred_source, out_dir, cfg, oracle_k=k,
-                              substitute_static=substitute_static)
+        report = run_pipeline(scene_dir, pred_source, out_dir, EvalConfig(**cfg_kw),
+                              oracle_k=k, substitute_static=substitute_static)
     click.echo(json.dumps(report.to_dict(), indent=1, sort_keys=True))
 
 

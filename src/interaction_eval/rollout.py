@@ -17,14 +17,14 @@ step at the capped speeds. Closed-form stretches are array code: one
 cumulative sum and one cap test for all their substeps. A straight path
 has a flat cap that never binds, so its whole roll is one such stretch.
 
-``rollout_rows`` rolls many (track, start frame) rows in one call: every
-start frame of both agents' IHS windows, or every present agent at every
-frame the oracle predicts. All rows
-share one padded path layout, one cumulative sum per profile and one map
-from arc lengths to positions. Only the rows whose cap may bind build it,
-and they step one substep at a time only where it binds. The rolls come
-back as one zero-padded stack, the layout ``disk_tracks`` and
-``winding_rows`` take.
+``rollout_rows`` rolls many (track, start frame) rows with each profile of
+one list in one call: every start frame of both agents' IHS windows with
+ACCEL and DECEL, or every present agent at every frame the oracle predicts
+with all three. All rows share one padded path layout, one cumulative sum
+per profile and one map from arc lengths to positions. Only the rows whose
+cap may bind build it, and they step one substep at a time only where it
+binds. The rolls come back as one zero-padded stack, one slot per profile in
+the caller's order, the layout ``disk_tracks`` and ``winding_rows`` take.
 """
 
 from __future__ import annotations
@@ -66,10 +66,8 @@ class ProfileKind(enum.Enum):
     DECEL = "decel"
 
 
-PROFILE_ORDER = {k: i for i, k in enumerate(ProfileKind)}
-
-# what to roll: (track, start frame, start speed v0, n_steps, profiles)
-RolloutRow = tuple[Trajectory, int, float, int, tuple[ProfileKind, ...]]
+# what to roll: (track, start frame, start speed v0, n_steps)
+RolloutRow = tuple[Trajectory, int, float, int]
 
 
 @dataclass(frozen=True)
@@ -328,13 +326,13 @@ def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
     return t.reshape(len(dt), -1)
 
 
-def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
+def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
           n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple,
           out: np.ndarray) -> None:
-    """Roll rows ``sel`` of ``paths`` with profile ``kind``, given the rows'
+    """Roll every row of ``paths`` with profile ``kind``, given the rows'
     start speeds, substep start times (``_substep_starts``), time steps and
-    frame counts, and write row ``sel[b]``'s n_steps[b] + 1 positions to
-    ``out[sel[b], :n_steps[b] + 1]``; nothing else of ``out`` is written.
+    frame counts, and write row r's n_steps[r] + 1 positions to ``out[r,
+    :n_steps[r] + 1]``; nothing else of ``out`` is written.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
@@ -346,21 +344,19 @@ def _roll(kind: ProfileKind, sel: list[int], v0: np.ndarray, t_a: np.ndarray, dt
     v0, dt = v0[:, None], dt[:, None]
     t_b = t_a + dt / _SUBSTEPS
     ds = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
-    s = np.cumsum(np.concatenate((np.zeros((len(sel), 1)), ds), axis=1), axis=1)
+    s = np.cumsum(np.concatenate((np.zeros((len(v0), 1)), ds), axis=1), axis=1)
     verts, s_vert, n_vert, caps = paths
-    for b, r in enumerate(sel):
-        if r in caps:
-            n_sub = n_steps[b] * _SUBSTEPS
-            v_a = np.clip(v0[b] + a * t_a[b, :n_sub], 0.0, v_max)
-            v_b = np.clip(v0[b] + a * t_b[b, :n_sub], 0.0, v_max)
-            _restep(s[b, :n_sub + 1], ds[b, :n_sub], v_a, v_b, float(dt[b, 0]) / _SUBSTEPS,
-                    *caps[r])
+    for r, (grid, cap) in caps.items():
+        n_sub = n_steps[r] * _SUBSTEPS
+        v_a = np.clip(v0[r] + a * t_a[r, :n_sub], 0.0, v_max)
+        v_b = np.clip(v0[r] + a * t_b[r, :n_sub], 0.0, v_max)
+        _restep(s[r, :n_sub + 1], ds[r, :n_sub], v_a, v_b, float(dt[r, 0]) / _SUBSTEPS,
+                grid, cap)
     # each row's positions on its own vertices
-    m = n_vert[sel]
-    s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[sel, m - 1][:, None])
-    for s_b, r, m_b, n in zip(s, sel, m.tolist(), (n_steps + 1).tolist()):
-        out[r, :n, 0] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 0])
-        out[r, :n, 1] = np.interp(s_b[:n], s_vert[r, :m_b], verts[r, :m_b, 1])
+    s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[np.arange(len(s)), n_vert - 1][:, None])
+    for r, (s_r, m, n) in enumerate(zip(s, n_vert.tolist(), (n_steps + 1).tolist())):
+        out[r, :n, 0] = np.interp(s_r[:n], s_vert[r, :m], verts[r, :m, 0])
+        out[r, :n, 1] = np.interp(s_r[:n], s_vert[r, :m], verts[r, :m, 1])
 
 
 class PathRollout:
@@ -378,36 +374,33 @@ class PathRollout:
         """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt."""
         dt = np.array([self.dt])
         out = np.zeros((1, n_steps + 1, 2))
-        _roll(kind, [0], np.array([self.v0]), _substep_starts(n_steps, dt), dt,
-              np.array([n_steps]), self.v_max, self._a_lon, self._paths, out)
+        _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, np.array([n_steps]),
+              self.v_max, self._a_lon, self._paths, out)
         return out[0]
 
 
-def rollout_rows(rows: list[RolloutRow], v_max: float, cfg: EvalConfig) -> np.ndarray:
-    """Every row's rolls as one (rows, 3, max n_steps + 1, 2) stack, the
-    same bit for bit as a ``PathRollout`` of that row alone gives them.
+def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: float,
+                 cfg: EvalConfig) -> np.ndarray:
+    """Every row's roll of each speed profile in ``kinds`` as one (rows,
+    len(kinds), max n_steps + 1, 2) stack, the same bit for bit as a
+    ``PathRollout`` of that row alone gives them.
 
-    A row is ``(traj, start, v0, n_steps, kinds)``: the n_steps + 1
-    positions of each speed profile in ``kinds``, rolled along ``traj``
-    from frame ``start`` at start speed ``v0``. Row r's roll of kind k is
-    ``out[r, PROFILE_ORDER[k], :n_steps + 1]``; every other value, of a
-    kind the row does not ask for or past its length, is 0.0. Each path is
-    extended far enough that the fastest roll of its ``n_steps`` frames at
-    ``v_max`` stays on it.
+    A row is ``(traj, start, v0, n_steps)``: n_steps + 1 positions rolled
+    along ``traj`` from frame ``start`` at start speed ``v0``. Row r's roll
+    of ``kinds[k]`` is ``out[r, k, :n_steps + 1]``; past its length it is
+    0.0. Each path is extended far enough that the fastest roll of its
+    ``n_steps`` frames at ``v_max`` stays on it.
     """
     if not rows:
-        return np.zeros((0, 3, 1, 2))
+        return np.zeros((0, len(kinds), 1, 2))
     n_steps = np.array([row[3] for row in rows])
     dt = np.array([row[0].dt for row in rows])
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
     v0 = np.minimum([row[2] for row in rows], v_max)
     t_a = _substep_starts(int(n_steps.max()), dt)
-    out = np.zeros((len(rows), 3, int(n_steps.max()) + 1, 2))
-    for kind in ProfileKind:
-        sel = [r for r, row in enumerate(rows) if kind in row[4]]
-        if sel:
-            _roll(kind, sel, v0[sel], t_a[sel], dt[sel], n_steps[sel], v_max, cfg.a_lon_max,
-                  paths, out[:, PROFILE_ORDER[kind]])
+    out = np.zeros((len(rows), len(kinds), int(n_steps.max()) + 1, 2))
+    for k, kind in enumerate(kinds):
+        _roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths, out[:, k])
     return out
 
 
@@ -424,18 +417,17 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     dims_b = VehicleDims(agent_b.width, agent_b.length)
     # every start frame of both agents' windows, rolled to the window's end
     # in one call: a's rows, then b's
-    kinds = (ProfileKind.ACCEL, ProfileKind.DECEL)
-    rolled = rollout_rows([(w, i, float(speeds[i]), n - 1 - i, kinds)
+    rolled = rollout_rows([(w, i, float(speeds[i]), n - 1 - i)
                            for w, speeds in ((wa, speeds_a), (wb, speeds_b))
-                           for i in range(n - 1)], v_max, cfg)
+                           for i in range(n - 1)],
+                          (ProfileKind.ACCEL, ProfileKind.DECEL), v_max, cfg)
+    accel, decel = rolled[:, 0], rolled[:, 1]
     # one collision check per ordering over every frame's rolls; the frames
     # where the ordering is free are wound in one call (frame i's rolls hold
     # n - i samples, zero-padded to n)
     lengths = n - np.arange(n - 1)
     feasible: list[set] = [set() for _ in range(n - 1)]
-    for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
-                   (ProfileKind.ACCEL, ProfileKind.DECEL)):
-        ra, rb = rolled[:n - 1, PROFILE_ORDER[ka]], rolled[n - 1:, PROFILE_ORDER[kb]]
+    for ra, rb in ((decel[:n - 1], accel[n - 1:]), (accel[:n - 1], decel[n - 1:])):
         hit = collisions(disk_tracks(ra, lengths, dims_a, cfg.interp_factor),
                          disk_tracks(rb, lengths, dims_b, cfg.interp_factor))
         free = np.flatnonzero(~hit)

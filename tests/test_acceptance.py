@@ -38,7 +38,7 @@ from interaction_eval import (
 )
 from interaction_eval.collision import disk_tracks, min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
-from interaction_eval.rollout import PROFILE_ORDER, ProfileKind, rollout_rows
+from interaction_eval.rollout import ProfileKind, rollout_rows
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj, winding_angle
@@ -179,12 +179,12 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
         traj = agents[aid].trajectory
         i = agent_frame_index(scene, agents[aid], frame)
         v0 = float(trajectory_kinematics(traj)[1][i])
-        rolls[aid] = rollout_rows([(traj, i, v0, horizon, kinds)], v_max, cfg)[0]
+        rolls[aid] = rollout_rows([(traj, i, v0, horizon)], kinds, v_max, cfg)[0]
     dims = {aid: VehicleDims(agents[aid].width, agents[aid].length)
             for aid in rolls}
     ranked = []
     for ka, kb in itertools.product(kinds, kinds):
-        ra, rb = rolls[pair.agent_a][PROFILE_ORDER[ka]], rolls[pair.agent_b][PROFILE_ORDER[kb]]
+        ra, rb = rolls[pair.agent_a][kinds.index(ka)], rolls[pair.agent_b][kinds.index(kb)]
         if is_collision(ra, rb, dims[pair.agent_a], dims[pair.agent_b],
                         cfg.interp_factor):
             continue

@@ -21,10 +21,8 @@ from interaction_eval import (
     types,
     validate_scene,
 )
-from interaction_eval.baselines import ORACLE_PROFILES
 from interaction_eval.errors import NoFeasibleCombo
 from interaction_eval.rollout import (
-    PROFILE_ORDER,
     PathRollout,
     ProfileKind,
     max_scene_speed,
@@ -119,34 +117,28 @@ class TestOracle:
         assert pred.p.tolist() == [1.0]
         assert pred.xy.shape == (1, 0, 0, 2)
 
-    def test_non_interacting_agent_stays_constant_velocity(self, cfg, monkeypatch):
+    def test_non_interacting_agent_stays_constant_velocity(self, cfg):
         a = make_agent("a", straight_traj((-40, 0), (6, 0), 30))
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         c = make_agent("c", straight_traj((0, 300), (6, 0), 30))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b, c)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert {(p.agent_a, p.agent_b) for p in pairs} == {("a", "b")}
-        rolled, c_rolls = [], []
-        bystander = scene.agent("c").trajectory
-        rollout_rows = baselines.rollout_rows
-
-        def counted(rows, *args, **kwargs):
-            out = rollout_rows(rows, *args, **kwargs)
-            rolled.extend(kind for row in rows for kind in row[4])
-            c_rolls.extend(rolls for row, rolls in zip(rows, out) if row[0] is bystander)
-            return out
-        monkeypatch.setattr(baselines, "rollout_rows", counted)
         pred = oracle_predict(scene, [3], pairs, 9, cfg)[3]
         c = pred.agent_ids.index("c")
         futures = {tuple(pred.xy[k, c, pred.lengths[k, c] - 1]) for k in range(len(pred.p))}
         assert len(futures) == 1  # same constant-velocity future in all samples
-        # three profiles for each of a and b, and c is rolled at constant velocity only
-        assert Counter(rolled) == Counter([*ORACLE_PROFILES] * 2 + [ProfileKind.CONST_VEL])
-        # c's other two slots come back as zeros
-        (rolls,) = c_rolls
-        assert np.any(rolls[PROFILE_ORDER[ProfileKind.CONST_VEL]] != 0.0)
-        for kind in (ProfileKind.ACCEL, ProfileKind.DECEL):
-            assert np.all(rolls[PROFILE_ORDER[kind]] == 0.0)
+        # in every sample, c's future is its own constant-velocity roll from
+        # frame 3 past its start position
+        v_max, horizon = max_scene_speed(scene), cfg.horizon_frames(scene.dt)
+        traj = scene.agent("c").trajectory
+        i = agent_frame_index(scene, scene.agent("c"), 3)
+        path = PathRollout(traj, i, float(trajectory_kinematics(traj)[1][i]), v_max,
+                           v_max * (horizon + 1) * scene.dt + 10.0, cfg)
+        want = path.roll(ProfileKind.CONST_VEL, horizon)[1:]
+        assert len(pred.p) > 1
+        for k in range(len(pred.p)):
+            assert np.array_equal(pred.xy[k, c, :pred.lengths[k, c]], want)
 
     def test_combos_are_collision_free(self, cfg):
         scene = crossing_scene(n=30)
@@ -217,7 +209,7 @@ def reference_oracle_predict(scene, t, pairs, k, cfg):
             step = np.hypot(*(np.diff(xy, axis=0).T))
             speeds.append(step.mean() / scene.dt)
         avg_speed = float(np.mean(speeds)) if speeds else 0.0
-        order_key = tuple(PROFILE_ORDER[kind] for kind in combo)
+        order_key = tuple(list(ProfileKind).index(kind) for kind in combo)
         candidates.append((-avg_speed, order_key, assignment, avg_speed))
     if not candidates:
         raise NoFeasibleCombo(f"all profile combinations collide at frame {t}")
@@ -262,7 +254,7 @@ class TestOracleCollisionTables:
         raises the same NoFeasibleCombo, naming the first such frame. In the
         last four scenes every agent drives at the speed limit, so its
         ACCEL and CONST_VEL rollouts are equal and many combinations tie on
-        speed: they keep PROFILE_ORDER order."""
+        speed: they keep ProfileKind order."""
         feasible = infeasible = multi_pair = 0
         for seed, speed in [(seed, None) for seed in range(16)] + [(27, 6.0), (30, 6.0),
                                                                    (35, 6.0), (39, 6.0)]:

@@ -24,7 +24,7 @@ from interaction_eval import (
 )
 from interaction_eval import sceneio
 from interaction_eval.cli import main
-from interaction_eval.pipeline import run_fixture
+from interaction_eval.pipeline import DEFAULT_ORACLE_K, run_fixture
 
 from conftest import crossing_scene, four_agent_scene
 
@@ -465,13 +465,33 @@ class TestCli:
         report = json.loads(res.stdout)
         assert report["mode_collapse_rate"] == pytest.approx(100.0 * 9 / 11)
 
-    @pytest.mark.parametrize("extra", [
-        ["--scene-dir", "."],
-        ["--pred", "cv"],
-        ["--substitute-static"],
-    ], ids=["scene-dir", "pred", "substitute-static"])
+    # every option of eval but --fixture and --out-dir, by test id
+    FIXTURE_REFUSED = {
+        "scene-dir": ["--scene-dir", "."],
+        "pred": ["--pred", "cv"],
+        "k": ["--k", "0"],
+        "k-at-default": ["--k", str(DEFAULT_ORACLE_K)],
+        "substitute-static": ["--substitute-static"],
+        "d-collision": ["--d-collision", "3.0"],
+        "dt-ps-max": ["--dt-ps-max", "2.0"],
+        "a-lon-max": ["--a-lon-max", "4.0"],
+        "a-lat-max": ["--a-lat-max", "4.0"],
+        "horizon": ["--horizon", "3"],
+        "theta-hat": ["--theta-hat", "0.5"],
+        "interp-factor": ["--interp-factor", "2"],
+        "t-min": ["--t-min", "0.0"],
+    }
+
+    def test_fixture_cases_cover_every_option(self):
+        given = {extra[0] for extra in self.FIXTURE_REFUSED.values()}
+        assert given == {param.opts[0] for param in main.commands["eval"].params} - {
+            "--fixture", "--out-dir"}
+
+    @pytest.mark.parametrize("extra", list(FIXTURE_REFUSED.values()),
+                             ids=list(FIXTURE_REFUSED))
     def test_exit_code_fixture_with_scene_option(self, tmp_path, extra):
-        # a fixture run reads none of these, so it refuses them
+        # a fixture run reads none of these, so it refuses them, even at
+        # their default values
         p = tmp_path / "fixture.json"
         p.write_text(json.dumps(TABLE_FIXTURE))
         res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"), *extra)

@@ -16,7 +16,8 @@ from interaction_eval import (
 )
 from interaction_eval.collision import VehicleDims
 from interaction_eval.homotopy import classify_pair_windows, gt_mode_sequence
-from interaction_eval.rollout import PROFILE_ORDER, rollout_rows
+from interaction_eval import rollout
+from interaction_eval.rollout import rollout_rows
 from interaction_eval.types import common_window, trajectory_kinematics
 
 from conftest import (
@@ -176,6 +177,23 @@ class TestTimeline:
         for i in range(tl.collapse_idx, len(tl.h_feas)):
             assert tl.h_gt[i] in tl.h_feas[i] or len(tl.h_feas[i]) == 0
 
+    def test_roll_stack_has_two_profile_slots(self, cfg, monkeypatch):
+        """The timeline's one roll stack holds each start frame's ACCEL and
+        DECEL rolls and no third slot: constant velocity is never rolled."""
+        stacks = []
+        rollout_rows = rollout.rollout_rows
+
+        def recorded(*args):
+            stacks.append(rollout_rows(*args))
+            return stacks[-1]
+        monkeypatch.setattr(rollout, "rollout_rows", recorded)
+        scene = crossing_scene(n=30)
+        pair = filter_scene_with_rejections(scene, cfg)[0][0]
+        n = len(interaction_timeline(scene, pair, cfg).t)
+        (stack,) = stacks
+        # a's rows, then b's, one per start frame but the last
+        assert stack.shape == (2 * (n - 1), 2, n, 2)
+
 
 def reference_interaction_timeline(scene, pair, cfg):
     """The timeline as it was before the batched collision check: rolls and
@@ -194,12 +212,12 @@ def reference_interaction_timeline(scene, pair, cfg):
     feas = []
     for i in range(n - 1):
         n_steps = n - 1 - i
-        rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n_steps, kinds)], v_max, cfg)[0]
-        rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n_steps, kinds)], v_max, cfg)[0]
+        rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n_steps)], kinds, v_max, cfg)[0]
+        rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n_steps)], kinds, v_max, cfg)[0]
         feasible = set()
         for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                        (ProfileKind.ACCEL, ProfileKind.DECEL)):
-            ra, rb = rolls_a[PROFILE_ORDER[ka]], rolls_b[PROFILE_ORDER[kb]]
+            ra, rb = rolls_a[kinds.index(ka)], rolls_b[kinds.index(kb)]
             if not ref_is_collision(as_traj(ra, wa.dt), as_traj(rb, wb.dt), dims_a, dims_b,
                                     cfg.interp_factor):
                 feasible.add(classify_pair_windows(ra, rb, cfg.theta_hat))

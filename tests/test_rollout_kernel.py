@@ -25,7 +25,6 @@ from interaction_eval.rollout import (
     _KAPPA_MAX,
     _PATH_DS,
     _SUBSTEPS,
-    PROFILE_ORDER,
     PathRollout,
     ProfileKind,
     _closed_form_starts,
@@ -493,31 +492,27 @@ def test_kinematics_degenerate_displacements():
 ALL_KINDS = tuple(ProfileKind)
 
 
-def window_rows(traj, kinds=ALL_KINDS):
+def window_rows(traj):
     """A row for every start frame but the last, rolled to the end of ``traj``,
     as the IHS timeline rolls a window."""
     speeds = ref_kinematics(traj)[1]
-    return [(traj, i, float(speeds[i]), traj.n - 1 - i, kinds) for i in range(traj.n - 1)]
+    return [(traj, i, float(speeds[i]), traj.n - 1 - i) for i in range(traj.n - 1)]
 
 
-def check_rows(rows, v_max, cfg=None):
-    """Every row of one ``rollout_rows`` call, and that row's own
-    ``PathRollout``, equal the frozen ``RefPathRollout`` roll of that row,
-    and every slot the row does not ask for, and the padding past its
-    length, is exactly 0.0; returns how many rows took the closed form."""
+def check_rows(rows, v_max, kinds=ALL_KINDS, cfg=None):
+    """Every row's roll of each of ``kinds`` from one ``rollout_rows`` call,
+    and from that row's own ``PathRollout``, equals the frozen
+    ``RefPathRollout`` roll of that row, and the padding past its length is
+    exactly 0.0; returns how many rows took the closed form."""
     cfg = cfg or EvalConfig()
-    got = rollout_rows(rows, v_max, cfg)
-    assert got.shape == (len(rows), 3, max(row[3] for row in rows) + 1, 2)
-    for (traj, start, v0, n_steps, kinds), rolls in zip(rows, got):
+    got = rollout_rows(rows, kinds, v_max, cfg)
+    assert got.shape == (len(rows), len(kinds), max(row[3] for row in rows) + 1, 2)
+    for (traj, start, v0, n_steps), rolls in zip(rows, got):
         extend = v_max * (n_steps + 1) * traj.dt + 10.0
         ref = RefPathRollout(traj, start, v0, v_max, extend, cfg)
         path = PathRollout(traj, start, v0, v_max, extend, cfg)
-        for kind in ProfileKind:
-            roll = rolls[PROFILE_ORDER[kind]]
+        for kind, roll in zip(kinds, rolls):
             assert np.all(roll[n_steps + 1:] == 0.0), (start, kind)
-            if kind not in kinds:
-                assert np.all(roll == 0.0), (start, kind)
-                continue
             want = ref.roll(kind, n_steps)
             assert want.shape == (n_steps + 1, 2)
             assert np.array_equal(roll[:n_steps + 1], want), (start, kind)
@@ -546,8 +541,8 @@ def test_rows_circle_cap_binds():
 
 def test_rows_curved_10hz_path():
     traj = curved_10hz_traj()
-    rows = window_rows(traj, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL))
-    fast = check_rows(rows, v_max=12.0)
+    rows = window_rows(traj)
+    fast = check_rows(rows, v_max=12.0, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL))
     # the straight lead-in rolls in closed form only once the bend is behind
     assert 0 < fast < len(rows)
 
@@ -566,53 +561,52 @@ def test_rows_two_sample_window():
     assert check_rows(window_rows(traj), v_max=5.0) == 1
     # the last sample has no path ahead; it builds a speed cap, for any
     # number of frames
-    assert check_rows([(traj, 1, 3.0, 4, ALL_KINDS), (traj, 0, 3.0, 0, ALL_KINDS)],
-                      v_max=5.0) == 1
+    assert check_rows([(traj, 1, 3.0, 4), (traj, 0, 3.0, 0)], v_max=5.0) == 1
 
 
 def test_rows_zero_speed_limit():
     rows = window_rows(straight_traj((0.0, 0.0), (3.0, 1.0), 15))
     assert check_rows(rows, v_max=0.0) == len(rows)
-    for (_, _, _, n_steps, kinds), rolls in zip(rows, rollout_rows(rows, 0.0, EvalConfig())):
-        for kind in kinds:
-            xy = rolls[PROFILE_ORDER[kind], :n_steps + 1]
+    for (_, _, _, n_steps), rolls in zip(rows, rollout_rows(rows, ALL_KINDS, 0.0, EvalConfig())):
+        for roll in rolls:
+            xy = roll[:n_steps + 1]
             assert np.array_equal(xy, np.broadcast_to(xy[0], xy.shape))
 
 
 def test_rows_mixed_batch():
     """Closed-form and per-row rows from several tracks, interleaved, with
-    different profiles, start speeds and lengths, in one call."""
+    different start speeds and lengths, rolled with all three profiles in
+    one call."""
     straight = straight_traj((-20.0, 3.0), (6.0, 1.5), 30)
     circle = circle_traj(radius=10.0, omega=0.6, n=30)
     stopped = stopped_traj()
     curved = curved_10hz_traj()
     rows = [
-        (straight, 0, 6.2, 20, ALL_KINDS),
-        (circle, 3, 5.0, 12, (ProfileKind.DECEL, ProfileKind.ACCEL)),
-        (straight, 9, 12.0, 5, (ProfileKind.CONST_VEL,)),
-        (stopped, 5, 0.0, 8, ALL_KINDS),
-        (curved, 40, 8.0, 19, (ProfileKind.ACCEL,)),
-        (straight, 28, 6.0, 1, ALL_KINDS),
-        (curved, 2, 8.0, 57, (ProfileKind.CONST_VEL, ProfileKind.DECEL)),
-        (circle, 29, 6.0, 3, ALL_KINDS),
-        (straight, 3, 0.0, 26, (ProfileKind.ACCEL,)),
+        (straight, 0, 6.2, 20),
+        (circle, 3, 5.0, 12),
+        (straight, 9, 12.0, 5),
+        (stopped, 5, 0.0, 8),
+        (curved, 40, 8.0, 19),
+        (straight, 28, 6.0, 1),
+        (curved, 2, 8.0, 57),
+        (circle, 29, 6.0, 3),
+        (straight, 3, 0.0, 26),
     ]
     fast = check_rows(rows, v_max=9.0)
     assert 0 < fast < len(rows)
 
 
 def test_rows_empty():
-    got = rollout_rows([], 2.0, EvalConfig())
-    assert got.shape == (0, 3, 1, 2)
+    assert rollout_rows([], ALL_KINDS, 2.0, EvalConfig()).shape == (0, 3, 1, 2)
+    assert rollout_rows([], (ProfileKind.DECEL,), 2.0, EvalConfig()).shape == (0, 1, 1, 2)
 
 
 def test_rows_start_outside_track():
     traj = straight_traj((0.0, 0.0), (1.0, 0.0), 5)
     with pytest.raises(IndexOutOfRange):
-        rollout_rows([(traj, 0, 1.0, 3, ALL_KINDS), (traj, 5, 1.0, 3, ALL_KINDS)], 2.0,
-                     EvalConfig())
+        rollout_rows([(traj, 0, 1.0, 3), (traj, 5, 1.0, 3)], ALL_KINDS, 2.0, EvalConfig())
     with pytest.raises(IndexOutOfRange):
-        rollout_rows([(traj, -1, 1.0, 3, ALL_KINDS)], 2.0, EvalConfig())
+        rollout_rows([(traj, -1, 1.0, 3)], ALL_KINDS, 2.0, EvalConfig())
 
 
 @st.composite
@@ -635,18 +629,39 @@ def polylines(draw):
     return Trajectory(t=dt * np.arange(n), xy=xy, dt=dt)
 
 
+@st.composite
+def kind_lists(draw):
+    """A non-empty list of distinct profiles, in any order."""
+    return tuple(draw(st.permutations(ALL_KINDS))[:draw(st.integers(1, 3))])
+
+
+@st.composite
+def rows_of(draw, trajs):
+    """1-6 rows on each of ``trajs``: any start frame, start speed and
+    length."""
+    return [(traj, start, draw(st.floats(0.0, 35.0)), draw(st.integers(0, 25)))
+            for traj in trajs
+            for start in draw(st.lists(st.integers(0, traj.n - 1), min_size=1, max_size=6))]
+
+
 @given(st.lists(polylines(), min_size=1, max_size=3), st.floats(0.0, 30.0),
-       st.data())
+       kind_lists(), st.data())
 @settings(max_examples=100, deadline=None)
-def test_rows_equal_path_rollout_property(trajs, v_max, data):
-    rows = []
-    for traj in trajs:
-        for start in data.draw(st.lists(st.integers(0, traj.n - 1), min_size=1, max_size=6)):
-            rows.append((traj, start, data.draw(st.floats(0.0, 35.0)),
-                         data.draw(st.integers(0, 25)),
-                         tuple(data.draw(st.permutations(ALL_KINDS))[:data.draw(
-                             st.integers(1, 3))])))
-    check_rows(rows, v_max)
+def test_rows_equal_path_rollout_property(trajs, v_max, kinds, data):
+    check_rows(data.draw(rows_of(trajs)), v_max, kinds)
+
+
+@given(st.lists(polylines(), min_size=1, max_size=3), st.floats(0.0, 30.0),
+       st.permutations(ALL_KINDS), kind_lists(), st.data())
+@settings(max_examples=50, deadline=None)
+def test_rows_follow_the_callers_kinds_property(trajs, v_max, kinds, other, data):
+    """The same rows rolled with a permuted or shorter ``kinds`` give the
+    same rolls, bit for bit, in that call's order."""
+    rows = data.draw(rows_of(trajs))
+    cfg = EvalConfig()
+    full = rollout_rows(rows, kinds, v_max, cfg)
+    got = rollout_rows(rows, other, v_max, cfg)
+    assert np.array_equal(got, full[:, [kinds.index(kind) for kind in other]])
 
 
 # --- the speed cap's backward pass --------------------------------------------
@@ -749,4 +764,4 @@ def test_rows_equal_path_rollout_wod_shape_property(traj, v_max):
     """Every start frame of a 10 Hz window rolled to its end with ACCEL and
     DECEL, as the IHS timeline rolls it: long runs of substeps where the
     cap binds."""
-    check_rows(window_rows(traj, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL)), v_max)
+    check_rows(window_rows(traj), v_max, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL))
