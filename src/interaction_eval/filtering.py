@@ -15,6 +15,24 @@ the scene), no resampled samples of the two can come within ``d_collision``
 of each other. A co-observed pair with such a bound is rejected as
 ``NeverPathSharing`` without calling ``classify_pair``.
 
+The closest recorded samples come from a uniform grid (Ericson, Real-Time
+Collision Detection, 2004, section 7.1), not from every pair of samples.
+Each sample goes into a square cell whose side is the largest distance the
+bound can fail at: ``d_collision`` plus the margin plus twice the largest
+half-step, padded by ``_CELL_PAD`` times that side and times the largest
+|coordinate|, so that rounding in the binning never puts two samples within
+that distance more than one cell apart. The candidates are the sample pairs
+of one cell and of neighbouring cells; a pair of agents keeps the least
+squared distance over its candidates, with the arithmetic of a full
+distance matrix, and infinity where it has none. ``min`` is exact, and a
+pair whose closest samples are not candidates is farther apart than a cell
+side, so the answer equals the full matrix's on every pair. A non-finite
+coordinate makes the bound's limit NaN or infinite, and then no pair is
+rejected by it, without binning a sample. The candidates are expanded in
+chunks of whole samples, each no larger than one agent's samples against
+all samples: the one agent whose long step makes a cell of the whole scene
+costs no more memory than a per-agent distance slab.
+
 The other co-observed pairs of a scene get ``classify_pair``'s
 ``SharedFromStart`` answer from their early rows, all in one stack
 (``_shared_from_start``). Only the pairs that neither the bound nor the
@@ -25,6 +43,7 @@ stack decides, and the pairs without a co-observed window, reach
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +60,8 @@ from .types import (
 
 _PRUNE_MARGIN = 1e-6  # metres; absolute part of the bound's rounding margin
 _PRUNE_REL = 1e-12  # relative part, times the largest |coordinate| in the scene
+_CELL_PAD = 1e-9  # the prune grid's cell pad, relative to the cell and to the largest |coordinate|
+_MAX_CELLS = 2.0**31  # the prune grid's last cell index on each axis, so keys fit int64
 _FAR, _SHARED_A, _SHARED_B = 1, 2, 3  # a pair's stacked answer; 0 leaves it to classify_pair
 
 
@@ -120,19 +141,62 @@ def _never_sharing(xy: np.ndarray, start: np.ndarray, cfg: EvalConfig) -> np.nda
     ``start[m]:start[m + 1]``): whether the scene-level bound (module
     docstring) holds for each pair, in ``np.triu_indices(k, 1)`` order."""
     k = len(start) - 1
-    steps = np.zeros(len(xy))
+    n_samples = len(xy)
+    n = start[1:] - start[:-1]
+    steps = np.zeros(n_samples)
     steps[:-1] = np.hypot(*np.diff(xy, axis=0).T)
     steps[start[1:] - 1] = 0.0  # no step from one agent's last sample to the next agent
     half = np.maximum.reduceat(steps, start[:-1]) / 2.0
-    limit = cfg.d_collision + _PRUNE_MARGIN + _PRUNE_REL * np.abs(xy).max()
-    bound = []
-    for i in range(k - 1):
-        rest = xy[start[i + 1]:]
-        d2 = np.square(np.subtract.outer(xy[start[i]:start[i + 1], 0], rest[:, 0]))
-        d2 += np.square(np.subtract.outer(xy[start[i]:start[i + 1], 1], rest[:, 1]))
-        nearest = np.minimum.reduceat(d2.min(axis=0), start[i + 1:-1] - start[i + 1])
-        bound.append(np.sqrt(nearest) - half[i] - half[i + 1:] > limit)
-    return np.concatenate(bound)
+    scale = np.abs(xy).max()
+    limit = cfg.d_collision + _PRUNE_MARGIN + _PRUNE_REL * scale
+    if not math.isfinite(limit):  # a non-finite coordinate: no pair is proved far
+        return np.zeros(k * (k - 1) // 2, dtype=bool)
+    reach = limit + 2.0 * half.max()
+    side = reach + _CELL_PAD * (reach + scale)
+    # no scaled coordinate is negative, so truncation is the floor; the pad's
+    # coordinate term keeps a finite one below 2e9, and the clamp puts the inf
+    # or NaN of an overflow in the last cell
+    cell = np.fmin((xy - xy.min(axis=0)) / side, _MAX_CELLS).astype(np.int64)
+    width = int(cell[:, 1].max()) + 2  # so a key's column wraps into an empty row
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key)
+    key = key[order]
+    x, y = xy[order, 0], xy[order, 1]
+    agents = np.arange(k)
+    agent = np.repeat(agents, n)[order]
+    # sample s against the later samples of its own cell and of the next
+    # cell up (keys key[s] and key[s] + 1), then against the three cells of
+    # the next column (keys key[s] + width - 1 to key[s] + width + 1): each
+    # pair of samples in one cell or in neighbouring cells once
+    row = np.empty((n_samples, 4), dtype=np.intp)
+    row[:, 0] = np.arange(1, n_samples + 1)
+    row[:, 1:] = np.searchsorted(key, key + np.array([[1], [width - 2], [width + 1]]), "right").T
+    row_start = row[:, ::2].ravel()
+    row_len = row[:, 1::2].ravel() - row_start
+    row_base = row_start - (np.cumsum(row_len) - row_len)
+    each = row_len[::2] + row_len[1::2]  # candidates per sample
+    done = np.cumsum(each)
+    nearest = np.full(k * k, np.inf)  # pair (i, j) at i * k + j and j * k + i
+    # chunks of whole samples, each no larger than the largest agent's
+    # samples against all samples (one sample has fewer candidates)
+    budget = int(n.max()) * n_samples
+    lo = c0 = 0
+    while lo < n_samples:
+        hi = int(np.searchsorted(done, c0 + budget, "right"))
+        c1 = int(done[hi - 1])
+        q = np.repeat(row_base[2 * lo:2 * hi], row_len[2 * lo:2 * hi])
+        q += np.arange(c0, c1)
+        d2 = np.repeat(x[lo:hi], each[lo:hi])
+        d2 -= x[q]
+        np.square(d2, out=d2)
+        dy = np.repeat(y[lo:hi], each[lo:hi])
+        dy -= y[q]
+        d2 += np.square(dy, out=dy)
+        np.minimum.at(nearest, np.repeat(agent[lo:hi] * k, each[lo:hi]) + agent[q], d2)
+        lo, c0 = hi, c1
+    nearest = nearest.reshape(k, k)
+    nearest = np.minimum(nearest, nearest.T)
+    return (np.sqrt(nearest) - half[:, None] - half > limit)[np.less.outer(agents, agents)]
 
 
 def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,

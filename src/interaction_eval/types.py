@@ -183,7 +183,7 @@ class EvalConfig:
                 raise ConfigError(f"{name} must be > 0")
         if self.theta_hat < 0:
             raise ConfigError("theta_hat must be >= 0")
-        if not isinstance(self.interp_factor, (int, np.integer)) or self.interp_factor < 1:
+        if not _positive_int(self.interp_factor):
             raise ConfigError("interp_factor must be a positive integer")
 
     def horizon_frames(self, dt: float) -> int:
@@ -191,6 +191,12 @@ class EvalConfig:
         if abs(steps - round(steps)) > 1e-6:
             raise ConfigError(f"prediction horizon {self.t_p} is not a multiple of dt={dt}")
         return int(round(steps))
+
+
+def _positive_int(value) -> bool:
+    """A Python or numpy integer of at least 1; ``True`` is no count."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= 1)
 
 
 def valid_dims(width: float, length: float) -> bool:
@@ -260,7 +266,7 @@ def resample_rows(values: np.ndarray, lengths: np.ndarray,
     are preserved exactly; samples past a row's new length are padding.
     Factor 1 returns the input.
     """
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+    if not _positive_int(factor):
         raise ConfigError("resample factor must be a positive integer")
     if factor == 1:
         return values, lengths

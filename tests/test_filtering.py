@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,3 +444,134 @@ class TestStackedFilter:
                  "past": float(hi) + 0.01 + 5.0 * u}[when]
         cfg = EvalConfig(interp_factor=factor, t_min=t_min)
         assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
+
+
+def reference_never_sharing(xy, start, cfg):
+    """Frozen reference: the scene-level bound of ``filtering._never_sharing``
+    as one ``np.subtract.outer`` slab per agent, each agent's samples against
+    the samples of every later agent."""
+    k = len(start) - 1
+    steps = np.zeros(len(xy))
+    steps[:-1] = np.hypot(*np.diff(xy, axis=0).T)
+    steps[start[1:] - 1] = 0.0  # no step from one agent's last sample to the next agent
+    half = np.maximum.reduceat(steps, start[:-1]) / 2.0
+    limit = cfg.d_collision + filtering._PRUNE_MARGIN + filtering._PRUNE_REL * np.abs(xy).max()
+    bound = []
+    for i in range(k - 1):
+        rest = xy[start[i + 1]:]
+        d2 = np.square(np.subtract.outer(xy[start[i]:start[i + 1], 0], rest[:, 0]))
+        d2 += np.square(np.subtract.outer(xy[start[i]:start[i + 1], 1], rest[:, 1]))
+        nearest = np.minimum.reduceat(d2.min(axis=0), start[i + 1:-1] - start[i + 1])
+        bound.append(np.sqrt(nearest) - half[i] - half[i + 1:] > limit)
+    return np.concatenate(bound)
+
+
+def prune_scale(xy, start, cfg):
+    """``_never_sharing``'s bound ``limit``, the largest half-step of an
+    agent and the grid's cell side, recomputed as the program does."""
+    steps = np.hypot(*np.diff(xy, axis=0).T)
+    steps[start[1:-1] - 1] = 0.0
+    scale = np.abs(xy).max()
+    limit = cfg.d_collision + filtering._PRUNE_MARGIN + filtering._PRUNE_REL * scale
+    reach = limit + steps.max(initial=0.0)
+    return limit, steps.max(initial=0.0) / 2.0, reach + filtering._CELL_PAD * (reach + scale)
+
+
+@st.composite
+def prune_layouts(draw):
+    """2-40 agents laid out back to back as ``(xy, start)``: straight or
+    stopped movers of 1-12 samples in a box of 5-200 m, some moved by 1e6 m.
+    One-sample agents (whose half-step is 0, so they leave the cell side as
+    it is) sit on another agent's sample, on a cell boundary of the grid,
+    or at the bound's own distance from another agent's sample."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(2, 40))
+    box = draw(st.sampled_from([5.0, 30.0, 200.0]))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]))
+    tracks = []
+    for _ in range(k):
+        n = 1 if rng.random() < 0.3 else int(rng.integers(2, 13))
+        step = rng.normal(size=2) * draw(st.sampled_from([0.0, 0.3, 1.5, 6.0]))
+        tracks.append(offset + rng.uniform(0.0, box, 2) + np.outer(np.arange(n), step))
+    singles = [m for m, tr in enumerate(tracks) if len(tr) == 1]
+    start = np.concatenate([[0], np.cumsum([len(tr) for tr in tracks])])
+    xy = np.concatenate(tracks)
+    limit, half, side = prune_scale(xy, start, EvalConfig())
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    for m in singles:
+        other = xy[rng.integers(0, len(xy))]
+        how = draw(st.sampled_from(["free", "coincident", "boundary", "bound", "reach"]))
+        if how == "coincident":
+            tracks[m] = other[None].copy()
+        elif how == "boundary":  # (x - min) / side an integer, in the box
+            cells = rng.integers(0, np.floor((hi - lo) / side) + 1)
+            tracks[m] = np.minimum(lo + cells * side, hi)[None]
+        elif how in ("bound", "reach"):
+            gap = limit + half if how == "bound" else 2.0 * half + limit
+            ulps = draw(st.integers(-2, 2))
+            tracks[m] = (other + [gap * (1.0 + ulps * np.finfo(float).eps), 0.0])[None]
+    return np.concatenate(tracks), start
+
+
+class TestNeverSharingGrid:
+    """``_never_sharing`` on its uniform grid against the frozen per-agent
+    loop, bit for bit."""
+
+    @given(prune_layouts(), st.sampled_from([0.5, 1.5, 4.0]),
+           st.sampled_from([None, np.nan, np.inf, -np.inf]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_per_agent_loop_property(self, layout, d_collision, bad, data):
+        xy, start = layout
+        cfg = EvalConfig(d_collision=d_collision)
+        if bad is not None:
+            xy[data.draw(st.integers(0, len(xy) - 1)), data.draw(st.integers(0, 1))] = bad
+        far = filtering._never_sharing(xy, start, cfg)
+        k = len(start) - 1
+        assert far.shape == (k * (k - 1) // 2,) and far.dtype == bool
+        with np.errstate(invalid="ignore"):  # the loop meets inf - inf at an inf coordinate
+            assert np.array_equal(far, reference_never_sharing(xy, start, cfg))
+        if bad is not None:
+            assert not far.any()
+
+    def test_one_long_step_stays_within_the_loops_memory(self, cfg):
+        """One agent's scene-spanning step makes one cell of the whole
+        scene, so that every sample pair is a candidate: the candidates go
+        in chunks, and the peak stays within a few of the loop's largest
+        (samples of one agent) x (all samples) float64 slabs."""
+        rng = np.random.default_rng(29)
+        k, n = 60, 91
+        tracks = [rng.uniform(-150.0, 150.0, 2)
+                  + np.outer(np.arange(n), rng.normal(size=2) * 0.8) for _ in range(k)]
+        tracks[0][n // 2:] += 400.0  # one step of about 565 m
+        xy = np.concatenate(tracks)
+        start = np.arange(k + 1) * n
+        tracemalloc.start()
+        try:
+            far = filtering._never_sharing(xy, start, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(far, reference_never_sharing(xy, start, cfg))
+        assert far.any() and not far.all()
+        slab = 8 * n * len(xy)
+        assert peak < 8 * slab
+
+    @pytest.mark.parametrize("step", [0.7, 1.0, 2.3])
+    @pytest.mark.parametrize("x0", [0.0, 3.0, 1e6, -1e9])
+    def test_pairs_one_cell_side_apart(self, cfg, step, x0):
+        """Agents a and b, both with the largest step, lie the bound's own
+        distance apart (one unpadded cell side), to within a few ulps, and
+        agent c one cell side to the left of a sets the grid's origin near
+        a cell boundary. Rounding in the binning must not put a and b two
+        cells apart: without the pad it does in some of these layouts."""
+        gap = cfg.d_collision + step
+        for _ in range(3):  # the bound's limit depends on the largest |coordinate|
+            xy = np.array([[x0, 0.0], [x0, step], [x0 + gap, 0.0], [x0 + gap, step],
+                           [x0 - gap, 0.0]])
+            gap = prune_scale(xy, np.array([0, 2, 4, 5]), cfg)[0] + step
+        start = np.array([0, 2, 4, 5])
+        for b, c in itertools.product(range(-8, 9), range(-6, 7)):
+            xy[2:4, 0] = x0 + gap + b * np.spacing(x0 + gap)
+            xy[4, 0] = x0 - gap + c * np.spacing(x0 - gap)
+            assert np.array_equal(filtering._never_sharing(xy, start, cfg),
+                                  reference_never_sharing(xy, start, cfg))

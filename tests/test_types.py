@@ -364,12 +364,16 @@ class TestConfig:
 
     def test_interp_factor_must_be_an_integer(self):
         assert EvalConfig(interp_factor=4).interp_factor == 4
-        with pytest.raises(ConfigError, match="interp_factor"):
-            EvalConfig(interp_factor=4.0)
+        for bad in (4.0, True, False):
+            with pytest.raises(ConfigError, match="interp_factor"):
+                EvalConfig(interp_factor=bad)
         tr = straight_traj((0, 0), (4, 0), 5)
         assert resample_trajectory(tr, 4).n == 17
-        with pytest.raises(ConfigError, match="resample factor"):
-            resample_trajectory(tr, 4.0)
+        for bad in (4.0, True, False):
+            with pytest.raises(ConfigError, match="resample factor"):
+                resample_trajectory(tr, bad)
+            with pytest.raises(ConfigError, match="resample factor"):
+                resample_rows(tr.xy[None], np.array([tr.n]), bad)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["d_collision", "dt_ps_max", "a_lon_max", "a_lat_max",
