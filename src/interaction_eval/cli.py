@@ -70,6 +70,15 @@ _CONFIG_OPTIONS = (
 )
 
 
+def _refuse_given(ctx: click.Context, names: set[str], reason: str) -> None:
+    """Refuse each option of ``names`` that the command line gives, even at
+    its default value: the run would not read it."""
+    for param in ctx.command.params:
+        if (param.name in names
+                and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
+            raise ConfigError(f"{param.opts[0]} cannot be used with {reason}")
+
+
 def config_options(f):
     """One option per ``EvalConfig`` field, passed on under the field's name."""
     for option in reversed(_CONFIG_OPTIONS):
@@ -133,8 +142,11 @@ def cmd_rollout(scene_dir, out_path, **cfg_kw):
 @click.option("--k", type=int, default=DEFAULT_ORACLE_K, show_default=True,
               help="Prediction count for the oracle model.")
 @config_options
-def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
+@click.pass_context
+def cmd_baseline(ctx, scene_dir, model, out_dir, k, **cfg_kw):
     """Write baseline predictions in the standard prediction file format."""
+    if model != "oracle":
+        _refuse_given(ctx, {"k"}, f"--model {model}")
     cfg = EvalConfig(**cfg_kw)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -161,16 +173,19 @@ def cmd_baseline(scene_dir, model, out_dir, k, **cfg_kw):
 def cmd_eval(ctx, scene_dir, pred_source, out_dir, fixture, k, substitute_static, **cfg_kw):
     """Run the full evaluation and write report.json plus CSV outputs."""
     if fixture is not None:
-        # a fixture run reads only its table and --out-dir: any other option
-        # given on the command line, even at its default value, is refused
-        for param in ctx.command.params:
-            if (param.name not in ("fixture", "out_dir")
-                    and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT):
-                raise ConfigError(f"{param.opts[0]} cannot be used with --fixture")
+        # a fixture run reads only its table and --out-dir
+        _refuse_given(ctx, {param.name for param in ctx.command.params} - {"fixture", "out_dir"},
+                      "--fixture")
         report = run_fixture(fixture, out_dir)
     else:
         if scene_dir is None or pred_source is None:
             raise ConfigError("--scene-dir and --pred are required without --fixture")
+        unread = set()
+        if pred_source != "oracle":
+            unread.add("k")  # only the oracle reads it
+        if pred_source in BASELINE_MODELS:
+            unread.add("substitute_static")  # only prediction files miss agents
+        _refuse_given(ctx, unread, f"--pred {pred_source}")
         report = run_pipeline(scene_dir, pred_source, out_dir, EvalConfig(**cfg_kw),
                               oracle_k=k, substitute_static=substitute_static)
     click.echo(json.dumps(report.to_dict(), indent=1, sort_keys=True))

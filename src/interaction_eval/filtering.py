@@ -5,15 +5,20 @@ path at the first co-observed time but enter one later, and do so within
 a bounded time gap of each other (merging and crossing scenarios, as
 opposed to car-following or parallel passing).
 
-A scene-level bound rejects most far-apart pairs without ``classify_pair``.
-Take the distance between the closest recorded samples of the two agents,
-and subtract half of each agent's largest recorded step. A resampled sample
-lies on a recorded step, so within half of that step of a recorded sample.
-If the result is more than ``d_collision`` plus a rounding margin
-(``_PRUNE_MARGIN``, plus ``_PRUNE_REL`` times the largest |coordinate| in
-the scene), no resampled samples of the two can come within ``d_collision``
-of each other. A co-observed pair with such a bound is rejected as
-``NeverPathSharing`` without calling ``classify_pair``.
+Both co-observed windows are resampled by ``interp_factor``. A sample of one
+agent lies on the commonly shared path when some sample of the other is
+strictly closer than ``d_collision``, by ``sqrt(dx*dx + dy*dy)``. Every pair
+of a scene is decided in one stack, in three stages; the result equals that
+test on a full distance matrix per pair, on every pair.
+
+A scene-level bound rejects most far-apart pairs first. Take the distance
+between the closest recorded samples of the two agents, and subtract half of
+each agent's largest recorded step. A resampled sample lies on a recorded
+step, so within half of that step of a recorded sample. If the result is
+more than ``d_collision`` plus a rounding margin (``_PRUNE_MARGIN``, plus
+``_PRUNE_REL`` times the largest |coordinate| in the scene), no resampled
+samples of the two can come within ``d_collision`` of each other, and the
+pair is ``NeverPathSharing``.
 
 The closest recorded samples come from a uniform grid (Ericson, Real-Time
 Collision Detection, 2004, section 7.1), not from every pair of samples.
@@ -33,11 +38,34 @@ chunks of whole samples, each no larger than one agent's samples against
 all samples: the one agent whose long step makes a cell of the whole scene
 costs no more memory than a per-agent distance slab.
 
-The other co-observed pairs of a scene get ``classify_pair``'s
-``SharedFromStart`` answer from their early rows, all in one stack
-(``_shared_from_start``). Only the pairs that neither the bound nor the
-stack decides, and the pairs without a co-observed window, reach
-``classify_pair``. The result equals ``classify_pair`` on every pair.
+The other co-observed pairs get their ``SharedFromStart`` answer from their
+early rows, all in one stack (``_shared_from_start``). The pairs that
+neither decides go through one stacked grid pass (``_first_shared``).
+Their windows are padded and resampled in one call, and every finite
+resampled sample is binned on one grid keyed by (stacked pair, cell), with
+cells of side ``d_collision`` and the same pad; the pair is the key's most
+significant part, so no sample meets another pair's. Each A sample meets
+only the B samples of its own pair in the 3 x 3 cells around its own, and
+a candidate is shared where its distance, with the full matrix's
+arithmetic, is below ``d_collision``. Every sample pair that can be shared
+is a candidate, and ``min`` is exact, so each pair's first shared A row,
+first shared B sample and same-index distance minimum (with ``np.min``'s
+NaN rule) have the full matrix's bits. One rule then maps them to the
+answer: ``t_ps = t[index // interp_factor]`` of A's window times, then
+``NeverPathSharing``, ``SharedFromStart`` (A's first, then B's),
+``TimeGapTooLarge`` or accepted. A NaN or infinite sample is never binned
+and so never shares a path, as in the matrix, where a comparison with NaN
+is False, and the filter meets it without a numpy warning.
+
+The candidates go in chunks of whole A samples, each no larger than the
+longest stacked pair's full M x M distance matrix. A chunk holds at most
+four float64 or int64 arrays of that size at once, and one bool array, so
+the pass's peak stays within five such matrices, beside about twenty 8-byte
+values per resampled sample of the stack.
+
+A pair without a co-observed window is ``NeverPathSharing`` with the
+detail "no co-observed window". ``classify_pair`` is the stack's one-pair
+case.
 """
 
 from __future__ import annotations
@@ -48,21 +76,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOverlap
-from .types import (
-    EvalConfig,
-    Scene,
-    co_observed,
-    common_window,
-    resample_rows,
-    resample_trajectory,
-)
+from .types import EvalConfig, Scene, Trajectory, co_observed, resample_rows
+# the benchmark's tracer patches this name in this module
+from .types import resample_trajectory  # noqa: F401
 
 _PRUNE_MARGIN = 1e-6  # metres; absolute part of the bound's rounding margin
 _PRUNE_REL = 1e-12  # relative part, times the largest |coordinate| in the scene
-_CELL_PAD = 1e-9  # the prune grid's cell pad, relative to the cell and to the largest |coordinate|
-_MAX_CELLS = 2.0**31  # the prune grid's last cell index on each axis, so keys fit int64
-_FAR, _SHARED_A, _SHARED_B = 1, 2, 3  # a pair's stacked answer; 0 leaves it to classify_pair
+_CELL_PAD = 1e-9  # the grids' cell pad, relative to the cell and to the largest |coordinate|
+_MAX_CELLS = 2**62  # (group, column, row) cells a grid's keys address, so keys fit int64
+# a pair's answer, as the filter's loop reads it; _shared_from_start leaves 0 open
+_NEVER, _NO_WINDOW, _SHARED_A, _SHARED_B, _GAP, _ACCEPT = range(1, 7)
+_NO_SAMPLE = Trajectory(t=np.array([np.nan]), xy=np.full((1, 2), np.nan), dt=1.0)
 
 
 class RejectReason(enum.Enum):
@@ -89,51 +113,87 @@ class CriticalPair:
     min_distance: float  # real-time closest approach over the window
 
 
-def _distances(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every row of ``xa`` to every row of ``xb``:
-    ``sqrt(dx*dx + dy*dy)``, the same bits as a sum over the last axis of
-    the squared differences, without numpy's slow reduction over a length-2
-    axis."""
-    dx = np.subtract.outer(xa[:, 0], xb[:, 0])
-    dy = np.subtract.outer(xa[:, 1], xb[:, 1])
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def classify_pair(scene: Scene, a: str, b: str,
                   cfg: EvalConfig) -> CriticalPair | PairRejection:
-    """Apply the three safety-critical criteria to one agent pair.
+    """Apply the three safety-critical criteria to one agent pair: the
+    filter's stack on the pair alone (module docstring).
 
-    Both co-observed windows are resampled by ``cfg.interp_factor``. A sample
-    of one agent lies on the commonly shared path when some sample of the
-    other is strictly closer than ``cfg.d_collision``. An interpolated sample
-    maps back to the original frame at or before it (index // factor), so a
-    first shared-path time is the earliest possible frame. A pair whose
-    first shared-path time (A's first, then B's) is at or before ``t_min``
-    is ``SharedFromStart``.
-
-    The filter answers ``SharedFromStart`` for most pairs in one stack
-    (``_shared_from_start``) and calls this only for the pairs left over.
+    An interpolated sample maps back to the original frame at or before it
+    (index // factor), so a first shared-path time is the earliest possible
+    frame. A pair whose first shared-path time (A's first, then B's) is at
+    or before ``t_min`` is ``SharedFromStart``, and a pair without a
+    co-observed window is ``NeverPathSharing`` with the detail "no
+    co-observed window".
     """
-    wa, wb, t = common_window(scene.agent(a).trajectory, scene.agent(b).trajectory)
-    factor = cfg.interp_factor
-    d = _distances(resample_trajectory(wa, factor).xy, resample_trajectory(wb, factor).xy)
-    shared = d < cfg.d_collision
-    rows = np.flatnonzero(shared.any(axis=1))
-    if not rows.size:  # one shared cell would give each agent a shared sample
-        return PairRejection(a, b, RejectReason.NEVER_PATH_SHARING)
-    cols = np.flatnonzero(shared.any(axis=0))
-    t_ps_a = float(t[rows[0] // factor])
-    t_ps_b = float(t[cols[0] // factor])
-    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
-    if t_ps_a <= t_min:
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
-    if t_ps_b <= t_min:
-        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
-    dt_ps = abs(t_ps_b - t_ps_a)
-    if dt_ps > cfg.dt_ps_max:
-        return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
-    return CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps,
-                        min_distance=float(d.diagonal().min()))
+    accepted, rejected = _classify([a, b], [scene.agent(a).trajectory,
+                                            scene.agent(b).trajectory], cfg)
+    return (accepted or rejected)[0]
+
+
+def _grid(xy: np.ndarray, reach: float, scale: float, group: np.ndarray | int = 0,
+          n_groups: int = 1) -> tuple[np.ndarray, int]:
+    """Each sample's key on a uniform grid, one grid per group, and the
+    key's width W.
+
+    The square cells are ``reach`` wide, padded by ``_CELL_PAD`` times
+    ``reach`` and ``scale`` (the largest |coordinate|), so that two samples
+    within ``reach`` of each other by the computed arithmetic lie in one
+    cell or in neighbouring cells. Cell (column c, row r) of group g has the
+    key (g * W + c) * W + r. Cells are clamped to W - 2, so the last column
+    and the last row of each group are empty, and a key's neighbours one
+    row or one column past its group's edge hold no sample. The clamp also
+    puts the inf or NaN of an overflow in the last cell; clamping only
+    merges far cells, which adds candidates and loses none.
+    """
+    side = reach + _CELL_PAD * (reach + scale)
+    width = math.isqrt(_MAX_CELLS // n_groups)
+    # each column's own minimum: numpy reduces an (n, 2) array over n slowly
+    low = [xy[:, 0].min(initial=np.inf), xy[:, 1].min(initial=np.inf)]
+    # no scaled coordinate is negative, so truncation is the floor; the
+    # pad's coordinate term keeps a finite one below 2e9
+    cell = np.fmin((xy - low) / side, width - 2).astype(np.int64)
+    return (group * width + cell[:, 0]) * width + cell[:, 1], width
+
+
+def _candidates(starts: np.ndarray, stops: np.ndarray, budget: int):
+    """Expand each query's ranges of partner positions in chunks.
+
+    Query s's partners are the positions ``starts[k, s]:stops[k, s]`` over
+    its ranges k. Yields ``(lo, hi, each, q)``: the queries lo:hi, the
+    number of partners of each, and their partners back to back. A chunk
+    holds whole queries and at most ``budget`` partners; no query may have
+    more.
+    """
+    r, n = starts.shape
+    lengths = stops - starts
+    each = lengths.sum(axis=0)
+    start = starts.T.ravel()
+    length = lengths.T.ravel()
+    base = start - (np.cumsum(length) - length)
+    done = np.cumsum(each)
+    lo = c0 = 0
+    while lo < n:
+        hi = int(np.searchsorted(done, c0 + budget, "right"))
+        c1 = int(done[hi - 1])
+        q = np.repeat(base[r * lo:r * hi], length[r * lo:r * hi])
+        q += np.arange(c0, c1)
+        yield lo, hi, each[lo:hi], q
+        lo, c0 = hi, c1
+
+
+def _squared_distances(xa: np.ndarray, ya: np.ndarray, xb: np.ndarray, yb: np.ndarray,
+                       each: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``dx*dx + dy*dy`` of each query sample (xa, ya), taken ``each`` times,
+    to its partners ``q`` of (xb, yb): a full distance matrix's arithmetic,
+    without numpy's slow reduction over a length-2 axis."""
+    d2 = np.repeat(xa, each)
+    d2 -= xb[q]
+    d2 *= d2
+    dy = np.repeat(ya, each)
+    dy -= yb[q]
+    dy *= dy
+    d2 += dy
+    return d2
 
 
 def _never_sharing(xy: np.ndarray, start: np.ndarray, cfg: EvalConfig) -> np.ndarray:
@@ -151,14 +211,7 @@ def _never_sharing(xy: np.ndarray, start: np.ndarray, cfg: EvalConfig) -> np.nda
     limit = cfg.d_collision + _PRUNE_MARGIN + _PRUNE_REL * scale
     if not math.isfinite(limit):  # a non-finite coordinate: no pair is proved far
         return np.zeros(k * (k - 1) // 2, dtype=bool)
-    reach = limit + 2.0 * half.max()
-    side = reach + _CELL_PAD * (reach + scale)
-    # no scaled coordinate is negative, so truncation is the floor; the pad's
-    # coordinate term keeps a finite one below 2e9, and the clamp puts the inf
-    # or NaN of an overflow in the last cell
-    cell = np.fmin((xy - xy.min(axis=0)) / side, _MAX_CELLS).astype(np.int64)
-    width = int(cell[:, 1].max()) + 2  # so a key's column wraps into an empty row
-    key = cell[:, 0] * width + cell[:, 1]
+    key, width = _grid(xy, limit + 2.0 * half.max(), scale)
     order = np.argsort(key)
     key = key[order]
     x, y = xy[order, 0], xy[order, 1]
@@ -168,41 +221,39 @@ def _never_sharing(xy: np.ndarray, start: np.ndarray, cfg: EvalConfig) -> np.nda
     # cell up (keys key[s] and key[s] + 1), then against the three cells of
     # the next column (keys key[s] + width - 1 to key[s] + width + 1): each
     # pair of samples in one cell or in neighbouring cells once
-    row = np.empty((n_samples, 4), dtype=np.intp)
-    row[:, 0] = np.arange(1, n_samples + 1)
-    row[:, 1:] = np.searchsorted(key, key + np.array([[1], [width - 2], [width + 1]]), "right").T
-    row_start = row[:, ::2].ravel()
-    row_len = row[:, 1::2].ravel() - row_start
-    row_base = row_start - (np.cumsum(row_len) - row_len)
-    each = row_len[::2] + row_len[1::2]  # candidates per sample
-    done = np.cumsum(each)
+    ends = np.searchsorted(key, key + np.array([[1], [width - 2], [width + 1]]), "right")
+    starts = np.array((np.arange(1, n_samples + 1), ends[1]))
     nearest = np.full(k * k, np.inf)  # pair (i, j) at i * k + j and j * k + i
-    # chunks of whole samples, each no larger than the largest agent's
-    # samples against all samples (one sample has fewer candidates)
-    budget = int(n.max()) * n_samples
-    lo = c0 = 0
-    while lo < n_samples:
-        hi = int(np.searchsorted(done, c0 + budget, "right"))
-        c1 = int(done[hi - 1])
-        q = np.repeat(row_base[2 * lo:2 * hi], row_len[2 * lo:2 * hi])
-        q += np.arange(c0, c1)
-        d2 = np.repeat(x[lo:hi], each[lo:hi])
-        d2 -= x[q]
-        np.square(d2, out=d2)
-        dy = np.repeat(y[lo:hi], each[lo:hi])
-        dy -= y[q]
-        d2 += np.square(dy, out=dy)
-        np.minimum.at(nearest, np.repeat(agent[lo:hi] * k, each[lo:hi]) + agent[q], d2)
-        lo, c0 = hi, c1
+    # chunks no larger than the largest agent's samples against all samples
+    # (one sample has fewer candidates)
+    for lo, hi, each, q in _candidates(starts, ends[::2], int(n.max()) * n_samples):
+        np.minimum.at(nearest, np.repeat(agent[lo:hi] * k, each) + agent[q],
+                      _squared_distances(x[lo:hi], y[lo:hi], x, y, each, q))
     nearest = nearest.reshape(k, k)
     nearest = np.minimum(nearest, nearest.T)
     return (np.sqrt(nearest) - half[:, None] - half > limit)[np.less.outer(agents, agents)]
 
 
+def _windows(xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, steps: np.ndarray,
+             count: np.ndarray, factor: int) -> np.ndarray:
+    """Both sides' resampled windows of a stack of pairs, as one (coordinate,
+    side, pair, sample) array.
+
+    Pair p's window is ``count[p]`` samples of the laid-out ``xy`` from
+    ``rows_a[p]`` (side A) and from ``rows_b[p]`` (side B), padded to the
+    width of ``steps`` by repeating its last sample. All of them are
+    resampled in one call, bit-equal to ``resample_trajectory`` on each
+    window below its length.
+    """
+    windows = xy.T[:, np.stack((rows_a, rows_b))[..., None] + steps]
+    rows, _ = resample_rows(windows.reshape(-1, steps.shape[1], 1), np.tile(count, 4), factor)
+    return rows.reshape(2, 2, len(count), -1)
+
+
 def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
                        rows_b: np.ndarray, count: np.ndarray, cfg: EvalConfig) -> np.ndarray:
-    """``classify_pair``'s ``SharedFromStart`` answer on a stack of pairs,
-    from the early rows alone.
+    """The ``SharedFromStart`` answer on a stack of pairs, from the early
+    rows alone.
 
     Pair p's window is ``count[p]`` samples of the laid-out ``t`` and ``xy``
     from ``rows_a[p]`` (agent A) and from ``rows_b[p]`` (agent B). A
@@ -212,20 +263,18 @@ def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
     ``t_min``) lies within ``d_collision`` of some sample of the other.
     Returns per pair ``_SHARED_A`` where A's early rows share a path, else
     ``_SHARED_B`` where B's do, else 0, which leaves the pair to
-    ``classify_pair``. One shared cell gives both agents a shared sample, so
+    ``_first_shared``. One shared cell gives both agents a shared sample, so
     a pair answered here is never ``NeverPathSharing``.
 
     The pairs go in chunks of ``max(1, M // (2E))`` for M resampled samples
     and E early rows at most. A chunk's (sides, pairs, early rows, samples)
     cube is then no larger than an M x M distance matrix (the longest
     pair's full matrix), or twice that where a chunk holds one pair (E past
-    M / 2). In each chunk, both
-    sides' windows are padded by repeating their last sample and resampled
-    in one call, bit-equal to ``resample_trajectory`` on each window below
-    its length, and both checks run as one masked distance op. Window times
-    increase (``validate_scene``), so a padded time counts as early only
-    where the whole window is, and the clamp to the resampled length undoes
-    it.
+    M / 2). In each chunk, both sides' windows are resampled in one call
+    (``_windows``), and both checks run as one masked distance op. Window
+    times increase (``validate_scene``), so a padded time counts as early
+    only where the whole window is, and the clamp to the resampled length
+    undoes it.
     """
     factor = cfg.interp_factor
     n_pairs = len(count)
@@ -243,15 +292,11 @@ def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
     chunk = max(1, m // (2 * n_early))
     for c in range(0, n_pairs, chunk):
         p = slice(c, c + chunk)
-        # one row per coordinate, side and pair
-        windows = xy.T[:, np.stack((rows_a[p], rows_b[p]))[..., None] + steps[p]]
-        rows, _ = resample_rows(windows.reshape(-1, steps.shape[1], 1),
-                                np.tile(count[p], 4), factor)
-        x, y = rows.reshape(2, 2, -1, m)
+        x, y = _windows(xy, rows_a[p], rows_b[p], steps[p], count[p], factor)
         ok = ((np.arange(n_early) < early[p, None])[:, :, None]
               & (np.arange(m) < length[p, None])[:, None, :])
         # each side's early rows against all of the other side's samples,
-        # with _distances' arithmetic, in place to hold two cubes at most
+        # with the full matrix's arithmetic, in place to hold two cubes at most
         d2 = x[:, :, :n_early, None] - x[::-1, :, None, :]
         dy = y[:, :, :n_early, None] - y[::-1, :, None, :]
         d2 *= d2
@@ -262,53 +307,129 @@ def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
     return np.where(shared[0], _SHARED_A, np.where(shared[1], _SHARED_B, 0))
 
 
+def _first_shared(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,
+                  count: np.ndarray, cfg: EvalConfig):
+    """Decide a stack of co-observed pairs in one grid pass (module
+    docstring); the windows are given as for ``_shared_from_start``.
+
+    Returns each pair's answer, ``_NEVER`` to ``_ACCEPT``, and an iterator
+    of ``(t_ps_a, t_ps_b, dt_ps, min_distance)`` over the pairs answered
+    ``_GAP`` or ``_ACCEPT``, in stack order. This is the one place that
+    states the decision rule; in the filter, ``_shared_from_start`` has
+    already given its ``SharedFromStart`` answers, so they do not recur
+    here.
+    """
+    factor = cfg.interp_factor
+    n_pairs = len(count)
+    steps = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    length = (count - 1) * factor + 1
+    windows = _windows(xy, rows_a, rows_b, steps, count, factor)
+    x, y = windows
+    m = x.shape[2]
+    valid = np.arange(m) < length[:, None]
+    # the same-index distances' minimum, NaN where one is NaN, as np.min
+    dx = x[0] - x[1]
+    dy = y[0] - y[1]
+    distance = np.where(valid, np.sqrt(dx * dx + dy * dy), np.inf).min(axis=1)
+    binned = valid & np.isfinite(x) & np.isfinite(y)
+    side, pair, index = np.nonzero(binned)
+    points = windows.reshape(2, -1).T[binned.ravel()]
+    key, width = _grid(points, cfg.d_collision, np.abs(points).max(initial=0.0), pair, n_pairs)
+    n_a = int(np.searchsorted(side, 1))  # the A samples come first
+    order = n_a + np.argsort(key[n_a:])
+    xa, ya = points[:n_a].T
+    xb, yb, ib = points[order, 0], points[order, 1], index[order]
+    # each A sample against the B samples of its pair in the three cells of
+    # the column before its own, of its own column and of the column after
+    # (keys key - width - 1 to key - width + 1, key - 1 to key + 1 and
+    # key + width - 1 to key + width + 1)
+    lim = np.searchsorted(key[order], key[:n_a] + np.array(
+        [[-width - 2], [-width + 1], [-2], [1], [width - 2], [width + 1]]), "right")
+    first = np.full((2, n_pairs), m)  # m: no shared sample
+    for lo, hi, each, q in _candidates(lim[::2], lim[1::2], m * m):
+        # no sample is NaN, so a distance not below d_collision is at or above it
+        apart = (np.sqrt(_squared_distances(xa[lo:hi], ya[lo:hi], xb, yb, each, q))
+                 >= cfg.d_collision)
+        # the first shared B sample of each A sample with candidates (m where none)
+        some = np.flatnonzero(each)
+        first_b = np.minimum.reduceat(np.where(apart, m, ib[q]), (np.cumsum(each) - each)[some])
+        some += lo
+        np.minimum.at(first[1], pair[some], first_b)
+        some = some[first_b < m]
+        np.minimum.at(first[0], pair[some], index[some])
+    # the first shared-path times as frames of A's window times (a pair
+    # that shares no path reads its last frame, unused)
+    t_ps = t[rows_a + np.minimum(first, length - 1) // factor]
+    t_min = t[rows_a] if cfg.t_min is None else cfg.t_min
+    dt_ps = np.abs(t_ps[1] - t_ps[0])
+    how = np.select([first[0] == m, t_ps[0] <= t_min, t_ps[1] <= t_min, dt_ps > cfg.dt_ps_max],
+                    [_NEVER, _SHARED_A, _SHARED_B, _GAP], _ACCEPT)
+    kept = how >= _GAP
+    return how, zip(*(v[kept].tolist() for v in (t_ps[0], t_ps[1], dt_ps, distance)))
+
+
+def _classify(ids: list[str], trajs: list[Trajectory],
+              cfg: EvalConfig) -> tuple[list[CriticalPair], list[PairRejection]]:
+    """Accepted and rejected records of every pair of the agents ``ids``
+    with tracks ``trajs``, in ``itertools.combinations`` order (module
+    docstring)."""
+    ii, jj = np.triu_indices(len(ids), 1)
+    if not ii.size:
+        return [], []
+    # an empty track is laid out as one NaN sample, which no window holds
+    trajs = [tr if tr.n else _NO_SAMPLE for tr in trajs]
+    n = np.array([tr.n for tr in trajs])
+    start = np.concatenate([[0], np.cumsum(n)])
+    t = np.concatenate([tr.t for tr in trajs])
+    xy = np.concatenate([tr.xy for tr in trajs])
+    ok, ia, ib, count = co_observed(t, start, np.array([tr.dt for tr in trajs]), ii, jj)
+    answer = np.where(ok, _NEVER, _NO_WINDOW)
+    stack = np.flatnonzero(ok & ~_never_sharing(xy, start, cfg))
+    timing = iter(())
+    if stack.size:
+        rows_a = start[ii[stack]] + ia[stack].astype(int)
+        rows_b = start[jj[stack]] + ib[stack].astype(int)
+        count = count[stack].astype(int)
+        # an infinite coordinate meets inf * 0 and inf - inf: NaN, which never shares
+        with np.errstate(invalid="ignore"):
+            how = _shared_from_start(t, xy, rows_a, rows_b, count, cfg)
+            rest = how == 0
+            if rest.any():
+                how[rest], timing = _first_shared(t, xy, rows_a[rest], rows_b[rest],
+                                                  count[rest], cfg)
+        answer[stack] = how
+    accepted, rejected = [], []
+    for i, j, how in zip(ii.tolist(), jj.tolist(), answer.tolist()):
+        a, b = ids[i], ids[j]
+        if how == _NEVER:
+            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
+        elif how == _NO_WINDOW:
+            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
+                                          detail="no co-observed window"))
+        elif how < _GAP:
+            rejected.append(PairRejection(a, b, RejectReason.SHARED_FROM_START,
+                                          detail=a if how == _SHARED_A else b))
+        else:
+            t_ps_a, t_ps_b, dt_ps, distance = next(timing)
+            if how == _GAP:
+                rejected.append(PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE,
+                                              detail=f"{dt_ps:.3f}"))
+            else:
+                accepted.append(CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a,
+                                             t_ps_b=t_ps_b, dt_ps=dt_ps,
+                                             min_distance=distance))
+    return accepted, rejected
+
+
 def filter_scene_with_rejections(
     scene: Scene, cfg: EvalConfig
 ) -> tuple[list[CriticalPair], list[PairRejection]]:
     """Accepted pairs over all N(N-1)/2 unordered combinations, sorted by id,
     and the reason each other pair was rejected.
 
-    Every pair of the scene is decided in one stack: one ``co_observed``
-    call gives every pair's window. Pairs that the scene-level bound (module
-    docstring) proves never share a path are rejected without
-    ``classify_pair``, and so are the co-observed pairs whose early rows
-    share a path (``_shared_from_start``). Only the pairs that neither
-    decides, and the pairs without a co-observed window, go through
-    ``classify_pair``, in ``itertools.combinations`` order. The result
-    equals ``classify_pair`` on every pair (of a scene whose timestamps
-    increase, as ``validate_scene`` requires).
+    Every pair of the scene is decided in one stack (module docstring). The
+    result equals the full matrix test on every pair (of a scene whose
+    timestamps increase, as ``validate_scene`` requires).
     """
     ids = sorted(scene.agents_by_id)
-    trajs = [scene.agent(aid).trajectory for aid in ids]
-    ii, jj = np.triu_indices(len(ids), 1)  # itertools.combinations order
-    answer = np.zeros(len(ii), dtype=np.int8)  # 0: classify_pair
-    n = np.array([tr.n for tr in trajs])
-    if ii.size and n.min() >= 1:  # with an empty track, classify_pair decides every pair
-        start = np.concatenate([[0], np.cumsum(n)])
-        t = np.concatenate([tr.t for tr in trajs])
-        xy = np.concatenate([tr.xy for tr in trajs])
-        ok, ia, ib, count = co_observed(t, start, np.array([tr.dt for tr in trajs]), ii, jj)
-        far = ok & _never_sharing(xy, start, cfg)
-        answer[far] = _FAR
-        stack = np.flatnonzero(ok & ~far)
-        if stack.size:
-            answer[stack] = _shared_from_start(
-                t, xy, start[ii[stack]] + ia[stack].astype(int),
-                start[jj[stack]] + ib[stack].astype(int), count[stack].astype(int), cfg)
-    accepted, rejected = [], []
-    for i, j, how in zip(ii.tolist(), jj.tolist(), answer.tolist()):
-        a, b = ids[i], ids[j]
-        if how == _FAR:
-            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
-        elif how:
-            rejected.append(PairRejection(a, b, RejectReason.SHARED_FROM_START,
-                                          detail=a if how == _SHARED_A else b))
-        else:
-            try:
-                result = classify_pair(scene, a, b, cfg)
-            except EmptyOverlap:
-                rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
-                                              detail="no co-observed window"))
-                continue
-            (accepted if isinstance(result, CriticalPair) else rejected).append(result)
-    return accepted, rejected
+    return _classify(ids, [scene.agent(aid).trajectory for aid in ids], cfg)

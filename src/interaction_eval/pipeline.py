@@ -413,9 +413,16 @@ def _mode_records(data, path: Path) -> tuple[float, list[PairRecord], list[Frame
         if not 0.0 < dt < float("inf"):
             raise ParseError(path, f"dt must be finite and > 0, got {data['dt']!r}")
         pair_records, frame_records = [], []
+        seen = set()
         for p in data["pairs"]:
             key = (str(p["scene_id"]), str(p["agent_a"]), str(p["agent_b"]))
             where = f"scene {p['scene_id']}, pair ({p['agent_a']}, {p['agent_b']})"
+            unordered = (key[0], frozenset(key[1:]))
+            if unordered in seen:
+                raise ParseError(path, f"{where}: pair listed more than once")
+            seen.add(unordered)
+            if not p["frames"]:
+                raise ParseError(path, f"{where}: no frames listed")
             graded = []
             for f in sorted(p["frames"], key=lambda f: frame_number(f["frame"], path)):
                 if graded and f["frame"] == graded[-1][0]:

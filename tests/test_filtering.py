@@ -167,12 +167,47 @@ def full_matrix_classify_pair(scene, a, b, cfg):
                         min_distance=float(d.diagonal().min()))
 
 
+def reference_distances(xa, xb):
+    """Frozen reference: ``filtering._distances`` as it was, the Euclidean
+    distance of every row of ``xa`` to every row of ``xb``."""
+    dx = np.subtract.outer(xa[:, 0], xb[:, 0])
+    dy = np.subtract.outer(xa[:, 1], xb[:, 1])
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def reference_classify_pair(scene, a, b, cfg):
+    """Frozen reference: ``filtering.classify_pair`` as one full resampled
+    distance matrix per pair, before the filter's stacked grid pass."""
+    wa, wb, t = common_window(scene.agent(a).trajectory, scene.agent(b).trajectory)
+    factor = cfg.interp_factor
+    d = reference_distances(resample_trajectory(wa, factor).xy,
+                            resample_trajectory(wb, factor).xy)
+    shared = d < cfg.d_collision
+    rows = np.flatnonzero(shared.any(axis=1))
+    if not rows.size:  # one shared cell would give each agent a shared sample
+        return PairRejection(a, b, RejectReason.NEVER_PATH_SHARING)
+    cols = np.flatnonzero(shared.any(axis=0))
+    t_ps_a = float(t[rows[0] // factor])
+    t_ps_b = float(t[cols[0] // factor])
+    t_min = cfg.t_min if cfg.t_min is not None else float(t[0])
+    if t_ps_a <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=a)
+    if t_ps_b <= t_min:
+        return PairRejection(a, b, RejectReason.SHARED_FROM_START, detail=b)
+    dt_ps = abs(t_ps_b - t_ps_a)
+    if dt_ps > cfg.dt_ps_max:
+        return PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE, detail=f"{dt_ps:.3f}")
+    return CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a, t_ps_b=t_ps_b, dt_ps=dt_ps,
+                        min_distance=float(d.diagonal().min()))
+
+
 def brute_force_filter(scene, cfg):
-    """Reference: the full-matrix test on every pair, no scene-level pruning."""
+    """Reference: the frozen per-pair matrix test on every pair, no
+    scene-level pruning and no stack."""
     accepted, rejected = [], []
     for a, b in itertools.combinations(sorted(scene.agents_by_id), 2):
         try:
-            result = full_matrix_classify_pair(scene, a, b, cfg)
+            result = reference_classify_pair(scene, a, b, cfg)
         except EmptyOverlap:
             result = PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
                                    detail="no co-observed window")
@@ -223,9 +258,21 @@ def lane_scene(seed, n_agents=30):
     return validate_scene(Scene(scene_id=f"lanes-{seed}", dt=dt, agents=tuple(agents)))
 
 
+def stage_pairs(scene, calls):
+    """The (a, b) of each pair that the filter's stacked grid pass
+    (``filtering._first_shared``) decides, from the rows of its windows in
+    the filter's layout (agents sorted by id, back to back)."""
+    ids = sorted(scene.agents_by_id)
+    ends = np.cumsum([scene.agent(aid).trajectory.n for aid in ids])
+    return [(ids[int(np.searchsorted(ends, ra, "right"))],
+             ids[int(np.searchsorted(ends, rb, "right"))])
+            for rows_a, rows_b in calls for ra, rb in zip(rows_a, rows_b)]
+
+
 class TestScenePrune:
-    """filter_scene_with_rejections skips classify_pair for pairs whose
-    samples stay apart; the result must equal classify_pair on every pair."""
+    """filter_scene_with_rejections settles the pairs whose samples stay
+    apart before its stacked grid pass; the result must equal the frozen
+    per-pair matrix on every pair."""
 
     @pytest.mark.parametrize("factor", [1, 3, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -260,28 +307,30 @@ class TestScenePrune:
         assert detail[frozenset(("late", "offgrid_far"))] == "no co-observed window"
 
     @pytest.fixture
-    def classify_calls(self, monkeypatch):
-        """The (a, b) of every classify_pair call the filter makes."""
+    def stage_calls(self, monkeypatch):
+        """The (rows_a, rows_b) of every stacked grid pass the filter makes."""
         calls = []
+        first_shared = filtering._first_shared
 
-        def counting(scene, a, b, cfg):
-            calls.append((a, b))
-            return classify_pair(scene, a, b, cfg)
+        def spying(t, xy, rows_a, rows_b, count, cfg):
+            calls.append((rows_a.copy(), rows_b.copy()))
+            return first_shared(t, xy, rows_a, rows_b, count, cfg)
 
-        monkeypatch.setattr(filtering, "classify_pair", counting)
+        monkeypatch.setattr(filtering, "_first_shared", spying)
         return calls
 
-    def test_prunes_most_lane_pairs(self, cfg, classify_calls):
-        accepted, rejected = filter_scene_with_rejections(lane_scene(7), cfg)
+    def test_prunes_most_lane_pairs(self, cfg, stage_calls):
+        scene = lane_scene(7)
+        accepted, rejected = filter_scene_with_rejections(scene, cfg)
         assert len(accepted) + len(rejected) == 30 * 29 // 2
-        assert len(classify_calls) < 60
+        assert len(stage_pairs(scene, stage_calls)) < 60
 
     @pytest.mark.parametrize("scene", [lane_scene(7), mixed_scene(0)], ids=["lanes", "mixed"])
-    def test_classify_pair_only_for_undecided_pairs(self, cfg, classify_calls, scene):
-        # a pair reaches classify_pair only when the scene-level bound does
-        # not prune it and its early rows share no path: a pair without a
-        # co-observed window, or one that classify_pair does not reject as
-        # SharedFromStart
+    def test_classify_pair_only_for_undecided_pairs(self, cfg, stage_calls, scene):
+        # a pair reaches the stacked grid pass only when it has a
+        # co-observed window, the scene-level bound does not prune it and
+        # its early rows share no path; a pair without a window is rejected
+        # before it, with its detail
         trajs = {aid: a.trajectory for aid, a in scene.agents_by_id.items()}
         limit = (cfg.d_collision + filtering._PRUNE_MARGIN
                  + filtering._PRUNE_REL * max(np.abs(tr.xy).max() for tr in trajs.values()))
@@ -290,29 +339,33 @@ class TestScenePrune:
         _, reference = brute_force_filter(scene, cfg)
         shared = {(r.agent_a, r.agent_b) for r in reference
                   if r.reason is RejectReason.SHARED_FROM_START}
-        undecided = set()
+        undecided, windowless = set(), set()
         for a, b in itertools.combinations(sorted(trajs), 2):
             diff = trajs[a].xy[:, None, :] - trajs[b].xy[None, :, :]
             bound = np.sqrt(np.sum(diff * diff, axis=-1)).min() - half[a] - half[b]
             try:
                 common_window(trajs[a], trajs[b])
             except EmptyOverlap:
-                undecided.add((a, b))
+                windowless.add((a, b))
                 continue
             if not bound > limit and (a, b) not in shared:
                 undecided.add((a, b))
-        filter_scene_with_rejections(scene, cfg)
-        assert len(classify_calls) == len(set(classify_calls))
-        assert set(classify_calls) == undecided
+        _, rejected = filter_scene_with_rejections(scene, cfg)
+        calls = stage_pairs(scene, stage_calls)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == undecided
+        assert windowless == {(r.agent_a, r.agent_b) for r in rejected
+                              if r.detail == "no co-observed window"}
 
-    def test_nan_sample_never_prunes(self, cfg, classify_calls):
+    def test_nan_sample_never_prunes(self, cfg, stage_calls):
         far = straight_traj((500.0, 500.0), (5.0, 0.0), 30)
         xy = far.xy.copy()
         xy[7] = np.nan
         bad = make_agent("z", Trajectory(t=far.t, xy=xy, dt=far.dt))
         scene = Scene(scene_id="nan", dt=0.5, agents=crossing_scene().agents + (bad,))
-        filter_scene_with_rejections(scene, cfg)
-        assert ("a", "z") in classify_calls and ("b", "z") in classify_calls
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
+        calls = stage_pairs(scene, stage_calls)
+        assert ("a", "z") in calls and ("b", "z") in calls
 
 
 def pair_motion(rng, kind):
@@ -575,3 +628,228 @@ class TestNeverSharingGrid:
             xy[4, 0] = x0 - gap + c * np.spacing(x0 - gap)
             assert np.array_equal(filtering._never_sharing(xy, start, cfg),
                                   reference_never_sharing(xy, start, cfg))
+
+
+def motion(rng, kind, n, dt):
+    """Start, per-frame velocities and first-frame offset of two agents of
+    ``kind``: a right-angle crossing, a merge (B comes in at an angle and
+    joins A's lane), a follower behind its leader, a pair that drives in
+    and parks, or two random movers. Either agent may stop for good at a
+    random frame (it parks)."""
+    vel = np.zeros((2, n - 1, 2))
+    if kind == "cross":
+        starts = np.array([[-rng.uniform(0.0, 60.0), 0.0], [0.0, -rng.uniform(0.0, 60.0)]])
+        vel[0, :, 0] = rng.uniform(1.0, 12.0)
+        vel[1, :, 1] = rng.uniform(1.0, 12.0)
+    elif kind == "merge":
+        starts = np.array([[-rng.uniform(0.0, 40.0), 0.0],
+                           [-rng.uniform(0.0, 40.0), -rng.uniform(2.0, 15.0)]])
+        vel[0, :, 0] = rng.uniform(1.0, 12.0)
+        vel[1, :, 0] = rng.uniform(1.0, 12.0)
+        turn = int(rng.integers(1, n))  # the frame B joins the lane
+        vel[1, :turn, 1] = -starts[1, 1] / (turn * dt)
+    elif kind == "follow":
+        starts = np.array([[rng.uniform(0.5, 30.0), 0.0], [0.0, rng.uniform(-1.0, 1.0)]])
+        vel[:, :, 0] = rng.uniform(0.0, 12.0, (2, 1))
+    elif kind == "park":
+        spot = rng.uniform(-3.0, 3.0, 2)
+        starts = spot + rng.uniform(-40.0, 40.0, (2, 2))
+        arrive = rng.integers(1, n, 2)
+        for side in range(2):
+            vel[side, :arrive[side]] = (spot - starts[side]) / (arrive[side] * dt)
+    else:
+        starts = rng.uniform(-20.0, 20.0, (2, 2))
+        vel[:] = rng.uniform(-10.0, 10.0, (2, 1, 2))
+    for side in range(2):
+        if rng.random() < 0.3:
+            vel[side, int(rng.integers(0, n - 1)):] = 0.0
+    return starts, vel
+
+
+def track(start, vel, t0, dt):
+    """A trajectory from ``start`` with per-frame velocities ``vel``."""
+    n = len(vel) + 1
+    xy = np.asarray(start, dtype=float) + np.concatenate(
+        [np.zeros((1, 2)), np.cumsum(vel * dt, axis=0)])
+    return Trajectory(t=t0 + dt * np.arange(n), xy=xy, dt=dt)
+
+
+def stage_scene(seed):
+    """One to four groups of two ``motion`` agents around nearby origins
+    (either id first, starting up to five frames apart), plus agents that
+    come late, sit half a frame off the grid, share no window with the rest,
+    or share one sample with another agent (a one-sample window)."""
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.1, 0.5]))
+    agents = []
+    for g in range(int(rng.integers(1, 5))):
+        origin = rng.uniform(-30.0, 30.0, 2)
+        n = int(rng.integers(2, 40))
+        starts, vel = motion(rng, rng.choice(["cross", "merge", "follow", "park", "random"]),
+                             n, dt)
+        first = [0, int(rng.integers(0, 6))]
+        rng.shuffle(first)
+        ids = [f"g{g}a", f"g{g}b"] if rng.random() < 0.5 else [f"g{g}b", f"g{g}a"]
+        for aid, start, v, f in zip(ids, starts, vel, first):
+            agents.append(make_agent(aid, track(origin + start, v, f * dt, dt)))
+    end = max(a.trajectory.t[-1] for a in agents)
+    for k in range(int(rng.integers(0, 4))):
+        kind = rng.choice(["late", "offgrid", "no window", "one sample"])
+        other = agents[int(rng.integers(0, len(agents)))].trajectory
+        t0 = {"late": float(rng.integers(0, 30)) * dt,
+              "offgrid": float(rng.integers(0, 6)) * dt + dt / 2.0,
+              "no window": end + dt * float(rng.integers(1, 4)),
+              "one sample": float(other.t[-1])}[kind]
+        start = other.xy[-1] if kind == "one sample" else rng.uniform(-30.0, 30.0, 2)
+        n = int(rng.integers(2, 30))
+        v = np.tile(rng.uniform(-10.0, 10.0, 2), (n - 1, 1))
+        agents.append(make_agent(f"x{k}", track(start + rng.uniform(-2.0, 2.0, 2), v, t0, dt)))
+    return validate_scene(Scene(scene_id=f"stage-{seed}", dt=dt, agents=tuple(agents)))
+
+
+def t_min_in(scene, when, u):
+    """A t_min before, inside or past the scene's span, or None."""
+    lo = min(a.trajectory.t[0] for a in scene.agents)
+    hi = max(a.trajectory.t[-1] for a in scene.agents)
+    return {"none": None,
+            "before": float(lo) - 1.0 - 5.0 * u,
+            "inside": float(lo + u * (hi - lo)),
+            "past": float(hi) + 0.01 + 5.0 * u}[when]
+
+
+class TestStackedStage:
+    """The filter's stacked grid pass (``filtering._first_shared``) and the
+    rest of the filter against the frozen per-pair matrix, record for
+    record, bits of ``min_distance`` included."""
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           factor=st.sampled_from([1, 3, 4]),
+           when=st.sampled_from(["none", "before", "inside", "past"]),
+           u=st.floats(min_value=0.0, max_value=1.0),
+           dt_ps_max=st.sampled_from([0.5, 2.0, 6.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_property(self, seed, factor, when, u, dt_ps_max):
+        # a dt_ps_max below the default's 6 s makes TimeGapTooLarge common
+        scene = stage_scene(seed)
+        cfg = EvalConfig(interp_factor=factor, t_min=t_min_in(scene, when, u),
+                         dt_ps_max=dt_ps_max)
+        assert filter_scene_with_rejections(scene, cfg) == brute_force_filter(scene, cfg)
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    @pytest.mark.parametrize("x0", [0.0, 3.0, 1e6, -1e9, 1e9])
+    def test_closest_samples_across_a_cell_boundary(self, cfg, factor, x0):
+        """A drives east along y = 0 to (x0, 0) and B north along x = xb to
+        (xb, 0), both arriving at the last frame: their last samples are
+        the closest, ``d_collision`` apart to within 2 ulps. A's first
+        sample sets the grid's origin so that a cell boundary lies just
+        past x0, midway or just before xb, to within a few ulps. The pair
+        must be decided as the frozen matrix decides it, each way."""
+        cfg = dataclasses.replace(cfg, interp_factor=factor)
+        outcomes = set()
+        for ulps in range(-2, 3):
+            xb = x0 + cfg.d_collision
+            for _ in range(abs(ulps)):
+                xb = np.nextafter(xb, np.inf if ulps > 0 else -np.inf)
+            for boundary in (x0, (x0 + xb) / 2.0, xb):
+                origin = x0 - 30.0
+                for _ in range(3):  # the cell side depends on the largest |coordinate|
+                    scale = max(abs(origin), abs(xb), abs(x0) + 9.0, 9.0)
+                    side = cfg.d_collision + filtering._CELL_PAD * (cfg.d_collision + scale)
+                    origin = boundary - np.ceil((boundary - x0 + 30.0) / side) * side
+                for c in range(-3, 4):
+                    start = origin + c * np.spacing(origin)
+                    xa = np.concatenate([[start], x0 - np.arange(8.0, -1.0, -1.0)])
+                    a = make_agent("a", Trajectory(t=0.5 * np.arange(10), dt=0.5,
+                                                   xy=np.stack([xa, np.zeros(10)], axis=1)))
+                    b = make_agent("b", Trajectory(t=0.5 * np.arange(10), dt=0.5, xy=np.stack(
+                        [np.full(10, xb), np.arange(-9.0, 1.0)], axis=1)))
+                    scene = validate_scene(Scene(scene_id="edge", dt=0.5, agents=(a, b)))
+                    got = filter_scene_with_rejections(scene, cfg)
+                    assert got == brute_force_filter(scene, cfg)
+                    outcomes.add(len(got[0]))
+        assert outcomes == {0, 1}  # shared at some offsets, apart at others
+
+    @pytest.mark.parametrize("d_collision", [1.1, 2.9])
+    def test_distance_arithmetic_at_the_threshold(self, d_collision):
+        """A drives east to the origin and B in along a ray to a point
+        ``d_collision`` from it, to within 4 ulps, in a random direction:
+        their last samples are the closest. For a ``d_collision`` whose
+        square rounds, ``sqrt(d2) < d`` and ``d2 < d * d`` disagree on some
+        of these pairs; the filter must answer as the matrix, which takes
+        the square root."""
+        rng = np.random.default_rng(30)
+        cfg = EvalConfig(d_collision=d_collision)
+        t = 0.5 * np.arange(10)
+        outcomes = set()
+        for _ in range(100):
+            theta = rng.uniform(0.0, np.pi / 2)
+            ray = np.array([np.cos(theta), np.sin(theta)])
+            d = d_collision * (1.0 + int(rng.integers(-4, 5)) * np.finfo(float).eps)
+            a = make_agent("a", Trajectory(t=t, dt=0.5, xy=np.stack(
+                [np.arange(-9.0, 1.0), np.zeros(10)], axis=1)))
+            b = make_agent("b", Trajectory(t=t, dt=0.5, xy=d * ray + np.outer(
+                np.arange(9.0, -1.0, -1.0), ray)))
+            scene = validate_scene(Scene(scene_id="ray", dt=0.5, agents=(a, b)))
+            got = filter_scene_with_rejections(scene, cfg)
+            assert got == brute_force_filter(scene, cfg)
+            outcomes.add(len(got[0]))
+        assert outcomes == {0, 1}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_never_shares(self, cfg, bad):
+        """A non-finite sample of a crossing agent is never binned and
+        shares no path; the filter answers as the frozen matrix does,
+        without a numpy warning (the matrix meets inf - inf)."""
+        scene = crossing_scene()
+        a, b = scene.agents
+        for row in (0, 12, 29):
+            xy = a.trajectory.xy.copy()
+            xy[row, row % 2] = bad
+            bad_a = make_agent("a", Trajectory(t=a.trajectory.t, xy=xy, dt=a.trajectory.dt))
+            scene = Scene(scene_id="bad", dt=0.5, agents=(bad_a, b))
+            got = filter_scene_with_rejections(scene, cfg)
+            with np.errstate(invalid="ignore"):
+                want = brute_force_filter(scene, cfg)
+            if np.isnan(bad) and got[0]:  # NaN on the diagonal: np.min's NaN
+                assert np.isnan(got[0][0].min_distance) and np.isnan(want[0][0].min_distance)
+                got = ([dataclasses.replace(got[0][0], min_distance=0.0)], got[1])
+                want = ([dataclasses.replace(want[0][0], min_distance=0.0)], want[1])
+            assert got == want
+
+    def test_empty_track_has_no_window(self, cfg):
+        """An agent without samples shares no co-observed window with any
+        other, whichever id sorts first."""
+        empty = Trajectory(t=np.zeros(0), xy=np.zeros((0, 2)), dt=0.5)
+        base = crossing_scene()
+        for aid in ("0", "m", "z"):
+            scene = Scene(scene_id="empty", dt=0.5, agents=base.agents + (make_agent(aid, empty),))
+            accepted, rejected = filter_scene_with_rejections(scene, cfg)
+            assert accepted == filter_scene_with_rejections(base, cfg)[0]
+            assert sorted((r.agent_a, r.agent_b, r.detail) for r in rejected) == sorted(
+                (*sorted((aid, other)), "no co-observed window") for other in ("a", "b"))
+
+    def test_parked_pairs_stay_within_the_matrix_memory(self, cfg):
+        """Six agents drive in from 30 m apart and park on one spot for the
+        last 80 of 91 frames: each of the 15 stacked pairs has about 80% of
+        its full 361 x 361 matrix as candidates. The candidates go in chunks
+        of at most one such matrix, and the filter's peak stays within the
+        bound the module docstring states: five matrices, plus twenty
+        8-byte values per resampled sample of the stack."""
+        n, k, dt = 91, 6, 0.1
+        agents = []
+        for j in range(k):
+            corner = 30.0 * np.array([np.cos(2 * np.pi * j / k), np.sin(2 * np.pi * j / k)])
+            xy = corner * (1.0 - np.minimum(np.arange(n) / 10.0, 1.0))[:, None]
+            agents.append(make_agent(f"p{j}", Trajectory(t=dt * np.arange(n), xy=xy, dt=dt)))
+        scene = validate_scene(Scene(scene_id="parked", dt=dt, agents=tuple(agents)))
+        tracemalloc.start()
+        try:
+            accepted, rejected = filter_scene_with_rejections(scene, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (accepted, rejected) == brute_force_filter(scene, cfg)
+        assert len(accepted) == k * (k - 1) // 2
+        m = (n - 1) * cfg.interp_factor + 1
+        samples = 2 * len(accepted) * m
+        assert peak < 5 * 8 * m * m + 20 * 8 * samples

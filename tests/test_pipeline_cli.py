@@ -617,6 +617,88 @@ class TestCli:
         assert "oracle k must be >= 1, got 0" in err["message"]
         assert not any(out.glob("*.json"))  # raised before any scene is evaluated
 
+    @pytest.mark.parametrize("k", ["5", str(DEFAULT_ORACLE_K)], ids=["k", "k-at-default"])
+    @pytest.mark.parametrize("command,reason", [
+        (["eval", "--pred", "cv"], "--pred cv"),
+        (["eval", "--pred", "{preds}"], "--pred {preds}"),
+        (["baseline", "--model", "cv"], "--model cv"),
+    ], ids=["eval-cv", "eval-dir", "baseline-cv"])
+    def test_exit_code_k_without_oracle(self, scene_dir, tmp_path, command, reason, k):
+        # only the oracle reads --k; without it the option is refused, even
+        # at its default value, so the manifest never records a k no run read
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        out = tmp_path / "out"
+        res = self.run(*[arg.format(preds=preds) for arg in command], "--scene-dir",
+                       str(scene_dir), "--out-dir", str(out), "--k", k)
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"--k cannot be used with {reason.format(preds=preds)}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["cv", "oracle"])
+    def test_exit_code_substitute_static_with_baseline(self, scene_dir, tmp_path, model):
+        # a baseline predicts every agent, so no prediction is substituted
+        out = tmp_path / "out"
+        res = self.run("eval", "--pred", model, "--scene-dir", str(scene_dir),
+                       "--out-dir", str(out), "--substitute-static")
+        assert res.exit_code == 2, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ConfigError"
+        assert err["message"] == f"--substitute-static cannot be used with --pred {model}"
+        assert not out.exists()
+
+    def test_k_and_substitute_static_where_read(self, scene_dir, tmp_path):
+        preds = tmp_path / "preds"
+        res = self.run("baseline", "--scene-dir", str(scene_dir), "--model", "oracle",
+                       "--k", "2", "--out-dir", str(preds))
+        assert res.exit_code == 0, res.output
+        for pred, extra in (("oracle", ["--k", "2"]), (str(preds), ["--substitute-static"])):
+            out = tmp_path / f"out-{len(extra)}"
+            res = self.run("eval", "--pred", pred, "--scene-dir", str(scene_dir),
+                           "--out-dir", str(out), *extra)
+            assert res.exit_code == 0, res.output
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert (inputs["oracle_k"], inputs["substitute_static"]) == (
+                (2, False) if pred == "oracle" else (DEFAULT_ORACLE_K, True))
+
+    @pytest.mark.parametrize("agents", [("a", "b"), ("b", "a")], ids=["same-order", "swapped"])
+    def test_exit_code_fixture_repeated_pair(self, tmp_path, agents):
+        # one scene's unordered pair listed twice would be graded twice
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        again = dict(fixture["pairs"][0], agent_a=agents[0], agent_b=agents[1])
+        fixture["pairs"].append(again)
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert (f"scene ex, pair ({agents[0]}, {agents[1]}): pair listed more than once"
+                in err["message"])
+        assert not (tmp_path / "out").exists()
+
+    def test_fixture_same_pair_in_two_scenes(self, tmp_path):
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        fixture["pairs"].append(dict(fixture["pairs"][0], scene_id="other"))
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.stdout)["n_pairs"] == 2
+
+    def test_exit_code_fixture_no_frames(self, tmp_path):
+        fixture = json.loads(json.dumps(TABLE_FIXTURE))
+        fixture["pairs"][0]["frames"] = []
+        p = tmp_path / "fixture.json"
+        p.write_text(json.dumps(fixture))
+        res = self.run("eval", "--fixture", str(p), "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 3, res.output
+        err = json.loads(res.stderr.strip().splitlines()[-1])
+        assert err["error"] == "ParseError"
+        assert err["message"].endswith("scene ex, pair (a, b): no frames listed")
+
     def test_exit_code_fixture_empty_feasible_set(self, tmp_path):
         fixture = json.loads(json.dumps(TABLE_FIXTURE))
         fixture["pairs"][0]["frames"][2]["feas"] = []

@@ -18,9 +18,11 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interaction_eval"
 TRACED = "the benchmark's tracer patches it; it goes with ROADMAP items 1 and 12"
 UNREAD = {
     "collision.is_collision": TRACED,
+    "filtering.classify_pair": TRACED,
     "homotopy.classify_pair_windows": TRACED,
     "rollout.PathRollout": TRACED,
     "sceneio.save_scene": "a documented entry point: it writes a scene file",
+    "types.resample_trajectory": TRACED,
 }
 
 
