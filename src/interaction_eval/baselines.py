@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .collision import VehicleDims, collisions, disk_tracks
+from .collision import VehicleDims, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
@@ -49,31 +49,26 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
 
     ``rolled[row, i]`` is a row's roll of ``ORACLE_PROFILES[i]``
     (``rollout_rows``), and ``present[f]`` the row of each agent present at
-    frame ``f``. One ``disk_tracks`` call lays out an agent's three rolls at
-    every frame it is present, and one ``collisions`` call fills a pair's
-    tables at every frame its agents share. The disk tracks live only while
-    the tables are built.
+    frame ``f``. One ``collisions`` call fills a pair's tables at every frame
+    its agents share, on 9 row pairs per frame gathered from ``rolled``.
     """
-    shared = {}  # each checked pair's frames
-    for p in pairs:
-        frames = [f for f, here in enumerate(present) if p.agent_a in here and p.agent_b in here]
-        if frames:
-            shared[p.agent_a, p.agent_b] = frames
-    tracks, first = {}, {}  # first[aid][f]: aid's first track row at frame f
-    for aid in dict.fromkeys(aid for pair in shared for aid in pair):
-        frames = [f for f, here in enumerate(present) if aid in here]
-        first[aid] = {f: 3 * n for n, f in enumerate(frames)}
-        agent = scene.agent(aid)
-        xy = rolled[[present[f][aid] for f in frames]].reshape(-1, *rolled.shape[2:])
-        tracks[aid] = disk_tracks(xy, np.full(len(xy), xy.shape[1]),
-                                  VehicleDims(agent.width, agent.length), interp_factor)
     # row pair 3 * i + j of a frame is profiles (i, j)
     rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
+    shape = rolled.shape[2:]
     tables: list[list] = [[] for _ in present]
-    for (a, b), frames in shared.items():
-        hit = collisions(
-            tracks[a].rows((np.array([first[a][f] for f in frames])[:, None] + rows_a).ravel()),
-            tracks[b].rows((np.array([first[b][f] for f in frames])[:, None] + rows_b).ravel()))
+    for p in pairs:
+        a, b = p.agent_a, p.agent_b
+        frames = [f for f, here in enumerate(present) if a in here and b in here]
+        if not frames:
+            continue
+        at_a = np.array([present[f][a] for f in frames])[:, None]
+        at_b = np.array([present[f][b] for f in frames])[:, None]
+        agent_a, agent_b = scene.agent(a), scene.agent(b)
+        hit = collisions(rolled[at_a, rows_a].reshape(-1, *shape),
+                         rolled[at_b, rows_b].reshape(-1, *shape),
+                         np.full(9 * len(frames), shape[0]),
+                         VehicleDims(agent_a.width, agent_a.length),
+                         VehicleDims(agent_b.width, agent_b.length), interp_factor)
         for f, table in zip(frames, hit.reshape(-1, 3, 3)):
             tables[f].append((a, b, table))
     return tables

@@ -9,28 +9,34 @@ h = max((sqrt(2) - 1) r, sqrt((c/2)^2 + r^2) - r) away from them, c = L/2 - r
 rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
-The checks run on stacks of rows: ``disk_tracks`` resamples a padded stack
-of position rows with their lengths, and ``collisions`` checks each row
-pair of two such stacks. ``is_collision`` is their one-row case.
+``collisions`` is the one check: it takes two padded stacks of recorded
+position rows with their lengths, and ``is_collision`` is its one-row case.
 
-``collisions`` lays out disks only where two vehicles come within reach.
-Every disk centre lies within |L/2 - r| of its vehicle's centre, so two
-disks can overlap only while the centres are closer than
+It lays out disks only where two vehicles come within reach. Every disk
+centre lies within |L/2 - r| of its vehicle's centre, so two disks can
+overlap only while the centres are closer than
 reach = r_a + r_b + |L_a/2 - r_a| + |L_b/2 - r_b| (triangle inequality; a
 bounding-circle test, Ericson, *Real-Time Collision Detection*, 2004,
-ch. 4). One array op takes every row pair's squared centre distance at
-every sample. Only the rows with some sample within reach, plus a rounding
-margin (``_REACH_REL`` of reach and of the row pair's largest
-|coordinate|), get headings, disks and the least distance over the 9 disk
-pairs; the others are False. Resampling, the reach test and the disk layout
-are row-local, so the near rows get the same bits as in a check of every
-row.
+ch. 4). Between two recorded samples both centres move linearly with the
+same parameter, so their offset is d + tau e on each segment, and its
+closest approach is at tau = clip(-d.e / e.e, 0, 1), with e.e = 0 read as
+tau = 0 (the closest point on a segment, ibid., ch. 5). One array op takes
+that squared distance for every segment of every row pair. Only the rows
+with some segment within reach, plus a rounding margin (``_REACH_REL`` of
+reach and of the row pair's largest |coordinate|), are resampled and get
+headings, disks and the least distance over the 9 disk pairs; the others
+are False.
+
+This gives the bits of a check that resamples and lays out every row. A
+resampled centre lies on its recorded segment, to within rounding that the
+margin covers, so a row pair the bound leaves far has no sample within
+reach, and no overlap. Resampling, headings and the disk layout are
+row-local, so a near row gets the same bits as in the check of every row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -64,50 +70,33 @@ class VehicleDims:
         return self.length / 2.0 - self.radius
 
 
-class DiskTracks(NamedTuple):
-    """A stack of resampled position rows and the disks laid along them.
-
-    ``xy`` has shape (B, M, 2). Row b's samples are ``xy[b, :lengths[b]]``;
-    the rest is padding. The front and rear disks sit ``offset`` ahead of
-    and behind each position, along its heading.
-    """
-
-    xy: np.ndarray
-    lengths: np.ndarray
-    offset: float
-    radius: float
-
-    def rows(self, index) -> "DiskTracks":
-        """The tracks of the rows at ``index`` (a numpy index along B)."""
-        return DiskTracks(self.xy[index], self.lengths[index], self.offset, self.radius)
-
-    @property
-    def centers(self) -> np.ndarray:
-        """(B, 3, 2, M) disk centres: row, disk (rear, centre, front),
-        coordinate, sample; headings from positions."""
-        headings, _ = kinematics_rows(self.xy, self.lengths, 1.0)
-        pos = self.xy.transpose(0, 2, 1)  # (B, 2, M)
-        step = self.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
-        return np.stack([pos - step, pos, pos + step], axis=1)
+def disk_centers(xy: np.ndarray, lengths: np.ndarray, dims: VehicleDims) -> np.ndarray:
+    """(B, 3, 2, M) disk centres of a padded (B, M, 2) stack of positions:
+    row, disk (rear, centre, front), coordinate, sample. The front and rear
+    disks sit ``dims.offset`` ahead of and behind each position, along its
+    heading from positions (``kinematics_rows``)."""
+    headings, _ = kinematics_rows(xy, lengths, 1.0)
+    pos = xy.transpose(0, 2, 1)  # (B, 2, M)
+    step = dims.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    return np.stack([pos - step, pos, pos + step], axis=1)
 
 
-def disk_tracks(xy: np.ndarray, lengths: np.ndarray, dims: VehicleDims,
-                interp_factor: int = 1) -> DiskTracks:
-    """Resample each row of a padded (B, T, 2) stack of positions by
-    ``interp_factor``, for disks of ``dims`` along its headings. Row b's
-    samples are ``xy[b, :lengths[b]]``; whatever follows them is finite
-    padding, which reaches no sample of the row."""
-    xy, lengths = resample_rows(xy, lengths, interp_factor)
+def _check_rows(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray) -> None:
+    if xy_a.shape != xy_b.shape:
+        raise LengthMismatch(f"trajectory lengths differ: {xy_a.shape} vs {xy_b.shape}")
     if min(lengths.tolist(), default=2) < 2:
-        raise ShortTrajectory("disk tracks need at least 2 samples per row")
-    return DiskTracks(xy, lengths, dims.offset, dims.radius)
+        raise ShortTrajectory("collision checks need at least 2 samples per row")
 
 
-def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
-    """Minimum distance of each row pair over its samples and all 9 disk-centre pairs."""
-    if not np.array_equal(a.lengths, b.lengths):
-        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
-    ca, cb = a.centers, b.centers
+def min_disk_distances(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
+                       dims_a: VehicleDims, dims_b: VehicleDims,
+                       interp_factor: int = 1) -> np.ndarray:
+    """Minimum distance of each row pair over its samples, resampled by
+    ``interp_factor``, and all 9 disk-centre pairs."""
+    _check_rows(xy_a, xy_b, lengths)
+    xy_a, m = resample_rows(xy_a, lengths, interp_factor)
+    xy_b, _ = resample_rows(xy_b, lengths, interp_factor)
+    ca, cb = disk_centers(xy_a, m, dims_a), disk_centers(xy_b, m, dims_b)
     best = None
     for i in range(3):
         for j in range(3):
@@ -115,27 +104,38 @@ def min_disk_distances(a: DiskTracks, b: DiskTracks) -> np.ndarray:
             dy = ca[:, i, 1] - cb[:, j, 1]
             d2 = dx * dx + dy * dy
             best = d2 if best is None else np.minimum(best, d2, out=best)
-    valid = np.arange(best.shape[1]) < a.lengths[:, None]
+    valid = np.arange(best.shape[1]) < m[:, None]
     # sqrt is monotone and correctly rounded: sqrt of the least square is
     # the least distance, bit for bit
     return np.sqrt(np.where(valid, best, np.inf).min(axis=1))
 
 
-def collisions(a: DiskTracks, b: DiskTracks) -> np.ndarray:
-    """True for each row pair whose disk footprints overlap at any sample."""
-    if not np.array_equal(a.lengths, b.lengths):
-        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
-    reach = a.radius + b.radius + abs(a.offset) + abs(b.offset)
-    scale = np.maximum(np.abs(a.xy).max(axis=(1, 2), initial=0.0),
-                       np.abs(b.xy).max(axis=(1, 2), initial=0.0))
+def collisions(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
+               dims_a: VehicleDims, dims_b: VehicleDims, interp_factor: int = 1) -> np.ndarray:
+    """True for each row pair of two padded (B, T, 2) stacks of positions
+    whose disk footprints overlap at any sample, resampled by
+    ``interp_factor``. Row b's samples are ``xy[b, :lengths[b]]``; whatever
+    follows them is finite padding, which reaches no sample of the row."""
+    _check_rows(xy_a, xy_b, lengths)
+    reach = dims_a.radius + dims_b.radius + abs(dims_a.offset) + abs(dims_b.offset)
+    scale = np.maximum(np.abs(xy_a).max(axis=(1, 2), initial=0.0),
+                       np.abs(xy_b).max(axis=(1, 2), initial=0.0))
     limit = reach * (1.0 + _REACH_REL) + _REACH_REL * scale
-    d = a.xy - b.xy
-    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
-    valid = np.arange(d2.shape[1]) < a.lengths[:, None]
+    # each recorded segment's closest centre approach, d + tau * e
+    d = xy_a - xy_b
+    d, e = d[:, :-1], np.diff(d, axis=1)
+    ee = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
+    de = d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1]
+    tau = np.clip(np.divide(-de, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
+    q = d + tau[..., None] * e
+    d2 = q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
+    valid = np.arange(d2.shape[1]) < (lengths - 1)[:, None]
     near = np.flatnonzero((valid & (d2 <= (limit * limit)[:, None])).any(axis=1))
-    hit = np.zeros(len(a.lengths), dtype=bool)
+    hit = np.zeros(len(lengths), dtype=bool)
     if len(near):
-        hit[near] = min_disk_distances(a.rows(near), b.rows(near)) < a.radius + b.radius
+        hit[near] = (min_disk_distances(xy_a[near], xy_b[near], lengths[near], dims_a, dims_b,
+                                        interp_factor)
+                     < dims_a.radius + dims_b.radius)
     return hit
 
 
@@ -143,8 +143,6 @@ def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,
                  dims_a: VehicleDims, dims_b: VehicleDims,
                  interp_factor: int = 1) -> bool:
     """True iff the disk footprints of two time-aligned (n, 2) position
-    arrays overlap at any (interpolated) frame."""
-    return bool(collisions(
-        disk_tracks(np.array([xy_a], dtype=float), np.array([len(xy_a)]), dims_a, interp_factor),
-        disk_tracks(np.array([xy_b], dtype=float), np.array([len(xy_b)]), dims_b, interp_factor),
-    )[0])
+    arrays overlap at any (interpolated) frame: ``collisions`` of one row."""
+    return bool(collisions(np.array([xy_a], dtype=float), np.array([xy_b], dtype=float),
+                           np.array([len(xy_a)]), dims_a, dims_b, interp_factor)[0])

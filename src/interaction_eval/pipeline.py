@@ -109,8 +109,11 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
 
     The result holds one PairEvaluation per accepted pair, in filter order,
     with its timeline or the reason it has none. Every subcommand and output
-    file renders from it.
+    file renders from it. The predictions graded are ``predictions`` or a
+    ``baseline`` model's, not both.
     """
+    if predictions is not None and baseline is not None:
+        raise ConfigError(f"predictions and the {baseline!r} baseline both given; grade one")
     if baseline is not None and baseline not in BASELINE_MODELS:
         raise ConfigError(f"unknown baseline model {baseline!r}")
     if baseline == "oracle" and oracle_k < 1:

@@ -24,7 +24,7 @@ with all three. All rows share one padded path layout, one cumulative sum
 per profile and one map from arc lengths to positions. Only the rows whose
 cap may bind build it, and they step one substep at a time only where it
 binds. The rolls come back as one zero-padded stack, one slot per profile in
-the caller's order, the layout ``disk_tracks`` and ``winding_rows`` take.
+the caller's order, the layout ``collisions`` and ``winding_rows`` take.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import VehicleDims, collisions, disk_tracks
+from .collision import VehicleDims, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
@@ -138,9 +138,10 @@ def _degenerate_ahead(xy: np.ndarray) -> np.ndarray:
     return ahead
 
 
-def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
+def _closed_form_starts(xy: np.ndarray, ahead: np.ndarray, starts: np.ndarray, v_max: float,
                         cfg: EvalConfig) -> np.ndarray:
-    """Which of ``starts`` roll the recorded path ``xy`` in closed form.
+    """Which of ``starts`` roll the recorded path ``xy``, whose
+    ``_degenerate_ahead`` is ``ahead``, in closed form.
 
     The speed cap of the path from ``start`` is ``v_max`` all along it, so
     no substep of any profile is capped, when both hold:
@@ -165,7 +166,7 @@ def _closed_form_starts(xy: np.ndarray, starts: np.ndarray, v_max: float,
         kappa[:-1] = np.maximum.accumulate(np.minimum(
             _menger_curvature(xy[:-2], xy[1:-1], xy[2:]), _KAPPA_MAX)[::-1])[::-1]
     lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa * (1.0 + 1e-9), 1e-12))
-    return ok & ~_degenerate_ahead(xy)[s] & (lat[s] >= v_max)
+    return ok & ~ahead[s] & (lat[s] >= v_max)
 
 
 def _speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
@@ -228,14 +229,15 @@ def _paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tup
         traj = rows[idx[0]][0]
         xy = traj.xy
         starts = np.array([rows[r][1] for r in idx])
-        free[idx] = _closed_form_starts(xy, starts, v_max, cfg)
+        ahead = _degenerate_ahead(xy)
+        free[idx] = _closed_form_starts(xy, ahead, starts, v_max, cfg)
         verts[idx] = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
         direction[idx] = _direction(xy[-1] - xy[-2])
         # the rows that drop points, and those with one point left; a row in
         # closed form is neither
         rest = ~free[idx]
         if rest.any():
-            rest &= _degenerate_ahead(xy)[starts] | (starts == len(xy) - 1)
+            rest &= ahead[starts] | (starts == len(xy) - 1)
         for r in idx[rest]:
             keep = [rows[r][1]]
             for i in range(keep[0] + 1, len(xy)):
@@ -428,8 +430,7 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     lengths = n - np.arange(n - 1)
     feasible: list[set] = [set() for _ in range(n - 1)]
     for ra, rb in ((decel[:n - 1], accel[n - 1:]), (accel[:n - 1], decel[n - 1:])):
-        hit = collisions(disk_tracks(ra, lengths, dims_a, cfg.interp_factor),
-                         disk_tracks(rb, lengths, dims_b, cfg.interp_factor))
+        hit = collisions(ra, rb, lengths, dims_a, dims_b, cfg.interp_factor)
         free = np.flatnonzero(~hit)
         for i, d in zip(free.tolist(), winding_rows((ra - rb)[free], lengths[free]).tolist()):
             feasible[i].add(homotopy_class(d, cfg.theta_hat))

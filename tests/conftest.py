@@ -1,4 +1,7 @@
 import gc
+import importlib
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,10 +11,25 @@ from interaction_eval import (
     EvalConfig,
     LengthMismatch,
     Scene,
+    ShortTrajectory,
     Trajectory,
     validate_scene,
     winding_rows,
 )
+from interaction_eval.types import kinematics_rows, resample_rows
+
+# Hypothesis imports its patch printer only once a property fails. Where
+# libcst is installed, that import raises a mypy_extensions
+# DeprecationWarning, which under -W error ends the run with an internal
+# error instead of the falsifying example; importing it once here, with
+# that warning ignored, keeps the example. Without libcst it is not
+# importable, and nothing is needed.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        importlib.import_module("hypothesis.extra._patching")
+    except ImportError:
+        pass
 
 DT = 0.5
 
@@ -180,3 +198,86 @@ def ref_is_collision(ta, tb, dims_a, dims_b, interp_factor=1):
         ta = ref_resample(ta, interp_factor)
         tb = ref_resample(tb, interp_factor)
     return ref_min_disk_distance(ta, tb, dims_a, dims_b) < dims_a.radius + dims_b.radius
+
+
+# --- frozen track-layout collision kernel ------------------------------------
+# The array kernel as it was while callers laid out resampled tracks first
+# (``disk_tracks``) and its reach test ran on every resampled sample, copied
+# verbatim but for the ``ref_`` names. The kernel on position rows must give
+# its flags and distances bit for bit.
+
+_REF_REACH_REL = 1e-12
+
+
+class RefDiskTracks(NamedTuple):
+    """A stack of resampled position rows and the disks laid along them.
+
+    ``xy`` has shape (B, M, 2). Row b's samples are ``xy[b, :lengths[b]]``;
+    the rest is padding. The front and rear disks sit ``offset`` ahead of
+    and behind each position, along its heading.
+    """
+
+    xy: np.ndarray
+    lengths: np.ndarray
+    offset: float
+    radius: float
+
+    def rows(self, index) -> "RefDiskTracks":
+        """The tracks of the rows at ``index`` (a numpy index along B)."""
+        return RefDiskTracks(self.xy[index], self.lengths[index], self.offset, self.radius)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(B, 3, 2, M) disk centres: row, disk (rear, centre, front),
+        coordinate, sample; headings from positions."""
+        headings, _ = kinematics_rows(self.xy, self.lengths, 1.0)
+        pos = self.xy.transpose(0, 2, 1)  # (B, 2, M)
+        step = self.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+        return np.stack([pos - step, pos, pos + step], axis=1)
+
+
+def ref_disk_tracks(xy, lengths, dims, interp_factor=1):
+    """Resample each row of a padded (B, T, 2) stack of positions by
+    ``interp_factor``, for disks of ``dims`` along its headings. Row b's
+    samples are ``xy[b, :lengths[b]]``; whatever follows them is finite
+    padding, which reaches no sample of the row."""
+    xy, lengths = resample_rows(xy, lengths, interp_factor)
+    if min(lengths.tolist(), default=2) < 2:
+        raise ShortTrajectory("disk tracks need at least 2 samples per row")
+    return RefDiskTracks(xy, lengths, dims.offset, dims.radius)
+
+
+def ref_min_disk_distances(a, b):
+    """Minimum distance of each row pair over its samples and all 9 disk-centre pairs."""
+    if not np.array_equal(a.lengths, b.lengths):
+        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
+    ca, cb = a.centers, b.centers
+    best = None
+    for i in range(3):
+        for j in range(3):
+            dx = ca[:, i, 0] - cb[:, j, 0]
+            dy = ca[:, i, 1] - cb[:, j, 1]
+            d2 = dx * dx + dy * dy
+            best = d2 if best is None else np.minimum(best, d2, out=best)
+    valid = np.arange(best.shape[1]) < a.lengths[:, None]
+    # sqrt is monotone and correctly rounded: sqrt of the least square is
+    # the least distance, bit for bit
+    return np.sqrt(np.where(valid, best, np.inf).min(axis=1))
+
+
+def ref_collisions(a, b):
+    """True for each row pair whose disk footprints overlap at any sample."""
+    if not np.array_equal(a.lengths, b.lengths):
+        raise LengthMismatch(f"trajectory lengths differ: {a.lengths} vs {b.lengths}")
+    reach = a.radius + b.radius + abs(a.offset) + abs(b.offset)
+    scale = np.maximum(np.abs(a.xy).max(axis=(1, 2), initial=0.0),
+                       np.abs(b.xy).max(axis=(1, 2), initial=0.0))
+    limit = reach * (1.0 + _REF_REACH_REL) + _REF_REACH_REL * scale
+    d = a.xy - b.xy
+    d2 = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    valid = np.arange(d2.shape[1]) < a.lengths[:, None]
+    near = np.flatnonzero((valid & (d2 <= (limit * limit)[:, None])).any(axis=1))
+    hit = np.zeros(len(a.lengths), dtype=bool)
+    if len(near):
+        hit[near] = ref_min_disk_distances(a.rows(near), b.rows(near)) < a.radius + b.radius
+    return hit

@@ -36,7 +36,7 @@ from interaction_eval import (
     save_scene,
     validate_scene,
 )
-from interaction_eval.collision import disk_tracks, min_disk_distances
+from interaction_eval.collision import min_disk_distances
 from interaction_eval.pipeline import _prediction_classes
 from interaction_eval.rollout import ProfileKind, rollout_rows
 from interaction_eval.types import agent_frame_index, trajectory_kinematics
@@ -422,8 +422,7 @@ def test_collision_vs_rectangle_oracle(capsys):
         n_overlap += rect
         if disk == rect:
             continue
-        gap = (min_disk_distances(disk_tracks(ta.xy[None], np.array([ta.n]), dims_a),
-                                  disk_tracks(tb.xy[None], np.array([tb.n]), dims_b))[0]
+        gap = (min_disk_distances(ta.xy[None], tb.xy[None], np.array([ta.n]), dims_a, dims_b)[0]
                - (dims_a.radius + dims_b.radius))
         if abs(gap) >= 0.2:
             outside_band += 1

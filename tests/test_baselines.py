@@ -290,10 +290,9 @@ class TestOracleCollisionTables:
 
     @pytest.mark.parametrize("agent_c", [None, 0.0, 3.0], ids=["crossing", "two_pairs", "late"])
     def test_nine_checks_per_pair(self, cfg, monkeypatch, agent_c):
-        """One call lays out each interacting agent's three rollouts at every
-        frame it is present with one ``disk_tracks`` call, and checks each
-        critical pair's 3x3 tables at every frame its agents share with one
-        ``collisions`` call, never with ``is_collision``."""
+        """One call checks each critical pair's 3x3 tables at every frame its
+        agents share with one ``collisions`` call, never with
+        ``is_collision``."""
         scene = crossing_scene(n=30)
         if agent_c is not None:  # c comes south on the other lane: it crosses a, not b
             c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 30 - int(2 * agent_c),
@@ -301,8 +300,7 @@ class TestOracleCollisionTables:
             scene = validate_scene(Scene(scene_id="three", dt=0.5, agents=scene.agents + (c,)))
         pairs = filter_scene_with_rejections(scene, cfg)[0]
         assert len(pairs) == (1 if agent_c is None else 2)
-        interacting = {aid for p in pairs for aid in (p.agent_a, p.agent_b)}
-        calls = {"is_collision": [], "collisions": [], "disk_tracks": []}
+        calls = {"is_collision": [], "collisions": []}
 
         def counted(name):
             original = getattr(baselines, name)
@@ -319,9 +317,6 @@ class TestOracleCollisionTables:
         present = _present_frames(scene, frames)
         _outcome(oracle_predict, scene, frames, pairs, 5, cfg)
         assert calls["is_collision"] == []
-        # one row per profile at each frame the agent is present
-        assert (Counter(len(t.lengths) for t in calls["disk_tracks"])
-                == Counter(3 * len(present[aid]) for aid in interacting))
         # nine row pairs at each frame both agents are present
         assert (Counter(hit.shape for hit in calls["collisions"])
                 == Counter((9 * len(present[p.agent_a] & present[p.agent_b]),) for p in pairs))

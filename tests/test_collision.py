@@ -12,13 +12,17 @@ from interaction_eval import (
     resample_trajectory,
 )
 from interaction_eval import collision
-from interaction_eval.collision import collisions, disk_tracks, min_disk_distances
+from interaction_eval.collision import collisions, disk_centers, min_disk_distances
+from interaction_eval.types import resample_rows
 
 from conftest import (
     as_traj,
+    ref_collisions,
     ref_disk_center_tracks,
+    ref_disk_tracks,
     ref_is_collision,
     ref_min_disk_distance,
+    ref_min_disk_distances,
     ref_resample,
     straight_traj,
 )
@@ -29,7 +33,7 @@ DIMS = VehicleDims(width=2.0, length=4.0)
 
 def padded(rows, extra=0):
     """(n_b, 2) position rows as a zero-padded stack, ``extra`` samples
-    wider than the longest, and their lengths: the input ``disk_tracks``
+    wider than the longest, and their lengths: the input ``collisions``
     takes."""
     lengths = np.array([len(r) for r in rows])
     xy = np.zeros((len(rows), lengths.max() + extra, 2))
@@ -38,17 +42,33 @@ def padded(rows, extra=0):
     return xy, lengths
 
 
+def padded_pairs(pairs, extra=0):
+    """Row pairs ``(a, b)`` as two padded stacks and their lengths, which
+    the two rows of a pair share."""
+    (xy_a, lengths), (xy_b, _) = (padded([a for a, _ in pairs], extra),
+                                  padded([b for _, b in pairs], extra))
+    return xy_a, xy_b, lengths
+
+
+def fill_padding(xy, lengths, rng, scale):
+    """A copy of a padded stack with random values in [-scale, scale] past
+    each row's length."""
+    pad = np.arange(xy.shape[1]) >= lengths[:, None]
+    filled = xy.copy()
+    filled[pad] = rng.uniform(-scale, scale, (int(pad.sum()), 2))
+    return filled
+
+
 def one_row_distance(ta, tb, dims_a, dims_b):
     """The kernel's minimum disk distance of one trajectory pair."""
-    return min_disk_distances(disk_tracks(*padded([ta.xy]), dims_a),
-                              disk_tracks(*padded([tb.xy]), dims_b))[0]
+    return min_disk_distances(*padded_pairs([(ta.xy, tb.xy)]), dims_a, dims_b)[0]
 
 
 def disks_at(x, y, heading, dims):
     """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
     two-sample track heading along ``heading``, as ``is_collision`` lays them."""
     xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
-    return disk_tracks(*padded([xy]), dims).centers[0, :, :, 0]
+    return disk_centers(*padded([xy]), dims)[0, :, :, 0]
 
 
 class TestDiskLayout:
@@ -145,18 +165,20 @@ class TestCollision:
         assert is_collision(ta.xy, tb.xy, DIMS, DIMS) == is_collision(tb.xy, ta.xy, DIMS, DIMS)
 
     def test_empty_stacks(self):
-        """An empty stack gives empty tracks, and no row pairs to check."""
-        tracks = disk_tracks(np.zeros((0, 5, 2)), np.zeros(0, int), VehicleDims(2, 4.5), 4)
-        assert tracks.xy.shape == (0, 17, 2) and tracks.lengths.shape == (0,)
-        assert tracks.centers.shape == (0, 3, 2, 17)
-        hit = collisions(tracks, tracks)
+        """An empty stack gives empty resampled rows and disks, and no row
+        pairs to check."""
+        xy, lengths, dims = np.zeros((0, 5, 2)), np.zeros(0, int), VehicleDims(2, 4.5)
+        rows, m = resample_rows(xy, lengths, 4)
+        assert rows.shape == (0, 17, 2) and m.shape == (0,)
+        assert disk_centers(rows, m, dims).shape == (0, 3, 2, 17)
+        hit = collisions(xy, xy, lengths, dims, dims, 4)
         assert hit.shape == (0,) and hit.dtype == bool
-        assert min_disk_distances(tracks, tracks).shape == (0,)
+        assert min_disk_distances(xy, xy, lengths, dims, dims, 4).shape == (0,)
 
     def test_short_row_raises(self):
         xy, lengths = padded([np.zeros((5, 2)), np.zeros((1, 2))])
         with pytest.raises(ShortTrajectory):
-            disk_tracks(xy, lengths, DIMS, 4)
+            collisions(xy, xy, lengths, DIMS, DIMS, 4)
 
     def test_far_rows_get_no_disks(self, monkeypatch):
         """Only the row pairs whose centres come within reach get headings
@@ -172,8 +194,8 @@ class TestCollision:
         ta = straight_traj((0, 0), (6, 0), 10)
         far = [straight_traj((0, y), (6, 0), 10) for y in (50.0, 4.01)]
         near = straight_traj((0, 3.99), (6, 0), 10)  # reach = 1 + 1 + 1 + 1
-        hit = collisions(disk_tracks(*padded([ta.xy] * 3), DIMS),
-                         disk_tracks(*padded([far[0].xy, near.xy, far[1].xy]), DIMS))
+        hit = collisions(*padded_pairs([(ta.xy, b.xy) for b in (far[0], near, far[1])]),
+                         DIMS, DIMS)
         assert hit.tolist() == [False, False, False]
         assert laid == [1, 1]
 
@@ -218,16 +240,17 @@ class TestKernelMatchesPerPairReference:
         dt = 0.1
         trajs = [[Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt) for xy in rows]
                  for rows in pairs]
-        ta_rows = disk_tracks(*padded([a.xy for a, _ in trajs]), dims_a, factor)
-        tb_rows = disk_tracks(*padded([b.xy for _, b in trajs]), dims_b, factor)
-        dist = min_disk_distances(ta_rows, tb_rows)
-        hit = collisions(ta_rows, tb_rows)
+        xy_a, xy_b, lengths = padded_pairs([(a.xy, b.xy) for a, b in trajs])
+        dist = min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+        hit = collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor)
         assert dist.shape == hit.shape == (len(pairs),)
+        rows_a, m_rows = resample_rows(xy_a, lengths, factor)
+        centers_a = disk_centers(rows_a, m_rows, dims_a)
         for k, (ta, tb) in enumerate(trajs):
             ra, rb = ref_resample(ta, factor), ref_resample(tb, factor)
             m = ra.n
-            assert ta_rows.lengths[k] == m
-            assert np.array_equal(ta_rows.centers[k, ..., :m].transpose(2, 0, 1),
+            assert m_rows[k] == m
+            assert np.array_equal(centers_a[k, ..., :m].transpose(2, 0, 1),
                                   ref_disk_center_tracks(ra, dims_a))
             want = ref_min_disk_distance(ra, rb, dims_a, dims_b)
             assert np.array_equal(dist[k], want), k
@@ -250,18 +273,17 @@ class TestKernelMatchesPerPairReference:
         laid = []
         for rows, dims in (([a for a, _ in pairs], dims_a), ([b for _, b in pairs], dims_b)):
             xy, lengths = padded(rows, extra)
-            zeros = disk_tracks(xy, lengths, dims, factor)
-            pad = np.arange(xy.shape[1]) >= lengths[:, None]
-            filled = xy.copy()
-            filled[pad] = rng.uniform(-scale, scale, (int(pad.sum()), 2))
-            noise = disk_tracks(filled, lengths, dims, factor)
-            assert np.array_equal(zeros.lengths, noise.lengths)
-            for k, m in enumerate(zeros.lengths.tolist()):
-                assert np.array_equal(zeros.centers[k, ..., :m], noise.centers[k, ..., :m]), k
-            laid.append((zeros, noise))
+            filled = fill_padding(xy, lengths, rng, scale)
+            zeros = disk_centers(*resample_rows(xy, lengths, factor), dims)
+            noise = disk_centers(*resample_rows(filled, lengths, factor), dims)
+            for k, m in enumerate(((lengths - 1) * factor + 1).tolist()):
+                assert np.array_equal(zeros[k, ..., :m], noise[k, ..., :m]), k
+            laid.append((xy, filled))
         (za, na), (zb, nb) = laid
-        assert np.array_equal(min_disk_distances(za, zb), min_disk_distances(na, nb))
-        assert np.array_equal(collisions(za, zb), collisions(na, nb))
+        assert np.array_equal(min_disk_distances(za, zb, lengths, dims_a, dims_b, factor),
+                              min_disk_distances(na, nb, lengths, dims_a, dims_b, factor))
+        assert np.array_equal(collisions(za, zb, lengths, dims_a, dims_b, factor),
+                              collisions(na, nb, lengths, dims_a, dims_b, factor))
 
 
 # vehicles as long as wide have no front and rear offset, so that side-by-side
@@ -335,9 +357,73 @@ class TestReachBound:
     @settings(max_examples=400, deadline=None)
     def test_reach_settles_rows_exactly(self, case):
         pairs, dims_a, dims_b, factor = case
-        ta = disk_tracks(*padded([a for a, _ in pairs]), dims_a, factor)
-        tb = disk_tracks(*padded([b for _, b in pairs]), dims_b, factor)
-        hit = collisions(ta, tb)
-        assert np.array_equal(hit, min_disk_distances(ta, tb) < dims_a.radius + dims_b.radius)
+        xy_a, xy_b, lengths = padded_pairs(pairs)
+        hit = collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+        assert np.array_equal(hit, min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+                              < dims_a.radius + dims_b.radius)
         for k, (a, b) in enumerate(pairs):
             assert hit[k] == ref_is_collision(as_traj(a), as_traj(b), dims_a, dims_b, factor), k
+
+
+def frozen_check(xy_a, xy_b, lengths, dims_a, dims_b, factor):
+    """The frozen track-layout kernel's flags and distances (``conftest``)."""
+    ta = ref_disk_tracks(xy_a, lengths, dims_a, factor)
+    tb = ref_disk_tracks(xy_b, lengths, dims_b, factor)
+    return ref_collisions(ta, tb), ref_min_disk_distances(ta, tb)
+
+
+class TestSegmentBound:
+    """``collisions`` settles a row pair far when no recorded segment brings
+    the centres within reach; it must answer as the frozen kernel, which
+    tested every resampled sample, flag for flag and distance for distance."""
+
+    @staticmethod
+    def check(pairs, dims_a, dims_b, factor, extra, scale, seed):
+        xy_a, xy_b, lengths = padded_pairs(pairs, extra)
+        if scale:
+            rng = np.random.default_rng(seed)
+            xy_a = fill_padding(xy_a, lengths, rng, scale)
+            xy_b = fill_padding(xy_b, lengths, rng, scale)
+        want_hit, want_dist = frozen_check(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+        assert np.array_equal(collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor), want_hit)
+        assert np.array_equal(min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor),
+                              want_dist)
+
+    @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST, st.integers(0, 3),
+           st.sampled_from([0.0, 1.0, 1e6]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_ragged_rows_equal_frozen_kernel(self, pairs, factor, dims_a, dims_b, extra, scale,
+                                             seed):
+        self.check(pairs, dims_a, dims_b, factor, extra, scale, seed)
+
+    @given(boundary_cases(), st.integers(0, 3), st.sampled_from([0.0, 1.0, 1e6]),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_boundary_rows_equal_frozen_kernel(self, case, extra, scale, seed):
+        pairs, dims_a, dims_b, factor = case
+        self.check(pairs, dims_a, dims_b, factor, extra, scale, seed)
+
+    @pytest.mark.parametrize("factor, want", [(1, False), (2, True), (4, True)],
+                             ids=["near_between_samples", "interpolated", "interpolated_x4"])
+    def test_reach_only_between_recorded_samples(self, monkeypatch, factor, want):
+        """a passes b at 20 m a step, its centre 1.5 m from b's only midway
+        between the two recorded samples, which are 10 m from b's. The
+        segment bound marks the pair near at every factor. Without
+        resampling the exact check finds no overlap; with it, the midway
+        sample overlaps, though no recorded sample is within reach."""
+        laid = []
+
+        def counting(xy, lengths, dt):
+            laid.append(len(lengths))
+            return kinematics(xy, lengths, dt)
+
+        kinematics = collision.kinematics_rows
+        monkeypatch.setattr(collision, "kinematics_rows", counting)
+        xy_a = np.array([[[-10.0, 0.0], [10.0, 0.0]]])
+        xy_b = np.array([[[-0.05, 1.5], [0.05, 1.5]]])
+        lengths = np.array([2])
+        hit = collisions(xy_a, xy_b, lengths, DIMS, DIMS, factor)
+        assert laid == [1, 1]
+        assert hit.tolist() == [want]
+        assert frozen_check(xy_a, xy_b, lengths, DIMS, DIMS, factor)[0].tolist() == [want]
+        assert want == ref_is_collision(as_traj(xy_a[0]), as_traj(xy_b[0]), DIMS, DIMS, factor)

@@ -22,7 +22,7 @@ from interaction_eval import (
     save_predictions,
     save_scene,
 )
-from interaction_eval import sceneio
+from interaction_eval import pipeline, sceneio
 from interaction_eval.cli import main
 from interaction_eval.pipeline import DEFAULT_ORACLE_K, run_fixture
 
@@ -367,6 +367,19 @@ class TestEvaluateScene:
     def test_unknown_baseline_is_config_error(self, cfg):
         with pytest.raises(ConfigError, match="unknown baseline model 'lstm'"):
             evaluate_scene(crossing_scene(n=30), cfg, baseline="lstm")
+
+    @pytest.mark.parametrize("baseline", ["cv", "oracle"])
+    def test_predictions_and_baseline_is_config_error(self, cfg, monkeypatch, baseline):
+        """Given predictions are never dropped for a baseline's: both at once
+        are refused before the scene is filtered."""
+        scene = crossing_scene(n=30)
+        preds = evaluate_scene(scene, cfg, baseline="cv").predictions
+        filtered = []
+        monkeypatch.setattr(pipeline, "filter_scene_with_rejections",
+                            lambda *args: filtered.append(args))
+        with pytest.raises(ConfigError, match=f"predictions and the '{baseline}' baseline"):
+            evaluate_scene(scene, cfg, predictions=preds, baseline=baseline)
+        assert filtered == []
 
 
 class TestRunPipeline:

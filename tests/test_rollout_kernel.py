@@ -28,6 +28,7 @@ from interaction_eval.rollout import (
     PathRollout,
     ProfileKind,
     _closed_form_starts,
+    _degenerate_ahead,
     _speed_cap,
     rollout_rows,
 )
@@ -517,7 +518,8 @@ def check_rows(rows, v_max, kinds=ALL_KINDS, cfg=None):
             assert want.shape == (n_steps + 1, 2)
             assert np.array_equal(roll[:n_steps + 1], want), (start, kind)
             assert np.array_equal(path.roll(kind, n_steps), want), (start, kind)
-    return sum(int(_closed_form_starts(traj.xy, np.array([start]), v_max, cfg)[0])
+    return sum(int(_closed_form_starts(traj.xy, _degenerate_ahead(traj.xy), np.array([start]),
+                                       v_max, cfg)[0])
                for traj, start, *_ in rows)
 
 
