@@ -40,9 +40,11 @@ from .types import (  # noqa: F401
 )
 from .filtering import (  # noqa: F401
     CriticalPair,
+    PairFates,
     PairRejection,
     RejectReason,
     classify_pair,
+    filter_scene,
     filter_scene_with_rejections,
 )
 from .homotopy import (  # noqa: F401

@@ -66,6 +66,17 @@ values per resampled sample of the stack.
 A pair without a co-observed window is ``NeverPathSharing`` with the
 detail "no co-observed window". ``classify_pair`` is the stack's one-pair
 case.
+
+The filter's answer is the accepted ``CriticalPair`` records, which are few,
+and one ``PairFates`` table for the scene: the agent ids, one ``int8`` fate
+code per pair in ``np.triu_indices`` order, and the ``dt_ps`` of the
+``TimeGapTooLarge`` pairs. No ``PairRejection`` is made while deciding;
+``PairFates.rejections`` renders them when they are read, and is the one
+place that formats a rejection's detail. The table keeps every input of the
+detail: a fate code names the reason, the side that shares a path from the
+start and a missing window, the pair's index names its ids, and ``dt_ps``
+keeps the float that ``.3f`` formats. So the rendered records equal, field
+for field and in the same order, those a per-pair loop would have made.
 """
 
 from __future__ import annotations
@@ -84,7 +95,7 @@ _PRUNE_MARGIN = 1e-6  # metres; absolute part of the bound's rounding margin
 _PRUNE_REL = 1e-12  # relative part, times the largest |coordinate| in the scene
 _CELL_PAD = 1e-9  # the grids' cell pad, relative to the cell and to the largest |coordinate|
 _MAX_CELLS = 2**62  # (group, column, row) cells a grid's keys address, so keys fit int64
-# a pair's answer, as the filter's loop reads it; _shared_from_start leaves 0 open
+# a pair's fate code in PairFates; _shared_from_start leaves 0 open
 _NEVER, _NO_WINDOW, _SHARED_A, _SHARED_B, _GAP, _ACCEPT = range(1, 7)
 _NO_SAMPLE = Trajectory(t=np.array([np.nan]), xy=np.full((1, 2), np.nan), dt=1.0)
 
@@ -113,6 +124,46 @@ class CriticalPair:
     min_distance: float  # real-time closest approach over the window
 
 
+@dataclass(frozen=True, eq=False)
+class PairFates:
+    """Every pair's fate in one scene, as one table (module docstring).
+
+    Pair p of the agents ``ids`` is ``(ids[i], ids[j])`` for the p-th
+    ``(i, j)`` of ``np.triu_indices(len(ids), 1)``, and ``fate[p]`` is its
+    code, ``_NEVER`` to ``_ACCEPT``. ``dt_ps`` holds the ``dt_ps`` of the
+    pairs coded ``_GAP``, in pair order.
+    """
+    ids: list[str]
+    fate: np.ndarray  # int8, one per pair
+    dt_ps: np.ndarray  # float64, one per TimeGapTooLarge pair
+
+    @property
+    def n_rejected(self) -> int:
+        return int(np.count_nonzero(self.fate != _ACCEPT))
+
+    def rejections(self) -> list[PairRejection]:
+        """A ``PairRejection`` per rejected pair, in pair order."""
+        ii, jj = np.triu_indices(len(self.ids), 1)
+        rejected = np.flatnonzero(self.fate != _ACCEPT)
+        ids, gaps = self.ids, iter(self.dt_ps.tolist())
+        out = []
+        for i, j, how in zip(ii[rejected].tolist(), jj[rejected].tolist(),
+                             self.fate[rejected].tolist()):
+            a, b = ids[i], ids[j]
+            if how == _NEVER:
+                out.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
+            elif how == _NO_WINDOW:
+                out.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
+                                         detail="no co-observed window"))
+            elif how == _GAP:
+                out.append(PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE,
+                                         detail=f"{next(gaps):.3f}"))
+            else:
+                out.append(PairRejection(a, b, RejectReason.SHARED_FROM_START,
+                                         detail=a if how == _SHARED_A else b))
+        return out
+
+
 def classify_pair(scene: Scene, a: str, b: str,
                   cfg: EvalConfig) -> CriticalPair | PairRejection:
     """Apply the three safety-critical criteria to one agent pair: the
@@ -125,9 +176,9 @@ def classify_pair(scene: Scene, a: str, b: str,
     co-observed window is ``NeverPathSharing`` with the detail "no
     co-observed window".
     """
-    accepted, rejected = _classify([a, b], [scene.agent(a).trajectory,
-                                            scene.agent(b).trajectory], cfg)
-    return (accepted or rejected)[0]
+    accepted, fates = _classify([a, b], [scene.agent(a).trajectory,
+                                         scene.agent(b).trajectory], cfg)
+    return accepted[0] if accepted else fates.rejections()[0]
 
 
 def _grid(xy: np.ndarray, reach: float, scale: float, group: np.ndarray | int = 0,
@@ -312,12 +363,12 @@ def _first_shared(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray, rows_b: np.
     """Decide a stack of co-observed pairs in one grid pass (module
     docstring); the windows are given as for ``_shared_from_start``.
 
-    Returns each pair's answer, ``_NEVER`` to ``_ACCEPT``, and an iterator
-    of ``(t_ps_a, t_ps_b, dt_ps, min_distance)`` over the pairs answered
-    ``_GAP`` or ``_ACCEPT``, in stack order. This is the one place that
-    states the decision rule; in the filter, ``_shared_from_start`` has
-    already given its ``SharedFromStart`` answers, so they do not recur
-    here.
+    Returns each pair's fate code, ``_NEVER`` to ``_ACCEPT``, and its
+    ``t_ps_a``, ``t_ps_b``, ``dt_ps`` and ``min_distance``, each as one
+    array in stack order (read only where the code is ``_GAP`` or
+    ``_ACCEPT``). This is the one place that states the decision rule; in
+    the filter, ``_shared_from_start`` has already given its
+    ``SharedFromStart`` answers, so they do not recur here.
     """
     factor = cfg.interp_factor
     n_pairs = len(count)
@@ -364,18 +415,19 @@ def _first_shared(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray, rows_b: np.
     dt_ps = np.abs(t_ps[1] - t_ps[0])
     how = np.select([first[0] == m, t_ps[0] <= t_min, t_ps[1] <= t_min, dt_ps > cfg.dt_ps_max],
                     [_NEVER, _SHARED_A, _SHARED_B, _GAP], _ACCEPT)
-    kept = how >= _GAP
-    return how, zip(*(v[kept].tolist() for v in (t_ps[0], t_ps[1], dt_ps, distance)))
+    return how, (t_ps[0], t_ps[1], dt_ps, distance)
 
 
 def _classify(ids: list[str], trajs: list[Trajectory],
-              cfg: EvalConfig) -> tuple[list[CriticalPair], list[PairRejection]]:
-    """Accepted and rejected records of every pair of the agents ``ids``
-    with tracks ``trajs``, in ``itertools.combinations`` order (module
-    docstring)."""
+              cfg: EvalConfig) -> tuple[list[CriticalPair], PairFates]:
+    """The accepted records and the fate table of every pair of the agents
+    ``ids`` with tracks ``trajs``, in ``itertools.combinations`` order
+    (module docstring)."""
     ii, jj = np.triu_indices(len(ids), 1)
+    accepted: list[CriticalPair] = []
+    gap_dt = np.zeros(0)
     if not ii.size:
-        return [], []
+        return accepted, PairFates(ids, np.zeros(0, dtype=np.int8), gap_dt)
     # an empty track is laid out as one NaN sample, which no window holds
     trajs = [tr if tr.n else _NO_SAMPLE for tr in trajs]
     n = np.array([tr.n for tr in trajs])
@@ -383,9 +435,8 @@ def _classify(ids: list[str], trajs: list[Trajectory],
     t = np.concatenate([tr.t for tr in trajs])
     xy = np.concatenate([tr.xy for tr in trajs])
     ok, ia, ib, count = co_observed(t, start, np.array([tr.dt for tr in trajs]), ii, jj)
-    answer = np.where(ok, _NEVER, _NO_WINDOW)
+    fate = np.where(ok, _NEVER, _NO_WINDOW).astype(np.int8)
     stack = np.flatnonzero(ok & ~_never_sharing(xy, start, cfg))
-    timing = iter(())
     if stack.size:
         rows_a = start[ii[stack]] + ia[stack].astype(int)
         rows_b = start[jj[stack]] + ib[stack].astype(int)
@@ -393,39 +444,24 @@ def _classify(ids: list[str], trajs: list[Trajectory],
         # an infinite coordinate meets inf * 0 and inf - inf: NaN, which never shares
         with np.errstate(invalid="ignore"):
             how = _shared_from_start(t, xy, rows_a, rows_b, count, cfg)
-            rest = how == 0
-            if rest.any():
-                how[rest], timing = _first_shared(t, xy, rows_a[rest], rows_b[rest],
-                                                  count[rest], cfg)
-        answer[stack] = how
-    accepted, rejected = [], []
-    for i, j, how in zip(ii.tolist(), jj.tolist(), answer.tolist()):
-        a, b = ids[i], ids[j]
-        if how == _NEVER:
-            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING))
-        elif how == _NO_WINDOW:
-            rejected.append(PairRejection(a, b, RejectReason.NEVER_PATH_SHARING,
-                                          detail="no co-observed window"))
-        elif how < _GAP:
-            rejected.append(PairRejection(a, b, RejectReason.SHARED_FROM_START,
-                                          detail=a if how == _SHARED_A else b))
-        else:
-            t_ps_a, t_ps_b, dt_ps, distance = next(timing)
-            if how == _GAP:
-                rejected.append(PairRejection(a, b, RejectReason.TIME_GAP_TOO_LARGE,
-                                              detail=f"{dt_ps:.3f}"))
-            else:
-                accepted.append(CriticalPair(agent_a=a, agent_b=b, t_ps_a=t_ps_a,
-                                             t_ps_b=t_ps_b, dt_ps=dt_ps,
-                                             min_distance=distance))
-    return accepted, rejected
+            rest = np.flatnonzero(how == 0)
+            if rest.size:
+                decided, (t_ps_a, t_ps_b, dt_ps, distance) = _first_shared(
+                    t, xy, rows_a[rest], rows_b[rest], count[rest], cfg)
+                how[rest] = decided
+                gap_dt = dt_ps[decided == _GAP]
+                kept = decided == _ACCEPT
+                pairs = stack[rest[kept]]
+                accepted = [CriticalPair(ids[i], ids[j], *v) for i, j, *v in zip(
+                    ii[pairs].tolist(), jj[pairs].tolist(), t_ps_a[kept].tolist(),
+                    t_ps_b[kept].tolist(), dt_ps[kept].tolist(), distance[kept].tolist())]
+        fate[stack] = how
+    return accepted, PairFates(ids, fate, gap_dt)
 
 
-def filter_scene_with_rejections(
-    scene: Scene, cfg: EvalConfig
-) -> tuple[list[CriticalPair], list[PairRejection]]:
+def filter_scene(scene: Scene, cfg: EvalConfig) -> tuple[list[CriticalPair], PairFates]:
     """Accepted pairs over all N(N-1)/2 unordered combinations, sorted by id,
-    and the reason each other pair was rejected.
+    and the fate table of every pair.
 
     Every pair of the scene is decided in one stack (module docstring). The
     result equals the full matrix test on every pair (of a scene whose
@@ -433,3 +469,12 @@ def filter_scene_with_rejections(
     """
     ids = sorted(scene.agents_by_id)
     return _classify(ids, [scene.agent(aid).trajectory for aid in ids], cfg)
+
+
+def filter_scene_with_rejections(
+    scene: Scene, cfg: EvalConfig
+) -> tuple[list[CriticalPair], list[PairRejection]]:
+    """``filter_scene``'s accepted pairs, and its table rendered as the
+    reason each other pair was rejected."""
+    accepted, fates = filter_scene(scene, cfg)
+    return accepted, fates.rejections()

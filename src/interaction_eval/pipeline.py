@@ -7,6 +7,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from .errors import (
     NoCollapse,
     ParseError,
 )
-from .filtering import CriticalPair, PairRejection, filter_scene_with_rejections
+from .filtering import CriticalPair, PairFates, PairRejection, filter_scene
 from .homotopy import HomotopyClass, homotopy_class, winding_rows
 # the benchmark's tracer patches this name in this module
 from .homotopy import classify_pair_windows  # noqa: F401
@@ -66,8 +67,13 @@ class PairEvaluation:
 class SceneEvaluation:
     scene: Scene
     pairs: list[PairEvaluation]
-    rejections: list[PairRejection]
+    fates: PairFates
     predictions: dict[int, JointPredictionSet]
+
+    @cached_property
+    def rejections(self) -> list[PairRejection]:
+        """The rejected pairs' records, rendered from ``fates`` when first read."""
+        return self.fates.rejections()
 
 
 def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, theta_hat: float):
@@ -118,7 +124,7 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
         raise ConfigError(f"unknown baseline model {baseline!r}")
     if baseline == "oracle" and oracle_k < 1:
         raise ConfigError(f"oracle k must be >= 1, got {oracle_k}")
-    pairs, rejections = filter_scene_with_rejections(scene, cfg)
+    pairs, fates = filter_scene(scene, cfg)
     evals: list[PairEvaluation] = []
     for pair in pairs:
         try:
@@ -160,7 +166,7 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
             ev.frame_records, ev.record = _graded_pair(
                 scene.scene_id, pair.agent_a, pair.agent_b, graded,
                 tl.t_h_start, tl.t_h_final, tl.t_h_collapse, scene.dt)
-    return SceneEvaluation(scene=scene, pairs=evals, rejections=rejections,
+    return SceneEvaluation(scene=scene, pairs=evals, fates=fates,
                            predictions=predictions)
 
 
@@ -379,7 +385,7 @@ def run_pipeline(scene_dir: str | Path, pred_source: str | Path, out_dir: str | 
         "scenes": {r.scene.scene_id: {
             "n_agents": len(r.scene.agents),
             "n_accepted_pairs": len(r.pairs),
-            "n_rejected_pairs": len(r.rejections),
+            "n_rejected_pairs": r.fates.n_rejected,
             "skipped": dict(Counter(ev.skipped for ev in r.pairs if ev.skipped)),
         } for r in results},
         "timing_s": round(time.time() - t_start, 3),

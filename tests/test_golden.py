@@ -20,7 +20,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from interaction_eval import save_scene
+from interaction_eval import EvalConfig, evaluate_scene, run_pipeline, save_scene
 from interaction_eval.cli import main
 
 from conftest import crossing_scene, four_agent_scene, parked_scene
@@ -186,16 +186,25 @@ def _digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def golden_scenes():
+    """Each golden corpus's directory and its scenes."""
+    return {"scenes": [crossing_scene(),
+                       crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
+                       four_agent_scene()],
+            "parked-scenes": [parked_scene()]}
+
+
+def save_golden_scenes(root):
+    for name, scenes in golden_scenes().items():
+        (root / name).mkdir()
+        for scene in scenes:
+            save_scene(scene, root / name / f"{scene.scene_id}.json")
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    (root / "scenes").mkdir()
-    save_scene(crossing_scene(), root / "scenes" / "crossing.json")
-    save_scene(crossing_scene(v_a=8.0, v_b=5.0, gap_a=40.0, gap_b=37.0, scene_id="asym"),
-               root / "scenes" / "asym.json")
-    save_scene(four_agent_scene(), root / "scenes" / "four.json")
-    (root / "parked-scenes").mkdir()
-    save_scene(parked_scene(), root / "parked-scenes" / "parked.json")
+    save_golden_scenes(root)
     (root / "filter").mkdir()
     (root / "rollout").mkdir()
     (root / "parked-rollout").mkdir()
@@ -217,3 +226,19 @@ def test_outputs_match_golden_digests(outputs, run):
     got = {k: v for k, v in outputs.items() if k.startswith(run + "/")}
     want = {k: v for k, v in GOLDEN.items() if k.startswith(run + "/")}
     assert got == want
+
+
+def test_manifest_counts_the_rendered_rejections(tmp_path):
+    """On each golden scene, the manifest's count of rejected pairs, taken
+    from the filter's fate table, equals the number of rejections that
+    ``evaluate_scene``'s result renders."""
+    save_golden_scenes(tmp_path)
+    cfg = EvalConfig()
+    counts = {}
+    for name, scenes in golden_scenes().items():
+        run_pipeline(tmp_path / name, "cv", tmp_path / f"{name}-eval", cfg)
+        manifest = json.loads((tmp_path / f"{name}-eval" / "manifest.json").read_text())
+        for scene in scenes:
+            counts[scene.scene_id] = manifest["scenes"][scene.scene_id]["n_rejected_pairs"]
+            assert counts[scene.scene_id] == len(evaluate_scene(scene, cfg).rejections)
+    assert counts == {"crossing": 0, "asym": 0, "four": 4, "parked": 2}

@@ -22,7 +22,7 @@ from interaction_eval import (
     save_predictions,
     save_scene,
 )
-from interaction_eval import pipeline, sceneio
+from interaction_eval import filtering, pipeline, sceneio
 from interaction_eval.cli import main
 from interaction_eval.pipeline import DEFAULT_ORACLE_K, run_fixture
 
@@ -375,11 +375,31 @@ class TestEvaluateScene:
         scene = crossing_scene(n=30)
         preds = evaluate_scene(scene, cfg, baseline="cv").predictions
         filtered = []
-        monkeypatch.setattr(pipeline, "filter_scene_with_rejections",
+        monkeypatch.setattr(pipeline, "filter_scene",
                             lambda *args: filtered.append(args))
         with pytest.raises(ConfigError, match=f"predictions and the '{baseline}' baseline"):
             evaluate_scene(scene, cfg, predictions=preds, baseline=baseline)
         assert filtered == []
+
+    @pytest.mark.parametrize("baseline", ["cv", "oracle"])
+    def test_grading_renders_no_rejection(self, cfg, tmp_path, monkeypatch, baseline):
+        """``evaluate_scene`` and ``run_pipeline``'s ``eval`` path count the
+        rejected pairs from the fate table and make no ``PairRejection``;
+        reading ``rejections`` renders them, once."""
+        made = []
+        rejection = filtering.PairRejection
+        monkeypatch.setattr(filtering, "PairRejection",
+                            lambda *args, **kw: made.append(args) or rejection(*args, **kw))
+        scene = four_agent_scene()
+        (tmp_path / "scenes").mkdir()
+        save_scene(scene, tmp_path / "scenes" / "four.json")
+        result = evaluate_scene(scene, cfg, baseline=baseline)
+        run_pipeline(tmp_path / "scenes", baseline, tmp_path / "out", cfg)
+        assert made == []
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["scenes"]["four"]["n_rejected_pairs"] == 4
+        assert result.rejections is result.rejections
+        assert len(made) == len(result.rejections) == 4
 
 
 class TestRunPipeline:
