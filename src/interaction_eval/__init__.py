@@ -76,4 +76,11 @@ from .metrics import (  # noqa: F401
     pair_time_metrics,
 )
 from .sceneio import load_predictions, load_scene, save_predictions, save_scene  # noqa: F401
-from .pipeline import evaluate_scene, emit_histograms, run_fixture, run_pipeline  # noqa: F401
+from .pipeline import (  # noqa: F401
+    analyse_scene,
+    emit_histograms,
+    evaluate_scene,
+    grade_scene,
+    run_fixture,
+    run_pipeline,
+)

@@ -23,6 +23,7 @@ from .pipeline import (
     _evaluate_corpus,
     _histogram_inputs,
     _load_scene_dir,
+    analyse_scene,
     emit_histograms,
     evaluate_scene,
     run_fixture,
@@ -129,7 +130,7 @@ def cmd_filter(scene_dir, out_path, **cfg_kw):
 def cmd_rollout(scene_dir, out_path, **cfg_kw):
     """Enumerate feasible interaction classes and locate the IHS per pair."""
     cfg = EvalConfig(**cfg_kw)
-    write_rollout_csv(Path(out_path), [evaluate_scene(scene, cfg)
+    write_rollout_csv(Path(out_path), [analyse_scene(scene, cfg)
                                        for scene in _load_scene_dir(scene_dir)])
     click.echo(f"rollout timelines -> {out_path}")
 

@@ -107,23 +107,14 @@ def _graded_pair(scene_id: str, agent_a: str, agent_b: str, frames: list[tuple],
     return frame_records, record
 
 
-def evaluate_scene(scene: Scene, cfg: EvalConfig,
-                   predictions: dict[int, JointPredictionSet] | None = None,
-                   baseline: str | None = None,
-                   oracle_k: int = DEFAULT_ORACLE_K) -> SceneEvaluation:
-    """Filter pairs, locate their IHS, and grade predictions frame by frame.
+def analyse_scene(scene: Scene, cfg: EvalConfig) -> SceneEvaluation:
+    """Filter pairs and locate their IHS: everything the grades compare against.
 
-    The result holds one PairEvaluation per accepted pair, in filter order,
-    with its timeline or the reason it has none. Every subcommand and output
-    file renders from it. The predictions graded are ``predictions`` or a
-    ``baseline`` model's, not both.
+    The result holds one ungraded PairEvaluation per accepted pair, in filter
+    order, with its timeline or the reason it has none, and no predictions.
+    It depends only on the scene and ``cfg``, so one analysis can be graded
+    against any number of prediction sets (``grade_scene``).
     """
-    if predictions is not None and baseline is not None:
-        raise ConfigError(f"predictions and the {baseline!r} baseline both given; grade one")
-    if baseline is not None and baseline not in BASELINE_MODELS:
-        raise ConfigError(f"unknown baseline model {baseline!r}")
-    if baseline == "oracle" and oracle_k < 1:
-        raise ConfigError(f"oracle k must be >= 1, got {oracle_k}")
     pairs, fates = filter_scene(scene, cfg)
     evals: list[PairEvaluation] = []
     for pair in pairs:
@@ -133,25 +124,25 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
             evals.append(PairEvaluation(pair, None, skipped=type(e).__name__))
         else:
             evals.append(PairEvaluation(pair, tl, skipped=None))
-    # each timeline with the scene frame of its first sample
-    timed = [(ev, scene_frame(scene, ev.timeline.t[0]))
-             for ev in evals if ev.timeline is not None]
+    return SceneEvaluation(scene=scene, pairs=evals, fates=fates, predictions={})
 
-    needed_frames: set[int] = set()
-    for ev, off in timed:
-        tl = ev.timeline
-        needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
-    # a baseline's sets, in frame order: one cv_predict call per frame, or
-    # one oracle_predict call for them all
-    if baseline == "cv":
-        predictions = {fr: cv_predict(scene, fr, cfg) for fr in sorted(needed_frames)}
-    elif baseline == "oracle":
-        predictions = (oracle_predict(scene, needed_frames, pairs, oracle_k, cfg)
-                       if needed_frames else {})
-    predictions = predictions or {}
 
-    for ev, off in timed:
+def grade_scene(analysis: SceneEvaluation, predictions: dict[int, JointPredictionSet],
+                cfg: EvalConfig) -> SceneEvaluation:
+    """Grade ``predictions`` (keyed by scene frame) against an analysis,
+    frame by frame over each timed pair's evaluation interval.
+
+    Returns a new SceneEvaluation; ``analysis`` is not changed. A timed pair
+    without a gradable frame is skipped as ``NoPredictionFrames``.
+    """
+    scene = analysis.scene
+    pairs: list[PairEvaluation] = []
+    for ev in analysis.pairs:
         pair, tl = ev.pair, ev.timeline
+        if tl is None:
+            pairs.append(PairEvaluation(pair, None, ev.skipped))
+            continue
+        off = scene_frame(scene, tl.t[0])  # the scene frame of the timeline's first sample
         graded = []
         for i in range(tl.start_idx, tl.final_idx + 1):
             pset = predictions.get(off + i)
@@ -161,13 +152,48 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
             if got is not None:
                 graded.append((off + i, float(tl.t[i]), tl.h_gt[i], *got, tl.h_feas[i]))
         if not graded:
-            ev.skipped = "NoPredictionFrames"
+            pairs.append(PairEvaluation(pair, tl, skipped="NoPredictionFrames"))
         else:
-            ev.frame_records, ev.record = _graded_pair(
+            frame_records, record = _graded_pair(
                 scene.scene_id, pair.agent_a, pair.agent_b, graded,
                 tl.t_h_start, tl.t_h_final, tl.t_h_collapse, scene.dt)
-    return SceneEvaluation(scene=scene, pairs=evals, fates=fates,
+            pairs.append(PairEvaluation(pair, tl, None, frame_records, record))
+    return SceneEvaluation(scene=scene, pairs=pairs, fates=analysis.fates,
                            predictions=predictions)
+
+
+def evaluate_scene(scene: Scene, cfg: EvalConfig,
+                   predictions: dict[int, JointPredictionSet] | None = None,
+                   baseline: str | None = None,
+                   oracle_k: int = DEFAULT_ORACLE_K) -> SceneEvaluation:
+    """Filter pairs, locate their IHS, and grade predictions frame by frame:
+    ``analyse_scene``, then ``grade_scene``.
+
+    The result holds one PairEvaluation per accepted pair, in filter order,
+    with its timeline or the reason it has none. The predictions graded are
+    ``predictions`` or a ``baseline`` model's over the frames the analysis
+    needs, not both; conflicting arguments are refused before any filtering.
+    """
+    if predictions is not None and baseline is not None:
+        raise ConfigError(f"predictions and the {baseline!r} baseline both given; grade one")
+    if baseline is not None and baseline not in BASELINE_MODELS:
+        raise ConfigError(f"unknown baseline model {baseline!r}")
+    if baseline == "oracle" and oracle_k < 1:
+        raise ConfigError(f"oracle k must be >= 1, got {oracle_k}")
+    analysis = analyse_scene(scene, cfg)
+    if baseline is not None:
+        needed_frames: set[int] = set()
+        for tl in (ev.timeline for ev in analysis.pairs if ev.timeline is not None):
+            off = scene_frame(scene, tl.t[0])
+            needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
+        # a baseline's sets, in frame order: one cv_predict call per frame, or
+        # one oracle_predict call for them all
+        if baseline == "cv":
+            predictions = {fr: cv_predict(scene, fr, cfg) for fr in sorted(needed_frames)}
+        elif needed_frames:
+            predictions = oracle_predict(scene, needed_frames,
+                                         [ev.pair for ev in analysis.pairs], oracle_k, cfg)
+    return grade_scene(analysis, predictions or {}, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +214,8 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
     """Evaluate every scene of a directory; returns the results and the time step.
 
     ``pred_source`` is a baseline name ("cv" / "oracle"), a directory of
-    prediction files named <scene_id>.json, or None for no predictions.
+    prediction files named <scene_id>.json, or None for the scenes' analyses
+    alone (``analyse_scene``), with nothing graded.
     The time step bins the curves and ``ihs_hist.csv``, so a corpus whose
     scenes differ in time step is a ParseError.
     """
@@ -197,6 +224,8 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
     if len(steps) > 1:
         raise ParseError(scene_dir, "scenes have mixed time steps "
                                     + ", ".join(f"{dt:g} s" for dt in steps))
+    if pred_source is None:
+        return [analyse_scene(scene, cfg) for scene in scenes], steps[0]
     # a baseline is named by a string; a Path always names a directory
     baseline = (pred_source if isinstance(pred_source, str) and pred_source in BASELINE_MODELS
                 else None)
@@ -206,7 +235,7 @@ def _evaluate_corpus(scene_dir: str | Path, cfg: EvalConfig,
     results = []
     for scene in scenes:
         preds = None
-        if pred_source is not None and baseline is None:
+        if baseline is None:
             pred_path = Path(pred_source) / f"{scene.scene_id}.json"
             if not pred_path.exists():
                 raise ParseError(pred_path, "missing prediction file for scene")

@@ -412,6 +412,9 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     agent_b = scene.agent(pair.agent_b)
     wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
     n = wa.n
+    if n < 2:  # a user-set t_min can accept a pair that is co-observed at one frame
+        raise DegenerateInterval(f"pair ({pair.agent_a}, {pair.agent_b}): co-observed "
+                                 f"window of {n} sample(s), need at least 2")
     v_max = max_scene_speed(scene)
     _, speeds_a = trajectory_kinematics(wa)
     _, speeds_b = trajectory_kinematics(wb)

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,18 +12,17 @@ from interaction_eval import (
     CriticalPair,
     EmptyOverlap,
     EvalConfig,
-    NoCollapse,
     PairRejection,
     RejectReason,
     Scene,
     Trajectory,
+    analyse_scene,
     classify_pair,
-    evaluate_scene,
     filter_scene_with_rejections,
     resample_trajectory,
     validate_scene,
 )
-from interaction_eval import filtering, pipeline
+from interaction_eval import filtering
 from interaction_eval.types import common_window
 
 from conftest import crossing_scene, make_agent, straight_traj
@@ -746,20 +744,22 @@ class TestStackedStage:
     @settings(max_examples=300, deadline=None)
     def test_scene_evaluation_renders_the_reference_property(self, seed, factor, when, u,
                                                              dt_ps_max):
-        """``evaluate_scene`` keeps the filter's fate table; the rejections
+        """``analyse_scene`` keeps the filter's fate table; the rejections
         it renders from it equal the frozen matrix's record for record,
-        details included, and its accepted pairs are the matrix's. The
-        timelines are not under test (a stage scene's short track has none),
-        so each accepted pair is skipped as ``NoCollapse``."""
+        details included, and its accepted pairs are the matrix's. Each
+        accepted pair has a real timeline or a skip reason: a one-sample
+        co-observed window, which a ``t_min`` before the scene lets the
+        filter accept, is skipped as DegenerateInterval, not an abort."""
         scene = stage_scene(seed)
         cfg = EvalConfig(interp_factor=factor, t_min=t_min_in(scene, when, u),
                          dt_ps_max=dt_ps_max)
         accepted, rejected = brute_force_filter(scene, cfg)
-        with mock.patch.object(pipeline, "interaction_timeline", side_effect=NoCollapse):
-            result = evaluate_scene(scene, cfg)
+        result = analyse_scene(scene, cfg)
         assert [ev.pair for ev in result.pairs] == accepted
         assert result.fates.n_rejected == len(rejected)
         assert result.rejections == rejected
+        for ev in result.pairs:  # a timeline, or else a skip reason
+            assert (ev.timeline is None) == (ev.skipped in ("NoCollapse", "DegenerateInterval"))
 
     @pytest.mark.parametrize("factor", [1, 4])
     @pytest.mark.parametrize("x0", [0.0, 3.0, 1e6, -1e9, 1e9])

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import json
 from pathlib import Path
@@ -14,8 +15,10 @@ from interaction_eval import (
     EvalConfig,
     JointPredictionSet,
     ParseError,
+    analyse_scene,
     cv_predict,
     evaluate_scene,
+    grade_scene,
     load_predictions,
     load_scene,
     run_pipeline,
@@ -24,9 +27,11 @@ from interaction_eval import (
 )
 from interaction_eval import filtering, pipeline, sceneio
 from interaction_eval.cli import main
-from interaction_eval.pipeline import DEFAULT_ORACLE_K, run_fixture
+from interaction_eval.pipeline import BASELINE_MODELS, DEFAULT_ORACLE_K, run_fixture
 
 from conftest import crossing_scene, four_agent_scene
+from test_filtering import stage_scene
+from test_golden import golden_scenes
 
 TABLE_FIXTURE = {
     "dt": 0.5,
@@ -402,6 +407,85 @@ class TestEvaluateScene:
         assert len(made) == len(result.rejections) == 4
 
 
+GOLDEN_SCENES = [scene for scenes in golden_scenes().values() for scene in scenes]
+
+
+@functools.cache
+def golden_predictions(index: int, model: str, k: int) -> dict[int, JointPredictionSet]:
+    """A baseline's prediction sets for the golden scene ``GOLDEN_SCENES[index]``."""
+    return evaluate_scene(GOLDEN_SCENES[index], EvalConfig(), baseline=model,
+                          oracle_k=k).predictions
+
+
+def pair_view(ev):
+    """A PairEvaluation's values, its timeline's included, as comparable data."""
+    tl = ev.timeline
+    return (ev.pair, ev.skipped, ev.record, list(ev.frame_records),
+            None if tl is None else (tl.t.tolist(), tl.h_feas, tl.h_gt, tl.collapse_idx,
+                                     tl.final_idx, tl.start_idx))
+
+
+class TestStages:
+    """``evaluate_scene`` is ``analyse_scene`` then ``grade_scene``; one
+    analysis grades any number of prediction sets and is never changed."""
+
+    @given(index=st.integers(0, len(GOLDEN_SCENES) - 1),
+           model=st.sampled_from(BASELINE_MODELS), k=st.sampled_from([1, 5, 9]),
+           data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_grading_an_analysis_equals_evaluate_scene_property(self, index, model, k, data):
+        """On a golden scene, a ``cv`` or ``oracle`` set with any of its frames
+        dropped (so that some pairs have no gradable frame) grades pair for
+        pair as ``evaluate_scene`` grades it."""
+        cfg = EvalConfig()
+        scene = GOLDEN_SCENES[index]
+        full = golden_predictions(index, model, k if model == "oracle" else DEFAULT_ORACLE_K)
+        dropped = data.draw(st.sets(st.sampled_from(sorted(full)))) if full else set()
+        preds = {fr: pset for fr, pset in full.items() if fr not in dropped}
+        staged = grade_scene(analyse_scene(scene, cfg), preds, cfg)
+        whole = evaluate_scene(scene, cfg, predictions=preds)
+        assert [pair_view(ev) for ev in staged.pairs] == [pair_view(ev) for ev in whole.pairs]
+        assert staged.rejections == whole.rejections
+        assert staged.predictions is preds
+        assert whole.predictions == preds
+
+    def test_grading_leaves_the_analysis_and_earlier_grades_unchanged(self, cfg):
+        index = next(i for i, s in enumerate(GOLDEN_SCENES) if s.scene_id == "crossing")
+        analysis = analyse_scene(GOLDEN_SCENES[index], cfg)
+        assert analysis.predictions == {}
+        assert all(ev.record is None and ev.frame_records == [] for ev in analysis.pairs)
+        before = [pair_view(ev) for ev in analysis.pairs]
+        cv = grade_scene(analysis, golden_predictions(index, "cv", DEFAULT_ORACLE_K), cfg)
+        first = [pair_view(ev) for ev in cv.pairs]
+        oracle = grade_scene(analysis, golden_predictions(index, "oracle", 9), cfg)
+        assert [pair_view(ev) for ev in analysis.pairs] == before
+        assert [pair_view(ev) for ev in cv.pairs] == first
+        assert analysis.predictions == {}
+        # the two sets grade differently: at k=9 the oracle covers the crossing
+        [cv_pair], [oracle_pair] = cv.pairs, oracle.pairs
+        assert cv_pair.record.metrics.collapse_rate == 1.0
+        assert oracle_pair.record.metrics.collapse_rate < 1.0
+
+    def test_rollout_and_report_grade_nothing(self, scene_dir, tmp_path, monkeypatch):
+        """``rollout`` and ``report`` render from the analysis alone; ``eval``
+        shows that the spies see a grading pass."""
+        graded = []
+        for name in ("grade_scene", "_prediction_classes"):
+            original = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *args, _name=name, _f=original, **kw:
+                                graded.append(_name) or _f(*args, **kw))
+        runner = CliRunner()
+        for args in (["rollout", "--out", str(tmp_path / "rollout.csv")],
+                     ["report", "--out-dir", str(tmp_path / "report")]):
+            res = runner.invoke(main, args + ["--scene-dir", str(scene_dir)])
+            assert res.exit_code == 0, res.output
+        assert graded == []
+        res = runner.invoke(main, ["eval", "--scene-dir", str(scene_dir), "--pred", "cv",
+                                   "--out-dir", str(tmp_path / "eval")])
+        assert res.exit_code == 0, res.output
+        assert set(graded) == {"grade_scene", "_prediction_classes"}
+
+
 class TestRunPipeline:
     def test_outputs_and_determinism(self, scene_dir, tmp_path, cfg):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -558,6 +642,29 @@ class TestCli:
         assert res.exit_code == 0, res.output
         heat = list(csv.DictReader((tmp_path / "rep" / "heatmap.csv").read_text().splitlines()))
         assert sum(int(r["count"]) for r in heat) == 1
+
+    def test_one_sample_window_is_skipped_not_an_abort(self, tmp_path):
+        """With ``--t-min`` before the scene, the filter accepts ``stage_scene(0)``'s
+        (g1a, x1), co-observed at one sample: it is skipped as
+        DegenerateInterval, and the corpus's other scene is graded."""
+        d = tmp_path / "scenes"
+        d.mkdir()
+        save_scene(stage_scene(0), d / "stage-0.json")
+        save_scene(crossing_scene(n=30), d / "crossing.json")  # the same dt, 0.5 s
+        res = self.run("eval", "--scene-dir", str(d), "--pred", "cv", "--t-min", "-3.5",
+                       "--out-dir", str(tmp_path / "out"))
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["scenes"]["stage-0"]["skipped"] == {"DegenerateInterval": 1,
+                                                            "NoCollapse": 2}
+        assert manifest["scenes"]["crossing"]["skipped"] == {}
+        out = tmp_path / "rollout.csv"
+        res = self.run("rollout", "--scene-dir", str(d), "--t-min", "-3.5", "--out", str(out))
+        assert res.exit_code == 0, res.output
+        summary = [(r["scene_id"], r["agent_a"], r["agent_b"], r["t_h_collapse"])
+                   for r in csv.DictReader(out.read_text().splitlines())
+                   if r["row"] == "summary" and r["scene_id"] == "stage-0"]
+        assert ("stage-0", "g1a", "x1", "DegenerateInterval") in summary
 
     def test_eval_filter_csv_matches_filter_command(self, tmp_path):
         """eval writes filter.csv in filter order, skipped pairs included."""
