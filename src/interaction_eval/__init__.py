@@ -60,6 +60,7 @@ from .rollout import (  # noqa: F401
     PathRollout,
     ProfileKind,
     interaction_timeline,
+    interaction_timelines,
     max_scene_speed,
 )
 from .baselines import cv_predict, oracle_predict  # noqa: F401

@@ -7,7 +7,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .collision import VehicleDims, collisions
+from .collision import VehicleDims, chunk_bounds, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
@@ -49,28 +49,37 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
 
     ``rolled[row, i]`` is a row's roll of ``ORACLE_PROFILES[i]``
     (``rollout_rows``), and ``present[f]`` the row of each agent present at
-    frame ``f``. One ``collisions`` call fills a pair's tables at every frame
-    its agents share, on 9 row pairs per frame gathered from ``rolled``.
+    frame ``f``. A pair's tables at every frame its agents share are 9 row
+    pairs per frame gathered from ``rolled``; one ``collisions`` call, with
+    each row's vehicle size, checks the row pairs of every pair in a run of
+    whole pairs (``chunk_bounds``).
     """
     # row pair 3 * i + j of a frame is profiles (i, j)
     rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
     shape = rolled.shape[2:]
-    tables: list[list] = [[] for _ in present]
+    # each pair with frames its agents share: (a, b, those frames)
+    shared = []
     for p in pairs:
-        a, b = p.agent_a, p.agent_b
-        frames = [f for f, here in enumerate(present) if a in here and b in here]
-        if not frames:
-            continue
-        at_a = np.array([present[f][a] for f in frames])[:, None]
-        at_b = np.array([present[f][b] for f in frames])[:, None]
-        agent_a, agent_b = scene.agent(a), scene.agent(b)
+        frames = [f for f, here in enumerate(present) if p.agent_a in here and p.agent_b in here]
+        if frames:
+            shared.append((p.agent_a, p.agent_b, frames))
+    sizes = {aid: VehicleDims(scene.agent(aid).width, scene.agent(aid).length).size
+             for a, b, _ in shared for aid in (a, b)}
+    counts = [9 * len(frames) for *_, frames in shared]
+    tables: list[list] = [[] for _ in present]
+    for lo, hi in chunk_bounds(counts, [shape[0]] * len(shared)):
+        run = shared[lo:hi]
+        at_a = np.array([present[f][a] for a, _, frames in run for f in frames])[:, None]
+        at_b = np.array([present[f][b] for _, b, frames in run for f in frames])[:, None]
+        size_a = np.repeat([sizes[a] for a, _, _ in run], counts[lo:hi], axis=0)
+        size_b = np.repeat([sizes[b] for _, b, _ in run], counts[lo:hi], axis=0)
         hit = collisions(rolled[at_a, rows_a].reshape(-1, *shape),
                          rolled[at_b, rows_b].reshape(-1, *shape),
-                         np.full(9 * len(frames), shape[0]),
-                         VehicleDims(agent_a.width, agent_a.length),
-                         VehicleDims(agent_b.width, agent_b.length), interp_factor)
-        for f, table in zip(frames, hit.reshape(-1, 3, 3)):
-            tables[f].append((a, b, table))
+                         np.full(len(size_a), shape[0]), size_a, size_b, interp_factor)
+        hit = iter(hit.reshape(-1, 3, 3))
+        for a, b, frames in run:
+            for f in frames:
+                tables[f].append((a, b, next(hit)))
     return tables
 
 

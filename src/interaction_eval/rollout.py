@@ -25,6 +25,24 @@ per profile and one map from arc lengths to positions. Only the rows whose
 cap may bind build it, and they step one substep at a time only where it
 binds. The rolls come back as one zero-padded stack, one slot per profile in
 the caller's order, the layout ``collisions`` and ``winding_rows`` take.
+
+``interaction_timelines`` is the IHS stage of one scene; ``interaction_timeline``
+is its one-pair case. A pair's rows are both agents from every start frame
+of their co-observed window to the window's end, so an agent in k pairs
+whose windows end together would be rolled k times. The stage keys each row
+on what its roll reads: ``xy[start:]`` of its window, ``n_steps``, ``v0``,
+``dt`` and ``v_max``, and, where one point of path is left (a parked agent),
+the window's kinematic heading at the start. ``dt`` is the agent's and
+``v_max`` the scene's, so the key is the agent, the timestamps of the start
+and of the window's end (an agent's timestamps strictly increase, so they
+name its samples), and the bits of ``v0`` and of the heading, which depend
+on where the window starts, as its first sample takes a one-sided
+difference. Equal keys roll equal bits, because a row's roll reads nothing
+else and ``rollout_rows`` rolls each row on its own; one call rolls each
+distinct key once. Both orderings of every pair's frames are then checked,
+and the free ones wound, over runs of whole pairs (``collision.chunk_bounds``),
+with each row's vehicle size. ``collisions`` and ``winding_rows`` are
+row-local, so every flag and winding is the one a call per pair gives.
 """
 
 from __future__ import annotations
@@ -35,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import VehicleDims, collisions
+from .collision import VehicleDims, chunk_bounds, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
@@ -406,49 +424,38 @@ def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: 
     return out
 
 
-def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
-    """Feasible-class history, IHS frame and evaluation interval for a pair."""
-    agent_a = scene.agent(pair.agent_a)
-    agent_b = scene.agent(pair.agent_b)
-    wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
-    n = wa.n
-    if n < 2:  # a user-set t_min can accept a pair that is co-observed at one frame
-        raise DegenerateInterval(f"pair ({pair.agent_a}, {pair.agent_b}): co-observed "
-                                 f"window of {n} sample(s), need at least 2")
-    v_max = max_scene_speed(scene)
-    _, speeds_a = trajectory_kinematics(wa)
-    _, speeds_b = trajectory_kinematics(wb)
-    dims_a = VehicleDims(agent_a.width, agent_a.length)
-    dims_b = VehicleDims(agent_b.width, agent_b.length)
-    # every start frame of both agents' windows, rolled to the window's end
-    # in one call: a's rows, then b's
-    rolled = rollout_rows([(w, i, float(speeds[i]), n - 1 - i)
-                           for w, speeds in ((wa, speeds_a), (wb, speeds_b))
-                           for i in range(n - 1)],
-                          (ProfileKind.ACCEL, ProfileKind.DECEL), v_max, cfg)
-    accel, decel = rolled[:, 0], rolled[:, 1]
-    # one collision check per ordering over every frame's rolls; the frames
-    # where the ordering is free are wound in one call (frame i's rolls hold
-    # n - i samples, zero-padded to n)
-    lengths = n - np.arange(n - 1)
-    feasible: list[set] = [set() for _ in range(n - 1)]
-    for ra, rb in ((decel[:n - 1], accel[n - 1:]), (accel[:n - 1], decel[n - 1:])):
-        hit = collisions(ra, rb, lengths, dims_a, dims_b, cfg.interp_factor)
-        free = np.flatnonzero(~hit)
-        for i, d in zip(free.tolist(), winding_rows((ra - rb)[free], lengths[free]).tolist()):
-            feasible[i].add(homotopy_class(d, cfg.theta_hat))
-    feas = [frozenset(f) for f in feasible]
+def _row_keys(slot: int, window: Trajectory, headings: np.ndarray,
+              speeds: np.ndarray) -> np.ndarray:
+    """(n - 1, 5) int64 keys of an agent's rows in an IHS window of n
+    samples, one per start frame: the agent's ``slot``, the bits of the
+    start's timestamp and of the window end's, and the bits of the start's
+    ``v0`` and kinematic heading."""
+    m = window.n - 1
+    keys = np.empty((m, 5), dtype=np.int64)
+    keys[:, 0] = slot
+    keys[:, 1] = window.t[:m].view(np.int64)
+    keys[:, 2] = window.t[m:].view(np.int64)
+    keys[:, 3] = speeds[:m].view(np.int64)
+    keys[:, 4] = headings[:m].view(np.int64)
+    return keys
+
+
+def _timeline(pair: CriticalPair, times: np.ndarray, wa: Trajectory, wb: Trajectory,
+              feas: list[frozenset], cfg: EvalConfig) -> InteractionTimeline | Exception:
+    """A pair's timeline from the feasible classes of each frame of its
+    window but the last, or the NoCollapse or DegenerateInterval it has
+    instead."""
     sizes = np.array([len(f) for f in feas])
     # collapse: the frame after the last one (-1 before the first) without exactly
     # one feasible class, so that flickering feasibility must hold to the end
     collapse_idx = int(np.flatnonzero(np.append(-1, sizes) != 1)[-1])
     if collapse_idx == len(sizes):
-        raise NoCollapse(
+        return NoCollapse(
             f"pair ({pair.agent_a}, {pair.agent_b}): both classes feasible through the window"
         )
     two = np.flatnonzero(sizes == 2)
     if len(two) == 0:
-        raise DegenerateInterval(
+        return DegenerateInterval(
             f"pair ({pair.agent_a}, {pair.agent_b}): never two feasible classes"
         )
     final_idx = int(two[-1])
@@ -464,3 +471,89 @@ def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> I
     return InteractionTimeline(t=times, h_feas=tuple(feas), h_gt=tuple(gt),
                                collapse_idx=collapse_idx, final_idx=final_idx,
                                start_idx=start_idx)
+
+
+def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConfig
+                          ) -> list[InteractionTimeline | NoCollapse | DegenerateInterval]:
+    """Each pair's feasible-class history, IHS frame and evaluation
+    interval, or the NoCollapse or DegenerateInterval it has instead, in
+    ``pairs`` order: the IHS stage of one scene.
+
+    Every start frame of both agents of every pair is a row, keyed on what
+    its roll reads (``_row_keys``); one ``rollout_rows`` call rolls each
+    distinct key once, with ACCEL and DECEL. Each frame's two orderings are
+    then checked, and the free ones wound, over runs of whole pairs
+    (``chunk_bounds``), one ``collisions`` call per ordering and run with
+    each row's vehicle size.
+    """
+    out: list = []
+    evaluable = []  # (index in out, pair, times) of each pair with 2+ samples
+    windows = []  # a's and b's, pair by pair
+    keys_a, keys_b, sizes_a, sizes_b = [], [], [], []
+    slots: dict[int, int] = {}  # each agent's slot (key column 0), by id()
+    for pair in pairs:
+        agent_a, agent_b = scene.agent(pair.agent_a), scene.agent(pair.agent_b)
+        wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
+        if wa.n < 2:  # a user-set t_min can accept a pair that is co-observed at one frame
+            out.append(DegenerateInterval(f"pair ({pair.agent_a}, {pair.agent_b}): co-observed "
+                                          f"window of {wa.n} sample(s), need at least 2"))
+            continue
+        for agent, w, keys, sizes in ((agent_a, wa, keys_a, sizes_a),
+                                      (agent_b, wb, keys_b, sizes_b)):
+            headings, speeds = trajectory_kinematics(w)
+            keys.append(_row_keys(slots.setdefault(id(agent), len(slots)), w, headings, speeds))
+            sizes.append(VehicleDims(agent.width, agent.length).size)
+            windows.append(w)
+        evaluable.append((len(out), pair, times))
+        out.append(None)
+    if not evaluable:
+        return out
+    v_max = max_scene_speed(scene)
+    # row r of a side is frame frame_of[r] of pair pair_of[r]'s window, and
+    # pair p's rows are cum[p]:cum[p + 1]
+    m = np.array([len(times) - 1 for _, _, times in evaluable])
+    cum = np.concatenate(([0], np.cumsum(m)))
+    pair_of = np.repeat(np.arange(len(m)), m)
+    frame_of = np.arange(cum[-1]) - cum[pair_of]
+    # each key as one 40-byte value: np.unique's axis=0 path without its overhead
+    keys = np.concatenate(keys_a + keys_b)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 5))).ravel(),
+                                  return_index=True, return_inverse=True)
+    # each distinct row is rolled as its first occurrence (a's rows, then
+    # b's): (window, start, v0 from its key's bits, n_steps)
+    side, r = np.divmod(first, cum[-1])
+    starts = frame_of[r]
+    rows = list(zip([windows[k] for k in (2 * pair_of[r] + side).tolist()], starts.tolist(),
+                    keys[first, 3].view(np.float64).tolist(), (m[pair_of[r]] - starts).tolist()))
+    rolled = rollout_rows(rows, (ProfileKind.ACCEL, ProfileKind.DECEL), v_max, cfg)
+    at_a, at_b = inverse[:cum[-1]], inverse[cum[-1]:]
+    # frame i's rolls hold n - i samples
+    lengths = m[pair_of] + 1 - frame_of
+    size_a, size_b = np.repeat(sizes_a, m, axis=0), np.repeat(sizes_b, m, axis=0)
+    feasible: list[set] = [set() for _ in range(cum[-1])]
+    for lo, hi in chunk_bounds(m.tolist(), (m + 1).tolist()):
+        run = slice(cum[lo], cum[hi])
+        width = int(m[lo:hi].max()) + 1
+        rolled_a, rolled_b = rolled[at_a[run], :, :width], rolled[at_b[run], :, :width]
+        # a decelerates and b accelerates, then the reverse
+        for ka, kb in ((1, 0), (0, 1)):
+            ra, rb = rolled_a[:, ka], rolled_b[:, kb]
+            hit = collisions(ra, rb, lengths[run], size_a[run], size_b[run], cfg.interp_factor)
+            free = np.flatnonzero(~hit)
+            for f, d in zip((free + cum[lo]).tolist(),
+                            winding_rows((ra - rb)[free], lengths[run][free]).tolist()):
+                feasible[f].add(homotopy_class(d, cfg.theta_hat))
+    for p, (k, pair, times) in enumerate(evaluable):
+        out[k] = _timeline(pair, times, windows[2 * p], windows[2 * p + 1],
+                           [frozenset(f) for f in feasible[cum[p]:cum[p + 1]]], cfg)
+    return out
+
+
+def interaction_timeline(scene: Scene, pair: CriticalPair, cfg: EvalConfig) -> InteractionTimeline:
+    """Feasible-class history, IHS frame and evaluation interval for a pair:
+    ``interaction_timelines`` of one pair, raising the NoCollapse or
+    DegenerateInterval it gives."""
+    (timeline,) = interaction_timelines(scene, [pair], cfg)
+    if isinstance(timeline, Exception):
+        raise timeline
+    return timeline

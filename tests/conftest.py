@@ -113,6 +113,41 @@ _ARMS = (
 )
 
 
+def turn_traj(start, heading, straight_in, radius, speed, n, dt=DT, t0=0.0):
+    """A path at constant ``speed`` from ``start`` along ``heading``, for
+    ``straight_in`` metres, then a 90-degree right turn of ``radius``, then
+    straight on."""
+    h = np.asarray(heading, dtype=float)
+    right = np.array([h[1], -h[0]])
+    s = speed * dt * np.arange(n)
+    arc = radius * np.pi / 2
+    phi = np.clip((s - straight_in) / radius, 0.0, np.pi / 2)[:, None]
+    centre = np.asarray(start, dtype=float) + straight_in * h + radius * right
+    xy = np.where((s <= straight_in)[:, None], np.asarray(start) + s[:, None] * h,
+                  np.where((s <= straight_in + arc)[:, None],
+                           centre - radius * right * np.cos(phi) + radius * h * np.sin(phi),
+                           centre + radius * h + (s - straight_in - arc)[:, None] * right))
+    return Trajectory(t=t0 + dt * np.arange(n), xy=xy, dt=dt)
+
+
+def busy_scene(waves=3, n=91, dt=0.1):
+    """A busy 10 Hz crossing: ``waves`` agents on each of the four arms,
+    wave k about 13 m behind wave k - 1, every agent seen in all ``n``
+    frames. The agents of the middle wave turn right on an 8 m radius, where
+    the lateral speed cap binds. Many pairs share an agent and a window."""
+    agents = []
+    for k in range(waves):
+        for arm, ((sx, sy), (ox, oy), heading) in enumerate(_ARMS):
+            gap, v = 20.0 + 13.0 * k + 3.0 * arm, 7.0 + 0.5 * arm
+            start = (sx * gap + ox, sy * gap + oy)
+            if k == 1:
+                traj = turn_traj(start, heading, gap - 10.0, 8.0, v, n, dt)
+            else:
+                traj = straight_traj(start, np.multiply(heading, v), n, dt=dt)
+            agents.append(make_agent(f"w{k}{'ENWS'[arm]}", traj))
+    return validate_scene(Scene(scene_id="busy", dt=dt, agents=tuple(agents)))
+
+
 def random_crossing_scene(seed, n=30, speed=None):
     """2-4 agents on distinct arms of a crossing, at random gaps and speeds,
     some entering 2 s late, plus 0-2 bystanders 300 m away. A given

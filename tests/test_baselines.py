@@ -1,7 +1,7 @@
+import dataclasses
 import itertools
 import traceback
 import warnings
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from interaction_eval import (
     Scene,
     VehicleDims,
     baselines,
+    collision,
     cv_predict,
     evaluate_scene,
     filter_scene_with_rejections,
@@ -290,8 +291,9 @@ class TestOracleCollisionTables:
 
     @pytest.mark.parametrize("agent_c", [None, 0.0, 3.0], ids=["crossing", "two_pairs", "late"])
     def test_nine_checks_per_pair(self, cfg, monkeypatch, agent_c):
-        """One call checks each critical pair's 3x3 tables at every frame its
-        agents share with one ``collisions`` call, never with
+        """One call checks every critical pair's 3x3 tables at every frame its
+        agents share with one ``collisions`` call for the scene's pairs (they
+        fit in one run of ``collision.chunk_bounds``), never with
         ``is_collision``."""
         scene = crossing_scene(n=30)
         if agent_c is not None:  # c comes south on the other lane: it crosses a, not b
@@ -317,11 +319,35 @@ class TestOracleCollisionTables:
         present = _present_frames(scene, frames)
         _outcome(oracle_predict, scene, frames, pairs, 5, cfg)
         assert calls["is_collision"] == []
-        # nine row pairs at each frame both agents are present
-        assert (Counter(hit.shape for hit in calls["collisions"])
-                == Counter((9 * len(present[p.agent_a] & present[p.agent_b]),) for p in pairs))
+        # nine row pairs at each frame both agents of a pair are present
+        assert [hit.shape for hit in calls["collisions"]] == [
+            (sum(9 * len(present[p.agent_a] & present[p.agent_b]) for p in pairs),)]
         if agent_c:
             assert len(present["c"]) < len(present["a"])
+
+    @pytest.mark.parametrize("budget", [None, 1], ids=["one_run", "run_per_pair"])
+    def test_pairs_of_different_sizes(self, cfg, monkeypatch, budget):
+        """With every agent of its own size, checked in one run or in a run
+        per pair, the tables give what the per-combination loop gives."""
+        if budget:
+            monkeypatch.setattr(collision, "_CHUNK_SAMPLES", budget)
+        checked = 0
+        for seed in (1, 2, 5, 6, 9, 13):
+            base = random_crossing_scene(seed)
+            scene = validate_scene(Scene(scene_id=base.scene_id, dt=base.dt, agents=tuple(
+                dataclasses.replace(a, width=1.6 + 0.3 * j, length=3.6 + 1.2 * j)
+                for j, a in enumerate(base.agents))))
+            pairs = filter_scene_with_rejections(scene, cfg)[0]
+            for frame in range(0, 20, 4):
+                want = _outcome(reference_oracle_predict, scene, frame, pairs, 3, cfg)
+                got = _outcome(oracle_predict, scene, [frame], pairs, 3, cfg)
+                if want is NoFeasibleCombo:
+                    assert got is NoFeasibleCombo, (seed, frame)
+                    continue
+                assert got[frame].p.tolist() == want.p.tolist(), (seed, frame)
+                assert np.array_equal(got[frame].xy, want.xy), (seed, frame)
+                checked += len(pairs) > 1
+        assert checked > 5
 
     @pytest.mark.parametrize("frames", [range(0, 10), range(0, 20)], ids=["c_absent", "all"])
     def test_track_admitted_once_per_call(self, cfg, monkeypatch, frames):

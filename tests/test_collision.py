@@ -61,14 +61,14 @@ def fill_padding(xy, lengths, rng, scale):
 
 def one_row_distance(ta, tb, dims_a, dims_b):
     """The kernel's minimum disk distance of one trajectory pair."""
-    return min_disk_distances(*padded_pairs([(ta.xy, tb.xy)]), dims_a, dims_b)[0]
+    return min_disk_distances(*padded_pairs([(ta.xy, tb.xy)]), dims_a.size, dims_b.size)[0]
 
 
 def disks_at(x, y, heading, dims):
     """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
     two-sample track heading along ``heading``, as ``is_collision`` lays them."""
     xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
-    return disk_centers(*padded([xy]), dims)[0, :, :, 0]
+    return disk_centers(*padded([xy]), dims.offset)[0, :, :, 0]
 
 
 class TestDiskLayout:
@@ -170,15 +170,15 @@ class TestCollision:
         xy, lengths, dims = np.zeros((0, 5, 2)), np.zeros(0, int), VehicleDims(2, 4.5)
         rows, m = resample_rows(xy, lengths, 4)
         assert rows.shape == (0, 17, 2) and m.shape == (0,)
-        assert disk_centers(rows, m, dims).shape == (0, 3, 2, 17)
-        hit = collisions(xy, xy, lengths, dims, dims, 4)
+        assert disk_centers(rows, m, dims.offset).shape == (0, 3, 2, 17)
+        hit = collisions(xy, xy, lengths, dims.size, dims.size, 4)
         assert hit.shape == (0,) and hit.dtype == bool
-        assert min_disk_distances(xy, xy, lengths, dims, dims, 4).shape == (0,)
+        assert min_disk_distances(xy, xy, lengths, dims.size, dims.size, 4).shape == (0,)
 
     def test_short_row_raises(self):
         xy, lengths = padded([np.zeros((5, 2)), np.zeros((1, 2))])
         with pytest.raises(ShortTrajectory):
-            collisions(xy, xy, lengths, DIMS, DIMS, 4)
+            collisions(xy, xy, lengths, DIMS.size, DIMS.size, 4)
 
     def test_far_rows_get_no_disks(self, monkeypatch):
         """Only the row pairs whose centres come within reach get headings
@@ -195,7 +195,7 @@ class TestCollision:
         far = [straight_traj((0, y), (6, 0), 10) for y in (50.0, 4.01)]
         near = straight_traj((0, 3.99), (6, 0), 10)  # reach = 1 + 1 + 1 + 1
         hit = collisions(*padded_pairs([(ta.xy, b.xy) for b in (far[0], near, far[1])]),
-                         DIMS, DIMS)
+                         DIMS.size, DIMS.size)
         assert hit.tolist() == [False, False, False]
         assert laid == [1, 1]
 
@@ -241,11 +241,11 @@ class TestKernelMatchesPerPairReference:
         trajs = [[Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt) for xy in rows]
                  for rows in pairs]
         xy_a, xy_b, lengths = padded_pairs([(a.xy, b.xy) for a, b in trajs])
-        dist = min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor)
-        hit = collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+        dist = min_disk_distances(xy_a, xy_b, lengths, dims_a.size, dims_b.size, factor)
+        hit = collisions(xy_a, xy_b, lengths, dims_a.size, dims_b.size, factor)
         assert dist.shape == hit.shape == (len(pairs),)
         rows_a, m_rows = resample_rows(xy_a, lengths, factor)
-        centers_a = disk_centers(rows_a, m_rows, dims_a)
+        centers_a = disk_centers(rows_a, m_rows, dims_a.offset)
         for k, (ta, tb) in enumerate(trajs):
             ra, rb = ref_resample(ta, factor), ref_resample(tb, factor)
             m = ra.n
@@ -274,16 +274,17 @@ class TestKernelMatchesPerPairReference:
         for rows, dims in (([a for a, _ in pairs], dims_a), ([b for _, b in pairs], dims_b)):
             xy, lengths = padded(rows, extra)
             filled = fill_padding(xy, lengths, rng, scale)
-            zeros = disk_centers(*resample_rows(xy, lengths, factor), dims)
-            noise = disk_centers(*resample_rows(filled, lengths, factor), dims)
+            zeros = disk_centers(*resample_rows(xy, lengths, factor), dims.offset)
+            noise = disk_centers(*resample_rows(filled, lengths, factor), dims.offset)
             for k, m in enumerate(((lengths - 1) * factor + 1).tolist()):
                 assert np.array_equal(zeros[k, ..., :m], noise[k, ..., :m]), k
             laid.append((xy, filled))
         (za, na), (zb, nb) = laid
-        assert np.array_equal(min_disk_distances(za, zb, lengths, dims_a, dims_b, factor),
-                              min_disk_distances(na, nb, lengths, dims_a, dims_b, factor))
-        assert np.array_equal(collisions(za, zb, lengths, dims_a, dims_b, factor),
-                              collisions(na, nb, lengths, dims_a, dims_b, factor))
+        sizes = dims_a.size, dims_b.size
+        assert np.array_equal(min_disk_distances(za, zb, lengths, *sizes, factor),
+                              min_disk_distances(na, nb, lengths, *sizes, factor))
+        assert np.array_equal(collisions(za, zb, lengths, *sizes, factor),
+                              collisions(na, nb, lengths, *sizes, factor))
 
 
 # vehicles as long as wide have no front and rear offset, so that side-by-side
@@ -358,8 +359,9 @@ class TestReachBound:
     def test_reach_settles_rows_exactly(self, case):
         pairs, dims_a, dims_b, factor = case
         xy_a, xy_b, lengths = padded_pairs(pairs)
-        hit = collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor)
-        assert np.array_equal(hit, min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+        sizes = dims_a.size, dims_b.size
+        hit = collisions(xy_a, xy_b, lengths, *sizes, factor)
+        assert np.array_equal(hit, min_disk_distances(xy_a, xy_b, lengths, *sizes, factor)
                               < dims_a.radius + dims_b.radius)
         for k, (a, b) in enumerate(pairs):
             assert hit[k] == ref_is_collision(as_traj(a), as_traj(b), dims_a, dims_b, factor), k
@@ -385,9 +387,9 @@ class TestSegmentBound:
             xy_a = fill_padding(xy_a, lengths, rng, scale)
             xy_b = fill_padding(xy_b, lengths, rng, scale)
         want_hit, want_dist = frozen_check(xy_a, xy_b, lengths, dims_a, dims_b, factor)
-        assert np.array_equal(collisions(xy_a, xy_b, lengths, dims_a, dims_b, factor), want_hit)
-        assert np.array_equal(min_disk_distances(xy_a, xy_b, lengths, dims_a, dims_b, factor),
-                              want_dist)
+        sizes = dims_a.size, dims_b.size
+        assert np.array_equal(collisions(xy_a, xy_b, lengths, *sizes, factor), want_hit)
+        assert np.array_equal(min_disk_distances(xy_a, xy_b, lengths, *sizes, factor), want_dist)
 
     @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST, st.integers(0, 3),
            st.sampled_from([0.0, 1.0, 1e6]), st.integers(0, 2**32 - 1))
@@ -422,8 +424,64 @@ class TestSegmentBound:
         xy_a = np.array([[[-10.0, 0.0], [10.0, 0.0]]])
         xy_b = np.array([[[-0.05, 1.5], [0.05, 1.5]]])
         lengths = np.array([2])
-        hit = collisions(xy_a, xy_b, lengths, DIMS, DIMS, factor)
+        hit = collisions(xy_a, xy_b, lengths, DIMS.size, DIMS.size, factor)
         assert laid == [1, 1]
         assert hit.tolist() == [want]
         assert frozen_check(xy_a, xy_b, lengths, DIMS, DIMS, factor)[0].tolist() == [want]
         assert want == ref_is_collision(as_traj(xy_a[0]), as_traj(xy_b[0]), DIMS, DIMS, factor)
+
+
+class TestPerRowSizes:
+    """One call over rows of different vehicle sizes, each row with its own
+    ``(radius, offset)``, gives every row the flag and distance, bit for bit,
+    of a call on that row alone with one size, and of the frozen kernel."""
+
+    @staticmethod
+    def check(pairs, dims, factor, extra=0):
+        """``pairs`` checked in one call, pair k with ``dims[k] = (dims_a,
+        dims_b)``, against one call per pair."""
+        xy_a, xy_b, lengths = padded_pairs(pairs, extra)
+        size_a = np.array([d_a.size for d_a, _ in dims])
+        size_b = np.array([d_b.size for _, d_b in dims])
+        hit = collisions(xy_a, xy_b, lengths, size_a, size_b, factor)
+        dist = min_disk_distances(xy_a, xy_b, lengths, size_a, size_b, factor)
+        for k, (d_a, d_b) in enumerate(dims):
+            one = slice(k, k + 1)
+            assert hit[k] == collisions(xy_a[one], xy_b[one], lengths[one], d_a.size, d_b.size,
+                                        factor)[0], k
+            assert np.array_equal(dist[k], min_disk_distances(xy_a[one], xy_b[one], lengths[one],
+                                                              d_a.size, d_b.size, factor)[0]), k
+            want_hit, want_dist = frozen_check(xy_a[one], xy_b[one], lengths[one], d_a, d_b,
+                                               factor)
+            assert hit[k] == want_hit[0] and np.array_equal(dist[k], want_dist[0]), k
+            a, b = pairs[k]
+            assert hit[k] == is_collision(a, b, d_a, d_b, factor), k
+
+    @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST, st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_two_sizes_equal_one_size_calls(self, pairs, factor, dims_1, dims_2, extra,
+                                                    seed):
+        pick = np.random.default_rng(seed).integers(0, 2, (len(pairs), 2))
+        both = (dims_1, dims_2)
+        self.check(pairs, [(both[i], both[j]) for i, j in pick.tolist()], factor, extra)
+
+    @given(boundary_cases(), boundary_cases(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_boundary_rows_of_two_sizes(self, case_1, case_2, seed):
+        """Rows within a few ulps of their own sizes' reach or touch, two
+        cases' rows shuffled into one stack."""
+        (pairs_1, a_1, b_1, factor), (pairs_2, a_2, b_2, _) = case_1, case_2
+        rows = [(p, (a_1, b_1)) for p in pairs_1] + [(p, (a_2, b_2)) for p in pairs_2]
+        order = np.random.default_rng(seed).permutation(len(rows))
+        self.check([rows[k][0] for k in order], [rows[k][1] for k in order], factor)
+
+    def test_one_size_broadcasts(self):
+        """One ``(radius, offset)`` for every row gives what that size
+        repeated per row gives."""
+        ta = straight_traj((0, 0), (6, 0), 10)
+        rows = [(ta.xy, straight_traj((0, y), (6, 0), 10).xy) for y in (1.9, 3.9, 50.0)]
+        xy_a, xy_b, lengths = padded_pairs(rows)
+        each = np.array([DIMS.size] * 3)
+        assert (collisions(xy_a, xy_b, lengths, DIMS.size, DIMS.size).tolist()
+                == collisions(xy_a, xy_b, lengths, each, each).tolist() == [True, False, False])

@@ -8,7 +8,10 @@ digest byte for byte; ``manifest.json`` is compared without its wall-clock
 vehicle parked beside it, runs through ``rollout``, ``baseline --model
 oracle`` and ``eval`` with both baselines: the oracle rolls the parked
 track, whose steps are all of zero length, so its path drops the repeated
-points and gets a flat speed cap. The digests are committed values, never
+points and gets a flat speed cap. A busy 10 Hz crossing (``busy_scene``),
+where many pairs share an agent and a window and so many rollout rows
+repeat, pins the CSV that ``rollout`` writes from its analysis. The digests
+are committed values, never
 computed from the program at test time. An intended output change regenerates only the
 affected digests, with the reason in CHANGES.md.
 """
@@ -20,10 +23,11 @@ import os
 import pytest
 from click.testing import CliRunner
 
-from interaction_eval import EvalConfig, evaluate_scene, run_pipeline, save_scene
+from interaction_eval import EvalConfig, analyse_scene, evaluate_scene, run_pipeline, save_scene
 from interaction_eval.cli import main
+from interaction_eval.pipeline import write_rollout_csv
 
-from conftest import crossing_scene, four_agent_scene, parked_scene
+from conftest import busy_scene, crossing_scene, four_agent_scene, parked_scene
 
 MODE_FIXTURE = {
     "dt": 0.5,
@@ -176,6 +180,9 @@ GOLDEN = {
         "29a4128ff2a68168b3f98e428d2414c7b271b21479091dc52ea24186ab07217b",
 }
 
+# the rollout CSV of busy_scene(): 12 agents, 24 accepted pairs, 17 timelines
+BUSY_ROLLOUT = "2df83827d4ab34b6e55c030fd471aef122f4b7f44c2606e0b6d7373557010f6a"
+
 
 def _digest(path):
     data = path.read_bytes()
@@ -242,3 +249,13 @@ def test_manifest_counts_the_rendered_rejections(tmp_path):
             counts[scene.scene_id] = manifest["scenes"][scene.scene_id]["n_rejected_pairs"]
             assert counts[scene.scene_id] == len(evaluate_scene(scene, cfg).rejections)
     assert counts == {"crossing": 0, "asym": 0, "four": 4, "parked": 2}
+
+
+def test_busy_scene_rollout_matches_golden_digest(tmp_path):
+    """The busy crossing's timelines, one CSV row per frame of each accepted
+    pair's window and one summary row per pair, byte for byte."""
+    analysis = analyse_scene(busy_scene(), EvalConfig())
+    assert len(analysis.pairs) == 24
+    assert sum(ev.timeline is not None for ev in analysis.pairs) == 17
+    write_rollout_csv(tmp_path / "rollout.csv", [analysis])
+    assert _digest(tmp_path / "rollout.csv") == BUSY_ROLLOUT

@@ -131,8 +131,8 @@ def ref_winding(xy_a, xy_b):
     lambda a, b: winding_angle(a, b),
     lambda a, b: classify_pair_windows(a, b),
     lambda a, b: gt_mode_sequence(a, b, horizon_frames=4),
-    lambda a, b: collisions(a[None], b[None], np.array([len(a)]), VehicleDims(1.8, 4.5),
-                            VehicleDims(1.8, 4.5)),
+    lambda a, b: collisions(a[None], b[None], np.array([len(a)]), VehicleDims(1.8, 4.5).size,
+                            VehicleDims(1.8, 4.5).size),
 ], ids=["winding_angle", "classify_pair_windows", "gt_mode_sequence", "collisions"])
 def test_length_mismatch(check):
     """Position tracks of different lengths are not time-aligned: each check

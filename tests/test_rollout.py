@@ -1,27 +1,38 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from interaction_eval import (
+    CriticalPair,
     DegenerateInterval,
     EvalConfig,
     HomotopyClass,
+    InteractionTimeline,
     NoCollapse,
     PathRollout,
     ProfileKind,
     Scene,
+    Trajectory,
     filter_scene_with_rejections,
     interaction_timeline,
+    interaction_timelines,
     max_scene_speed,
     validate_scene,
 )
 from interaction_eval.collision import VehicleDims
 from interaction_eval.homotopy import classify_pair_windows, gt_mode_sequence
-from interaction_eval import rollout
+from interaction_eval import collision, rollout
 from interaction_eval.rollout import rollout_rows
 from interaction_eval.types import common_window, trajectory_kinematics
 
 from conftest import (
+    _ARMS,
+    DT,
     as_traj,
+    busy_scene,
     circle_traj,
     crossing_scene,
     four_agent_scene,
@@ -244,12 +255,18 @@ def reference_interaction_timeline(scene, pair, cfg):
     return (times, tuple(feas), tuple(gt), collapse_idx, final_idx, start_idx)
 
 
+def _fields(tl):
+    """A timeline's fields, or the type of the exception given in its place."""
+    if isinstance(tl, Exception):
+        return type(tl)
+    return (tl.t, tl.h_feas, tl.h_gt, tl.collapse_idx, tl.final_idx, tl.start_idx)
+
+
 def _timeline_fields(scene, pair, cfg):
     try:
-        tl = interaction_timeline(scene, pair, cfg)
+        return _fields(interaction_timeline(scene, pair, cfg))
     except (NoCollapse, DegenerateInterval) as e:
-        return type(e)
-    return (tl.t, tl.h_feas, tl.h_gt, tl.collapse_idx, tl.final_idx, tl.start_idx)
+        return _fields(e)
 
 
 def _assert_same_timeline(got, want, where):
@@ -289,3 +306,144 @@ class TestTimelineMatchesPerFrameReference:
                 outcomes.add(want if isinstance(want, type) else "timeline")
         # the corpus reaches a collapse and at least one raising outcome
         assert "timeline" in outcomes and len(outcomes) > 1
+
+
+@st.composite
+def shared_window_scenes(draw):
+    """A 2 Hz scene of 3-5 agents on a common frame grid, and a list of its
+    agent pairs in which agents recur. Each agent is seen from frame 0, 1
+    or 3 to frame 3, n - 2 or n - 1, so that pair windows coincide, overlap
+    and differ, and a window may hold one sample. An agent drives straight
+    along an arm of a crossing, is parked, drives and then parks (its stopped
+    rows keep one point of path and take the window's heading), or circles
+    at 6-9 m/s on a radius of 5-8 m, where the lateral speed cap binds.
+    Vehicle sizes differ from agent to agent."""
+    n = draw(st.integers(8, 14))
+    agents = []
+    for k in range(draw(st.integers(3, 5))):
+        s0 = draw(st.sampled_from([0, 1, 3]))
+        end = draw(st.sampled_from([e for e in (3, n - 2, n - 1) if e > s0]))
+        frames = np.arange(s0, end + 1)
+        (sx, sy), (ox, oy), (hx, hy) = _ARMS[draw(st.integers(0, 3))]
+        kind = draw(st.sampled_from(["straight", "straight", "parked", "drive_park", "curve"]))
+        speed = draw(st.floats(3.0, 9.0))
+        # at the crossing at 2-4 s, unless it parks first
+        gap = speed * draw(st.floats(2.0, 4.0))
+        start = np.array([sx * gap + ox, sy * gap + oy])
+        if kind == "curve":
+            radius = draw(st.floats(5.0, 8.0))
+            th = draw(st.floats(6.0, 9.0)) / radius * DT * frames + draw(st.floats(0, 6.3))
+            xy = radius * np.stack([np.cos(th), np.sin(th)], axis=1)
+        else:
+            moved = {"straight": frames, "parked": 0 * frames,
+                     "drive_park": np.minimum(frames, draw(st.integers(1, n - 2)))}[kind]
+            xy = start + np.outer(speed * DT * moved, (hx, hy))
+        width = draw(st.floats(1.5, 2.6))
+        agents.append(make_agent(f"a{k}", Trajectory(t=DT * frames, xy=xy, dt=DT), width=width,
+                                 length=width + draw(st.floats(0.0, 4.0))))
+    scene = validate_scene(Scene(scene_id="shared", dt=DT, agents=tuple(agents)))
+    ids = [a.id for a in agents]
+    combos = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(combos + [(b, a) for a, b in combos]),
+                           min_size=1, max_size=8))
+    return scene, [CriticalPair(a, b, 0.0, 0.0, 0.0, 0.0) for a, b in chosen]
+
+
+def _bits(*values):
+    return tuple(np.array(values, dtype=float).view(np.int64).tolist())
+
+
+def _roll_key(scene, traj, start):
+    """A timeline row's key, from the track it is rolled along: the agent
+    whose samples the window holds, the timestamps of its start and of the
+    window's end, and the bits of its start speed and kinematic heading."""
+    (agent,) = [a for a in scene.agents if np.shares_memory(a.trajectory.xy, traj.xy)]
+    headings, speeds = trajectory_kinematics(traj)
+    return (agent.id, *_bits(traj.t[start], traj.t[-1], speeds[start], headings[start]))
+
+
+class TestSceneStage:
+    """``interaction_timelines`` over a scene's pairs gives each pair what
+    the frozen per-pair reference gives it, and rolls each distinct row
+    once."""
+
+    @staticmethod
+    def check(scene, pairs, cfg):
+        """Each pair's outcome against the reference, and the one
+        ``rollout_rows`` call against the keys of every pair's rows; returns
+        the keys of the rows it rolled."""
+        calls = []
+
+        def spy(rows, *args):
+            calls.append([(_roll_key(scene, traj, start), n_steps == traj.n - 1 - start)
+                          for traj, start, _, n_steps in rows])
+            return rollout_rows(rows, *args)
+        with mock.patch.object(rollout, "rollout_rows", spy):
+            got = interaction_timelines(scene, pairs, cfg)
+        assert len(got) == len(pairs)
+        want_keys = set()
+        for pair, tl in zip(pairs, got):
+            wa, wb, _ = common_window(scene.agent(pair.agent_a).trajectory,
+                                      scene.agent(pair.agent_b).trajectory)
+            if wa.n < 2:
+                assert isinstance(tl, DegenerateInterval), pair
+                continue
+            want_keys |= {_roll_key(scene, w, i) for w in (wa, wb) for i in range(wa.n - 1)}
+            assert isinstance(tl, (InteractionTimeline, NoCollapse, DegenerateInterval)), pair
+            _assert_same_timeline(_fields(tl), reference_interaction_timeline(scene, pair, cfg),
+                                  pair)
+        if not want_keys:
+            assert calls == []
+            return []
+        # one roll per distinct key, in one call
+        (rolled,) = calls
+        assert all(steps_ok for _, steps_ok in rolled)
+        keys = [key for key, _ in rolled]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == want_keys
+        return keys
+
+    @given(shared_window_scenes(), st.sampled_from([1, 2, 4]), st.sampled_from([None, 1, 100]))
+    @settings(max_examples=100, deadline=None)
+    def test_stage_equals_per_pair_reference_property(self, case, interp_factor, budget):
+        """Also with collision checks in runs of one pair, or of a few."""
+        with mock.patch.object(collision, "_CHUNK_SAMPLES", budget or collision._CHUNK_SAMPLES):
+            self.check(*case, EvalConfig(interp_factor=interp_factor))
+
+    def test_stopped_rows_keyed_on_heading(self, cfg):
+        """p drives north and parks at frame 2. x is seen from frame 3 and y
+        from frame 0, both to the end, so both of p's windows end together
+        and hold p's parked rows from frame 3 on, at v0 = 0 and with one
+        point of path left. The late window has no heading yet (0) and the
+        early one carries north (pi / 2): the rows differ only there, and
+        each is rolled."""
+        frames = np.arange(12)
+        p = make_agent("p", Trajectory(t=DT * frames, dt=DT, xy=np.stack(
+            [np.full(12, 2.0), -6.0 + 2.0 * np.minimum(frames, 2)], axis=1)))
+        x = make_agent("x", straight_traj((-20.0, -2.0), (6.0, 0.0), 9, t0=3 * DT))
+        y = make_agent("y", straight_traj((30.0, 2.0), (-6.0, 0.0), 12))
+        scene = validate_scene(Scene(scene_id="parks", dt=DT, agents=(p, x, y)))
+        pairs = [CriticalPair(a, b, 0.0, 0.0, 0.0, 0.0) for a, b in (("p", "x"), ("p", "y"))]
+        keys = self.check(scene, pairs, cfg)
+        parked = [key for key in keys if key[0] == "p" and key[3] == 0]
+        assert len(parked) == 2 * 8
+        assert len({key[:4] for key in parked}) == 8
+
+    def test_busy_scene_rows_shared(self, cfg):
+        """On the busy crossing, where every window is the whole scene, one
+        call rolls each agent's rows once, and the timelines equal those of
+        the one-pair stage."""
+        scene = busy_scene()
+        pairs = filter_scene_with_rejections(scene, cfg)[0]
+        sizes = []
+
+        def spy(rows, *args):
+            sizes.append(len(rows))
+            return rollout_rows(rows, *args)
+        with mock.patch.object(rollout, "rollout_rows", spy):
+            got = interaction_timelines(scene, pairs, cfg)
+        # the 24 pairs' 4,320 rows hold each agent's 90 start frames once
+        assert len(pairs) == 24
+        assert sizes == [12 * 90]
+        for tl, pair in zip(got[::5], pairs[::5]):
+            _assert_same_timeline(_fields(tl), _timeline_fields(scene, pair, cfg), pair)

@@ -21,6 +21,8 @@ UNREAD = {
     "filtering.classify_pair": TRACED,
     "homotopy.classify_pair_windows": TRACED,
     "rollout.PathRollout": TRACED,
+    "rollout.interaction_timeline": ("the benchmark's tracer patches it; the demos, the "
+                                     "acceptance checks and the package export read it"),
     "sceneio.save_scene": "a documented entry point: it writes a scene file",
     "types.resample_trajectory": TRACED,
 }
