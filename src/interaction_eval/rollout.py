@@ -20,14 +20,29 @@ has a flat cap that never binds, so its whole roll is one such stretch.
 ``rollout_rows`` rolls many (track, start frame) rows with each profile of
 one list in one call: every start frame of both agents' IHS windows with
 ACCEL and DECEL, or every present agent at every frame the oracle predicts
-with all three. All rows share one padded path layout, one cumulative sum
-per profile and one map from arc lengths to positions. Only the rows whose
-cap may bind build it, and they step one substep at a time only where it
-binds. The rolls come back as one zero-padded stack, one slot per profile in
-the caller's order, the layout ``collisions`` and ``winding_rows`` take.
+with all three. One call lays out its work once:
+
+- each distinct track of the rows once, padded with its last sample: the
+  degenerate steps ahead of each sample, the sharpest clamped curvature
+  ahead, which rows roll in closed form, every row's vertices and each
+  track's final direction are array code over all tracks. Only rows with a
+  degenerate step ahead, or one point left, drop points one at a time;
+- one braked speed-cap pass for every row whose cap may bind. Its grids are
+  ``np.linspace``'s points, and its curvatures ``np.interp``'s bracket and
+  slope formula, written out for all rows, so each row keeps the bits of a
+  pass on it alone; the backward envelope is one ``np.minimum.accumulate``
+  along the rows, +inf past each row's grid;
+- one cumulative sum per profile; the capped rows step one substep at a time
+  only where their cap binds;
+- one pair of ``np.interp`` calls per row, which maps the arc lengths of all
+  of its profiles to positions.
+
+The rolls come back as one zero-padded stack, one slot per profile in the
+caller's order, the layout ``collisions`` and ``winding_rows`` take.
 
 ``interaction_timelines`` is the IHS stage of one scene; ``interaction_timeline``
-is its one-pair case. A pair's rows are both agents from every start frame
+is its one-pair case. One ``co_observed`` call finds every pair's window, the
+one ``common_window`` gives. A pair's rows are both agents from every start frame
 of their co-observed window to the window's end, so an agent in k pairs
 whose windows end together would be rolled k times. The stage keys each row
 on what its roll reads: ``xy[start:]`` of its window, ``n_steps``, ``v0``,
@@ -56,7 +71,13 @@ import numpy as np
 from .collision import VehicleDims, chunk_bounds, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
-from .errors import DegenerateInterval, IndexOutOfRange, NoCollapse
+from .errors import (
+    DegenerateInterval,
+    EmptyOverlap,
+    IndexOutOfRange,
+    NoCollapse,
+    ShortTrajectory,
+)
 from .filtering import CriticalPair
 from .homotopy import HomotopyClass, gt_mode_sequence, homotopy_class, winding_rows
 # the benchmark's tracer patches this name in this module
@@ -66,7 +87,7 @@ from .types import (
     EvalConfig,
     Scene,
     Trajectory,
-    common_window,
+    co_observed,
     trajectory_kinematics,
 )
 
@@ -119,15 +140,15 @@ def max_scene_speed(scene: Scene) -> float:
 
 
 def _menger_curvature(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
-    """Reciprocal circumscribed-circle radius of point triples, each (N, 2).
+    """Reciprocal circumscribed-circle radius of point triples, each (..., 2).
 
     0 where two points of a triple lie within ``_DEGENERATE_DISP`` of each other.
     """
-    a = np.hypot(*(p1 - p0).T)
-    b = np.hypot(*(p2 - p1).T)
-    c = np.hypot(*(p2 - p0).T)
-    cross = ((p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1])
-             - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0]))
+    a = np.hypot(p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1])
+    b = np.hypot(p2[..., 0] - p1[..., 0], p2[..., 1] - p1[..., 1])
+    c = np.hypot(p2[..., 0] - p0[..., 0], p2[..., 1] - p0[..., 1])
+    cross = ((p1[..., 0] - p0[..., 0]) * (p2[..., 1] - p0[..., 1])
+             - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0]))
     with np.errstate(divide="ignore", invalid="ignore"):
         kappa = np.abs(2.0 * cross / (a * b * c))
     return np.where((a < _DEGENERATE_DISP) | (b < _DEGENERATE_DISP) | (c < _DEGENERATE_DISP),
@@ -147,25 +168,29 @@ def _profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
     return v0 * t
 
 
-def _degenerate_ahead(xy: np.ndarray) -> np.ndarray:
-    """Whether a step of ``xy`` from each sample on is within
-    ``_DEGENERATE_DISP``; False on the last sample."""
-    step = np.hypot(*(np.diff(xy, axis=0).T))
-    ahead = np.zeros(len(xy), dtype=bool)
-    ahead[:-1] = np.logical_or.accumulate((step <= _DEGENERATE_DISP)[::-1])[::-1]
+def _degenerate_ahead(xy: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Whether a step of track t, the first ``n[t]`` samples of ``xy[t]``,
+    is within ``_DEGENERATE_DISP`` from each sample on: (tracks, samples),
+    False on each track's last sample and past it."""
+    d = np.diff(xy, axis=1)
+    step = np.hypot(d[..., 0], d[..., 1])
+    degenerate = (step <= _DEGENERATE_DISP) & (np.arange(step.shape[1]) < n[:, None] - 1)
+    ahead = np.zeros(xy.shape[:2], dtype=bool)
+    ahead[:, :-1] = np.logical_or.accumulate(degenerate[:, ::-1], axis=1)[:, ::-1]
     return ahead
 
 
-def _closed_form_starts(xy: np.ndarray, ahead: np.ndarray, starts: np.ndarray, v_max: float,
-                        cfg: EvalConfig) -> np.ndarray:
-    """Which of ``starts`` roll the recorded path ``xy``, whose
-    ``_degenerate_ahead`` is ``ahead``, in closed form.
+def _closed_form_starts(xy: np.ndarray, n: np.ndarray, ahead: np.ndarray, track: np.ndarray,
+                        starts: np.ndarray, v_max: float, cfg: EvalConfig) -> np.ndarray:
+    """Which rows roll in closed form: row r starts at sample ``starts[r]``
+    (in [0, n)) of track ``track[r]``, the first n samples of its ``xy``,
+    whose ``_degenerate_ahead`` is ``ahead``.
 
     The speed cap of the path from ``start`` is ``v_max`` all along it, so
     no substep of any profile is capped, when both hold:
 
-    - no step of ``xy[start:]`` is within ``_DEGENERATE_DISP``, so the path
-      keeps every recorded vertex;
+    - no step of the track from ``start`` is within ``_DEGENERATE_DISP``, so
+      the path keeps every recorded vertex;
     - the lateral limit at the sharpest of those vertices is at least
       ``v_max``. The curvature between vertices is interpolated from theirs,
       and rounding may lift it above the largest by a few ulps; the factor
@@ -173,52 +198,81 @@ def _closed_form_starts(xy: np.ndarray, ahead: np.ndarray, starts: np.ndarray, v
 
     A start on the last sample has no path left to roll along.
     """
-    n = len(xy)
-    ok = (starts >= 0) & (starts <= n - 2)
-    if not ok.any():
-        return ok
+    # the largest clamped curvature of each track's recorded vertices after
+    # each sample; a triple past a track's end counts 0
+    kappa = np.zeros((len(n), xy.shape[1] - 1))
+    triple = np.minimum(_menger_curvature(xy[:, :-2], xy[:, 1:-1], xy[:, 2:]), _KAPPA_MAX)
+    triple[np.arange(triple.shape[1]) >= n[:, None] - 2] = 0.0
+    kappa[:, :-1] = np.maximum.accumulate(triple[:, ::-1], axis=1)[:, ::-1]
+    ok = starts <= n[track] - 2
     s = np.where(ok, starts, 0)
-    # largest clamped curvature of the recorded vertices after each start
-    kappa = np.zeros(n - 1)
-    if n >= 3:
-        kappa[:-1] = np.maximum.accumulate(np.minimum(
-            _menger_curvature(xy[:-2], xy[1:-1], xy[2:]), _KAPPA_MAX)[::-1])[::-1]
-    lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa * (1.0 + 1e-9), 1e-12))
-    return ok & ~ahead[s] & (lat[s] >= v_max)
+    lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa[track, s] * (1.0 + 1e-9), 1e-12))
+    return ok & ~ahead[track, s] & (lat >= v_max)
 
 
-def _speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
-               cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``(grid, cap)``: one path's speed limit on an arc grid about
-    ``_PATH_DS`` apart. The lateral limit follows the curvature at the
-    recorded vertices (all but the last), linear in arc length between them;
-    a backward pass makes entering a low-cap region brakeable at a_lon_max.
+def _speed_caps(verts: np.ndarray, s_vert: np.ndarray, n_vert: np.ndarray, v_max: float,
+                cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(grid, cap, n_grid)``: the speed limit of each path on an arc grid
+    about ``_PATH_DS`` apart. Path r is ``verts[r, :n_vert[r]]`` at arc
+    lengths ``s_vert[r, :n_vert[r]]`` (finite past them, as ``_paths``
+    pads a row with its extension point), and its limit is ``cap[r,
+    :n_grid[r]]`` at ``grid[r, :n_grid[r]]``; both are read-only.
+
+    The lateral limit follows the curvature at the recorded vertices (all
+    but the last), linear in arc length between them; a backward pass makes
+    entering a low-cap region brakeable at a_lon_max. Each row is what
+    ``np.linspace`` and ``np.interp`` give on that path alone, written out
+    for all rows at once: grid point k is ``k * step`` and the last is the
+    path's length, and each grid point's curvature is interpolated from the
+    last vertex at or below it with ``np.interp``'s slope formula.
     """
-    m = len(verts) - 1
-    kappa_vert = np.zeros(len(verts))
-    if m >= 3:
-        kappa_vert[1:m - 1] = np.minimum(
-            _menger_curvature(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
-    grid = np.linspace(0.0, s_vert[-1], max(int(s_vert[-1] / _PATH_DS) + 2, 2))
-    with np.errstate(divide="ignore"):
-        lat = np.sqrt(cfg.a_lat_max / np.maximum(np.interp(grid, s_vert, kappa_vert), 1e-12))
+    rows, cols = np.arange(len(n_vert)), np.arange(s_vert.shape[1])
+    kappa = np.zeros(s_vert.shape)
+    kappa[:, 1:-1] = np.minimum(
+        _menger_curvature(verts[:, :-2], verts[:, 1:-1], verts[:, 2:]), _KAPPA_MAX)
+    kappa[cols >= n_vert[:, None] - 2] = 0.0
+    length = s_vert[rows, n_vert - 1]
+    n_grid = np.maximum((length / _PATH_DS).astype(np.int64) + 2, 2)
+    step = length / (n_grid - 1)
+    k = np.arange(n_grid.max())
+    grid = k * step[:, None]
+    np.copyto(grid, length[:, None], where=k >= n_grid[:, None] - 1)
+    # the first grid point at or past each vertex, from k = s / step give or
+    # take one; the last vertex at or below a grid point is then a count.
+    # Rows are read flat: grid row r starts at r * len(k), vertex row r at
+    # r * len(cols)
+    at = rows[:, None] * len(k)
+    first = np.minimum(np.ceil(s_vert / step[:, None]).astype(np.int64), n_grid[:, None] - 1)
+    first -= (first > 0) & (grid.take(at + np.maximum(first - 1, 0)) >= s_vert)
+    first += grid.take(at + first) < s_vert
+    below = np.bincount((at + first)[cols < n_vert[:, None]], minlength=grid.size)
+    j = np.cumsum(below.reshape(grid.shape), axis=1) + (rows[:, None] * len(cols) - 1)
+    s_j, kappa_j = s_vert.take(j), kappa.take(j)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # past a path's last vertex the slope is junk, and never read
+        slope = np.diff(kappa, axis=1, append=0.0) / np.diff(s_vert, axis=1, append=0.0)
+        kappa_grid = np.where(s_j == grid, kappa_j, slope.take(j) * (grid - s_j) + kappa_j)
+        lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa_grid, 1e-12))
     cap = np.minimum(v_max, lat)
-    brake = 2.0 * cfg.a_lon_max * float(grid[1] - grid[0])
+    brake = 2.0 * cfg.a_lon_max * (grid[:, 1] - grid[:, 0])
     # the backward pass cap[k] = min(cap[k], sqrt(cap[k + 1]² + brake)),
-    # unrolled: cap[k]² = min over j >= k of cap[j]² + (j - k)·brake. A
-    # point that is its own minimum keeps its bits, so a flat cap stays
-    # exactly v_max, as _closed_form_starts assumes.
-    shift = np.arange(len(cap)) * brake
+    # unrolled: cap[k]² = min over j >= k of cap[j]² + (j - k)·brake, with
+    # +inf past each path's grid. A point that is its own minimum keeps its
+    # bits, so a flat cap stays exactly v_max, as _closed_form_starts assumes.
+    shift = k * brake[:, None]
     sq = cap * cap + shift
-    env = np.minimum.accumulate(sq[::-1])[::-1]
+    sq[k >= n_grid[:, None]] = np.inf
+    env = np.minimum.accumulate(sq[:, ::-1], axis=1)[:, ::-1]
     cap = np.where(env < sq, np.sqrt(env - shift), cap)
+    grid.setflags(write=False)
     cap.setflags(write=False)
-    return grid, cap
+    return grid, cap, n_grid
 
 
 def _direction(tail: np.ndarray) -> np.ndarray:
-    heading = np.arctan2(tail[1], tail[0])
-    return np.array([np.cos(heading), np.sin(heading)])
+    """Unit vectors along the last axis of ``tail``, through its heading."""
+    heading = np.arctan2(tail[..., 1], tail[..., 0])
+    return np.stack((np.cos(heading), np.sin(heading)), axis=-1)
 
 
 def _paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tuple:
@@ -231,51 +285,63 @@ def _paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tup
     rolls never run out of path; the extension point pads the row. Where a
     step is within ``_DEGENERATE_DISP``, consecutive (near-)duplicate points
     are dropped, measured from the last kept one. ``caps`` maps each row that
-    ``_closed_form_starts`` does not admit to its ``_speed_cap``.
+    ``_closed_form_starts`` does not admit to its ``(grid, cap)`` of
+    ``_speed_caps``.
+
+    Each distinct track of the rows is laid out once, padded with its last
+    sample: its degenerate steps ahead, the admission of its rows' starts
+    and its final direction are array code over all tracks.
     """
-    tracks: dict[int, list[int]] = {}
-    for r, (traj, start, *_) in enumerate(rows):
-        if not 0 <= start < traj.n:
-            raise IndexOutOfRange(f"start frame {start} outside [0, {traj.n})")
-        tracks.setdefault(id(traj), []).append(r)
-    n_pts = np.array([row[0].n - row[1] for row in rows])
+    tracks = {id(row[0]): row[0] for row in rows}
+    index = {key: t for t, key in enumerate(tracks)}
+    track = np.array([index[id(row[0])] for row in rows])
+    starts = np.array([row[1] for row in rows])
+    n = np.array([traj.n for traj in tracks.values()])
+    n_row = n[track]
+    bad = np.flatnonzero((starts < 0) | (starts >= n_row))
+    if bad.size:
+        raise IndexOutOfRange(f"start frame {starts[bad[0]]} outside [0, {n_row[bad[0]]})")
+    if n.min() < 2:
+        raise ShortTrajectory("rollouts need at least 2 samples per track")
+    first = np.concatenate(([0], np.cumsum(n[:-1])))
+    xy = np.concatenate([traj.xy for traj in tracks.values()])[
+        first[:, None] + np.minimum(np.arange(n.max()), n[:, None] - 1)]
+    ahead = _degenerate_ahead(xy, n)
+    free = _closed_form_starts(xy, n, ahead, track, starts, v_max, cfg)
+    each = np.arange(len(n))
+    direction = _direction(xy[each, n - 1] - xy[each, n - 2])[track]
+    n_pts = n_row - starts
     cols = np.arange(n_pts.max() + 1)
-    verts = np.empty((len(rows), len(cols), 2))
-    direction = np.empty((len(rows), 2))
-    free = np.empty(len(rows), dtype=bool)
-    for idx in map(np.array, tracks.values()):
-        traj = rows[idx[0]][0]
-        xy = traj.xy
-        starts = np.array([rows[r][1] for r in idx])
-        ahead = _degenerate_ahead(xy)
-        free[idx] = _closed_form_starts(xy, ahead, starts, v_max, cfg)
-        verts[idx] = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
-        direction[idx] = _direction(xy[-1] - xy[-2])
-        # the rows that drop points, and those with one point left; a row in
-        # closed form is neither
-        rest = ~free[idx]
-        if rest.any():
-            rest &= ahead[starts] | (starts == len(xy) - 1)
-        for r in idx[rest]:
-            keep = [rows[r][1]]
-            for i in range(keep[0] + 1, len(xy)):
-                if np.hypot(*(xy[i] - xy[keep[-1]])) > _DEGENERATE_DISP:
-                    keep.append(i)
-            n_pts[r] = len(keep)
-            verts[r, :len(keep)] = xy[keep]
-            if len(keep) >= 2:
-                direction[r] = _direction(xy[keep[-1]] - xy[keep[-2]])
-            else:
-                heading = trajectory_kinematics(traj)[0][keep[0]]
-                direction[r] = [np.cos(heading), np.sin(heading)]
+    verts = xy[track[:, None], np.minimum(starts[:, None] + cols, n_row[:, None] - 1)]
+    # the rows that drop points, and those with one point left; a row in
+    # closed form is neither
+    for r in np.flatnonzero(~free & (ahead[track, starts] | (starts == n_row - 1))).tolist():
+        traj, start = rows[r][:2]
+        keep = [start]
+        for i in range(start + 1, traj.n):
+            if np.hypot(*(traj.xy[i] - traj.xy[keep[-1]])) > _DEGENERATE_DISP:
+                keep.append(i)
+        n_pts[r] = len(keep)
+        verts[r, :len(keep)] = traj.xy[keep]
+        if len(keep) >= 2:
+            direction[r] = _direction(traj.xy[keep[-1]] - traj.xy[keep[-2]])
+        else:
+            heading = trajectory_kinematics(traj)[0][keep[0]]
+            direction[r] = [np.cos(heading), np.sin(heading)]
     ext = verts[np.arange(len(rows)), n_pts - 1] + direction * np.maximum(extend, 1.0)[:, None]
     verts = np.where((cols >= n_pts[:, None])[..., None], ext[:, None], verts)
     seg = np.diff(verts, axis=1)
     s_vert = np.concatenate((np.zeros((len(rows), 1)),
                              np.cumsum(np.hypot(seg[..., 0], seg[..., 1]), axis=1)), axis=1)
     n_vert = n_pts + 1
-    caps = {r: _speed_cap(verts[r, :n_vert[r]], s_vert[r, :n_vert[r]], v_max, cfg)
-            for r in np.flatnonzero(~free).tolist()}
+    capped = np.flatnonzero(~free)
+    caps = {}
+    if capped.size:
+        width = int(n_vert[capped].max())
+        grid, cap, n_grid = _speed_caps(verts[capped, :width], s_vert[capped, :width],
+                                        n_vert[capped], v_max, cfg)
+        caps = {r: (grid[i, :g], cap[i, :g])
+                for i, (r, g) in enumerate(zip(capped.tolist(), n_grid.tolist()))}
     return verts, s_vert, n_vert, caps
 
 
@@ -347,12 +413,12 @@ def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
 
 
 def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
-          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple,
-          out: np.ndarray) -> None:
+          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> np.ndarray:
     """Roll every row of ``paths`` with profile ``kind``, given the rows'
     start speeds, substep start times (``_substep_starts``), time steps and
-    frame counts, and write row r's n_steps[r] + 1 positions to ``out[r,
-    :n_steps[r] + 1]``; nothing else of ``out`` is written.
+    frame counts: row r's arc length at its n_steps[r] + 1 frame times,
+    clipped to its path, is ``s[r, :n_steps[r] + 1]`` of the returned
+    (rows, max n_steps + 1) ``s``; past it ``s`` holds no roll.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
@@ -366,17 +432,30 @@ def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
     ds = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
     s = np.cumsum(np.concatenate((np.zeros((len(v0), 1)), ds), axis=1), axis=1)
     verts, s_vert, n_vert, caps = paths
-    for r, (grid, cap) in caps.items():
+    if caps:
+        # the profile's speeds at both ends of each substep of the capped rows
+        capped = list(caps)
+        v_a = np.clip(v0[capped] + a * t_a[capped], 0.0, v_max)
+        v_b = np.clip(v0[capped] + a * t_b[capped], 0.0, v_max)
+    for i, (r, (grid, cap)) in enumerate(caps.items()):
         n_sub = n_steps[r] * _SUBSTEPS
-        v_a = np.clip(v0[r] + a * t_a[r, :n_sub], 0.0, v_max)
-        v_b = np.clip(v0[r] + a * t_b[r, :n_sub], 0.0, v_max)
-        _restep(s[r, :n_sub + 1], ds[r, :n_sub], v_a, v_b, float(dt[r, 0]) / _SUBSTEPS,
-                grid, cap)
-    # each row's positions on its own vertices
-    s = np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[np.arange(len(s)), n_vert - 1][:, None])
-    for r, (s_r, m, n) in enumerate(zip(s, n_vert.tolist(), (n_steps + 1).tolist())):
-        out[r, :n, 0] = np.interp(s_r[:n], s_vert[r, :m], verts[r, :m, 0])
-        out[r, :n, 1] = np.interp(s_r[:n], s_vert[r, :m], verts[r, :m, 1])
+        _restep(s[r, :n_sub + 1], ds[r, :n_sub], v_a[i, :n_sub], v_b[i, :n_sub],
+                float(dt[r, 0]) / _SUBSTEPS, grid, cap)
+    return np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[np.arange(len(s)), n_vert - 1][:, None])
+
+
+def _positions(paths: tuple, s: np.ndarray, n_steps: np.ndarray) -> np.ndarray:
+    """Each row's positions at its arc lengths ``s`` (rows, profiles, max
+    n_steps + 1) along its path, as one zero-padded (rows, profiles, max
+    n_steps + 1, 2) stack: one pair of ``np.interp`` calls per row maps all
+    of its profiles' n_steps[r] + 1 frames."""
+    verts, s_vert, n_vert, _ = paths
+    x, y = np.ascontiguousarray(verts[..., 0]), np.ascontiguousarray(verts[..., 1])
+    out = np.zeros(s.shape + (2,))
+    for r, (m, n) in enumerate(zip(n_vert.tolist(), (n_steps + 1).tolist())):
+        out[r, :, :n, 0] = np.interp(s[r, :, :n], s_vert[r, :m], x[r, :m])
+        out[r, :, :n, 1] = np.interp(s[r, :, :n], s_vert[r, :m], y[r, :m])
+    return out
 
 
 class PathRollout:
@@ -392,11 +471,10 @@ class PathRollout:
 
     def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
         """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt."""
-        dt = np.array([self.dt])
-        out = np.zeros((1, n_steps + 1, 2))
-        _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, np.array([n_steps]),
-              self.v_max, self._a_lon, self._paths, out)
-        return out[0]
+        dt, n = np.array([self.dt]), np.array([n_steps])
+        s = _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, n, self.v_max,
+                  self._a_lon, self._paths)
+        return _positions(self._paths, s[:, None], n)[0, 0]
 
 
 def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: float,
@@ -418,10 +496,9 @@ def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: 
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
     v0 = np.minimum([row[2] for row in rows], v_max)
     t_a = _substep_starts(int(n_steps.max()), dt)
-    out = np.zeros((len(rows), len(kinds), int(n_steps.max()) + 1, 2))
-    for k, kind in enumerate(kinds):
-        _roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths, out[:, k])
-    return out
+    s = np.stack([_roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths)
+                  for kind in kinds], axis=1)
+    return _positions(paths, s, n_steps)
 
 
 def _row_keys(slot: int, window: Trajectory, headings: np.ndarray,
@@ -487,24 +564,38 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
     each row's vehicle size.
     """
     out: list = []
+    if not pairs:
+        return out
+    sides = [(scene.agent(pair.agent_a), scene.agent(pair.agent_b)) for pair in pairs]
+    agents = {id(agent): agent for side in sides for agent in side}
+    slot = {key: k for k, key in enumerate(agents)}  # each agent's slot (key column 0)
+    trajs = [agent.trajectory for agent in agents.values()]
+    # every pair's co-observed window, as common_window finds it, in one call
+    ok, first_a, first_b, count = co_observed(
+        np.concatenate([traj.t for traj in trajs]),
+        np.concatenate(([0], np.cumsum([traj.n for traj in trajs]))),
+        np.array([traj.dt for traj in trajs]),
+        np.array([slot[id(a)] for a, _ in sides]), np.array([slot[id(b)] for _, b in sides]))
+    if not ok.all():
+        raise EmptyOverlap("no co-observed window on a common time grid")
     evaluable = []  # (index in out, pair, times) of each pair with 2+ samples
     windows = []  # a's and b's, pair by pair
     keys_a, keys_b, sizes_a, sizes_b = [], [], [], []
-    slots: dict[int, int] = {}  # each agent's slot (key column 0), by id()
-    for pair in pairs:
-        agent_a, agent_b = scene.agent(pair.agent_a), scene.agent(pair.agent_b)
-        wa, wb, times = common_window(agent_a.trajectory, agent_b.trajectory)
-        if wa.n < 2:  # a user-set t_min can accept a pair that is co-observed at one frame
+    for pair, side, ia, ib, n in zip(pairs, sides, first_a.astype(int).tolist(),
+                                     first_b.astype(int).tolist(), count.astype(int).tolist()):
+        if n < 2:  # a user-set t_min can accept a pair that is co-observed at one frame
             out.append(DegenerateInterval(f"pair ({pair.agent_a}, {pair.agent_b}): co-observed "
-                                          f"window of {wa.n} sample(s), need at least 2"))
+                                          f"window of {n} sample(s), need at least 2"))
             continue
-        for agent, w, keys, sizes in ((agent_a, wa, keys_a, sizes_a),
-                                      (agent_b, wb, keys_b, sizes_b)):
+        wa = side[0].trajectory.slice_frames(ia, ia + n)
+        for agent, w, keys, sizes in ((side[0], wa, keys_a, sizes_a),
+                                      (side[1], side[1].trajectory.slice_frames(ib, ib + n),
+                                       keys_b, sizes_b)):
             headings, speeds = trajectory_kinematics(w)
-            keys.append(_row_keys(slots.setdefault(id(agent), len(slots)), w, headings, speeds))
+            keys.append(_row_keys(slot[id(agent)], w, headings, speeds))
             sizes.append(VehicleDims(agent.width, agent.length).size)
             windows.append(w)
-        evaluable.append((len(out), pair, times))
+        evaluable.append((len(out), pair, wa.t))
         out.append(None)
     if not evaluable:
         return out

@@ -352,8 +352,9 @@ class TestOracleCollisionTables:
     @pytest.mark.parametrize("frames", [range(0, 10), range(0, 20)], ids=["c_absent", "all"])
     def test_track_admitted_once_per_call(self, cfg, monkeypatch, frames):
         """One call admits each present agent's track to closed-form rolling
-        (``rollout._closed_form_starts``) once, however many frames it
-        predicts."""
+        (``rollout._closed_form_starts``, which takes every distinct track
+        of a ``rollout_rows`` call laid out once) once, however many frames
+        it predicts."""
         base = crossing_scene(n=30)
         c = make_agent("c", straight_traj((-2.0, 45.0), (0.0, -6.0), 20, t0=5.0))
         z = make_agent("z", straight_traj((-30.0, 300.0), (6.0, 0.0), 30))
@@ -362,13 +363,13 @@ class TestOracleCollisionTables:
         seen = []
         admit = rollout._closed_form_starts
 
-        def counted(xy, *args):
-            seen.append(id(xy))
-            return admit(xy, *args)
+        def counted(xy, n, *args):
+            seen.extend(xy[t, :m].tobytes() for t, m in enumerate(n.tolist()))
+            return admit(xy, n, *args)
         monkeypatch.setattr(rollout, "_closed_form_starts", counted)
         _outcome(oracle_predict, scene, frames, pairs, 5, cfg)
         present = [a for a in scene.agents if _present_frames(scene, frames)[a.id]]
-        assert sorted(seen) == sorted(id(a.trajectory.xy) for a in present)
+        assert sorted(seen) == sorted(a.trajectory.xy.tobytes() for a in present)
         assert ("c" in {a.id for a in present}) == (frames.stop > 10)
 
     def test_failure_traceback_holds_no_arrays(self, cfg):

@@ -10,6 +10,12 @@ The one exception is the speed cap. Its braking pass is one array envelope,
 which rounds differently from the frozen scalar pass, so the cap alone is
 compared within ``cap_bound`` of it. The references then roll on the
 program's own cap, and the rolls stay bit-exact.
+
+The path layer itself (``_paths``, ``_speed_caps``, ``_degenerate_ahead``
+and ``_closed_form_starts``) lays out every distinct track and every capped
+row of a call at once. ``frozen_paths`` and its helpers below are the
+per-track and per-row code it replaced, kept verbatim, and the layout must
+equal them bit for bit, caps included.
 """
 
 import bisect
@@ -20,7 +26,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interaction_eval import EvalConfig, IndexOutOfRange, Trajectory, trajectory_kinematics
+from interaction_eval import (
+    EvalConfig,
+    IndexOutOfRange,
+    ShortTrajectory,
+    Trajectory,
+    trajectory_kinematics,
+)
 from interaction_eval.rollout import (
     _KAPPA_MAX,
     _PATH_DS,
@@ -29,7 +41,8 @@ from interaction_eval.rollout import (
     ProfileKind,
     _closed_form_starts,
     _degenerate_ahead,
-    _speed_cap,
+    _paths,
+    _speed_caps,
     rollout_rows,
 )
 from interaction_eval.types import _DEGENERATE_DISP
@@ -213,6 +226,179 @@ def ref_profile_arc(t: np.ndarray, v0, a: float, v_max: float) -> np.ndarray:
     return v0 * t
 
 
+# --- frozen per-track path layer ------------------------------------------------
+
+def frozen_degenerate_ahead(xy: np.ndarray) -> np.ndarray:
+    """Whether a step of ``xy`` from each sample on is within
+    ``_DEGENERATE_DISP``; False on the last sample."""
+    step = np.hypot(*(np.diff(xy, axis=0).T))
+    ahead = np.zeros(len(xy), dtype=bool)
+    ahead[:-1] = np.logical_or.accumulate((step <= _DEGENERATE_DISP)[::-1])[::-1]
+    return ahead
+
+
+def frozen_closed_form_starts(xy: np.ndarray, ahead: np.ndarray, starts: np.ndarray,
+                              v_max: float, cfg: EvalConfig) -> np.ndarray:
+    """Which of ``starts`` roll the recorded path ``xy``, whose
+    ``_degenerate_ahead`` is ``ahead``, in closed form.
+
+    The speed cap of the path from ``start`` is ``v_max`` all along it, so
+    no substep of any profile is capped, when both hold:
+
+    - no step of ``xy[start:]`` is within ``_DEGENERATE_DISP``, so the path
+      keeps every recorded vertex;
+    - the lateral limit at the sharpest of those vertices is at least
+      ``v_max``. The curvature between vertices is interpolated from theirs,
+      and rounding may lift it above the largest by a few ulps; the factor
+      ``1 + 1e-9`` allows for that.
+
+    A start on the last sample has no path left to roll along.
+    """
+    n = len(xy)
+    ok = (starts >= 0) & (starts <= n - 2)
+    if not ok.any():
+        return ok
+    s = np.where(ok, starts, 0)
+    # largest clamped curvature of the recorded vertices after each start
+    kappa = np.zeros(n - 1)
+    if n >= 3:
+        kappa[:-1] = np.maximum.accumulate(np.minimum(
+            ref_menger_rows(xy[:-2], xy[1:-1], xy[2:]), _KAPPA_MAX)[::-1])[::-1]
+    lat = np.sqrt(cfg.a_lat_max / np.maximum(kappa * (1.0 + 1e-9), 1e-12))
+    return ok & ~ahead[s] & (lat[s] >= v_max)
+
+
+def frozen_speed_cap(verts: np.ndarray, s_vert: np.ndarray, v_max: float,
+                     cfg: EvalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``(grid, cap)``: one path's speed limit on an arc grid about
+    ``_PATH_DS`` apart. The lateral limit follows the curvature at the
+    recorded vertices (all but the last), linear in arc length between them;
+    a backward pass makes entering a low-cap region brakeable at a_lon_max.
+    """
+    m = len(verts) - 1
+    kappa_vert = np.zeros(len(verts))
+    if m >= 3:
+        kappa_vert[1:m - 1] = np.minimum(
+            ref_menger_rows(verts[:m - 2], verts[1:m - 1], verts[2:m]), _KAPPA_MAX)
+    grid = np.linspace(0.0, s_vert[-1], max(int(s_vert[-1] / _PATH_DS) + 2, 2))
+    with np.errstate(divide="ignore"):
+        lat = np.sqrt(cfg.a_lat_max / np.maximum(np.interp(grid, s_vert, kappa_vert), 1e-12))
+    cap = np.minimum(v_max, lat)
+    brake = 2.0 * cfg.a_lon_max * float(grid[1] - grid[0])
+    # the backward pass cap[k] = min(cap[k], sqrt(cap[k + 1]² + brake)),
+    # unrolled: cap[k]² = min over j >= k of cap[j]² + (j - k)·brake. A
+    # point that is its own minimum keeps its bits, so a flat cap stays
+    # exactly v_max, as _closed_form_starts assumes.
+    shift = np.arange(len(cap)) * brake
+    sq = cap * cap + shift
+    env = np.minimum.accumulate(sq[::-1])[::-1]
+    cap = np.where(env < sq, np.sqrt(env - shift), cap)
+    cap.setflags(write=False)
+    return grid, cap
+
+
+def frozen_direction(tail: np.ndarray) -> np.ndarray:
+    heading = np.arctan2(tail[1], tail[0])
+    return np.array([np.cos(heading), np.sin(heading)])
+
+
+def frozen_paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tuple:
+    """``(verts, s_vert, n_vert, caps)``: the path of each ``(traj, start,
+    ...)`` row and its speed limit.
+
+    Row r's path, ``verts[r, :n_vert[r]]`` at arc lengths ``s_vert[r,
+    :n_vert[r]]``, is its recorded points from ``start``, then a point
+    ``extend[r]`` (at least 1 m) on along the final heading, so accelerating
+    rolls never run out of path; the extension point pads the row. Where a
+    step is within ``_DEGENERATE_DISP``, consecutive (near-)duplicate points
+    are dropped, measured from the last kept one. ``caps`` maps each row that
+    ``_closed_form_starts`` does not admit to its ``_speed_cap``.
+    """
+    tracks: dict[int, list[int]] = {}
+    for r, (traj, start, *_) in enumerate(rows):
+        if not 0 <= start < traj.n:
+            raise IndexOutOfRange(f"start frame {start} outside [0, {traj.n})")
+        tracks.setdefault(id(traj), []).append(r)
+    n_pts = np.array([row[0].n - row[1] for row in rows])
+    cols = np.arange(n_pts.max() + 1)
+    verts = np.empty((len(rows), len(cols), 2))
+    direction = np.empty((len(rows), 2))
+    free = np.empty(len(rows), dtype=bool)
+    for idx in map(np.array, tracks.values()):
+        traj = rows[idx[0]][0]
+        xy = traj.xy
+        starts = np.array([rows[r][1] for r in idx])
+        ahead = frozen_degenerate_ahead(xy)
+        free[idx] = frozen_closed_form_starts(xy, ahead, starts, v_max, cfg)
+        verts[idx] = xy[np.minimum(starts[:, None] + cols, len(xy) - 1)]
+        direction[idx] = frozen_direction(xy[-1] - xy[-2])
+        # the rows that drop points, and those with one point left; a row in
+        # closed form is neither
+        rest = ~free[idx]
+        if rest.any():
+            rest &= ahead[starts] | (starts == len(xy) - 1)
+        for r in idx[rest]:
+            keep = [rows[r][1]]
+            for i in range(keep[0] + 1, len(xy)):
+                if np.hypot(*(xy[i] - xy[keep[-1]])) > _DEGENERATE_DISP:
+                    keep.append(i)
+            n_pts[r] = len(keep)
+            verts[r, :len(keep)] = xy[keep]
+            if len(keep) >= 2:
+                direction[r] = frozen_direction(xy[keep[-1]] - xy[keep[-2]])
+            else:
+                heading = trajectory_kinematics(traj)[0][keep[0]]
+                direction[r] = [np.cos(heading), np.sin(heading)]
+    ext = verts[np.arange(len(rows)), n_pts - 1] + direction * np.maximum(extend, 1.0)[:, None]
+    verts = np.where((cols >= n_pts[:, None])[..., None], ext[:, None], verts)
+    seg = np.diff(verts, axis=1)
+    s_vert = np.concatenate((np.zeros((len(rows), 1)),
+                             np.cumsum(np.hypot(seg[..., 0], seg[..., 1]), axis=1)), axis=1)
+    n_vert = n_pts + 1
+    caps = {r: frozen_speed_cap(verts[r, :n_vert[r]], s_vert[r, :n_vert[r]], v_max, cfg)
+            for r in np.flatnonzero(~free).tolist()}
+    return verts, s_vert, n_vert, caps
+
+
+# --- the batched path layer on one row and on many ------------------------------
+
+def speed_cap(verts, s_vert, v_max, cfg):
+    """``_speed_caps`` of one path: its ``(grid, cap)``."""
+    grid, cap, (n_grid,) = _speed_caps(verts[None], s_vert[None], np.array([len(verts)]),
+                                       v_max, cfg)
+    return grid[0, :n_grid], cap[0, :n_grid]
+
+
+def stacked_paths(paths):
+    """Paths of different lengths, each ``(verts, s_vert)``, padded with their
+    last vertex as ``_paths`` pads its rows: ``(verts, s_vert, n_vert)``."""
+    n_vert = np.array([len(s) for _, s in paths])
+    pad = np.minimum(np.arange(n_vert.max()), n_vert[:, None] - 1)
+    return (np.stack([v[p] for (v, _), p in zip(paths, pad)]),
+            np.stack([s[p] for (_, s), p in zip(paths, pad)]), n_vert)
+
+
+def track_stack(trajs, pad=None):
+    """Tracks padded with their last sample, as ``_paths`` lays them out, or
+    with ``pad``: ``(xy, n)``."""
+    n = np.array([traj.n for traj in trajs])
+    xy = np.stack([traj.xy[np.minimum(np.arange(n.max()), traj.n - 1)] for traj in trajs])
+    if pad is not None:
+        xy[np.arange(n.max()) >= n[:, None]] = pad
+    return xy, n
+
+
+def admitted(rows, v_max, cfg, pad=None):
+    """``_closed_form_starts`` of every ``(traj, start, ...)`` row, from one
+    call over the rows' distinct tracks, padded as ``track_stack`` pads them."""
+    trajs = list({id(row[0]): row[0] for row in rows}.values())
+    index = {id(traj): t for t, traj in enumerate(trajs)}
+    xy, n = track_stack(trajs, pad)
+    return _closed_form_starts(xy, n, _degenerate_ahead(xy, n),
+                               np.array([index[id(row[0])] for row in rows]),
+                               np.array([row[1] for row in rows]), v_max, cfg)
+
+
 class RefPathRollout:
     """One agent's path from a start frame onward, with its speed limits.
 
@@ -275,7 +461,7 @@ class RefPathRollout:
                 cap[k] = min(cap[k], np.sqrt(cap[k + 1] ** 2 + brake))
         # the program's cap is within the bound of this one, and the rolls
         # below step on the program's cap
-        grid, self._cap = _speed_cap(verts, s_vert, v_max, cfg)
+        grid, self._cap = speed_cap(verts, s_vert, v_max, cfg)
         assert np.array_equal(grid, self._s)
         assert_cap_close(self._cap, cap)
 
@@ -504,7 +690,9 @@ def check_rows(rows, v_max, kinds=ALL_KINDS, cfg=None):
     """Every row's roll of each of ``kinds`` from one ``rollout_rows`` call,
     and from that row's own ``PathRollout``, equals the frozen
     ``RefPathRollout`` roll of that row, and the padding past its length is
-    exactly 0.0; returns how many rows took the closed form."""
+    exactly 0.0; returns how many rows took the closed form, which one
+    ``_closed_form_starts`` call over all rows, one call per row and the
+    frozen per-track admission agree on."""
     cfg = cfg or EvalConfig()
     got = rollout_rows(rows, kinds, v_max, cfg)
     assert got.shape == (len(rows), len(kinds), max(row[3] for row in rows) + 1, 2)
@@ -518,9 +706,13 @@ def check_rows(rows, v_max, kinds=ALL_KINDS, cfg=None):
             assert want.shape == (n_steps + 1, 2)
             assert np.array_equal(roll[:n_steps + 1], want), (start, kind)
             assert np.array_equal(path.roll(kind, n_steps), want), (start, kind)
-    return sum(int(_closed_form_starts(traj.xy, _degenerate_ahead(traj.xy), np.array([start]),
-                                       v_max, cfg)[0])
-               for traj, start, *_ in rows)
+    free = admitted(rows, v_max, cfg)
+    assert free.tolist() == [bool(admitted([row], v_max, cfg)[0]) for row in rows]
+    assert free.tolist() == [
+        bool(frozen_closed_form_starts(traj.xy, frozen_degenerate_ahead(traj.xy),
+                                       np.array([start]), v_max, cfg)[0])
+        for traj, start, *_ in rows]
+    return int(free.sum())
 
 
 def test_rows_straight_paths_all_closed_form():
@@ -693,7 +885,7 @@ def test_speed_cap_equals_reference_property(traj, start, v_max):
     cfg = EvalConfig()
     start %= traj.n
     verts, s_vert, s_grid, kappa = ref_geometry(traj, start, v_max * traj.n * traj.dt + 10.0)
-    grid, cap = _speed_cap(verts, s_vert, v_max, cfg)
+    grid, cap = speed_cap(verts, s_vert, v_max, cfg)
     assert grid.tobytes() == s_grid.tobytes()
     assert_cap_close(cap, ref_speed_cap(s_grid, kappa, v_max, cfg))
     assert not cap.flags.writeable
@@ -711,7 +903,7 @@ def test_speed_cap_is_the_braked_lateral_limit_property(traj, start, v_max):
     cfg = EvalConfig()
     start %= traj.n
     verts, s_vert, _, kappa = ref_geometry(traj, start, v_max * traj.n * traj.dt + 10.0)
-    grid, cap = _speed_cap(verts, s_vert, v_max, cfg)
+    grid, cap = speed_cap(verts, s_vert, v_max, cfg)
     lateral = np.minimum(v_max, np.sqrt(cfg.a_lat_max / np.maximum(kappa, 1e-12)))
     bound = cap_bound(cap)
     assert np.all(cap <= lateral + bound)
@@ -727,11 +919,11 @@ def test_speed_cap_examples_are_flat_and_binding():
     and the braking pass."""
     cfg = EvalConfig()
     verts, s_vert, _, _ = ref_geometry(straight_traj((-20.0, 3.0), (6.0, 1.5), 30), 0, 50.0)
-    assert np.all(_speed_cap(verts, s_vert, 9.0, cfg)[1] == 9.0)
+    assert np.all(speed_cap(verts, s_vert, 9.0, cfg)[1] == 9.0)
     verts, s_vert, s_grid, kappa = ref_geometry(circle_traj(radius=10.0, omega=0.6, n=30), 0,
                                                 50.0)
     lateral = np.minimum(6.5, np.sqrt(cfg.a_lat_max / np.maximum(kappa, 1e-12)))
-    cap = _speed_cap(verts, s_vert, 6.5, cfg)[1]
+    cap = speed_cap(verts, s_vert, 6.5, cfg)[1]
     assert cap.min() < 6.5
     assert (cap < lateral).any()
 
@@ -767,3 +959,159 @@ def test_rows_equal_path_rollout_wod_shape_property(traj, v_max):
     DECEL, as the IHS timeline rolls it: long runs of substeps where the
     cap binds."""
     check_rows(window_rows(traj), v_max, kinds=(ProfileKind.ACCEL, ProfileKind.DECEL))
+
+
+# --- the batched layout against the frozen per-track code ------------------------
+
+@st.composite
+def parked_tracks(draw):
+    """A track of 2-30 samples that never moves."""
+    n, dt = draw(st.integers(2, 30)), draw(st.sampled_from([0.1, 0.5]))
+    xy = np.full((n, 2), [draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))])
+    return Trajectory(t=dt * np.arange(n), xy=xy, dt=dt)
+
+
+@st.composite
+def parking_tracks(draw):
+    """A 10 Hz track that drives, then parks for 1-30 samples."""
+    track = draw(wod_tracks())
+    xy = np.vstack([track.xy, np.repeat(track.xy[-1:], draw(st.integers(1, 30)), axis=0)])
+    return Trajectory(t=track.dt * np.arange(len(xy)), xy=xy, dt=track.dt)
+
+
+@st.composite
+def two_sample_tracks(draw):
+    xy = [[draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))] for _ in range(2)]
+    return Trajectory(t=np.array([0.0, DT]), xy=np.array(xy), dt=DT)
+
+
+layout_tracks = st.one_of(polylines(), wod_tracks(), parked_tracks(), parking_tracks(),
+                          two_sample_tracks())
+
+
+@st.composite
+def layout_rows(draw, trajs):
+    """``rows_of(trajs)``, with a row that starts on the last sample of some
+    tracks, in a shuffled order."""
+    rows = draw(rows_of(trajs)) + [(traj, traj.n - 1, draw(st.floats(0.0, 35.0)),
+                                    draw(st.integers(0, 25)))
+                                   for traj in trajs if draw(st.booleans())]
+    return draw(st.permutations(rows))
+
+
+def assert_layout_equal(got, want):
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    assert got[3].keys() == want[3].keys()
+    for r, (grid, cap) in got[3].items():
+        assert np.array_equal(grid, want[3][r][0]), r
+        assert np.array_equal(cap, want[3][r][1]), r
+        assert not cap.flags.writeable
+
+
+@given(st.lists(layout_tracks, min_size=1, max_size=4), st.floats(0.0, 30.0), st.data())
+@settings(max_examples=100, deadline=None)
+def test_layout_equals_frozen_paths_property(trajs, v_max, data):
+    """Curved and capped, parked, drive-then-park and two-sample tracks of
+    different lengths, several rows each: the layout of one call (vertices,
+    arc lengths, vertex counts, cap grids and caps) is the frozen per-track
+    ``frozen_paths`` bit for bit, and ``rollout_rows`` still equals a
+    ``PathRollout`` of each row alone."""
+    rows = data.draw(layout_rows(trajs))
+    cfg = EvalConfig()
+    n_steps = np.array([row[3] for row in rows])
+    extend = v_max * (n_steps + 1) * np.array([row[0].dt for row in rows]) + 10.0
+    assert_layout_equal(_paths(rows, extend, v_max, cfg), frozen_paths(rows, extend, v_max, cfg))
+    stack = rollout_rows(rows, ALL_KINDS, v_max, cfg)
+    for (traj, start, v0, n), rolls, ext in zip(rows, stack, extend.tolist()):
+        path = PathRollout(traj, start, v0, v_max, ext, cfg)
+        for kind, roll in zip(ALL_KINDS, rolls):
+            assert np.array_equal(roll[:n + 1], path.roll(kind, n)), (start, kind)
+            assert np.all(roll[n + 1:] == 0.0)
+
+
+@given(st.lists(st.tuples(layout_tracks, st.integers(0, 200)), min_size=1, max_size=6),
+       st.floats(0.0, 30.0))
+@settings(max_examples=100, deadline=None)
+def test_speed_caps_of_many_paths_property(tracks, v_max):
+    """One ``_speed_caps`` call over paths of different lengths gives each
+    path the grid and cap that a call on it alone, and the frozen per-path
+    ``frozen_speed_cap``, give."""
+    cfg = EvalConfig()
+    paths = [ref_geometry(traj, start % traj.n, v_max * traj.n * traj.dt + 10.0)[:2]
+             for traj, start in tracks]
+    grid, cap, n_grid = _speed_caps(*stacked_paths(paths), v_max, cfg)
+    assert not grid.flags.writeable and not cap.flags.writeable
+    for (verts, s_vert), g, c, n in zip(paths, grid, cap, n_grid.tolist()):
+        want = frozen_speed_cap(verts, s_vert, v_max, cfg)
+        for got in ((g[:n], c[:n]), speed_cap(verts, s_vert, v_max, cfg)):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+@given(st.lists(layout_tracks, min_size=1, max_size=4), st.floats(0.0, 30.0), st.data())
+@settings(max_examples=100, deadline=None)
+def test_degenerate_ahead_and_admission_property(trajs, v_max, data):
+    """``_degenerate_ahead`` and ``_closed_form_starts`` over several padded
+    tracks equal the frozen per-track code on each, and a call on one track
+    alone. Both read only each track's own samples: padding the tracks with
+    NaN in place of their last sample changes nothing."""
+    cfg = EvalConfig()
+    xy, n = track_stack(trajs)
+    ahead = _degenerate_ahead(xy, n)
+    assert np.array_equal(_degenerate_ahead(track_stack(trajs, np.nan)[0], n), ahead)
+    for t, traj in enumerate(trajs):
+        one = _degenerate_ahead(*track_stack([traj]))[0]
+        assert np.array_equal(ahead[t, :traj.n], frozen_degenerate_ahead(traj.xy))
+        assert np.array_equal(one, ahead[t, :traj.n])
+        assert not ahead[t, traj.n - 1:].any()
+    rows = data.draw(layout_rows(trajs))
+    want = [bool(frozen_closed_form_starts(traj.xy, frozen_degenerate_ahead(traj.xy),
+                                           np.array([start]), v_max, cfg)[0])
+            for traj, start, *_ in rows]
+    assert admitted(rows, v_max, cfg).tolist() == want
+    assert admitted(rows, v_max, cfg, np.nan).tolist() == want
+
+
+def test_speed_caps_vertices_on_grid_points():
+    """A vertex exactly on a grid point, where ``s / step`` may round up past
+    it, is bracketed as ``np.interp`` brackets it: the grid and cap equal
+    the frozen ``frozen_speed_cap``'s, on the path alone and beside a
+    shorter one."""
+    cfg = EvalConfig()
+    length = 90.24885188082287
+    grid = np.linspace(0.0, length, int(length / _PATH_DS) + 2)
+    step = length / (len(grid) - 1)
+    # a vertex on every grid point and one halfway to the next
+    s_vert = np.unique(np.concatenate((grid, (grid[:-1] + grid[1:]) / 2)))
+    assert (np.ceil(s_vert / step) > np.searchsorted(grid, s_vert)).any()
+    # unit steps turning 0.3 rad at the grid points and 0.02 rad halfway:
+    # the lateral limit dips at each grid point, so the cap there is its own
+    # and not the braking pass's
+    heading = np.cumsum(np.where(np.isin(s_vert, grid), 0.3, 0.02))
+    verts = np.cumsum(np.stack((np.cos(heading), np.sin(heading)), axis=1), axis=0)
+    short = (verts[:40], s_vert[:40])
+    grid_got, cap, n_grid = _speed_caps(*stacked_paths([(verts, s_vert), short]), 30.0, cfg)
+    for (v, s), g, c, m in zip(((verts, s_vert), short), grid_got, cap, n_grid.tolist()):
+        want = frozen_speed_cap(v, s, 30.0, cfg)
+        assert (want[1] < 30.0).mean() > 0.9
+        for got in ((g[:m], c[:m]), speed_cap(v, s, 30.0, cfg)):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+
+
+def test_one_sample_track_is_short():
+    """A track of one sample has no path to roll along: both entry points
+    raise ShortTrajectory, as ``collisions`` does for a one-sample row, and
+    not an IndexError."""
+    cfg = EvalConfig()
+    single = Trajectory(t=np.array([0.0]), xy=np.array([[1.0, 2.0]]), dt=DT)
+    straight = straight_traj((0.0, 0.0), (1.0, 0.0), 5)
+    for rows in ([(single, 0, 1.0, 3)], [(straight, 0, 1.0, 3), (single, 0, 0.0, 0)]):
+        with pytest.raises(ShortTrajectory):
+            rollout_rows(rows, ALL_KINDS, 2.0, cfg)
+    with pytest.raises(ShortTrajectory):
+        PathRollout(single, 0, 1.0, 2.0, 10.0, cfg)
+    # a start outside a track is still IndexOutOfRange
+    with pytest.raises(IndexOutOfRange):
+        PathRollout(single, 1, 1.0, 2.0, 10.0, cfg)

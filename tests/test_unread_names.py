@@ -24,6 +24,8 @@ UNREAD = {
     "rollout.interaction_timeline": ("the benchmark's tracer patches it; the demos, the "
                                      "acceptance checks and the package export read it"),
     "sceneio.save_scene": "a documented entry point: it writes a scene file",
+    "types.common_window": ("a documented entry point: one pair's co-observed window; the IHS "
+                            "stage takes every pair's from one co_observed call"),
     "types.resample_trajectory": TRACED,
 }
 
