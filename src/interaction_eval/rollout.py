@@ -17,6 +17,16 @@ step at the capped speeds. Closed-form stretches are array code: one
 cumulative sum and one cap test for all their substeps. A straight path
 has a flat cap that never binds, so its whole roll is one such stretch.
 
+A roll's state at a substep boundary is its arc length alone: the next
+substep is a function of it and of the substep's index. Where the cap binds
+on a profile's speeds, the step is the same for every profile whose speeds
+are above the cap, since along a fixed path a binding cap sets the speed by
+arc length (Bobrow, Dubowsky & Gibson, IJRR 1985). So the capped stretches
+are stepped once: later profiles of a call copy the first profile's arc
+lengths for as long as their own step lands on them, which is exact by
+induction, and step on from there. The scalar steps look the cap up in a
+bracket walked from the previous lookup, not bisected.
+
 ``rollout_rows`` rolls many (track, start frame) rows with each profile of
 one list in one call: every start frame of both agents' IHS windows with
 ACCEL and DECEL, or every present agent at every frame the oracle predicts
@@ -33,7 +43,8 @@ with all three. One call lays out its work once:
   pass on it alone; the backward envelope is one ``np.minimum.accumulate``
   along the rows, +inf past each row's grid;
 - one cumulative sum per profile; the capped rows step one substep at a time
-  only where their cap binds;
+  only where their cap binds, and each later profile first replays the
+  first profile's capped roll of the row (``_replay``);
 - one pair of ``np.interp`` calls per row, which maps the arc lengths of all
   of its profiles to positions.
 
@@ -54,7 +65,10 @@ name its samples), and the bits of ``v0`` and of the heading, which depend
 on where the window starts, as its first sample takes a one-sided
 difference. Equal keys roll equal bits, because a row's roll reads nothing
 else and ``rollout_rows`` rolls each row on its own; one call rolls each
-distinct key once. Both orderings of every pair's frames are then checked,
+distinct key once. Where no key repeats (no agent is in two pairs whose
+windows end together), the rows are rolled in pair order instead of key
+order, so that each run of pairs reads its rolls as slices of the stack
+and not as copies. Both orderings of every pair's frames are then checked,
 and the free ones wound, over runs of whole pairs (``collision.chunk_bounds``),
 with each row's vehicle size. ``collisions`` and ``winding_rows`` are
 row-local, so every flag and winding is the one a call per pair gives.
@@ -346,20 +360,35 @@ def _paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) -> tup
 
 
 def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: float,
-            grid: np.ndarray, cap: np.ndarray) -> None:
+            grid: np.ndarray, cap: np.ndarray, start: int = 0) -> None:
     """Hold one row's arc lengths ``s`` (before each substep of advance
     ``ds`` and speeds ``v_a`` to ``v_b``, and after the last) to its speed
-    ``cap``, in place. From the first substep where the cap binds, substeps
-    are trapezoid steps at the capped speeds, one at a time, for as long as
-    it binds; the sum then restarts from where they end. The result is the
-    same, bit for bit, as stepping every substep in turn.
+    ``cap``, in place, from substep ``start`` on: ``s[:start + 1]`` is
+    settled, and ``s[start:]`` holds the closed-form sum from ``s[start]``.
+
+    A roll's state at a substep boundary is its arc length alone, so each
+    substep is a function of ``s[k]`` and k. It advances by ``ds[k]`` when
+    both of its ends are under the cap (within 1e-12), and otherwise is a
+    trapezoid step at ``min(v_a[k], cap(s[k]))`` and ``min(v_b[k],
+    cap(s[k] + va * h))``. From the first substep where the cap binds,
+    substeps are stepped one at a time for as long as it binds; the sum then
+    restarts from where they end. The result is the same, bit for bit, as
+    stepping every substep in turn.
 
     The steps run on Python floats. Each cap lookup in them is
     ``np.interp(x, grid, cap)`` written out: the same bracket (the last grid
-    point at or below ``x``), the same ends and the same slope formula.
+    point at or below ``x``), the same ends and the same slope formula. The
+    bracket is walked from the previous lookup's, forward while the next
+    grid point is at or below ``x`` and back while its own point is above
+    it. Inside a capped run the arc lengths do not decrease and each lookup
+    lies a short way past ``s[k]``, so the walk is a step or two. A lookup
+    can lie below the one before it (a substep may end short of the point
+    its first half looked up, and an advance may round below zero); the
+    backward guard keeps the bracket the one ``bisect_right(grid, x) - 1``
+    gives for any ``x``.
     """
     n_sub = len(ds)
-    k = 0
+    k = start
     lists = None  # the scalar steps read lists
     while k < n_sub:
         cap_k = np.interp(s[k:], grid, cap)
@@ -373,12 +402,16 @@ def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: 
             end, f_lo, f_hi = len(xs) - 1, fs[0], fs[-1]
         k += j
         s_k, cap_a = float(s[k]), float(cap_k[j])
+        i = bisect_right(xs, s_k) - 1  # the bracket, walked from here on
         while True:
             va = va_l[k]
             if cap_a < va:
                 va = cap_a
             x = s_k + va * h
-            i = bisect_right(xs, x) - 1
+            while i < end and xs[i + 1] <= x:
+                i += 1
+            while i >= 0 and xs[i] > x:
+                i -= 1
             vb = vb_l[k]
             cap_b = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
                      else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i]) + fs[i])
@@ -388,19 +421,48 @@ def _restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: 
             k += 1
             if k == n_sub:
                 break
-            i = bisect_right(xs, s_k) - 1
+            while i < end and xs[i + 1] <= s_k:
+                i += 1
+            while i >= 0 and xs[i] > s_k:
+                i -= 1
             cap_a = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == s_k
                      else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (s_k - xs[i]) + fs[i])
             # the cap still binds unless both ends of substep k are under it
             if va_l[k] <= cap_a + 1e-12:
                 x = s_k + ds_l[k]
-                i = bisect_right(xs, x) - 1
+                while i < end and xs[i + 1] <= x:
+                    i += 1
+                while i >= 0 and xs[i] > x:
+                    i -= 1
                 if vb_l[k] <= (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
                                else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
                                + fs[i]) + 1e-12:
                     break
             s[k] = s_k
         s[k:] = np.cumsum(np.concatenate(([s_k], ds[k:])))
+
+
+def _replay(ref: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: float,
+            grid: np.ndarray, cap: np.ndarray) -> int:
+    """How many substeps of one row's roll land on ``ref``, another
+    profile's arc lengths at every substep boundary of that row: the largest
+    L such that the roll with advances ``ds`` and speeds ``v_a`` to ``v_b``
+    under ``cap`` reaches ``ref[k]`` for every k <= L.
+
+    Every roll starts at ``ref[0]``, and each substep is the step
+    ``_restep`` takes from ``s[k]`` (a function of ``s[k]`` and k alone), so
+    a roll at ``ref[k]`` whose step from there lands on ``ref[k + 1]`` is at
+    ``ref[k + 1]``: the prefix is exact, bit for bit, by induction. The step
+    is taken from every ``ref[k]`` at once, in ``np.interp``, ``np.minimum``
+    and the scalar steps' order of float operations.
+    """
+    s = ref[:-1]
+    cap_a = np.interp(s, grid, cap)
+    free = (v_a <= cap_a + 1e-12) & (v_b <= np.interp(s + ds, grid, cap) + 1e-12)
+    va = np.minimum(v_a, cap_a)
+    vb = np.minimum(v_b, np.interp(s + va * h, grid, cap))
+    off = np.where(free, s + ds, s + 0.5 * (va + vb) * h) != ref[1:]
+    return int(off.argmax()) if off.any() else len(ds)
 
 
 def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
@@ -413,18 +475,24 @@ def _substep_starts(n_steps: int, dt: np.ndarray) -> np.ndarray:
 
 
 def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
-          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple) -> np.ndarray:
+          n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple,
+          ref: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Roll every row of ``paths`` with profile ``kind``, given the rows'
     start speeds, substep start times (``_substep_starts``), time steps and
-    frame counts: row r's arc length at its n_steps[r] + 1 frame times,
-    clipped to its path, is ``s[r, :n_steps[r] + 1]`` of the returned
-    (rows, max n_steps + 1) ``s``; past it ``s`` holds no roll.
+    frame counts. Returns ``(s, sub)``: row r's arc length at its n_steps[r]
+    + 1 frame times, clipped to its path, is ``s[r, :n_steps[r] + 1]`` of the
+    (rows, max n_steps + 1) ``s``, past which ``s`` holds no roll; ``sub``
+    holds the arc lengths at every substep boundary of the capped rows, one
+    row each in ``caps`` order.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
     ``_SUBSTEPS`` substeps, each advancing by the exact integral of the
     clamped profile: one cumulative sum adds them in order along every row.
-    A row with a speed cap is then held to it (``_restep``).
+    A row with a speed cap is then held to it (``_restep``). Where the cap
+    binds it sets the speed whatever the profile, so given ``ref``, another
+    profile's ``sub``, each capped row first copies the prefix of it that it
+    would step to (``_replay``) and steps on from its end.
     """
     a = {ProfileKind.ACCEL: a_lon, ProfileKind.DECEL: -a_lon, ProfileKind.CONST_VEL: 0.0}[kind]
     v0, dt = v0[:, None], dt[:, None]
@@ -432,16 +500,24 @@ def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
     ds = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
     s = np.cumsum(np.concatenate((np.zeros((len(v0), 1)), ds), axis=1), axis=1)
     verts, s_vert, n_vert, caps = paths
+    capped = list(caps)
     if caps:
         # the profile's speeds at both ends of each substep of the capped rows
-        capped = list(caps)
         v_a = np.clip(v0[capped] + a * t_a[capped], 0.0, v_max)
         v_b = np.clip(v0[capped] + a * t_b[capped], 0.0, v_max)
     for i, (r, (grid, cap)) in enumerate(caps.items()):
         n_sub = n_steps[r] * _SUBSTEPS
-        _restep(s[r, :n_sub + 1], ds[r, :n_sub], v_a[i, :n_sub], v_b[i, :n_sub],
-                float(dt[r, 0]) / _SUBSTEPS, grid, cap)
-    return np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[np.arange(len(s)), n_vert - 1][:, None])
+        row, h, start = s[r, :n_sub + 1], float(dt[r, 0]) / _SUBSTEPS, 0
+        if ref is not None:
+            start = _replay(ref[i, :n_sub + 1], ds[r, :n_sub], v_a[i, :n_sub], v_b[i, :n_sub],
+                            h, grid, cap)
+            if start:
+                row[:start] = ref[i, :start]
+                row[start:] = np.cumsum(np.concatenate((ref[i, start:start + 1],
+                                                        ds[r, start:n_sub])))
+        _restep(row, ds[r, :n_sub], v_a[i, :n_sub], v_b[i, :n_sub], h, grid, cap, start)
+    return (np.clip(s[:, ::_SUBSTEPS], 0.0, s_vert[np.arange(len(s)), n_vert - 1][:, None]),
+            s[capped])
 
 
 def _positions(paths: tuple, s: np.ndarray, n_steps: np.ndarray) -> np.ndarray:
@@ -472,8 +548,8 @@ class PathRollout:
     def roll(self, kind: ProfileKind, n_steps: int) -> np.ndarray:
         """Integrate a speed profile; the (n_steps + 1, 2) positions, one per dt."""
         dt, n = np.array([self.dt]), np.array([n_steps])
-        s = _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, n, self.v_max,
-                  self._a_lon, self._paths)
+        s, _ = _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, n, self.v_max,
+                     self._a_lon, self._paths)
         return _positions(self._paths, s[:, None], n)[0, 0]
 
 
@@ -496,9 +572,13 @@ def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: 
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
     v0 = np.minimum([row[2] for row in rows], v_max)
     t_a = _substep_starts(int(n_steps.max()), dt)
-    s = np.stack([_roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths)
-                  for kind in kinds], axis=1)
-    return _positions(paths, s, n_steps)
+    s, ref = [], None
+    for kind in kinds:
+        frames, sub = _roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths, ref)
+        s.append(frames)
+        if ref is None:  # the later profiles replay the first one's capped rows
+            ref = sub
+    return _positions(paths, np.stack(s, axis=1), n_steps)
 
 
 def _row_keys(slot: int, window: Trajectory, headings: np.ndarray,
@@ -610,6 +690,11 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
     keys = np.concatenate(keys_a + keys_b)
     _, first, inverse = np.unique(keys.view(np.dtype((np.void, keys.itemsize * 5))).ravel(),
                                   return_index=True, return_inverse=True)
+    # np.unique sorts its keys; where none repeats, the rows are rolled in
+    # pair order instead, so that each run of pairs reads its rolls as slices
+    distinct = len(first) == len(keys)
+    if distinct:
+        first = np.arange(len(keys))
     # each distinct row is rolled as its first occurrence (a's rows, then
     # b's): (window, start, v0 from its key's bits, n_steps)
     side, r = np.divmod(first, cum[-1])
@@ -625,7 +710,11 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
     for lo, hi in chunk_bounds(m.tolist(), (m + 1).tolist()):
         run = slice(cum[lo], cum[hi])
         width = int(m[lo:hi].max()) + 1
-        rolled_a, rolled_b = rolled[at_a[run], :, :width], rolled[at_b[run], :, :width]
+        if distinct:
+            rolled_a = rolled[run, :, :width]
+            rolled_b = rolled[cum[-1] + cum[lo]:cum[-1] + cum[hi], :, :width]
+        else:
+            rolled_a, rolled_b = rolled[at_a[run], :, :width], rolled[at_b[run], :, :width]
         # a decelerates and b accelerates, then the reverse
         for ka, kb in ((1, 0), (0, 1)):
             ra, rb = rolled_a[:, ka], rolled_b[:, kb]

@@ -16,10 +16,18 @@ and ``_closed_form_starts``) lays out every distinct track and every capped
 row of a call at once. ``frozen_paths`` and its helpers below are the
 per-track and per-row code it replaced, kept verbatim, and the layout must
 equal them bit for bit, caps included.
+
+The capped stepper (``_restep``) walks its cap bracket from one lookup to
+the next, and a later profile of a call copies the prefix of the first
+profile's capped roll it would step to (``_replay``) and steps on from
+there. ``frozen_restep`` is the stepper it replaced, with one
+``bisect_right`` per lookup, kept verbatim; the stepper from substep 0, and
+from every substep of a replayed prefix, must equal it bit for bit.
 """
 
 import bisect
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -33,6 +41,7 @@ from interaction_eval import (
     Trajectory,
     trajectory_kinematics,
 )
+from interaction_eval import rollout
 from interaction_eval.rollout import (
     _KAPPA_MAX,
     _PATH_DS,
@@ -42,6 +51,8 @@ from interaction_eval.rollout import (
     _closed_form_starts,
     _degenerate_ahead,
     _paths,
+    _replay,
+    _restep,
     _speed_caps,
     rollout_rows,
 )
@@ -358,6 +369,66 @@ def frozen_paths(rows: list, extend: np.ndarray, v_max: float, cfg: EvalConfig) 
     caps = {r: frozen_speed_cap(verts[r, :n_vert[r]], s_vert[r, :n_vert[r]], v_max, cfg)
             for r in np.flatnonzero(~free).tolist()}
     return verts, s_vert, n_vert, caps
+
+
+# --- frozen capped stepper --------------------------------------------------------
+
+def frozen_restep(s: np.ndarray, ds: np.ndarray, v_a: np.ndarray, v_b: np.ndarray, h: float,
+                  grid: np.ndarray, cap: np.ndarray) -> None:
+    """Hold one row's arc lengths ``s`` (before each substep of advance
+    ``ds`` and speeds ``v_a`` to ``v_b``, and after the last) to its speed
+    ``cap``, in place. From the first substep where the cap binds, substeps
+    are trapezoid steps at the capped speeds, one at a time, for as long as
+    it binds; the sum then restarts from where they end. The result is the
+    same, bit for bit, as stepping every substep in turn.
+
+    The steps run on Python floats. Each cap lookup in them is
+    ``np.interp(x, grid, cap)`` written out: the same bracket (the last grid
+    point at or below ``x``), the same ends and the same slope formula.
+    """
+    n_sub = len(ds)
+    k = 0
+    lists = None  # the scalar steps read lists
+    while k < n_sub:
+        cap_k = np.interp(s[k:], grid, cap)
+        free = (v_a[k:] <= cap_k[:-1] + 1e-12) & (v_b[k:] <= cap_k[1:] + 1e-12)
+        j = int(free.argmin())
+        if free[j]:
+            return
+        if lists is None:
+            lists = xs, fs, va_l, vb_l, ds_l = (grid.tolist(), cap.tolist(), v_a.tolist(),
+                                                v_b.tolist(), ds.tolist())
+            end, f_lo, f_hi = len(xs) - 1, fs[0], fs[-1]
+        k += j
+        s_k, cap_a = float(s[k]), float(cap_k[j])
+        while True:
+            va = va_l[k]
+            if cap_a < va:
+                va = cap_a
+            x = s_k + va * h
+            i = bisect_right(xs, x) - 1
+            vb = vb_l[k]
+            cap_b = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
+                     else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i]) + fs[i])
+            if cap_b < vb:
+                vb = cap_b
+            s_k += 0.5 * (va + vb) * h
+            k += 1
+            if k == n_sub:
+                break
+            i = bisect_right(xs, s_k) - 1
+            cap_a = (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == s_k
+                     else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (s_k - xs[i]) + fs[i])
+            # the cap still binds unless both ends of substep k are under it
+            if va_l[k] <= cap_a + 1e-12:
+                x = s_k + ds_l[k]
+                i = bisect_right(xs, x) - 1
+                if vb_l[k] <= (f_lo if i < 0 else f_hi if i >= end else fs[i] if xs[i] == x
+                               else (fs[i + 1] - fs[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
+                               + fs[i]) + 1e-12:
+                    break
+            s[k] = s_k
+        s[k:] = np.cumsum(np.concatenate(([s_k], ds[k:])))
 
 
 # --- the batched path layer on one row and on many ------------------------------
@@ -1115,3 +1186,277 @@ def test_one_sample_track_is_short():
     # a start outside a track is still IndexOutOfRange
     with pytest.raises(IndexOutOfRange):
         PathRollout(single, 1, 1.0, 2.0, 10.0, cfg)
+
+
+# --- the capped stepper and the replayed prefix against the frozen stepper ----------
+
+def profile_substeps(kind, v0, v_max, dt, n_steps, cfg):
+    """``(ds, v_a, v_b)`` of one row's substeps with profile ``kind``, as
+    ``_roll`` hands them to ``_restep``: the advance of each substep and
+    the profile's speeds at its ends."""
+    a = {ProfileKind.ACCEL: cfg.a_lon_max, ProfileKind.DECEL: -cfg.a_lon_max,
+         ProfileKind.CONST_VEL: 0.0}[kind]
+    v0 = min(v0, v_max)
+    t_a = ref_substep_starts(n_steps, dt)
+    t_b = t_a + dt / _SUBSTEPS
+    ds = ref_profile_arc(t_b, v0, a, v_max) - ref_profile_arc(t_a, v0, a, v_max)
+    return ds, np.clip(v0 + a * t_a, 0.0, v_max), np.clip(v0 + a * t_b, 0.0, v_max)
+
+
+def resumed(ref, ds, start):
+    """``ref``'s first ``start`` substeps, then the closed-form sum of ``ds``
+    from ``ref[start]``: a replayed row as ``_roll`` hands it to
+    ``_restep``."""
+    return np.concatenate((ref[:start], np.cumsum(np.concatenate((ref[start:start + 1],
+                                                                  ds[start:])))))
+
+
+def check_restep(grid, cap, dt, v0, v_max, n_steps, kinds, cfg=None):
+    """Each profile of ``kinds`` rolled under ``cap`` by ``_restep`` from
+    substep 0 equals ``frozen_restep``'s roll bit for bit. Each later
+    profile shares the first profile's roll up to the prefix ``_replay``
+    admits, and no further, and ``_restep`` resumed at every substep of that
+    prefix equals the frozen roll too. Returns the prefix lengths."""
+    cfg = cfg or EvalConfig()
+    h = dt / _SUBSTEPS
+    rolls, prefixes = [], []
+    for kind in kinds:
+        ds, v_a, v_b = profile_substeps(kind, v0, v_max, dt, n_steps, cfg)
+        s = np.cumsum(np.concatenate(([0.0], ds)))
+        want = s.copy()
+        frozen_restep(want, ds, v_a, v_b, h, grid, cap)
+        got = s.copy()
+        _restep(got, ds, v_a, v_b, h, grid, cap)
+        assert got.tobytes() == want.tobytes(), kind
+        if rolls:
+            ref = rolls[0]
+            n = _replay(ref, ds, v_a, v_b, h, grid, cap)
+            assert want[:n + 1].tobytes() == ref[:n + 1].tobytes(), kind
+            assert n == len(ds) or want[n + 1] != ref[n + 1], kind
+            for start in range(n + 1):
+                got = resumed(ref, ds, start)
+                _restep(got, ds, v_a, v_b, h, grid, cap, start)
+                assert got.tobytes() == want.tobytes(), (kind, start)
+            prefixes.append(n)
+        rolls.append(want)
+    return prefixes
+
+
+def start_speeds(cap):
+    """Any start speed, or one up to 3 m/s above the cap at the start, so
+    that the first profile starts capped and later ones leave it."""
+    return st.one_of(st.floats(0.0, 30.0), st.floats(0.0, 3.0).map(lambda d: float(cap[0]) + d))
+
+
+@st.composite
+def synthetic_caps(draw):
+    """A cap on an arc grid that the layout would not build: ``(grid, cap,
+    dt, v0, v_max, n_steps)``. The grid may start past 0, repeat a point
+    and end before the roll does; the cap may be 0 anywhere."""
+    n_grid = draw(st.integers(2, 60))
+    step = draw(st.floats(0.05, 2.0))
+    grid = draw(st.floats(0.0, 1.0)) + step * np.arange(n_grid)
+    if n_grid > 2 and draw(st.booleans()):
+        k = draw(st.integers(1, n_grid - 2))
+        grid[k + 1] = grid[k]
+    v_max = draw(st.floats(0.0, 30.0))
+    cap = np.minimum(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+                                   min_size=n_grid, max_size=n_grid)), v_max)
+    return (grid, cap, draw(st.sampled_from([0.1, 0.5])), draw(start_speeds(cap)), v_max,
+            draw(st.integers(1, 25)))
+
+
+@st.composite
+def track_caps(draw):
+    """The cap that the layout builds for one row of a curved 10 Hz track or
+    a 2 Hz circle, where one substep may cross several grid cells, and the
+    row's start speed and length: ``(grid, cap, dt, v0, v_max, n_steps)``."""
+    circle = st.builds(circle_traj, radius=st.floats(5.0, 40.0), omega=st.floats(0.2, 1.0),
+                       n=st.integers(3, 30))
+    traj = draw(st.one_of(wod_tracks(), circle))
+    start = draw(st.integers(0, traj.n - 1))
+    n_steps = min(max(traj.n - 1 - start, 1), 30)
+    v_max = draw(st.floats(5.0, 30.0))
+    verts, s_vert, _, _ = ref_geometry(traj, start, v_max * (n_steps + 1) * traj.dt + 10.0)
+    grid, cap = speed_cap(verts, s_vert, v_max, EvalConfig())
+    return grid, cap, traj.dt, draw(start_speeds(cap)), v_max, n_steps
+
+
+def zero_cap():
+    """A cap of 0 all along a 10 m path, under a 12 m/s limit."""
+    grid = np.linspace(0.0, 10.0, 41)
+    return grid, np.zeros_like(grid), 0.1, 8.0, 12.0, 20
+
+
+def cap_on_step_ends():
+    """A flat 2 m/s cap for two grid cells of ``2 * h`` each, then a lower
+    one: the first capped steps end exactly on grid points, where the
+    lookups take ``np.interp``'s exact-point case."""
+    h = 0.5 / _SUBSTEPS
+    grid = np.arange(40) * (2.0 * h)
+    cap = np.concatenate(([2.0, 2.0], 1.0 + 0.1 * np.cos(grid[2:])))
+    return grid, cap, 0.5, 9.0, 12.0, 12
+
+
+@given(st.one_of(synthetic_caps(), track_caps()),
+       st.permutations(ALL_KINDS).flatmap(lambda kinds: st.sampled_from([kinds[:2], kinds])))
+@example(zero_cap(), (ProfileKind.ACCEL, ProfileKind.DECEL))
+@example(cap_on_step_ends(), (ProfileKind.DECEL, ProfileKind.CONST_VEL, ProfileKind.ACCEL))
+@settings(max_examples=200, deadline=None)
+def test_restep_equals_frozen_restep_property(case, kinds):
+    """The stepper with its walked bracket, from substep 0 and from every
+    substep of a replayed prefix, equals the frozen stepper bit for bit:
+    random caps with repeated grid points and zeros, the caps of curved
+    10 Hz tracks and 2 Hz circles, a zero cap and steps that end on grid
+    points."""
+    check_restep(*case, kinds)
+
+
+def test_restep_examples_reach_their_cases():
+    """The property's examples do what they are there for: under the zero
+    cap every profile stands still, and under the flat start the first
+    capped step of each profile ends on grid point 1, where the next one
+    looks the cap up at grid point 2. The slope formula of the cell below
+    that point misses its cap by an ulp, so only the bracket
+    ``bisect_right`` gives, and the exact-point case, read it."""
+    cfg = EvalConfig()
+    grid, cap, dt, v0, v_max, n_steps = zero_cap()
+    for kind in ALL_KINDS:
+        ds, v_a, v_b = profile_substeps(kind, v0, v_max, dt, n_steps, cfg)
+        s = np.cumsum(np.concatenate(([0.0], ds)))
+        _restep(s, ds, v_a, v_b, dt / _SUBSTEPS, grid, cap)
+        assert np.all(s == 0.0) and ds.min() > 0.0
+    grid, cap, dt, v0, v_max, n_steps = cap_on_step_ends()
+    h = dt / _SUBSTEPS
+    for kind in ALL_KINDS:
+        ds, v_a, v_b = profile_substeps(kind, v0, v_max, dt, n_steps, cfg)
+        s = np.cumsum(np.concatenate(([0.0], ds)))
+        _restep(s, ds, v_a, v_b, h, grid, cap)
+        assert s[1] == grid[1] and s[1] + 2.0 * h == grid[2], kind
+    assert (cap[2] - cap[1]) / (grid[2] - grid[1]) * (grid[2] - grid[1]) + cap[1] != cap[2]
+
+
+def test_walked_bracket_is_bisects():
+    """Each cap lookup of a capped run walks its bracket from the previous
+    one, and reads the cell ``bisect_right(grid, x) - 1`` names: the steps
+    equal the frozen stepper's, which bisects every lookup, bit for bit, on
+    a grid that starts past 0, repeats a point and ends before the roll
+    does. The cap differs at every grid point, so a wrong cell reads a
+    different cap. It falls steeply, so some substeps end below the point
+    their half step looked up, in a lower cell, and the walk steps back."""
+    cfg = EvalConfig()
+    grid = 0.3 + 0.25 * np.array([0.0, 1, 2, 3, 4, 4, 5, 6, 7, 8, 9, 10])
+    cap = np.array([9.0, 8.2, 6.9, 6.1, 4.4, 3.9, 2.5, 2.1, 1.6, 1.2, 0.9, 1.4])
+    dt, h = 0.5, 0.5 / _SUBSTEPS
+    xs = grid.tolist()
+    for kind in ALL_KINDS:
+        ds, v_a, v_b = profile_substeps(kind, 10.0, 12.0, dt, 4, cfg)
+        s = np.cumsum(np.concatenate(([0.0], ds)))
+        want = s.copy()
+        frozen_restep(want, ds, v_a, v_b, h, grid, cap)
+        _restep(s, ds, v_a, v_b, h, grid, cap)
+        assert s.tobytes() == want.tobytes(), kind
+        # every substep is capped, and looks the cap up at s[k] and at
+        # x = s[k] + va * h: below the grid, on the repeated point's cell
+        # and past the grid's end
+        assert np.all(want[1:] != want[:-1] + ds)
+        x = want[:-1] + np.minimum(v_a, np.interp(want[:-1], grid, cap)) * h
+        cells = {bisect_right(xs, v) - 1 for v in x.tolist() + want.tolist()}
+        assert {-1, 5, len(xs) - 1} <= cells, kind
+        assert any(bisect_right(xs, b) < bisect_right(xs, a)
+                   for a, b in zip(x.tolist(), want[1:].tolist())), kind
+
+
+def test_replay_stops_where_the_cap_rises_into_the_band():
+    """A later profile's speed falls within the 1e-12 band above the cap at
+    the substep where it leaves the first profile's roll: a constant speed
+    just above a cap that rises 2e-13 m/s per metre is capped until the cap
+    comes within 1e-12 of it, and free from there. The step it then takes is
+    not the capped step, which would land on the first profile's roll."""
+    cfg = EvalConfig()
+    grid = np.linspace(0.0, 100.0, 401)
+    cap = 5.0 + 2e-13 * grid
+    v0 = 5.0 + 5e-12
+    kinds = (ProfileKind.ACCEL, ProfileKind.CONST_VEL)
+    (n,) = check_restep(grid, cap, 0.1, v0, 30.0, 60, kinds, cfg)
+    ref = np.cumsum(np.concatenate(([0.0], profile_substeps(ProfileKind.ACCEL, v0, 30.0, 0.1,
+                                                            60, cfg)[0])))
+    frozen_restep(ref, *profile_substeps(ProfileKind.ACCEL, v0, 30.0, 0.1, 60, cfg)[0:3],
+                  0.1 / _SUBSTEPS, grid, cap)
+    assert 0 < n < 300
+    band = v0 - np.interp(ref[n], grid, cap)
+    assert 0.0 < band <= 1e-12
+    # the capped step from there is the first profile's
+    h = 0.1 / _SUBSTEPS
+    va = min(v0, float(np.interp(ref[n], grid, cap)))
+    vb = min(v0, float(np.interp(ref[n] + va * h, grid, cap)))
+    assert ref[n] + 0.5 * (va + vb) * h == ref[n + 1]
+
+
+def capped_start_rows():
+    """Rows whose start speed is above their speed cap at the start: a 2 Hz
+    circle of 10 m radius (a cap near 3.4 m/s) and the bend of a 10 Hz
+    curve."""
+    circle = circle_traj(radius=10.0, omega=0.6, n=30)
+    curved = curved_10hz_traj()
+    return [(circle, 0, 9.0, 29), (circle, 6, 6.0, 20), (circle, 20, 12.0, 9),
+            (curved, 34, 14.0, 25), (curved, 45, 11.0, 14)]
+
+
+def replay_spy(monkeypatch):
+    """Record each prefix ``_replay`` admits."""
+    prefixes = []
+    replay = rollout._replay
+
+    def spy(*args):
+        prefixes.append(replay(*args))
+        return prefixes[-1]
+
+    monkeypatch.setattr(rollout, "_replay", spy)
+    return prefixes
+
+
+def check_kinds(rows, kinds, v_max, cfg):
+    """``rollout_rows`` of ``rows`` with ``kinds`` equals a ``PathRollout``
+    of each row and kind, bit for bit."""
+    got = rollout_rows(rows, kinds, v_max, cfg)
+    for (traj, start, v0, n), rolls in zip(rows, got):
+        path = PathRollout(traj, start, v0, v_max, v_max * (n + 1) * traj.dt + 10.0, cfg)
+        for kind, roll in zip(kinds, rolls):
+            assert np.array_equal(roll[:n + 1], path.roll(kind, n)), (start, kind)
+
+
+@pytest.mark.parametrize("kinds", [
+    (ProfileKind.ACCEL, ProfileKind.DECEL),
+    (ProfileKind.DECEL, ProfileKind.ACCEL),
+    (ProfileKind.ACCEL, ProfileKind.CONST_VEL, ProfileKind.DECEL),
+    (ProfileKind.CONST_VEL, ProfileKind.DECEL, ProfileKind.ACCEL),
+    (ProfileKind.DECEL,),
+])
+def test_kind_orders_replay_the_first_roll(kinds, monkeypatch):
+    """Rows that start above their cap, in every order of kinds the callers
+    use and more: each later kind replays a non-empty prefix of the first
+    kind's roll, one kind alone replays nothing, and every roll equals a
+    ``PathRollout`` of that row and kind alone, which replays nothing."""
+    cfg, v_max = EvalConfig(), 15.0
+    rows = capped_start_rows()
+    for traj, start, v0, n in rows:
+        verts, s_vert, _, _ = ref_geometry(traj, start, v_max * (n + 1) * traj.dt + 10.0)
+        assert v0 > speed_cap(verts, s_vert, v_max, cfg)[1][0]
+    prefixes = replay_spy(monkeypatch)
+    check_kinds(rows, kinds, v_max, cfg)
+    # the PathRollouts roll one kind per call
+    assert len(prefixes) == (len(kinds) - 1) * len(rows)
+    assert min(prefixes, default=1) > 0
+
+
+def test_replay_is_empty_where_the_first_kind_starts_free(monkeypatch):
+    """Rows on the straight lead-in of a 10 Hz curve, slower than its cap at
+    the start: the first kind's first substep is free, so no later kind
+    shares it, and the rolls still equal ``PathRollout``'s."""
+    cfg, v_max = EvalConfig(), 15.0
+    curved = curved_10hz_traj()
+    rows = [(curved, 0, 3.0, 59), (curved, 10, 5.0, 49), (curved, 20, 2.0, 39)]
+    prefixes = replay_spy(monkeypatch)
+    check_kinds(rows, ALL_KINDS, v_max, cfg)
+    assert prefixes == [0] * (2 * len(rows))
