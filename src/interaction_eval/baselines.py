@@ -13,7 +13,7 @@ from .collision import is_collision  # noqa: F401
 from .errors import ConfigError, NoFeasibleCombo
 from .filtering import CriticalPair
 from .rollout import ProfileKind, max_scene_speed, rollout_rows
-from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index
+from .types import EvalConfig, JointPredictionSet, Scene, agent_frame_index, scene_frame
 # the benchmark's tracer patches this name in this module
 from .types import trajectory_kinematics  # noqa: F401
 
@@ -23,21 +23,48 @@ from .types import trajectory_kinematics  # noqa: F401
 ORACLE_PROFILES = tuple(ProfileKind)
 
 
-def cv_predict(scene: Scene, t: int, cfg: EvalConfig) -> JointPredictionSet:
-    """Single joint sample extrapolating each agent's current heading and speed
-    (``Scene.kinematics``)."""
+def cv_predict(scene: Scene, frames: Iterable[int],
+               cfg: EvalConfig) -> dict[int, JointPredictionSet]:
+    """A single joint sample at each of ``frames``, extrapolating each
+    present agent's current heading and speed (``Scene.kinematics``):
+    ``{frame: JointPredictionSet}`` in frame order.
+
+    Every present agent's heading, speed and position are gathered at once,
+    one row per (frame, agent), frame by frame in ``scene.agents`` order.
+    One broadcast then writes every future as ``k * step + xy`` with ``step
+    = speed * dt * (cos, sin)(heading)``: the float operations of one agent
+    at one frame. Each frame's set views its own rows of that one array, so
+    its arrays are C-contiguous and read-only.
+    """
+    frames = sorted(frames)
+    if not frames:
+        return {}
     horizon = cfg.horizon_frames(scene.dt)
-    ids, futures = [], []
-    for agent, (headings, speeds) in zip(scene.agents, scene.kinematics):
-        i = agent_frame_index(scene, agent, t)
-        if i is None:
-            continue
-        step = speeds[i] * scene.dt * np.array([np.cos(headings[i]), np.sin(headings[i])])
-        ids.append(agent.id)
-        futures.append(agent.trajectory.xy[i] + np.outer(np.arange(1, horizon + 1), step))
-    # with no agent present, a set has no positions, as from_samples packs it
-    xy = np.array(futures).reshape(1, len(ids), horizon if ids else 0, 2)
-    return JointPredictionSet(t, tuple(ids), [1.0], xy, np.full((1, len(ids)), horizon))
+    n = np.array([agent.trajectory.n for agent in scene.agents])
+    # each agent's sample index at each frame, and whether it has one there
+    at = np.array(frames)[:, None] - np.array(
+        [scene_frame(scene, agent.trajectory.t[0]) for agent in scene.agents])
+    present = (at >= 0) & (at < n)
+    f, a = np.nonzero(present)
+    i = np.concatenate(([0], np.cumsum(n[:-1])))[a] + at[f, a]
+    headings = np.concatenate([h for h, _ in scene.kinematics])[i]
+    speeds = np.concatenate([v for _, v in scene.kinematics])[i] * scene.dt
+    xy = np.concatenate([agent.trajectory.xy for agent in scene.agents])[i]
+    step = np.stack((speeds * np.cos(headings), speeds * np.sin(headings)), axis=1)
+    futures = np.empty((len(i), horizon, 2))
+    np.multiply(np.arange(1.0, horizon + 1.0)[:, None], step[:, None], out=futures)
+    futures += xy[:, None]
+    futures.setflags(write=False)
+    ids = [agent.id for agent in scene.agents]
+    bounds = np.concatenate(([0], np.cumsum(present.sum(axis=1)))).tolist()
+    predictions = {}
+    for frame, here, lo, hi in zip(frames, present, bounds, bounds[1:]):
+        agent_ids = tuple(ids[c] for c in np.flatnonzero(here).tolist())
+        # with no agent present, a set has no positions, as from_samples packs it
+        rows = futures[lo:hi].reshape(1, hi - lo, horizon if hi > lo else 0, 2)
+        predictions[frame] = JointPredictionSet(frame, agent_ids, [1.0], rows,
+                                                np.full((1, hi - lo), horizon))
+    return predictions
 
 
 def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, int]],

@@ -39,8 +39,22 @@ all samples: the one agent whose long step makes a cell of the whole scene
 costs no more memory than a per-agent distance slab.
 
 The other co-observed pairs get their ``SharedFromStart`` answer from their
-early rows, all in one stack (``_shared_from_start``). The pairs that
-neither decides go through one stacked grid pass (``_first_shared``).
+early rows, all in one stack (``_shared_from_start``), in two steps. First,
+A's early recorded samples (one per window frame at or before ``t_min``) are
+checked against all of B's recorded window samples, with nothing resampled.
+``resample_rows`` pins every recorded sample exactly (``out[:, ::factor] =
+values``), so each of these sample pairs is a candidate of the full check
+with the same coordinates, and the check's arithmetic (the difference,
+squared in place, added, then ``sqrt(...) < d_collision``) gives it the same
+bits. A hit is therefore a hit of A's early rows in the full matrix, and the
+pair is ``SharedFromStart`` on A's side whatever B's rows hold: in follower
+traffic almost every pair ends here. Only the pairs without a hit have both
+windows resampled, and each side's early rows checked against the other
+side's samples, A's side and then B's. The recorded samples go in chunks of
+pairs whose (pairs, early samples, samples) cube holds at most one M x M
+matrix of the stack's longest pair, as a user ``t_min`` late in the window
+makes it n x n per pair. The pairs that neither decides go through one
+stacked grid pass (``_first_shared``).
 Their windows are padded and resampled in one call, and every finite
 resampled sample is binned on one grid keyed by (stacked pair, cell), with
 cells of side ``d_collision`` and the same pad; the pair is the key's most
@@ -301,6 +315,17 @@ def _windows(xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, steps: np.n
     return rows.reshape(2, 2, len(count), -1)
 
 
+def _within(xa, ya, xb, yb, d_collision: float) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy) < d_collision`` of broadcast operands, with the
+    full matrix's arithmetic, in place to hold two of its arrays at most."""
+    d2 = xa - xb
+    dy = ya - yb
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    return np.sqrt(d2, out=d2) < d_collision
+
+
 def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
                        rows_b: np.ndarray, count: np.ndarray, cfg: EvalConfig) -> np.ndarray:
     """The ``SharedFromStart`` answer on a stack of pairs, from the early
@@ -317,45 +342,92 @@ def _shared_from_start(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray,
     ``_first_shared``. One shared cell gives both agents a shared sample, so
     a pair answered here is never ``NeverPathSharing``.
 
-    The pairs go in chunks of ``max(1, M // (2E))`` for M resampled samples
-    and E early rows at most. A chunk's (sides, pairs, early rows, samples)
-    cube is then no larger than an M x M distance matrix (the longest
-    pair's full matrix), or twice that where a chunk holds one pair (E past
-    M / 2). In each chunk, both sides' windows are resampled in one call
-    (``_windows``), and both checks run as one masked distance op. Window
-    times increase (``validate_scene``), so a padded time counts as early
-    only where the whole window is, and the clamp to the resampled length
-    undoes it.
+    A's early recorded samples are checked against B's recorded samples
+    first (``_recorded_shared``); a hit there is a hit of the full check, so
+    the pair is ``_SHARED_A``. Only the pairs with early rows and no such
+    hit are resampled (``_resampled_shared``). Window times increase
+    (``validate_scene``), so a padded time counts as early only where the
+    whole window is, and the clamp to the resampled length undoes it.
     """
     factor = cfg.interp_factor
-    n_pairs = len(count)
+    how = np.zeros(len(count), dtype=np.int8)
     # past its end, a window repeats its last sample
     steps = np.minimum(np.arange(count.max()), count[:, None] - 1)
     tw = t[rows_a[:, None] + steps]
     t_min = tw[:, :1] if cfg.t_min is None else cfg.t_min
     length = (count - 1) * factor + 1
     early = np.minimum((tw <= t_min).sum(axis=1) * factor, length)
+    if not early.any():
+        return how
+    m = int(length.max())
+    # A's recorded samples among its early rows: one per early frame
+    hit = _recorded_shared(xy, rows_a, rows_b, steps, -(-early // factor), m * m,
+                           cfg.d_collision)
+    how[hit] = _SHARED_A
+    rest = np.flatnonzero(~hit & (early > 0))
+    if rest.size:
+        shared = _resampled_shared(xy, rows_a[rest], rows_b[rest], count[rest], early[rest],
+                                   cfg)
+        how[rest] = np.where(shared[0], _SHARED_A, np.where(shared[1], _SHARED_B, 0))
+    return how
+
+
+def _recorded_shared(xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,
+                     steps: np.ndarray, recorded: np.ndarray, budget: int,
+                     d_collision: float) -> np.ndarray:
+    """Whether one of A's first ``recorded[p]`` window samples lies within
+    ``d_collision`` of one of B's window samples, per pair; the windows are
+    ``rows_a[p] + steps[p]`` and ``rows_b[p] + steps[p]`` of the laid-out
+    ``xy``.
+
+    ``resample_rows`` keeps every recorded sample exactly, at every
+    ``interp_factor``-th resampled sample, so these sample pairs are
+    candidates of the full check, with its bits: a hit here is a hit there.
+    The pairs go in chunks whose (pairs, A samples, B samples) cube holds at
+    most ``budget`` values.
+    """
+    n_rec = int(recorded.max())
+    chunk = max(1, budget // (n_rec * steps.shape[1]))
+    hit = np.empty(len(rows_a), dtype=bool)
+    for c in range(0, len(rows_a), chunk):
+        p = slice(c, c + chunk)
+        xa, ya = xy.T[:, rows_a[p, None] + steps[p, :n_rec], None]
+        xb, yb = xy.T[:, rows_b[p, None, None] + steps[p, None]]
+        near = _within(xa, ya, xb, yb, d_collision).any(axis=2)
+        hit[p] = (near & (np.arange(n_rec) < recorded[p, None])).any(axis=1)
+    return hit
+
+
+def _resampled_shared(xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,
+                      count: np.ndarray, early: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+    """Whether each side's first ``early[p]`` resampled rows lie within
+    ``d_collision`` of some resampled sample of the other side, as a (side,
+    pair) array; the windows are given as for ``_shared_from_start``.
+
+    The pairs go in chunks of ``max(1, M // (2E))`` for M resampled samples
+    and E early rows at most. A chunk's (sides, pairs, early rows, samples)
+    cube is then no larger than an M x M distance matrix (the longest
+    pair's full matrix), or twice that where a chunk holds one pair (E past
+    M / 2). In each chunk, both sides' windows are resampled in one call
+    (``_windows``), and both checks run as one masked distance op.
+    """
+    factor = cfg.interp_factor
+    steps = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    length = (count - 1) * factor + 1
     n_early = int(early.max())
-    if not n_early:
-        return np.zeros(n_pairs, dtype=np.int8)
     m = int(length.max())  # resampled samples per row
-    shared = np.empty((2, n_pairs), dtype=bool)
+    shared = np.empty((2, len(count)), dtype=bool)
     chunk = max(1, m // (2 * n_early))
-    for c in range(0, n_pairs, chunk):
+    for c in range(0, len(count), chunk):
         p = slice(c, c + chunk)
         x, y = _windows(xy, rows_a[p], rows_b[p], steps[p], count[p], factor)
         ok = ((np.arange(n_early) < early[p, None])[:, :, None]
               & (np.arange(m) < length[p, None])[:, None, :])
-        # each side's early rows against all of the other side's samples,
-        # with the full matrix's arithmetic, in place to hold two cubes at most
-        d2 = x[:, :, :n_early, None] - x[::-1, :, None, :]
-        dy = y[:, :, :n_early, None] - y[::-1, :, None, :]
-        d2 *= d2
-        dy *= dy
-        d2 += dy
-        near = np.sqrt(d2, out=d2) < cfg.d_collision
+        # each side's early rows against all of the other side's samples
+        near = _within(x[:, :, :n_early, None], y[:, :, :n_early, None],
+                       x[::-1, :, None, :], y[::-1, :, None, :], cfg.d_collision)
         shared[:, p] = (near & ok).any(axis=(2, 3))
-    return np.where(shared[0], _SHARED_A, np.where(shared[1], _SHARED_B, 0))
+    return shared
 
 
 def _first_shared(t: np.ndarray, xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray,

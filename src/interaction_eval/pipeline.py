@@ -177,10 +177,9 @@ def evaluate_scene(scene: Scene, cfg: EvalConfig,
         for tl in (ev.timeline for ev in analysis.pairs if ev.timeline is not None):
             off = scene_frame(scene, tl.t[0])
             needed_frames.update(range(off + tl.start_idx, off + tl.final_idx + 1))
-        # a baseline's sets, in frame order: one cv_predict call per frame, or
-        # one oracle_predict call for them all
+        # a baseline's sets, in frame order, from one call for them all
         if baseline == "cv":
-            predictions = {fr: cv_predict(scene, fr, cfg) for fr in sorted(needed_frames)}
+            predictions = cv_predict(scene, needed_frames, cfg)
         elif needed_frames:
             predictions = oracle_predict(scene, needed_frames,
                                          [ev.pair for ev in analysis.pairs], oracle_k, cfg)

@@ -478,12 +478,13 @@ def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
           n_steps: np.ndarray, v_max: float, a_lon: float, paths: tuple,
           ref: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Roll every row of ``paths`` with profile ``kind``, given the rows'
-    start speeds, substep start times (``_substep_starts``), time steps and
-    frame counts. Returns ``(s, sub)``: row r's arc length at its n_steps[r]
-    + 1 frame times, clipped to its path, is ``s[r, :n_steps[r] + 1]`` of the
-    (rows, max n_steps + 1) ``s``, past which ``s`` holds no roll; ``sub``
-    holds the arc lengths at every substep boundary of the capped rows, one
-    row each in ``caps`` order.
+    start speeds, substep start times (``_substep_starts``: one row per
+    row, or one row for all where they share one time step), time steps
+    and frame counts. Returns ``(s, sub)``: row r's arc length at its
+    n_steps[r] + 1 frame times, clipped to its path, is ``s[r, :n_steps[r] +
+    1]`` of the (rows, max n_steps + 1) ``s``, past which ``s`` holds no
+    roll; ``sub`` holds the arc lengths at every substep boundary of the
+    capped rows, one row each in ``caps`` order.
 
     ACCEL and DECEL change speed at +-``a_lon`` from ``v0``, clamped to [0,
     ``v_max``]; CONST_VEL keeps ``v0``. Each frame is split into
@@ -495,19 +496,23 @@ def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
     would step to (``_replay``) and steps on from its end.
     """
     a = {ProfileKind.ACCEL: a_lon, ProfileKind.DECEL: -a_lon, ProfileKind.CONST_VEL: 0.0}[kind]
-    v0, dt = v0[:, None], dt[:, None]
-    t_b = t_a + dt / _SUBSTEPS
+    v0 = v0[:, None]
+    # t_a's rows are dt's, or dt's first where every row shares it; the
+    # t-only terms of one shared row then broadcast against v0
+    t_b = t_a + dt[:len(t_a), None] / _SUBSTEPS
     ds = _profile_arc(t_b, v0, a, v_max) - _profile_arc(t_a, v0, a, v_max)
     s = np.cumsum(np.concatenate((np.zeros((len(v0), 1)), ds), axis=1), axis=1)
     verts, s_vert, n_vert, caps = paths
     capped = list(caps)
     if caps:
         # the profile's speeds at both ends of each substep of the capped rows
-        v_a = np.clip(v0[capped] + a * t_a[capped], 0.0, v_max)
-        v_b = np.clip(v0[capped] + a * t_b[capped], 0.0, v_max)
+        if len(t_a) > 1:
+            t_a, t_b = t_a[capped], t_b[capped]
+        v_a = np.clip(v0[capped] + a * t_a, 0.0, v_max)
+        v_b = np.clip(v0[capped] + a * t_b, 0.0, v_max)
     for i, (r, (grid, cap)) in enumerate(caps.items()):
         n_sub = n_steps[r] * _SUBSTEPS
-        row, h, start = s[r, :n_sub + 1], float(dt[r, 0]) / _SUBSTEPS, 0
+        row, h, start = s[r, :n_sub + 1], float(dt[r]) / _SUBSTEPS, 0
         if ref is not None:
             start = _replay(ref[i, :n_sub + 1], ds[r, :n_sub], v_a[i, :n_sub], v_b[i, :n_sub],
                             h, grid, cap)
@@ -571,7 +576,8 @@ def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: 
     dt = np.array([row[0].dt for row in rows])
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
     v0 = np.minimum([row[2] for row in rows], v_max)
-    t_a = _substep_starts(int(n_steps.max()), dt)
+    # one substep-time row serves every row when they share one time step
+    t_a = _substep_starts(int(n_steps.max()), dt[:1] if (dt == dt[0]).all() else dt)
     s, ref = [], None
     for kind in kinds:
         frames, sub = _roll(kind, v0, t_a, dt, n_steps, v_max, cfg.a_lon_max, paths, ref)

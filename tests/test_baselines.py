@@ -67,13 +67,13 @@ class TestFrameIndexing:
 class TestConstantVelocity:
     def test_single_unit_probability_sample(self, cfg):
         scene = crossing_scene(n=30)
-        pred = cv_predict(scene, 3, cfg)
+        pred = cv_predict(scene, [3], cfg)[3]
         assert pred.p.tolist() == [1.0]
         assert pred.agent_ids == ("a", "b")
 
     def test_extrapolates_current_motion(self, cfg):
         scene = crossing_scene(n=30)
-        pred = cv_predict(scene, 3, cfg)
+        pred = cv_predict(scene, [3], cfg)[3]
         fut = pred.xy[0, pred.agent_ids.index("a")]
         assert pred.lengths.tolist() == [[12, 12]]
         assert fut.shape == (cfg.horizon_frames(scene.dt), 2)
@@ -85,7 +85,7 @@ class TestConstantVelocity:
         a = make_agent("a", straight_traj((3, 4), (0, 0), 30))
         b = make_agent("b", straight_traj((0, -52), (0, 6), 30))
         scene = validate_scene(Scene(scene_id="s", dt=0.5, agents=(a, b)))
-        fut = cv_predict(scene, 3, cfg).xy[0, 0]
+        fut = cv_predict(scene, [3], cfg)[3].xy[0, 0]
         np.testing.assert_allclose(fut, [[3.0, 4.0]] * 12)
 
 
@@ -406,7 +406,7 @@ def test_kinematics_once_per_scene(cfg, monkeypatch, model):
     pairs = filter_scene_with_rejections(scene, cfg)[0]
     for frame, got in result.predictions.items():
         fresh = Scene(scene.scene_id, scene.dt, scene.agents)  # nothing cached
-        alone = (cv_predict(fresh, frame, cfg) if model == "cv"
+        alone = (cv_predict(fresh, [frame], cfg)[frame] if model == "cv"
                  else oracle_predict(fresh, [frame], pairs, 5, cfg)[frame])
         assert got.agent_ids == alone.agent_ids
         assert got.p.tolist() == alone.p.tolist()
@@ -455,12 +455,22 @@ class TestPackedSets:
     ``from_samples`` packs from the same per-agent futures."""
 
     def test_cv_matches_from_samples(self, cfg):
+        """One call over frames -1..30 (unsorted) and one call per frame give
+        the reference's sets, in frame order; frames -1 and 30 hold no
+        agent, and no frame gives no set."""
         empty = 0
+        frames = list(range(-1, 31))
         for scene in PACKING_SCENES:
-            for frame in range(-1, 31):  # frames -1 and 30 hold no agent
+            got = cv_predict(scene, frames[::-1], cfg)
+            assert list(got) == frames
+            for frame in frames:
                 want = reference_cv_predict(scene, frame, cfg)
-                assert_same_set(cv_predict(scene, frame, cfg), want)
+                assert_same_set(got[frame], want)
+                alone = cv_predict(scene, [frame], cfg)
+                assert list(alone) == [frame]
+                assert_same_set(alone[frame], want)
                 empty += want.agent_ids == ()
+            assert cv_predict(scene, [], cfg) == {}
         assert empty == 2 * len(PACKING_SCENES)
         assert want.xy.shape == (1, 0, 0, 2)
 

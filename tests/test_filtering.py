@@ -879,3 +879,221 @@ class TestStackedStage:
         m = (n - 1) * cfg.interp_factor + 1
         samples = 2 * len(accepted) * m
         assert peak < 5 * 8 * m * m + 20 * 8 * samples
+
+
+class TestRecordedSampleCheck:
+    """``_shared_from_start`` settles a pair as ``SharedFromStart`` on A's
+    side from A's early recorded samples against B's recorded samples
+    (``filtering._recorded_shared``) before it resamples anything; the
+    pairs it leaves go through the resampled cube. The filter must still
+    answer as the frozen matrix does."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        """The pairs of each recorded-sample check, with its verdicts, and
+        of each resampled cube: ``{"recorded": [(rows_a, rows_b, hit)],
+        "resampled": [(rows_a, rows_b)]}``."""
+        seen = {"recorded": [], "resampled": []}
+        recorded, resampled = filtering._recorded_shared, filtering._resampled_shared
+
+        def spy_recorded(xy, rows_a, rows_b, *args):
+            hit = recorded(xy, rows_a, rows_b, *args)
+            seen["recorded"].append((rows_a.copy(), rows_b.copy(), hit.copy()))
+            return hit
+
+        def spy_resampled(xy, rows_a, rows_b, *args):
+            seen["resampled"].append((rows_a.copy(), rows_b.copy()))
+            return resampled(xy, rows_a, rows_b, *args)
+        monkeypatch.setattr(filtering, "_recorded_shared", spy_recorded)
+        monkeypatch.setattr(filtering, "_resampled_shared", spy_resampled)
+        return seen
+
+    @staticmethod
+    def settled(scene, seen):
+        """The (a, b) of the pairs the recorded-sample checks settled."""
+        calls = [(ra[hit], rb[hit]) for ra, rb, hit in seen["recorded"]]
+        return stage_pairs(scene, calls)
+
+    @pytest.mark.parametrize("factor", [1, 3, 4])
+    def test_interpolated_sample_is_left_to_the_cube(self, checks, factor):
+        """A starts at the origin and drives east at 8 m/s; B drives north
+        through it at 2 Hz, its recorded samples 2 m either side. Only B's
+        interpolated samples come within ``d_collision`` of A's first
+        samples, so the recorded check misses, and the resampled cube finds
+        A's side sharing from the start where there is a factor."""
+        scene = validate_scene(Scene(scene_id="between", dt=0.5, agents=(
+            make_agent("a", straight_traj((0.0, 0.0), (8.0, 0.0), 20)),
+            make_agent("b", straight_traj((0.0, -2.0), (0.0, 8.0), 20)))))
+        cfg = EvalConfig(interp_factor=factor)
+        got = filter_scene_with_rejections(scene, cfg)
+        assert got == brute_force_filter(scene, cfg)
+        assert self.settled(scene, checks) == []
+        if factor == 1:
+            assert got == ([], [PairRejection("a", "b", RejectReason.NEVER_PATH_SHARING)])
+        else:
+            assert got == ([], [PairRejection("a", "b", RejectReason.SHARED_FROM_START,
+                                              detail="a")])
+            assert stage_pairs(scene, checks["resampled"]) == [("a", "b")]
+
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_sharing_on_b_side_only_is_not_settled(self, checks, factor):
+        """Three agents in one lane: each leader's first samples lie on its
+        followers' later path, and no follower's on its leader's. The
+        recorded check settles only the pairs whose first agent (by id) is
+        the leader; the pair led by its second agent is ``SharedFromStart``
+        on B's side, from the resampled cube."""
+        scene = validate_scene(Scene(scene_id="lane", dt=0.5, agents=(
+            make_agent("a", straight_traj((20.0, 0.0), (6.0, 0.0), 30)),
+            make_agent("b", straight_traj((0.0, 0.0), (6.0, 0.0), 30)),
+            make_agent("c", straight_traj((10.0, 0.0), (6.0, 0.0), 30)))))
+        cfg = EvalConfig(interp_factor=factor)
+        got = filter_scene_with_rejections(scene, cfg)
+        assert got == brute_force_filter(scene, cfg)
+        assert got == ([], [PairRejection("a", "b", RejectReason.SHARED_FROM_START, detail="a"),
+                            PairRejection("a", "c", RejectReason.SHARED_FROM_START, detail="a"),
+                            PairRejection("b", "c", RejectReason.SHARED_FROM_START, detail="c")])
+        assert self.settled(scene, checks) == [("a", "b"), ("a", "c")]
+        assert stage_pairs(scene, checks["resampled"]) == [("b", "c")]
+
+    @pytest.mark.parametrize("t_min,settled", [(None, []), (6.0, []), (6.5, [("a", "b")])])
+    def test_only_early_samples_settle(self, checks, t_min, settled):
+        """A's recorded sample at t = 6.5 s lies 1.41 m from B's at 8.5 s, as
+        they cross; nothing of A's before it comes within ``d_collision`` of
+        B. The recorded check settles the pair only where ``t_min`` makes
+        that sample early."""
+        scene = crossing_scene()
+        cfg = EvalConfig(t_min=t_min)
+        got = filter_scene_with_rejections(scene, cfg)
+        assert got == brute_force_filter(scene, cfg)
+        assert self.settled(scene, checks) == settled
+        assert len(got[0]) == (not settled)
+
+    def test_each_pair_reads_only_its_own_early_samples(self, checks):
+        """Two crossings of ``test_only_early_samples_settle`` in one stack,
+        1 km apart: C and D start at 0 s, A and B 5 s later, and ``t_min`` is
+        11 s. C's sample at 6.5 s is early, so (c, d) is settled; A's at
+        11.5 s, its 14th, is not, though (c, d) has 23 early samples, so
+        (a, b) is accepted."""
+        def pair(ids, x0, t0):
+            return (make_agent(ids[0], straight_traj((x0 - 40.0, 0.0), (6.0, 0.0), 30, t0=t0)),
+                    make_agent(ids[1], straight_traj((x0, -52.0), (0.0, 6.0), 30, t0=t0)))
+        scene = validate_scene(Scene(scene_id="two", dt=0.5,
+                                     agents=pair("ab", 0.0, 5.0) + pair("cd", 1000.0, 0.0)))
+        cfg = EvalConfig(t_min=11.0)
+        got = filter_scene_with_rejections(scene, cfg)
+        assert got == brute_force_filter(scene, cfg)
+        assert [(p.agent_a, p.agent_b) for p in got[0]] == [("a", "b")]
+        assert self.settled(scene, checks) == [("c", "d")]
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_recorded_distance_at_the_threshold(self, checks, ulps):
+        """A drives west from the origin; B drives north along x = 1.5,
+        through (1.5, 0) at a recorded sample. A's first sample is then
+        ``d_collision`` = 1.5 from B's, to within ``ulps``, exactly at 0
+        (``sqrt(2.25)`` is 1.5), and every other pair of samples is
+        farther. Strictly closer is ``SharedFromStart``; at or past it, the
+        pair shares no path."""
+        xb = 1.5
+        for _ in range(abs(ulps)):
+            xb = np.nextafter(xb, 0.0 if ulps < 0 else 3.0)
+        a = straight_traj((0.0, 0.0), (-10.0, 0.0), 12)
+        b = straight_traj((0.0, -8.0), (0.0, 8.0), 12)
+        b = Trajectory(t=b.t, xy=np.stack([np.full(12, xb), b.xy[:, 1]], axis=1), dt=b.dt)
+        scene = validate_scene(Scene(scene_id="edge", dt=0.5, agents=(
+            make_agent("a", a), make_agent("b", b))))
+        cfg = EvalConfig(d_collision=1.5)
+        got = filter_scene_with_rejections(scene, cfg)
+        assert got == brute_force_filter(scene, cfg)
+        if ulps < 0:
+            assert got[1][0].reason is RejectReason.SHARED_FROM_START
+            assert self.settled(scene, checks) == [("a", "b")]
+        else:
+            assert got[1] == [PairRejection("a", "b", RejectReason.NEVER_PATH_SHARING)]
+            assert self.settled(scene, checks) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side,row", [("a", 0), ("a", 1), ("b", 3), ("b", 0)])
+    def test_non_finite_sample(self, checks, bad, side, row):
+        """A leads B in one lane, so A's first sample lies on B's path at
+        B's fourth sample. A non-finite coordinate in A's first samples or
+        in that sample of B is never near anything; the filter answers as
+        the frozen matrix, without a numpy warning."""
+        trajs = {"a": straight_traj((10.0, 0.0), (6.0, 0.0), 30),
+                 "b": straight_traj((0.0, 0.0), (6.0, 0.0), 30)}
+        xy = trajs[side].xy.copy()
+        xy[row, row % 2] = bad
+        trajs[side] = Trajectory(t=trajs[side].t, xy=xy, dt=trajs[side].dt)
+        scene = Scene(scene_id="bad", dt=0.5,
+                      agents=tuple(make_agent(aid, tr) for aid, tr in trajs.items()))
+        for factor in (1, 4):
+            cfg = EvalConfig(interp_factor=factor)
+            got = filter_scene_with_rejections(scene, cfg)
+            with np.errstate(invalid="ignore"):
+                want = brute_force_filter(scene, cfg)
+            if got[0] and np.isnan(got[0][0].min_distance):  # np.min's NaN
+                assert np.isnan(want[0][0].min_distance)
+                got = ([dataclasses.replace(got[0][0], min_distance=0.0)], got[1])
+                want = ([dataclasses.replace(want[0][0], min_distance=0.0)], want[1])
+            assert got == want
+            # A's first sample and the B sample it meets settle the pair
+            # only while both are finite
+            assert self.settled(scene, checks) == (
+                [] if (side, row) in (("a", 0), ("b", 3)) else [("a", "b")])
+            checks["recorded"].clear()
+
+    def test_late_t_min_stays_within_the_matrix_memory(self, cfg):
+        """Twenty agents drive in from 30 m apart and park on one spot for
+        the last 170 of 181 frames, and ``t_min`` is the last frame: every
+        sample is early, so the recorded samples of each of the 190 pairs
+        form an n x n block, and 190 of them at once hold more than the
+        bound. The pairs go in chunks of at most one M x M matrix, and the
+        filter's peak stays within the bound of
+        ``test_parked_pairs_stay_within_the_matrix_memory``: five matrices,
+        plus twenty 8-byte values per resampled sample of the stack."""
+        n, k, dt = 181, 20, 0.1
+        agents = []
+        for j in range(k):
+            corner = 30.0 * np.array([np.cos(2 * np.pi * j / k), np.sin(2 * np.pi * j / k)])
+            xy = corner * (1.0 - np.minimum(np.arange(n) / 10.0, 1.0))[:, None]
+            agents.append(make_agent(f"p{j:02d}", Trajectory(t=dt * np.arange(n), xy=xy, dt=dt)))
+        scene = validate_scene(Scene(scene_id="parked", dt=dt, agents=tuple(agents)))
+        cfg = dataclasses.replace(cfg, t_min=dt * (n - 1))
+        tracemalloc.start()
+        try:
+            accepted, rejected = filter_scene_with_rejections(scene, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (accepted, rejected) == brute_force_filter(scene, cfg)
+        assert [r.detail for r in rejected] == [r.agent_a for r in rejected]
+        assert len(rejected) == k * (k - 1) // 2
+        m = (n - 1) * cfg.interp_factor + 1
+        samples = 2 * len(rejected) * m
+        assert peak < 5 * 8 * m * m + 20 * 8 * samples
+        assert len(rejected) * n * n * 8 * 2 > 5 * 8 * m * m + 20 * 8 * samples
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           factor=st.sampled_from([1, 3, 4]),
+           when=st.sampled_from(["none", "before", "inside", "past"]),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_settles_only_what_the_matrix_settles_property(self, seed, factor, when, u):
+        """Every pair the recorded check settles is ``SharedFromStart`` on
+        A's side in the frozen matrix, and the filter equals the matrix."""
+        scene = stage_scene(seed)
+        cfg = EvalConfig(interp_factor=factor, t_min=t_min_in(scene, when, u))
+        seen = []
+        recorded = filtering._recorded_shared
+
+        def spy(xy, rows_a, rows_b, *args):
+            hit = recorded(xy, rows_a, rows_b, *args)
+            seen.append((rows_a[hit], rows_b[hit]))
+            return hit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filtering, "_recorded_shared", spy)
+            got = filter_scene_with_rejections(scene, cfg)
+        accepted, rejected = brute_force_filter(scene, cfg)
+        assert got == (accepted, rejected)
+        shared_a = {(r.agent_a, r.agent_b) for r in rejected
+                    if r.reason is RejectReason.SHARED_FROM_START and r.detail == r.agent_a}
+        assert set(stage_pairs(scene, seen)) <= shared_a

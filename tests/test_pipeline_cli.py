@@ -1087,7 +1087,7 @@ class TestCli:
         save_scene(scene, both / "crossing.json")
         save_scene(late, both / "late.json")
         last = late.agents[0].trajectory.n - 1
-        save_predictions("late", cfg.t_p, {last: cv_predict(late, last, cfg)},
+        save_predictions("late", cfg.t_p, cv_predict(late, [last], cfg),
                          pred_dir / "late.json")
         outs = {}
         for name, d in (("one", scene_dir), ("two", both)):
