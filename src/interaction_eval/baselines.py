@@ -83,7 +83,7 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
     """
     # row pair 3 * i + j of a frame is profiles (i, j)
     rows_a, rows_b = np.repeat(np.arange(3), 3), np.tile(np.arange(3), 3)
-    shape = rolled.shape[2:]
+    width = rolled.shape[2]
     # each pair with frames its agents share: (a, b, those frames)
     shared = []
     for p in pairs:
@@ -94,15 +94,15 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
              for a, b, _ in shared for aid in (a, b)}
     counts = [9 * len(frames) for *_, frames in shared]
     tables: list[list] = [[] for _ in present]
-    for lo, hi in chunk_bounds(counts, [shape[0]] * len(shared)):
+    for lo, hi in chunk_bounds(counts, [width] * len(shared)):
         run = shared[lo:hi]
         at_a = np.array([present[f][a] for a, _, frames in run for f in frames])[:, None]
         at_b = np.array([present[f][b] for _, b, frames in run for f in frames])[:, None]
         size_a = np.repeat([sizes[a] for a, _, _ in run], counts[lo:hi], axis=0)
         size_b = np.repeat([sizes[b] for _, b, _ in run], counts[lo:hi], axis=0)
-        hit = collisions(rolled[at_a, rows_a].reshape(-1, *shape),
-                         rolled[at_b, rows_b].reshape(-1, *shape),
-                         np.full(len(size_a), shape[0]), size_a, size_b, interp_factor)
+        # every roll holds the same samples: the rows, back to back
+        hit = collisions(rolled[at_a, rows_a].reshape(-1, 2), rolled[at_b, rows_b].reshape(-1, 2),
+                         np.full(len(size_a), width), size_a, size_b, interp_factor)
         hit = iter(hit.reshape(-1, 3, 3))
         for a, b, frames in run:
             for f in frames:

@@ -9,13 +9,15 @@ h = max((sqrt(2) - 1) r, sqrt((c/2)^2 + r^2) - r) away from them, c = L/2 - r
 rectangles can be missed, but only while their disks are at most h_a + h_b
 apart.
 
-``collisions`` is the one check: it takes two padded stacks of recorded
+``collisions`` is the one check: it takes two ragged stacks of recorded
 position rows with their lengths and each row's vehicle size, and
-``is_collision`` is its one-row case. A size is the ``(radius, offset)`` the
-disks are laid with (``VehicleDims.size``): one for every row of a stack, or
-one per row, so that one call checks row pairs of many vehicle pairs. Each
-row's arithmetic reads only its own size, so a row gets the same bits as in
-a call that checks it alone.
+``is_collision`` is its one-row case. A stack is an (N, 2) array of samples
+with the rows back to back: row b is the next ``lengths[b]`` samples
+(``types.row_starts``), and lengths that do not sum to N raise
+LengthMismatch. A caller whose rows are all n samples long passes its
+(B, n, 2) stack reshaped. A size is the ``(radius, offset)`` the disks are
+laid with (``VehicleDims.size``): one for every row of a stack, or one per
+row, so that one call checks row pairs of many vehicle pairs.
 
 Callers that check many vehicle pairs at once (the IHS stage, the oracle's
 collision tables) split them into runs of whole pairs of at most
@@ -32,17 +34,30 @@ ch. 4). Between two recorded samples both centres move linearly with the
 same parameter, so their offset is d + tau e on each segment, and its
 closest approach is at tau = clip(-d.e / e.e, 0, 1), with e.e = 0 read as
 tau = 0 (the closest point on a segment, ibid., ch. 5). One array op takes
-that squared distance for every segment of every row pair. Only the rows
-with some segment within reach, plus a rounding margin (``_REACH_REL`` of
-reach and of the row pair's largest |coordinate|), are resampled and get
-headings, disks and the least distance over the 9 disk pairs; the others
-are False.
+that squared distance for every segment of the stack; the segment from a
+row's last sample to the next row's first is set to infinity, and each
+row's least one is a ``reduceat`` over its own segments. Only the rows with
+some segment within reach, plus a rounding margin (``_REACH_REL`` of reach
+and of the largest |coordinate| of the row pair's own samples), are
+resampled and get headings, disks and the least distance over the 9 disk
+pairs; the others are False. Both sides of those rows are resampled and
+laid out as one stack, and every op runs on 1-D columns of samples.
 
 This gives the bits of a check that resamples and lays out every row. A
 resampled centre lies on its recorded segment, to within rounding that the
 margin covers, so a row pair the bound leaves far has no sample within
-reach, and no overlap. Resampling, headings and the disk layout are
-row-local, so a near row gets the same bits as in the check of every row.
+reach, and no overlap. Every step reads only its own row's samples: the
+segment closest approach; the resampling (``u = k / factor`` from the
+row's start, with its originals pinned); the central differences, and the
+one-sided ones at each row's own ends; ``arctan2``, ``cos`` and ``sin``;
+and the 9 squared distances. Each is a per-sample or per-segment op whose
+bits do not depend on where in the stack the row lies, and the reductions
+(max, min and any) are exact. The heading carried over degenerate steps
+restarts at each row (``types.kinematics_rows``), so a row that starts
+stationary gets heading 0, never the heading the row before it ended on.
+A row therefore gets the same bits whatever rows stand beside it, and the
+same as the zero-padded kernel this layout replaced, whose padding reached
+no sample either.
 """
 
 from __future__ import annotations
@@ -52,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, ShortTrajectory
-from .types import kinematics_rows, resample_rows, valid_dims
+from .types import _resample_columns, kinematics_rows, row_starts, valid_dims
 # the benchmark's tracer patches these two names in this module
 from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 
@@ -111,79 +126,109 @@ def _row_sizes(size, rows: int) -> np.ndarray:
     return sizes
 
 
+def row_samples(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the samples of rows that start at ``starts`` and hold
+    ``lengths`` samples each, row after row: the gather that lays those
+    rows of a ragged stack back to back."""
+    ends = lengths.cumsum()
+    return (np.arange(int(ends[-1]) if len(ends) else 0)
+            + (starts - (ends - lengths)).repeat(lengths))
+
+
 def disk_centers(xy: np.ndarray, lengths: np.ndarray, offset) -> np.ndarray:
-    """(B, 3, 2, M) disk centres of a padded (B, M, 2) stack of positions:
-    row, disk (rear, centre, front), coordinate, sample. The front and rear
-    disks sit ``offset`` (one for every row, or (B,) of them) ahead of and
-    behind each position, along its heading from positions
-    (``kinematics_rows``)."""
+    """(3, 2, N) disk centres of a ragged (N, 2) stack of positions (row b
+    the next ``lengths[b]`` samples): disk (rear, centre, front),
+    coordinate, sample. The front and rear disks sit ``offset`` (one for
+    every row, or (B,) of them) ahead of and behind each position, along
+    its heading from positions (``kinematics_rows``)."""
     headings, _ = kinematics_rows(xy, lengths, 1.0)
-    pos = xy.transpose(0, 2, 1)  # (B, 2, M)
-    step = (np.asarray(offset, dtype=float)[..., None, None]
-            * np.stack([np.cos(headings), np.sin(headings)], axis=1))
-    return np.stack([pos - step, pos, pos + step], axis=1)
+    offset = np.broadcast_to(np.asarray(offset, dtype=float), lengths.shape).repeat(lengths)
+    pos = xy.T  # (2, N)
+    centers = np.empty((3,) + pos.shape)
+    centers[1] = pos
+    # the front disks' step along the heading, then the rear and front
+    # centres, each written in place
+    step = centers[2]
+    np.multiply(offset, np.cos(headings), out=step[0])
+    np.multiply(offset, np.sin(headings), out=step[1])
+    np.subtract(pos, step, out=centers[0])
+    step += pos
+    return centers
 
 
-def _check_rows(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray) -> None:
+def _check_rows(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's start in the two stacks, once they hold the same rows of
+    at least 2 samples each."""
     if xy_a.shape != xy_b.shape:
         raise LengthMismatch(f"trajectory lengths differ: {xy_a.shape} vs {xy_b.shape}")
+    starts = row_starts(lengths, len(xy_a))
     if min(lengths.tolist(), default=2) < 2:
         raise ShortTrajectory("collision checks need at least 2 samples per row")
+    return starts
 
 
 def min_disk_distances(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
                        size_a, size_b, interp_factor: int = 1) -> np.ndarray:
-    """Minimum distance of each row pair over its samples, resampled by
-    ``interp_factor``, and all 9 disk-centre pairs. ``size_a`` and ``size_b``
-    are the ``(radius, offset)`` of every row (``VehicleDims.size``) or a
-    (B, 2) array of each row's."""
+    """Minimum distance of each row pair of two ragged (N, 2) stacks over
+    its samples, resampled by ``interp_factor``, and all 9 disk-centre
+    pairs. ``size_a`` and ``size_b`` are the ``(radius, offset)`` of every
+    row (``VehicleDims.size``) or a (B, 2) array of each row's."""
     _check_rows(xy_a, xy_b, lengths)
     off_a, off_b = (_row_sizes(size, len(lengths))[:, 1] for size in (size_a, size_b))
-    xy_a, m = resample_rows(xy_a, lengths, interp_factor)
-    xy_b, _ = resample_rows(xy_b, lengths, interp_factor)
-    ca, cb = disk_centers(xy_a, m, off_a), disk_centers(xy_b, m, off_b)
+    # both sides resampled and laid out as one ragged stack, a's rows then
+    # b's, kept as columns (resample_rows before its C-ordered copy)
+    cols, m = _resample_columns(np.concatenate((xy_a, xy_b)),
+                                np.concatenate((lengths, lengths)), interp_factor)
+    centers = disk_centers(cols.T, m, np.concatenate((off_a, off_b)))
+    half = centers.shape[2] // 2
+    ca, cb = centers[..., :half], centers[..., half:]
     best = None
     for i in range(3):
         for j in range(3):
-            dx = ca[:, i, 0] - cb[:, j, 0]
-            dy = ca[:, i, 1] - cb[:, j, 1]
+            dx = ca[i, 0] - cb[j, 0]
+            dy = ca[i, 1] - cb[j, 1]
             d2 = dx * dx + dy * dy
             best = d2 if best is None else np.minimum(best, d2, out=best)
-    valid = np.arange(best.shape[1]) < m[:, None]
     # sqrt is monotone and correctly rounded: sqrt of the least square is
     # the least distance, bit for bit
-    return np.sqrt(np.where(valid, best, np.inf).min(axis=1))
+    return np.sqrt(np.minimum.reduceat(best, (m.cumsum() - m)[:len(lengths)]))
 
 
 def collisions(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
                size_a, size_b, interp_factor: int = 1) -> np.ndarray:
-    """True for each row pair of two padded (B, T, 2) stacks of positions
+    """True for each row pair of two ragged (N, 2) stacks of positions
     whose disk footprints overlap at any sample, resampled by
-    ``interp_factor``. Row b's samples are ``xy[b, :lengths[b]]``; whatever
-    follows them is finite padding, which reaches no sample of the row.
-    ``size_a`` and ``size_b`` are the ``(radius, offset)`` of every row
-    (``VehicleDims.size``) or a (B, 2) array of each row's."""
-    _check_rows(xy_a, xy_b, lengths)
+    ``interp_factor``. Row b of each stack is the next ``lengths[b]``
+    samples (``row_starts``). ``size_a`` and ``size_b`` are the ``(radius,
+    offset)`` of every row (``VehicleDims.size``) or a (B, 2) array of each
+    row's."""
+    starts = _check_rows(xy_a, xy_b, lengths)
     size_a, size_b = _row_sizes(size_a, len(lengths)), _row_sizes(size_b, len(lengths))
+    hit = np.zeros(len(lengths), dtype=bool)
     touch = size_a[:, 0] + size_b[:, 0]
     reach = touch + np.abs(size_a[:, 1]) + np.abs(size_b[:, 1])
-    scale = np.maximum(np.abs(xy_a).max(axis=(1, 2), initial=0.0),
-                       np.abs(xy_b).max(axis=(1, 2), initial=0.0))
+    # the largest |coordinate| of each row pair's own samples
+    big = np.maximum(np.abs(xy_a), np.abs(xy_b))
+    scale = np.maximum.reduceat(np.maximum(big[:, 0], big[:, 1]), starts)
     limit = reach * (1.0 + _REACH_REL) + _REACH_REL * scale
-    # each recorded segment's closest centre approach, d + tau * e
-    d = xy_a - xy_b
-    d, e = d[:, :-1], np.diff(d, axis=1)
-    ee = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1]
-    de = d[..., 0] * e[..., 0] + d[..., 1] * e[..., 1]
+    # each recorded segment's closest centre approach, d + tau * e; the
+    # segment from a row's last sample to the next row's first is none
+    dx, dy = xy_a[:, 0] - xy_b[:, 0], xy_a[:, 1] - xy_b[:, 1]
+    ex, ey = dx[1:] - dx[:-1], dy[1:] - dy[:-1]
+    dx, dy = dx[:-1], dy[:-1]
+    ee = ex * ex + ey * ey
+    de = dx * ex + dy * ey
     tau = np.clip(np.divide(-de, ee, out=np.zeros_like(ee), where=ee > 0), 0.0, 1.0)
-    q = d + tau[..., None] * e
-    d2 = q[..., 0] * q[..., 0] + q[..., 1] * q[..., 1]
-    valid = np.arange(d2.shape[1]) < (lengths - 1)[:, None]
-    near = np.flatnonzero((valid & (d2 <= (limit * limit)[:, None])).any(axis=1))
-    hit = np.zeros(len(lengths), dtype=bool)
+    qx, qy = dx + tau * ex, dy + tau * ey
+    d2 = qx * qx + qy * qy
+    d2[starts[1:] - 1] = np.inf
+    # fmin skips NaN, as a test of every segment would
+    near = np.flatnonzero(np.fmin.reduceat(d2, starts) <= limit * limit)
     if len(near):
-        hit[near] = (min_disk_distances(xy_a[near], xy_b[near], lengths[near], size_a[near],
-                                        size_b[near], interp_factor)
+        at = row_samples(starts[near], lengths[near])
+        hit[near] = (min_disk_distances(xy_a.take(at, axis=0), xy_b.take(at, axis=0),
+                                        lengths[near], size_a[near], size_b[near],
+                                        interp_factor)
                      < touch[near])
     return hit
 
@@ -193,5 +238,5 @@ def is_collision(xy_a: np.ndarray, xy_b: np.ndarray,
                  interp_factor: int = 1) -> bool:
     """True iff the disk footprints of two time-aligned (n, 2) position
     arrays overlap at any (interpolated) frame: ``collisions`` of one row."""
-    return bool(collisions(np.array([xy_a], dtype=float), np.array([xy_b], dtype=float),
+    return bool(collisions(np.asarray(xy_a, dtype=float), np.asarray(xy_b, dtype=float),
                            np.array([len(xy_a)]), dims_a.size, dims_b.size, interp_factor)[0])

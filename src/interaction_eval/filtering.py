@@ -42,11 +42,11 @@ The other co-observed pairs get their ``SharedFromStart`` answer from their
 early rows, all in one stack (``_shared_from_start``), in two steps. First,
 A's early recorded samples (one per window frame at or before ``t_min``) are
 checked against all of B's recorded window samples, with nothing resampled.
-``resample_rows`` pins every recorded sample exactly (``out[:, ::factor] =
-values``), so each of these sample pairs is a candidate of the full check
-with the same coordinates, and the check's arithmetic (the difference,
-squared in place, added, then ``sqrt(...) < d_collision``) gives it the same
-bits. A hit is therefore a hit of A's early rows in the full matrix, and the
+``resample_rows`` pins every recorded sample exactly (each new sample at a
+whole fractional index is set to its original), so each of these sample
+pairs is a candidate of the full check with the same coordinates, and the
+check's arithmetic (the difference, squared in place, added, then
+``sqrt(...) < d_collision``) gives it the same bits. A hit is therefore a hit of A's early rows in the full matrix, and the
 pair is ``SharedFromStart`` on A's side whatever B's rows hold: in follower
 traffic almost every pair ends here. Only the pairs without a hit have both
 windows resampled, and each side's early rows checked against the other
@@ -101,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import EvalConfig, Scene, Trajectory, co_observed, resample_rows
+from .types import EvalConfig, Scene, Trajectory, _resample_columns, co_observed
 # the benchmark's tracer patches this name in this module
 from .types import resample_trajectory  # noqa: F401
 
@@ -308,11 +308,13 @@ def _windows(xy: np.ndarray, rows_a: np.ndarray, rows_b: np.ndarray, steps: np.n
     ``rows_a[p]`` (side A) and from ``rows_b[p]`` (side B), padded to the
     width of ``steps`` by repeating its last sample. All of them are
     resampled in one call, bit-equal to ``resample_trajectory`` on each
-    window below its length.
+    window below its length: pair p is a row of that width, whose four
+    values are both sides' coordinates.
     """
     windows = xy.T[:, np.stack((rows_a, rows_b))[..., None] + steps]
-    rows, _ = resample_rows(windows.reshape(-1, steps.shape[1], 1), np.tile(count, 4), factor)
-    return rows.reshape(2, 2, len(count), -1)
+    cols, _ = _resample_columns(windows.reshape(4, -1).T, np.full(len(count), steps.shape[1]),
+                                factor)
+    return cols.reshape(2, 2, len(count), -1)
 
 
 def _within(xa, ya, xb, yb, d_collision: float) -> np.ndarray:

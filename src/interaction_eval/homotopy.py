@@ -35,6 +35,7 @@ def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Cumulative wrapped change of the bearing of each row of a padded
     (B, M, 2) stack of relative positions (position_A - position_B). Row b's
     samples are ``rel[b, :lengths[b]]``, at least one; the rest is padding.
+    A length outside [1, M] raises LengthMismatch.
 
     Frames where the agents (near-)coincide contribute a zero increment and
     carry the row's last well-defined bearing forward. Each row is summed on
@@ -46,6 +47,10 @@ def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Reflecting both paths about a line negates every increment, so the
     winding changes sign.
     """
+    sizes = lengths.tolist()
+    if sizes and not 1 <= min(sizes) <= max(sizes) <= rel.shape[1]:
+        raise LengthMismatch(f"row lengths from {min(sizes)} to {max(sizes)}, the stack holds "
+                             f"1 to {rel.shape[1]} samples per row")
     norm = np.hypot(rel[..., 0], rel[..., 1])
     bearings = np.arctan2(rel[..., 1], rel[..., 0])
     defined = norm >= _DEGENERATE_DISP
@@ -55,7 +60,7 @@ def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     prev = np.take_along_axis(bearings, np.maximum(last[:, :-1], 0), axis=1)
     steps = np.zeros_like(prev)
     steps[ok] = _wrap_angle(bearings[:, 1:][ok] - prev[ok])
-    return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(lengths.tolist())])
+    return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(sizes)])
 
 
 def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:

@@ -49,7 +49,10 @@ with all three. One call lays out its work once:
   of its profiles to positions.
 
 The rolls come back as one zero-padded stack, one slot per profile in the
-caller's order, the layout ``collisions`` and ``winding_rows`` take.
+caller's order, the layout ``winding_rows`` takes and the oracle indexes.
+``collisions`` takes ragged stacks, the rows back to back: the oracle's
+rolls are all one length, so its stacks are reshaped, and the IHS stage
+lays each call's rolls back to back once.
 
 ``interaction_timelines`` is the IHS stage of one scene; ``interaction_timeline``
 is its one-pair case. One ``co_observed`` call finds every pair's window, the
@@ -67,11 +70,12 @@ difference. Equal keys roll equal bits, because a row's roll reads nothing
 else and ``rollout_rows`` rolls each row on its own; one call rolls each
 distinct key once. Where no key repeats (no agent is in two pairs whose
 windows end together), the rows are rolled in pair order instead of key
-order, so that each run of pairs reads its rolls as slices of the stack
-and not as copies. Both orderings of every pair's frames are then checked,
-and the free ones wound, over runs of whole pairs (``collision.chunk_bounds``),
-with each row's vehicle size. ``collisions`` and ``winding_rows`` are
-row-local, so every flag and winding is the one a call per pair gives.
+order, so that each run of pairs reads its rolls as two contiguous slices
+of the ragged stacks and not as gathers. Both orderings of every pair's
+frames are then checked, and the free ones wound, over runs of whole pairs
+(``collision.chunk_bounds``), with each row's vehicle size. ``collisions``
+and ``winding_rows`` are row-local, so every flag and winding is the one a
+call per pair gives.
 """
 
 from __future__ import annotations
@@ -82,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import VehicleDims, chunk_bounds, collisions
+from .collision import VehicleDims, chunk_bounds, collisions, row_samples
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import (
@@ -644,8 +648,9 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
 
     Every start frame of both agents of every pair is a row, keyed on what
     its roll reads (``_row_keys``); one ``rollout_rows`` call rolls each
-    distinct key once, with ACCEL and DECEL. Each frame's two orderings are
-    then checked, and the free ones wound, over runs of whole pairs
+    distinct key once, with ACCEL and DECEL, and their rolls are laid back
+    to back once, each roll's own samples only. Each frame's two orderings
+    are then checked, and the free ones wound, over runs of whole pairs
     (``chunk_bounds``), one ``collisions`` call per ordering and run with
     each row's vehicle size.
     """
@@ -701,33 +706,47 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
     distinct = len(first) == len(keys)
     if distinct:
         first = np.arange(len(keys))
+    # frame i's rolls hold n - i samples
+    lengths = m[pair_of] + 1 - frame_of
     # each distinct row is rolled as its first occurrence (a's rows, then
     # b's): (window, start, v0 from its key's bits, n_steps)
     side, r = np.divmod(first, cum[-1])
-    starts = frame_of[r]
-    rows = list(zip([windows[k] for k in (2 * pair_of[r] + side).tolist()], starts.tolist(),
-                    keys[first, 3].view(np.float64).tolist(), (m[pair_of[r]] - starts).tolist()))
+    held = lengths[r]
+    rows = list(zip([windows[k] for k in (2 * pair_of[r] + side).tolist()],
+                    frame_of[r].tolist(), keys[first, 3].view(np.float64).tolist(),
+                    (held - 1).tolist()))
     rolled = rollout_rows(rows, (ProfileKind.ACCEL, ProfileKind.DECEL), v_max, cfg)
-    at_a, at_b = inverse[:cum[-1]], inverse[cum[-1]:]
-    # frame i's rolls hold n - i samples
-    lengths = m[pair_of] + 1 - frame_of
+    # every roll's own samples, back to back, one ragged stack per profile:
+    # roll r's are flat[k, bounds[r]:bounds[r + 1]]
+    bounds = np.concatenate(([0], np.cumsum(held)))
+    # where profile k's roll of row r starts among all rolls' padded samples
+    firsts = (2 * np.arange(len(held)) + np.arange(2)[:, None]) * rolled.shape[2]
+    flat = np.take(rolled.reshape(-1, 2), row_samples(firsts.ravel(), np.tile(held, 2)),
+                   axis=0).reshape(2, -1, 2)
+    if distinct:
+        at_a, at_b = np.arange(cum[-1]), np.arange(cum[-1], 2 * cum[-1])
+    else:
+        at_a, at_b = inverse[:cum[-1]], inverse[cum[-1]:]
     size_a, size_b = np.repeat(sizes_a, m, axis=0), np.repeat(sizes_b, m, axis=0)
     feasible: list[set] = [set() for _ in range(cum[-1])]
     for lo, hi in chunk_bounds(m.tolist(), (m + 1).tolist()):
         run = slice(cum[lo], cum[hi])
         width = int(m[lo:hi].max()) + 1
         if distinct:
-            rolled_a = rolled[run, :, :width]
-            rolled_b = rolled[cum[-1] + cum[lo]:cum[-1] + cum[hi], :, :width]
+            flat_a = flat[:, bounds[cum[lo]]:bounds[cum[hi]]]
+            flat_b = flat[:, bounds[cum[-1] + cum[lo]]:bounds[cum[-1] + cum[hi]]]
         else:
-            rolled_a, rolled_b = rolled[at_a[run], :, :width], rolled[at_b[run], :, :width]
+            flat_a = np.take(flat, row_samples(bounds[at_a[run]], lengths[run]), axis=1)
+            flat_b = np.take(flat, row_samples(bounds[at_b[run]], lengths[run]), axis=1)
         # a decelerates and b accelerates, then the reverse
         for ka, kb in ((1, 0), (0, 1)):
-            ra, rb = rolled_a[:, ka], rolled_b[:, kb]
-            hit = collisions(ra, rb, lengths[run], size_a[run], size_b[run], cfg.interp_factor)
+            hit = collisions(flat_a[ka], flat_b[kb], lengths[run], size_a[run], size_b[run],
+                             cfg.interp_factor)
             free = np.flatnonzero(~hit)
+            # winding_rows takes the padded rolls
+            rel = rolled[at_a[run][free], ka, :width] - rolled[at_b[run][free], kb, :width]
             for f, d in zip((free + cum[lo]).tolist(),
-                            winding_rows((ra - rb)[free], lengths[run][free]).tolist()):
+                            winding_rows(rel, lengths[run][free]).tolist()):
                 feasible[f].add(homotopy_class(d, cfg.theta_hat))
     for p, (k, pair, times) in enumerate(evaluable):
         out[k] = _timeline(pair, times, windows[2 * p], windows[2 * p + 1],

@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     DuplicateAgentId,
     EmptyOverlap,
+    LengthMismatch,
     NonFiniteCoordinate,
     NonUniformSampling,
     SceneValidationError,
@@ -256,32 +257,66 @@ def scene_frame(scene: Scene, t: float) -> int:
     return math.floor((t - scene.t_origin + _TIME_ATOL) / scene.dt + 0.5)
 
 
+def row_starts(lengths: np.ndarray, samples: int) -> np.ndarray:
+    """Where each row of a ragged stack starts: row b is the ``lengths[b]``
+    samples from ``starts[b]``, the rows back to back. Raises LengthMismatch
+    unless the lengths sum to ``samples``, the stack's sample count."""
+    ends = lengths.cumsum()
+    held = int(ends[-1]) if len(ends) else 0
+    if held != samples:
+        raise LengthMismatch(f"row lengths sum to {held}, the stack holds {samples} samples")
+    return ends - lengths
+
+
 def resample_rows(values: np.ndarray, lengths: np.ndarray,
                   factor: int) -> tuple[np.ndarray, np.ndarray]:
-    """Linearly interpolate each row of a padded stack to (n-1)*factor + 1 samples.
+    """Linearly interpolate each row of a ragged stack to (n-1)*factor + 1 samples.
 
-    ``values`` has shape (B, T, D); row b's n = ``lengths[b]`` samples are
-    ``values[b, :n]`` and whatever follows them is finite padding. Returns
-    the (B, (T-1)*factor + 1, D) stack and the new lengths. Original samples
-    are preserved exactly; samples past a row's new length are padding.
-    Factor 1 returns the input.
+    ``values`` has shape (N, D): the rows back to back, row b the next n =
+    ``lengths[b]`` samples (``row_starts``). Returns the C-ordered ragged
+    stack of the new rows and their lengths. New sample k of a row lies at
+    the fractional original index u = k / factor, between the row's samples
+    floor(u) and floor(u) + 1; original samples are preserved exactly. Each
+    new sample reads only its own row's samples, so a row gets the same
+    bits whatever rows stand beside it. Factor 1 returns a C-ordered input.
     """
+    cols, new = _resample_columns(values, lengths, factor)
+    return np.ascontiguousarray(cols.T), new
+
+
+def _resample_columns(values: np.ndarray, lengths: np.ndarray,
+                      factor: int) -> tuple[np.ndarray, np.ndarray]:
+    """``resample_rows`` as its transpose: the new stack as (D, N') columns,
+    each coordinate a run of samples, which the arithmetic and the collision
+    kernel's disk layout read fastest, and the new lengths. Factor 1 gives
+    ``values.T``."""
     if not _positive_int(factor):
         raise ConfigError("resample factor must be a positive integer")
+    starts = row_starts(lengths, len(values))
+    if min(lengths.tolist(), default=1) < 1:
+        raise ShortTrajectory("resampling needs at least 1 sample per row")
+    cols = values.T
     if factor == 1:
-        return values, lengths
-    t = values.shape[1]
-    # fractional original index of every new sample; at a row's last sample
-    # the next one (padding) has weight 0, and the pin below restores it
-    u = np.arange((t - 1) * factor + 1) / factor
-    i0 = np.minimum(u.astype(int), t - 2)
-    frac = (u - i0)[:, None]
-    # np.take keeps the stack C-ordered, where values[:, i0] would lay the
-    # sample axis outermost
-    out = np.take(values, i0, axis=1) * (1.0 - frac) + np.take(values, i0 + 1, axis=1) * frac
-    # pin originals exactly (no fp drift at integer indices)
-    out[:, ::factor] = values
-    return out, (lengths - 1) * factor + 1
+        return cols, lengths
+    new = lengths * factor - (factor - 1)
+    # each new sample's fractional original index u = k / factor, k its
+    # index in its row, then its original floor(u) and its weight u -
+    # floor(u), each array reused in place once read (they are as long as
+    # the new stack). At a row's last sample the next original (another
+    # row's, or the last one again) has weight 0, and the pin below
+    # restores it
+    frac = (np.arange(int(new.sum())) - (new.cumsum() - new).repeat(new)) / factor
+    at = frac.astype(int)
+    frac -= at
+    at += starts.repeat(new)
+    out = cols.take(at, axis=1)
+    out *= 1.0 - frac
+    at += 1
+    out += cols.take(at, axis=1, mode="clip") * frac
+    # pin originals exactly (no fp drift at integer indices): they are the
+    # new samples with u a whole number, in order
+    out[:, np.flatnonzero(frac == 0)] = cols
+    return out, new
 
 
 def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
@@ -290,50 +325,52 @@ def resample_trajectory(traj: Trajectory, factor: int) -> Trajectory:
 
     Original samples are preserved exactly; factor 1 returns the input.
     """
-    rows, _ = resample_rows(np.concatenate((traj.xy, traj.t[:, None]), axis=1)[None],
+    rows, _ = resample_rows(np.concatenate((traj.xy, traj.t[:, None]), axis=1),
                             np.array([traj.n]), factor)
     if factor == 1:
         return traj
-    return Trajectory(t=rows[0, :, 2], xy=rows[0, :, :2], dt=traj.dt / factor)
+    return Trajectory(t=rows[:, 2], xy=rows[:, :2], dt=traj.dt / factor)
 
 
 def kinematics_rows(xy: np.ndarray, lengths: np.ndarray,
                     dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (headings, speeds) of each row of a padded (B, T, 2) stack.
+    """Per-sample (headings, speeds) of each row of a ragged (N, 2) stack.
 
-    Row b's samples are ``xy[b, :lengths[b]]``. Central differences at
-    interior samples, one-sided at each row's own endpoints. Degenerate
-    displacements (norm < 1e-9 m) give speed 0 and carry the row's last
-    well-defined heading forward (0 before any heading is defined). Values
-    past a row's length are padding.
+    Row b is the next ``lengths[b]`` samples (``row_starts``). Central
+    differences at interior samples, one-sided at each row's own endpoints.
+    Degenerate displacements (norm < 1e-9 m) give speed 0 and carry the
+    row's last well-defined heading forward (0 before any heading is
+    defined). The carry restarts at each row: a row that starts stationary
+    gets heading 0, never the heading of the row before it.
     """
-    # cheaper than lengths.min() on one row; an empty stack has no short row
-    shortest = min(lengths.tolist(), default=2)
-    if shortest < 2:
+    starts = row_starts(lengths, len(xy))
+    if min(lengths.tolist(), default=2) < 2:
         raise ShortTrajectory("kinematics need at least 2 samples")
-    b, t, _ = xy.shape
     disp = np.empty_like(xy)
-    disp[:, 1:-1] = (xy[:, 2:] - xy[:, :-2]) / 2.0
-    disp[:, 0] = xy[:, 1] - xy[:, 0]
-    disp[:, -1] = xy[:, -1] - xy[:, -2]
-    if shortest < t:  # rows that end before the padding: one-sided at their own end
-        rows, end = np.arange(b), lengths - 1
-        disp[rows, end] = xy[rows, end] - xy[rows, end - 1]
-    norm = np.hypot(disp[..., 0], disp[..., 1])
+    disp[1:-1] = (xy[2:] - xy[:-2]) / 2.0
+    disp[:1] = xy[1:2] - xy[:1]
+    disp[-1:] = xy[-1:] - xy[-2:-1]
+    if len(starts) > 1:  # one-sided at the rows' own ends inside the stack too
+        inner = starts[1:]
+        disp[inner] = xy[inner + 1] - xy[inner]
+        disp[inner - 1] = xy[inner - 1] - xy[inner - 2]
+    norm = np.hypot(disp[:, 0], disp[:, 1])
     speeds = np.where(norm < _DEGENERATE_DISP, 0.0, norm / dt)
-    # flat index of the last well-defined displacement at or before each
-    # sample of its row (-1 before any)
-    flat = np.arange(b * t).reshape(b, t)
-    last = np.maximum.accumulate(np.where(norm >= _DEGENERATE_DISP, flat, -1), axis=1)
-    headings = np.where(last >= 0, np.arctan2(disp[..., 1], disp[..., 0]).ravel()[last], 0.0)
+    # index of the last well-defined displacement at or before each sample
+    # of its row; each row's first sample stands in where it has none, so
+    # that the running maximum starts over at every row
+    defined = norm >= _DEGENERATE_DISP
+    last = np.where(defined, np.arange(len(xy)), -1)
+    last[starts] = starts
+    np.maximum.accumulate(last, out=last)
+    headings = np.where(defined[last], np.arctan2(disp[:, 1], disp[:, 0])[last], 0.0)
     return headings, speeds
 
 
 def trajectory_kinematics(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (headings, speeds) by finite differences: ``kinematics_rows``
     on one row."""
-    headings, speeds = kinematics_rows(traj.xy[None], np.array([traj.n]), traj.dt)
-    return headings[0], speeds[0]
+    return kinematics_rows(traj.xy, np.array([traj.n]), traj.dt)
 
 
 def co_observed(t: np.ndarray, start: np.ndarray, dt: np.ndarray, i: int | np.ndarray,

@@ -16,7 +16,8 @@ from interaction_eval import (
     validate_scene,
     winding_rows,
 )
-from interaction_eval.types import kinematics_rows, resample_rows
+
+from frozen_padded import frozen_kinematics_rows, frozen_resample_rows
 
 # Hypothesis imports its patch printer only once a property fails. Where
 # libcst is installed, that import raises a mypy_extensions
@@ -238,8 +239,10 @@ def ref_is_collision(ta, tb, dims_a, dims_b, interp_factor=1):
 # --- frozen track-layout collision kernel ------------------------------------
 # The array kernel as it was while callers laid out resampled tracks first
 # (``disk_tracks``) and its reach test ran on every resampled sample, copied
-# verbatim but for the ``ref_`` names. The kernel on position rows must give
-# its flags and distances bit for bit.
+# verbatim but for the ``ref_`` names, on padded stacks. It resamples and
+# takes headings with the frozen padded kernels (``frozen_padded``). The
+# kernel on ragged position rows must give its flags and distances bit for
+# bit.
 
 _REF_REACH_REL = 1e-12
 
@@ -265,7 +268,7 @@ class RefDiskTracks(NamedTuple):
     def centers(self) -> np.ndarray:
         """(B, 3, 2, M) disk centres: row, disk (rear, centre, front),
         coordinate, sample; headings from positions."""
-        headings, _ = kinematics_rows(self.xy, self.lengths, 1.0)
+        headings, _ = frozen_kinematics_rows(self.xy, self.lengths, 1.0)
         pos = self.xy.transpose(0, 2, 1)  # (B, 2, M)
         step = self.offset * np.stack([np.cos(headings), np.sin(headings)], axis=1)
         return np.stack([pos - step, pos, pos + step], axis=1)
@@ -276,7 +279,7 @@ def ref_disk_tracks(xy, lengths, dims, interp_factor=1):
     ``interp_factor``, for disks of ``dims`` along its headings. Row b's
     samples are ``xy[b, :lengths[b]]``; whatever follows them is finite
     padding, which reaches no sample of the row."""
-    xy, lengths = resample_rows(xy, lengths, interp_factor)
+    xy, lengths = frozen_resample_rows(xy, lengths, interp_factor)
     if min(lengths.tolist(), default=2) < 2:
         raise ShortTrajectory("disk tracks need at least 2 samples per row")
     return RefDiskTracks(xy, lengths, dims.offset, dims.radius)

@@ -422,8 +422,7 @@ def test_collision_vs_rectangle_oracle(capsys):
         n_overlap += rect
         if disk == rect:
             continue
-        gap = (min_disk_distances(ta.xy[None], tb.xy[None], np.array([ta.n]), dims_a.size,
-                                  dims_b.size)[0]
+        gap = (min_disk_distances(ta.xy, tb.xy, np.array([ta.n]), dims_a.size, dims_b.size)[0]
                - (dims_a.radius + dims_b.radius))
         if abs(gap) >= 0.2:
             outside_band += 1

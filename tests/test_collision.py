@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from interaction_eval import (
     ConfigError,
+    LengthMismatch,
     ShortTrajectory,
     Trajectory,
     VehicleDims,
@@ -13,8 +14,14 @@ from interaction_eval import (
 )
 from interaction_eval import collision
 from interaction_eval.collision import collisions, disk_centers, min_disk_distances
-from interaction_eval.types import resample_rows
+from interaction_eval.types import kinematics_rows, resample_rows
 
+from frozen_padded import (
+    frozen_collisions,
+    frozen_disk_centers,
+    frozen_min_disk_distances,
+    frozen_resample_rows,
+)
 from conftest import (
     as_traj,
     ref_collisions,
@@ -31,10 +38,29 @@ from conftest import (
 DIMS = VehicleDims(width=2.0, length=4.0)
 
 
+def ragged(rows):
+    """(n_b, 2) position rows back to back, and their lengths: the stack
+    ``collisions`` takes."""
+    return np.concatenate(rows), np.array([len(r) for r in rows])
+
+
+def ragged_pairs(pairs):
+    """Row pairs ``(a, b)`` as two ragged stacks and their lengths, which
+    the two rows of a pair share."""
+    (xy_a, lengths), (xy_b, _) = ragged([a for a, _ in pairs]), ragged([b for _, b in pairs])
+    return xy_a, xy_b, lengths
+
+
+def row_slices(lengths):
+    """Each row's slice of a ragged stack with these row lengths."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - n, end) for end, n in zip(ends, lengths.tolist())]
+
+
 def padded(rows, extra=0):
     """(n_b, 2) position rows as a zero-padded stack, ``extra`` samples
-    wider than the longest, and their lengths: the input ``collisions``
-    takes."""
+    wider than the longest, and their lengths: the input of the frozen
+    padded kernels."""
     lengths = np.array([len(r) for r in rows])
     xy = np.zeros((len(rows), lengths.max() + extra, 2))
     for b, r in enumerate(rows):
@@ -61,14 +87,14 @@ def fill_padding(xy, lengths, rng, scale):
 
 def one_row_distance(ta, tb, dims_a, dims_b):
     """The kernel's minimum disk distance of one trajectory pair."""
-    return min_disk_distances(*padded_pairs([(ta.xy, tb.xy)]), dims_a.size, dims_b.size)[0]
+    return min_disk_distances(*ragged_pairs([(ta.xy, tb.xy)]), dims_a.size, dims_b.size)[0]
 
 
 def disks_at(x, y, heading, dims):
     """(3, 2) disk centres of a vehicle at (x, y): the first sample of a
     two-sample track heading along ``heading``, as ``is_collision`` lays them."""
     xy = np.array([[x, y], [x + np.cos(heading), y + np.sin(heading)]])
-    return disk_centers(*padded([xy]), dims.offset)[0, :, :, 0]
+    return disk_centers(xy, np.array([2]), dims.offset)[:, :, 0]
 
 
 class TestDiskLayout:
@@ -167,18 +193,33 @@ class TestCollision:
     def test_empty_stacks(self):
         """An empty stack gives empty resampled rows and disks, and no row
         pairs to check."""
-        xy, lengths, dims = np.zeros((0, 5, 2)), np.zeros(0, int), VehicleDims(2, 4.5)
+        xy, lengths, dims = np.zeros((0, 2)), np.zeros(0, int), VehicleDims(2, 4.5)
         rows, m = resample_rows(xy, lengths, 4)
-        assert rows.shape == (0, 17, 2) and m.shape == (0,)
-        assert disk_centers(rows, m, dims.offset).shape == (0, 3, 2, 17)
+        assert rows.shape == (0, 2) and m.shape == (0,)
+        assert disk_centers(rows, m, dims.offset).shape == (3, 2, 0)
         hit = collisions(xy, xy, lengths, dims.size, dims.size, 4)
         assert hit.shape == (0,) and hit.dtype == bool
         assert min_disk_distances(xy, xy, lengths, dims.size, dims.size, 4).shape == (0,)
 
     def test_short_row_raises(self):
-        xy, lengths = padded([np.zeros((5, 2)), np.zeros((1, 2))])
+        xy, lengths = ragged([np.zeros((5, 2)), np.zeros((1, 2))])
         with pytest.raises(ShortTrajectory):
             collisions(xy, xy, lengths, DIMS.size, DIMS.size, 4)
+
+    @pytest.mark.parametrize("lengths", [[9, 9], [4], [2, 2]],
+                             ids=["past_the_stack", "short_of_it", "one_short"])
+    @pytest.mark.parametrize("check", ["collisions", "min_disk_distances", "disk_centers"])
+    def test_lengths_must_fill_the_stack(self, check, lengths):
+        """Row lengths that do not sum to the stack's 5 samples describe rows
+        the stack does not hold: every kernel refuses them, before reading
+        any sample."""
+        xy, lengths = np.zeros((5, 2)), np.array(lengths)
+        call = {"collisions": lambda: collisions(xy, xy, lengths, DIMS.size, DIMS.size, 4),
+                "min_disk_distances": lambda: min_disk_distances(xy, xy, lengths, DIMS.size,
+                                                                 DIMS.size, 4),
+                "disk_centers": lambda: disk_centers(xy, lengths, DIMS.offset)}[check]
+        with pytest.raises(LengthMismatch, match="row lengths sum to"):
+            call()
 
     def test_far_rows_get_no_disks(self, monkeypatch):
         """Only the row pairs whose centres come within reach get headings
@@ -194,10 +235,11 @@ class TestCollision:
         ta = straight_traj((0, 0), (6, 0), 10)
         far = [straight_traj((0, y), (6, 0), 10) for y in (50.0, 4.01)]
         near = straight_traj((0, 3.99), (6, 0), 10)  # reach = 1 + 1 + 1 + 1
-        hit = collisions(*padded_pairs([(ta.xy, b.xy) for b in (far[0], near, far[1])]),
+        hit = collisions(*ragged_pairs([(ta.xy, b.xy) for b in (far[0], near, far[1])]),
                          DIMS.size, DIMS.size)
         assert hit.tolist() == [False, False, False]
-        assert laid == [1, 1]
+        # one stack of both sides' rows of the one near row pair
+        assert laid == [2]
 
 
 @st.composite
@@ -240,17 +282,17 @@ class TestKernelMatchesPerPairReference:
         dt = 0.1
         trajs = [[Trajectory(t=dt * np.arange(len(xy)), xy=xy, dt=dt) for xy in rows]
                  for rows in pairs]
-        xy_a, xy_b, lengths = padded_pairs([(a.xy, b.xy) for a, b in trajs])
+        xy_a, xy_b, lengths = ragged_pairs([(a.xy, b.xy) for a, b in trajs])
         dist = min_disk_distances(xy_a, xy_b, lengths, dims_a.size, dims_b.size, factor)
         hit = collisions(xy_a, xy_b, lengths, dims_a.size, dims_b.size, factor)
         assert dist.shape == hit.shape == (len(pairs),)
         rows_a, m_rows = resample_rows(xy_a, lengths, factor)
         centers_a = disk_centers(rows_a, m_rows, dims_a.offset)
-        for k, (ta, tb) in enumerate(trajs):
+        for k, ((ta, tb), row) in enumerate(zip(trajs, row_slices(m_rows))):
             ra, rb = ref_resample(ta, factor), ref_resample(tb, factor)
             m = ra.n
             assert m_rows[k] == m
-            assert np.array_equal(centers_a[k, ..., :m].transpose(2, 0, 1),
+            assert np.array_equal(centers_a[..., row].transpose(2, 0, 1),
                                   ref_disk_center_tracks(ra, dims_a))
             want = ref_min_disk_distance(ra, rb, dims_a, dims_b)
             assert np.array_equal(dist[k], want), k
@@ -263,28 +305,81 @@ class TestKernelMatchesPerPairReference:
     @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST,
            st.integers(0, 3), st.sampled_from([1.0, 1e3, 1e6]), st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
-    def test_padding_reaches_no_sample(self, pairs, factor, dims_a, dims_b, extra, scale,
-                                       seed):
-        """Whatever finite values fill the padding past each row's length, the
-        centres on every row's own samples are the same bit for bit, and so
-        are the distances and flags of every row pair: zeros against random
-        values."""
+    def test_rows_are_isolated(self, pairs, factor, dims_a, dims_b, extra, scale, seed):
+        """Whatever rows come before or after a row pair in the stack, its
+        distance and flag, and each of its rows' headings and disk centres,
+        are the same bits as in a stack of that pair alone: up to ``extra``
+        row pairs of coordinates up to ``scale`` go before, between and
+        after the drawn ones (``filler_rows``)."""
         rng = np.random.default_rng(seed)
-        laid = []
-        for rows, dims in (([a for a, _ in pairs], dims_a), ([b for _, b in pairs], dims_b)):
-            xy, lengths = padded(rows, extra)
-            filled = fill_padding(xy, lengths, rng, scale)
-            zeros = disk_centers(*resample_rows(xy, lengths, factor), dims.offset)
-            noise = disk_centers(*resample_rows(filled, lengths, factor), dims.offset)
-            for k, m in enumerate(((lengths - 1) * factor + 1).tolist()):
-                assert np.array_equal(zeros[k, ..., :m], noise[k, ..., :m]), k
-            laid.append((xy, filled))
-        (za, na), (zb, nb) = laid
+        stack, own = [], []
+        for pair in pairs:
+            stack += filler_rows(rng, int(rng.integers(0, extra + 1)), scale)
+            own.append(len(stack))
+            stack.append(pair)
+        stack += filler_rows(rng, int(rng.integers(0, extra + 1)), scale)
+        xy_a, xy_b, lengths = ragged_pairs(stack)
         sizes = dims_a.size, dims_b.size
-        assert np.array_equal(min_disk_distances(za, zb, lengths, *sizes, factor),
-                              min_disk_distances(na, nb, lengths, *sizes, factor))
-        assert np.array_equal(collisions(za, zb, lengths, *sizes, factor),
-                              collisions(na, nb, lengths, *sizes, factor))
+        dist = min_disk_distances(xy_a, xy_b, lengths, *sizes, factor)
+        hit = collisions(xy_a, xy_b, lengths, *sizes, factor)
+        laid = [(xy, dims, kinematics_rows(xy, lengths, 1.0)[0],
+                 disk_centers(*resample_rows(xy, lengths, factor), dims.offset))
+                for xy, dims in ((xy_a, dims_a), (xy_b, dims_b))]
+        rows, new_rows = row_slices(lengths), row_slices((lengths - 1) * factor + 1)
+        for k in own:
+            alone = ragged_pairs([stack[k]])
+            assert np.array_equal(dist[k], min_disk_distances(*alone, *sizes, factor)[0]), k
+            assert hit[k] == collisions(*alone, *sizes, factor)[0], k
+            for (xy, dims, headings, centers), one in zip(laid, alone):
+                n = np.array([len(one)])
+                assert np.array_equal(headings[rows[k]], kinematics_rows(one, n, 1.0)[0]), k
+                assert np.array_equal(centers[..., new_rows[k]],
+                                      disk_centers(*resample_rows(one, n, factor),
+                                                   dims.offset)), k
+
+    def test_heading_carry_restarts_at_each_row(self):
+        """A row stationary from its start takes heading 0 until it first
+        moves, never the heading the row before it ended on; a row stopped
+        at its end (a stopped DECEL roll) carries its own last heading; a
+        row of 2 samples takes its one step's."""
+        moving = np.array([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]])  # heading pi / 2
+        starts_still = np.array([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [6.0, 5.0], [7.0, 5.0]])
+        stopped = np.array([[0.0, 0.0], [-1.0, 0.0], [-1.5, 0.0], [-1.5, 0.0], [-1.5, 0.0]])
+        still = np.array([[3.0, 3.0]] * 4)
+        two = np.array([[0.0, 0.0], [1.0, -1.0]])
+        xy, lengths = ragged([moving, starts_still, stopped, still, two, starts_still])
+        headings, speeds = kinematics_rows(xy, lengths, 1.0)
+        rows = [headings[row].tolist() for row in row_slices(lengths)]
+        assert rows[0] == [np.pi / 2] * 3
+        assert rows[1] == [0.0, 0.0, 0.0, 0.0, 0.0]
+        assert rows[2] == [np.pi] * 5
+        assert rows[3] == [0.0] * 4
+        assert rows[4] == [-np.pi / 4] * 2
+        assert rows[5] == rows[1]
+        assert speeds[row_slices(lengths)[1]].tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
+
+def filler_rows(rng, count, scale):
+    """``count`` row pairs of coordinates up to ``scale``: each row moving
+    from its start, stationary at its start, stopped at its end, or
+    stationary throughout, of 2 samples or of 3-12."""
+    out = []
+    for _ in range(count):
+        n = int(rng.choice([2, rng.integers(3, 13)]))
+        pair = []
+        for _side in range(2):
+            steps = rng.normal(size=(n - 1, 2)) * scale * 0.1
+            kind = rng.integers(0, 4)
+            if kind == 1:
+                steps[:rng.integers(1, n)] = 0.0
+            elif kind == 2:
+                steps[rng.integers(0, n - 1):] = 0.0
+            elif kind == 3:
+                steps[:] = 0.0
+            start = rng.uniform(-scale, scale, 2)
+            pair.append(start + np.concatenate([[[0.0, 0.0]], np.cumsum(steps, axis=0)]))
+        out.append(tuple(pair))
+    return out
 
 
 # vehicles as long as wide have no front and rear offset, so that side-by-side
@@ -358,7 +453,7 @@ class TestReachBound:
     @settings(max_examples=400, deadline=None)
     def test_reach_settles_rows_exactly(self, case):
         pairs, dims_a, dims_b, factor = case
-        xy_a, xy_b, lengths = padded_pairs(pairs)
+        xy_a, xy_b, lengths = ragged_pairs(pairs)
         sizes = dims_a.size, dims_b.size
         hit = collisions(xy_a, xy_b, lengths, *sizes, factor)
         assert np.array_equal(hit, min_disk_distances(xy_a, xy_b, lengths, *sizes, factor)
@@ -368,7 +463,8 @@ class TestReachBound:
 
 
 def frozen_check(xy_a, xy_b, lengths, dims_a, dims_b, factor):
-    """The frozen track-layout kernel's flags and distances (``conftest``)."""
+    """The frozen track-layout kernel's flags and distances (``conftest``)
+    on padded stacks."""
     ta = ref_disk_tracks(xy_a, lengths, dims_a, factor)
     tb = ref_disk_tracks(xy_b, lengths, dims_b, factor)
     return ref_collisions(ta, tb), ref_min_disk_distances(ta, tb)
@@ -381,12 +477,13 @@ class TestSegmentBound:
 
     @staticmethod
     def check(pairs, dims_a, dims_b, factor, extra, scale, seed):
-        xy_a, xy_b, lengths = padded_pairs(pairs, extra)
+        pad_a, pad_b, lengths = padded_pairs(pairs, extra)
         if scale:
             rng = np.random.default_rng(seed)
-            xy_a = fill_padding(xy_a, lengths, rng, scale)
-            xy_b = fill_padding(xy_b, lengths, rng, scale)
-        want_hit, want_dist = frozen_check(xy_a, xy_b, lengths, dims_a, dims_b, factor)
+            pad_a = fill_padding(pad_a, lengths, rng, scale)
+            pad_b = fill_padding(pad_b, lengths, rng, scale)
+        want_hit, want_dist = frozen_check(pad_a, pad_b, lengths, dims_a, dims_b, factor)
+        xy_a, xy_b, _ = ragged_pairs(pairs)
         sizes = dims_a.size, dims_b.size
         assert np.array_equal(collisions(xy_a, xy_b, lengths, *sizes, factor), want_hit)
         assert np.array_equal(min_disk_distances(xy_a, xy_b, lengths, *sizes, factor), want_dist)
@@ -421,14 +518,15 @@ class TestSegmentBound:
 
         kinematics = collision.kinematics_rows
         monkeypatch.setattr(collision, "kinematics_rows", counting)
-        xy_a = np.array([[[-10.0, 0.0], [10.0, 0.0]]])
-        xy_b = np.array([[[-0.05, 1.5], [0.05, 1.5]]])
+        xy_a = np.array([[-10.0, 0.0], [10.0, 0.0]])
+        xy_b = np.array([[-0.05, 1.5], [0.05, 1.5]])
         lengths = np.array([2])
         hit = collisions(xy_a, xy_b, lengths, DIMS.size, DIMS.size, factor)
-        assert laid == [1, 1]
+        assert laid == [2]
         assert hit.tolist() == [want]
-        assert frozen_check(xy_a, xy_b, lengths, DIMS, DIMS, factor)[0].tolist() == [want]
-        assert want == ref_is_collision(as_traj(xy_a[0]), as_traj(xy_b[0]), DIMS, DIMS, factor)
+        assert frozen_check(xy_a[None], xy_b[None], lengths, DIMS, DIMS, factor)[0].tolist() == [
+            want]
+        assert want == ref_is_collision(as_traj(xy_a), as_traj(xy_b), DIMS, DIMS, factor)
 
 
 class TestPerRowSizes:
@@ -440,21 +538,19 @@ class TestPerRowSizes:
     def check(pairs, dims, factor, extra=0):
         """``pairs`` checked in one call, pair k with ``dims[k] = (dims_a,
         dims_b)``, against one call per pair."""
-        xy_a, xy_b, lengths = padded_pairs(pairs, extra)
+        xy_a, xy_b, lengths = ragged_pairs(pairs)
+        pad_a, pad_b, _ = padded_pairs(pairs, extra)
         size_a = np.array([d_a.size for d_a, _ in dims])
         size_b = np.array([d_b.size for _, d_b in dims])
         hit = collisions(xy_a, xy_b, lengths, size_a, size_b, factor)
         dist = min_disk_distances(xy_a, xy_b, lengths, size_a, size_b, factor)
-        for k, (d_a, d_b) in enumerate(dims):
-            one = slice(k, k + 1)
-            assert hit[k] == collisions(xy_a[one], xy_b[one], lengths[one], d_a.size, d_b.size,
-                                        factor)[0], k
-            assert np.array_equal(dist[k], min_disk_distances(xy_a[one], xy_b[one], lengths[one],
-                                                              d_a.size, d_b.size, factor)[0]), k
-            want_hit, want_dist = frozen_check(xy_a[one], xy_b[one], lengths[one], d_a, d_b,
-                                               factor)
+        for k, ((d_a, d_b), (a, b)) in enumerate(zip(dims, pairs)):
+            one, n = slice(k, k + 1), lengths[k:k + 1]
+            assert hit[k] == collisions(a, b, n, d_a.size, d_b.size, factor)[0], k
+            assert np.array_equal(dist[k], min_disk_distances(a, b, n, d_a.size, d_b.size,
+                                                              factor)[0]), k
+            want_hit, want_dist = frozen_check(pad_a[one], pad_b[one], n, d_a, d_b, factor)
             assert hit[k] == want_hit[0] and np.array_equal(dist[k], want_dist[0]), k
-            a, b = pairs[k]
             assert hit[k] == is_collision(a, b, d_a, d_b, factor), k
 
     @given(ragged_row_pairs(), st.sampled_from([1, 2, 4]), DIMS_ST, DIMS_ST, st.integers(0, 3),
@@ -481,7 +577,58 @@ class TestPerRowSizes:
         repeated per row gives."""
         ta = straight_traj((0, 0), (6, 0), 10)
         rows = [(ta.xy, straight_traj((0, y), (6, 0), 10).xy) for y in (1.9, 3.9, 50.0)]
-        xy_a, xy_b, lengths = padded_pairs(rows)
+        xy_a, xy_b, lengths = ragged_pairs(rows)
         each = np.array([DIMS.size] * 3)
         assert (collisions(xy_a, xy_b, lengths, DIMS.size, DIMS.size).tolist()
                 == collisions(xy_a, xy_b, lengths, each, each).tolist() == [True, False, False])
+
+
+class TestRaggedMatchesFrozenPadded:
+    """The ragged kernel against the padded kernel it replaced
+    (``frozen_padded``), bit for bit: flags, distances and each row's disk
+    centres, with per-row vehicle sizes, factors 1-5, and the frozen stacks
+    padded past each row with zeros or with random values."""
+
+    @staticmethod
+    def check(pairs, dims, factor, extra, scale, seed):
+        """``pairs`` in one call each, pair k with ``dims[k] = (dims_a,
+        dims_b)``."""
+        xy_a, xy_b, lengths = ragged_pairs(pairs)
+        pad_a, pad_b, _ = padded_pairs(pairs, extra)
+        if scale:
+            rng = np.random.default_rng(seed)
+            pad_a = fill_padding(pad_a, lengths, rng, scale)
+            pad_b = fill_padding(pad_b, lengths, rng, scale)
+        size_a = np.array([d_a.size for d_a, _ in dims])
+        size_b = np.array([d_b.size for _, d_b in dims])
+        assert np.array_equal(collisions(xy_a, xy_b, lengths, size_a, size_b, factor),
+                              frozen_collisions(pad_a, pad_b, lengths, size_a, size_b, factor))
+        assert np.array_equal(
+            min_disk_distances(xy_a, xy_b, lengths, size_a, size_b, factor),
+            frozen_min_disk_distances(pad_a, pad_b, lengths, size_a, size_b, factor))
+        rows, m = resample_rows(xy_a, lengths, factor)
+        centers = disk_centers(rows, m, size_a[:, 1])
+        frozen = frozen_disk_centers(*frozen_resample_rows(pad_a, lengths, factor), size_a[:, 1])
+        for k, row in enumerate(row_slices(m)):
+            assert np.array_equal(centers[..., row], frozen[k, ..., :m[k]]), k
+
+    @given(ragged_row_pairs(), st.integers(1, 5), DIMS_ST, DIMS_ST, st.integers(0, 3),
+           st.sampled_from([0.0, 1.0, 1e6]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_ragged_rows(self, pairs, factor, dims_1, dims_2, extra, scale, seed):
+        pick = np.random.default_rng(seed).integers(0, 2, (len(pairs), 2))
+        both = (dims_1, dims_2)
+        self.check(pairs, [(both[i], both[j]) for i, j in pick.tolist()], factor, extra, scale,
+                   seed)
+
+    @given(boundary_cases(), boundary_cases(), st.integers(1, 5), st.integers(0, 3),
+           st.sampled_from([0.0, 1.0, 1e6]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_boundary_rows(self, case_1, case_2, factor, extra, scale, seed):
+        """Rows within a few ulps of their own sizes' reach or touch, two
+        cases' rows shuffled into one stack."""
+        (pairs_1, a_1, b_1, _), (pairs_2, a_2, b_2, _) = case_1, case_2
+        rows = [(p, (a_1, b_1)) for p in pairs_1] + [(p, (a_2, b_2)) for p in pairs_2]
+        order = np.random.default_rng(seed).permutation(len(rows))
+        self.check([rows[k][0] for k in order], [rows[k][1] for k in order], factor, extra,
+                   scale, seed)

@@ -131,7 +131,7 @@ def ref_winding(xy_a, xy_b):
     lambda a, b: winding_angle(a, b),
     lambda a, b: classify_pair_windows(a, b),
     lambda a, b: gt_mode_sequence(a, b, horizon_frames=4),
-    lambda a, b: collisions(a[None], b[None], np.array([len(a)]), VehicleDims(1.8, 4.5).size,
+    lambda a, b: collisions(a, b, np.array([len(a)]), VehicleDims(1.8, 4.5).size,
                             VehicleDims(1.8, 4.5).size),
 ], ids=["winding_angle", "classify_pair_windows", "gt_mode_sequence", "collisions"])
 def test_length_mismatch(check):
@@ -140,6 +140,18 @@ def test_length_mismatch(check):
     ta, tb = random_walk_pair(np.random.default_rng(7), 12)
     with pytest.raises(LengthMismatch, match="trajectory lengths differ"):
         check(ta, tb[:11])
+
+
+@pytest.mark.parametrize("lengths", [[0, 3], [3, 6], [-1, 5]],
+                         ids=["empty_row", "past_the_width", "negative"])
+def test_winding_rows_refuses_lengths_the_stack_cannot_hold(lengths):
+    """A row of no samples, or of more samples than the stack is wide, has
+    no winding: a length outside [1, width] is refused, not summed over
+    padding."""
+    rel = np.random.default_rng(3).normal(size=(2, 5, 2))
+    with pytest.raises(LengthMismatch, match="row lengths from"):
+        winding_rows(rel, np.array(lengths))
+    assert winding_rows(rel, np.array([1, 5])).shape == (2,)
 
 
 class TestWindingReference:

@@ -12,6 +12,7 @@ from interaction_eval import (
     EmptyOverlap,
     EvalConfig,
     JointPredictionSet,
+    LengthMismatch,
     NonFiniteCoordinate,
     NonUniformSampling,
     Scene,
@@ -23,7 +24,13 @@ from interaction_eval import (
     trajectory_kinematics,
     validate_scene,
 )
-from interaction_eval.types import agent_frame_index, co_observed, resample_rows, scene_frame
+from interaction_eval.types import (
+    agent_frame_index,
+    co_observed,
+    kinematics_rows,
+    resample_rows,
+    scene_frame,
+)
 
 from conftest import circle_traj, crossing_scene, make_agent, straight_traj
 
@@ -198,17 +205,41 @@ class TestResampling:
         rng = np.random.default_rng(shape[0] * 31 + factor)
         values = rng.normal(scale=30.0, size=shape)
         lengths = rng.integers(2, shape[1] + 1, size=shape[0])
-        out, new_lengths = resample_rows(values, lengths, factor)
+        rows = [values[b, :n] for b, n in enumerate(lengths.tolist())]
+        out, new_lengths = resample_rows(np.concatenate(rows), lengths, factor)
         assert out.flags.c_contiguous
-        # the two-gather formula np.take replaced, which is not C-ordered
-        t = shape[1]
-        u = np.arange((t - 1) * factor + 1) / factor
-        i0 = np.minimum(u.astype(int), t - 2)
-        frac = (u - i0)[:, None]
-        want = values[:, i0] * (1.0 - frac) + values[:, i0 + 1] * frac
-        want[:, ::factor] = values
-        assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+        # the two-gather formula of the padded kernel, on each row alone
+        want = []
+        for row in rows:
+            t = len(row)
+            u = np.arange((t - 1) * factor + 1) / factor
+            i0 = np.minimum(u.astype(int), t - 2)
+            frac = (u - i0)[:, None]
+            w = row[i0] * (1.0 - frac) + row[i0 + 1] * frac
+            w[::factor] = row
+            want.append(w)
+        assert out.tobytes() == np.concatenate(want).tobytes()
         assert np.array_equal(new_lengths, (lengths - 1) * factor + 1)
+
+    def test_one_sample_rows_are_kept(self):
+        """A row of one sample stays that sample, beside rows of more."""
+        values = np.array([[1.0, -0.0], [2.0, 3.0], [4.0, 5.0], [-0.0, 7.0]])
+        out, new_lengths = resample_rows(values, np.array([1, 2, 1]), 3)
+        assert new_lengths.tolist() == [1, 4, 1]
+        assert out[[0, 1, 4, 5]].tobytes() == values.tobytes()
+        with pytest.raises(ShortTrajectory):
+            resample_rows(values, np.array([0, 4]), 3)
+
+    @pytest.mark.parametrize("lengths", [[9, 3], [4, 5], [11]])
+    @pytest.mark.parametrize("kernel", ["resample_rows", "kinematics_rows"])
+    def test_lengths_must_fill_the_stack(self, kernel, lengths):
+        """Row lengths that do not sum to the stack's 10 samples describe
+        rows the stack does not hold: refused with LengthMismatch."""
+        xy = np.arange(20.0).reshape(10, 2)
+        call = {"resample_rows": lambda: resample_rows(xy, np.array(lengths), 4),
+                "kinematics_rows": lambda: kinematics_rows(xy, np.array(lengths), 0.1)}[kernel]
+        with pytest.raises(LengthMismatch, match="row lengths sum to"):
+            call()
 
 
 class TestKinematics:
@@ -373,7 +404,7 @@ class TestConfig:
             with pytest.raises(ConfigError, match="resample factor"):
                 resample_trajectory(tr, bad)
             with pytest.raises(ConfigError, match="resample factor"):
-                resample_rows(tr.xy[None], np.array([tr.n]), bad)
+                resample_rows(tr.xy, np.array([tr.n]), bad)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("name", ["d_collision", "dt_ps_max", "a_lon_max", "a_lat_max",
