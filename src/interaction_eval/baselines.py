@@ -74,7 +74,7 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
     both present: whether each (profile, profile) of their rolls collides,
     ``table[i, j]`` for ``ORACLE_PROFILES[i]`` of a and ``[j]`` of b.
 
-    ``rolled[row, i]`` is a row's roll of ``ORACLE_PROFILES[i]``
+    ``rolled[i, row]`` is a row's roll of ``ORACLE_PROFILES[i]``
     (``rollout_rows``), and ``present[f]`` the row of each agent present at
     frame ``f``. A pair's tables at every frame its agents share are 9 row
     pairs per frame gathered from ``rolled``; one ``collisions`` call, with
@@ -101,7 +101,7 @@ def _collision_tables(scene: Scene, rolled: np.ndarray, present: list[dict[str, 
         size_a = np.repeat([sizes[a] for a, _, _ in run], counts[lo:hi], axis=0)
         size_b = np.repeat([sizes[b] for _, b, _ in run], counts[lo:hi], axis=0)
         # every roll holds the same samples: the rows, back to back
-        hit = collisions(rolled[at_a, rows_a].reshape(-1, 2), rolled[at_b, rows_b].reshape(-1, 2),
+        hit = collisions(rolled[rows_a, at_a].reshape(-1, 2), rolled[rows_b, at_b].reshape(-1, 2),
                          np.full(len(size_a), width), size_a, size_b, interp_factor)
         hit = iter(hit.reshape(-1, 3, 3))
         for a, b, frames in run:
@@ -128,9 +128,10 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
                 here[agent.id] = len(rows)
                 rows.append((agent.trajectory, i, float(speeds[i]), horizon))
         present.append(here)
-    # every roll holds horizon + 1 positions; a bystander's ACCEL and DECEL
-    # rolls are made too, but no combination picks them
-    rolled = rollout_rows(rows, ORACLE_PROFILES, v_max, cfg)
+    # every roll holds horizon + 1 positions, so (profile, row, frame, 2); a
+    # bystander's ACCEL and DECEL rolls are made too, but no combination picks them
+    rolled = rollout_rows(rows, ORACLE_PROFILES, v_max, cfg).reshape(
+        len(ORACLE_PROFILES), len(rows), horizon + 1, 2)
     step = np.diff(rolled, axis=2)
     # each roll's mean over its horizon steps: np.mean's sum and division,
     # without its warning where no agent is present and there are no rolls
@@ -152,14 +153,14 @@ def _predict_frames(scene: Scene, frames: list[int], pairs: list[CriticalPair], 
         if not free.any():
             return t
         choice = choice[free]
-        avg_speed = mean_speed[at, choice].mean(axis=1) if ids else np.zeros(len(choice))
+        avg_speed = mean_speed[choice, at].mean(axis=1) if ids else np.zeros(len(choice))
         # a stable sort keeps equal speeds in ORACLE_PROFILES order
         top = np.argsort(-avg_speed, kind="stable")[:k]
         total = sum(avg_speed[top].tolist())
         p = avg_speed[top] / total if total > 0 else np.full(len(top), 1.0 / len(top))
         # each future is its roll past the start position; with no agent
         # present, a set has no positions, as from_samples packs it
-        xy = rolled[at, choice[top], 1:1 + (horizon if ids else 0)]
+        xy = rolled[choice[top], at, 1:1 + (horizon if ids else 0)]
         predictions[t] = JointPredictionSet(t, ids, p, xy, np.full((len(top), len(ids)), horizon))
     return predictions
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, LengthMismatch, ShortTrajectory
-from .types import _resample_columns, kinematics_rows, row_starts, valid_dims
+from .types import _resample_columns, kinematics_rows, row_samples, row_starts, valid_dims
 # the benchmark's tracer patches these two names in this module
 from .types import resample_trajectory, trajectory_kinematics  # noqa: F401
 
@@ -124,15 +124,6 @@ def _row_sizes(size, rows: int) -> np.ndarray:
     sizes = np.empty((rows, 2))
     sizes[:] = size
     return sizes
-
-
-def row_samples(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The indices of the samples of rows that start at ``starts`` and hold
-    ``lengths`` samples each, row after row: the gather that lays those
-    rows of a ragged stack back to back."""
-    ends = lengths.cumsum()
-    return (np.arange(int(ends[-1]) if len(ends) else 0)
-            + (starts - (ends - lengths)).repeat(lengths))
 
 
 def disk_centers(xy: np.ndarray, lengths: np.ndarray, offset) -> np.ndarray:

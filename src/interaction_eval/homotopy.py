@@ -3,7 +3,7 @@
 The interaction class of an agent pair is read off the cumulative rotation
 of the relative position vector: a clockwise rotation (negative winding)
 means one agent passes behind the other, counterclockwise the reverse.
-``winding_rows`` winds a stack of rows in one call.
+``winding_rows`` winds a ragged stack of rows, back to back, in one call.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 from .errors import LengthMismatch
-from .types import _DEGENERATE_DISP
+from .types import _DEGENERATE_DISP, row_samples, row_starts
 
 
 class HomotopyClass(enum.Enum):
@@ -32,14 +32,15 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
 
 
 def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Cumulative wrapped change of the bearing of each row of a padded
-    (B, M, 2) stack of relative positions (position_A - position_B). Row b's
-    samples are ``rel[b, :lengths[b]]``, at least one; the rest is padding.
-    A length outside [1, M] raises LengthMismatch.
+    """Cumulative wrapped change of the bearing of each row of a ragged
+    (N, 2) stack of relative positions (position_A - position_B). Row b is
+    the next ``lengths[b]`` samples (``row_starts``); a length under 1 raises
+    LengthMismatch.
 
     Frames where the agents (near-)coincide contribute a zero increment and
-    carry the row's last well-defined bearing forward. Each row is summed on
-    its own slice; a sum along the padded rows would round differently.
+    carry the row's last well-defined bearing forward, restarting at each
+    row. Each row is summed on its own slice, so it gets the bits of a call
+    on it alone; ``np.add.reduceat`` would round differently.
 
     Swapping the agents negates the relative vector, which adds pi to every
     bearing and leaves each wrapped increment as it was: the winding is
@@ -47,20 +48,23 @@ def winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     Reflecting both paths about a line negates every increment, so the
     winding changes sign.
     """
+    starts = row_starts(lengths, len(rel))
     sizes = lengths.tolist()
-    if sizes and not 1 <= min(sizes) <= max(sizes) <= rel.shape[1]:
-        raise LengthMismatch(f"row lengths from {min(sizes)} to {max(sizes)}, the stack holds "
-                             f"1 to {rel.shape[1]} samples per row")
-    norm = np.hypot(rel[..., 0], rel[..., 1])
-    bearings = np.arctan2(rel[..., 1], rel[..., 0])
+    if min(sizes, default=1) < 1:
+        raise LengthMismatch(f"row lengths from {min(sizes)}, a row needs at least 1 sample")
+    norm = np.hypot(rel[:, 0], rel[:, 1])
+    bearings = np.arctan2(rel[:, 1], rel[:, 0])
     defined = norm >= _DEGENERATE_DISP
-    # index of the last well-defined bearing at or before each frame of its row
-    last = np.maximum.accumulate(np.where(defined, np.arange(rel.shape[1]), -1), axis=1)
-    ok = defined[:, 1:] & (last[:, :-1] >= 0)
-    prev = np.take_along_axis(bearings, np.maximum(last[:, :-1], 0), axis=1)
-    steps = np.zeros_like(prev)
-    steps[ok] = _wrap_angle(bearings[:, 1:][ok] - prev[ok])
-    return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(sizes)])
+    # index of the last well-defined bearing at or before each frame of its
+    # row; a row's first frame stands in where it has none, so the carry restarts
+    last = np.where(defined, np.arange(len(rel)), -1)
+    last[starts] = starts
+    np.maximum.accumulate(last, out=last)
+    # increment j is from frame j to j + 1; no row sums the one between two rows
+    ok = defined[1:] & defined[last[:-1]]
+    steps = np.zeros_like(bearings[1:])
+    steps[ok] = _wrap_angle(bearings[1:][ok] - bearings[last[:-1]][ok])
+    return np.array([np.add.reduce(steps[s:s + n - 1]) for s, n in zip(starts.tolist(), sizes)])
 
 
 def homotopy_class(delta_theta: float, theta_hat: float = 0.0) -> HomotopyClass:
@@ -85,8 +89,7 @@ def classify_pair_windows(xy_a: np.ndarray, xy_b: np.ndarray,
     ``winding_rows`` of one row."""
     if len(xy_a) != len(xy_b):
         raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
-    return homotopy_class(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0],
-                          theta_hat)
+    return homotopy_class(winding_rows(xy_a - xy_b, np.array([len(xy_a)]))[0], theta_hat)
 
 
 def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,
@@ -101,8 +104,7 @@ def gt_mode_sequence(xy_a: np.ndarray, xy_b: np.ndarray, horizon_frames: int,
     n = len(xy_a)
     if n != len(xy_b):
         raise LengthMismatch(f"trajectory lengths differ: {n} vs {len(xy_b)}")
-    width = min(horizon_frames + 1, n)
-    # row i holds frames i, i + 1, ...; past the window's end it repeats the last
-    rows = np.minimum(np.arange(n)[:, None] + np.arange(width), n - 1)
-    windings = winding_rows((xy_a - xy_b)[rows], np.minimum(width, n - np.arange(n)))
+    # row i holds frames i to i + horizon, or to the window's end
+    lengths = np.minimum(horizon_frames + 1, n - np.arange(n))
+    windings = winding_rows((xy_a - xy_b)[row_samples(np.arange(n), lengths)], lengths)
     return [homotopy_class(d, theta_hat) for d in windings.tolist()]

@@ -42,7 +42,7 @@ from .sceneio import (
     read_json,
     unique_keys,
 )
-from .types import EvalConfig, JointPredictionSet, Scene, scene_frame
+from .types import EvalConfig, JointPredictionSet, Scene, row_samples, scene_frame
 
 BASELINE_MODELS = ("cv", "oracle")
 DEFAULT_ORACLE_K = 5
@@ -81,8 +81,10 @@ def _prediction_classes(pset: JointPredictionSet, pair: CriticalPair, theta_hat:
     h = np.minimum(pset.lengths[:, ia], pset.lengths[:, ib])
     if h[0] < 2:
         return None
-    usable = h >= 2
-    windings = winding_rows(pset.xy[usable, ia] - pset.xy[usable, ib], h[usable])
+    # each usable sample's own positions, back to back
+    usable = np.flatnonzero(h >= 2)
+    rel = (pset.xy[:, ia] - pset.xy[:, ib]).reshape(-1, 2)
+    windings = winding_rows(rel[row_samples(usable * pset.xy.shape[2], h[usable])], h[usable])
     classes = [homotopy_class(d, theta_hat) for d in windings.tolist()]
     return classes[0], frozenset(classes)
 

@@ -46,13 +46,10 @@ with all three. One call lays out its work once:
   only where their cap binds, and each later profile first replays the
   first profile's capped roll of the row (``_replay``);
 - one pair of ``np.interp`` calls per row, which maps the arc lengths of all
-  of its profiles to positions.
+  of its profiles to positions in the row's slot of the output.
 
-The rolls come back as one zero-padded stack, one slot per profile in the
-caller's order, the layout ``winding_rows`` takes and the oracle indexes.
-``collisions`` takes ragged stacks, the rows back to back: the oracle's
-rolls are all one length, so its stacks are reshaped, and the IHS stage
-lays each call's rolls back to back once.
+The rolls come back as one ragged stack per profile, the rows back to back
+(``types.row_starts``), the layout ``collisions`` and ``winding_rows`` take.
 
 ``interaction_timelines`` is the IHS stage of one scene; ``interaction_timeline``
 is its one-pair case. One ``co_observed`` call finds every pair's window, the
@@ -72,10 +69,10 @@ distinct key once. Where no key repeats (no agent is in two pairs whose
 windows end together), the rows are rolled in pair order instead of key
 order, so that each run of pairs reads its rolls as two contiguous slices
 of the ragged stacks and not as gathers. Both orderings of every pair's
-frames are then checked, and the free ones wound, over runs of whole pairs
-(``collision.chunk_bounds``), with each row's vehicle size. ``collisions``
-and ``winding_rows`` are row-local, so every flag and winding is the one a
-call per pair gives.
+frames are then checked, and the free ones wound, from those stacks over
+runs of whole pairs (``collision.chunk_bounds``), with each row's vehicle
+size. ``collisions`` and ``winding_rows`` are row-local, so every flag and
+winding is the one a call per pair gives.
 """
 
 from __future__ import annotations
@@ -86,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collision import VehicleDims, chunk_bounds, collisions, row_samples
+from .collision import VehicleDims, chunk_bounds, collisions
 # the benchmark's tracer patches this name in this module
 from .collision import is_collision  # noqa: F401
 from .errors import (
@@ -106,6 +103,7 @@ from .types import (
     Scene,
     Trajectory,
     co_observed,
+    row_samples,
     trajectory_kinematics,
 )
 
@@ -530,16 +528,17 @@ def _roll(kind: ProfileKind, v0: np.ndarray, t_a: np.ndarray, dt: np.ndarray,
 
 
 def _positions(paths: tuple, s: np.ndarray, n_steps: np.ndarray) -> np.ndarray:
-    """Each row's positions at its arc lengths ``s`` (rows, profiles, max
-    n_steps + 1) along its path, as one zero-padded (rows, profiles, max
-    n_steps + 1, 2) stack: one pair of ``np.interp`` calls per row maps all
-    of its profiles' n_steps[r] + 1 frames."""
+    """Each row's positions at its arc lengths ``s`` (profiles, rows, max
+    n_steps + 1) along its path, as one ragged (profiles, N, 2) stack whose
+    row r holds its n_steps[r] + 1 frames: one pair of ``np.interp`` calls
+    per row maps all of its profiles' frames straight into the row's slot."""
     verts, s_vert, n_vert, _ = paths
     x, y = np.ascontiguousarray(verts[..., 0]), np.ascontiguousarray(verts[..., 1])
-    out = np.zeros(s.shape + (2,))
-    for r, (m, n) in enumerate(zip(n_vert.tolist(), (n_steps + 1).tolist())):
-        out[r, :, :n, 0] = np.interp(s[r, :, :n], s_vert[r, :m], x[r, :m])
-        out[r, :, :n, 1] = np.interp(s[r, :, :n], s_vert[r, :m], y[r, :m])
+    held = (n_steps + 1).tolist()
+    out = np.empty((len(s), sum(held), 2))
+    for r, (a, m, n) in enumerate(zip(np.cumsum([0] + held).tolist(), n_vert.tolist(), held)):
+        out[:, a:a + n, 0] = np.interp(s[:, r, :n], s_vert[r, :m], x[r, :m])
+        out[:, a:a + n, 1] = np.interp(s[:, r, :n], s_vert[r, :m], y[r, :m])
     return out
 
 
@@ -559,23 +558,24 @@ class PathRollout:
         dt, n = np.array([self.dt]), np.array([n_steps])
         s, _ = _roll(kind, np.array([self.v0]), _substep_starts(n_steps, dt), dt, n, self.v_max,
                      self._a_lon, self._paths)
-        return _positions(self._paths, s[:, None], n)[0, 0]
+        return _positions(self._paths, s[None], n)[0]
 
 
 def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: float,
                  cfg: EvalConfig) -> np.ndarray:
-    """Every row's roll of each speed profile in ``kinds`` as one (rows,
-    len(kinds), max n_steps + 1, 2) stack, the same bit for bit as a
-    ``PathRollout`` of that row alone gives them.
+    """Every row's roll of each speed profile in ``kinds`` as one ragged
+    (len(kinds), N, 2) stack, the same bit for bit as a ``PathRollout`` of
+    that row alone gives them.
 
     A row is ``(traj, start, v0, n_steps)``: n_steps + 1 positions rolled
-    along ``traj`` from frame ``start`` at start speed ``v0``. Row r's roll
-    of ``kinds[k]`` is ``out[r, k, :n_steps + 1]``; past its length it is
-    0.0. Each path is extended far enough that the fastest roll of its
+    along ``traj`` from frame ``start`` at start speed ``v0``. The rows lie
+    back to back (``types.row_starts``): row r's roll of ``kinds[k]`` is
+    ``out[k]``'s n_steps + 1 samples after those of the rows before it.
+    Each path is extended far enough that the fastest roll of its
     ``n_steps`` frames at ``v_max`` stays on it.
     """
     if not rows:
-        return np.zeros((0, len(kinds), 1, 2))
+        return np.zeros((len(kinds), 0, 2))
     n_steps = np.array([row[3] for row in rows])
     dt = np.array([row[0].dt for row in rows])
     paths = _paths(rows, v_max * (n_steps + 1) * dt + 10.0, v_max, cfg)
@@ -588,7 +588,7 @@ def rollout_rows(rows: list[RolloutRow], kinds: tuple[ProfileKind, ...], v_max: 
         s.append(frames)
         if ref is None:  # the later profiles replay the first one's capped rows
             ref = sub
-    return _positions(paths, np.stack(s, axis=1), n_steps)
+    return _positions(paths, np.stack(s), n_steps)
 
 
 def _row_keys(slot: int, window: Trajectory, headings: np.ndarray,
@@ -648,11 +648,10 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
 
     Every start frame of both agents of every pair is a row, keyed on what
     its roll reads (``_row_keys``); one ``rollout_rows`` call rolls each
-    distinct key once, with ACCEL and DECEL, and their rolls are laid back
-    to back once, each roll's own samples only. Each frame's two orderings
-    are then checked, and the free ones wound, over runs of whole pairs
-    (``chunk_bounds``), one ``collisions`` call per ordering and run with
-    each row's vehicle size.
+    distinct key once, with ACCEL and DECEL, into two ragged stacks. Each
+    frame's two orderings are then checked, and the free ones wound, from
+    those stacks over runs of whole pairs (``chunk_bounds``), one call each
+    per ordering and run with each row's vehicle size.
     """
     out: list = []
     if not pairs:
@@ -715,38 +714,30 @@ def interaction_timelines(scene: Scene, pairs: list[CriticalPair], cfg: EvalConf
     rows = list(zip([windows[k] for k in (2 * pair_of[r] + side).tolist()],
                     frame_of[r].tolist(), keys[first, 3].view(np.float64).tolist(),
                     (held - 1).tolist()))
+    # roll r of profile k is rolled[k, bounds[r]:bounds[r + 1]]
     rolled = rollout_rows(rows, (ProfileKind.ACCEL, ProfileKind.DECEL), v_max, cfg)
-    # every roll's own samples, back to back, one ragged stack per profile:
-    # roll r's are flat[k, bounds[r]:bounds[r + 1]]
     bounds = np.concatenate(([0], np.cumsum(held)))
-    # where profile k's roll of row r starts among all rolls' padded samples
-    firsts = (2 * np.arange(len(held)) + np.arange(2)[:, None]) * rolled.shape[2]
-    flat = np.take(rolled.reshape(-1, 2), row_samples(firsts.ravel(), np.tile(held, 2)),
-                   axis=0).reshape(2, -1, 2)
-    if distinct:
-        at_a, at_b = np.arange(cum[-1]), np.arange(cum[-1], 2 * cum[-1])
-    else:
-        at_a, at_b = inverse[:cum[-1]], inverse[cum[-1]:]
+    key_a, key_b = inverse[:cum[-1]], inverse[cum[-1]:]  # each row's roll where keys repeat
     size_a, size_b = np.repeat(sizes_a, m, axis=0), np.repeat(sizes_b, m, axis=0)
     feasible: list[set] = [set() for _ in range(cum[-1])]
     for lo, hi in chunk_bounds(m.tolist(), (m + 1).tolist()):
         run = slice(cum[lo], cum[hi])
-        width = int(m[lo:hi].max()) + 1
         if distinct:
-            flat_a = flat[:, bounds[cum[lo]]:bounds[cum[hi]]]
-            flat_b = flat[:, bounds[cum[-1] + cum[lo]]:bounds[cum[-1] + cum[hi]]]
+            xy_a = rolled[:, bounds[cum[lo]]:bounds[cum[hi]]]
+            xy_b = rolled[:, bounds[cum[-1] + cum[lo]]:bounds[cum[-1] + cum[hi]]]
         else:
-            flat_a = np.take(flat, row_samples(bounds[at_a[run]], lengths[run]), axis=1)
-            flat_b = np.take(flat, row_samples(bounds[at_b[run]], lengths[run]), axis=1)
+            xy_a = np.take(rolled, row_samples(bounds[key_a[run]], lengths[run]), axis=1)
+            xy_b = np.take(rolled, row_samples(bounds[key_b[run]], lengths[run]), axis=1)
+        starts = lengths[run].cumsum() - lengths[run]  # of the run's rows in xy_a and xy_b
         # a decelerates and b accelerates, then the reverse
         for ka, kb in ((1, 0), (0, 1)):
-            hit = collisions(flat_a[ka], flat_b[kb], lengths[run], size_a[run], size_b[run],
+            hit = collisions(xy_a[ka], xy_b[kb], lengths[run], size_a[run], size_b[run],
                              cfg.interp_factor)
             free = np.flatnonzero(~hit)
-            # winding_rows takes the padded rolls
-            rel = rolled[at_a[run][free], ka, :width] - rolled[at_b[run][free], kb, :width]
-            for f, d in zip((free + cum[lo]).tolist(),
-                            winding_rows(rel, lengths[run][free]).tolist()):
+            held_free = lengths[run][free]
+            at = row_samples(starts[free], held_free)
+            windings = winding_rows(xy_a[ka, at] - xy_b[kb, at], held_free)
+            for f, d in zip((free + cum[lo]).tolist(), windings.tolist()):
                 feasible[f].add(homotopy_class(d, cfg.theta_hat))
     for p, (k, pair, times) in enumerate(evaluable):
         out[k] = _timeline(pair, times, windows[2 * p], windows[2 * p + 1],

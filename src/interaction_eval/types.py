@@ -268,6 +268,15 @@ def row_starts(lengths: np.ndarray, samples: int) -> np.ndarray:
     return ends - lengths
 
 
+def row_samples(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The indices of the samples of rows that start at ``starts`` and hold
+    ``lengths`` samples each, row after row: the gather that lays those
+    rows of a ragged stack back to back."""
+    ends = lengths.cumsum()
+    return (np.arange(int(ends[-1]) if len(ends) else 0)
+            + (starts - (ends - lengths)).repeat(lengths))
+
+
 def resample_rows(values: np.ndarray, lengths: np.ndarray,
                   factor: int) -> tuple[np.ndarray, np.ndarray]:
     """Linearly interpolate each row of a ragged stack to (n-1)*factor + 1 samples.

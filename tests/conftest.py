@@ -58,7 +58,7 @@ def winding_angle(xy_a: np.ndarray, xy_b: np.ndarray) -> float:
     ``winding_rows`` of one row."""
     if len(xy_a) != len(xy_b):
         raise LengthMismatch(f"trajectory lengths differ: {len(xy_a)} vs {len(xy_b)}")
-    return float(winding_rows((xy_a - xy_b)[None], np.array([len(xy_a)]))[0])
+    return float(winding_rows(xy_a - xy_b, np.array([len(xy_a)]))[0])
 
 
 def circle_traj(radius, omega, n, dt=DT, t0=0.0):

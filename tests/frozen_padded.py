@@ -1,11 +1,12 @@
-"""The collision kernel on zero-padded stacks, frozen.
+"""The collision and winding kernels on zero-padded stacks, frozen.
 
-Before the kernel took ragged stacks (rows back to back), ``collisions``
-and the kernels under it took (B, T, 2) stacks padded past each row's
-length. These are those kernels, copied verbatim but for the ``frozen_``
-names: the ragged kernel must give their flags, distances and disk centres
-bit for bit, and the ``ref_`` references in ``conftest`` resample and take
-headings with them, so that they do not follow the program.
+Before the kernels took ragged stacks (rows back to back), ``collisions``
+and the kernels under it, and ``winding_rows``, took (B, T, 2) stacks
+padded past each row's length. These are those kernels, copied verbatim
+but for the ``frozen_`` names: the ragged kernels must give their flags,
+distances, disk centres and windings bit for bit, and the ``ref_``
+references in ``conftest`` resample and take headings with them, so that
+they do not follow the program.
 """
 
 import numpy as np
@@ -165,3 +166,41 @@ def frozen_collisions(xy_a: np.ndarray, xy_b: np.ndarray, lengths: np.ndarray,
                                                size_a[near], size_b[near], interp_factor)
                      < touch[near])
     return hit
+
+
+def frozen_wrap_angle(x: np.ndarray) -> np.ndarray:
+    """Wrap to (-pi, pi]."""
+    w = (x + np.pi) % (2.0 * np.pi) - np.pi
+    return np.where(w <= -np.pi, w + 2.0 * np.pi, w)
+
+
+def frozen_winding_rows(rel: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Cumulative wrapped change of the bearing of each row of a padded
+    (B, M, 2) stack of relative positions (position_A - position_B). Row b's
+    samples are ``rel[b, :lengths[b]]``, at least one; the rest is padding.
+    A length outside [1, M] raises LengthMismatch.
+
+    Frames where the agents (near-)coincide contribute a zero increment and
+    carry the row's last well-defined bearing forward. Each row is summed on
+    its own slice; a sum along the padded rows would round differently.
+
+    Swapping the agents negates the relative vector, which adds pi to every
+    bearing and leaves each wrapped increment as it was: the winding is
+    unchanged.
+    Reflecting both paths about a line negates every increment, so the
+    winding changes sign.
+    """
+    sizes = lengths.tolist()
+    if sizes and not 1 <= min(sizes) <= max(sizes) <= rel.shape[1]:
+        raise LengthMismatch(f"row lengths from {min(sizes)} to {max(sizes)}, the stack holds "
+                             f"1 to {rel.shape[1]} samples per row")
+    norm = np.hypot(rel[..., 0], rel[..., 1])
+    bearings = np.arctan2(rel[..., 1], rel[..., 0])
+    defined = norm >= _DEGENERATE_DISP
+    # index of the last well-defined bearing at or before each frame of its row
+    last = np.maximum.accumulate(np.where(defined, np.arange(rel.shape[1]), -1), axis=1)
+    ok = defined[:, 1:] & (last[:, :-1] >= 0)
+    prev = np.take_along_axis(bearings, np.maximum(last[:, :-1], 0), axis=1)
+    steps = np.zeros_like(prev)
+    steps[ok] = frozen_wrap_angle(bearings[:, 1:][ok] - prev[ok])
+    return np.array([np.add.reduce(steps[b, :n - 1]) for b, n in enumerate(sizes)])

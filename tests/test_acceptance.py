@@ -179,7 +179,7 @@ def _exhaustive_top_k_classes(scene, pair, frame, k, cfg):
         traj = agents[aid].trajectory
         i = agent_frame_index(scene, agents[aid], frame)
         v0 = float(trajectory_kinematics(traj)[1][i])
-        rolls[aid] = rollout_rows([(traj, i, v0, horizon)], kinds, v_max, cfg)[0]
+        rolls[aid] = rollout_rows([(traj, i, v0, horizon)], kinds, v_max, cfg)
     dims = {aid: VehicleDims(agents[aid].width, agents[aid].length)
             for aid in rolls}
     ranked = []

@@ -19,6 +19,7 @@ from interaction_eval.homotopy import _wrap_angle
 from interaction_eval.pipeline import _prediction_classes
 
 from conftest import circle_traj, straight_traj, winding_angle
+from frozen_padded import frozen_winding_rows
 
 
 def random_walk_pair(rng, n):
@@ -142,16 +143,34 @@ def test_length_mismatch(check):
         check(ta, tb[:11])
 
 
-@pytest.mark.parametrize("lengths", [[0, 3], [3, 6], [-1, 5]],
-                         ids=["empty_row", "past_the_width", "negative"])
-def test_winding_rows_refuses_lengths_the_stack_cannot_hold(lengths):
-    """A row of no samples, or of more samples than the stack is wide, has
-    no winding: a length outside [1, width] is refused, not summed over
-    padding."""
-    rel = np.random.default_rng(3).normal(size=(2, 5, 2))
-    with pytest.raises(LengthMismatch, match="row lengths from"):
+@pytest.mark.parametrize("lengths, samples", [([0, 5], 5), ([3, 6], 5), ([-1, 5], 4),
+                                               ([1, 3], 5)],
+                         ids=["empty_row", "past_the_width", "negative", "short_of_the_stack"])
+def test_winding_rows_refuses_lengths_the_stack_cannot_hold(lengths, samples):
+    """A row of no samples has no winding, and lengths that do not sum to
+    the ragged stack's samples do not say where its rows lie: both are
+    refused, and so is a negative length whose lengths sum right."""
+    rel = np.random.default_rng(3).normal(size=(samples, 2))
+    with pytest.raises(LengthMismatch, match="row lengths"):
         winding_rows(rel, np.array(lengths))
-    assert winding_rows(rel, np.array([1, 5])).shape == (2,)
+    assert winding_rows(rel, np.array([1, samples - 1])).shape == (2,)
+
+
+def rel_row(rng, n, p_coincident, coincident_start=False):
+    """The (n, 2) relative positions of a random-walk pair whose agents
+    coincide on a share ``p_coincident`` of its frames, and on its first
+    few where ``coincident_start``."""
+    ta, tb = random_walk_pair(rng, n)
+    mask = rng.random(n) < p_coincident
+    if coincident_start:
+        mask |= np.arange(n) < rng.integers(1, n + 1)
+    return ta - np.where(mask[:, None], ta, tb)
+
+
+def ragged(rows):
+    """Rows of (n, 2) samples, back to back, and their lengths."""
+    lengths = np.array([len(row) for row in rows], dtype=int)
+    return (np.concatenate(rows) if rows else np.zeros((0, 2))), lengths
 
 
 class TestWindingReference:
@@ -176,22 +195,93 @@ class TestWindingReference:
     def test_rows_match_scalar_loop(self, seed, n_rows, p_coincident):
         """Every row of a ``winding_rows`` stack equals the frozen loop's
         total on that row alone, bit for bit: mixed lengths (rows of 1 and 2
-        samples among them), coincident frames, and padding that holds
+        samples among them) and coincident frames."""
+        rng = np.random.default_rng(seed)
+        lengths = np.where(rng.random(n_rows) < 0.3, rng.integers(1, 3, n_rows),
+                           rng.integers(1, 100, n_rows))
+        pairs = []
+        for n in lengths:
+            ta, tb = random_walk_pair(rng, n)
+            pairs.append((ta, np.where((rng.random(n) < p_coincident)[:, None], ta, tb)))
+        got = winding_rows(*ragged([ta - tb for ta, tb in pairs]))
+        assert got.shape == (n_rows,)
+        for b, (ta, tb) in enumerate(pairs):
+            assert got[b] == ref_winding(ta, tb)[0], (b, lengths[b])
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(0, 12),
+           st.sampled_from([0.0, 0.05, 0.3, 1.0]), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_frozen_padded_kernel(self, seed, n_rows, p_coincident, zero_padding):
+        """The ragged ``winding_rows`` gives every row the bits of the
+        padded kernel it replaced (``frozen_padded``), signed zeros too:
+        mixed lengths (rows of 1 and 2 samples among them), coincident
+        frames, rows that start coincident, and padding of zeros or of
         arbitrary finite values."""
         rng = np.random.default_rng(seed)
         lengths = np.where(rng.random(n_rows) < 0.3, rng.integers(1, 3, n_rows),
                            rng.integers(1, 100, n_rows))
-        rel = rng.normal(0.0, 50.0, (n_rows, lengths.max(), 2))
-        pairs = []
-        for b, n in enumerate(lengths):
-            ta, tb = random_walk_pair(rng, n)
-            tb = np.where((rng.random(n) < p_coincident)[:, None], ta, tb)
-            rel[b, :n] = ta - tb
-            pairs.append((ta, tb))
-        got = winding_rows(rel, lengths)
-        assert got.shape == (n_rows,)
-        for b, (ta, tb) in enumerate(pairs):
-            assert got[b] == ref_winding(ta, tb)[0], (b, lengths[b])
+        rows = [rel_row(rng, n, p_coincident, rng.random() < 0.3) for n in lengths]
+        width = max(lengths.tolist(), default=1)
+        padded = (np.zeros((n_rows, width, 2)) if zero_padding
+                  else rng.normal(0.0, 50.0, (n_rows, width, 2)))
+        for b, row in enumerate(rows):
+            padded[b, :len(row)] = row
+        got = winding_rows(*ragged(rows))
+        want = frozen_winding_rows(padded, lengths)
+        assert got.shape == want.shape == (n_rows,)
+        assert got.tobytes() == want.tobytes()
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 6), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_are_isolated(self, seed, n_rows, most_fillers):
+        """Each row winds the same bits whatever rows stand beside it. Up to
+        ``most_fillers`` filler rows (ending on a defined bearing, ending
+        with the agents coincident, coincident throughout, or of one sample)
+        go before, between and after the drawn rows, and every drawn row
+        that starts with the agents coincident comes right after a filler
+        that ends on a defined bearing, which a carry that does not restart
+        at each row would read."""
+        rng = np.random.default_rng(seed)
+
+        def defined_end(n):
+            row = rel_row(rng, n, 0.3)
+            row[-1] = rng.normal(0.0, 10.0, 2)
+            return row
+
+        def filler():
+            n = int(rng.integers(1, 8))
+            kind = rng.integers(4)
+            if kind == 0:
+                return defined_end(n)
+            if kind == 1:  # ends coincident
+                return np.concatenate((rel_row(rng, n, 0.3), np.zeros((1, 2))))
+            if kind == 2:  # coincident throughout
+                return np.zeros((n, 2))
+            return rng.normal(size=(1, 2))
+
+        rows = [rel_row(rng, int(rng.integers(1, 30)), 0.2, rng.random() < 0.5)
+                for _ in range(n_rows)]
+        stack, at = [], []
+        for row in rows:
+            stack += [filler() for _ in range(int(rng.integers(0, most_fillers + 1)))]
+            if not np.any(row[0]):
+                stack.append(defined_end(int(rng.integers(1, 8))))
+            at.append(len(stack))
+            stack.append(row)
+        stack += [filler() for _ in range(int(rng.integers(0, most_fillers + 1)))]
+        got = winding_rows(*ragged(stack))
+        for i, row in zip(at, rows):
+            assert got[i].tobytes() == winding_rows(*ragged([row])).tobytes(), i
+
+    def test_carry_restarts_at_each_row(self):
+        """A row whose agents coincide at its first frame has no bearing to
+        carry until its own first defined one: the row before it, ending on
+        a bearing of pi / 2, leaves its winding pi / 2, where a carry from
+        it would read 0."""
+        filler = np.array([[1.0, 0.0], [0.0, 1.0]])
+        row = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert winding_rows(*ragged([row]))[0] == np.pi / 2
+        assert winding_rows(*ragged([filler, row])).tolist() == [np.pi / 2, np.pi / 2]
 
 
 def ref_gt_mode_sequence(xy_a, xy_b, horizon_frames, theta_hat):

@@ -202,8 +202,9 @@ class TestTimeline:
         pair = filter_scene_with_rejections(scene, cfg)[0][0]
         n = len(interaction_timeline(scene, pair, cfg).t)
         (stack,) = stacks
-        # a's rows, then b's, one per start frame but the last
-        assert stack.shape == (2 * (n - 1), 2, n, 2)
+        # a's rows, then b's, one per start frame but the last, back to
+        # back: the roll from frame i holds n - i samples
+        assert stack.shape == (2, 2 * sum(range(2, n + 1)), 2)
 
 
 def reference_interaction_timeline(scene, pair, cfg):
@@ -223,8 +224,8 @@ def reference_interaction_timeline(scene, pair, cfg):
     feas = []
     for i in range(n - 1):
         n_steps = n - 1 - i
-        rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n_steps)], kinds, v_max, cfg)[0]
-        rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n_steps)], kinds, v_max, cfg)[0]
+        rolls_a = rollout_rows([(wa, i, float(speeds_a[i]), n_steps)], kinds, v_max, cfg)
+        rolls_b = rollout_rows([(wb, i, float(speeds_b[i]), n_steps)], kinds, v_max, cfg)
         feasible = set()
         for ka, kb in ((ProfileKind.DECEL, ProfileKind.ACCEL),
                        (ProfileKind.ACCEL, ProfileKind.DECEL)):

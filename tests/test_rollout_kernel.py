@@ -757,25 +757,31 @@ def window_rows(traj):
     return [(traj, i, float(speeds[i]), traj.n - 1 - i) for i in range(traj.n - 1)]
 
 
+def row_rolls(stack, rows):
+    """Each row's rolls in a ragged ``rollout_rows`` stack, the rows back to
+    back: a (kinds, n_steps + 1, 2) view per row."""
+    held = np.array([row[3] + 1 for row in rows])
+    return [stack[:, a:a + n] for a, n in zip((held.cumsum() - held).tolist(), held.tolist())]
+
+
 def check_rows(rows, v_max, kinds=ALL_KINDS, cfg=None):
     """Every row's roll of each of ``kinds`` from one ``rollout_rows`` call,
-    and from that row's own ``PathRollout``, equals the frozen
-    ``RefPathRollout`` roll of that row, and the padding past its length is
-    exactly 0.0; returns how many rows took the closed form, which one
+    which lays the rows back to back, and from that row's own
+    ``PathRollout``, equals the frozen ``RefPathRollout`` roll of that row;
+    returns how many rows took the closed form, which one
     ``_closed_form_starts`` call over all rows, one call per row and the
     frozen per-track admission agree on."""
     cfg = cfg or EvalConfig()
     got = rollout_rows(rows, kinds, v_max, cfg)
-    assert got.shape == (len(rows), len(kinds), max(row[3] for row in rows) + 1, 2)
-    for (traj, start, v0, n_steps), rolls in zip(rows, got):
+    assert got.shape == (len(kinds), sum(row[3] + 1 for row in rows), 2)
+    for (traj, start, v0, n_steps), rolls in zip(rows, row_rolls(got, rows)):
         extend = v_max * (n_steps + 1) * traj.dt + 10.0
         ref = RefPathRollout(traj, start, v0, v_max, extend, cfg)
         path = PathRollout(traj, start, v0, v_max, extend, cfg)
         for kind, roll in zip(kinds, rolls):
-            assert np.all(roll[n_steps + 1:] == 0.0), (start, kind)
             want = ref.roll(kind, n_steps)
             assert want.shape == (n_steps + 1, 2)
-            assert np.array_equal(roll[:n_steps + 1], want), (start, kind)
+            assert np.array_equal(roll, want), (start, kind)
             assert np.array_equal(path.roll(kind, n_steps), want), (start, kind)
     free = admitted(rows, v_max, cfg)
     assert free.tolist() == [bool(admitted([row], v_max, cfg)[0]) for row in rows]
@@ -832,9 +838,8 @@ def test_rows_two_sample_window():
 def test_rows_zero_speed_limit():
     rows = window_rows(straight_traj((0.0, 0.0), (3.0, 1.0), 15))
     assert check_rows(rows, v_max=0.0) == len(rows)
-    for (_, _, _, n_steps), rolls in zip(rows, rollout_rows(rows, ALL_KINDS, 0.0, EvalConfig())):
-        for roll in rolls:
-            xy = roll[:n_steps + 1]
+    for rolls in row_rolls(rollout_rows(rows, ALL_KINDS, 0.0, EvalConfig()), rows):
+        for xy in rolls:
             assert np.array_equal(xy, np.broadcast_to(xy[0], xy.shape))
 
 
@@ -862,8 +867,8 @@ def test_rows_mixed_batch():
 
 
 def test_rows_empty():
-    assert rollout_rows([], ALL_KINDS, 2.0, EvalConfig()).shape == (0, 3, 1, 2)
-    assert rollout_rows([], (ProfileKind.DECEL,), 2.0, EvalConfig()).shape == (0, 1, 1, 2)
+    assert rollout_rows([], ALL_KINDS, 2.0, EvalConfig()).shape == (3, 0, 2)
+    assert rollout_rows([], (ProfileKind.DECEL,), 2.0, EvalConfig()).shape == (1, 0, 2)
 
 
 def test_rows_start_outside_track():
@@ -926,7 +931,7 @@ def test_rows_follow_the_callers_kinds_property(trajs, v_max, kinds, other, data
     cfg = EvalConfig()
     full = rollout_rows(rows, kinds, v_max, cfg)
     got = rollout_rows(rows, other, v_max, cfg)
-    assert np.array_equal(got, full[:, [kinds.index(kind) for kind in other]])
+    assert np.array_equal(got, full[[kinds.index(kind) for kind in other]])
 
 
 # --- the speed cap's backward pass --------------------------------------------
@@ -1094,11 +1099,10 @@ def test_layout_equals_frozen_paths_property(trajs, v_max, data):
     extend = v_max * (n_steps + 1) * np.array([row[0].dt for row in rows]) + 10.0
     assert_layout_equal(_paths(rows, extend, v_max, cfg), frozen_paths(rows, extend, v_max, cfg))
     stack = rollout_rows(rows, ALL_KINDS, v_max, cfg)
-    for (traj, start, v0, n), rolls, ext in zip(rows, stack, extend.tolist()):
+    for (traj, start, v0, n), rolls, ext in zip(rows, row_rolls(stack, rows), extend.tolist()):
         path = PathRollout(traj, start, v0, v_max, ext, cfg)
         for kind, roll in zip(ALL_KINDS, rolls):
-            assert np.array_equal(roll[:n + 1], path.roll(kind, n)), (start, kind)
-            assert np.all(roll[n + 1:] == 0.0)
+            assert np.array_equal(roll, path.roll(kind, n)), (start, kind)
 
 
 @given(st.lists(st.tuples(layout_tracks, st.integers(0, 200)), min_size=1, max_size=6),
@@ -1420,10 +1424,10 @@ def check_kinds(rows, kinds, v_max, cfg):
     """``rollout_rows`` of ``rows`` with ``kinds`` equals a ``PathRollout``
     of each row and kind, bit for bit."""
     got = rollout_rows(rows, kinds, v_max, cfg)
-    for (traj, start, v0, n), rolls in zip(rows, got):
+    for (traj, start, v0, n), rolls in zip(rows, row_rolls(got, rows)):
         path = PathRollout(traj, start, v0, v_max, v_max * (n + 1) * traj.dt + 10.0, cfg)
         for kind, roll in zip(kinds, rolls):
-            assert np.array_equal(roll[:n + 1], path.roll(kind, n)), (start, kind)
+            assert np.array_equal(roll, path.roll(kind, n)), (start, kind)
 
 
 @pytest.mark.parametrize("kinds", [

@@ -29,6 +29,7 @@ from interaction_eval.types import (
     co_observed,
     kinematics_rows,
     resample_rows,
+    row_samples,
     scene_frame,
 )
 
@@ -240,6 +241,26 @@ class TestResampling:
                 "kinematics_rows": lambda: kinematics_rows(xy, np.array(lengths), 0.1)}[kernel]
         with pytest.raises(LengthMismatch, match="row lengths sum to"):
             call()
+
+
+class TestRowSamples:
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_per_row_ranges(self, rows):
+        """The gather of rows that start anywhere, overlap or repeat, rows of
+        one sample and of none among them, is each row's own range of
+        indices, row after row."""
+        starts = np.array([a for a, _ in rows], dtype=int)
+        lengths = np.array([n for _, n in rows], dtype=int)
+        want = np.concatenate([np.arange(a, a + n) for a, n in rows] + [np.zeros(0, dtype=int)])
+        got = row_samples(starts, lengths)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == want.tolist()
+
+    def test_empty_call_and_one_sample_rows(self):
+        none = np.zeros(0, dtype=int)
+        assert row_samples(none, none).shape == (0,)
+        assert row_samples(np.array([7, 2, 7]), np.array([1, 1, 1])).tolist() == [7, 2, 7]
 
 
 class TestKinematics:
